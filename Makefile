@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short test-race fuzz-smoke bench bench-smoke bench-planner-smoke bench-frontier-smoke bench-replan-smoke bench-serve-smoke serve-smoke chaos-smoke cluster-smoke client-smoke backpressure-stress experiments examples cover clean
+.PHONY: all build vet test test-short test-race fuzz-smoke bench bench-test bench-smoke bench-planner-smoke bench-frontier-smoke bench-replan-smoke bench-serve-smoke serve-smoke chaos-smoke cluster-smoke client-smoke backpressure-stress experiments examples cover clean
 
 all: build vet test
 
@@ -46,9 +46,16 @@ fuzz-smoke:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzWireDecode -fuzztime 10s
 	$(GO) test ./internal/client -run '^$$' -fuzz FuzzClientDecode -fuzztime 10s
 
-# One benchmark per evaluation artifact (E1-E21) plus kernel microbenchmarks.
+# One benchmark per evaluation artifact (E1-E21) plus kernel microbenchmarks,
+# including the data plane's (wire Conn send/round trip, outbox drain).
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# The benchmark harness is a module of its own (bench/go.mod), so the root
+# module's ./... never reaches its tests (manifest drift against
+# BENCHMARK.json, load generator, stats, spans); this target does.
+bench-test:
+	cd bench && $(GO) vet . && $(GO) test .
 
 # Fast perf guard for CI: one iteration of the simulator event-loop and
 # multi-user scaling benchmarks with allocation accounting.

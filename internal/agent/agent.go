@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"edgesurgeon/internal/joint"
@@ -120,9 +121,18 @@ type Agent struct {
 	conn  *wire.Conn
 	start time.Time
 
+	// slots is the installed service table: an immutable snapshot handleInfer
+	// reads without a lock, replaced by install under mu.
+	slots atomic.Pointer[map[int]*userSlot]
+
 	mu    sync.Mutex
 	epoch uint64
-	slots map[int]*userSlot
+}
+
+func newAgent(cfg Config, conn *wire.Conn) *Agent {
+	a := &Agent{cfg: cfg, conn: conn, start: time.Now()}
+	a.slots.Store(&map[int]*userSlot{})
+	return a
 }
 
 // Run dials the dispatcher and serves until the connection drops or ctx is
@@ -163,7 +173,7 @@ func Run(ctx context.Context, cfg Config) error {
 	}
 	cfg.logf("agent %s: registered for server %d at %s", cfg.id(), cfg.Server, cfg.Dispatcher)
 
-	a := &Agent{cfg: cfg, conn: conn, start: time.Now(), slots: map[int]*userSlot{}}
+	a := newAgent(cfg, conn)
 
 	// Unblock the read loop when ctx is cancelled.
 	done := make(chan struct{})
@@ -279,23 +289,20 @@ func (a *Agent) install(alloc *wire.Allocation) error {
 	if alloc.Epoch < a.epoch {
 		return fmt.Errorf("agent: stale allocation epoch %d (have %d)", alloc.Epoch, a.epoch)
 	}
+	installed := *a.slots.Load()
 	for user, slot := range slots {
-		if old, ok := a.slots[user]; ok {
+		if old, ok := installed[user]; ok {
 			old.mu.Lock()
 			slot.nextFree = old.nextFree
 			old.mu.Unlock()
 		}
 	}
 	a.epoch = alloc.Epoch
-	a.slots = slots
+	a.slots.Store(&slots)
 	return nil
 }
 
-func (a *Agent) slot(user int) *userSlot {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.slots[user]
-}
+func (a *Agent) slot(user int) *userSlot { return (*a.slots.Load())[user] }
 
 // handleInfer executes one suffix inference: the modeled activation
 // transfer, then the user's GPU share (same-user FIFO; distinct users hold

@@ -221,12 +221,7 @@ func TestSameUserRequestsSerialize(t *testing.T) {
 	}
 	defer peer.conn.Close()
 
-	a := &Agent{
-		cfg:   Config{Scenario: sc, Server: 0, TimeScale: 0.02},
-		conn:  agentSide,
-		start: time.Now(),
-		slots: map[int]*userSlot{},
-	}
+	a := newAgent(Config{Scenario: sc, Server: 0, TimeScale: 0.02}, agentSide)
 	// Full offload (partition 0) has CrossProb 1, so the conditional server
 	// time is deterministic and strictly positive.
 	alloc := &wire.Allocation{
@@ -357,5 +352,63 @@ func TestAgentDisconnectEvacuates(t *testing.T) {
 	drive(1000, 8)
 	if got := rt.Metrics().Counter("dataplane.requests_ok").Value(); got < 16 {
 		t.Fatalf("only %d requests completed OK, want >= 16", got)
+	}
+}
+
+// TestPublishPushesOnlyChangedSlices pins the allocation-push gate: a cheap
+// refresh that leaves every decision as it was pushes nothing, and a changed
+// decision pushes exactly once to each agent whose slice it touches.
+func TestPublishPushesOnlyChangedSlices(t *testing.T) {
+	sc := testScenario(t, 8, 40)
+	d, rt, _ := testPlane(t, sc, serve.Hysteresis())
+	pushes := rt.Metrics().Counter("dataplane.alloc_pushes")
+	cheap := rt.Metrics().Counter("serve.replans.cheap")
+
+	// Held to the end: no telemetry ingest may publish between the steps.
+	d.ingestMu.Lock()
+	defer d.ingestMu.Unlock()
+	base, cheapBefore, before := pushes.Value(), cheap.Value(), d.lastPlan
+
+	// An observation at the planning rate is still an observation: the
+	// runtime answers with a cheap refresh, whose surgery and allocation at
+	// unchanged rates yield a new plan value holding the same decisions.
+	uplinks := make([]float64, len(sc.Servers))
+	uplinks[0] = d.meanRates[0]
+	d.ingestLocked(telemetry.Sample{Uplinks: uplinks, Source: telemetry.SourceID(0)})
+	if cheap.Value() != cheapBefore+1 || d.lastPlan == before {
+		t.Fatalf("the sample was not a cheap refresh onto a fresh plan (cheap %d → %d)", cheapBefore, cheap.Value())
+	}
+	if got := pushes.Value(); got != base {
+		t.Fatalf("a cheap refresh with unchanged decisions pushed %d allocations", got-base)
+	}
+
+	// One user's share changes: its server's agent hears once, the other not.
+	user := -1
+	for u := range d.lastPlan.Decisions {
+		if dec := &d.lastPlan.Decisions[u]; dec.Server >= 0 && dec.ComputeShare > 0 {
+			user = u
+			break
+		}
+	}
+	if user < 0 {
+		t.Fatal("the plan offloads nobody; nothing to change")
+	}
+	edit := func(f func(*joint.Decision)) *joint.Plan {
+		next := *d.lastPlan
+		next.Decisions = append([]joint.Decision(nil), d.lastPlan.Decisions...)
+		f(&next.Decisions[user])
+		return &next
+	}
+	d.publishLocked(edit(func(dec *joint.Decision) { dec.ComputeShare *= 0.5 }))
+	if got := pushes.Value(); got != base+1 {
+		t.Fatalf("one changed share pushed %d allocations, want 1", got-base)
+	}
+	// The user moves to the other server: both agents' slices change.
+	d.publishLocked(edit(func(dec *joint.Decision) { dec.Server = 1 - dec.Server }))
+	if got := pushes.Value(); got != base+3 {
+		t.Fatalf("one moved user pushed %d allocations, want 2", got-base-1)
+	}
+	if d.plan.Load() != d.lastPlan {
+		t.Fatal("the routing plan is not the last published plan")
 	}
 }

@@ -14,8 +14,11 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"reflect"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -599,33 +602,53 @@ func TestDuplicateHelloRejected(t *testing.T) {
 	})
 }
 
-// TestOutboxOverflowAndDeadline unit-tests the primitive under everything
-// above: a full queue refuses enqueue, and a write that misses its deadline
-// trips the counter hook and kills the connection.
-func TestOutboxOverflowAndDeadline(t *testing.T) {
+// writeCounter counts the Writes that reach the socket.
+type writeCounter struct {
+	w io.Writer
+	n atomic.Int64
+}
+
+func (c *writeCounter) Write(p []byte) (int, error) {
+	c.n.Add(1)
+	return c.w.Write(p)
+}
+
+// pipeOutbox returns an outbox over one end of a net.Pipe, the peer's end,
+// and the count of Writes the outbox side makes from here on, header exchange
+// done. The pipe is synchronous, so the peer reads our header first (both
+// sides writing first would deadlock).
+func pipeOutbox(t testing.TB, queue int, deadline time.Duration) (*outbox, net.Conn, *atomic.Int64) {
+	t.Helper()
 	c1, c2 := net.Pipe()
-	defer c2.Close()
-	// The peer completes the header exchange by hand (read first — the pipe
-	// is synchronous, so both sides writing first would deadlock), then
-	// stalls: it never reads a frame.
+	t.Cleanup(func() { c1.Close(); c2.Close() })
 	go func() {
-		br := bufio.NewReader(c2)
-		if err := wire.ReadHeader(br); err != nil {
+		if err := wire.ReadHeader(bufio.NewReader(c2)); err != nil {
 			return
 		}
 		_ = wire.WriteHeader(c2)
 	}()
-	conn, err := wire.NewConn(bufio.NewReader(c1), c1, c1)
+	w := &writeCounter{w: c1}
+	conn, err := wire.NewConn(bufio.NewReader(c1), w, c1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ob := newOutbox(conn, c1, 2, 50*time.Millisecond)
-	tripped := make(chan struct{}, 1)
-	died := make(chan error, 1)
-	ob.onTrip = func() { tripped <- struct{}{} }
-	ob.onDead = func(err error) { died <- err }
+	w.n.Store(0) // the header was a Write too
+	return newOutbox(conn, c1, queue, deadline), c2, &w.n
+}
 
-	// Nobody reads c2: the queue takes 2 frames, the third is refused.
+// TestOutboxOverflowAndDeadline unit-tests the primitive under everything
+// above: a full queue refuses enqueue without blocking, and a batched flush
+// that misses its deadline trips the counter hook once, kills the connection
+// once, and leaves queued() equal to the frames it abandoned.
+func TestOutboxOverflowAndDeadline(t *testing.T) {
+	// The peer stalls: it never reads a frame.
+	ob, _, _ := pipeOutbox(t, 2, 50*time.Millisecond)
+	var trips, deaths atomic.Int64
+	died := make(chan error, 1)
+	ob.onTrip = func() { trips.Add(1) }
+	ob.onDead = func(err error) { deaths.Add(1); died <- err }
+
+	// Nobody reads the pipe: the queue takes 2 frames, the third is refused.
 	for i := 0; i < 2; i++ {
 		if !ob.enqueue(&wire.Heartbeat{Time: float64(i)}) {
 			t.Fatalf("enqueue %d refused with a non-full queue", i)
@@ -635,12 +658,8 @@ func TestOutboxOverflowAndDeadline(t *testing.T) {
 		t.Fatal("enqueue accepted past the queue bound")
 	}
 
-	go ob.run()
-	select {
-	case <-tripped:
-	case <-time.After(5 * time.Second):
-		t.Fatal("write deadline never tripped against a stalled pipe")
-	}
+	done := make(chan struct{})
+	go func() { ob.run(); close(done) }()
 	select {
 	case err := <-died:
 		var ne net.Error
@@ -648,9 +667,98 @@ func TestOutboxOverflowAndDeadline(t *testing.T) {
 			t.Fatalf("outbox died with %v, want a timeout", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("outbox never died after its deadline trip")
+		t.Fatal("write deadline never tripped against a stalled pipe")
+	}
+	<-done
+	ob.shut(errors.New("late")) // a second shut must not fire onDead again
+	if trips.Load() != 1 || deaths.Load() != 1 {
+		t.Fatalf("one missed flush fired onTrip %d times and onDead %d times, want once each", trips.Load(), deaths.Load())
+	}
+	if got := ob.queued(); got != 2 {
+		t.Fatalf("queued() = %d after the batch of 2 was abandoned, want 2", got)
 	}
 	if ob.enqueue(&wire.Heartbeat{Time: 10}) {
 		t.Fatal("enqueue accepted on a dead outbox")
 	}
+}
+
+// TestOutboxBatchesQueuedFrames: frames queued while the writer was away go
+// out in one Write, in order; a batch stops growing at wire.BatchBytes; and
+// queued() returns to zero once they are written.
+func TestOutboxBatchesQueuedFrames(t *testing.T) {
+	ob, peer, writes := pipeOutbox(t, 16, 5*time.Second)
+	// Ten small frames, then five of 100 KiB: the first batch closes on the
+	// frame that takes it past BatchBytes (the third big one), the second
+	// carries the other two.
+	var want []wire.Msg
+	for i := 0; i < 10; i++ {
+		want = append(want, &wire.Heartbeat{Time: float64(i)})
+	}
+	for i := 0; i < 5; i++ {
+		want = append(want, &wire.Infer{Seq: uint64(i), Payload: make([]byte, 100<<10)})
+	}
+	for _, m := range want {
+		if !ob.enqueue(m) {
+			t.Fatalf("enqueue of %T refused", m)
+		}
+	}
+	if got := ob.queued(); got != len(want) {
+		t.Fatalf("queued() = %d before the writer started, want %d", got, len(want))
+	}
+	go ob.run()
+	defer ob.shut(nil)
+	r := bufio.NewReader(peer)
+	for i, m := range want {
+		payload, err := wire.ReadFrame(r)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		got, err := wire.Decode(payload)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(got, m) {
+			t.Fatalf("frame %d arrived as %T, want %T in queue order", i, got, m)
+		}
+	}
+	if n := writes.Load(); n != 2 {
+		t.Fatalf("15 queued frames took %d Writes, want 2 (one per batch)", n)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ob.queued() != 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("queued() = %d after every frame was read", ob.queued())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// BenchmarkOutboxDrain: enqueue → batched flush → peer read on net.Pipe, small
+// frames, the producer a queue ahead of the writer.
+func BenchmarkOutboxDrain(b *testing.B) {
+	ob, peer, writes := pipeOutbox(b, 64, 5*time.Second)
+	go ob.run()
+	defer ob.shut(nil)
+	read := make(chan int)
+	go func() {
+		r := bufio.NewReader(peer)
+		n := 0
+		for ; n < b.N; n++ {
+			if _, err := wire.ReadFrame(r); err != nil {
+				break
+			}
+		}
+		read <- n
+	}()
+	resp := &wire.Response{Seq: 123456, User: 37, Server: 1, DeviceSec: 0.01, UplinkSec: 0.02, ServerSec: 0.005, TotalSec: 0.035}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for !ob.enqueue(resp) {
+			runtime.Gosched() // queue full: let the writer run
+		}
+	}
+	if n := <-read; n != b.N {
+		b.Fatalf("peer read %d of %d frames", n, b.N)
+	}
+	b.ReportMetric(float64(b.N)/float64(writes.Load()), "frames/write")
 }

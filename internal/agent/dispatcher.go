@@ -3,9 +3,10 @@ package agent
 import (
 	"bufio"
 	"fmt"
+	"maps"
 	"math"
 	"net"
-	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,6 +22,10 @@ import (
 // request; real activations at common partition points are far larger, but
 // the loopback plane only needs enough bytes to exercise framing.
 const payloadCap = 1 << 16
+
+// zeroActivation is the stand-in blob itself: every crossing ships a prefix
+// of this one buffer, which nothing ever writes.
+var zeroActivation [payloadCap]byte
 
 // DispatcherConfig configures the wire-facing dispatcher.
 type DispatcherConfig struct {
@@ -173,8 +178,11 @@ type Dispatcher struct {
 	meanRates []float64 // scenario planning-time rates, the fallback
 	up        []bool    // connectivity-derived health, as last ingested
 
+	// agents is the registered agent per server: an immutable snapshot the
+	// request path reads without a lock, copied and replaced under mu.
+	agents atomic.Pointer[map[int]*agentConn]
+
 	mu      sync.Mutex
-	agents  map[int]*agentConn
 	clients map[*wire.Conn]struct{} // open client conns, closed on Close
 	ever    []bool                  // has server s ever had an agent (guarded by mu)
 	ready   *sync.Cond              // broadcast when an agent acks its first allocation
@@ -231,7 +239,6 @@ func StartDispatcher(cfg DispatcherConfig) (*Dispatcher, error) {
 		meanRates:       make([]float64, len(sc.Servers)),
 		up:              make([]bool, len(sc.Servers)),
 		ever:            make([]bool, len(sc.Servers)),
-		agents:          map[int]*agentConn{},
 		clients:         map[*wire.Conn]struct{}{},
 		telemCh:         make(chan telemItem, 256),
 		done:            make(chan struct{}),
@@ -249,6 +256,7 @@ func StartDispatcher(cfg DispatcherConfig) (*Dispatcher, error) {
 		gAgents:         reg.Gauge("dataplane.agents_connected"),
 	}
 	d.ready = sync.NewCond(&d.mu)
+	d.agents.Store(&map[int]*agentConn{})
 	for s := range sc.Servers {
 		d.meanRates[s] = netmodel.MeanRate(sc.Servers[s].Link, horizon)
 		d.up[s] = true // servers start optimistically up, like the runtime
@@ -287,10 +295,7 @@ func (d *Dispatcher) Close() error {
 		return nil
 	}
 	d.closed = true
-	agents := make([]*agentConn, 0, len(d.agents))
-	for _, ac := range d.agents {
-		agents = append(agents, ac)
-	}
+	agents := *d.agents.Load() // final: registration refuses once closed
 	clients := make([]*wire.Conn, 0, len(d.clients))
 	for conn := range d.clients {
 		clients = append(clients, conn)
@@ -326,7 +331,7 @@ func (d *Dispatcher) WaitAgents(n int, timeout time.Duration) error {
 	defer d.mu.Unlock()
 	for {
 		ready := 0
-		for _, ac := range d.agents {
+		for _, ac := range *d.agents.Load() {
 			ac.mu.Lock()
 			if ac.acked {
 				ready++
@@ -456,13 +461,11 @@ func (d *Dispatcher) serveAgent(ac *agentConn) {
 		ac.conn.Close()
 		return
 	}
-	if old := d.agents[ac.server]; old != nil {
+	if old := (*d.agents.Load())[ac.server]; old != nil {
 		old.ob.shut(nil) // a reconnecting agent replaces its predecessor
 	}
-	d.agents[ac.server] = ac
-	n := len(d.agents)
+	d.setAgentLocked(ac.server, ac)
 	d.mu.Unlock()
-	d.gAgents.Set(float64(n))
 	d.cfg.logf("dispatcher: agent %s registered for server %d", ac.id, ac.server)
 	d.wg.Add(1)
 	go func() {
@@ -524,6 +527,19 @@ readLoop:
 	d.onAgentDown(ac)
 }
 
+// setAgentLocked publishes a copy of the agent table with server's entry
+// replaced (nil removes it) and updates the connected-agents gauge. Caller
+// holds mu.
+func (d *Dispatcher) setAgentLocked(server int, ac *agentConn) {
+	next := maps.Clone(*d.agents.Load())
+	delete(next, server)
+	if ac != nil {
+		next[server] = ac
+	}
+	d.agents.Store(&next)
+	d.gAgents.Set(float64(len(next)))
+}
+
 // sendAgent queues one frame for an agent. An agent whose outbox cannot take
 // the frame (overflowed queue or dead writer) is marked suspect: the push
 // path must never block, and an agent that is not draining is treated
@@ -562,14 +578,12 @@ func (d *Dispatcher) onAgentDown(ac *agentConn) {
 	ac.conn.Close()
 	ac.failPending()
 	d.mu.Lock()
-	replaced := d.agents[ac.server] != ac
+	replaced := (*d.agents.Load())[ac.server] != ac
 	if !replaced {
-		delete(d.agents, ac.server)
+		d.setAgentLocked(ac.server, nil)
 	}
-	n := len(d.agents)
 	closed := d.closed
 	d.mu.Unlock()
-	d.gAgents.Set(float64(n))
 	if replaced || closed {
 		return
 	}
@@ -586,8 +600,9 @@ func (d *Dispatcher) observeConnectivity(source string) {
 	defer d.ingestMu.Unlock()
 	health := make([]bool, len(d.up))
 	d.mu.Lock()
+	agents := *d.agents.Load()
 	for s := range health {
-		_, connected := d.agents[s]
+		_, connected := agents[s]
 		if connected {
 			d.ever[s] = true
 		}
@@ -630,8 +645,8 @@ func (d *Dispatcher) onTelemetry(ac *agentConn, m *wire.Telemetry) {
 }
 
 // ingestLocked stamps the sample with the dispatcher's monotone virtual
-// clock, runs it through the serve runtime, and pushes allocations if the
-// published plan changed. Caller holds ingestMu.
+// clock, runs it through the serve runtime, and publishes the resulting
+// plan. Caller holds ingestMu.
 func (d *Dispatcher) ingestLocked(s telemetry.Sample) {
 	t := d.virtualNow()
 	if t < d.clock {
@@ -644,71 +659,66 @@ func (d *Dispatcher) ingestLocked(s telemetry.Sample) {
 		return
 	}
 	d.clock = t
-	if plan != d.lastPlan {
-		// The runtime returns a fresh plan pointer on every cheap refresh,
-		// but an agent's installed physics (conditional bits, conditional
-		// compute) depend only on the decisions — the pushed rate estimate
-		// cancels out of the bit count. Re-pushing identical decisions
-		// would just burn agent CPU on surgery re-evaluation, so only
-		// decision changes go on the wire.
-		changed := d.lastPlan == nil || !reflect.DeepEqual(plan.Decisions, d.lastPlan.Decisions)
-		d.lastPlan = plan
-		d.plan.Store(plan)
-		if changed {
-			d.pushAllocationsLocked(plan)
+	d.publishLocked(plan)
+}
+
+// publishLocked makes plan the routing plan and pushes it to the agents
+// whose slice it changes. The runtime returns a fresh plan pointer on every
+// cheap refresh, but an agent's installed physics depend only on its users'
+// decisions (the pushed rate estimate cancels out of the bit count), so
+// re-pushing an unchanged slice would just burn agent CPU on surgery
+// re-evaluation. Caller holds ingestMu.
+func (d *Dispatcher) publishLocked(plan *joint.Plan) {
+	if plan == d.lastPlan {
+		return
+	}
+	dirty := changedServers(d.lastPlan, plan, len(d.up))
+	d.lastPlan = plan
+	d.plan.Store(plan)
+	for _, ac := range *d.agents.Load() {
+		if dirty[ac.server] {
+			d.pushLocked(ac, plan)
 		}
 	}
 }
 
-// pushAllocationsLocked sends every connected agent its slice of the plan.
-// Caller holds ingestMu (epoch ordering).
-func (d *Dispatcher) pushAllocationsLocked(plan *joint.Plan) {
-	d.epoch++
-	sc := d.cfg.Scenario
-	entries := make(map[int][]wire.AllocEntry)
-	for ui := range plan.Decisions {
-		dec := &plan.Decisions[ui]
-		if dec.Server < 0 || dec.ComputeShare <= 0 {
+// sameEntry reports whether two decisions put the same allocation entry on
+// the wire: exactly the fields pushLocked sends.
+func sameEntry(a, b *joint.Decision) bool {
+	return a.Server == b.Server && a.Plan.Partition == b.Plan.Partition &&
+		a.Plan.Theta == b.Plan.Theta && slices.Equal(a.Plan.Exits, b.Plan.Exits) &&
+		a.ComputeShare == b.ComputeShare && a.BandwidthShare == b.BandwidthShare
+}
+
+// changedServers marks the servers whose allocation slice differs between
+// two plans: a changed decision touches the server it left and the one it
+// joined.
+func changedServers(prev, next *joint.Plan, servers int) []bool {
+	dirty := make([]bool, servers)
+	for i := range next.Decisions {
+		a, b := &prev.Decisions[i], &next.Decisions[i]
+		if sameEntry(a, b) {
 			continue
 		}
-		entries[dec.Server] = append(entries[dec.Server], wire.AllocEntry{
-			User:           ui,
-			Partition:      dec.Plan.Partition,
-			Theta:          dec.Plan.Theta,
-			Exits:          dec.Plan.Exits,
-			ComputeShare:   dec.ComputeShare,
-			BandwidthShare: dec.BandwidthShare,
-		})
-	}
-	d.mu.Lock()
-	agents := make([]*agentConn, 0, len(d.agents))
-	for _, ac := range d.agents {
-		agents = append(agents, ac)
-	}
-	d.mu.Unlock()
-	for _, ac := range agents {
-		alloc := &wire.Allocation{
-			Epoch:     d.epoch,
-			UplinkBps: d.rateForLocked(ac.server),
-			RTT:       sc.Servers[ac.server].RTT,
-			Entries:   entries[ac.server],
+		for _, s := range [2]int{a.Server, b.Server} {
+			if s >= 0 {
+				dirty[s] = true
+			}
 		}
-		// A push that cannot be queued marks the agent suspect inside
-		// sendAgent — the connection is torn down and the loss routes
-		// through onAgentDown's evacuation machinery, never silently
-		// dropped.
-		if err := d.sendAgent(ac, alloc); err != nil {
-			d.cfg.logf("dispatcher: pushing allocation to %s: %v", ac.id, err)
-			continue
-		}
-		d.cPushes.Inc()
 	}
+	return dirty
 }
 
 // pushTo sends one agent its current allocation slice (registration path).
 func (d *Dispatcher) pushTo(ac *agentConn, plan *joint.Plan) {
 	d.ingestMu.Lock()
 	defer d.ingestMu.Unlock()
+	d.pushLocked(ac, plan)
+}
+
+// pushLocked sends one agent its slice of the plan. Caller holds ingestMu
+// (epoch ordering).
+func (d *Dispatcher) pushLocked(ac *agentConn, plan *joint.Plan) {
 	d.epoch++
 	sc := d.cfg.Scenario
 	var entries []wire.AllocEntry
@@ -732,6 +742,9 @@ func (d *Dispatcher) pushTo(ac *agentConn, plan *joint.Plan) {
 		RTT:       sc.Servers[ac.server].RTT,
 		Entries:   entries,
 	}
+	// A push that cannot be queued marks the agent suspect inside sendAgent —
+	// the connection is torn down and the loss routes through onAgentDown's
+	// evacuation machinery, never silently dropped.
 	if err := d.sendAgent(ac, alloc); err != nil {
 		d.cfg.logf("dispatcher: pushing allocation to %s: %v", ac.id, err)
 		return
@@ -806,8 +819,8 @@ readLoop:
 // rejectDuplicateHello tells a peer, synchronously but deadline-guarded, why
 // it is about to be disconnected. Role and server binding are immutable per
 // connection; a second Hello is a protocol violation. The direct Send is
-// safe alongside the outbox writer (wire.Conn serializes writers) and cannot
-// wedge the read loop: the write deadline bounds it.
+// safe alongside the outbox writer (wire.Conn combines concurrent writers)
+// and cannot wedge the read loop: the write deadline bounds it.
 func (d *Dispatcher) rejectDuplicateHello(ob *outbox) {
 	_ = ob.nc.SetWriteDeadline(time.Now().Add(d.cfg.writeDeadline()))
 	_ = ob.conn.Send(&wire.ErrorMsg{Text: "duplicate Hello on a live connection"})
@@ -892,9 +905,7 @@ func (d *Dispatcher) execute(req *wire.Request) *wire.Response {
 // and awaits the per-stage timings.
 func (d *Dispatcher) remoteSuffix(dec *joint.Decision, req *wire.Request) (*wire.InferResult, int, error) {
 	server := dec.Server
-	d.mu.Lock()
-	ac := d.agents[server]
-	d.mu.Unlock()
+	ac := (*d.agents.Load())[server]
 	if ac == nil {
 		return nil, server, fmt.Errorf("no agent connected for server %d", server)
 	}
@@ -949,7 +960,7 @@ func activationPayload(dec *joint.Decision) []byte {
 	if n <= 0 {
 		return nil
 	}
-	return make([]byte, n)
+	return zeroActivation[:n]
 }
 
 // crossDraw is the deterministic partition-crossing sampler: a splitmix64

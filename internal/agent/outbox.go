@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"edgesurgeon/internal/wire"
@@ -15,7 +16,8 @@ import (
 var errOutboxDead = errors.New("agent: outbound queue closed")
 
 // outbox is one connection's bounded outbound queue, drained by a single
-// writer goroutine that applies a write deadline per frame. It is the
+// writer goroutine that moves whatever is queued (up to wire.BatchBytes) into
+// the connection and flushes it with one write under one deadline. It is the
 // dispatcher's backpressure boundary: enqueue never blocks, so a peer whose
 // socket has stopped absorbing bytes can stall only its own writer — never a
 // request handler, the telemetry ingest loop, or an allocation push.
@@ -27,17 +29,18 @@ var errOutboxDead = errors.New("agent: outbound queue closed")
 // the stream, so there is nothing gentler to do than disconnect.
 type outbox struct {
 	conn     *wire.Conn
-	nc       net.Conn // for per-frame write deadlines
+	nc       net.Conn // for per-flush write deadlines
 	deadline time.Duration
 
-	ch   chan wire.Msg
-	done chan struct{}
+	ch      chan wire.Msg
+	waiting atomic.Int64 // frames accepted and not yet written
+	done    chan struct{}
 
 	mu   sync.Mutex
 	dead bool
 	err  error
 
-	// onTrip is called when a frame write misses its deadline (before
+	// onTrip is called when a flush misses its deadline (before
 	// onDead). onDead is called exactly once when the writer dies with a
 	// transport error or the outbox is shut with one; a nil-error shut
 	// (normal teardown) skips it. Both may be nil.
@@ -69,15 +72,17 @@ func (o *outbox) enqueue(m wire.Msg) bool {
 	}
 	select {
 	case o.ch <- m:
+		o.waiting.Add(1)
 		return true
 	default:
 		return false
 	}
 }
 
-// queued reports the messages currently waiting (the count abandoned when a
+// queued reports the frames accepted and not yet written: still in the queue
+// or in a batch whose flush has not succeeded (the count abandoned when a
 // connection dies — they are shed by definition).
-func (o *outbox) queued() int { return len(o.ch) }
+func (o *outbox) queued() int { return int(o.waiting.Load()) }
 
 // run drains the queue until the connection dies or shut is called. The
 // caller owns the goroutine's lifetime accounting (dispatcher wg).
@@ -87,10 +92,8 @@ func (o *outbox) run() {
 		case <-o.done:
 			return
 		case m := <-o.ch:
-			if o.deadline > 0 {
-				_ = o.nc.SetWriteDeadline(time.Now().Add(o.deadline))
-			}
-			if err := o.conn.Send(m); err != nil {
+			n, err := o.flush(m)
+			if err != nil {
 				var ne net.Error
 				if errors.As(err, &ne) && ne.Timeout() && o.onTrip != nil {
 					o.onTrip()
@@ -98,8 +101,31 @@ func (o *outbox) run() {
 				o.shut(err)
 				return
 			}
+			o.waiting.Add(-n)
 		}
 	}
+}
+
+// flush moves m and whatever is queued behind it, up to wire.BatchBytes, into
+// the connection and writes the batch under one write deadline. It returns
+// the frames it took from the queue.
+func (o *outbox) flush(m wire.Msg) (n int64, err error) {
+	for size := 0; m != nil; n++ {
+		if size, err = o.conn.Queue(m); err != nil {
+			return n, err
+		}
+		m = nil
+		if size < wire.BatchBytes {
+			select {
+			case m = <-o.ch:
+			default:
+			}
+		}
+	}
+	if o.deadline > 0 {
+		_ = o.nc.SetWriteDeadline(time.Now().Add(o.deadline))
+	}
+	return n, o.conn.Flush()
 }
 
 // shut kills the outbox once: the writer stops, the underlying connection is

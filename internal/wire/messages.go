@@ -1,6 +1,9 @@
 package wire
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // MsgType discriminates the message set.
 type MsgType uint64
@@ -169,6 +172,28 @@ func Encode(m Msg) ([]byte, error) {
 		return nil, fmt.Errorf("wire: %T encodes to %d bytes, over MaxFrame %d", m, len(e.b), MaxFrame)
 	}
 	return e.b, nil
+}
+
+// frame appends m's whole frame — uvarint length prefix, then the payload
+// Encode would return — to e.b, encoding in place. The prefix length is only
+// known once the payload is, so the widest one (3 bytes at MaxFrame) is
+// reserved and a payload under 16 KiB, whose prefix is shorter, is moved down
+// over the gap. On error e.b is left as it was.
+func (e *enc) frame(m Msg) error {
+	const widest = 3
+	start := len(e.b)
+	e.b = append(e.b, make([]byte, widest)...)
+	e.uvarint(uint64(m.Type()))
+	m.encode(e)
+	n := len(e.b) - start - widest
+	if n > MaxFrame {
+		e.b = e.b[:start]
+		return fmt.Errorf("wire: %T encodes to %d bytes, over MaxFrame %d", m, n, MaxFrame)
+	}
+	if k := binary.PutUvarint(e.b[start:], uint64(n)); k < widest {
+		e.b = append(e.b[:start+k], e.b[start+widest:]...)
+	}
+	return nil
 }
 
 // Decode parses one frame payload into its typed message. Unknown types

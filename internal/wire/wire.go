@@ -20,13 +20,21 @@
 // every length read is validated against the remaining frame, oversize
 // frames are refused before allocation, and a short frame surfaces as a
 // typed *DecodeError naming the offending field.
+//
+// Conn is the shared endpoint. Its write side combines: a sender appends
+// its frame to the connection's pending buffer and then writes everything
+// pending in one Write, so frames queued while another write is in flight
+// ride the next one (an idle connection writes at once; there is no timer).
+// The byte stream is the concatenation of WriteFrame(Encode(m)) whatever
+// the batching. The first write error is sticky. Its read side decodes out
+// of one reused frame buffer: a message returned by Recv owns all of its
+// memory, the frame it came from is overwritten by the next Recv.
 package wire
 
 import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"sync"
 )
@@ -91,18 +99,16 @@ func ReadHeader(r io.ByteReader) error {
 	return nil
 }
 
-// WriteFrame writes one length-prefixed frame.
+// WriteFrame writes one length-prefixed frame, prefix and payload in a single
+// Write.
 func WriteFrame(w io.Writer, payload []byte) error {
 	if len(payload) > MaxFrame {
 		return fmt.Errorf("wire: frame of %d bytes exceeds MaxFrame %d", len(payload), MaxFrame)
 	}
-	var lenBuf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(lenBuf[:], uint64(len(payload)))
-	if _, err := w.Write(lenBuf[:n]); err != nil {
-		return fmt.Errorf("wire: writing frame length: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("wire: writing frame payload: %w", err)
+	frame := make([]byte, 0, binary.MaxVarintLen32+len(payload))
+	frame = append(binary.AppendUvarint(frame, uint64(len(payload))), payload...)
+	if _, err := w.Write(frame); err != nil {
+		return fmt.Errorf("wire: writing frame: %w", err)
 	}
 	return nil
 }
@@ -116,7 +122,10 @@ type frameReader interface {
 // ReadFrame reads one frame payload. A clean EOF before the length prefix
 // returns io.EOF (the peer hung up between messages); anything truncated
 // mid-frame is io.ErrUnexpectedEOF.
-func ReadFrame(r frameReader) ([]byte, error) {
+func ReadFrame(r frameReader) ([]byte, error) { return readFrame(r, nil) }
+
+// readFrame is ReadFrame into buf's backing array when the frame fits it.
+func readFrame(r frameReader, buf []byte) ([]byte, error) {
 	length, err := binary.ReadUvarint(r)
 	if err != nil {
 		if err == io.EOF {
@@ -127,7 +136,10 @@ func ReadFrame(r frameReader) ([]byte, error) {
 	if length > MaxFrame {
 		return nil, decodeErr("frame", "length %d exceeds MaxFrame %d", length, MaxFrame)
 	}
-	payload := make([]byte, length)
+	if uint64(cap(buf)) < length {
+		buf = make([]byte, length)
+	}
+	payload := buf[:length]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
@@ -146,7 +158,14 @@ func (e *enc) varint(v int64)   { e.b = binary.AppendVarint(e.b, v) }
 func (e *enc) bytes(p []byte)   { e.uvarint(uint64(len(p))); e.b = append(e.b, p...) }
 func (e *enc) str(s string)     { e.uvarint(uint64(len(s))); e.b = append(e.b, s...) }
 func (e *enc) boolean(v bool)   { e.b = append(e.b, b2u(v)) }
-func (e *enc) float(v float64)  { e.str(strconv.FormatFloat(v, 'g', -1, 64)) }
+
+// float renders v in place behind a one-byte length ('g'/-1 never needs more
+// than 24 characters), the same bytes as str(FormatFloat(v)).
+func (e *enc) float(v float64) {
+	at := len(e.b)
+	e.b = strconv.AppendFloat(append(e.b, 0), v, 'g', -1, 64)
+	e.b[at] = byte(len(e.b) - at - 1)
+}
 
 func b2u(v bool) byte {
 	if v {
@@ -184,7 +203,9 @@ func (d *dec) varint(field string) (int64, error) {
 	return v, nil
 }
 
-func (d *dec) bytes(field string) ([]byte, error) {
+// raw reads a length-prefixed blob as a view into the frame; callers copy
+// what they keep, because the frame buffer is reused.
+func (d *dec) raw(field string) ([]byte, error) {
 	n, err := d.uvarint(field)
 	if err != nil {
 		return nil, err
@@ -192,17 +213,21 @@ func (d *dec) bytes(field string) ([]byte, error) {
 	if n > uint64(len(d.b)) {
 		return nil, d.fail("length %d exceeds remaining %d bytes", n, len(d.b))
 	}
-	if n == 0 {
-		return nil, nil // keep empty blobs nil so round-trips are exact
-	}
-	out := make([]byte, n)
-	copy(out, d.b[:n])
+	p := d.b[:n]
 	d.b = d.b[n:]
-	return out, nil
+	return p, nil
+}
+
+func (d *dec) bytes(field string) ([]byte, error) {
+	p, err := d.raw(field)
+	if len(p) == 0 {
+		return nil, err // keep empty blobs nil so round-trips are exact
+	}
+	return append([]byte(nil), p...), nil
 }
 
 func (d *dec) str(field string) (string, error) {
-	p, err := d.bytes(field)
+	p, err := d.raw(field)
 	return string(p), err
 }
 
@@ -220,14 +245,13 @@ func (d *dec) boolean(field string) (bool, error) {
 }
 
 func (d *dec) float(field string) (float64, error) {
-	s, err := d.str(field)
+	p, err := d.raw(field)
 	if err != nil {
 		return 0, err
 	}
-	v, err := strconv.ParseFloat(s, 64)
+	v, err := strconv.ParseFloat(string(p), 64)
 	if err != nil {
-		d.field = field
-		return 0, d.fail("float %q: %v", s, err)
+		return 0, d.fail("float %q: %v", p, err)
 	}
 	return v, nil
 }
@@ -249,17 +273,31 @@ func (d *dec) count(field string, minElemBytes int) (int, error) {
 	return int(n), nil
 }
 
-// finiteOrSpecial rejects nothing: telemetry deliberately carries NaN/±Inf
-// (the quarantine strikes on them). Kept as documentation of intent.
-var _ = math.NaN
+// BatchBytes is the pending size at which a batching writer (Queue … Flush)
+// should stop queueing and flush. keepBytes is the largest buffer a Conn
+// keeps between uses — twice that, since a full batch overshoots by the frame
+// that closed it and append rounds capacities up; one that a burst or a jumbo
+// frame grew beyond it is dropped, not retained.
+const (
+	BatchBytes = 256 << 10
+	keepBytes  = 2 * BatchBytes
+)
 
-// Conn wraps one side of a protocol connection: framed, header-checked,
-// with writes serialized so concurrent request handlers can share it.
+// Conn wraps one side of a protocol connection: framed, header-checked, and
+// shared by concurrent senders through write combining (see the package
+// doc). After a failed write every Queue, Flush and Send returns that error.
 type Conn struct {
-	wmu sync.Mutex
+	mu      sync.Mutex // guards pending and err; never held across a Write
+	pending enc        // encoded frames awaiting the next Write
+	err     error      // first write error, sticky
+
+	wmu sync.Mutex // held across a Write; guards out
+	out []byte     // the batch being written, swapped with pending
 	w   io.Writer
-	r   frameReader
-	c   io.Closer
+
+	r    frameReader
+	rbuf []byte // Recv's reused frame buffer
+	c    io.Closer
 }
 
 // NewConn performs the header exchange for this side (write ours, validate
@@ -275,23 +313,66 @@ func NewConn(r frameReader, w io.Writer, c io.Closer) (*Conn, error) {
 	return &Conn{w: w, r: r, c: c}, nil
 }
 
-// Send encodes and writes one message as a frame. Safe for concurrent use.
+// Send encodes one message and returns once its frame has been written, by
+// this call or by a concurrent sender's. Safe for concurrent use.
 func (c *Conn) Send(m Msg) error {
-	payload, err := Encode(m)
-	if err != nil {
+	if _, err := c.Queue(m); err != nil {
 		return err
 	}
+	return c.Flush()
+}
+
+// Queue appends m's frame to the pending buffer without writing and returns
+// the bytes now pending. A message that does not encode leaves the buffer
+// as it was. Safe for concurrent use.
+func (c *Conn) Queue(m Msg) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.err != nil {
+		return 0, c.err
+	}
+	err := c.pending.frame(m)
+	return len(c.pending.b), err
+}
+
+// Flush writes everything pending in one Write. Whoever holds the socket
+// takes every frame queued so far, so a caller that finds nothing pending
+// knows the writer before it carried its frames — and set the sticky error
+// before releasing the socket if that write failed.
+func (c *Conn) Flush() error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	return WriteFrame(c.w, payload)
+	c.mu.Lock()
+	if c.err != nil || len(c.pending.b) == 0 {
+		err := c.err
+		c.mu.Unlock()
+		return err
+	}
+	c.pending.b, c.out = c.out[:0], c.pending.b
+	c.mu.Unlock()
+	_, err := c.w.Write(c.out)
+	if cap(c.out) > keepBytes {
+		c.out = nil
+	}
+	if err != nil {
+		err = fmt.Errorf("wire: writing frames: %w", err)
+		c.mu.Lock()
+		c.err = err
+		c.mu.Unlock()
+	}
+	return err
 }
 
 // Recv reads and decodes the next message. Not safe for concurrent use —
-// each connection has one reader goroutine.
+// each connection has one reader goroutine. The returned message shares no
+// memory with the connection.
 func (c *Conn) Recv() (Msg, error) {
-	payload, err := ReadFrame(c.r)
+	payload, err := readFrame(c.r, c.rbuf)
 	if err != nil {
 		return nil, err
+	}
+	if cap(payload) <= keepBytes {
+		c.rbuf = payload[:0]
 	}
 	return Decode(payload)
 }

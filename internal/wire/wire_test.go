@@ -6,7 +6,6 @@ import (
 	"errors"
 	"io"
 	"math"
-	"net"
 	"reflect"
 	"testing"
 )
@@ -80,39 +79,7 @@ func TestRoundTripAllMessages(t *testing.T) {
 func TestRoundTripOverConn(t *testing.T) {
 	// Real TCP, not net.Pipe: the handshake writes both directions before
 	// reading, which needs the kernel socket buffer a pipe doesn't have.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	type res struct {
-		conn *Conn
-		err  error
-	}
-	ch := make(chan res, 1)
-	go func() {
-		b, err := ln.Accept()
-		if err != nil {
-			ch <- res{nil, err}
-			return
-		}
-		c, err := NewConn(bufio.NewReader(b), b, b)
-		ch <- res{c, err}
-	}()
-	a, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	ca, err := NewConn(bufio.NewReader(a), a, a)
-	if err != nil {
-		t.Fatalf("client handshake: %v", err)
-	}
-	r := <-ch
-	if r.err != nil {
-		t.Fatalf("server handshake: %v", r.err)
-	}
-	cb := r.conn
+	ca, cb := tcpPair(t)
 
 	msgs := allMessages()
 	go func() {
