@@ -249,27 +249,6 @@ func BenchmarkJointPlanFrontier(b *testing.B) {
 	}
 }
 
-// BenchmarkJointPlanFrontierNoMemo ablates the per-(user, server) key→table
-// resolution memo from BenchmarkJointPlanFrontier: every lookup constructs
-// and hashes a full FrontierKey. The delta against BenchmarkJointPlanFrontier
-// is exactly what the memo saves; plans and hit/miss tallies are pinned
-// identical by TestFrontierMemoEquivalence.
-func BenchmarkJointPlanFrontierNoMemo(b *testing.B) {
-	sc := benchScenario(b, 16)
-	set, err := joint.BuildFrontierSet(sc, joint.Options{}, surgery.BuildOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	planner := &joint.Planner{Opt: joint.Options{Frontiers: set, DisableFrontierMemo: true}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := planner.Plan(sc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkJointPlanParallel sweeps the planner's worker-pool size at two
 // population scales. Plans are byte-identical across workers (the planner's
 // determinism contract), so the sweep isolates pure wall-clock scaling; the

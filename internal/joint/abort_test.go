@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-
-	"edgesurgeon/internal/surgery"
 )
 
 // TestSurgeryBudgetDeterministicAcrossParallelism pins the property the
@@ -228,40 +226,5 @@ func TestNewDispatcherWithPlan(t *testing.T) {
 	}
 	if _, err := NewDispatcherWithPlan(sc, planner, nil); err == nil {
 		t.Fatal("accepted a nil plan")
-	}
-}
-
-// TestFrontierMemoEquivalence: with the per-(user, server) resolution memo
-// disabled, plans and hit/miss tallies are identical to the memoized path —
-// the memo only skips key construction, never changes an answer.
-func TestFrontierMemoEquivalence(t *testing.T) {
-	sc := testScenario(t, 12, 40)
-	for _, thresh := range []int{0, 6} {
-		for _, par := range []int{1, 4} {
-			label := fmt.Sprintf("thresh=%d par=%d", thresh, par)
-			opt := Options{Parallelism: par, ShardThreshold: thresh}
-			set, err := BuildFrontierSet(sc, opt, surgery.BuildOptions{Surgery: opt.Surgery})
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			opt.Frontiers = set
-			memo, err := (&Planner{Opt: opt}).Plan(sc)
-			if err != nil {
-				t.Fatalf("%s: memoized: %v", label, err)
-			}
-			opt.DisableFrontierMemo = true
-			plain, err := (&Planner{Opt: opt}).Plan(sc)
-			if err != nil {
-				t.Fatalf("%s: unmemoized: %v", label, err)
-			}
-			samePlanModuloCounters(t, label, memo, plain)
-			if memo.FrontierHits != plain.FrontierHits || memo.FrontierMisses != plain.FrontierMisses {
-				t.Errorf("%s: memo tallies %d/%d != plain %d/%d", label,
-					memo.FrontierHits, memo.FrontierMisses, plain.FrontierHits, plain.FrontierMisses)
-			}
-			if memo.FrontierHits == 0 {
-				t.Errorf("%s: no frontier hits — memo path untested", label)
-			}
-		}
 	}
 }

@@ -1,11 +1,6 @@
 package joint
 
-import (
-	"fmt"
-	"math"
-
-	"edgesurgeon/internal/surgery"
-)
+import "fmt"
 
 // This file implements incremental delta-replanning — the control plane's
 // answer to drift that touches a few servers out of many. A full replan
@@ -43,11 +38,8 @@ import (
 // orchestration code, so an abort fires at the same point at every
 // Parallelism level.
 func (p *Planner) PlanDelta(sc *Scenario, prev *Plan, dirty []bool) (*Plan, error) {
-	if err := sc.Validate(); err != nil {
+	if err := sc.validateForPlanning(); err != nil {
 		return nil, err
-	}
-	if len(sc.Servers) == 0 {
-		return nil, fmt.Errorf("joint: scenario has no servers (use the local-only baseline for device-only studies)")
 	}
 	if prev == nil || len(prev.Decisions) != len(sc.Users) {
 		got := 0
@@ -65,236 +57,49 @@ func (p *Planner) PlanDelta(sc *Scenario, prev *Plan, dirty []bool) (*Plan, erro
 		}
 	}
 	opt := p.opts()
-	nDirty := 0
-	for _, d := range dirty {
-		if d {
-			nDirty++
-		}
-	}
+	nDirty := len(DirtyServers(dirty))
 	name := p.Name() + "+delta"
+	ds := append([]Decision(nil), prev.Decisions...)
 	if nDirty == 0 {
 		// Nothing drifted: the previous decisions are already the answer.
-		plan := clonePlan(prev)
-		plan.PlannerName = name
-		plan.Iterations, plan.Shards, plan.DirtyShards = 0, 0, 0
-		plan.Trajectory = nil
-		plan.SurgeryCacheHits, plan.SurgeryCacheMisses = 0, 0
-		plan.FrontierHits, plan.FrontierMisses = 0, 0
-		plan.SurgeryOps = 0
-		return plan, nil
+		return &Plan{Decisions: ds, Objective: prev.Objective, Feasible: prev.Feasible, PlannerName: name}, nil
 	}
 
-	st := newDeltaState(sc, opt, prev)
-	if err := st.checkpoint(); err != nil {
-		return nil, err
+	// Warm start: the previous decisions verbatim, uplinks resolved from the
+	// drifted scenario. Per-server feasibility is seeded from the
+	// carried-over decisions' deadline satisfaction — the allocator's
+	// stability bound is re-checked only on shards that actually
+	// re-allocate, which dirty shards (and any shard a reconciliation move
+	// touches) always do.
+	st := newState(sc, opt, buildUserSoA(sc))
+	st.seedDecisions(ds, workOrder(st.hot))
+	for ui := range ds {
+		if d := st.hot.deadline[ui]; d > 0 && ds[ui].Server >= 0 && ds[ui].Latency() > d {
+			st.srvFeasible[ds[ui].Server] = false
+		}
 	}
 
 	// Phase 1: re-plan each dirty shard in isolation, warm-started from the
 	// previous shares. Ascending server order keeps the pass deterministic;
 	// within a shard the surgery fan-out is index-ordered as everywhere
 	// else, so the result is identical at every Parallelism level.
-	maxShardIters := 0
+	shardIters := 0
 	for s := range dirty {
 		if !dirty[s] {
 			continue
 		}
-		iters, err := st.replanShard(s, opt)
+		iters, err := st.replanShard(s)
 		if err != nil {
 			return nil, err
 		}
-		if iters > maxShardIters {
-			maxShardIters = iters
-		}
+		shardIters = max(shardIters, iters)
 	}
-	st.recomputeFeasible()
 
-	// Phase 2: scoped capacity reconciliation. Donors start as the dirty
+	// Phase 2: scoped capacity reconciliation, cross-check and assembly —
+	// the tail shared with the full sharded plan. Donors start as the dirty
 	// shards (only they can have become the wrong home for their users);
-	// every server remains a legal target, and shards an accepted move
-	// touched join the donor scope for later rounds — contention ripples
-	// outward exactly as far as migrations actually reach.
-	//
-	// Verification-sized scenarios (the exhaustive-reconcile regime, where
-	// the differential suite lives) instead reconcile with the full donor
-	// set and the monolithic round budget, exactly like planSharded: there
-	// the contract is fidelity to a same-state full replan (the pinned ≤1%
-	// gap), not wall-clock, and the dirty-only scope can strand an
-	// improving move whose donor happens to be a clean shard. At scale the
-	// budget regime takes over and the donor scope is what makes the pass
-	// O(dirty).
-	bestObj := st.objectiveNow()
-	traj := []float64{bestObj}
-	bestDs := append([]Decision(nil), st.ds...)
-	bestFeasible := st.feasible
-	scope := append([]bool(nil), dirty...)
-	maxRounds := opt.ReconcileRounds
-	if len(sc.Users)*len(sc.Servers) <= reconcileCandidateBudget {
-		scope = nil
-		if opt.MaxIters > maxRounds {
-			maxRounds = opt.MaxIters
-		}
-	}
-	prevObj := bestObj
-	rounds := 0
-	for r := 0; r < maxRounds; r++ {
-		if opt.DisableReassignment || len(sc.Servers) < 2 {
-			break
-		}
-		if err := st.checkpoint(); err != nil {
-			return nil, err
-		}
-		moved, touched := st.reconcileStep(scope)
-		if moved == 0 && r == 0 {
-			break
-		}
-		if scope != nil {
-			// Scale regime: every mover's surgery was already refreshed at its
-			// new home inside tryMove, and incumbents' surgery plans are still
-			// optimal for shares that only shifted marginally — so a round
-			// re-balances shares on the touched shards and charges no surgery
-			// ops at all. Re-optimizing whole touched shards here is what
-			// would drag a dirty-single-shard replan back to O(n): the full
-			// polish is reserved for the verification regime below, where
-			// fidelity to a monolithic replan is the pinned contract.
-			for s, t := range touched {
-				if t {
-					st.allocServer(s)
-				}
-			}
-		} else if err := st.polishServers(touched); err != nil {
-			return nil, err
-		}
-		st.recomputeFeasible()
-		cur := st.objectiveNow()
-		traj = append(traj, cur)
-		rounds++
-		if cur < bestObj {
-			bestObj = cur
-			bestDs = append(bestDs[:0], st.ds...)
-			bestFeasible = st.feasible
-		}
-		if scope != nil {
-			for s, t := range touched {
-				if t {
-					scope[s] = true
-				}
-			}
-		}
-		converged := prevObj-cur <= opt.Epsilon*math.Max(prevObj, 1e-12)
-		if scope != nil {
-			// Scale regime: a round is O(candidates × shard size) even when it
-			// accepts nothing, so stop as soon as improvement falls under
-			// Epsilon — a handful of straggler moves that shift the objective
-			// by less than the convergence tolerance is not worth another
-			// full candidate scan. The fidelity regime below keeps scanning
-			// until a genuinely move-free round, like planSharded.
-			if moved == 0 || converged {
-				break
-			}
-		} else if moved == 0 && converged {
-			break
-		}
-		prevObj = cur
-	}
-	if err := st.checkpoint(); err != nil {
-		return nil, err
-	}
-
-	// Verification-sized scenarios finish with the same monolithic
-	// cross-check planSharded runs: warm-started descent is path dependent,
-	// and on the differential corpus the pinned ≤1% contract versus a full
-	// replan needs the same escape hatch from a bad basin. Ties keep the
-	// delta decisions; above the limit the measured E26 gap is the story.
-	var subPlans []*Plan
-	var subOps int64
-	runCross := len(sc.Users) <= crossCheckUserLimit
-	crossBudget := int64(0)
-	if runCross && opt.SurgeryBudget > 0 {
-		crossBudget = opt.SurgeryBudget - st.spent
-		if crossBudget < 1 {
-			runCross = false
-		}
-	}
-	if runCross {
-		mopt := opt
-		mopt.ShardThreshold = 0
-		mopt.Metrics = nil
-		mopt.SurgeryBudget = crossBudget
-		mp := Planner{Opt: mopt}
-		if mono, err := mp.Plan(sc); err == nil {
-			subPlans = append(subPlans, mono)
-			subOps += mono.SurgeryOps
-			traj = append(traj, mono.Objective)
-			if mono.Objective < bestObj {
-				bestObj = mono.Objective
-				bestDs = append(bestDs[:0], mono.Decisions...)
-				bestFeasible = mono.Feasible
-			}
-		}
-	}
-	if err := opt.checkAbort(st.spent + subOps); err != nil {
-		return nil, err
-	}
-
-	plan := &Plan{
-		Decisions:   bestDs,
-		Objective:   bestObj,
-		Feasible:    bestFeasible,
-		Iterations:  maxShardIters + rounds,
-		Trajectory:  traj,
-		PlannerName: name,
-		DirtyShards: nDirty,
-	}
-	st.stampCounters(plan, subPlans...)
-	if opt.Metrics != nil {
-		opt.Metrics.Counter("planner.plans").Inc()
-		opt.Metrics.Counter("planner.iterations").Add(int64(plan.Iterations))
-		opt.Metrics.Counter("planner.delta_plans").Inc()
-		opt.Metrics.Counter("planner.dirty_shards").Add(int64(nDirty))
-	}
-	return plan, nil
-}
-
-// newDeltaState builds a planning state warm-started from a previous plan:
-// decisions copied verbatim, per-server assignment lists replayed in the
-// global descending-work acceptance order (the order every other planning
-// route produces, so downstream allocation sees order-identical inputs),
-// and uplinks resolved from the drifted scenario. Per-server feasibility is
-// seeded from the carried-over decisions' deadline satisfaction — the
-// allocator's stability bound is re-checked only on shards that actually
-// re-allocate, which dirty shards (and any shard a reconciliation move
-// touches) always do.
-func newDeltaState(sc *Scenario, opt Options, prev *Plan) *state {
-	st := &state{sc: sc, opt: opt, feasible: true}
-	st.hot = buildUserSoA(sc)
-	st.ds = append([]Decision(nil), prev.Decisions...)
-	st.assigned = make([][]int, len(sc.Servers))
-	st.srvFeasible = make([]bool, len(sc.Servers))
-	for s := range st.srvFeasible {
-		st.srvFeasible[s] = true
-	}
-	st.uplink = make([]float64, len(sc.Servers))
-	for s := range sc.Servers {
-		st.uplink[s] = sc.meanUplink(s)
-	}
-	st.workers = opt.parallelism()
-	if !opt.DisableSurgeryCache {
-		st.cache = newSurgeryCache(opt.Metrics)
-	}
-	st.front = newFrontierStats(opt.Frontiers, opt.Metrics, len(sc.Users), len(sc.Servers), !opt.DisableFrontierMemo)
-	for _, ui := range workOrder(st.hot) {
-		if s := st.ds[ui].Server; s >= 0 {
-			st.assigned[s] = append(st.assigned[s], ui)
-		}
-	}
-	for s := range st.assigned {
-		for _, ui := range st.assigned[s] {
-			if d := st.hot.deadline[ui]; d > 0 && st.ds[ui].Latency() > d {
-				st.srvFeasible[s] = false
-			}
-		}
-	}
-	return st
+	// every server remains a legal target.
+	return st.settle(append([]bool(nil), dirty...), nil, &Plan{PlannerName: name, DirtyShards: nDirty, Iterations: shardIters})
 }
 
 // replanShard re-converges one server's shard in place, warm-started from
@@ -304,7 +109,7 @@ func newDeltaState(sc *Scenario, opt Options, prev *Plan) *state {
 // transient regressions can never leave the shard worse than its best
 // visited point. Only this shard's users are touched; cost is
 // O(iterations × shard size). Returns the round count.
-func (st *state) replanShard(s int, opt Options) (int, error) {
+func (st *state) replanShard(s int) (int, error) {
 	users := st.assigned[s]
 	if len(users) == 0 {
 		st.allocServer(s) // clears the stale feasibility flag
@@ -317,9 +122,8 @@ func (st *state) replanShard(s int, opt Options) (int, error) {
 		bestDs[i] = st.ds[ui]
 	}
 	bestFeas := st.srvFeasible[s]
-	envs := make([]surgery.Env, len(users))
 	iters := 0
-	for ; iters < opt.MaxIters; iters++ {
+	for ; iters < st.opt.MaxIters; iters++ {
 		// Charge the pass before running it — scheduled work, so the ledger
 		// is parallelism-invariant — and abort with no partial effects
 		// beyond this shard (the caller discards the state on error).
@@ -327,12 +131,7 @@ func (st *state) replanShard(s int, opt Options) (int, error) {
 		if err := st.checkpoint(); err != nil {
 			return iters, err
 		}
-		for i, ui := range users {
-			envs[i] = st.env(ui)
-		}
-		if err := forEachIndex(st.workers, len(users), func(i int) error {
-			return st.optimizeUser(users[i], envs[i])
-		}); err != nil {
+		if err := st.refresh(users); err != nil {
 			return iters, err
 		}
 		st.allocServer(s)
@@ -344,7 +143,7 @@ func (st *state) replanShard(s int, opt Options) (int, error) {
 			}
 			bestFeas = st.srvFeasible[s]
 		}
-		if prev-cur <= opt.Epsilon*math.Max(prev, 1e-12) {
+		if st.opt.converged(prev, cur) {
 			iters++
 			break
 		}
@@ -355,72 +154,6 @@ func (st *state) replanShard(s int, opt Options) (int, error) {
 	}
 	st.srvFeasible[s] = bestFeas
 	return iters, nil
-}
-
-// ExtendFrontierSet adds frontier tables for the dirty servers' drifted
-// environments to an existing set: one key per (user, dirty server) pair at
-// the scenario's current planning-time uplink, deduplicated, keys already
-// tabulated skipped, and the missing list truncated to the set's remaining
-// table headroom up front — Build refuses keys at capacity, so truncating
-// first keeps which keys get tables independent of build order and
-// parallelism. Device-only keys never drift (they contain no link state) so
-// they are not revisited. Returns the number of tables added. Build
-// failures are swallowed exactly as in BuildFrontierSet: the planner's
-// optimizer fallback surfaces any real error with the user attached.
-func ExtendFrontierSet(set *surgery.FrontierSet, sc *Scenario, opt Options, servers []bool) int {
-	if set == nil {
-		return 0
-	}
-	uplink := make([]float64, len(sc.Servers))
-	for s := range sc.Servers {
-		if s < len(servers) && servers[s] {
-			uplink[s] = sc.meanUplink(s)
-		}
-	}
-	seen := make(map[surgery.FrontierKey]bool)
-	var missing []surgery.FrontierKey
-	for ui := range sc.Users {
-		u := &sc.Users[ui]
-		sopt := opt.surgeryOptions(u)
-		for s := range sc.Servers {
-			if s >= len(servers) || !servers[s] {
-				continue
-			}
-			env := surgery.Env{
-				Device:         u.Device,
-				Difficulty:     u.Difficulty,
-				Curves:         sc.Curves,
-				Rate:           u.planningRate(),
-				TxFactor:       u.TxCompression,
-				Server:         sc.Servers[s].Profile,
-				ComputeShare:   1,
-				BandwidthShare: 1,
-				UplinkBps:      uplink[s],
-				RTT:            sc.Servers[s].RTT,
-			}
-			k := surgery.KeyOf(u.Model, env, sopt)
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			if set.Get(k) == nil {
-				missing = append(missing, k)
-			}
-		}
-	}
-	room := set.Budget() - set.Len()
-	if room < 0 {
-		room = 0
-	}
-	if len(missing) > room {
-		missing = missing[:room]
-	}
-	before := set.Len()
-	_ = forEachIndex(opt.parallelism(), len(missing), func(i int) error {
-		_ = set.Build(missing[i])
-		return nil
-	})
-	return set.Len() - before
 }
 
 // DirtyServers returns the indices flagged in a dirty mask, ascending — the

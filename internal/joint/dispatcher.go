@@ -231,10 +231,8 @@ func (d *Dispatcher) Observe(serverUp []bool, ratesBps []float64) (*Plan, error)
 	// replan the deadline budget bounds; a budget or context configured for
 	// Plan must not leak in here and abort a failover.
 	opt.SurgeryBudget, opt.planCtx = 0, nil
-	st, err := newState(d.sc, opt)
-	if err != nil {
-		return nil, err
-	}
+	st := newState(d.sc, opt, buildUserSoA(d.sc))
+	st.seedGreedy()
 	d.assignWithHealth(st, &report)
 	st.equalShares()
 	for s, r := range ratesBps {

@@ -6,13 +6,12 @@ import (
 	"edgesurgeon/internal/surgery"
 )
 
-// BenchmarkFrontierPlanArms contrasts the three E23 planning arms on one
-// sharded population: plain sharded (no tables), frontier tables with the
-// per-Plan (user, server)→table memo, and frontier tables with the memo
-// disabled (every query re-builds and re-hashes its FrontierKey). The memo
-// is the ROADMAP follow-through that keeps the frontier arm from trailing
-// plain sharded on memo-hostile populations; compare ns/op across the
-// sub-benchmarks to verify frontier-memo ≤ sharded-plain.
+// BenchmarkFrontierPlanArms contrasts the two E23 planning arms on one
+// sharded population: plain sharded (no tables) and frontier tables behind
+// the per-Plan (user, server)→table memo. The memo is what keeps the
+// frontier arm from trailing plain sharded on memo-hostile populations;
+// compare ns/op across the sub-benchmarks to verify frontier-memo ≤
+// sharded-plain.
 func BenchmarkFrontierPlanArms(b *testing.B) {
 	const (
 		nUsers         = 192
@@ -33,7 +32,6 @@ func BenchmarkFrontierPlanArms(b *testing.B) {
 	}{
 		{"sharded-plain", base},
 		{"frontier-memo", func() Options { o := base; o.Frontiers = set; return o }()},
-		{"frontier-nomemo", func() Options { o := base; o.Frontiers = set; o.DisableFrontierMemo = true; return o }()},
 	}
 	for _, arm := range arms {
 		b.Run(arm.name, func(b *testing.B) {

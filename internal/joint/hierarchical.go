@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"edgesurgeon/internal/sim"
-	"edgesurgeon/internal/surgery"
 )
 
 // This file implements the hierarchical sharded planner — the scale path
@@ -70,11 +69,17 @@ const crossCheckUserLimit = 64
 // budget-bounded regime.
 const reconcileMaxTargets = 2
 
+// reconcileRounds bounds the capacity-reconciliation rounds at scale (the
+// loop stops early once no migration is accepted and the objective
+// improvement falls under Epsilon). Verification-sized scenarios run up to
+// MaxIters rounds when that is larger — see settle.
+const reconcileRounds = 6
+
 // planSharded is the hierarchical planning entry point. opt is the
 // already-defaulted option set (see Planner.opts).
 func (p *Planner) planSharded(sc *Scenario, opt Options) (*Plan, error) {
 	hot := buildUserSoA(sc)
-	assign, order := initialAssignmentSoA(sc, hot)
+	assign, order := initialAssignment(sc, hot)
 
 	// Local-only pre-pass: a user whose surgery optimum stays on-device
 	// even at the most optimistic share (1.0 of its affinity server) never
@@ -82,7 +87,7 @@ func (p *Planner) planSharded(sc *Scenario, opt Options) (*Plan, error) {
 	// only worsens crossing plans and leaves on-device plans untouched.
 	// Such users become singleton shards with their optimal plan already in
 	// hand, exactly the local components of the simulator's decomposition.
-	pin, err := pinLocalUsers(sc, opt, assign)
+	pin, err := pinLocalUsers(sc, opt, hot, assign)
 	if err != nil {
 		return nil, err
 	}
@@ -109,7 +114,7 @@ func (p *Planner) planSharded(sc *Scenario, opt Options) (*Plan, error) {
 	workers := opt.parallelism()
 	inner := opt
 	inner.ShardThreshold = 0 // shards plan monolithically
-	inner.Metrics = nil      // instrumentation is aggregated once, below
+	inner.Metrics = nil      // instrumentation is aggregated once, in settle
 	inner.Parallelism = innerParallelism(workers, countServerShards(clusters))
 	if opt.SurgeryBudget > 0 {
 		// Split the budget left after the pin pass evenly across server
@@ -117,11 +122,7 @@ func (p *Planner) planSharded(sc *Scenario, opt Options) (*Plan, error) {
 		// overruns is the same at every parallelism level; forEachIndex
 		// then surfaces the lowest-index shard's AbortedError.
 		if n := countServerShards(clusters); n > 0 {
-			share := (opt.SurgeryBudget - pinOps) / int64(n)
-			if share < 1 {
-				share = 1
-			}
-			inner.SurgeryBudget = share
+			inner.SurgeryBudget = max((opt.SurgeryBudget-pinOps)/int64(n), 1)
 		}
 	}
 	planErr := forEachIndex(workers, len(clusters), func(ci int) error {
@@ -150,147 +151,182 @@ func (p *Planner) planSharded(sc *Scenario, opt Options) (*Plan, error) {
 		return nil, planErr
 	}
 
-	st, bestObj := mergeShardPlans(sc, opt, hot, clusters, shardPlans, pin, order)
-	// The merged state's own ledger restarts at the pin-pass cost; shard
-	// (and later cross-check) work arrives through sub-plan SurgeryOps so
-	// stampCounters doesn't double-count it. subOps tracks that sub-plan
-	// total for the checkpoints below.
+	// Merge: fold the shard plans and pinned local decisions into one global
+	// state. Its own ledger starts at the pin-pass cost; shard (and later
+	// cross-check) work arrives through the sub-plans' SurgeryOps.
+	st := newState(sc, opt, hot)
 	st.spent = pinOps
+	ds := make([]Decision, len(sc.Users))
+	iters := 0
+	for ci, c := range clusters {
+		if c.Server < 0 {
+			gu := c.Users[0]
+			ds[gu] = *pin[gu]
+			continue
+		}
+		sp := shardPlans[ci]
+		for li, gu := range c.Users {
+			ds[gu] = sp.Decisions[li]
+			if ds[gu].Server >= 0 {
+				ds[gu].Server = c.Server // shard-local server 0 → global index
+			}
+		}
+		st.srvFeasible[c.Server] = sp.Feasible
+		iters = max(iters, sp.Iterations)
+	}
+	st.seedDecisions(ds, order)
+	return st.settle(nil, shardPlans, &Plan{PlannerName: p.Name(), Shards: len(clusters), Iterations: iters})
+}
+
+// settle is the second half of both sharded routes — the full hierarchical
+// plan (scope nil: every shard donates) and the delta replan (scope = the
+// dirty mask) — run on a state whose shards have each converged in
+// isolation: capacity reconciliation, the verification-size monolithic
+// cross-check, and plan assembly. sub holds the plans of uninstrumented
+// inner planners whose ops and tallies belong to this plan; plan arrives
+// carrying the route's name, shard counts and the deepest shard's round
+// count.
+func (st *state) settle(scope []bool, sub []*Plan, plan *Plan) (*Plan, error) {
 	var subOps int64
-	for _, sp := range shardPlans {
+	for _, sp := range sub {
 		if sp != nil {
 			subOps += sp.SurgeryOps
 		}
 	}
-	if err := opt.checkAbort(st.spent + subOps); err != nil {
+	if err := st.opt.checkAbort(st.spent + subOps); err != nil {
 		return nil, err
 	}
-
-	// Capacity reconciliation: migrate load between shards, then re-polish
-	// with the monotone surgery + allocation pair. The best-objective
-	// snapshot guarantees reconciliation can never return a worse plan than
-	// the plain merge.
-	traj := []float64{bestObj}
-	bestDs := append([]Decision(nil), st.ds...)
-	bestFeasible := st.feasible
-	maxShardIters := 0
-	for _, sp := range shardPlans {
-		if sp == nil {
-			continue
-		}
-		if sp.Iterations > maxShardIters {
-			maxShardIters = sp.Iterations
-		}
+	st.recomputeFeasible()
+	// The best-objective snapshot guarantees reconciliation can never
+	// return a worse plan than the one it started from.
+	best := st.snapshot()
+	plan.Trajectory = []float64{best.obj}
+	if err := st.reconcile(scope, subOps, &best, plan); err != nil {
+		return nil, err
 	}
-	// The shard plans (and, below, the monolithic cross-check plan) carry
-	// the memoization tallies of their uninstrumented inner planners;
-	// stampCounters folds them into the final plan and the registry.
-	subPlans := append([]*Plan(nil), shardPlans...)
-
-	prev := bestObj
-	rounds := 0
-	// Small scenarios reconcile with the monolithic greedy's own round
-	// budget: there the goal is fidelity to the monolithic reference (the
-	// differential bound), not wall-clock. At scale ReconcileRounds governs.
-	maxRounds := opt.ReconcileRounds
-	if len(sc.Users)*len(sc.Servers) <= reconcileCandidateBudget && opt.MaxIters > maxRounds {
-		maxRounds = opt.MaxIters
+	if mono := st.crossCheck(st.spent + subOps); mono != nil {
+		sub = append(sub[:len(sub):len(sub)], mono)
+		subOps += mono.SurgeryOps
+		plan.Trajectory = append(plan.Trajectory, mono.Objective)
+		best.offer(mono.Objective, mono.Decisions, mono.Feasible)
 	}
+	if err := st.opt.checkAbort(st.spent + subOps); err != nil {
+		return nil, err
+	}
+	best.install(plan)
+	st.stampCounters(plan, sub...)
+	st.publish(plan)
+	return plan, nil
+}
+
+// reconcile runs the capacity-reconciliation rounds: each migrates load
+// between shards (reconcileStep) and then repairs the shards a migration
+// touched, offering the resulting point to best and recording it in plan's
+// trajectory and round count. subOps is the work already charged through
+// sub-plans; every budget checkpoint adds it to the state's own ledger.
+//
+// With a donor scope (the scale regime of a delta replan; updated in place)
+// the repair only re-balances shares: every mover's surgery was already
+// refreshed at its new home inside tryMove, incumbents' plans are still
+// optimal for shares that only shifted marginally, and re-optimizing whole
+// touched shards is what would drag a dirty-single-shard replan back to
+// O(n). Touched shards join the scope, so contention ripples outward
+// exactly as far as migrations actually reach, and the loop stops as soon
+// as a round accepts nothing or improves by less than Epsilon — a round
+// costs O(candidates × shard size) even when it accepts nothing. Without a
+// scope the repair is a full polish — one surgery pass at the post-move
+// shares, then re-allocation; untouched shards sit at their inner fixed
+// point, where the pass would be a no-op — and the loop runs until a
+// genuinely move-free round.
+//
+// Verification-sized scenarios (the exhaustive-reconcile regime, where the
+// differential suites live) always reconcile with the full donor set and
+// the monolithic greedy's own round budget: there the contract is fidelity
+// to the monolithic reference (the pinned ≤1% gap), not wall-clock, and a
+// dirty-only scope can strand an improving move whose donor happens to be a
+// clean shard.
+func (st *state) reconcile(scope []bool, subOps int64, best *incumbent, plan *Plan) error {
+	sc, opt := st.sc, &st.opt
+	if opt.DisableReassignment || len(sc.Servers) < 2 {
+		return nil
+	}
+	maxRounds := reconcileRounds
+	if len(sc.Users)*len(sc.Servers) <= reconcileCandidateBudget {
+		scope = nil
+		maxRounds = max(maxRounds, opt.MaxIters)
+	}
+	prev := best.obj
 	for r := 0; r < maxRounds; r++ {
-		if opt.DisableReassignment || len(sc.Servers) < 2 {
-			break
-		}
 		if err := opt.checkAbort(st.spent + subOps); err != nil {
-			return nil, err
+			return err
 		}
-		moved, touched := st.reconcileStep(nil)
+		moved, touched := st.reconcileStep(scope)
 		if moved == 0 && r == 0 {
 			// Nothing to rebalance: every shard is already at its own fixed
-			// point, so the merge IS the plan (and, on non-contended
-			// scenarios, the monolithic plan bit for bit).
+			// point, so the starting point IS the plan (and, for a full plan
+			// of a non-contended scenario, the monolithic plan bit for bit).
 			break
 		}
-		// Polish only the shards a migration touched: one surgery pass at
-		// the post-move shares, then re-allocation. Untouched shards sit at
-		// their inner fixed point, where the pass would be a no-op — skipping
-		// them keeps reconciliation cost proportional to contention, not to
-		// scenario size.
-		if err := st.polishServers(touched); err != nil {
-			return nil, err
+		if scope == nil {
+			if err := st.polishServers(touched); err != nil {
+				return err
+			}
+		} else {
+			for s, t := range touched {
+				if t {
+					st.allocServer(s)
+					scope[s] = true
+				}
+			}
 		}
 		st.recomputeFeasible()
 		cur := st.objectiveNow()
-		traj = append(traj, cur)
-		rounds++
-		if cur < bestObj {
-			bestObj = cur
-			bestDs = append(bestDs[:0], st.ds...)
-			bestFeasible = st.feasible
+		plan.Trajectory = append(plan.Trajectory, cur)
+		plan.Iterations++
+		best.offer(cur, st.ds, st.feasible)
+		stop := moved == 0 && opt.converged(prev, cur)
+		if scope != nil {
+			stop = moved == 0 || opt.converged(prev, cur)
 		}
-		if moved == 0 && prev-cur <= opt.Epsilon*math.Max(prev, 1e-12) {
+		if stop {
 			break
 		}
 		prev = cur
 	}
+	return nil
+}
 
-	// Small scenarios finish with a monolithic cross-check: greedy
-	// first-improvement descent is path dependent, and shards converged in
-	// isolation can land in a different basin than the interleaved
-	// monolithic loop. At verification sizes the cross-check pins the
-	// differential contract — sharded never worse than monolithic — by
-	// construction; ties keep the sharded decisions, so the bit-identity
-	// guarantee on non-contended scenarios is unaffected. Above the limit
-	// the check is skipped (it would double planning cost): there the
-	// reconciliation rounds are the whole story and E23 reports the
-	// measured gap instead.
-	runCross := len(sc.Users) <= crossCheckUserLimit
-	crossBudget := int64(0)
-	if runCross && opt.SurgeryBudget > 0 {
-		// The cross-check runs on whatever budget remains; if nothing does,
-		// skip it deterministically (its failures are swallowed anyway, so
-		// an in-flight abort would only waste the charged work).
-		crossBudget = opt.SurgeryBudget - (st.spent + subOps)
-		if crossBudget < 1 {
-			runCross = false
+// crossCheck plans the scenario monolithically (uninstrumented) on whatever
+// budget remains after charged ops, returning nil when the check is skipped
+// or fails. Greedy first-improvement descent is path dependent, and shards
+// converged in isolation (or warm-started from a previous plan) can land in
+// a different basin than the interleaved monolithic loop. At verification
+// sizes the cross-check pins the differential contract — never worse than
+// monolithic — by construction; ties keep the caller's decisions, so the
+// bit-identity guarantee on non-contended scenarios is unaffected. Above
+// crossCheckUserLimit the check is skipped (it would double planning cost):
+// there the reconciliation rounds are the whole story and E23/E26 report
+// the measured gap instead. With no budget left it is skipped
+// deterministically — its failures are swallowed anyway, so an in-flight
+// abort would only waste the charged work.
+func (st *state) crossCheck(charged int64) *Plan {
+	if len(st.sc.Users) > crossCheckUserLimit {
+		return nil
+	}
+	mopt := st.opt
+	mopt.ShardThreshold = 0
+	mopt.Metrics = nil
+	if mopt.SurgeryBudget > 0 {
+		mopt.SurgeryBudget -= charged
+		if mopt.SurgeryBudget < 1 {
+			return nil
 		}
 	}
-	if runCross {
-		mopt := opt
-		mopt.ShardThreshold = 0
-		mopt.Metrics = nil
-		mopt.SurgeryBudget = crossBudget
-		mp := Planner{Opt: mopt}
-		if mono, err := mp.Plan(sc); err == nil {
-			subPlans = append(subPlans, mono)
-			subOps += mono.SurgeryOps
-			traj = append(traj, mono.Objective)
-			if mono.Objective < bestObj {
-				bestObj = mono.Objective
-				bestDs = append(bestDs[:0], mono.Decisions...)
-				bestFeasible = mono.Feasible
-			}
-		}
+	mono, err := (&Planner{Opt: mopt}).Plan(st.sc)
+	if err != nil {
+		return nil
 	}
-	if err := opt.checkAbort(st.spent + subOps); err != nil {
-		return nil, err
-	}
-
-	plan := &Plan{
-		Decisions:   bestDs,
-		Objective:   bestObj,
-		Feasible:    bestFeasible,
-		Iterations:  maxShardIters + rounds,
-		Trajectory:  traj,
-		PlannerName: p.Name(),
-		Shards:      len(clusters),
-	}
-	st.stampCounters(plan, subPlans...)
-	if opt.Metrics != nil {
-		opt.Metrics.Counter("planner.plans").Inc()
-		opt.Metrics.Counter("planner.iterations").Add(int64(plan.Iterations))
-		opt.Metrics.Counter("planner.shards").Add(int64(len(clusters)))
-	}
-	return plan, nil
+	return mono
 }
 
 // innerParallelism splits the worker budget across shard-internal planners:
@@ -323,58 +359,24 @@ func countServerShards(clusters []sim.Cluster) int {
 // affinity server at the full share stays on-device, so no allocation the
 // planner could produce would make it offload. The check fans across the
 // worker pool; each user's probe is a pure function of the scenario.
-func pinLocalUsers(sc *Scenario, opt Options, assign []int) ([]*Decision, error) {
+//
+// The probes go through the planner's one lookup path (state.solve) on a
+// throw-away, uninstrumented state: full shares (1, 1) are an exact point
+// of both share grids and exactly the per-server environments
+// BuildFrontierSet tabulates, so frontier-enabled runs answer the whole
+// pass from the tables, and the pass's cache and frontier tallies stay off
+// the plan's counters (it runs before the plan's own state exists).
+func pinLocalUsers(sc *Scenario, opt Options, hot *userSoA, assign []int) ([]*Decision, error) {
+	opt.Metrics = nil
+	st := newState(sc, opt, hot)
 	pin := make([]*Decision, len(sc.Users))
-	var cache *surgeryCache
-	if !opt.DisableSurgeryCache {
-		cache = newSurgeryCache(nil)
-	}
-	// The pre-pass probes at full shares (1, 1) — an exact point of both
-	// share grids and exactly the per-server environments BuildFrontierSet
-	// tabulates, so frontier-enabled runs answer the whole pass from the
-	// tables. Like the local cache above, its tallies stay off the plan's
-	// counters (the pass runs before any planning state exists).
-	front := newFrontierStats(opt.Frontiers, nil, len(sc.Users), len(sc.Servers), !opt.DisableFrontierMemo)
-	err := forEachIndex(opt.parallelism(), len(sc.Users), func(ui int) error {
+	err := forEachIndex(st.workers, len(sc.Users), func(ui int) error {
 		u := &sc.Users[ui]
-		srv := &sc.Servers[assign[ui]]
-		env := surgery.Env{
-			Device:         u.Device,
-			Difficulty:     u.Difficulty,
-			Curves:         sc.Curves,
-			Rate:           u.planningRate(),
-			TxFactor:       u.TxCompression,
-			Server:         srv.Profile,
-			ComputeShare:   1,
-			BandwidthShare: 1,
-			UplinkBps:      sc.meanUplink(assign[ui]),
-			RTT:            srv.RTT,
-		}
-		sopt := opt.surgeryOptions(u)
-		var key surgeryKey
-		var plan surgery.Plan
-		var ev surgery.Eval
-		var ok bool
-		if front != nil {
-			plan, ev, ok = front.lookup(ui, assign[ui], u.Model, env, sopt)
-		}
-		if !ok && cache != nil {
-			key = keyFor(u.Model, env, sopt)
-			plan, ev, ok = cache.get(key)
-		}
-		if !ok {
-			var err error
-			plan, ev, err = surgery.Optimize(u.Model, env, sopt)
-			if err != nil {
-				// An infeasible full-share probe (e.g. an accuracy floor no
-				// plan meets) is a real planning failure; surface it with
-				// the monolithic path's error rather than mislabeling the
-				// user local.
-				return err
-			}
-			if cache != nil {
-				cache.put(key, plan, ev)
-			}
+		plan, ev, err := st.solve(ui, assign[ui], sc.fullShareEnv(u, assign[ui], st.uplink))
+		if err != nil {
+			// An infeasible full-share probe (e.g. an accuracy floor no
+			// plan meets) is a real planning failure, not a local user.
+			return err
 		}
 		if plan.Partition < u.Model.NumUnits() {
 			return nil // the optimum crosses: this user genuinely wants a server
@@ -386,58 +388,6 @@ func pinLocalUsers(sc *Scenario, opt Options, assign []int) ([]*Decision, error)
 		return nil, err
 	}
 	return pin, nil
-}
-
-// mergeShardPlans folds per-shard plans and pinned local decisions into one
-// global planning state. Per-server assignment lists replay the global
-// greedy acceptance order, so the allocation inputs downstream of the merge
-// see exactly the order the monolithic path would have used — a
-// prerequisite for the bit-identity guarantee on non-contended scenarios.
-func mergeShardPlans(sc *Scenario, opt Options, hot *userSoA, clusters []sim.Cluster, shardPlans []*Plan, pin []*Decision, order []int) (*state, float64) {
-	st := &state{sc: sc, opt: opt, feasible: true, hot: hot}
-	st.ds = make([]Decision, len(sc.Users))
-	st.assigned = make([][]int, len(sc.Servers))
-	st.srvFeasible = make([]bool, len(sc.Servers))
-	for s := range st.srvFeasible {
-		st.srvFeasible[s] = true
-	}
-	st.uplink = make([]float64, len(sc.Servers))
-	for s := range sc.Servers {
-		st.uplink[s] = sc.meanUplink(s)
-	}
-	st.workers = opt.parallelism()
-	if !opt.DisableSurgeryCache {
-		st.cache = newSurgeryCache(opt.Metrics)
-	}
-	st.front = newFrontierStats(opt.Frontiers, opt.Metrics, len(sc.Users), len(sc.Servers), !opt.DisableFrontierMemo)
-
-	for ci, c := range clusters {
-		if c.Server < 0 {
-			gu := c.Users[0]
-			st.ds[gu] = *pin[gu]
-			continue
-		}
-		sp := shardPlans[ci]
-		for li, gu := range c.Users {
-			d := sp.Decisions[li]
-			if d.Server >= 0 {
-				d.Server = c.Server // shard-local server 0 → global index
-			}
-			st.ds[gu] = d
-		}
-		if !sp.Feasible {
-			st.feasible = false
-			st.srvFeasible[c.Server] = false
-		}
-	}
-	// Assignment lists in global acceptance order (see initialAssignment).
-	for _, ui := range order {
-		if s := st.ds[ui].Server; s >= 0 {
-			st.assigned[s] = append(st.assigned[s], ui)
-		}
-	}
-	st.recomputeFeasible()
-	return st, st.objectiveNow()
 }
 
 // recomputeFeasible rebuilds the global feasibility flag from the
@@ -459,8 +409,7 @@ func (st *state) recomputeFeasible() {
 }
 
 // polishServers runs one surgery refresh for every user on a touched
-// server (envs snapshotted first, index-ordered fan-out — the surgeryStep
-// purity discipline) followed by re-allocation of each touched server.
+// server followed by re-allocation of each touched server.
 func (st *state) polishServers(touched []bool) error {
 	var users []int
 	for s, t := range touched {
@@ -469,13 +418,7 @@ func (st *state) polishServers(touched []bool) error {
 		}
 	}
 	st.spent += int64(len(users))
-	envs := make([]surgery.Env, len(users))
-	for i, ui := range users {
-		envs[i] = st.env(ui)
-	}
-	if err := forEachIndex(st.workers, len(users), func(i int) error {
-		return st.optimizeUser(users[i], envs[i])
-	}); err != nil {
+	if err := st.refresh(users); err != nil {
 		return err
 	}
 	for s, t := range touched {

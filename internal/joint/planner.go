@@ -56,11 +56,6 @@ type Options struct {
 	// objective stops improving. Scenarios below the threshold keep the
 	// exact monolithic path bit for bit. Zero disables sharding entirely.
 	ShardThreshold int
-	// ReconcileRounds bounds the sharded planner's capacity-reconciliation
-	// rounds (default 6; the loop stops early once no migration is accepted
-	// and the objective improvement falls under Epsilon). Only consulted on
-	// the sharded path.
-	ReconcileRounds int
 	// Frontiers, when non-nil, switches the planner's innermost hot path to
 	// precomputed Pareto-frontier surgery tables (build one per scenario
 	// with BuildFrontierSet): every per-user environment snaps its shares to
@@ -93,12 +88,6 @@ type Options struct {
 	// server shards and skips the monolithic cross-check when nothing
 	// remains for it.
 	SurgeryBudget int64
-	// DisableFrontierMemo turns off the per-Plan (user, server)→table memo
-	// in front of the frontier set (the ablation arm of the key-hash
-	// avoidance benchmark). The memo never changes planner output — the
-	// resolved table is a pure function of the (user, server) pair within
-	// one Plan call — so this knob only moves the key-hash cost.
-	DisableFrontierMemo bool
 	// Metrics, when non-nil, receives the planner's instrumentation:
 	// "planner.plans" and "planner.iterations" counters plus the
 	// "planner.surgery_cache.hits"/".misses" and (on the frontier path)
@@ -176,95 +165,48 @@ func (p *Planner) opts() Options {
 	if o.Epsilon <= 0 {
 		o.Epsilon = 1e-3
 	}
-	if o.ReconcileRounds <= 0 {
-		o.ReconcileRounds = 6
-	}
 	return o
 }
 
-// Plan implements Strategy: block-coordinate descent over (surgery,
-// allocation, assignment).
-func (p *Planner) Plan(sc *Scenario) (*Plan, error) {
+// converged is the descent stop rule every route shares: the objective
+// improved by no more than Epsilon relative to the previous round.
+func (o *Options) converged(prev, cur float64) bool {
+	return prev-cur <= o.Epsilon*math.Max(prev, 1e-12)
+}
+
+// validateForPlanning is the entry check of every full and delta planning
+// route.
+func (sc *Scenario) validateForPlanning() error {
 	if err := sc.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	// Device-only studies go through the local-only baseline; the joint
 	// planner's surgery/allocation/assignment loop needs servers to
 	// optimize over.
 	if len(sc.Servers) == 0 {
-		return nil, fmt.Errorf("joint: scenario has no servers (use the local-only baseline for device-only studies)")
+		return fmt.Errorf("joint: scenario has no servers (use the local-only baseline for device-only studies)")
+	}
+	return nil
+}
+
+// Plan implements Strategy: block-coordinate descent over (surgery,
+// allocation, assignment), seeded with the greedy initial assignment.
+func (p *Planner) Plan(sc *Scenario) (*Plan, error) {
+	if err := sc.validateForPlanning(); err != nil {
+		return nil, err
 	}
 	opt := p.opts()
 	if opt.ShardThreshold > 0 && len(sc.Users) >= opt.ShardThreshold {
 		return p.planSharded(sc, opt)
 	}
-	st, err := newState(sc, opt)
+	st := newState(sc, opt, buildUserSoA(sc))
+	st.seedGreedy()
+	plan, err := st.descend(!opt.DisableReassignment && len(sc.Servers) > 1)
 	if err != nil {
 		return nil, err
 	}
-	if err := st.checkpoint(); err != nil {
-		return nil, err
-	}
-
-	// Round 0: initial surgery at equal shares, then allocation. The
-	// trajectory records the objective after every half-step so the
-	// convergence figure (E10) shows where each mechanism contributes.
-	if err := st.surgeryStep(); err != nil {
-		return nil, err
-	}
-	traj := []float64{st.objectiveNow()} // surgery at equal shares
-	st.allocStep()
-	prev := st.objectiveNow()
-	traj = append(traj, prev) // + allocation
-
-	bestObj := prev
-	bestDs := append([]Decision(nil), st.ds...)
-	bestFeasible := st.feasible
-
-	iters := 1
-	for ; iters < opt.MaxIters; iters++ {
-		if err := st.checkpoint(); err != nil {
-			return nil, err
-		}
-		if !opt.DisableReassignment && len(sc.Servers) > 1 {
-			if err := st.reassignStep(); err != nil {
-				return nil, err
-			}
-		}
-		if err := st.surgeryStep(); err != nil {
-			return nil, err
-		}
-		st.allocStep()
-		cur := st.objectiveNow()
-		traj = append(traj, cur)
-		if cur < bestObj {
-			bestObj = cur
-			bestDs = append(bestDs[:0], st.ds...)
-			bestFeasible = st.feasible
-		}
-		if prev-cur <= opt.Epsilon*math.Max(prev, 1e-12) {
-			iters++
-			break
-		}
-		prev = cur
-	}
-	if err := st.checkpoint(); err != nil {
-		return nil, err
-	}
-
-	plan := &Plan{
-		Decisions:   bestDs,
-		Objective:   bestObj,
-		Feasible:    bestFeasible,
-		Iterations:  iters,
-		Trajectory:  traj,
-		PlannerName: p.Name(),
-	}
-	st.stampCounters(plan)
-	if opt.Metrics != nil {
-		opt.Metrics.Counter("planner.plans").Inc()
-		opt.Metrics.Counter("planner.iterations").Add(int64(iters))
-	}
+	plan.PlannerName = p.Name()
+	st.publish(plan)
 	return plan, nil
 }
 
@@ -280,49 +222,58 @@ func PlanWithAssignment(sc *Scenario, opt Options, assign []int) (*Plan, error) 
 		return nil, fmt.Errorf("joint: assignment length %d for %d users", len(assign), len(sc.Users))
 	}
 	p := Planner{Opt: opt}
-	opt = p.opts()
-	st, err := newState(sc, opt)
+	st := newState(sc, p.opts(), buildUserSoA(sc))
+	if err := st.seedAssignment(assign); err != nil {
+		return nil, err
+	}
+	plan, err := st.descend(false)
 	if err != nil {
 		return nil, err
 	}
-	for s := range st.assigned {
-		st.assigned[s] = st.assigned[s][:0]
-	}
-	for ui, s := range assign {
-		if s < -1 || s >= len(sc.Servers) {
-			return nil, fmt.Errorf("joint: user %d assigned to unknown server %d", ui, s)
-		}
-		st.ds[ui].Server = s
-		if s >= 0 {
-			st.assigned[s] = append(st.assigned[s], ui)
-		}
-	}
-	st.equalShares()
+	plan.PlannerName = "joint-fixed-assignment"
+	plan.Trajectory = nil // the fixed-assignment reference reports none
+	return plan, nil
+}
 
+// descend is the block-coordinate descent every full monolithic plan runs
+// from its seed. Round 0 is surgery at the seed's shares, then allocation;
+// each later round optionally reassigns, then repeats the pair, until the
+// objective stops improving (Options.converged) or MaxIters rounds ran.
+// The trajectory records the objective after both half-steps of round 0
+// and after every later round, so the convergence figure (E10) shows where
+// each mechanism contributes. The returned plan is the best point visited,
+// with the state's counters stamped.
+func (st *state) descend(reassign bool) (*Plan, error) {
+	if err := st.checkpoint(); err != nil {
+		return nil, err
+	}
 	if err := st.surgeryStep(); err != nil {
 		return nil, err
 	}
+	traj := []float64{st.objectiveNow()}
 	st.allocStep()
-	prev := st.objectiveNow()
-	bestObj := prev
-	bestDs := append([]Decision(nil), st.ds...)
-	bestFeasible := st.feasible
+	best := st.snapshot()
+	prev := best.obj
+	traj = append(traj, prev)
+
 	iters := 1
-	for ; iters < opt.MaxIters; iters++ {
+	for ; iters < st.opt.MaxIters; iters++ {
 		if err := st.checkpoint(); err != nil {
 			return nil, err
+		}
+		if reassign {
+			if err := st.reassignStep(); err != nil {
+				return nil, err
+			}
 		}
 		if err := st.surgeryStep(); err != nil {
 			return nil, err
 		}
 		st.allocStep()
 		cur := st.objectiveNow()
-		if cur < bestObj {
-			bestObj = cur
-			bestDs = append(bestDs[:0], st.ds...)
-			bestFeasible = st.feasible
-		}
-		if prev-cur <= opt.Epsilon*math.Max(prev, 1e-12) {
+		traj = append(traj, cur)
+		best.offer(cur, st.ds, st.feasible)
+		if st.opt.converged(prev, cur) {
 			iters++
 			break
 		}
@@ -331,15 +282,57 @@ func PlanWithAssignment(sc *Scenario, opt Options, assign []int) (*Plan, error) 
 	if err := st.checkpoint(); err != nil {
 		return nil, err
 	}
-	plan := &Plan{
-		Decisions:   bestDs,
-		Objective:   bestObj,
-		Feasible:    bestFeasible,
-		Iterations:  iters,
-		PlannerName: "joint-fixed-assignment",
-	}
+	plan := &Plan{Iterations: iters, Trajectory: traj}
+	best.install(plan)
 	st.stampCounters(plan)
 	return plan, nil
+}
+
+// incumbent is the best-objective snapshot every descent keeps: probe
+// shares and first-improvement greedy steps are optimistic, so the point a
+// loop ends on may be worse than one it passed through — the snapshot is
+// what makes each route's result monotone in the rounds it ran.
+type incumbent struct {
+	obj      float64
+	ds       []Decision
+	feasible bool
+}
+
+// snapshot captures the state's current point.
+func (st *state) snapshot() incumbent {
+	return incumbent{obj: st.objectiveNow(), ds: append([]Decision(nil), st.ds...), feasible: st.feasible}
+}
+
+// offer replaces the snapshot when obj is strictly better (ties keep the
+// earlier point).
+func (b *incumbent) offer(obj float64, ds []Decision, feasible bool) {
+	if obj < b.obj {
+		b.obj, b.feasible = obj, feasible
+		b.ds = append(b.ds[:0], ds...)
+	}
+}
+
+// install hands the snapshot to the plan being assembled.
+func (b *incumbent) install(plan *Plan) {
+	plan.Decisions, plan.Objective, plan.Feasible = b.ds, b.obj, b.feasible
+}
+
+// publish counts a finished plan in the planner's registry series; the
+// shard and delta series exist only for plans of those routes.
+func (st *state) publish(plan *Plan) {
+	reg := st.opt.Metrics
+	if reg == nil {
+		return
+	}
+	reg.Counter("planner.plans").Inc()
+	reg.Counter("planner.iterations").Add(int64(plan.Iterations))
+	if plan.Shards > 0 {
+		reg.Counter("planner.shards").Add(int64(plan.Shards))
+	}
+	if plan.DirtyShards > 0 {
+		reg.Counter("planner.delta_plans").Inc()
+		reg.Counter("planner.dirty_shards").Add(int64(plan.DirtyShards))
+	}
 }
 
 // state carries the evolving decision set.
@@ -355,12 +348,13 @@ type state struct {
 	srvFeasible []bool
 	uplink      []float64 // cached mean uplink rate per server
 
-	workers int            // resolved worker-pool size for fan-out steps
-	cache   *surgeryCache  // per-Plan-call surgery memoization (nil if disabled)
-	front   *frontierStats // frontier tables + hit/miss telemetry (nil = legacy path)
-	envBuf  []surgery.Env  // reusable per-user env snapshot for surgeryStep
-	hot     *userSoA       // flat per-user planning scalars (see soa.go)
-	mv      moveScratch    // tryMove's reusable save/restore arena
+	workers  int            // resolved worker-pool size for fan-out steps
+	cache    *surgeryCache  // per-Plan-call surgery memoization (nil if disabled)
+	front    *frontierStats // frontier tables + hit/miss telemetry (nil = legacy path)
+	envBuf   []surgery.Env  // reusable env snapshot for refresh
+	everyone []int          // 0..n-1, surgeryStep's refresh list (built on first use)
+	hot      *userSoA       // flat per-user planning scalars (see soa.go)
+	mv       moveScratch    // tryMove's reusable save/restore arena
 
 	// spent is the deterministic work ledger behind SurgeryBudget: every
 	// orchestration step charges the surgery optimizations it schedules
@@ -371,60 +365,101 @@ type state struct {
 	spent int64
 }
 
-func newState(sc *Scenario, opt Options) (*state, error) {
-	st := &state{sc: sc, opt: opt, feasible: true}
-	st.hot = buildUserSoA(sc)
-	st.ds = make([]Decision, len(sc.Users))
-	st.assigned = make([][]int, len(sc.Servers))
-	st.srvFeasible = make([]bool, len(sc.Servers))
-	for s := range st.srvFeasible {
-		st.srvFeasible[s] = true
+// newState allocates everything a planning state holds that does not
+// depend on where the descent starts: the SoA view, per-server uplinks and
+// feasibility flags, the worker count, the surgery cache and the frontier
+// view (whose counters live in opt.Metrics when set). The decision set is
+// left to the seed — seedGreedy (Plan, the dispatcher's Observe),
+// seedAssignment (PlanWithAssignment) or seedDecisions (the shard merge and
+// the delta warm start) — and a state that only answers surgery lookups
+// (the local-pin pass) takes none.
+func newState(sc *Scenario, opt Options, hot *userSoA) *state {
+	st := &state{
+		sc:          sc,
+		opt:         opt,
+		hot:         hot,
+		feasible:    true,
+		workers:     opt.parallelism(),
+		assigned:    make([][]int, len(sc.Servers)),
+		srvFeasible: make([]bool, len(sc.Servers)),
+		uplink:      make([]float64, len(sc.Servers)),
 	}
-	st.uplink = make([]float64, len(sc.Servers))
-	st.workers = opt.parallelism()
+	for s := range sc.Servers {
+		st.srvFeasible[s] = true
+		st.uplink[s] = sc.meanUplink(s)
+	}
 	if !opt.DisableSurgeryCache {
 		st.cache = newSurgeryCache(opt.Metrics)
 	}
-	st.front = newFrontierStats(opt.Frontiers, opt.Metrics, len(sc.Users), len(sc.Servers), !opt.DisableFrontierMemo)
-	for s := range sc.Servers {
-		st.uplink[s] = sc.meanUplink(s)
-	}
+	st.front = newFrontierStats(opt.Frontiers, opt.Metrics, len(sc.Users), len(sc.Servers))
+	return st
+}
 
-	// Initial assignment: heaviest-work users first onto the server with
-	// the smallest normalized pending load (work / capacity).
-	if len(sc.Servers) == 0 {
+// seedGreedy starts the state at the greedy initial assignment with equal
+// shares. Per-server lists replay the acceptance order (descending work),
+// the allocation input order every other seed reproduces.
+func (st *state) seedGreedy() {
+	st.ds = make([]Decision, len(st.sc.Users))
+	if len(st.sc.Servers) == 0 {
 		for i := range st.ds {
 			st.ds[i].Server = -1
 		}
-		return st, nil
+		return
 	}
-	assign, order := initialAssignmentSoA(sc, st.hot)
-	// Replay the acceptance order so each server's list keeps the
-	// historical (descending-work) allocation input order.
+	assign, order := initialAssignment(st.sc, st.hot)
 	for _, ui := range order {
 		s := assign[ui]
 		st.ds[ui].Server = s
 		st.assigned[s] = append(st.assigned[s], ui)
 	}
 	st.equalShares()
-	return st, nil
+}
+
+// seedAssignment starts the state at a caller-pinned assignment (-1 =
+// device-only) with equal shares; per-server lists are in user order. It
+// overrides a greedy seed rather than starting blank: device-only users have
+// always carried the greedy seed's (unused) shares in their decisions, and
+// plans stay bit-identical only if they keep doing so.
+func (st *state) seedAssignment(assign []int) error {
+	st.seedGreedy()
+	for s := range st.assigned {
+		st.assigned[s] = st.assigned[s][:0]
+	}
+	for ui, s := range assign {
+		if s < -1 || s >= len(st.sc.Servers) {
+			return fmt.Errorf("joint: user %d assigned to unknown server %d", ui, s)
+		}
+		st.ds[ui].Server = s
+		if s >= 0 {
+			st.assigned[s] = append(st.assigned[s], ui)
+		}
+	}
+	st.equalShares()
+	return nil
+}
+
+// seedDecisions adopts an already-planned decision set (taking ownership of
+// ds) and replays the per-server lists in order — the global descending-work
+// acceptance order (workOrder), so downstream allocation sees inputs
+// order-identical to the greedy seed's. Feasibility flags are the caller's
+// to seed; settle rebuilds the global one before it reads it.
+func (st *state) seedDecisions(ds []Decision, order []int) {
+	st.ds = ds
+	for _, ui := range order {
+		if s := ds[ui].Server; s >= 0 {
+			st.assigned[s] = append(st.assigned[s], ui)
+		}
+	}
 }
 
 // initialAssignment computes the planner's greedy initial user→server
 // mapping: heaviest provisioned work first onto the server with the
 // smallest normalized pending load (work / capacity). It returns the
 // mapping plus the acceptance order (users by descending work), which
-// newState replays to keep per-server lists in the historical order and the
-// sharded planner uses both as the server-affinity clustering and to merge
-// shard results in an order bit-compatible with the monolithic path.
-func initialAssignment(sc *Scenario) (assign, order []int) {
-	return initialAssignmentSoA(sc, buildUserSoA(sc))
-}
-
-// initialAssignmentSoA is initialAssignment against an already-built SoA
-// view — the form every state constructor uses, so the work array is
-// derived once per planning run rather than once per caller.
-func initialAssignmentSoA(sc *Scenario, hot *userSoA) (assign, order []int) {
+// seedGreedy replays to keep per-server lists in the historical order and
+// the sharded planner uses both as the server-affinity clustering and to
+// merge shard results in an order bit-compatible with the monolithic path.
+func initialAssignment(sc *Scenario, hot *userSoA) (assign, order []int) {
 	// Stable sort by descending work: the same permutation the historical
 	// insertion sort produced (both are stable under the same comparator),
 	// in O(n log n) so the 100k-user sharded path doesn't pay a quadratic
@@ -449,15 +484,41 @@ func initialAssignmentSoA(sc *Scenario, hot *userSoA) (assign, order []int) {
 // equalShares resets every server's shares to the uniform split.
 func (st *state) equalShares() {
 	for s := range st.assigned {
-		n := len(st.assigned[s])
-		if n == 0 {
-			continue
-		}
-		for _, ui := range st.assigned[s] {
-			st.ds[ui].ComputeShare = 1 / float64(n)
-			st.ds[ui].BandwidthShare = 1 / float64(n)
-		}
+		st.equalSharesOn(s)
 	}
+}
+
+// equalSharesOn resets one server's shares to the uniform split.
+func (st *state) equalSharesOn(s int) {
+	n := float64(len(st.assigned[s]))
+	for _, ui := range st.assigned[s] {
+		st.ds[ui].ComputeShare = 1 / n
+		st.ds[ui].BandwidthShare = 1 / n
+	}
+}
+
+// fullShareEnv is user u's surgery environment against server s at full
+// shares (s < 0: the device-only environment, which has none) with uplink
+// holding the planning-time rate per server. It is the one place a user is
+// turned into a surgery.Env: the full-share point is exactly what the
+// frontier tables are keyed at and the local-pin pass probes, and state.env
+// lowers its shares to the snapped allocation.
+func (sc *Scenario) fullShareEnv(u *User, s int, uplink []float64) surgery.Env {
+	env := surgery.Env{
+		Device:     u.Device,
+		Difficulty: u.Difficulty,
+		Curves:     sc.Curves,
+		Rate:       u.planningRate(),
+		TxFactor:   u.TxCompression,
+	}
+	if s >= 0 {
+		srv := &sc.Servers[s]
+		env.Server = srv.Profile
+		env.ComputeShare, env.BandwidthShare = 1, 1
+		env.UplinkBps = uplink[s]
+		env.RTT = srv.RTT
+	}
+	return env
 }
 
 // env builds the surgery environment for user ui. Shares are floored at
@@ -468,18 +529,9 @@ func (st *state) equalShares() {
 // The planner keeps a best-objective snapshot, so optimistic probing can
 // never worsen the returned plan.
 func (st *state) env(ui int) surgery.Env {
-	u := &st.sc.Users[ui]
 	d := &st.ds[ui]
-	env := surgery.Env{
-		Device:     u.Device,
-		Difficulty: u.Difficulty,
-		Curves:     st.sc.Curves,
-		Rate:       st.hot.rate[ui],
-		TxFactor:   u.TxCompression,
-	}
+	env := st.sc.fullShareEnv(&st.sc.Users[ui], d.Server, st.uplink)
 	if d.Server >= 0 {
-		srv := &st.sc.Servers[d.Server]
-		env.Server = srv.Profile
 		// Probe share: what this user would plausibly receive if it chose
 		// to offload — an equal split among the server's *current*
 		// offloaders plus itself. In the first round nobody offloads yet,
@@ -504,8 +556,6 @@ func (st *state) env(ui int) surgery.Env {
 			env.ComputeShare = quantizeShare(fs)
 			env.BandwidthShare = quantizeShare(bs)
 		}
-		env.UplinkBps = st.uplink[d.Server]
-		env.RTT = srv.RTT
 	}
 	return env
 }
@@ -529,61 +579,77 @@ func (st *state) offloaders(s, except int) int {
 // surgeryStep re-optimizes every user's plan at the current shares.
 // Holding shares fixed, each user's latency can only decrease, so the
 // objective is monotone non-increasing across this step.
-//
-// All per-user environments are snapshotted before any plan is replaced, so
-// every user's optimization is a pure function of the pre-step state (the
-// offloader probe counts, in particular, see the step's inputs rather than
-// its partial outputs). That makes the fan-out order-free: the parallel
-// planner produces byte-identical plans to Parallelism == 1.
 func (st *state) surgeryStep() error {
-	n := len(st.sc.Users)
-	if st.envBuf == nil {
-		st.envBuf = make([]surgery.Env, n)
+	if st.everyone == nil {
+		st.everyone = make([]int, len(st.sc.Users))
+		for ui := range st.everyone {
+			st.everyone[ui] = ui
+		}
 	}
-	for ui := 0; ui < n; ui++ {
-		st.envBuf[ui] = st.env(ui)
+	st.spent += int64(len(st.everyone))
+	return st.refresh(st.everyone)
+}
+
+// refresh re-runs surgery for the listed users at the current shares. All
+// environments are snapshotted before any plan is replaced, so every user's
+// optimization is a pure function of the pre-step state (the offloader
+// probe counts, in particular, see the step's inputs rather than its
+// partial outputs). That makes the fan-out order-free: the parallel planner
+// produces byte-identical plans to Parallelism == 1. The caller charges the
+// pass to the ledger — before its own checkpoint, where it has one.
+func (st *state) refresh(users []int) error {
+	if cap(st.envBuf) < len(users) {
+		st.envBuf = make([]surgery.Env, len(users))
 	}
-	st.spent += int64(n)
-	return forEachIndex(st.workers, n, func(ui int) error {
-		return st.optimizeUser(ui, st.envBuf[ui])
+	envs := st.envBuf[:len(users)]
+	for i, ui := range users {
+		envs[i] = st.env(ui)
+	}
+	return forEachIndex(st.workers, len(users), func(i int) error {
+		return st.optimizeUser(users[i], envs[i])
 	})
 }
 
-// optimizeUser runs (or recalls) the surgery optimization for one user in
-// the given quantized environment and installs the result in st.ds[ui].
-// Safe for concurrent calls with distinct ui. On the frontier path the
-// precomputed tables answer first; untabulated keys fall through to the
-// cache + optimizer at the same snapped shares, so which path answered is
-// observable only in the counters.
+// optimizeUser answers one user's surgery problem in the given snapped
+// environment and installs the result in st.ds[ui]. Safe for concurrent
+// calls with distinct ui.
 func (st *state) optimizeUser(ui int, env surgery.Env) error {
+	plan, ev, err := st.solve(ui, st.ds[ui].Server, env)
+	if err != nil {
+		return fmt.Errorf("joint: surgery for user %d (%s): %w", ui, st.sc.Users[ui].Name, err)
+	}
+	st.ds[ui].Plan = plan
+	st.ds[ui].Eval = ev
+	return nil
+}
+
+// solve is the planner's one surgery-lookup path: user ui's optimum in env,
+// an environment of server (-1 = device-only) at already-snapped shares. On
+// the frontier path the precomputed tables answer first; untabulated keys
+// fall through to the cache, then the optimizer, at the same shares, so
+// which layer answered is observable only in the counters. It reads no
+// decision state, which is what lets the local-pin pass ask it before any
+// exists.
+func (st *state) solve(ui, server int, env surgery.Env) (surgery.Plan, surgery.Eval, error) {
 	u := &st.sc.Users[ui]
 	sopt := st.opt.surgeryOptions(u)
 	if st.front != nil {
-		if plan, ev, ok := st.front.lookup(ui, st.ds[ui].Server, u.Model, env, sopt); ok {
-			st.ds[ui].Plan = plan
-			st.ds[ui].Eval = ev
-			return nil
+		if plan, ev, ok := st.front.lookup(ui, server, u.Model, env, sopt); ok {
+			return plan, ev, nil
 		}
 	}
 	var key surgeryKey
 	if st.cache != nil {
 		key = keyFor(u.Model, env, sopt)
 		if plan, ev, ok := st.cache.get(key); ok {
-			st.ds[ui].Plan = plan
-			st.ds[ui].Eval = ev
-			return nil
+			return plan, ev, nil
 		}
 	}
 	plan, ev, err := surgery.Optimize(u.Model, env, sopt)
-	if err != nil {
-		return fmt.Errorf("joint: surgery for user %d (%s): %w", ui, u.Name, err)
-	}
-	if st.cache != nil {
+	if err == nil && st.cache != nil {
 		st.cache.put(key, plan, ev)
 	}
-	st.ds[ui].Plan = plan
-	st.ds[ui].Eval = ev
-	return nil
+	return plan, ev, err
 }
 
 // demandsFor builds the per-server allocation inputs from current evals.
@@ -606,44 +672,9 @@ func (st *state) demandsFor(s int) []alloc.Demand {
 // allocStep re-splits every server's resources given the current plans.
 func (st *state) allocStep() {
 	st.feasible = true
-	if st.opt.DisableAllocation {
-		st.equalShares()
-		// Equal shares may still violate deadlines; report feasibility
-		// against them for parity with the allocating arms.
-		for s := range st.assigned {
-			st.srvFeasible[s] = true
-			for _, ui := range st.assigned[s] {
-				if d := st.hot.deadline[ui]; d > 0 && st.ds[ui].Latency() > d {
-					st.feasible = false
-					st.srvFeasible[s] = false
-				}
-			}
-		}
-		return
-	}
 	for s := range st.assigned {
-		st.srvFeasible[s] = true
-		if len(st.assigned[s]) == 0 {
-			continue
-		}
-		demands := st.demandsFor(s)
-		var a alloc.Allocation
-		switch st.opt.Allocator {
-		case MinSumAlloc:
-			a = alloc.MinSumLatency(demands)
-		case MinMaxAlloc:
-			a, _ = alloc.MinMaxLatency(demands)
-		default:
-			a = alloc.DeadlineAware(demands)
-		}
-		if !a.Feasible {
-			st.feasible = false
-			st.srvFeasible[s] = false
-		}
-		for i, ui := range st.assigned[s] {
-			st.ds[ui].ComputeShare = math.Max(a.Compute[i], 1e-9)
-			st.ds[ui].BandwidthShare = math.Max(a.Bandwidth[i], 1e-9)
-		}
+		st.allocServer(s)
+		st.feasible = st.feasible && st.srvFeasible[s]
 	}
 }
 
@@ -753,13 +784,7 @@ func (st *state) scratchClone() *state {
 }
 
 func (st *state) moveUser(ui, from, to int) {
-	lst := st.assigned[from]
-	for i, v := range lst {
-		if v == ui {
-			st.assigned[from] = append(lst[:i], lst[i+1:]...)
-			break
-		}
-	}
+	st.dropFromServer(ui, from)
 	st.assigned[to] = append(st.assigned[to], ui)
 	st.ds[ui].Server = to
 	n := float64(len(st.assigned[to]))
@@ -779,11 +804,9 @@ func (st *state) allocServer(s int) {
 		return
 	}
 	if st.opt.DisableAllocation {
-		n := float64(len(st.assigned[s]))
-		for _, ui := range st.assigned[s] {
-			st.ds[ui].ComputeShare = 1 / n
-			st.ds[ui].BandwidthShare = 1 / n
-		}
+		// Equal shares may still violate deadlines; report feasibility
+		// against them for parity with the allocating arms.
+		st.equalSharesOn(s)
 		for _, ui := range st.assigned[s] {
 			if d := st.hot.deadline[ui]; d > 0 && st.ds[ui].Latency() > d {
 				st.srvFeasible[s] = false

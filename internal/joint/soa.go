@@ -73,8 +73,8 @@ func buildUserSoA(sc *Scenario) *userSoA {
 
 // workOrder returns user indices by descending work, index tiebreak — the
 // greedy initial assignment's acceptance order, which every per-server
-// assignment list replays (newState, mergeShardPlans, newDeltaState) so the
-// allocation inputs are order-identical across all planning routes.
+// assignment list replays (seedGreedy, seedDecisions) so the allocation
+// inputs are order-identical across all planning routes.
 func workOrder(hot *userSoA) []int {
 	order := make([]int, len(hot.work))
 	for i := range order {
@@ -84,10 +84,8 @@ func workOrder(hot *userSoA) []int {
 	return order
 }
 
-// objectiveNow computes the weighted expected-latency sum from the SoA
-// weights — same index order and same factor values as the free objective()
-// function, so the result is bit-identical; only the per-user accessor
-// branches are gone.
+// objectiveNow computes the weighted expected-latency sum of the current
+// decision set, in user-index order, from the SoA weights.
 func (st *state) objectiveNow() float64 {
 	var sum float64
 	for i := range st.ds {

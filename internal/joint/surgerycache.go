@@ -86,37 +86,51 @@ type surgeryEntry struct {
 	eval surgery.Eval
 }
 
+// tally is a hit/miss counter pair with per-state deltas. When the planner
+// is instrumented (Options.Metrics) the counters are the registry's
+// "<series>.hits"/".misses" and accumulate across Plan calls; otherwise
+// they are private. Either way counters() reports the counts since
+// construction, which is what the Plan struct's per-call fields carry.
+type tally struct {
+	hits, misses *telemetry.Counter
+	h0, m0       int64 // baselines at construction
+}
+
+func newTally(reg *telemetry.Registry, series string) tally {
+	t := tally{hits: new(telemetry.Counter), misses: new(telemetry.Counter)}
+	if reg != nil {
+		t.hits, t.misses = reg.Counter(series+".hits"), reg.Counter(series+".misses")
+	}
+	t.h0, t.m0 = t.hits.Value(), t.misses.Value()
+	return t
+}
+
+// counters returns the (hits, misses) accumulated since construction.
+func (t *tally) counters() (hits, misses int64) {
+	return t.hits.Value() - t.h0, t.misses.Value() - t.m0
+}
+
 // surgeryCache memoizes surgery.Optimize results for one planner
 // invocation. It is safe for concurrent use by the parallel surgery and
 // reassignment steps. Because the planner optimizes at quantized shares
 // unconditionally, a hit returns exactly what the miss path would compute,
 // so cache behaviour (including racy double-misses under parallelism)
-// never changes planner output — it only changes the hit/miss counters.
-// The hit/miss tallies live in telemetry counters: when the planner is
-// instrumented (Options.Metrics) they are the registry's
-// "planner.surgery_cache.hits"/".misses" series and accumulate across Plan
-// calls; otherwise they are private standalone counters. Either way the
-// per-Plan counts the Plan struct reports are deltas against the baselines
-// captured at cache construction, so the old accessors keep their exact
-// per-call semantics.
+// never changes planner output — it only changes the hit/miss tally
+// ("planner.surgery_cache.hits"/".misses"). Under parallelism > 1 two
+// workers may race to a first lookup of the same key and both miss, so the
+// split is approximate there; hits+misses always equals the number of
+// lookups.
 type surgeryCache struct {
 	mu      sync.Mutex
 	entries map[surgeryKey]surgeryEntry
-	hits    *telemetry.Counter
-	misses  *telemetry.Counter
-	h0, m0  int64 // counter baselines at construction (per-Plan deltas)
+	tally
 }
 
 func newSurgeryCache(reg *telemetry.Registry) *surgeryCache {
-	c := &surgeryCache{entries: make(map[surgeryKey]surgeryEntry)}
-	if reg != nil {
-		c.hits = reg.Counter("planner.surgery_cache.hits")
-		c.misses = reg.Counter("planner.surgery_cache.misses")
-	} else {
-		c.hits, c.misses = new(telemetry.Counter), new(telemetry.Counter)
+	return &surgeryCache{
+		entries: make(map[surgeryKey]surgeryEntry),
+		tally:   newTally(reg, "planner.surgery_cache"),
 	}
-	c.h0, c.m0 = c.hits.Value(), c.misses.Value()
-	return c
 }
 
 func (c *surgeryCache) get(k surgeryKey) (surgery.Plan, surgery.Eval, bool) {
@@ -137,56 +151,43 @@ func (c *surgeryCache) put(k surgeryKey, plan surgery.Plan, eval surgery.Eval) {
 	c.mu.Unlock()
 }
 
-// counters returns the (hits, misses) accumulated since this cache was
-// built — a thin wrapper over the telemetry counters. Under parallelism > 1
-// two workers may race to a first lookup of the same key and both miss, so
-// the split is approximate there; hits+misses always equals the number of
-// surgery optimizations requested.
-func (c *surgeryCache) counters() (hits, misses int64) {
-	return c.hits.Value() - c.h0, c.misses.Value() - c.m0
-}
-
-// stampCounters writes the per-call memoization tallies into plan: the
+// stampCounters writes the per-call memoization tallies into a fresh plan: the
 // state's own surgery-cache and frontier deltas plus the tallies of any
 // sub-plans produced by uninstrumented inner planners (the sharded path's
 // shard and cross-check plans). Sub-plan tallies are also published to the
 // planner's registry — the state's own counters already live there as
 // series when instrumented. This is the single aggregation point behind
-// every plan producer (Plan, PlanWithAssignment, the dispatcher's Observe,
-// and planSharded), so new counter kinds are added here once instead of
+// every plan producer, so new counter kinds are added here once instead of
 // being copied per call site.
 func (st *state) stampCounters(plan *Plan, sub ...*Plan) {
-	var sch, scm, sfh, sfm, sops int64
+	plan.SurgeryOps = st.spent
 	for _, sp := range sub {
 		if sp == nil {
 			continue
 		}
-		sch += sp.SurgeryCacheHits
-		scm += sp.SurgeryCacheMisses
-		sfh += sp.FrontierHits
-		sfm += sp.FrontierMisses
-		sops += sp.SurgeryOps
+		plan.SurgeryCacheHits += sp.SurgeryCacheHits
+		plan.SurgeryCacheMisses += sp.SurgeryCacheMisses
+		plan.FrontierHits += sp.FrontierHits
+		plan.FrontierMisses += sp.FrontierMisses
+		plan.SurgeryOps += sp.SurgeryOps
 	}
 	if reg := st.opt.Metrics; reg != nil {
 		// Publish only non-zero sub-plan tallies: a zero Add would still
 		// create the series, changing the registry rendering of runs whose
 		// path never produced that counter kind.
-		if sch > 0 {
-			reg.Counter("planner.surgery_cache.hits").Add(sch)
+		if plan.SurgeryCacheHits > 0 {
+			reg.Counter("planner.surgery_cache.hits").Add(plan.SurgeryCacheHits)
 		}
-		if scm > 0 {
-			reg.Counter("planner.surgery_cache.misses").Add(scm)
+		if plan.SurgeryCacheMisses > 0 {
+			reg.Counter("planner.surgery_cache.misses").Add(plan.SurgeryCacheMisses)
 		}
-		if sfh > 0 {
-			reg.Counter("planner.frontier.hits").Add(sfh)
+		if plan.FrontierHits > 0 {
+			reg.Counter("planner.frontier.hits").Add(plan.FrontierHits)
 		}
-		if sfm > 0 {
-			reg.Counter("planner.frontier.misses").Add(sfm)
+		if plan.FrontierMisses > 0 {
+			reg.Counter("planner.frontier.misses").Add(plan.FrontierMisses)
 		}
 	}
-	plan.SurgeryCacheHits, plan.SurgeryCacheMisses = sch, scm
-	plan.FrontierHits, plan.FrontierMisses = sfh, sfm
-	plan.SurgeryOps = st.spent + sops
 	if st.cache != nil {
 		h, m := st.cache.counters()
 		plan.SurgeryCacheHits += h

@@ -236,12 +236,3 @@ type Strategy interface {
 	Name() string
 	Plan(sc *Scenario) (*Plan, error)
 }
-
-// objective computes the weighted expected-latency sum of a decision set.
-func objective(sc *Scenario, ds []Decision) float64 {
-	var sum float64
-	for i := range ds {
-		sum += sc.Users[i].weight() * ds[i].Latency()
-	}
-	return sum
-}
