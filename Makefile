@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short test-race fuzz-smoke bench bench-test bench-smoke bench-planner-smoke bench-frontier-smoke bench-replan-smoke bench-serve-smoke serve-smoke chaos-smoke cluster-smoke client-smoke backpressure-stress experiments examples cover clean
+.PHONY: all build vet loc test test-short test-race fuzz-smoke bench bench-test bench-smoke bench-planner-smoke bench-frontier-smoke bench-replan-smoke bench-serve-smoke serve-smoke chaos-smoke cluster-smoke client-smoke backpressure-stress experiments examples cover clean
 
 all: build vet test
 
@@ -11,6 +11,17 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Non-test Go lines per package (internal/*, cmd/*, the root facade) and in
+# total (examples/ included) — the figure ROADMAP's "net non-test LOC" items are judged by. CI
+# echoes it, so a size change is a diff of two logs.
+loc:
+	@for d in . internal/* cmd/*; do \
+		n=$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+		printf '%6d  %s\n' $$n $$d; \
+	done
+	@printf '%6d  total (non-test, bench/ excluded)\n' \
+		$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -exec cat {} + | wc -l)
 
 test: vet
 	$(GO) test ./...

@@ -243,22 +243,25 @@ func main() {
 		fatal(err)
 	}
 
-	switch {
-	case *listenAddr != "":
+	mustPolicy := func() serve.Policy {
 		policy, err := buildPolicy(*policyName, *relChange, *minInterval, *budget, *budgetWindow,
-			*replanDeadline, *qStrikes, *qProbation)
+			*replanDeadline, *qStrikes, *qProbation, *deltaReplan, *deltaDirtyMax)
 		if err != nil {
 			fatal(err)
 		}
-		if *deltaReplan {
-			policy.DeltaReplan = true
+		return policy
+	}
+	switch {
+	case *listenAddr != "":
+		// Live mode has no trace to replay, journal, crash or resume, and
+		// plans through cluster.Start's own planner; say so instead of
+		// silently dropping the flag.
+		if name := firstSet("chaos", "expect-full-replans", "journal", "parallelism",
+			"recover", "shard-threshold", "snapshot-dir", "verify-recovery"); name != "" {
+			fmt.Fprintf(os.Stderr, "edgeserved: -%s has no effect with -listen (it configures trace replay)\n", name)
+			os.Exit(2)
 		}
-		if *deltaDirtyMax >= 0 {
-			policy.DeltaMaxDirtyFrac = *deltaDirtyMax
-		}
-		if err := policy.Validate(); err != nil {
-			fatal(err)
-		}
+		policy := mustPolicy()
 		err = runCluster(sc, data, policy, clusterOpts{
 			listen: *listenAddr, agents: *agents, agentBin: *agentBin,
 			requests: *requests, workers: *workers,
@@ -274,20 +277,7 @@ func main() {
 			fatal(err)
 		}
 	case *tracePath != "":
-		policy, err := buildPolicy(*policyName, *relChange, *minInterval, *budget, *budgetWindow,
-			*replanDeadline, *qStrikes, *qProbation)
-		if err != nil {
-			fatal(err)
-		}
-		if *deltaReplan {
-			policy.DeltaReplan = true
-		}
-		if *deltaDirtyMax >= 0 {
-			policy.DeltaMaxDirtyFrac = *deltaDirtyMax
-		}
-		if err := policy.Validate(); err != nil {
-			fatal(err)
-		}
+		policy := mustPolicy()
 		opts := replayOpts{
 			tracePath: *tracePath, journalPath: *journalPath,
 			expectFull: *expectFull, httpAddr: *httpAddr,
@@ -383,8 +373,22 @@ func record(sc *joint.Scenario, scHorizon float64, path string, horizon, period 
 	return nil
 }
 
+// firstSet returns the first of the named flags (in flag.Visit's
+// lexical order) that was set on the command line, or "".
+func firstSet(names ...string) string {
+	found := ""
+	flag.Visit(func(f *flag.Flag) {
+		for _, name := range names {
+			if found == "" && f.Name == name {
+				found = name
+			}
+		}
+	})
+	return found
+}
+
 func buildPolicy(name string, relChange, minInterval float64, budget int, window,
-	replanDeadline float64, qStrikes int, qProbation float64) (serve.Policy, error) {
+	replanDeadline float64, qStrikes int, qProbation float64, deltaReplan bool, deltaDirtyMax float64) (serve.Policy, error) {
 	var p serve.Policy
 	switch name {
 	case "always":
@@ -416,6 +420,12 @@ func buildPolicy(name string, relChange, minInterval float64, budget int, window
 	}
 	if qProbation >= 0 {
 		p.QuarantineProbation = qProbation
+	}
+	if deltaReplan {
+		p.DeltaReplan = true
+	}
+	if deltaDirtyMax >= 0 {
+		p.DeltaMaxDirtyFrac = deltaDirtyMax
 	}
 	return p, p.Validate()
 }

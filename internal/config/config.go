@@ -67,9 +67,15 @@ func Parse(data []byte) (*joint.Scenario, float64, error) {
 	if horizon <= 0 {
 		horizon = 60
 	}
+	// One instance per catalog name for the whole scenario: the planner's
+	// surgery cache and frontier tables key on model and profile identity,
+	// so users of one class must share pointers or every user becomes a
+	// class of its own.
+	models := map[string]*dnn.Model{}
+	profiles := map[string]*hardware.Profile{}
 	sc := &joint.Scenario{}
 	for i, s := range raw.Servers {
-		prof, err := hardware.ByName(s.Profile)
+		prof, err := interned(profiles, s.Profile, hardware.ByName)
 		if err != nil {
 			return nil, 0, fmt.Errorf("config: server %d: %w", i, err)
 		}
@@ -98,11 +104,11 @@ func Parse(data []byte) (*joint.Scenario, float64, error) {
 		})
 	}
 	for i, u := range raw.Users {
-		m, err := dnn.ByName(u.Model)
+		m, err := interned(models, u.Model, dnn.ByName)
 		if err != nil {
 			return nil, 0, fmt.Errorf("config: user %d: %w", i, err)
 		}
-		dev, err := hardware.ByName(u.Device)
+		dev, err := interned(profiles, u.Device, hardware.ByName)
 		if err != nil {
 			return nil, 0, fmt.Errorf("config: user %d: %w", i, err)
 		}
@@ -130,6 +136,19 @@ func Parse(data []byte) (*joint.Scenario, float64, error) {
 		return nil, 0, err
 	}
 	return sc, horizon, nil
+}
+
+// interned returns the instance already resolved for name, resolving and
+// remembering it on first use.
+func interned[T any](seen map[string]*T, name string, byName func(string) (*T, error)) (*T, error) {
+	if v, ok := seen[name]; ok {
+		return v, nil
+	}
+	v, err := byName(name)
+	if err == nil {
+		seen[name] = v
+	}
+	return v, err
 }
 
 func parseDifficulty(s string) (workload.DifficultyKind, error) {

@@ -1,9 +1,14 @@
 package config
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"edgesurgeon/internal/dnn"
+	"edgesurgeon/internal/hardware"
+	"edgesurgeon/internal/joint"
+	"edgesurgeon/internal/serve"
 	"edgesurgeon/internal/workload"
 )
 
@@ -94,5 +99,66 @@ func TestStrategyResolution(t *testing.T) {
 	}
 	if _, err := Strategy("quantum"); err == nil || !strings.Contains(err.Error(), "known:") {
 		t.Errorf("unknown strategy error unhelpful: %v", err)
+	}
+}
+
+// TestParseInternsCatalogInstances: users and servers naming one catalog
+// entry share one instance — the planner's surgery cache and frontier tables
+// key on pointer identity, so this is what keeps them O(classes) for parsed
+// scenarios — and interning changes nothing about the plan itself.
+func TestParseInternsCatalogInstances(t *testing.T) {
+	var users []string
+	for i := 0; i < 6; i++ {
+		users = append(users, fmt.Sprintf(`{"name":"u%d","model":"resnet18","device":"rpi4","rate":%d,"deadlineMs":300}`, i, 1+i%3))
+	}
+	js := `{"servers":[
+	  {"name":"a","profile":"edge-gpu-t4","uplinkMbps":40,"rttMs":4},
+	  {"name":"b","profile":"edge-gpu-t4","uplinkMbps":25,"rttMs":6}],
+	  "users":[` + strings.Join(users, ",") + `]}`
+	sc, _, err := Parse([]byte(js))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range sc.Users {
+		if sc.Users[i].Model != sc.Users[0].Model || sc.Users[i].Device != sc.Users[0].Device {
+			t.Fatalf("user %d does not share user 0's model/device instances", i)
+		}
+	}
+	if sc.Servers[0].Profile != sc.Servers[1].Profile {
+		t.Fatal("servers of one profile do not share an instance")
+	}
+
+	// The same scenario with every user and server on a private instance.
+	fresh := *sc
+	fresh.Users = append([]joint.User(nil), sc.Users...)
+	fresh.Servers = append([]joint.Server(nil), sc.Servers...)
+	for i := range fresh.Users {
+		u := &fresh.Users[i]
+		if u.Model, err = dnn.ByName(u.Model.Name); err != nil {
+			t.Fatal(err)
+		}
+		if u.Device, err = hardware.ByName(u.Device.Name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range fresh.Servers {
+		if fresh.Servers[i].Profile, err = hardware.ByName(fresh.Servers[i].Profile.Name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fresh.Users[0].Model == fresh.Users[1].Model {
+		t.Fatal("dnn.ByName returned a shared instance; the un-interned arm is not un-interned")
+	}
+	planner := &joint.Planner{}
+	interned, err := planner.Plan(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	private, err := planner.Plan(&fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := serve.EncodePlan(interned), serve.EncodePlan(private); a != b {
+		t.Errorf("interning changed the initial plan:\n%s\nvs\n%s", a, b)
 	}
 }

@@ -165,11 +165,8 @@ func BuildFrontierSet(sc *Scenario, opt Options, bo surgery.BuildOptions) (*surg
 // table headroom. Device-only keys never drift (they contain no link state)
 // so they are not revisited. Returns the number of tables added.
 func ExtendFrontierSet(set *surgery.FrontierSet, sc *Scenario, opt Options, servers []bool) int {
-	if set == nil {
+	if set == nil || servers == nil {
 		return 0
-	}
-	if servers == nil {
-		servers = []bool{}
 	}
 	keys, _ := frontierKeys(sc, opt, servers, false)
 	missing := keys[:0]

@@ -509,14 +509,57 @@ func (rt *Runtime) frozenScenario(rates []float64) *joint.Scenario {
 	return &frozen
 }
 
+// replan is the tail fullReplan and deltaReplan share: run plan under the
+// policy's replan-deadline budget and install its result as the
+// dispatcher's new active AND base plan (NewDispatcherWithPlan — the same
+// installation shape crash recovery uses), instrumented, with the current
+// health state reapplied, stamped on the debounce clock and the budget
+// window, and published. A plan that would exceed the budget is abandoned
+// deterministically and returned as the non-nil abort: the published plan
+// stays, and the abort arms the same debounce and burns a budget-window
+// slot, so a persistently over-budget environment degrades to the cheap
+// path instead of thrashing on replan attempts. route names the caller in
+// errors.
+func (rt *Runtime) replan(now float64, route string, frozen *joint.Scenario, plan func() (*joint.Plan, error)) (*joint.Plan, *joint.AbortedError, error) {
+	rt.planner.Opt.SurgeryBudget = rt.replanBudget()
+	p, err := plan()
+	rt.planner.Opt.SurgeryBudget = 0
+	if err != nil {
+		var abort *joint.AbortedError
+		if errors.As(err, &abort) {
+			rt.lastAbort = now
+			rt.fullTimes = append(rt.fullTimes, now)
+			rt.cAborted.Inc()
+			return nil, abort, nil
+		}
+		return nil, nil, fmt.Errorf("serve: %s replan at t=%g: %w", route, now, err)
+	}
+	disp, err := joint.NewDispatcherWithPlan(frozen, rt.planner, p)
+	if err != nil {
+		return nil, nil, fmt.Errorf("serve: %s replan at t=%g: %w", route, now, err)
+	}
+	disp.Instrument(rt.reg)
+	anyDown := false
+	up := make([]bool, len(rt.down))
+	for i, dn := range rt.down {
+		up[i] = !dn
+		anyDown = anyDown || dn
+	}
+	if anyDown {
+		if _, err := disp.ObserveHealth(up); err != nil {
+			return nil, nil, fmt.Errorf("serve: %s replan at t=%g: applying health: %w", route, now, err)
+		}
+	}
+	rt.disp = disp
+	rt.lastFull = now
+	rt.fullTimes = append(rt.fullTimes, now)
+	rt.publish(disp.Current())
+	return p, nil, nil
+}
+
 // fullReplan rebuilds the deployment plan from scratch against the
-// last-known uplink rates (frozen as static links), reapplies the current
-// health state, and makes the result the dispatcher's new pristine base.
-// Under a Policy.ReplanDeadline the planner runs with the corresponding
-// surgery-op budget; a replan that would exceed it is abandoned
-// deterministically and returned as the non-nil abort — the caller keeps
-// serving the previous plan. On success (with a store attached) the new
-// state is snapshotted and the WAL reset.
+// last-known uplink rates (frozen as static links). On success (with a
+// store attached) the new state is snapshotted and the WAL reset.
 func (rt *Runtime) fullReplan(now, maxRel float64) (*joint.AbortedError, error) {
 	frozen := rt.frozenScenario(rt.rates)
 	prevSet := rt.planner.Opt.Frontiers
@@ -528,46 +571,19 @@ func (rt *Runtime) fullReplan(now, maxRel float64) (*joint.AbortedError, error) 
 			return nil, fmt.Errorf("serve: full replan at t=%g: %w", now, err)
 		}
 	}
-	rt.planner.Opt.SurgeryBudget = rt.replanBudget()
-	disp, err := joint.NewDispatcher(frozen, rt.planner)
-	rt.planner.Opt.SurgeryBudget = 0
-	if err != nil {
-		var abort *joint.AbortedError
-		if errors.As(err, &abort) {
-			// The published plan (and its frontier tables) stays; the
-			// abort arms the debounce and burns a budget-window slot, so
-			// a persistently over-budget environment degrades to the
-			// cheap path instead of thrashing on replan attempts.
-			rt.planner.Opt.Frontiers = prevSet
-			rt.lastAbort = now
-			rt.fullTimes = append(rt.fullTimes, now)
-			rt.cAborted.Inc()
-			return abort, nil
-		}
-		return nil, fmt.Errorf("serve: full replan at t=%g: %w", now, err)
+	_, abort, err := rt.replan(now, "full", frozen, func() (*joint.Plan, error) { return rt.planner.Plan(frozen) })
+	if abort != nil {
+		// The published plan keeps its frontier tables.
+		rt.planner.Opt.Frontiers = prevSet
 	}
-	disp.Instrument(rt.reg)
-	anyDown := false
-	up := make([]bool, len(rt.down))
-	for i, dn := range rt.down {
-		up[i] = !dn
-		anyDown = anyDown || dn
+	if err != nil || abort != nil {
+		return abort, err
 	}
-	if anyDown {
-		if _, err := disp.ObserveHealth(up); err != nil {
-			return nil, fmt.Errorf("serve: full replan at t=%g: applying health: %w", now, err)
-		}
-	}
-	rt.disp = disp
 	copy(rt.planRates, rt.rates)
 	rt.updateDriftGauges()
-	rt.lastFull = now
-	rt.fullTimes = append(rt.fullTimes, now)
 	rt.cFull.Inc()
-	plan := disp.Current()
-	rt.publish(plan)
 	rt.journal.Record(telemetry.Event{
-		Time: now, Kind: EventFullReplan, Value: plan.Objective,
+		Time: now, Kind: EventFullReplan, Value: rt.disp.Current().Objective,
 		Reason: fmt.Sprintf("max uplink drift %.3g >= %.3g", maxRel, rt.policy.RelChange),
 	})
 	if rt.store != nil && !rt.recovering {
@@ -611,76 +627,43 @@ func (rt *Runtime) dirtyShards() ([]bool, int) {
 
 // deltaReplan is the incremental counterpart of fullReplan: re-plan only
 // the dirty shards, warm-started from the published plan, under the same
-// deadline budget. On success the result becomes the dispatcher's new
-// active AND base plan (NewDispatcherWithPlan — the same installation shape
-// crash recovery uses), per-server plan rates advance only for the dirty
-// shards (clean shards keep accruing their sub-threshold drift), and the
-// decision is journaled with the dirty-shard set. Unlike fullReplan, NO
-// snapshot is written: a delta plan is defined relative to its predecessor,
-// so the recovery story is the WAL tail — replaying the samples since the
-// last full boundary reproduces the whole delta chain bit for bit, which
-// the kill/recover suite pins.
+// deadline budget. Per-server plan rates advance only for the dirty shards
+// (clean shards keep accruing their sub-threshold drift), and the decision
+// is journaled with the dirty-shard set. Unlike fullReplan, NO snapshot is
+// written: a delta plan is defined relative to its predecessor, so the
+// recovery story is the WAL tail — replaying the samples since the last
+// full boundary reproduces the whole delta chain bit for bit, which the
+// kill/recover suite pins.
 func (rt *Runtime) deltaReplan(now, maxRel float64, dirty []bool, nDirty int) (*joint.AbortedError, error) {
 	frozen := rt.frozenScenario(rt.rates)
 	if rt.frontier && rt.planner.Opt.Frontiers != nil {
 		// The dirty servers' drifted rates are new frontier keys; extend the
 		// existing set in place (within its table budget) instead of
 		// rebuilding from scratch — clean shards keep their resolved tables,
-		// so the delta hot path stays on the O(log k) lookup route.
+		// so the delta hot path stays on the O(log k) lookup route. The
+		// extension stays even if the replan aborts: extra tables never
+		// change output.
 		added := joint.ExtendFrontierSet(rt.planner.Opt.Frontiers, frozen, rt.planner.Opt, dirty)
 		rt.reg.Counter("serve.frontier.extends").Inc()
 		rt.reg.Counter("serve.frontier.extend_tables").Add(int64(added))
 		rt.reg.Gauge("serve.frontier.tables").Set(float64(rt.planner.Opt.Frontiers.Len()))
 	}
 	prev := rt.disp.Current()
-	rt.planner.Opt.SurgeryBudget = rt.replanBudget()
-	plan, err := rt.planner.PlanDelta(frozen, prev, dirty)
-	rt.planner.Opt.SurgeryBudget = 0
-	if err != nil {
-		var abort *joint.AbortedError
-		if errors.As(err, &abort) {
-			// Same stale-plan fallback as an aborted full replan: the abort
-			// arms the debounce and burns a budget-window slot. The frontier
-			// extension (if any) stays — extra tables never change output.
-			rt.lastAbort = now
-			rt.fullTimes = append(rt.fullTimes, now)
-			rt.cAborted.Inc()
-			return abort, nil
-		}
-		return nil, fmt.Errorf("serve: delta replan at t=%g: %w", now, err)
+	plan, abort, err := rt.replan(now, "delta", frozen, func() (*joint.Plan, error) { return rt.planner.PlanDelta(frozen, prev, dirty) })
+	if err != nil || abort != nil {
+		return abort, err
 	}
-	disp, err := joint.NewDispatcherWithPlan(frozen, rt.planner, plan)
-	if err != nil {
-		return nil, fmt.Errorf("serve: delta replan at t=%g: %w", now, err)
-	}
-	disp.Instrument(rt.reg)
-	anyDown := false
-	up := make([]bool, len(rt.down))
-	for i, dn := range rt.down {
-		up[i] = !dn
-		anyDown = anyDown || dn
-	}
-	if anyDown {
-		if _, err := disp.ObserveHealth(up); err != nil {
-			return nil, fmt.Errorf("serve: delta replan at t=%g: applying health: %w", now, err)
-		}
-	}
-	rt.disp = disp
 	for i, d := range dirty {
 		if d {
 			rt.planRates[i] = rt.rates[i]
 		}
 	}
 	rt.updateDriftGauges()
-	rt.lastFull = now
-	rt.fullTimes = append(rt.fullTimes, now)
 	rt.cDelta.Inc()
 	rt.cDirty.Add(int64(nDirty))
 	rt.hDeltaOps.Observe(float64(plan.SurgeryOps))
-	active := disp.Current()
-	rt.publish(active)
 	rt.journal.Record(telemetry.Event{
-		Time: now, Kind: EventDeltaReplan, Value: active.Objective,
+		Time: now, Kind: EventDeltaReplan, Value: rt.disp.Current().Objective,
 		Reason: fmt.Sprintf("max uplink drift %.3g >= %.3g; dirty shards %v", maxRel, rt.policy.RelChange, joint.DirtyServers(dirty)),
 	})
 	return nil, nil
