@@ -77,12 +77,6 @@ type (
 	PlannerOptions = joint.Options
 )
 
-// ShareQuantum is the resolution of the planner's share-quantization grid:
-// surgery environments are snapped to multiples of 1/ShareQuantum, which
-// makes the planner's surgery memoization exact (a cache hit returns
-// precisely what recomputation would).
-const ShareQuantum = joint.ShareQuantum
-
 // Model and hardware types.
 type (
 	// Model is a DNN described as a chain of partitionable units.

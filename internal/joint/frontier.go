@@ -10,16 +10,15 @@ import (
 )
 
 // This file wires the precomputed Pareto-frontier surgery tables
-// (surgery.FrontierSet) into the planner's hot path. With
-// Options.Frontiers set, every per-user surgery environment snaps its
-// shares to the set's geometric grid instead of the uniform ShareQuantum
-// grid, and optimizeUser answers from the tables when the key is
-// tabulated — an O(log levels) binary-searched quantization plus an O(1)
+// (surgery.FrontierSet) into the planner's hot path. Every per-user surgery
+// environment snaps its shares to the geometric share grid (state.env); with
+// Options.Frontiers set, optimizeUser answers from the tables when the key
+// is tabulated — an O(log levels) binary-searched quantization plus an O(1)
 // cell read — falling back to surgery.Optimize (at the same snapped
 // shares) otherwise. Because a table hit returns exactly what the
 // optimizer would compute at those shares, hit/miss mix, table budget,
-// parallelism and shard threshold can never change planner output for a
-// given grid; the differential tests pin this against an empty set.
+// parallelism and shard threshold can never change planner output; the
+// differential tests pin this against an empty set.
 
 // frontierStats is the planner's per-call view of a frontier set: the
 // shared tables plus the hit/miss tally ("planner.frontier.hits"/".misses").

@@ -30,8 +30,8 @@ import (
 //     and the objective improvement falls under Epsilon.
 //
 // When shards never contend — no reconciliation move improves anything and
-// every shard's inner loop reaches an exact fixed point (the quantized
-// share grid makes fixed points exact, see ShareQuantum) — the sharded
+// every shard's inner loop reaches an exact fixed point (the snapped
+// share grid makes fixed points exact, see state.env) — the sharded
 // plan is bit-identical to the monolithic one: the affinity clustering IS
 // the monolithic initial assignment, each shard's surgery environment is
 // server-local, and the merge preserves the monolithic per-server
@@ -362,7 +362,7 @@ func countServerShards(clusters []sim.Cluster) int {
 //
 // The probes go through the planner's one lookup path (state.solve) on a
 // throw-away, uninstrumented state: full shares (1, 1) are an exact point
-// of both share grids and exactly the per-server environments
+// of the share grid and exactly the per-server environments
 // BuildFrontierSet tabulates, so frontier-enabled runs answer the whole
 // pass from the tables, and the pass's cache and frontier tallies stay off
 // the plan's counters (it runs before the plan's own state exists).

@@ -97,8 +97,8 @@ func TestSurgeryCacheHitIdenticalToColdCall(t *testing.T) {
 	m := dnn.ResNet18()
 	env := surgery.Env{
 		Device: dev, Server: srv,
-		ComputeShare:   quantizeShare(0.3137),
-		BandwidthShare: quantizeShare(0.7219),
+		ComputeShare:   surgery.NewShareGrid(0).Snap(0.3137),
+		BandwidthShare: surgery.NewShareGrid(0).Snap(0.7219),
 		UplinkBps:      netmodel.Mbps(25),
 		RTT:            0.004,
 		Difficulty:     workload.EasyBiased,
@@ -165,33 +165,6 @@ func TestCacheCountersAccount(t *testing.T) {
 	}
 }
 
-// TestQuantizeShare pins the quantization grid's edge behaviour the cache
-// keys rely on.
-func TestQuantizeShare(t *testing.T) {
-	cases := []struct{ in, want float64 }{
-		{0, 0},                          // device-only env stays zero
-		{-1, 0},                         // defensive
-		{1e-9, 1.0 / ShareQuantum},      // tiny shares floor at one quantum
-		{1, 1},                          // full share is exactly representable
-		{0.5, 0.5},                      // grid multiples are fixed points
-		{2, 1},                          // clamped to unit capacity
-		{0.5 + 0.2/ShareQuantum, 0.5},   // rounds down within half a quantum
-		{0.5 + 0.7/ShareQuantum, 0.5 + 1.0/ShareQuantum}, // rounds up past half
-	}
-	for _, c := range cases {
-		if got := quantizeShare(c.in); got != c.want {
-			t.Errorf("quantizeShare(%g) = %g, want %g", c.in, got, c.want)
-		}
-	}
-	// Idempotence: quantizing a quantized share is the identity.
-	for i := 1; i <= ShareQuantum; i += 97 {
-		s := float64(i) / ShareQuantum
-		if got := quantizeShare(s); got != s {
-			t.Errorf("quantizeShare not idempotent at %g: got %g", s, got)
-		}
-	}
-}
-
 // BenchmarkSurgeryCache contrasts the memoized hit path against the cold
 // optimize-and-insert path for one representative surgery problem.
 func BenchmarkSurgeryCache(b *testing.B) {
@@ -206,8 +179,8 @@ func BenchmarkSurgeryCache(b *testing.B) {
 	m := dnn.ResNet34()
 	env := surgery.Env{
 		Device: dev, Server: srv,
-		ComputeShare:   quantizeShare(0.5),
-		BandwidthShare: quantizeShare(0.5),
+		ComputeShare:   surgery.NewShareGrid(0).Snap(0.5),
+		BandwidthShare: surgery.NewShareGrid(0).Snap(0.5),
 		UplinkBps:      netmodel.Mbps(25),
 		RTT:            0.004,
 		Difficulty:     workload.EasyBiased,

@@ -44,7 +44,7 @@ type Options struct {
 	// DisableSurgeryCache turns off the per-Plan-call surgery memoization
 	// (the cache-ablation arm; also exercised by the equivalence tests).
 	// Caching never changes planner output because surgery always runs at
-	// quantized shares — see ShareQuantum.
+	// grid-snapped shares — see state.env.
 	DisableSurgeryCache bool
 	// ShardThreshold, when positive, routes scenarios with at least this
 	// many users through the hierarchical sharded planner: users are
@@ -56,14 +56,13 @@ type Options struct {
 	// objective stops improving. Scenarios below the threshold keep the
 	// exact monolithic path bit for bit. Zero disables sharding entirely.
 	ShardThreshold int
-	// Frontiers, when non-nil, switches the planner's innermost hot path to
+	// Frontiers, when non-nil, answers the planner's innermost hot path from
 	// precomputed Pareto-frontier surgery tables (build one per scenario
-	// with BuildFrontierSet): every per-user environment snaps its shares to
-	// the set's geometric grid — instead of the uniform ShareQuantum grid —
-	// and tabulated keys are answered by an O(log k) frontier lookup,
-	// falling back to surgery.Optimize at the same snapped shares for keys
-	// outside the tables, so plans are independent of the hit/miss mix. Nil
-	// keeps the historical uniform-grid path bit for bit.
+	// with BuildFrontierSet): tabulated keys are answered by an O(log k)
+	// frontier lookup, keys outside the tables by surgery.Optimize at the
+	// same grid-snapped shares, so plans are independent of the hit/miss
+	// mix — and of whether a set is supplied at all: every per-user
+	// environment snaps its shares to the same geometric grid either way.
 	Frontiers *surgery.FrontierSet
 	// AccuracyFloor, when positive, imposes a fleet-wide expected-accuracy
 	// floor on every user's surgery plan; a user's own stricter MinAccuracy
@@ -348,13 +347,14 @@ type state struct {
 	srvFeasible []bool
 	uplink      []float64 // cached mean uplink rate per server
 
-	workers  int            // resolved worker-pool size for fan-out steps
-	cache    *surgeryCache  // per-Plan-call surgery memoization (nil if disabled)
-	front    *frontierStats // frontier tables + hit/miss telemetry (nil = legacy path)
-	envBuf   []surgery.Env  // reusable env snapshot for refresh
-	everyone []int          // 0..n-1, surgeryStep's refresh list (built on first use)
-	hot      *userSoA       // flat per-user planning scalars (see soa.go)
-	mv       moveScratch    // tryMove's reusable save/restore arena
+	workers  int               // resolved worker-pool size for fan-out steps
+	grid     surgery.ShareGrid // the grid every surgery environment's shares snap to
+	cache    *surgeryCache     // per-Plan-call surgery memoization (nil if disabled)
+	front    *frontierStats    // frontier tables + hit/miss telemetry (nil = legacy path)
+	envBuf   []surgery.Env     // reusable env snapshot for refresh
+	everyone []int             // 0..n-1, surgeryStep's refresh list (built on first use)
+	hot      *userSoA          // flat per-user planning scalars (see soa.go)
+	mv       moveScratch       // tryMove's reusable save/restore arena
 
 	// spent is the deterministic work ledger behind SurgeryBudget: every
 	// orchestration step charges the surgery optimizations it schedules
@@ -392,6 +392,10 @@ func newState(sc *Scenario, opt Options, hot *userSoA) *state {
 		st.cache = newSurgeryCache(opt.Metrics)
 	}
 	st.front = newFrontierStats(opt.Frontiers, opt.Metrics, len(sc.Users), len(sc.Servers))
+	st.grid = surgery.NewShareGrid(0)
+	if opt.Frontiers != nil {
+		st.grid = opt.Frontiers.Grid()
+	}
 	return st
 }
 
@@ -541,21 +545,12 @@ func (st *state) env(ui int) surgery.Env {
 		if st.opt.DisableProbe {
 			probe = 0
 		}
-		// Shares are snapped to a fixed grid before the optimizer sees
-		// them, so memoization (keyed on the quantized values) is exact
-		// rather than approximate: a cache hit returns precisely what
-		// recomputing would. The frontier path snaps to its tables'
-		// geometric grid; the legacy path keeps the uniform ShareQuantum
-		// grid bit for bit.
-		fs := math.Max(orOne(d.ComputeShare), probe)
-		bs := math.Max(orOne(d.BandwidthShare), probe)
-		if st.front != nil {
-			env.ComputeShare = st.front.grid.Snap(fs)
-			env.BandwidthShare = st.front.grid.Snap(bs)
-		} else {
-			env.ComputeShare = quantizeShare(fs)
-			env.BandwidthShare = quantizeShare(bs)
-		}
+		// Shares are snapped to the geometric share grid before the optimizer
+		// sees them, so memoization (keyed on the snapped values) is exact
+		// rather than approximate: a cache hit or a table lookup returns
+		// precisely what recomputing would.
+		env.ComputeShare = st.grid.Snap(math.Max(orOne(d.ComputeShare), probe))
+		env.BandwidthShare = st.grid.Snap(math.Max(orOne(d.BandwidthShare), probe))
 	}
 	return env
 }
@@ -773,6 +768,7 @@ func (st *state) scratchClone() *state {
 		srvFeasible: append([]bool(nil), st.srvFeasible...),
 		uplink:      st.uplink,
 		workers:     1,
+		grid:        st.grid,
 		cache:       st.cache,
 		front:       st.front,
 		hot:         st.hot,

@@ -1,7 +1,6 @@
 package joint
 
 import (
-	"math"
 	"sync"
 
 	"edgesurgeon/internal/dnn"
@@ -10,34 +9,6 @@ import (
 	"edgesurgeon/internal/telemetry"
 	"edgesurgeon/internal/workload"
 )
-
-// ShareQuantum is the resolution of the share-quantization grid applied to
-// every surgery environment before optimization: compute and bandwidth
-// shares are rounded to the nearest multiple of 1/ShareQuantum (floored at
-// one quantum) both when calling surgery.Optimize and when forming cache
-// keys. Because the planner always optimizes at the quantized shares —
-// cache hit or miss — memoization can never change a plan, only skip
-// recomputing it; the quantization itself perturbs plan *selection* by at
-// most the latency difference a half-quantum share shift induces (see
-// DESIGN.md, "Planner concurrency and memoization").
-const ShareQuantum = 4096
-
-// quantizeShare rounds a share to the planner's fixed grid, clamped to
-// [1/ShareQuantum, 1]. Non-positive shares (device-only environments) stay
-// zero.
-func quantizeShare(s float64) float64 {
-	if s <= 0 {
-		return 0
-	}
-	q := math.Round(s * ShareQuantum)
-	if q < 1 {
-		q = 1
-	}
-	if q > ShareQuantum {
-		q = ShareQuantum
-	}
-	return q / ShareQuantum
-}
 
 // surgeryKey identifies one memoizable surgery problem within a single
 // planner invocation. Scenario-wide constants (exit curves, theta grid,
@@ -57,11 +28,9 @@ type surgeryKey struct {
 	noExits    bool
 }
 
-// keyFor derives the cache key of an already-quantized environment. Shares
-// enter the key as their exact quantized values: both the uniform
-// ShareQuantum grid and the frontier path's geometric grid produce a finite
-// set of exact float64 levels, so keying on the values themselves works for
-// either (integer quanta would collide distinct geometric levels).
+// keyFor derives the cache key of an already-snapped environment. Shares
+// enter the key as their exact snapped values: the geometric share grid is a
+// finite set of exact float64 levels.
 func keyFor(m *dnn.Model, env surgery.Env, sopt surgery.Options) surgeryKey {
 	return surgeryKey{
 		model:      m,

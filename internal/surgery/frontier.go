@@ -48,8 +48,7 @@ import (
 // calling Optimize for it.
 
 // shareGridOctaves fixes the grid's dynamic range: levels span
-// [2^-shareGridOctaves, 1], the same floor as the planner's historical
-// uniform grid (1/4096, see joint.ShareQuantum).
+// [2^-shareGridOctaves, 1] = [1/4096, 1].
 const shareGridOctaves = 12
 
 // DefaultStepsPerOctave is the geometric grid resolution used when
@@ -109,8 +108,7 @@ func (g ShareGrid) Index(s float64) int {
 }
 
 // Snap rounds a share to its nearest grid level; non-positive shares
-// (device-only environments) stay zero, mirroring the planner's uniform
-// quantizer.
+// (device-only environments) stay zero.
 func (g ShareGrid) Snap(s float64) float64 {
 	if s <= 0 {
 		return 0
