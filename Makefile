@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet loc test test-short test-race fuzz-smoke bench bench-test bench-smoke bench-planner-smoke bench-frontier-smoke bench-replan-smoke bench-serve-smoke serve-smoke chaos-smoke cluster-smoke client-smoke backpressure-stress experiments examples cover clean
+.PHONY: all build vet loc test test-short test-race golden-update fuzz-smoke bench bench-test bench-smoke bench-planner-smoke bench-frontier-smoke bench-replan-smoke bench-serve-smoke serve-smoke chaos-smoke cluster-smoke client-smoke backpressure-stress experiments examples cover clean
 
 all: build vet test
 
@@ -29,8 +29,17 @@ test: vet
 test-short:
 	$(GO) test -short ./...
 
+# Re-record internal/joint/testdata/golden_digests.txt (one decisions and one
+# bookkeeping digest per scenario x route x parallelism cell) from this
+# build's plans. A change that keeps plans bit-identical leaves the file
+# untouched — CI runs this and fails on any diff — and a change that moves
+# plans on purpose commits the new file and says how many cells moved in each
+# half. amd64 only, as the test is (FMA fusion moves float bits elsewhere).
+golden-update:
+	$(GO) test ./internal/joint -run TestGoldenPlanDigests -update -count=1
+
 # Race-check the concurrent paths: planner (parallel surgery fan-out,
-# shared memoization cache, candidate-move evaluation), the sharded
+# concurrently filled surgery tables, candidate-move evaluation), the sharded
 # simulator (component worker pool + differential equivalence tests), the
 # networked data plane (wire codec, agent scheduling, dispatcher,
 # subprocess loopback cluster), and a small E21 scale run through the
@@ -42,7 +51,8 @@ test-race:
 
 # Short fuzzing pass over the optimizer kernels (~10 s per target): the
 # surgery optimizer must never panic or emit invalid plans, frontier
-# lookups must stay bit-identical to the optimizer at snapped shares, the
+# lookups (certified and on-demand tables) must stay bit-identical to the
+# optimizer at snapped shares, the
 # deadline-aware allocator must keep shares in [0, 1] summing to <= 1, and
 # end-to-end planning of arbitrary decoded scenarios (monolithic and
 # sharded routes both) must never panic or break the share invariants.
@@ -81,7 +91,7 @@ bench-planner-smoke:
 		-require-metrics E23.speedup_vs_monolithic,E23.gap_worst_pct,E23.users_max,E23.sharded_wallclock_sec,E23.frontier_wallclock_sec
 
 # Frontier perf guard for CI: the CI-sized E24 frontier-table study (build
-# + plan timings with the frontier/optimizer parity cross-check), merged
+# + plan timings with the tables/no-tables parity cross-check), merged
 # into the same BENCH_planner.json, with its metric keys asserted present.
 bench-frontier-smoke:
 	$(GO) run ./cmd/experiments -run E24 -quick -bench-json BENCH_planner.json \

@@ -193,7 +193,7 @@ func main() {
 		httpAddr     = flag.String("http", "", "serve /metrics and /plan on this address (after the replay, or alongside live mode)")
 		parallelism  = flag.Int("parallelism", 0, "planner worker count (0 = GOMAXPROCS); plans are identical across levels")
 		shardThresh  = flag.Int("shard-threshold", 0, "route full replans of scenarios with at least this many users through the hierarchical sharded planner (0 = always monolithic)")
-		frontier     = flag.Bool("frontier", false, "precompute Pareto-frontier surgery tables per planned scenario (see serve.frontier.* metrics); plans follow the tables' geometric share grid")
+		frontier     = flag.Bool("frontier", false, "precompute Pareto-frontier surgery tables per planned scenario (see serve.frontier.* metrics): changes speed and the planner.frontier.* hit/miss counters, never the plan")
 
 		snapshotDir = flag.String("snapshot-dir", "", "persist snapshot + WAL state in this directory (crash-safe replay)")
 		recoverRun  = flag.Bool("recover", false, "recover the control plane from -snapshot-dir and continue the trace from where it crashed")
@@ -445,6 +445,17 @@ type replayOpts struct {
 	verifyRecovery bool
 }
 
+// config is the control-plane configuration a replay runs under: in memory,
+// with a fresh planner (the caller attaches a store where it wants one).
+func (o replayOpts) config(sc *joint.Scenario, policy serve.Policy) serve.Config {
+	return serve.Config{
+		Scenario: sc,
+		Planner:  &joint.Planner{Opt: joint.Options{Parallelism: o.parallelism, ShardThreshold: o.shardThreshold}},
+		Policy:   policy,
+		Frontier: o.frontier,
+	}
+}
+
 // replay drives the recorded trace through the control plane — fresh,
 // recovered from a snapshot directory, or under a chaos schedule — and
 // reports what the policy decided.
@@ -458,12 +469,7 @@ func replay(sc *joint.Scenario, policy serve.Policy, o replayOpts) error {
 	if err != nil {
 		return err
 	}
-	cfg := serve.Config{
-		Scenario: sc,
-		Planner:  &joint.Planner{Opt: joint.Options{Parallelism: o.parallelism, ShardThreshold: o.shardThreshold}},
-		Policy:   policy,
-		Frontier: o.frontier,
-	}
+	cfg := o.config(sc, policy)
 	chaos, err := faults.NewChaos(o.chaos...)
 	if err != nil {
 		return err
@@ -563,12 +569,7 @@ func verifyRecovery(sc *joint.Scenario, policy serve.Policy, o replayOpts, trace
 	if err != nil {
 		return err
 	}
-	cfg := serve.Config{
-		Scenario: sc,
-		Planner:  &joint.Planner{Opt: joint.Options{Parallelism: o.parallelism, ShardThreshold: o.shardThreshold}},
-		Policy:   policy,
-		Frontier: o.frontier,
-	}
+	cfg := o.config(sc, policy)
 	calm, err := serve.RunChaos(cfg, trace, calmChaos)
 	if err != nil {
 		return fmt.Errorf("verify-recovery: crash-free rerun: %w", err)

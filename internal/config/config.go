@@ -68,7 +68,7 @@ func Parse(data []byte) (*joint.Scenario, float64, error) {
 		horizon = 60
 	}
 	// One instance per catalog name for the whole scenario: the planner's
-	// surgery cache and frontier tables key on model and profile identity,
+	// frontier tables key on model and profile identity,
 	// so users of one class must share pointers or every user becomes a
 	// class of its own.
 	models := map[string]*dnn.Model{}

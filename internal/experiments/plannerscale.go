@@ -25,10 +25,10 @@ import (
 func e23Scenario(nUsers, nServers int) *joint.Scenario {
 	devices := []*hardware.Profile{mustDevice("rpi4"), mustDevice("phone-soc"), mustDevice("jetson-nano")}
 	// One model instance per architecture, shared across users — models are
-	// read-only to the planner, and pointer identity is what the surgery
-	// cache and the frontier tables key on: distinct instances of the same
-	// architecture would defeat both (100k users would otherwise demand
-	// 100k frontier tables instead of one per population class).
+	// read-only to the planner, and pointer identity is what the frontier
+	// tables key on: distinct instances of the same architecture would
+	// defeat them (100k users would otherwise demand 100k frontier tables
+	// instead of one per population class).
 	models := []*dnn.Model{dnn.ResNet18(), dnn.AlexNet(), dnn.MobileNetV2(), dnn.VGG16()}
 	sc := &joint.Scenario{}
 	for s := 0; s < nServers; s++ {

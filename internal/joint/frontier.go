@@ -2,87 +2,136 @@ package joint
 
 import (
 	"sort"
+	"sync"
 	"sync/atomic"
 
-	"edgesurgeon/internal/dnn"
 	"edgesurgeon/internal/surgery"
-	"edgesurgeon/internal/telemetry"
 )
 
-// This file wires the precomputed Pareto-frontier surgery tables
-// (surgery.FrontierSet) into the planner's hot path. Every per-user surgery
-// environment snaps its shares to the geometric share grid (state.env); with
-// Options.Frontiers set, optimizeUser answers from the tables when the key
-// is tabulated — an O(log levels) binary-searched quantization plus an O(1)
-// cell read — falling back to surgery.Optimize (at the same snapped
-// shares) otherwise. Because a table hit returns exactly what the
-// optimizer would compute at those shares, hit/miss mix, table budget,
-// parallelism and shard threshold can never change planner output; the
-// differential tests pin this against an empty set.
+// This file is the planner's one memo for its innermost question — the best
+// surgery for a user at these shares: surgery.Frontier tables over the one
+// geometric share grid (state.env snaps every environment onto it). A key
+// tabulated in Options.Frontiers is answered from the precomputed set;
+// every other key gets a table private to the planning state, whose cells
+// are filled on first query by one optimizer call at that grid point. A
+// filled cell returns exactly what the optimizer would compute there, so
+// which tables were supplied, the table budget, parallelism and shard
+// threshold can never change planner output — only how much optimizer work
+// a plan pays for, which the hit/miss tally reports.
 
-// frontierStats is the planner's per-call view of a frontier set: the
-// shared tables plus the hit/miss tally ("planner.frontier.hits"/".misses").
-type frontierStats struct {
-	set  *surgery.FrontierSet
+// tables is one planning state's view of the surgery tables, shared with
+// its scratch clones and discarded with it.
+type tables struct {
+	set  *surgery.FrontierSet // Options.Frontiers; nil when none were precomputed
+	bo   surgery.BuildOptions // what on-demand tables run the optimizer under
 	grid surgery.ShareGrid
-	tally
-	// memo caches the key→table resolution per (user, server) slot: within
+	// hits counts lookups answered from a filled cell, misses the ones that
+	// ran the optimizer. A cell's fill is reported by exactly one lookup
+	// however many race to it, so the split — not just the sum — is the
+	// same at every Parallelism level that schedules the same lookups.
+	hits, misses atomic.Int64
+	// slots caches the key→table resolution per (user, server) pair: within
 	// one planning state every key component except the shares — model,
 	// device, server profile, planning-time uplink, rate, constraint set —
-	// is constant for a given (user, server) pair, so constructing and
-	// hashing a FrontierKey per query (the dominant lookup cost at 100k
-	// users, see ROADMAP) is pure waste after the first resolution. Slots
-	// hold an atomic pointer: racing resolvers of one slot store equivalent
-	// values, so the memo never changes output at any Parallelism level. A
-	// resolved nil table is remembered too — each query on it still counts
-	// a miss. Laid out nUsers×(nServers+1) with column 0 the device-only
-	// (server -1) environment.
-	memo     []atomic.Pointer[frontierRes]
+	// is constant for a given pair, so constructing and hashing a
+	// FrontierKey per query (the dominant lookup cost at 100k users) is
+	// pure waste after the first resolution. Racing resolvers of one slot
+	// store the same table. Laid out nUsers×(nServers+1) with column 0 the
+	// device-only (server -1) environment.
+	slots    []atomic.Pointer[surgery.Frontier]
 	nServers int
+	// own holds the on-demand tables of keys outside set — drifted uplinks
+	// on the observe path, keys past the table budget, or every key when no
+	// set was supplied. They never enter the long-lived set or its budget.
+	mu  sync.Mutex
+	own map[surgery.FrontierKey]*surgery.Frontier
 }
 
-// frontierRes is one resolved memo slot; table is nil for keys outside the
-// set (the resolved-miss sentinel, distinct from an unresolved slot).
-type frontierRes struct {
-	table *surgery.Frontier
-}
-
-// newFrontierStats wraps set (nil set → nil stats: the legacy path). nUsers
-// and nServers size the (user, server) resolution memo.
-func newFrontierStats(set *surgery.FrontierSet, reg *telemetry.Registry, nUsers, nServers int) *frontierStats {
-	if set == nil {
-		return nil
-	}
-	return &frontierStats{
-		set:      set,
-		grid:     set.Grid(),
-		tally:    newTally(reg, "planner.frontier"),
-		memo:     make([]atomic.Pointer[frontierRes], nUsers*(nServers+1)),
+func newTables(opt *Options, nUsers, nServers int) *tables {
+	tb := &tables{
+		set:      opt.Frontiers,
+		bo:       surgery.BuildOptions{Surgery: opt.Surgery},
+		grid:     surgery.NewShareGrid(0),
+		slots:    make([]atomic.Pointer[surgery.Frontier], nUsers*(nServers+1)),
 		nServers: nServers,
+		own:      make(map[surgery.FrontierKey]*surgery.Frontier),
 	}
+	if tb.set != nil {
+		tb.grid = tb.set.Grid()
+	}
+	return tb
 }
 
-// lookup answers user ui's surgery problem from the tables, counting the
-// outcome. server is the environment's server index (-1 for device-only)
-// and addresses the cached key→table resolution, so repeat queries skip the
-// key construction and hash entirely. A miss means the key is outside the
-// table set (e.g. drifted uplink rates on the dispatcher's observe path, or
-// a key past the table budget); the caller must then run the optimizer at
-// the same snapped shares.
-func (f *frontierStats) lookup(ui, server int, m *dnn.Model, env surgery.Env, sopt surgery.Options) (surgery.Plan, surgery.Eval, bool) {
-	slot := &f.memo[ui*(f.nServers+1)+server+1]
-	res := slot.Load()
-	if res == nil {
-		res = &frontierRes{table: f.set.Get(surgery.KeyOf(m, env, sopt))}
-		slot.Store(res)
+// table resolves a key: the precomputed table when the set holds one, else
+// this state's on-demand table for it.
+func (tb *tables) table(k surgery.FrontierKey) (*surgery.Frontier, error) {
+	if tb.set != nil {
+		if t := tb.set.Get(k); t != nil {
+			return t, nil
+		}
 	}
-	if res.table == nil {
-		f.misses.Inc()
-		return surgery.Plan{}, surgery.Eval{}, false
+	tb.mu.Lock()
+	defer tb.mu.Unlock()
+	t := tb.own[k]
+	if t == nil {
+		var err error
+		if t, err = surgery.BuildFrontier(k, tb.bo); err != nil {
+			return nil, err
+		}
+		tb.own[k] = t
 	}
-	f.hits.Inc()
-	plan, ev := res.table.Lookup(env.ComputeShare, env.BandwidthShare)
-	return plan, ev, true
+	return t, nil
+}
+
+// solve is the planner's one surgery-lookup path: user ui's optimum in env,
+// an environment of server (-1 = device-only) at already-snapped shares —
+// resolve the (user, server) slot to its table once, then look the shares
+// up. It reads no decision state, which is what lets the local-pin pass ask
+// it before any exists.
+func (st *state) solve(ui, server int, env surgery.Env) (surgery.Plan, surgery.Eval, error) {
+	u := &st.sc.Users[ui]
+	if st.opt.noMemo {
+		return surgery.Optimize(u.Model, env, st.opt.surgeryOptions(u))
+	}
+	tb := st.tables
+	slot := &tb.slots[ui*(tb.nServers+1)+server+1]
+	t := slot.Load()
+	if t == nil {
+		var err error
+		if t, err = tb.table(surgery.KeyOf(u.Model, env, st.opt.surgeryOptions(u))); err != nil {
+			return surgery.Plan{}, surgery.Eval{}, err
+		}
+		slot.Store(t)
+	}
+	plan, ev, known, err := t.Lookup(env.ComputeShare, env.BandwidthShare)
+	if known {
+		tb.hits.Add(1)
+	} else {
+		tb.misses.Add(1)
+	}
+	return plan, ev, err
+}
+
+// stampCounters writes a fresh plan's ledger and tally — the state's own plus
+// those of any sub-plans produced by uninstrumented inner planners (the
+// sharded path's shard and cross-check plans) — and publishes the tally to
+// the planner's registry. It is the single aggregation point behind every
+// plan producer, and the only place the registry series are touched, so an
+// instrumented plan reports exactly what an uninstrumented one does.
+func (st *state) stampCounters(plan *Plan, sub ...*Plan) {
+	plan.SurgeryOps = st.spent
+	plan.FrontierHits, plan.FrontierMisses = st.tables.hits.Load(), st.tables.misses.Load()
+	for _, sp := range sub {
+		if sp != nil {
+			plan.FrontierHits += sp.FrontierHits
+			plan.FrontierMisses += sp.FrontierMisses
+			plan.SurgeryOps += sp.SurgeryOps
+		}
+	}
+	if reg := st.opt.Metrics; reg != nil {
+		reg.Counter("planner.frontier.hits").Add(plan.FrontierHits)
+		reg.Counter("planner.frontier.misses").Add(plan.FrontierMisses)
+	}
 }
 
 // frontierKeys enumerates the surgery keys sc's users can probe: per user,
@@ -123,9 +172,9 @@ func frontierKeys(sc *Scenario, opt Options, servers []bool, deviceOnly bool) ([
 
 // buildFrontiers builds one table per key across opt.Parallelism workers.
 // Build errors are deliberately swallowed per key: a key whose table fails
-// to build (an infeasible constraint, a probe-budget overrun) is left to
-// the planner's optimizer fallback, which surfaces the real error with the
-// user's name attached. Callers truncate keys to the set's headroom up
+// to build (an infeasible constraint) is left to the planner's on-demand
+// table, which surfaces the real error with the user's name attached if a
+// plan lands on an infeasible cell. Callers truncate keys to the set's headroom up
 // front — Build refuses keys at capacity — so which keys get tables is
 // independent of build order and parallelism.
 func buildFrontiers(set *surgery.FrontierSet, opt Options, keys []surgery.FrontierKey) {
@@ -139,8 +188,8 @@ func buildFrontiers(set *surgery.FrontierSet, opt Options, keys []surgery.Fronti
 // planner can probe in sc: for each user, its device-only key plus one key
 // per server at the scenario's planning-time uplink. Keys are deduplicated,
 // ranked by how many users share them (ties by first appearance) and built
-// most-popular-first up to the set's table budget; untabulated keys fall
-// back to the optimizer at plan time, counted as frontier misses.
+// most-popular-first up to the set's table budget; untabulated keys are
+// filled on demand at plan time, one frontier miss per cell.
 // Construction fans across opt.Parallelism workers; the resulting set is
 // identical at every parallelism level.
 func BuildFrontierSet(sc *Scenario, opt Options, bo surgery.BuildOptions) (*surgery.FrontierSet, error) {

@@ -7,11 +7,9 @@ import (
 )
 
 // BenchmarkFrontierPlanArms contrasts the two E23 planning arms on one
-// sharded population: plain sharded (no tables) and frontier tables behind
-// the per-Plan (user, server)→table memo. The memo is what keeps the
-// frontier arm from trailing plain sharded on memo-hostile populations;
-// compare ns/op across the sub-benchmarks to verify frontier-memo ≤
-// sharded-plain.
+// sharded population: tables filled on demand (no set supplied) and a
+// precomputed set. Compare ns/op across the sub-benchmarks to see what the
+// warm-up saves per plan.
 func BenchmarkFrontierPlanArms(b *testing.B) {
 	const (
 		nUsers         = 192
@@ -30,8 +28,8 @@ func BenchmarkFrontierPlanArms(b *testing.B) {
 		name string
 		opt  Options
 	}{
-		{"sharded-plain", base},
-		{"frontier-memo", func() Options { o := base; o.Frontiers = set; return o }()},
+		{"on-demand", base},
+		{"precomputed", func() Options { o := base; o.Frontiers = set; return o }()},
 	}
 	for _, arm := range arms {
 		b.Run(arm.name, func(b *testing.B) {

@@ -11,8 +11,8 @@ import (
 )
 
 // samePlanModuloCounters compares everything that describes the deployment
-// — decisions, objective, feasibility — while ignoring the cache/frontier
-// tallies, which legitimately differ between the two arms.
+// — decisions, objective, feasibility — while ignoring the table tally,
+// which legitimately differs between the two arms.
 func samePlanModuloCounters(t *testing.T, label string, a, b *Plan) {
 	t.Helper()
 	if !reflect.DeepEqual(a.Decisions, b.Decisions) {
@@ -29,96 +29,220 @@ func samePlanModuloCounters(t *testing.T, label string, a, b *Plan) {
 	}
 }
 
-// TestFrontierPathMatchesOptimizerPath is the acceptance differential: a
-// planner answering every surgery subproblem from built frontier tables
-// must emit bit-identical plans to one that snaps to the same grid but
-// misses on every lookup (an empty table set → pure optimizer fallback),
-// across the monolithic and sharded routes at several parallelism levels.
+// tableArm is one table set a plan must be indifferent to.
+type tableArm struct {
+	name string
+	set  *surgery.FrontierSet
+}
+
+// tableArms returns the arms of the indifference contract: no set, an empty
+// set, a set cut off after two tables, and the largest set the scenario's
+// budget allows (every key the planner can probe, where the golden fixture
+// sets no cap).
+func tableArms(t *testing.T, gs goldenScenario) []tableArm {
+	t.Helper()
+	build := func(maxTables int) *surgery.FrontierSet {
+		set, err := BuildFrontierSet(gs.sc, gs.opt, surgery.BuildOptions{Surgery: gs.opt.Surgery, MaxTables: maxTables})
+		if err != nil {
+			t.Fatalf("%s: frontier build: %v", gs.name, err)
+		}
+		return set
+	}
+	full := build(gs.maxTables)
+	if full.Len() == 0 {
+		t.Fatalf("%s: no tables built", gs.name)
+	}
+	return []tableArm{
+		{"nil", nil},
+		{"empty", surgery.NewFrontierSet(surgery.BuildOptions{Surgery: gs.opt.Surgery})},
+		{"partial", build(2)},
+		{"full", full},
+	}
+}
+
+// TestFrontierPathMatchesOptimizerPath is the tables-are-a-pure-accelerator
+// contract: on every golden scenario, every planning route — monolithic,
+// sharded, delta replan, the dispatcher's Observe under drift and under
+// failover — decides bit for bit the same whether the planner is handed no
+// table set, an empty one, a partial one or a full one, at Parallelism 1 and
+// 4, and schedules the same number of lookups. Only the split moves: tables
+// turn optimizer runs into hits.
 func TestFrontierPathMatchesOptimizerPath(t *testing.T) {
-	sc := testScenario(t, 12, 40)
-	for _, par := range []int{1, 4} {
-		for _, thresh := range []int{0, 6} {
-			label := fmt.Sprintf("par=%d thresh=%d", par, thresh)
-			opt := Options{Parallelism: par, ShardThreshold: thresh}
-			set, err := BuildFrontierSet(sc, opt, surgery.BuildOptions{Surgery: opt.Surgery})
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			if set.Len() == 0 {
-				t.Fatalf("%s: no tables built", label)
-			}
-			hot := opt
-			hot.Frontiers = set
-			cold := opt
-			cold.Frontiers = surgery.NewFrontierSet(surgery.BuildOptions{Surgery: opt.Surgery})
+	type outcome struct {
+		dec          string
+		hits, misses int64
+	}
+	for _, gs := range goldenScenarios(t) {
+		arms := tableArms(t, gs)
+		one, oneMask, _, _ := goldenDrift(gs.sc)
+		rates := make([]float64, len(gs.sc.Servers))
+		up := make([]bool, len(gs.sc.Servers))
+		for s := range rates {
+			rates[s] = gs.sc.meanUplink(s) * (0.35 + 0.4*float64(s%3))
+			up[s] = s != 0
+		}
+		thresh := 1
+		if gs.large {
+			thresh = 64
+		}
+		for _, par := range []int{1, 4} {
+			var ref map[string]outcome
+			for _, arm := range arms {
+				opt := gs.opt
+				opt.Parallelism, opt.Frontiers = par, arm.set
+				got := make(map[string]outcome)
+				record := func(route string, p *Plan, err error, report *HealthReport) {
+					var g goldenHash
+					g.outcome(p, err)
+					if report != nil {
+						g.report(*report)
+					}
+					o := outcome{dec: g.dec.sum()}
+					if p != nil {
+						o.hits, o.misses = p.FrontierHits, p.FrontierMisses
+					}
+					got[route] = o
+				}
+				if !gs.large {
+					p, err := (&Planner{Opt: opt}).Plan(gs.sc)
+					record("mono", p, err, nil)
+				}
+				opt.ShardThreshold = thresh
+				sharded := &Planner{Opt: opt}
+				prev, err := sharded.Plan(gs.sc)
+				record("sharded", prev, err, nil)
+				if err != nil {
+					t.Fatalf("%s par=%d %s: sharded plan: %v", gs.name, par, arm.name, err)
+				}
+				p, err := sharded.PlanDelta(one, prev, oneMask)
+				record("delta", p, err, nil)
+				d, err := NewDispatcherWithPlan(gs.sc, sharded, prev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p, err = d.Observe(nil, rates)
+				report := d.Health()
+				record("observe/drift", p, err, &report)
+				p, err = d.Observe(up, rates)
+				report = d.Health()
+				record("observe/failover", p, err, &report)
 
-			hotPlan, err := (&Planner{Opt: hot}).Plan(sc)
-			if err != nil {
-				t.Fatalf("%s: frontier plan: %v", label, err)
-			}
-			coldPlan, err := (&Planner{Opt: cold}).Plan(sc)
-			if err != nil {
-				t.Fatalf("%s: fallback plan: %v", label, err)
-			}
-			samePlanModuloCounters(t, label, hotPlan, coldPlan)
-			checkPlanInvariants(t, sc, hotPlan)
-
-			if hotPlan.FrontierHits == 0 {
-				t.Errorf("%s: built tables produced no hits", label)
-			}
-			if coldPlan.FrontierHits != 0 {
-				t.Errorf("%s: empty table set reported %d hits", label, coldPlan.FrontierHits)
-			}
-			if coldPlan.FrontierMisses == 0 {
-				t.Errorf("%s: empty table set reported no misses", label)
-			}
-			if hotPlan.FrontierHits+hotPlan.FrontierMisses != coldPlan.FrontierHits+coldPlan.FrontierMisses {
-				t.Errorf("%s: lookup volume diverged: %d+%d vs %d+%d", label,
-					hotPlan.FrontierHits, hotPlan.FrontierMisses, coldPlan.FrontierHits, coldPlan.FrontierMisses)
+				if ref == nil {
+					ref = got
+					continue
+				}
+				for route, want := range ref {
+					label := fmt.Sprintf("%s par=%d %s %s", gs.name, par, route, arm.name)
+					o := got[route]
+					if o.dec != want.dec {
+						t.Errorf("%s: decisions %s, without tables %s", label, o.dec, want.dec)
+					}
+					if o.hits+o.misses != want.hits+want.misses {
+						t.Errorf("%s: %d+%d lookups, without tables %d+%d", label, o.hits, o.misses, want.hits, want.misses)
+					}
+					if o.misses > want.misses {
+						t.Errorf("%s: %d optimizer runs, more than the %d without tables", label, o.misses, want.misses)
+					}
+					if arm.name == "empty" && o != want {
+						t.Errorf("%s: tally %d/%d, without tables %d/%d", label, o.hits, o.misses, want.hits, want.misses)
+					}
+					if arm.name == "full" && strings.HasPrefix(route, "mono") && o.misses >= want.misses && want.misses > 0 {
+						t.Errorf("%s: tables saved no optimizer run (%d misses either way)", label, o.misses)
+					}
+				}
 			}
 		}
 	}
 }
 
-// TestFrontierCountersAndMetrics pins the telemetry contract: with tables
-// the planner.frontier.* series mirror the plan's tallies; without
-// Options.Frontiers no frontier series may even exist (the legacy metrics
-// rendering is byte-pinned elsewhere).
+// TestFrontierCountersAndMetrics pins the telemetry contract: the
+// planner.frontier.* series mirror the plan's tally, and attaching a registry
+// changes neither — an instrumented planner reports exactly the hits and
+// misses an uninstrumented one does, on the monolithic, sharded and delta
+// routes (whose sub-plans' tallies are published once, not twice), at
+// Parallelism 1 and 4, with and without precomputed tables.
 func TestFrontierCountersAndMetrics(t *testing.T) {
-	sc := testScenario(t, 6, 40)
-	reg := telemetry.NewRegistry()
-	opt := Options{Metrics: reg}
-	set, err := BuildFrontierSet(sc, opt, surgery.BuildOptions{Surgery: opt.Surgery})
+	sc := testScenario(t, 12, 40)
+	one := driftLink(sc, 0, 0.5)
+	full, err := BuildFrontierSet(sc, Options{}, surgery.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.Frontiers = set
-	plan, err := (&Planner{Opt: opt}).Plan(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.FrontierHits+plan.FrontierMisses == 0 {
-		t.Fatal("frontier path planned without a single lookup")
-	}
-	if got := reg.Counter("planner.frontier.hits").Value(); got != plan.FrontierHits {
-		t.Errorf("registry hits %d != plan hits %d", got, plan.FrontierHits)
-	}
-	if got := reg.Counter("planner.frontier.misses").Value(); got != plan.FrontierMisses {
-		t.Errorf("registry misses %d != plan misses %d", got, plan.FrontierMisses)
-	}
+	for _, set := range []*surgery.FrontierSet{nil, full} {
+		for _, par := range []int{1, 4} {
+			for _, thresh := range []int{0, 1} {
+				label := fmt.Sprintf("tables=%t par=%d thresh=%d", set != nil, par, thresh)
+				bare := &Planner{Opt: Options{Parallelism: par, ShardThreshold: thresh, Frontiers: set}}
+				reg := telemetry.NewRegistry()
+				inst := &Planner{Opt: bare.Opt}
+				inst.Opt.Metrics = reg
+				published := func() (hits, misses int64) {
+					return reg.Counter("planner.frontier.hits").Value(), reg.Counter("planner.frontier.misses").Value()
+				}
 
-	legacyReg := telemetry.NewRegistry()
-	legacyPlan, err := (&Planner{Opt: Options{Metrics: legacyReg}}).Plan(sc)
+				want, err := bare.Plan(sc)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				got, err := inst.Plan(sc)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if want.FrontierHits+want.FrontierMisses == 0 {
+					t.Fatalf("%s: planned without a single lookup", label)
+				}
+				if got.FrontierHits != want.FrontierHits || got.FrontierMisses != want.FrontierMisses {
+					t.Errorf("%s: instrumented plan tallied %d/%d, uninstrumented %d/%d", label,
+						got.FrontierHits, got.FrontierMisses, want.FrontierHits, want.FrontierMisses)
+				}
+				if h, m := published(); h != got.FrontierHits || m != got.FrontierMisses {
+					t.Errorf("%s: registry %d/%d != plan %d/%d", label, h, m, got.FrontierHits, got.FrontierMisses)
+				}
+
+				dirty := []bool{true, false}
+				wantDelta, err := bare.PlanDelta(one, want, dirty)
+				if err != nil {
+					t.Fatalf("%s: delta: %v", label, err)
+				}
+				gotDelta, err := inst.PlanDelta(one, got, dirty)
+				if err != nil {
+					t.Fatalf("%s: delta: %v", label, err)
+				}
+				if gotDelta.FrontierHits != wantDelta.FrontierHits || gotDelta.FrontierMisses != wantDelta.FrontierMisses {
+					t.Errorf("%s: instrumented delta tallied %d/%d, uninstrumented %d/%d", label,
+						gotDelta.FrontierHits, gotDelta.FrontierMisses, wantDelta.FrontierHits, wantDelta.FrontierMisses)
+				}
+				if h, m := published(); h != got.FrontierHits+gotDelta.FrontierHits || m != got.FrontierMisses+gotDelta.FrontierMisses {
+					t.Errorf("%s: registry %d/%d is not the sum of the two plans' tallies", label, h, m)
+				}
+			}
+		}
+	}
+}
+
+// TestInfeasibleCellSurfacesUserError: an optimizer error on an on-demand
+// cell reaches the caller as the planner's user-named surgery error, whatever
+// tables were supplied (a key that is infeasible anywhere fails to certify,
+// so even a "full" set leaves it to the on-demand table).
+func TestInfeasibleCellSurfacesUserError(t *testing.T) {
+	sc := testScenario(t, 6, 40)
+	opt := Options{AccuracyFloor: 0.999}
+	set, err := BuildFrontierSet(sc, opt, surgery.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if legacyPlan.FrontierHits != 0 || legacyPlan.FrontierMisses != 0 {
-		t.Errorf("legacy path reported frontier traffic: %d/%d", legacyPlan.FrontierHits, legacyPlan.FrontierMisses)
-	}
-	var text strings.Builder
-	legacyReg.WriteText(&text)
-	if strings.Contains(text.String(), "frontier") {
-		t.Errorf("legacy metrics rendering grew frontier series:\n%s", text.String())
+	var want string
+	for _, frontiers := range []*surgery.FrontierSet{nil, set} {
+		opt.Frontiers = frontiers
+		_, err := (&Planner{Opt: opt}).Plan(sc)
+		if err == nil || !strings.HasPrefix(err.Error(), "joint: surgery for user 0 (ua): ") {
+			t.Fatalf("tables=%t: error %v, want the user-named surgery error", frontiers != nil, err)
+		}
+		if want == "" {
+			want = err.Error()
+		} else if err.Error() != want {
+			t.Fatalf("error text depends on the tables: %q vs %q", err.Error(), want)
+		}
 	}
 }
 
@@ -153,12 +277,19 @@ func TestBuildFrontierSetDeterminismAndBudget(t *testing.T) {
 }
 
 // TestDispatcherFrontierDrift: after an uplink observation drifts the links
-// away from the tabulated keys, the dispatcher must fall back to the
-// optimizer (misses, not stale hits) and still produce a valid plan.
+// away from the tabulated keys, the dispatcher must answer the new keys with
+// the optimizer (misses, not stale hits) on tables of its own — the
+// long-lived set and its budget never see a drifted key — and decide exactly
+// what a dispatcher without tables decides.
 func TestDispatcherFrontierDrift(t *testing.T) {
 	sc := testScenario(t, 6, 40)
 	opt := Options{}
 	set, err := BuildFrontierSet(sc, opt, surgery.BuildOptions{Surgery: opt.Surgery})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables, probes := set.Len(), set.Probes()
+	bare, err := NewDispatcher(sc, &Planner{Opt: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,26 +298,34 @@ func TestDispatcherFrontierDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if disp.Current().FrontierHits == 0 {
-		t.Fatal("initial dispatch used no frontier lookups")
+	if cur := disp.Current(); cur.FrontierHits == 0 || cur.FrontierMisses != 0 {
+		t.Fatalf("initial dispatch tallied %d/%d against a full table set", cur.FrontierHits, cur.FrontierMisses)
 	}
-	// Halve both uplinks: every key changes, so every lookup must miss.
-	plan, err := disp.ObserveUplinks([]float64{20e6 / 8 * 8, 12e6})
+	// Halve both uplinks: every key changes, so no precomputed table applies.
+	rates := []float64{20e6 / 8 * 8, 12e6}
+	plan, err := disp.ObserveUplinks(rates)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkPlanInvariants(t, sc, plan)
-	if plan.FrontierHits != 0 {
-		t.Errorf("drifted links still hit the tables %d times", plan.FrontierHits)
+	want, err := bare.ObserveUplinks(rates)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if plan.FrontierMisses == 0 {
-		t.Error("drifted links recorded no frontier misses")
+	samePlanModuloCounters(t, "drift", plan, want)
+	if plan.FrontierHits != want.FrontierHits || plan.FrontierMisses != want.FrontierMisses || plan.FrontierMisses == 0 {
+		t.Errorf("drifted links tallied %d/%d, a dispatcher without tables %d/%d",
+			plan.FrontierHits, plan.FrontierMisses, want.FrontierHits, want.FrontierMisses)
+	}
+	if set.Len() != tables || set.Probes() != probes {
+		t.Errorf("drifted keys leaked into the precomputed set: %d tables/%d probes, was %d/%d",
+			set.Len(), set.Probes(), tables, probes)
 	}
 }
 
-// TestFrontierAccuracyFloorAndEnergyBudget: the new Options knobs must
-// tighten every user's surgery problem identically on the frontier path
-// and the legacy path.
+// TestFrontierAccuracyFloorAndEnergyBudget: the constraint knobs must
+// tighten every user's surgery problem identically with precomputed tables,
+// with an empty set and with none.
 func TestFrontierAccuracyFloorAndEnergyBudget(t *testing.T) {
 	sc := testScenario(t, 6, 40)
 	for _, tc := range []struct {
@@ -199,7 +338,7 @@ func TestFrontierAccuracyFloorAndEnergyBudget(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := Options{}
 			tc.set(&opt)
-			legacy, err := (&Planner{Opt: opt}).Plan(sc)
+			bare, err := (&Planner{Opt: opt}).Plan(sc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -230,7 +369,7 @@ func TestFrontierAccuracyFloorAndEnergyBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 			samePlanModuloCounters(t, tc.name+"/empty", plan, coldPlan)
-			samePlanModuloCounters(t, tc.name+"/nil", plan, legacy)
+			samePlanModuloCounters(t, tc.name+"/nil", plan, bare)
 		})
 	}
 }

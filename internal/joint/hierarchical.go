@@ -363,9 +363,9 @@ func countServerShards(clusters []sim.Cluster) int {
 // The probes go through the planner's one lookup path (state.solve) on a
 // throw-away, uninstrumented state: full shares (1, 1) are an exact point
 // of the share grid and exactly the per-server environments
-// BuildFrontierSet tabulates, so frontier-enabled runs answer the whole
-// pass from the tables, and the pass's cache and frontier tallies stay off
-// the plan's counters (it runs before the plan's own state exists).
+// BuildFrontierSet tabulates, so runs handed tables answer the whole pass
+// from them, and the pass's tally stays off the plan's counters (it runs
+// before the plan's own state exists).
 func pinLocalUsers(sc *Scenario, opt Options, hot *userSoA, assign []int) ([]*Decision, error) {
 	opt.Metrics = nil
 	st := newState(sc, opt, hot)

@@ -8,7 +8,7 @@ import (
 
 // The telemetry registry is a pure observation channel: attaching it must
 // not change planner output, and its series must agree with the legacy
-// accessors (Plan's cache counters, the dispatcher's HealthReport).
+// accessors (Plan's table tally, the dispatcher's HealthReport).
 
 func TestPlannerMetricsMatchPlanCounters(t *testing.T) {
 	sc := testScenario(t, 6, 40)
@@ -25,11 +25,11 @@ func TestPlannerMetricsMatchPlanCounters(t *testing.T) {
 	if plan.Objective != bare.Objective || plan.Iterations != bare.Iterations {
 		t.Fatalf("instrumentation changed the plan: objective %g vs %g", plan.Objective, bare.Objective)
 	}
-	hits := reg.Counter("planner.surgery_cache.hits").Value()
-	misses := reg.Counter("planner.surgery_cache.misses").Value()
-	if hits != plan.SurgeryCacheHits || misses != plan.SurgeryCacheMisses {
-		t.Fatalf("registry cache counters %d/%d, plan reports %d/%d",
-			hits, misses, plan.SurgeryCacheHits, plan.SurgeryCacheMisses)
+	hits := reg.Counter("planner.frontier.hits").Value()
+	misses := reg.Counter("planner.frontier.misses").Value()
+	if hits != plan.FrontierHits || misses != plan.FrontierMisses {
+		t.Fatalf("registry table tally %d/%d, plan reports %d/%d",
+			hits, misses, plan.FrontierHits, plan.FrontierMisses)
 	}
 	if hits+misses == 0 {
 		t.Fatal("no surgery optimizations counted")
@@ -47,8 +47,8 @@ func TestPlannerMetricsMatchPlanCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := reg.Counter("planner.surgery_cache.hits").Value() + reg.Counter("planner.surgery_cache.misses").Value()
-	if total != hits+misses+plan2.SurgeryCacheHits+plan2.SurgeryCacheMisses {
+	total := reg.Counter("planner.frontier.hits").Value() + reg.Counter("planner.frontier.misses").Value()
+	if total != hits+misses+plan2.FrontierHits+plan2.FrontierMisses {
 		t.Fatalf("registry total %d is not the sum of per-call counts", total)
 	}
 	if got := reg.Counter("planner.plans").Value(); got != 2 {

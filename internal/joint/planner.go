@@ -41,11 +41,6 @@ type Options struct {
 	// fan-out snapshots its inputs first and reduces results in index
 	// order, and each per-user problem is a pure function of the snapshot.
 	Parallelism int
-	// DisableSurgeryCache turns off the per-Plan-call surgery memoization
-	// (the cache-ablation arm; also exercised by the equivalence tests).
-	// Caching never changes planner output because surgery always runs at
-	// grid-snapped shares — see state.env.
-	DisableSurgeryCache bool
 	// ShardThreshold, when positive, routes scenarios with at least this
 	// many users through the hierarchical sharded planner: users are
 	// clustered by server affinity into shards (local-only users become
@@ -56,13 +51,13 @@ type Options struct {
 	// objective stops improving. Scenarios below the threshold keep the
 	// exact monolithic path bit for bit. Zero disables sharding entirely.
 	ShardThreshold int
-	// Frontiers, when non-nil, answers the planner's innermost hot path from
-	// precomputed Pareto-frontier surgery tables (build one per scenario
-	// with BuildFrontierSet): tabulated keys are answered by an O(log k)
-	// frontier lookup, keys outside the tables by surgery.Optimize at the
-	// same grid-snapped shares, so plans are independent of the hit/miss
-	// mix — and of whether a set is supplied at all: every per-user
-	// environment snaps its shares to the same geometric grid either way.
+	// Frontiers, when non-nil, is a set of precomputed Pareto-frontier
+	// surgery tables (build one per scenario with BuildFrontierSet). It
+	// changes speed and the hit/miss counters, never the plan: the planner
+	// answers every surgery problem from a table over the same geometric
+	// share grid either way, and a key the set does not hold (or any key,
+	// with no set) gets a table filled on demand, one optimizer call per
+	// cell a plan actually lands on.
 	Frontiers *surgery.FrontierSet
 	// AccuracyFloor, when positive, imposes a fleet-wide expected-accuracy
 	// floor on every user's surgery plan; a user's own stricter MinAccuracy
@@ -89,7 +84,6 @@ type Options struct {
 	SurgeryBudget int64
 	// Metrics, when non-nil, receives the planner's instrumentation:
 	// "planner.plans" and "planner.iterations" counters plus the
-	// "planner.surgery_cache.hits"/".misses" and (on the frontier path)
 	// "planner.frontier.hits"/".misses" series (accumulated across Plan
 	// calls; the per-call Plan fields remain exact deltas).
 	// Instrumentation never changes planner output.
@@ -99,6 +93,10 @@ type Options struct {
 	// way in, so configuration codecs never see it. Checked at the same
 	// checkpoints as SurgeryBudget; nil means no cancellation.
 	planCtx context.Context
+	// noMemo answers every surgery problem with a direct optimizer call at
+	// the snapped shares: the reference the in-package tests hold the
+	// tables to. Nothing outside them sets it.
+	noMemo bool
 }
 
 // surgeryOptions resolves the surgery option set for one user: the base
@@ -347,18 +345,16 @@ type state struct {
 	srvFeasible []bool
 	uplink      []float64 // cached mean uplink rate per server
 
-	workers  int               // resolved worker-pool size for fan-out steps
-	grid     surgery.ShareGrid // the grid every surgery environment's shares snap to
-	cache    *surgeryCache     // per-Plan-call surgery memoization (nil if disabled)
-	front    *frontierStats    // frontier tables + hit/miss telemetry (nil = legacy path)
-	envBuf   []surgery.Env     // reusable env snapshot for refresh
-	everyone []int             // 0..n-1, surgeryStep's refresh list (built on first use)
-	hot      *userSoA          // flat per-user planning scalars (see soa.go)
-	mv       moveScratch       // tryMove's reusable save/restore arena
+	workers  int           // resolved worker-pool size for fan-out steps
+	tables   *tables       // the surgery memo and its hit/miss tally (see frontier.go)
+	envBuf   []surgery.Env // reusable env snapshot for refresh
+	everyone []int         // 0..n-1, surgeryStep's refresh list (built on first use)
+	hot      *userSoA      // flat per-user planning scalars (see soa.go)
+	mv       moveScratch   // tryMove's reusable save/restore arena
 
 	// spent is the deterministic work ledger behind SurgeryBudget: every
 	// orchestration step charges the surgery optimizations it schedules
-	// (not the ones lazy evaluation or caching actually executed — those
+	// (not the ones lazy evaluation or the tables actually executed — those
 	// vary with Parallelism), so the total at any checkpoint is identical
 	// at every parallelism level. Scratch clones never charge; their work
 	// is covered by the scheduling step's upfront charge.
@@ -367,9 +363,8 @@ type state struct {
 
 // newState allocates everything a planning state holds that does not
 // depend on where the descent starts: the SoA view, per-server uplinks and
-// feasibility flags, the worker count, the surgery cache and the frontier
-// view (whose counters live in opt.Metrics when set). The decision set is
-// left to the seed — seedGreedy (Plan, the dispatcher's Observe),
+// feasibility flags, the worker count and the surgery tables. The decision
+// set is left to the seed — seedGreedy (Plan, the dispatcher's Observe),
 // seedAssignment (PlanWithAssignment) or seedDecisions (the shard merge and
 // the delta warm start) — and a state that only answers surgery lookups
 // (the local-pin pass) takes none.
@@ -388,14 +383,7 @@ func newState(sc *Scenario, opt Options, hot *userSoA) *state {
 		st.srvFeasible[s] = true
 		st.uplink[s] = sc.meanUplink(s)
 	}
-	if !opt.DisableSurgeryCache {
-		st.cache = newSurgeryCache(opt.Metrics)
-	}
-	st.front = newFrontierStats(opt.Frontiers, opt.Metrics, len(sc.Users), len(sc.Servers))
-	st.grid = surgery.NewShareGrid(0)
-	if opt.Frontiers != nil {
-		st.grid = opt.Frontiers.Grid()
-	}
+	st.tables = newTables(&st.opt, len(sc.Users), len(sc.Servers))
 	return st
 }
 
@@ -545,12 +533,12 @@ func (st *state) env(ui int) surgery.Env {
 		if st.opt.DisableProbe {
 			probe = 0
 		}
-		// Shares are snapped to the geometric share grid before the optimizer
-		// sees them, so memoization (keyed on the snapped values) is exact
-		// rather than approximate: a cache hit or a table lookup returns
-		// precisely what recomputing would.
-		env.ComputeShare = st.grid.Snap(math.Max(orOne(d.ComputeShare), probe))
-		env.BandwidthShare = st.grid.Snap(math.Max(orOne(d.BandwidthShare), probe))
+		// Shares are snapped to the share grid before they are looked up, so
+		// the tables are exact rather than approximate: a filled cell returns
+		// precisely what optimizing at those shares would.
+		grid := st.tables.grid
+		env.ComputeShare = grid.Snap(math.Max(orOne(d.ComputeShare), probe))
+		env.BandwidthShare = grid.Snap(math.Max(orOne(d.BandwidthShare), probe))
 	}
 	return env
 }
@@ -616,35 +604,6 @@ func (st *state) optimizeUser(ui int, env surgery.Env) error {
 	st.ds[ui].Plan = plan
 	st.ds[ui].Eval = ev
 	return nil
-}
-
-// solve is the planner's one surgery-lookup path: user ui's optimum in env,
-// an environment of server (-1 = device-only) at already-snapped shares. On
-// the frontier path the precomputed tables answer first; untabulated keys
-// fall through to the cache, then the optimizer, at the same shares, so
-// which layer answered is observable only in the counters. It reads no
-// decision state, which is what lets the local-pin pass ask it before any
-// exists.
-func (st *state) solve(ui, server int, env surgery.Env) (surgery.Plan, surgery.Eval, error) {
-	u := &st.sc.Users[ui]
-	sopt := st.opt.surgeryOptions(u)
-	if st.front != nil {
-		if plan, ev, ok := st.front.lookup(ui, server, u.Model, env, sopt); ok {
-			return plan, ev, nil
-		}
-	}
-	var key surgeryKey
-	if st.cache != nil {
-		key = keyFor(u.Model, env, sopt)
-		if plan, ev, ok := st.cache.get(key); ok {
-			return plan, ev, nil
-		}
-	}
-	plan, ev, err := surgery.Optimize(u.Model, env, sopt)
-	if err == nil && st.cache != nil {
-		st.cache.put(key, plan, ev)
-	}
-	return plan, ev, err
 }
 
 // demandsFor builds the per-server allocation inputs from current evals.
@@ -754,7 +713,7 @@ func (st *state) reassignStep() error {
 }
 
 // scratchClone returns a state sharing the scenario, options, uplink cache
-// and surgery cache with st, but owning private copies of the decision set
+// and surgery tables with st, but owning private copies of the decision set
 // and assignment lists — the mutable parts a candidate-move evaluation
 // touches. Scratch clones run their inner steps with workers == 1: the
 // parallelism lives one level up, across candidates.
@@ -768,9 +727,7 @@ func (st *state) scratchClone() *state {
 		srvFeasible: append([]bool(nil), st.srvFeasible...),
 		uplink:      st.uplink,
 		workers:     1,
-		grid:        st.grid,
-		cache:       st.cache,
-		front:       st.front,
+		tables:      st.tables,
 		hot:         st.hot,
 	}
 	for i := range st.assigned {

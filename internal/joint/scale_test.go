@@ -15,7 +15,7 @@ import (
 
 // millionUserScenario builds the memory-scale fixture: nUsers cycling over
 // three device classes and four shared model instances (pointer-shared, so
-// the surgery cache and frontier tables stay per-population-class, not
+// the surgery tables stay per-population-class, not
 // per-user) across nServers alternating GPU/CPU servers. The same population
 // mix as the E23/E26 studies, sized for the SoA representation test.
 func millionUserScenario(nUsers, nServers int) *Scenario {

@@ -29,8 +29,8 @@ type userSoA struct {
 	// TotalFLOPs × max(planningRate, 0.01).
 	work []float64
 	// model is the user's model index into models — users sharing a model
-	// instance share an index (the population-class structure the surgery
-	// cache and frontier tables exploit).
+	// instance share an index (the population-class structure the frontier
+	// tables exploit).
 	model []int32
 	// models is the deduplicated model-instance table behind model.
 	models []modelRef

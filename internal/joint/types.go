@@ -208,19 +208,12 @@ type Plan struct {
 	DirtyShards int
 	// PlannerName identifies the strategy that produced the plan.
 	PlannerName string
-	// SurgeryCacheHits and SurgeryCacheMisses count how many per-user
-	// surgery optimizations were recalled from the planner's memoization
-	// cache versus computed, across the whole planning run (both zero for
-	// strategies without a cache). Hits + misses is exact; the split is
-	// approximate under Parallelism > 1, where concurrent first lookups of
-	// one key may each count a miss.
-	SurgeryCacheHits, SurgeryCacheMisses int64
-	// FrontierHits and FrontierMisses count how many per-user surgery
-	// problems were answered by a precomputed Pareto-frontier table lookup
-	// versus fell through to the optimizer (both zero when
-	// Options.Frontiers is nil). Because the fallback runs at the same
-	// grid-snapped shares a table would use, the mix never affects the
-	// plan — only these counters.
+	// FrontierHits and FrontierMisses count how the plan's per-user surgery
+	// problems were answered, across the whole planning run: from an already
+	// filled cell of a Pareto-frontier table, or by running the optimizer
+	// to fill one. Supplying Options.Frontiers moves lookups from misses to
+	// hits and never changes the plan. Both are exact at every Parallelism
+	// level: a cell's fill is counted once however many workers race to it.
 	FrontierHits, FrontierMisses int64
 	// SurgeryOps is the deterministic work total the plan was charged in
 	// scheduled surgery optimizations — the ledger Options.SurgeryBudget

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -36,8 +37,16 @@ func chaosSchedule(t *testing.T, crashes bool) *faults.ChaosSchedule {
 // tentpole invariant: a replay that crashes three times, throttles the
 // planner into deadline aborts and eats corrupt samples produces the same
 // journal, metrics and final plan as the identical replay without the
-// crashes.
+// crashes — compared raw, the planner's hit/miss split included, serially and
+// at Parallelism 4 (what edgeserved -verify-recovery does at its default
+// -parallelism).
 func TestRunChaosRecoveryFidelity(t *testing.T) {
+	for _, par := range []int{1, 4} {
+		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) { runChaosRecoveryFidelity(t, par) })
+	}
+}
+
+func runChaosRecoveryFidelity(t *testing.T, par int) {
 	trace := recordReplayTrace(t)
 	policy := chaosPolicy()
 	baseGoroutines := runtime.NumGoroutine()
@@ -50,7 +59,7 @@ func TestRunChaosRecoveryFidelity(t *testing.T) {
 		}
 		res, err := RunChaos(Config{
 			Scenario: fadingScenario(t),
-			Planner:  &joint.Planner{Opt: joint.Options{Parallelism: 1}},
+			Planner:  &joint.Planner{Opt: joint.Options{Parallelism: par}},
 			Policy:   policy,
 			Store:    store,
 		}, trace, chaosSchedule(t, crashes))

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -85,10 +86,9 @@ func TestFrontierReplayDeterminism(t *testing.T) {
 	}
 }
 
-// TestFrontierReplayParallelismInvariance: the frontier path must keep the
-// control plane's parallelism invariance — identical plans and journals
-// whether the planner fans out or runs serially (only the surgery-cache
-// split may shift, as on the legacy path).
+// TestFrontierReplayParallelismInvariance: precomputed tables must keep the
+// control plane's parallelism invariance — identical plans, journals and
+// metrics whether the planner fans out or runs serially.
 func TestFrontierReplayParallelismInvariance(t *testing.T) {
 	trace := recordReplayTrace(t)
 	plans1, journal1, metrics1, _ := runFrontierReplay(t, trace, joint.Options{Parallelism: 1})
@@ -100,12 +100,59 @@ func TestFrontierReplayParallelismInvariance(t *testing.T) {
 	if journal1 != journal4 {
 		t.Fatalf("journals diverged across parallelism levels:\n--- serial ---\n%s\n--- parallel ---\n%s", journal1, journal4)
 	}
-	rest1, sum1 := stripCacheLines(metrics1)
-	rest4, sum4 := stripCacheLines(metrics4)
-	if rest1 != rest4 {
-		t.Fatalf("metrics diverged across parallelism levels:\n--- serial ---\n%s\n--- parallel ---\n%s", rest1, rest4)
+	if metrics1 != metrics4 {
+		t.Fatalf("metrics diverged across parallelism levels:\n--- serial ---\n%s\n--- parallel ---\n%s", metrics1, metrics4)
 	}
-	if sum1 != sum4 {
-		t.Fatalf("surgery cache hit+miss sum %d (serial) != %d (parallel)", sum1, sum4)
+}
+
+// TestFrontierOnOffReplay is the control-plane half of "tables are a pure
+// accelerator": the same trace replayed with Config.Frontier on and off
+// yields byte-identical plans sample by sample, the same journal, and the
+// same metrics — apart from the serve.frontier.* build ledger and how the
+// planner's lookups split into hits and misses (their sum is pinned) — on
+// both planner routes and at Parallelism 1 and 4.
+func TestFrontierOnOffReplay(t *testing.T) {
+	trace := recordReplayTrace(t)
+	// split returns the metrics dump without the series Frontier may move,
+	// plus the planner's total lookup count.
+	split := func(metrics string) (rest string, lookups int64) {
+		var keep []string
+		for _, line := range strings.Split(metrics, "\n") {
+			switch {
+			case strings.Contains(line, "serve.frontier."):
+			case strings.Contains(line, "planner.frontier."):
+				fields := strings.Fields(line)
+				n, err := strconv.ParseInt(fields[len(fields)-1], 10, 64)
+				if err != nil {
+					t.Fatalf("unparseable tally line %q", line)
+				}
+				lookups += n
+			default:
+				keep = append(keep, line)
+			}
+		}
+		return strings.Join(keep, "\n"), lookups
+	}
+	for _, par := range []int{1, 4} {
+		for _, thresh := range []int{0, 1} {
+			opt := joint.Options{Parallelism: par, ShardThreshold: thresh}
+			plansOff, journalOff, metricsOff := runReplay(t, trace, opt)
+			plansOn, journalOn, metricsOn, _ := runFrontierReplay(t, trace, opt)
+			label := fmt.Sprintf("par=%d thresh=%d", par, thresh)
+			if plansOn != plansOff {
+				t.Fatalf("%s: Frontier changed a plan:\n--- off ---\n%s\n--- on ---\n%s", label, plansOff, plansOn)
+			}
+			if journalOn != journalOff {
+				t.Fatalf("%s: Frontier changed the journal:\n--- off ---\n%s\n--- on ---\n%s", label, journalOff, journalOn)
+			}
+			restOff, lookupsOff := split(metricsOff)
+			restOn, lookupsOn := split(metricsOn)
+			if restOn != restOff {
+				t.Fatalf("%s: Frontier changed the metrics:\n--- off ---\n%s\n--- on ---\n%s", label, restOff, restOn)
+			}
+			if lookupsOn != lookupsOff || lookupsOn == 0 {
+				t.Fatalf("%s: %d lookups with Frontier, %d without", label, lookupsOn, lookupsOff)
+			}
+		}
 	}
 }

@@ -147,8 +147,7 @@ func runKilled(t testing.TB, dir string, trace []telemetry.Sample, policy Policy
 // plane after ANY ingested sample and recovering from its snapshot + WAL
 // yields byte-identical plans, journal and metrics to the uninterrupted
 // run — with deadline aborts, quarantine trips and muted drops in the
-// stream, at both parallelism levels (the surgery-cache hit/miss split is
-// stripped at parallelism 4, its sum still pinned).
+// stream, at both parallelism levels.
 func TestKillRecoverEveryPoint(t *testing.T) {
 	trace := chaosTrace(t)
 	policy := chaosPolicy()
@@ -172,19 +171,8 @@ func TestKillRecoverEveryPoint(t *testing.T) {
 			if journal != baseJournal {
 				t.Fatalf("par=%d kill@%d: journal diverged:\n--- baseline ---\n%s\n--- recovered ---\n%s", par, k, baseJournal, journal)
 			}
-			if par == 1 {
-				if metrics != baseMetrics {
-					t.Fatalf("par=%d kill@%d: metrics diverged:\n--- baseline ---\n%s\n--- recovered ---\n%s", par, k, baseMetrics, metrics)
-				}
-			} else {
-				restB, sumB := stripCacheLines(baseMetrics)
-				restR, sumR := stripCacheLines(metrics)
-				if restB != restR {
-					t.Fatalf("par=%d kill@%d: metrics diverged:\n--- baseline ---\n%s\n--- recovered ---\n%s", par, k, restB, restR)
-				}
-				if sumB != sumR {
-					t.Fatalf("par=%d kill@%d: cache sum %d != %d", par, k, sumB, sumR)
-				}
+			if metrics != baseMetrics {
+				t.Fatalf("par=%d kill@%d: metrics diverged:\n--- baseline ---\n%s\n--- recovered ---\n%s", par, k, baseMetrics, metrics)
 			}
 		}
 	}

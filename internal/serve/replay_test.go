@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -78,26 +77,6 @@ func runReplay(t testing.TB, trace []telemetry.Sample, opt joint.Options) (plans
 	return b.String(), rt.Journal().String(), rt.Metrics().Text()
 }
 
-// stripCacheLines drops the surgery-cache hit/miss split, whose division
-// (though not whose sum) is racy under parallel planning, and returns the
-// split's sum alongside the remaining lines.
-func stripCacheLines(metrics string) (rest string, cacheSum int64) {
-	var keep []string
-	for _, line := range strings.Split(metrics, "\n") {
-		if strings.Contains(line, "surgery_cache") {
-			fields := strings.Fields(line)
-			n, err := strconv.ParseInt(fields[len(fields)-1], 10, 64)
-			if err != nil {
-				panic(fmt.Sprintf("unparseable cache line %q", line))
-			}
-			cacheSum += n
-			continue
-		}
-		keep = append(keep, line)
-	}
-	return strings.Join(keep, "\n"), cacheSum
-}
-
 // TestReplayDeterminism pins byte-identical replays for both planner
 // routes: the monolithic path and the hierarchical sharded path
 // (ShardThreshold: 1 forces every full replan through planSharded).
@@ -136,10 +115,9 @@ func TestReplayDeterminism(t *testing.T) {
 }
 
 // TestReplayParallelismInvariance pins the PR1 guarantee end to end: the
-// control plane's entire observable output — plans, journal, metrics — is
-// identical whether the planner fans out or runs serially. Only the
-// surgery-cache hit/miss *split* may shift under parallel racing misses;
-// its sum must not.
+// control plane's entire observable output — plans, journal, and the full
+// metrics dump, the planner's hit/miss split included — is identical whether
+// the planner fans out or runs serially.
 func TestReplayParallelismInvariance(t *testing.T) {
 	trace := recordReplayTrace(t)
 	for _, tc := range []struct {
@@ -159,13 +137,8 @@ func TestReplayParallelismInvariance(t *testing.T) {
 			if journal1 != journal4 {
 				t.Fatalf("journals diverged across parallelism levels:\n--- serial ---\n%s\n--- parallel ---\n%s", journal1, journal4)
 			}
-			rest1, sum1 := stripCacheLines(metrics1)
-			rest4, sum4 := stripCacheLines(metrics4)
-			if rest1 != rest4 {
-				t.Fatalf("metrics diverged across parallelism levels:\n--- serial ---\n%s\n--- parallel ---\n%s", rest1, rest4)
-			}
-			if sum1 != sum4 {
-				t.Fatalf("surgery cache hit+miss sum %d (serial) != %d (parallel)", sum1, sum4)
+			if metrics1 != metrics4 {
+				t.Fatalf("metrics diverged across parallelism levels:\n--- serial ---\n%s\n--- parallel ---\n%s", metrics1, metrics4)
 			}
 		})
 	}

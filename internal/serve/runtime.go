@@ -93,12 +93,13 @@ type Config struct {
 	// Metrics receives all instrumentation (nil = a fresh registry,
 	// retrievable via Runtime.Metrics).
 	Metrics *telemetry.Registry
-	// Frontier switches the planner onto precomputed Pareto-frontier
-	// surgery tables: one table set is built per scenario at construction
-	// and reused across every cheap refresh, and each full replan rebuilds
-	// the set against its frozen drifted rates before planning. Build cost
-	// and table counts land in the "serve.frontier.*" series. Off by
-	// default: the legacy optimizer path stays bit-identical.
+	// Frontier precomputes Pareto-frontier surgery tables: one table set is
+	// built per scenario at construction and reused across every cheap
+	// refresh, and each full replan rebuilds the set against its frozen
+	// drifted rates before planning. Build cost and table counts land in
+	// the "serve.frontier.*" series. It changes speed and the
+	// planner.frontier.* hit/miss split, never the plan: without it the
+	// planner fills the same tables on demand.
 	Frontier bool
 	// Store, when set, makes the runtime crash-safe: every ingested sample
 	// is written ahead to the store's WAL before it is acted on, and a
@@ -566,7 +567,7 @@ func (rt *Runtime) fullReplan(now, maxRel float64) (*joint.AbortedError, error) 
 	if rt.frontier {
 		// The drifted rates are new frontier keys; rebuild the tables
 		// against the frozen scenario so the replan (and every cheap
-		// refresh at these rates) stays on the table path.
+		// refresh at these rates) finds its cells already filled.
 		if err := rt.buildFrontiers(frozen); err != nil {
 			return nil, fmt.Errorf("serve: full replan at t=%g: %w", now, err)
 		}
@@ -639,10 +640,9 @@ func (rt *Runtime) deltaReplan(now, maxRel float64, dirty []bool, nDirty int) (*
 	if rt.frontier && rt.planner.Opt.Frontiers != nil {
 		// The dirty servers' drifted rates are new frontier keys; extend the
 		// existing set in place (within its table budget) instead of
-		// rebuilding from scratch — clean shards keep their resolved tables,
-		// so the delta hot path stays on the O(log k) lookup route. The
-		// extension stays even if the replan aborts: extra tables never
-		// change output.
+		// rebuilding from scratch — clean shards keep their tables, and the
+		// dirty shards' replans run no optimizer. The extension stays even
+		// if the replan aborts: extra tables never change output.
 		added := joint.ExtendFrontierSet(rt.planner.Opt.Frontiers, frozen, rt.planner.Opt, dirty)
 		rt.reg.Counter("serve.frontier.extends").Inc()
 		rt.reg.Counter("serve.frontier.extend_tables").Add(int64(added))
@@ -693,7 +693,7 @@ func (rt *Runtime) cheapRefresh(s *telemetry.Sample, deferred telemetry.EventKin
 // buildFrontiers precomputes the Pareto-frontier surgery tables for sc and
 // installs them on the runtime's planner (shared with its dispatcher), so
 // every subsequent plan — initial, cheap refresh, full replan — answers its
-// surgery hot loop from the tables, falling back to the optimizer only for
+// surgery hot loop from filled cells, running the optimizer only for
 // off-table keys (e.g. cheap refreshes at drifted rates between rebuilds).
 func (rt *Runtime) buildFrontiers(sc *joint.Scenario) error {
 	set, err := joint.BuildFrontierSet(sc, rt.planner.Opt, surgery.BuildOptions{Surgery: rt.planner.Opt.Surgery})

@@ -6,21 +6,29 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"edgesurgeon/internal/dnn"
 	"edgesurgeon/internal/hardware"
 	"edgesurgeon/internal/workload"
 )
 
-// This file implements precomputed Pareto-frontier surgery tables: per
-// (model, device, server, link, constraint) key, the full map from allocated
-// (compute, bandwidth) shares to the optimizer's plan, tabulated over a
-// small geometric share grid. A frontier lookup replaces one Optimize call
-// — the innermost kernel of the joint planner — with a binary-searched grid
-// quantization plus an O(1) cell read, returning results bit-identical to
-// the optimizer at every grid point.
+// This file implements Pareto-frontier surgery tables: per (model, device,
+// server, link, constraint) key, the map from allocated (compute, bandwidth)
+// shares to the optimizer's plan, over a small geometric share grid. A table
+// is the planner's memo for its innermost kernel: a lookup is a
+// binary-searched grid quantization plus a cell read, and returns results
+// bit-identical to Optimize at every grid point.
 //
-// Exactness rests on the latency decomposition (see Eval): for a fixed plan,
+// A cell is filled in one of two ways. On first query, by one Optimize call
+// at that grid point (Frontier.Lookup) — a table costs memory in proportion
+// to the cells touched, which is what the planner runs keys nobody
+// precomputed on. Or in bulk, by corner certification (FrontierSet.Build),
+// the eager warm-up that fills every cell with far fewer optimizer calls
+// than cells.
+//
+// Certification rests on the latency decomposition (see Eval): for a fixed
+// plan,
 //
 //	Latency(f, b) = FixedSec + ServerSec/f + TxSec/b
 //
@@ -44,41 +52,47 @@ import (
 // airtime stretches as b shrinks), which breaks the rectangle argument
 // across columns — constrained keys therefore subdivide one bandwidth
 // column at a time, where feasibility is constant. A key whose optimizer
-// errors anywhere on the grid fails to build, and the planner simply keeps
-// calling Optimize for it.
+// errors anywhere on the grid fails to certify; the planner then answers it
+// cell by cell, and the error surfaces only if a plan actually lands there.
 
 // shareGridOctaves fixes the grid's dynamic range: levels span
 // [2^-shareGridOctaves, 1] = [1/4096, 1].
 const shareGridOctaves = 12
 
-// DefaultStepsPerOctave is the geometric grid resolution used when
-// BuildOptions.Grid is the zero value: 6 levels per octave bounds the
-// relative share error of quantization by 2^(1/12) ≈ 6%, uniformly across
-// the twelve octaves — where a uniform 1/4096 grid has far coarser
-// *relative* resolution at small shares, the regime heavily-shared servers
-// live in.
+// DefaultStepsPerOctave is the geometric grid resolution: 6 levels per
+// octave bounds the relative share error of quantization by 2^(1/12) ≈ 6%,
+// uniformly across the twelve octaves — where a uniform 1/4096 grid has far
+// coarser *relative* resolution at small shares, the regime heavily-shared
+// servers live in.
 const DefaultStepsPerOctave = 6
 
 // ShareGrid is the geometric share grid frontier tables are keyed on:
 // levels 2^(-i/steps) for i = 0..steps·12, descending from 1 to 1/4096.
 // The zero value is invalid; use NewShareGrid.
 type ShareGrid struct {
-	steps  int
 	levels []float64
 }
 
-// NewShareGrid builds a grid with the given levels per octave
+// defaultShareGrid is the grid every production table and plan uses; grids
+// are immutable, so one instance serves them all.
+var defaultShareGrid = newShareGrid(DefaultStepsPerOctave)
+
+// NewShareGrid returns the grid with the given levels per octave
 // (<= 0 means DefaultStepsPerOctave).
 func NewShareGrid(stepsPerOctave int) ShareGrid {
-	if stepsPerOctave <= 0 {
-		stepsPerOctave = DefaultStepsPerOctave
+	if stepsPerOctave <= 0 || stepsPerOctave == DefaultStepsPerOctave {
+		return defaultShareGrid
 	}
+	return newShareGrid(stepsPerOctave)
+}
+
+func newShareGrid(stepsPerOctave int) ShareGrid {
 	levels := make([]float64, stepsPerOctave*shareGridOctaves+1)
 	for i := range levels {
 		levels[i] = math.Pow(2, -float64(i)/float64(stepsPerOctave))
 	}
 	levels[0] = 1
-	return ShareGrid{steps: stepsPerOctave, levels: levels}
+	return ShareGrid{levels: levels}
 }
 
 // Levels returns the number of grid levels per axis.
@@ -88,8 +102,8 @@ func (g ShareGrid) Levels() int { return len(g.levels) }
 func (g ShareGrid) Value(i int) float64 { return g.levels[i] }
 
 // Index quantizes a positive share to the nearest grid level in log space
-// (ties to the larger share), clamping to [1/4096, 1]. The search is the
-// binary search the planner's frontier path runs per lookup.
+// (ties to the larger share), clamping to [1/4096, 1]. It is the one place a
+// share becomes a grid level: Snap and every table lookup go through it.
 func (g ShareGrid) Index(s float64) int {
 	n := len(g.levels)
 	if s >= g.levels[0] {
@@ -116,15 +130,9 @@ func (g ShareGrid) Snap(s float64) float64 {
 	return g.levels[g.Index(s)]
 }
 
-// equal reports whether two grids have identical levels.
-func (g ShareGrid) equal(o ShareGrid) bool {
-	return g.steps == o.steps && len(g.levels) == len(o.levels)
-}
-
 // FrontierKey identifies one frontier table: a complete surgery problem
-// minus the allocated shares. Unlike the planner's per-call memoization
-// key, it includes the exit curves and the constraint fields, because a
-// frontier set outlives any single planning call.
+// minus the allocated shares — exit curves and constraint fields included,
+// because a frontier set outlives any single planning call.
 type FrontierKey struct {
 	Model      *dnn.Model
 	Device     *hardware.Profile
@@ -138,7 +146,7 @@ type FrontierKey struct {
 	// MinAccuracy, MaxDeviceEnergyJ and NoExits are part of the key — a
 	// table is exact for exactly one constraint set (filtering an
 	// unconstrained frontier is NOT equivalent to the constrained
-	// optimizer; see LookupFiltered for the approximate alternative).
+	// optimizer).
 	MinAccuracy      float64
 	MaxDeviceEnergyJ float64
 	NoExits          bool
@@ -206,14 +214,23 @@ type FrontierEntry struct {
 	Eval Eval
 }
 
-// Frontier is one key's share→plan table: the pruned frontier entries in
-// canonical order plus a dense grid-cell index. Safe for concurrent reads.
+// Frontier is one key's share→plan table. Safe for concurrent use: lookups
+// of known cells are lock-free reads, and any number of callers may fill
+// unknown cells at once.
 type Frontier struct {
-	key     FrontierKey
-	grid    ShareGrid
-	entries []FrontierEntry
-	cells   []int32 // Levels()×Levels(), compute-major; nil for device-only
-	probes  int
+	key  FrontierKey
+	opt  Options // what every fill of this table runs the optimizer under
+	grid ShareGrid
+	// rows[fi] holds compute level fi's cells, one per bandwidth level, and
+	// is allocated when the row's first cell is filled, so memory follows the
+	// cells touched rather than Levels()². A cell is 1 + the index of its
+	// entry, 0 while unknown. A device-only key has one row of one cell.
+	rows []atomic.Pointer[[]atomic.Int32]
+	// entries is append-only, grown under mu, and always published before a
+	// cell that refers to the new entry.
+	mu      sync.Mutex
+	entries atomic.Pointer[[]FrontierEntry]
+	probes  atomic.Int64
 }
 
 // Key returns the table's identity.
@@ -222,93 +239,137 @@ func (t *Frontier) Key() FrontierKey { return t.key }
 // Grid returns the share grid the table is indexed on.
 func (t *Frontier) Grid() ShareGrid { return t.grid }
 
-// Entries returns the frontier in canonical order: descending
+// Entries returns the plans that have won at least one filled cell. A table
+// filled by FrontierSet.Build lists them in canonical order: descending
 // share-sensitivity (ServerSec+TxSec), so the winning entry index along a
 // shrinking share diagonal is monotone non-decreasing. Read-only.
-func (t *Frontier) Entries() []FrontierEntry { return t.entries }
+func (t *Frontier) Entries() []FrontierEntry {
+	if p := t.entries.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
 
-// Probes returns how many optimizer calls construction spent.
-func (t *Frontier) Probes() int { return t.probes }
+// Probes returns how many optimizer calls the table has spent.
+func (t *Frontier) Probes() int { return int(t.probes.Load()) }
 
 // Lookup returns the optimizer's plan at the given shares, which must lie
 // on the table's grid for bit-identity (arbitrary shares quantize to the
 // nearest level). The returned Eval matches surgery.Optimize bit for bit:
 // all fields but Latency are share-independent, and Latency is re-derived
-// by the same expression the optimizer uses.
-func (t *Frontier) Lookup(computeShare, bandwidthShare float64) (Plan, Eval) {
-	e := t.entryAt(computeShare, bandwidthShare)
-	ev := e.Eval
+// by the same expression the optimizer uses. known reports that the cell was
+// already filled; otherwise this call ran the optimizer at the cell's grid
+// point, whose error (an infeasible constraint) is returned and leaves the
+// cell unknown. When concurrent callers race to fill one cell, exactly one
+// of them reports known == false.
+func (t *Frontier) Lookup(computeShare, bandwidthShare float64) (plan Plan, ev Eval, known bool, err error) {
+	fi, bi := 0, 0
+	if t.key.Server != nil {
+		fi, bi = t.grid.Index(computeShare), t.grid.Index(bandwidthShare)
+	}
+	id, known, err := t.at(fi, bi)
+	if err != nil {
+		return Plan{}, Eval{}, false, err
+	}
+	e := &(*t.entries.Load())[id-1]
+	ev = e.Eval
 	ev.Latency = ev.LatencyAt(envShare(computeShare), envShare(bandwidthShare))
-	return e.Plan, ev
+	return e.Plan, ev, known, nil
 }
 
-func (t *Frontier) entryAt(f, b float64) *FrontierEntry {
-	if t.cells == nil {
-		return &t.entries[0]
+// at returns cell (fi, bi)'s entry id, first filling the cell with the
+// optimizer's answer at that grid point when it is unknown.
+func (t *Frontier) at(fi, bi int) (id int32, known bool, err error) {
+	row := t.rows[fi].Load()
+	if row != nil {
+		if id := (*row)[bi].Load(); id != 0 {
+			return id, true, nil
+		}
 	}
-	L := t.grid.Levels()
-	return &t.entries[t.cells[t.grid.Index(f)*L+t.grid.Index(b)]]
+	t.probes.Add(1)
+	plan, ev, err := Optimize(t.key.Model, t.key.env(t.grid.Value(fi), t.grid.Value(bi)), t.opt)
+	if err != nil {
+		return 0, false, err
+	}
+	// Racing fillers computed the same plan, hence the same id; the one whose
+	// compare-and-swap lands is the one that reports the fill.
+	id = t.intern(plan, ev)
+	return id, !t.row(fi)[bi].CompareAndSwap(0, id), nil
 }
 
-// LookupFiltered returns the lowest-latency *tabulated* entry at the given
-// shares that satisfies the extra filters: an expected-accuracy floor and a
-// device-energy budget in joules (either <= 0 disables that filter). It
-// reports ok = false when no frontier member qualifies. This is a
-// frontier-relative filter — exact multi-objective SLOs belong in the key
-// (which constrains the optimizer itself); the filtered scan answers
-// "what-if" queries against an already-built table without re-optimizing.
-func (t *Frontier) LookupFiltered(computeShare, bandwidthShare, minAccuracy, maxEnergyJ float64) (Plan, Eval, bool) {
-	f, b := envShare(computeShare), envShare(bandwidthShare)
-	best := -1
-	bestLat := math.Inf(1)
-	for i := range t.entries {
-		ev := &t.entries[i].Eval
-		if minAccuracy > 0 && ev.Accuracy+1e-12 < minAccuracy {
-			continue
-		}
-		if maxEnergyJ > 0 && ev.DeviceEnergyAt(t.key.Device, b) > maxEnergyJ {
-			continue
-		}
-		if lat := ev.LatencyAt(f, b); lat < bestLat {
-			best, bestLat = i, lat
+// row returns compute level fi's cells, allocating them on first touch.
+func (t *Frontier) row(fi int) []atomic.Int32 {
+	if r := t.rows[fi].Load(); r != nil {
+		return *r
+	}
+	r := make([]atomic.Int32, len(t.rows))
+	if t.rows[fi].CompareAndSwap(nil, &r) {
+		return r
+	}
+	return *t.rows[fi].Load()
+}
+
+// intern returns the id (index + 1) of plan's entry, appending it when the
+// plan is new to the table.
+func (t *Frontier) intern(plan Plan, ev Eval) int32 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	entries := t.Entries()
+	for i := range entries {
+		if samePlan(&entries[i].Plan, &plan) {
+			return int32(i + 1)
 		}
 	}
-	if best < 0 {
-		return Plan{}, Eval{}, false
+	// All Eval fields except Latency are share-independent, so the first
+	// probe's evaluation stands for the plan at every grid point bit for
+	// bit; Latency is normalized to full shares here and re-derived per
+	// lookup. Appending in place is safe: readers holding the previous
+	// header never index past its length.
+	ev.Latency = ev.LatencyAt(1, 1)
+	entries = append(entries, FrontierEntry{Plan: plan, Eval: ev})
+	t.entries.Store(&entries)
+	return int32(len(entries))
+}
+
+func samePlan(a, b *Plan) bool {
+	if a.Partition != b.Partition || math.Float64bits(a.Theta) != math.Float64bits(b.Theta) || len(a.Exits) != len(b.Exits) {
+		return false
 	}
-	e := &t.entries[best]
-	ev := e.Eval
-	ev.Latency = bestLat
-	return e.Plan, ev, true
+	for i, e := range a.Exits {
+		if b.Exits[i] != e {
+			return false
+		}
+	}
+	return true
 }
 
 // BuildOptions configures frontier-table construction.
 type BuildOptions struct {
-	// Grid is the share grid (zero value = NewShareGrid(0)).
-	Grid ShareGrid
 	// Surgery carries the sweep configuration shared by every table
 	// (ThetaGrid, AccBuckets, FixedPartition); each key's constraint
 	// fields (MinAccuracy, NoExits, MaxDeviceEnergyJ) override their
 	// counterparts per table.
 	Surgery Options
-	// MaxProbes caps the optimizer probes one table's construction may
-	// spend (0 = no cap beyond the Levels()² memoized maximum). Exceeding
-	// it fails the build; the caller falls back to the plain optimizer.
-	MaxProbes int
 	// MaxTables bounds how many tables a FrontierSet will hold
 	// (0 = DefaultMaxTables).
 	MaxTables int
+
+	// grid overrides the share grid (zero value = NewShareGrid(0)). Only this
+	// package's tests set it, to sweep coarse grids exhaustively: the planner
+	// snaps to the default grid whether or not it is handed tables, so a
+	// production set must never be built on another.
+	grid ShareGrid
 }
 
 // DefaultMaxTables is the FrontierSet table budget when
 // BuildOptions.MaxTables is zero.
 const DefaultMaxTables = 512
 
-func (bo BuildOptions) grid() ShareGrid {
-	if len(bo.Grid.levels) == 0 {
+func (bo BuildOptions) shareGrid() ShareGrid {
+	if len(bo.grid.levels) == 0 {
 		return NewShareGrid(0)
 	}
-	return bo.Grid
+	return bo.grid
 }
 
 func (bo BuildOptions) maxTables() int {
@@ -318,154 +379,99 @@ func (bo BuildOptions) maxTables() int {
 	return bo.MaxTables
 }
 
-// BuildFrontier tabulates one key by corner-certified subdivision (see the
-// file comment). It fails — rather than tabulating approximately — when the
-// optimizer reports infeasibility anywhere on the grid or the probe budget
-// is exceeded; callers keep using surgery.Optimize for such keys.
+// BuildFrontier returns k's table with every cell unknown: each cell is
+// filled by the first Lookup that lands on it, or all of them at once by
+// FrontierSet.Build.
 func BuildFrontier(k FrontierKey, bo BuildOptions) (*Frontier, error) {
 	if k.Model == nil || k.Device == nil {
 		return nil, fmt.Errorf("surgery: frontier key needs a model and a device")
 	}
-	grid := bo.grid()
-	fb := &frontierBuilder{
-		key:       k,
-		opt:       k.options(bo.Surgery),
-		grid:      grid,
-		maxProbes: bo.MaxProbes,
-		sigs:      make(map[string]int32),
+	t := &Frontier{key: k, opt: k.options(bo.Surgery), grid: bo.shareGrid()}
+	n := 1 // device-only: shares are irrelevant, a single cell is the table
+	if k.Server != nil {
+		n = t.grid.Levels()
 	}
-	if k.Server == nil {
-		// Device-only: shares are irrelevant, a single probe is the table.
-		if _, err := fb.probeEnv(k.env(0, 0)); err != nil {
-			return nil, err
-		}
-		return &Frontier{key: k, grid: grid, entries: fb.entries, probes: fb.probes}, nil
-	}
-	L := grid.Levels()
-	fb.cells = make([]int32, L*L)
-	fb.probeAt = make([]int32, L*L)
-	for i := range fb.probeAt {
-		fb.probeAt[i] = -1
-	}
-	var err error
-	if k.MinAccuracy > 0 || k.MaxDeviceEnergyJ > 0 {
-		// Constrained keys: per-bandwidth-column subdivision (feasibility
-		// is constant within a column) with midpoint agreement as
-		// insurance against the accuracy DP's non-envelope returns.
-		for bi := 0; bi < L && err == nil; bi++ {
-			err = fb.fillColumn(bi, 0, L-1)
-		}
-	} else {
-		err = fb.fillRect(0, L-1, 0, L-1)
-	}
-	if err != nil {
-		return nil, err
-	}
-	t := &Frontier{key: k, grid: grid, entries: fb.entries, cells: fb.cells, probes: fb.probes}
-	t.canonicalize()
+	t.rows = make([]atomic.Pointer[[]atomic.Int32], n)
 	return t, nil
 }
 
-// frontierBuilder carries one BuildFrontier invocation's working state.
-type frontierBuilder struct {
-	key       FrontierKey
-	opt       Options
-	grid      ShareGrid
-	maxProbes int
-	cells     []int32
-	probeAt   []int32 // memoized probe result per grid point (-1 unknown)
-	entries   []FrontierEntry
-	sigs      map[string]int32 // plan signature → entry index
-	probes    int
+// certify fills every cell of a table nobody else can see yet by
+// corner-certified subdivision (see the file comment) and puts the entries in
+// canonical order. It fails — rather than tabulating approximately — when the
+// optimizer reports infeasibility anywhere on the grid.
+func (t *Frontier) certify() error {
+	last := len(t.rows) - 1
+	var err error
+	if t.key.MinAccuracy > 0 || t.key.MaxDeviceEnergyJ > 0 {
+		// Constrained keys: per-bandwidth-column subdivision (feasibility
+		// is constant within a column) with midpoint agreement as
+		// insurance against the accuracy DP's non-envelope returns.
+		for bi := 0; bi <= last && err == nil; bi++ {
+			err = t.fillColumn(bi, 0, last)
+		}
+	} else {
+		err = t.fillRect(0, last, 0, last)
+	}
+	if err != nil {
+		return err
+	}
+	t.canonicalize()
+	return nil
 }
 
-// probe memoizes one optimizer call at grid point (fi, bi) and returns the
-// entry index of its plan.
-func (fb *frontierBuilder) probe(fi, bi int) (int32, error) {
-	idx := fi*fb.grid.Levels() + bi
-	if id := fb.probeAt[idx]; id >= 0 {
-		return id, nil
-	}
-	id, err := fb.probeEnv(fb.key.env(fb.grid.Value(fi), fb.grid.Value(bi)))
-	if err != nil {
-		return -1, err
-	}
-	fb.probeAt[idx] = id
-	fb.cells[idx] = id
-	return id, nil
-}
-
-func (fb *frontierBuilder) probeEnv(env Env) (int32, error) {
-	if fb.maxProbes > 0 && fb.probes >= fb.maxProbes {
-		return -1, fmt.Errorf("surgery: frontier for %s exceeded %d probes", fb.key.Model.Name, fb.maxProbes)
-	}
-	fb.probes++
-	plan, ev, err := Optimize(fb.key.Model, env, fb.opt)
-	if err != nil {
-		return -1, err
-	}
-	sig := planSig(plan)
-	if id, ok := fb.sigs[sig]; ok {
-		return id, nil
-	}
-	// All Eval fields except Latency are share-independent, so the first
-	// probe's evaluation stands for the plan at every grid point bit for
-	// bit; Latency is normalized to full shares here and re-derived per
-	// lookup.
-	ev.Latency = ev.LatencyAt(1, 1)
-	id := int32(len(fb.entries))
-	fb.entries = append(fb.entries, FrontierEntry{Plan: plan, Eval: ev})
-	fb.sigs[sig] = id
-	return id, nil
+// probe is at for the certifier, which only wants the id.
+func (t *Frontier) probe(fi, bi int) (int32, error) {
+	id, _, err := t.at(fi, bi)
+	return id, err
 }
 
 // fillRect fills the inclusive index rectangle [i0,i1]×[j0,j1] by corner
 // certification, splitting the longer dimension on disagreement. Splits are
 // disjoint, so every cell is written exactly once — by its certified
 // rectangle or by its own probe.
-func (fb *frontierBuilder) fillRect(i0, i1, j0, j1 int) error {
-	c00, err := fb.probe(i0, j0)
+func (t *Frontier) fillRect(i0, i1, j0, j1 int) error {
+	c00, err := t.probe(i0, j0)
 	if err != nil {
 		return err
 	}
-	c01, err := fb.probe(i0, j1)
+	c01, err := t.probe(i0, j1)
 	if err != nil {
 		return err
 	}
-	c10, err := fb.probe(i1, j0)
+	c10, err := t.probe(i1, j0)
 	if err != nil {
 		return err
 	}
-	c11, err := fb.probe(i1, j1)
+	c11, err := t.probe(i1, j1)
 	if err != nil {
 		return err
 	}
 	if c00 == c01 && c00 == c10 && c00 == c11 {
-		fb.fill(i0, i1, j0, j1, c00)
+		t.fill(i0, i1, j0, j1, c00)
 		return nil
 	}
 	if i1-i0 >= j1-j0 {
 		im := (i0 + i1) / 2
-		if err := fb.fillRect(i0, im, j0, j1); err != nil {
+		if err := t.fillRect(i0, im, j0, j1); err != nil {
 			return err
 		}
-		return fb.fillRect(im+1, i1, j0, j1)
+		return t.fillRect(im+1, i1, j0, j1)
 	}
 	jm := (j0 + j1) / 2
-	if err := fb.fillRect(i0, i1, j0, jm); err != nil {
+	if err := t.fillRect(i0, i1, j0, jm); err != nil {
 		return err
 	}
-	return fb.fillRect(i0, i1, jm+1, j1)
+	return t.fillRect(i0, i1, jm+1, j1)
 }
 
 // fillColumn fills compute-share rows [i0,i1] of bandwidth column bi,
 // requiring endpoint plus midpoint agreement before filling an interval.
-func (fb *frontierBuilder) fillColumn(bi, i0, i1 int) error {
-	a, err := fb.probe(i0, bi)
+func (t *Frontier) fillColumn(bi, i0, i1 int) error {
+	a, err := t.probe(i0, bi)
 	if err != nil {
 		return err
 	}
-	c, err := fb.probe(i1, bi)
+	c, err := t.probe(i1, bi)
 	if err != nil {
 		return err
 	}
@@ -473,49 +479,55 @@ func (fb *frontierBuilder) fillColumn(bi, i0, i1 int) error {
 		return nil // both cells probed directly
 	}
 	im := (i0 + i1) / 2
-	mid, err := fb.probe(im, bi)
+	mid, err := t.probe(im, bi)
 	if err != nil {
 		return err
 	}
 	if a == c && a == mid {
-		fb.fill(i0, i1, bi, bi, a)
+		t.fill(i0, i1, bi, bi, a)
 		return nil
 	}
-	if err := fb.fillColumn(bi, i0, im); err != nil {
+	if err := t.fillColumn(bi, i0, im); err != nil {
 		return err
 	}
-	return fb.fillColumn(bi, im+1, i1)
+	return t.fillColumn(bi, im+1, i1)
 }
 
-func (fb *frontierBuilder) fill(i0, i1, j0, j1 int, id int32) {
-	L := fb.grid.Levels()
+func (t *Frontier) fill(i0, i1, j0, j1 int, id int32) {
 	for i := i0; i <= i1; i++ {
-		row := fb.cells[i*L : i*L+L]
+		row := t.row(i)
 		for j := j0; j <= j1; j++ {
-			row[j] = id
+			row[j].Store(id)
 		}
 	}
 }
 
-// canonicalize sorts the entries into frontier order and rewrites the cell
-// map accordingly.
+// canonicalize sorts the entries into frontier order and rewrites the cells
+// accordingly.
 func (t *Frontier) canonicalize() {
-	order := make([]int32, len(t.entries))
+	entries := t.Entries()
+	order := make([]int32, len(entries))
 	for i := range order {
 		order[i] = int32(i)
 	}
 	sort.SliceStable(order, func(a, b int) bool {
-		return entryLess(&t.entries[order[a]], &t.entries[order[b]])
+		return entryLess(&entries[order[a]], &entries[order[b]])
 	})
-	perm := make([]int32, len(t.entries)) // old index → new index
-	sorted := make([]FrontierEntry, len(t.entries))
+	perm := make([]int32, len(entries)) // old index → new index
+	sorted := make([]FrontierEntry, len(entries))
 	for newID, oldID := range order {
 		perm[oldID] = int32(newID)
-		sorted[newID] = t.entries[oldID]
+		sorted[newID] = entries[oldID]
 	}
-	t.entries = sorted
-	for i, id := range t.cells {
-		t.cells[i] = perm[id]
+	t.entries.Store(&sorted)
+	for fi := range t.rows {
+		if r := t.rows[fi].Load(); r != nil {
+			for bi := range *r {
+				if id := (*r)[bi].Load(); id != 0 {
+					(*r)[bi].Store(perm[id-1] + 1)
+				}
+			}
+		}
 	}
 }
 
@@ -544,8 +556,8 @@ func entryLess(a, b *FrontierEntry) bool {
 	return planSig(a.Plan) < planSig(b.Plan)
 }
 
-// planSig is a collision-free textual plan identity used to deduplicate
-// probe results.
+// planSig is a collision-free textual plan identity, the canonical order's
+// last tiebreak.
 func planSig(p Plan) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%d|%x", p.Partition, math.Float64bits(p.Theta))
@@ -555,10 +567,10 @@ func planSig(p Plan) string {
 	return sb.String()
 }
 
-// FrontierSet is a concurrency-safe collection of frontier tables sharing
-// one grid and one base option set — the unit the joint planner consumes.
-// An empty set is valid: every lookup misses, which still snaps the caller
-// onto the geometric grid (the differential tests' optimizer arm).
+// FrontierSet is a concurrency-safe collection of fully tabulated frontier
+// tables sharing one grid and one base option set — the precomputed warm-up
+// the joint planner consumes. An empty set is valid: the planner then fills
+// every table it needs on demand.
 type FrontierSet struct {
 	bo     BuildOptions
 	grid   ShareGrid
@@ -569,8 +581,8 @@ type FrontierSet struct {
 
 // NewFrontierSet returns an empty set with the resolved grid.
 func NewFrontierSet(bo BuildOptions) *FrontierSet {
-	bo.Grid = bo.grid()
-	return &FrontierSet{bo: bo, grid: bo.Grid, tables: make(map[FrontierKey]*Frontier)}
+	bo.grid = bo.shareGrid()
+	return &FrontierSet{bo: bo, grid: bo.grid, tables: make(map[FrontierKey]*Frontier)}
 }
 
 // Grid returns the set's share grid.
@@ -603,8 +615,9 @@ func (s *FrontierSet) Get(k FrontierKey) *Frontier {
 	return s.tables[k]
 }
 
-// Build tabulates k if absent. Safe for concurrent use; concurrent builds
-// of the same key keep the first stored table.
+// Build tabulates k if absent, filling every cell of its table by corner
+// certification. Safe for concurrent use; concurrent builds of the same key
+// keep the first stored table.
 func (s *FrontierSet) Build(k FrontierKey) error {
 	s.mu.RLock()
 	_, ok := s.tables[k]
@@ -617,28 +630,28 @@ func (s *FrontierSet) Build(k FrontierKey) error {
 		return fmt.Errorf("surgery: frontier set at capacity (%d tables)", n)
 	}
 	t, err := BuildFrontier(k, s.bo)
+	if err == nil {
+		err = t.certify()
+	}
 	if err != nil {
 		return err
 	}
 	s.mu.Lock()
 	if _, ok := s.tables[k]; !ok {
 		s.tables[k] = t
-		s.probes += int64(t.probes)
+		s.probes += t.probes.Load()
 	}
 	s.mu.Unlock()
 	return nil
 }
 
 // Lookup answers one surgery problem from the tables: ok reports whether
-// the key is tabulated (a miss means the caller must run the optimizer —
-// at grid-snapped shares, to preserve the hit/miss-independence of plans).
+// the key is tabulated.
 func (s *FrontierSet) Lookup(k FrontierKey, computeShare, bandwidthShare float64) (Plan, Eval, bool) {
-	s.mu.RLock()
-	t := s.tables[k]
-	s.mu.RUnlock()
+	t := s.Get(k)
 	if t == nil {
 		return Plan{}, Eval{}, false
 	}
-	plan, ev := t.Lookup(computeShare, bandwidthShare)
-	return plan, ev, true
+	plan, ev, _, err := t.Lookup(computeShare, bandwidthShare)
+	return plan, ev, err == nil
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"edgesurgeon/internal/dnn"
@@ -11,9 +13,17 @@ import (
 	"edgesurgeon/internal/workload"
 )
 
-// testFrontierKey draws one random but domain-valid frontier key. The rng
-// fully determines the key, so seeded tests are reproducible.
-func testFrontierKey(t testing.TB, rng *rand.Rand, constrained bool) FrontierKey {
+// Constraint kinds testFrontierKey can draw.
+const (
+	keyFree = iota
+	keyAccuracyFloor
+	keyEnergyCap
+)
+
+// testFrontierKey draws one random but domain-valid frontier key under the
+// given constraint kind. The rng fully determines the key, so seeded tests
+// are reproducible.
+func testFrontierKey(t testing.TB, rng *rand.Rand, kind int) FrontierKey {
 	t.Helper()
 	models := []func() *dnn.Model{dnn.AlexNet, dnn.MobileNetV2, dnn.ResNet18, dnn.SqueezeNet}
 	devices := []string{"rpi4", "phone-soc", "jetson-nano"}
@@ -37,14 +47,22 @@ func testFrontierKey(t testing.TB, rng *rand.Rand, constrained bool) FrontierKey
 		Difficulty: workload.DifficultyKind(rng.Intn(4)),
 		Curves:     DefaultCurves(),
 	}
-	if constrained {
-		if rng.Intn(2) == 0 {
-			k.MinAccuracy = 0.55 + 0.15*rng.Float64()
-		} else {
-			k.MaxDeviceEnergyJ = 0.5 + 2*rng.Float64()
-		}
+	switch kind {
+	case keyAccuracyFloor:
+		k.MinAccuracy = 0.55 + 0.15*rng.Float64()
+	case keyEnergyCap:
+		k.MaxDeviceEnergyJ = 0.5 + 2*rng.Float64()
 	}
 	return k
+}
+
+// certifiedFrontier is the table FrontierSet.Build would store for k.
+func certifiedFrontier(k FrontierKey, bo BuildOptions) (*Frontier, error) {
+	table, err := BuildFrontier(k, bo)
+	if err == nil {
+		err = table.certify()
+	}
+	return table, err
 }
 
 func TestShareGridProperties(t *testing.T) {
@@ -97,50 +115,170 @@ func TestShareGridProperties(t *testing.T) {
 	}
 }
 
-// TestFrontierMatchesOptimizer is the exactness pin: for seeded random
-// (model, device, link) keys — constrained ones included — the table lookup
-// must return bit for bit what surgery.Optimize returns at every grid share
-// pair. A coarse 1-step-per-octave grid keeps the exhaustive sweep cheap
-// while still covering the full 12-octave share range.
+// TestFrontierMatchesOptimizer is the exactness pin for both fill modes: for
+// seeded random (model, device, link) keys — unconstrained, accuracy-floored
+// and energy-capped — every cell of a table filled on demand, of a table
+// filled by certification, and a direct surgery.Optimize call agree bit for
+// bit. A key that is infeasible somewhere on the grid must fail to certify
+// rather than tabulate approximately, and its on-demand table must return the
+// optimizer's own error at exactly the infeasible cells. A coarse
+// 1-step-per-octave grid keeps the exhaustive sweep cheap while still covering
+// the full 12-octave share range.
 func TestFrontierMatchesOptimizer(t *testing.T) {
 	grid := NewShareGrid(1)
 	rng := rand.New(rand.NewSource(42))
-	checked := 0
+	certified := make(map[int]int)
 	for trial := 0; trial < 12; trial++ {
-		k := testFrontierKey(t, rng, trial >= 8)
-		bo := BuildOptions{Grid: grid, Surgery: Options{FixedPartition: FreePartition}}
-		table, err := BuildFrontier(k, bo)
-		if err != nil {
-			// Constrained keys may be infeasible somewhere on the grid;
-			// BuildFrontier must fail rather than tabulate approximately.
-			if k.MinAccuracy == 0 && k.MaxDeviceEnergyJ == 0 {
-				t.Fatalf("unconstrained build failed: %v", err)
-			}
-			continue
+		kind := keyFree
+		if trial >= 8 {
+			kind = keyAccuracyFloor + trial%2
 		}
-		checked++
+		k := testFrontierKey(t, rng, kind)
+		bo := BuildOptions{grid: grid, Surgery: Options{FixedPartition: FreePartition}}
+		bulk, bulkErr := certifiedFrontier(k, bo)
+		if bulkErr != nil && kind == keyFree {
+			t.Fatalf("unconstrained build failed: %v", bulkErr)
+		}
+		lazy, err := BuildFrontier(k, bo)
+		if err != nil {
+			t.Fatal(err)
+		}
 		opt := k.options(bo.Surgery)
+		infeasible := 0
 		for fi := 0; fi < grid.Levels(); fi++ {
 			for bi := 0; bi < grid.Levels(); bi++ {
 				f, b := grid.Value(fi), grid.Value(bi)
-				wantPlan, wantEv, err := Optimize(k.Model, k.env(f, b), opt)
+				wantPlan, wantEv, wantErr := Optimize(k.Model, k.env(f, b), opt)
+				gotPlan, gotEv, known, err := lazy.Lookup(f, b)
+				if known {
+					t.Fatalf("trial %d: first lookup at (%g, %g) found the cell filled", trial, f, b)
+				}
+				if wantErr != nil {
+					infeasible++
+					if err == nil || err.Error() != wantErr.Error() {
+						t.Fatalf("trial %d: on-demand error at (%g, %g) = %v, optimizer says %v", trial, f, b, err, wantErr)
+					}
+					continue
+				}
 				if err != nil {
-					t.Fatalf("optimizer failed at (%g, %g) after a successful build: %v", f, b, err)
+					t.Fatalf("trial %d: on-demand fill failed at (%g, %g): %v", trial, f, b, err)
 				}
-				gotPlan, gotEv := table.Lookup(f, b)
-				if !reflect.DeepEqual(gotPlan, wantPlan) {
-					t.Fatalf("trial %d: plan mismatch at shares (%g, %g):\n  table:     %+v\n  optimizer: %+v",
-						trial, f, b, gotPlan, wantPlan)
+				check := func(mode string, gotPlan Plan, gotEv Eval) {
+					t.Helper()
+					if !reflect.DeepEqual(gotPlan, wantPlan) {
+						t.Fatalf("trial %d: %s plan mismatch at shares (%g, %g):\n  table:     %+v\n  optimizer: %+v",
+							trial, mode, f, b, gotPlan, wantPlan)
+					}
+					if !reflect.DeepEqual(gotEv, wantEv) {
+						t.Fatalf("trial %d: %s eval mismatch at shares (%g, %g):\n  table:     %+v\n  optimizer: %+v",
+							trial, mode, f, b, gotEv, wantEv)
+					}
 				}
-				if !reflect.DeepEqual(gotEv, wantEv) {
-					t.Fatalf("trial %d: eval mismatch at shares (%g, %g):\n  table:     %+v\n  optimizer: %+v",
-						trial, f, b, gotEv, wantEv)
+				check("on-demand", gotPlan, gotEv)
+				gotPlan, gotEv, known, err = lazy.Lookup(f, b)
+				if !known || err != nil {
+					t.Fatalf("trial %d: second lookup at (%g, %g): known %t, err %v", trial, f, b, known, err)
+				}
+				check("on-demand (filled)", gotPlan, gotEv)
+				if bulkErr == nil {
+					gotPlan, gotEv, known, err = bulk.Lookup(f, b)
+					if !known || err != nil {
+						t.Fatalf("trial %d: certified table at (%g, %g): known %t, err %v", trial, f, b, known, err)
+					}
+					check("certified", gotPlan, gotEv)
 				}
 			}
 		}
+		if (bulkErr != nil) != (infeasible > 0) {
+			t.Fatalf("trial %d: certification error %v with %d infeasible cells", trial, bulkErr, infeasible)
+		}
+		// One optimizer call per cell: repeat lookups of a filled cell are
+		// free, and no infeasible cell was asked twice.
+		if want := grid.Levels() * grid.Levels(); lazy.Probes() != want {
+			t.Fatalf("trial %d: on-demand table spent %d probes on %d cells", trial, lazy.Probes(), want)
+		}
+		if bulkErr == nil {
+			certified[kind]++
+			if bulk.Probes() >= grid.Levels()*grid.Levels() && kind == keyFree {
+				t.Errorf("trial %d: certification spent %d probes, no fewer than the %d cells", trial, bulk.Probes(), grid.Levels()*grid.Levels())
+			}
+		}
 	}
-	if checked < 8 {
-		t.Fatalf("only %d keys built successfully; the corpus is too thin", checked)
+	if certified[keyFree] < 8 || certified[keyAccuracyFloor] == 0 || certified[keyEnergyCap] == 0 {
+		t.Fatalf("certified keys by kind %v; the corpus is too thin", certified)
+	}
+}
+
+// TestFrontierFillsOnDemand pins the on-demand mode's two promises. Memory
+// follows the cells touched: a row exists only once one of its cells is
+// filled. And a fill is counted once: when goroutines race over the same
+// cells, every cell is reported unknown to exactly one of them, whatever the
+// interleaving — the planner's hit/miss split rests on this.
+func TestFrontierFillsOnDemand(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	k := testFrontierKey(t, rng, keyFree)
+	bo := BuildOptions{grid: NewShareGrid(1), Surgery: Options{FixedPartition: FreePartition}}
+	table, err := BuildFrontier(k, bo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := table.Grid()
+	rowsHeld := func() int {
+		n := 0
+		for i := range table.rows {
+			if table.rows[i].Load() != nil {
+				n++
+			}
+		}
+		return n
+	}
+	if rowsHeld() != 0 || len(table.Entries()) != 0 || table.Probes() != 0 {
+		t.Fatal("a fresh table already holds cells")
+	}
+	for _, bi := range []int{0, 5, 9} {
+		if _, _, _, err := table.Lookup(grid.Value(4), grid.Value(bi)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rowsHeld() != 1 || table.Probes() != 3 {
+		t.Fatalf("three cells of one compute level: %d rows, %d probes", rowsHeld(), table.Probes())
+	}
+
+	const workers = 8
+	var fills atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for fi := 0; fi < grid.Levels(); fi++ {
+				for bi := 0; bi < grid.Levels(); bi++ {
+					_, _, known, err := table.Lookup(grid.Value(fi), grid.Value(bi))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !known {
+						fills.Add(1)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	cells := grid.Levels() * grid.Levels()
+	if got := int(fills.Load()) + 3; got != cells { // three were filled above
+		t.Fatalf("%d fills reported for %d cells", got, cells)
+	}
+	if table.Probes() < cells {
+		t.Fatalf("%d probes cannot have filled %d cells", table.Probes(), cells)
+	}
+	want, err := certifiedFrontier(k, bo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(table.Entries()) != len(want.Entries()) {
+		t.Fatalf("on-demand table found %d plans, certification %d", len(table.Entries()), len(want.Entries()))
 	}
 }
 
@@ -152,7 +290,7 @@ func TestFrontierMatchesOptimizer(t *testing.T) {
 func TestFrontierNoDominatedEntries(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 6; trial++ {
-		table, err := BuildFrontier(testFrontierKey(t, rng, false), BuildOptions{Surgery: Options{FixedPartition: FreePartition}})
+		table, err := certifiedFrontier(testFrontierKey(t, rng, keyFree), BuildOptions{Surgery: Options{FixedPartition: FreePartition}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +318,7 @@ func TestFrontierNoDominatedEntries(t *testing.T) {
 func TestFrontierSortedAndMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for trial := 0; trial < 6; trial++ {
-		table, err := BuildFrontier(testFrontierKey(t, rng, false), BuildOptions{Surgery: Options{FixedPartition: FreePartition}})
+		table, err := certifiedFrontier(testFrontierKey(t, rng, keyFree), BuildOptions{Surgery: Options{FixedPartition: FreePartition}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +334,7 @@ func TestFrontierSortedAndMonotone(t *testing.T) {
 		prevIdx := -1
 		for i := 0; i < grid.Levels(); i++ {
 			s := grid.Value(i)
-			plan, _ := table.Lookup(s, s)
+			plan, _, _, _ := table.Lookup(s, s)
 			idx := -1
 			for j := range entries {
 				if reflect.DeepEqual(entries[j].Plan, plan) {
@@ -215,62 +353,39 @@ func TestFrontierSortedAndMonotone(t *testing.T) {
 	}
 }
 
-// TestFrontierLookupFiltered checks the filtered scan: the result is a
-// frontier member, satisfies both filters, and is latency-minimal among the
-// qualifying entries; impossible filters report ok = false.
-func TestFrontierLookupFiltered(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	table, err := BuildFrontier(testFrontierKey(t, rng, false), BuildOptions{Surgery: Options{FixedPartition: FreePartition}})
+// TestFrontierInfeasibleCell: a key no plan satisfies fails to certify, and
+// its on-demand table hands back the optimizer's error on every ask, leaving
+// the cell unknown.
+func TestFrontierInfeasibleCell(t *testing.T) {
+	k := testFrontierKey(t, rand.New(rand.NewSource(9)), keyFree)
+	k.MinAccuracy = 0.9999
+	bo := BuildOptions{grid: NewShareGrid(1), Surgery: Options{FixedPartition: FreePartition}}
+	if _, err := certifiedFrontier(k, bo); err == nil {
+		t.Fatal("an unmeetable accuracy floor certified")
+	}
+	table, err := BuildFrontier(k, bo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid := table.Grid()
-	for trial := 0; trial < 500; trial++ {
-		f := grid.Value(rng.Intn(grid.Levels()))
-		b := grid.Value(rng.Intn(grid.Levels()))
-		minAcc := 0.5 + 0.4*rng.Float64()
-		maxE := 0.2 + 3*rng.Float64()
-		plan, ev, ok := table.LookupFiltered(f, b, minAcc, maxE)
-		member := -1
-		bestLat := math.Inf(1)
-		for i, e := range table.Entries() {
-			if e.Eval.Accuracy+1e-12 < minAcc {
-				continue
-			}
-			if e.Eval.DeviceEnergyAt(table.Key().Device, b) > maxE {
-				continue
-			}
-			if lat := e.Eval.LatencyAt(f, b); lat < bestLat {
-				member, bestLat = i, lat
-			}
-		}
-		if !ok {
-			if member >= 0 {
-				t.Fatalf("LookupFiltered reported no member but entry %d qualifies", member)
-			}
-			continue
-		}
-		if member < 0 {
-			t.Fatal("LookupFiltered returned a plan but no entry qualifies")
-		}
-		want := table.Entries()[member]
-		if !reflect.DeepEqual(plan, want.Plan) || ev.Latency != bestLat {
-			t.Fatalf("LookupFiltered returned %+v lat %g, want entry %d (%+v) lat %g",
-				plan, ev.Latency, member, want.Plan, bestLat)
-		}
-		if ev.Accuracy+1e-12 < minAcc {
-			t.Fatalf("filtered result accuracy %g below floor %g", ev.Accuracy, minAcc)
-		}
+	_, _, wantErr := Optimize(k.Model, k.env(0.5, 0.5), k.options(bo.Surgery))
+	if wantErr == nil {
+		t.Fatal("fixture is feasible")
 	}
-	if _, _, ok := table.LookupFiltered(1, 1, 1.01, 0); ok {
-		t.Fatal("an accuracy floor above 1 must match nothing")
+	for ask := 1; ask <= 2; ask++ {
+		_, _, known, err := table.Lookup(0.5, 0.5)
+		if known || err == nil || err.Error() != wantErr.Error() {
+			t.Fatalf("ask %d: known %t, err %v; optimizer says %v", ask, known, err, wantErr)
+		}
+		if table.Probes() != ask {
+			t.Fatalf("ask %d: %d probes", ask, table.Probes())
+		}
 	}
 }
 
 func TestFrontierSetSemantics(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	k1 := testFrontierKey(t, rng, false)
-	k2 := testFrontierKey(t, rng, false)
+	k1 := testFrontierKey(t, rng, keyFree)
+	k2 := testFrontierKey(t, rng, keyFree)
 	if k1 == k2 {
 		t.Fatal("rng produced identical keys")
 	}
@@ -318,70 +433,54 @@ func TestFrontierSetSemantics(t *testing.T) {
 	}
 }
 
-// FuzzFrontierLookup drives table lookups (plain and filtered) with
-// arbitrary shares and filters: no panic, the plain lookup returns exactly
-// the optimizer's answer at the snapped shares, and the filtered lookup
-// returns a frontier member satisfying its filters.
+// FuzzFrontierLookup drives table lookups with arbitrary shares, against a
+// certified table and an on-demand one per key: no panic, and both return
+// exactly the optimizer's answer at the snapped shares.
 func FuzzFrontierLookup(f *testing.F) {
-	f.Add(uint8(0), 0.5, 0.5, 0.7, 1.0)
-	f.Add(uint8(1), 1.0, 0.001, 0.0, 0.0)
-	f.Add(uint8(2), -3.0, 7.5, 0.95, 0.01)
+	f.Add(uint8(0), 0.5, 0.5)
+	f.Add(uint8(1), 1.0, 0.001)
+	f.Add(uint8(2), -3.0, 7.5)
 	rng := rand.New(rand.NewSource(5))
-	tables := make([]*Frontier, 3)
+	bo := BuildOptions{grid: NewShareGrid(2), Surgery: Options{FixedPartition: FreePartition}}
+	tables := make([][2]*Frontier, 3)
 	for i := range tables {
-		var err error
-		tables[i], err = BuildFrontier(testFrontierKey(f, rng, false),
-			BuildOptions{Grid: NewShareGrid(2), Surgery: Options{FixedPartition: FreePartition}})
+		k := testFrontierKey(f, rng, keyFree)
+		bulk, err := certifiedFrontier(k, bo)
 		if err != nil {
 			f.Fatal(err)
 		}
+		lazy, err := BuildFrontier(k, bo)
+		if err != nil {
+			f.Fatal(err)
+		}
+		tables[i] = [2]*Frontier{bulk, lazy}
 	}
-	f.Fuzz(func(t *testing.T, sel uint8, cs, bs, minAcc, maxE float64) {
-		table := tables[int(sel)%len(tables)]
+	f.Fuzz(func(t *testing.T, sel uint8, cs, bs float64) {
+		pair := tables[int(sel)%len(tables)]
 		fShare, bShare := fuzzUnit(cs), fuzzUnit(bs)
-		grid := table.Grid()
-		plan, ev := table.Lookup(fShare, bShare)
-		entries := table.Entries()
-		found := false
-		for i := range entries {
-			if reflect.DeepEqual(entries[i].Plan, plan) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Fatalf("lookup at (%g, %g) returned a plan outside the frontier", fShare, bShare)
-		}
+		key, grid := pair[0].Key(), pair[0].Grid()
 		sf, sb := grid.Snap(fShare), grid.Snap(bShare)
-		wantPlan, wantEv, err := Optimize(table.Key().Model, table.Key().env(sf, sb), table.Key().options(Options{FixedPartition: FreePartition}))
+		wantPlan, wantEv, err := Optimize(key.Model, key.env(sf, sb), key.options(bo.Surgery))
 		if err != nil {
 			t.Fatalf("optimizer failed at snapped shares (%g, %g): %v", sf, sb, err)
 		}
-		if !reflect.DeepEqual(plan, wantPlan) || !reflect.DeepEqual(ev, wantEv) {
-			t.Fatalf("lookup at (%g, %g) diverged from optimizer at snapped (%g, %g)", fShare, bShare, sf, sb)
-		}
-		fAcc := fuzzRange(minAcc, 0, 1.2)
-		fEnergy := fuzzRange(maxE, 0, 5)
-		fp, fe, ok := table.LookupFiltered(fShare, bShare, fAcc, fEnergy)
-		if !ok {
-			return
-		}
-		found = false
-		for i := range entries {
-			if reflect.DeepEqual(entries[i].Plan, fp) {
-				found = true
-				break
+		for _, table := range pair {
+			plan, ev, _, err := table.Lookup(fShare, bShare)
+			if err != nil {
+				t.Fatalf("lookup at (%g, %g): %v", fShare, bShare, err)
 			}
-		}
-		if !found {
-			t.Fatal("filtered lookup returned a plan outside the frontier")
-		}
-		if fAcc > 0 && fe.Accuracy+1e-12 < fAcc {
-			t.Fatalf("filtered result accuracy %g below floor %g", fe.Accuracy, fAcc)
-		}
-		if fEnergy > 0 {
-			if got := fe.DeviceEnergyAt(table.Key().Device, envShare(bShare)); got > fEnergy {
-				t.Fatalf("filtered result energy %g over budget %g", got, fEnergy)
+			found := false
+			for _, e := range table.Entries() {
+				if reflect.DeepEqual(e.Plan, plan) {
+					found = true
+					break
+				}
+			}
+			if !found {
+				t.Fatalf("lookup at (%g, %g) returned a plan outside the frontier", fShare, bShare)
+			}
+			if !reflect.DeepEqual(plan, wantPlan) || !reflect.DeepEqual(ev, wantEv) {
+				t.Fatalf("lookup at (%g, %g) diverged from optimizer at snapped (%g, %g)", fShare, bShare, sf, sb)
 			}
 		}
 	})
