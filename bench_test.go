@@ -251,6 +251,52 @@ func BenchmarkJointPlanFrontier(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildFrontierSet measures eager certification of a whole table set
+// — what a full replan in serve and every cold start pay — on the benchmark's
+// control_replay mix: 5 (device, model) classes in front of 4 alternating
+// GPU/CPU servers at 100/70/90/60 Mbit/s, so 5 device-only and 20 server-side
+// tables per iteration, each on a kernel of its own.
+func BenchmarkBuildFrontierSet(b *testing.B) {
+	gpu, _ := hardware.ByName("edge-gpu-t4")
+	cpu, _ := hardware.ByName("edge-cpu-16c")
+	sc := &joint.Scenario{}
+	for s, mbps := range []float64{100, 70, 90, 60} {
+		srv := joint.Server{Name: fmt.Sprint("g", s), Profile: gpu, Link: netmodel.NewStatic("l", netmodel.Mbps(mbps), 0.004), RTT: 0.004}
+		if s%2 == 1 {
+			srv = joint.Server{Name: fmt.Sprint("c", s), Profile: cpu, Link: netmodel.NewStatic("l", netmodel.Mbps(mbps), 0.006), RTT: 0.006}
+		}
+		sc.Servers = append(sc.Servers, srv)
+	}
+	for i, c := range []struct {
+		device string
+		model  *dnn.Model
+	}{
+		{"phone-soc", dnn.ResNet18()}, {"phone-soc", dnn.AlexNet()}, {"phone-soc", dnn.MobileNetV2()},
+		{"rpi4", dnn.SqueezeNet()}, {"jetson-nano", dnn.VGG16()},
+	} {
+		dev, err := hardware.ByName(c.device)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sc.Users = append(sc.Users, joint.User{
+			Name: "u", Model: c.model, Device: dev,
+			Rate: 0.05, Deadline: 0.08, Difficulty: workload.EasyBiased,
+			Arrivals: workload.Poisson, Seed: int64(i),
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		set, err := joint.BuildFrontierSet(sc, joint.Options{}, surgery.BuildOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if set.Len() != 25 {
+			b.Fatalf("built %d tables, want 25", set.Len())
+		}
+	}
+}
+
 // BenchmarkJointPlanParallel sweeps the planner's worker-pool size at two
 // population scales. Plans are byte-identical across workers (the planner's
 // determinism contract), so the sweep isolates pure wall-clock scaling.

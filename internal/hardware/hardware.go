@@ -98,7 +98,7 @@ func (p *Profile) EffFLOPS(t dnn.LayerType) float64 {
 
 // LayerTime returns the estimated execution time of a single layer in
 // seconds.
-func (p *Profile) LayerTime(l dnn.Layer) float64 {
+func (p *Profile) LayerTime(l *dnn.Layer) float64 {
 	if l.FLOPs == 0 {
 		return 0
 	}
@@ -109,8 +109,8 @@ func (p *Profile) LayerTime(l dnn.Layer) float64 {
 // seconds, including the per-unit launch overhead.
 func (p *Profile) UnitTime(u *dnn.Unit) float64 {
 	t := p.LaunchOverhead
-	for _, l := range u.Layers {
-		t += p.LayerTime(l)
+	for i := range u.Layers { // by index: a Layer is 136 bytes, too big to copy per visit
+		t += p.LayerTime(&u.Layers[i])
 	}
 	return t
 }

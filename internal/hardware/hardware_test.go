@@ -156,3 +156,30 @@ func TestEffFLOPSFloor(t *testing.T) {
 		}
 	}
 }
+
+var sinkSeconds float64
+
+// BenchmarkUnitTime prices every unit of MobileNetV2 — the zoo's longest layer
+// walk, 153 layers — once per iteration: the loop every surgery kernel build,
+// every reference Evaluate and the simulator's pipeline run through.
+func BenchmarkUnitTime(b *testing.B) {
+	p, err := ByName("rpi4")
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := dnn.MobileNetV2()
+	layers := 0
+	for _, u := range m.Units {
+		layers += len(u.Layers)
+	}
+	if layers != 153 {
+		b.Fatalf("mobilenetv2 has %d layers, the benchmark's doc says 153", layers)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, u := range m.Units {
+			sinkSeconds += p.UnitTime(u)
+		}
+	}
+}

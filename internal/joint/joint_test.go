@@ -338,10 +338,10 @@ func TestScenarioValidation(t *testing.T) {
 // a buggy hand-built scenario could contain.
 type deadLink struct{}
 
-func (deadLink) Name() string                { return "dead" }
-func (deadLink) RateAt(t float64) float64    { return 0 }
+func (deadLink) Name() string                 { return "dead" }
+func (deadLink) RateAt(t float64) float64     { return 0 }
 func (deadLink) NextChange(t float64) float64 { return math.Inf(1) }
-func (deadLink) RTT() float64                { return 0 }
+func (deadLink) RTT() float64                 { return 0 }
 
 func TestNoServersScenario(t *testing.T) {
 	// The joint planner (and therefore the dispatcher) requires servers to

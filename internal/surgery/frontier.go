@@ -20,9 +20,11 @@ import (
 // binary-searched grid quantization plus a cell read, and returns results
 // bit-identical to Optimize at every grid point.
 //
-// A cell is filled in one of two ways. On first query, by one Optimize call
-// at that grid point (Frontier.Lookup) — a table costs memory in proportion
-// to the cells touched, which is what the planner runs keys nobody
+// A table holds two things: the key's kernel — the share-independent half of
+// Optimize, built by the table's first fill and shared by every later one —
+// and the cells. A cell is filled in one of two ways. On first query, by one
+// kernel solve at that grid point (Frontier.Lookup) — a table costs memory in
+// proportion to the cells touched, which is what the planner runs keys nobody
 // precomputed on. Or in bulk, by corner certification (FrontierSet.Build),
 // the eager warm-up that fills every cell with far fewer optimizer calls
 // than cells.
@@ -231,6 +233,11 @@ type Frontier struct {
 	mu      sync.Mutex
 	entries atomic.Pointer[[]FrontierEntry]
 	probes  atomic.Int64
+	// kernel is what every fill solves against, built (or found infeasible, for
+	// good) by the first one; it lives exactly as long as the table.
+	kernelOnce sync.Once
+	kernel     *kernel
+	kernelErr  error
 }
 
 // Key returns the table's identity.
@@ -287,7 +294,14 @@ func (t *Frontier) at(fi, bi int) (id int32, known bool, err error) {
 		}
 	}
 	t.probes.Add(1)
-	plan, ev, err := Optimize(t.key.Model, t.key.env(t.grid.Value(fi), t.grid.Value(bi)), t.opt)
+	t.kernelOnce.Do(func() {
+		// Every grid share is valid, so one validation stands for all fills.
+		t.kernel, t.kernelErr = newKernel(t.key.Model, t.key.env(1, 1), t.opt)
+	})
+	if t.kernelErr != nil {
+		return 0, false, t.kernelErr
+	}
+	plan, ev, err := t.kernel.solve(t.grid.Value(fi), t.grid.Value(bi))
 	if err != nil {
 		return 0, false, err
 	}
@@ -326,9 +340,9 @@ func (t *Frontier) intern(plan Plan, ev Eval) int32 {
 	// lookup. Appending in place is safe: readers holding the previous
 	// header never index past its length.
 	ev.Latency = ev.LatencyAt(1, 1)
-	entries = append(entries, FrontierEntry{Plan: plan, Eval: ev})
-	t.entries.Store(&entries)
-	return int32(len(entries))
+	grown := append(entries, FrontierEntry{Plan: plan, Eval: ev}) // its own variable: only a new plan pays for the escaping header
+	t.entries.Store(&grown)
+	return int32(len(grown))
 }
 
 func samePlan(a, b *Plan) bool {
@@ -346,9 +360,9 @@ func samePlan(a, b *Plan) bool {
 // BuildOptions configures frontier-table construction.
 type BuildOptions struct {
 	// Surgery carries the sweep configuration shared by every table
-	// (ThetaGrid, AccBuckets, FixedPartition); each key's constraint
-	// fields (MinAccuracy, NoExits, MaxDeviceEnergyJ) override their
-	// counterparts per table.
+	// (ThetaGrid). Tables tabulate the free-partition problem whatever
+	// FixedPartition says, and each key's constraint fields (MinAccuracy,
+	// NoExits, MaxDeviceEnergyJ) override their counterparts per table.
 	Surgery Options
 	// MaxTables bounds how many tables a FrontierSet will hold
 	// (0 = DefaultMaxTables).

@@ -280,6 +280,104 @@ func TestFrontierFillsOnDemand(t *testing.T) {
 	if len(table.Entries()) != len(want.Entries()) {
 		t.Fatalf("on-demand table found %d plans, certification %d", len(table.Entries()), len(want.Entries()))
 	}
+
+	// One kernel, many shares: whatever order a table's cells are filled in —
+	// ascending, descending, shuffled, or by 8 goroutines at once, all solving
+	// against the kernel the first fill built — every cell holds what a fresh
+	// Optimize (a kernel of its own) returns at that grid point. The key is one
+	// whose winning exit set changes across the grid, so a stale or shared
+	// buffer would show.
+	k = FrontierKey{Model: dnn.AlexNet(), UplinkBps: 100e6, RTT: 0.004, Difficulty: workload.EasyBiased}
+	if k.Device, err = hardware.ByName("rpi4"); err != nil {
+		t.Fatal(err)
+	}
+	if k.Server, err = hardware.ByName("edge-gpu-t4"); err != nil {
+		t.Fatal(err)
+	}
+	if want, err = certifiedFrontier(k, bo); err != nil || len(want.Entries()) < 3 {
+		t.Fatalf("fixture: %d plans on the grid, err %v; want several", len(want.Entries()), err)
+	}
+	n := grid.Levels()
+	type answer struct {
+		plan Plan
+		ev   Eval
+	}
+	fresh := make([]answer, cells)
+	for c := range fresh {
+		f, b := grid.Value(c/n), grid.Value(c%n)
+		if fresh[c].plan, fresh[c].ev, err = Optimize(k.Model, k.env(f, b), k.options(bo.Surgery)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same := func(got, want answer) bool {
+		return reflect.DeepEqual(got.plan, want.plan) && evalDiff(got.ev, want.ev) == ""
+	}
+	checkCell := func(order string, tb *Frontier, c int) {
+		plan, ev, _, err := tb.Lookup(grid.Value(c/n), grid.Value(c%n))
+		if err != nil {
+			t.Errorf("%s: cell %d: %v", order, c, err)
+		} else if !same(answer{plan, ev}, fresh[c]) {
+			t.Errorf("%s: cell %d holds %v / %+v, a fresh Optimize returns %v / %+v", order, c, plan, ev, fresh[c].plan, fresh[c].ev)
+		}
+	}
+	orders := map[string][]int{"ascending": make([]int, cells), "descending": make([]int, cells), "shuffled": rng.Perm(cells)}
+	for c := 0; c < cells; c++ {
+		orders["ascending"][c], orders["descending"][c] = c, cells-1-c
+	}
+	for order, seq := range orders {
+		tb, err := BuildFrontier(k, bo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range seq {
+			checkCell(order, tb, c)
+		}
+	}
+	racing, err := BuildFrontier(k, bo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < cells; i++ {
+				checkCell("racing", racing, (i+w*cells/workers)%cells) // staggered starts: fills and reads of one cell overlap
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	// What a solve returns is the caller's, not a view of the pooled scratch:
+	// the next solve (which rewrites the scratch) leaves it intact, and
+	// scribbling over it afterwards disturbs no later solve.
+	kern, err := newKernel(k.Model, k.env(1, 1), k.options(bo.Surgery))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last answer
+	lastCell := -1
+	for _, c := range orders["shuffled"] {
+		plan, ev, err := kern.solve(grid.Value(c/n), grid.Value(c%n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !same(answer{plan, ev}, fresh[c]) {
+			t.Fatalf("solve of cell %d returned %v / %+v, a fresh Optimize returns %v / %+v", c, plan, ev, fresh[c].plan, fresh[c].ev)
+		}
+		if lastCell >= 0 {
+			if !same(last, fresh[lastCell]) {
+				t.Fatalf("the answer for cell %d changed under the next solve: %v / %+v", lastCell, last.plan, last.ev)
+			}
+			for i := range last.plan.Exits {
+				last.plan.Exits[i] = -1
+			}
+			for i := range last.ev.ExitProbs {
+				last.ev.ExitProbs[i] = -1
+			}
+		}
+		last, lastCell = answer{plan, ev}, c
+	}
 }
 
 // TestFrontierNoDominatedEntries checks the Pareto property: no retained
@@ -353,31 +451,47 @@ func TestFrontierSortedAndMonotone(t *testing.T) {
 	}
 }
 
-// TestFrontierInfeasibleCell: a key no plan satisfies fails to certify, and
-// its on-demand table hands back the optimizer's error on every ask, leaving
-// the cell unknown.
+// TestFrontierInfeasibleCell: a key no plan satisfies — an unmeetable accuracy
+// floor, which every solve discovers anew, or a model no partition fits in
+// memory, which the kernel build discovers once — fails to certify, and its
+// on-demand table hands back the optimizer's error on every ask, whichever cell
+// is asked, counting each as a probe and leaving the cell unknown.
 func TestFrontierInfeasibleCell(t *testing.T) {
-	k := testFrontierKey(t, rand.New(rand.NewSource(9)), keyFree)
-	k.MinAccuracy = 0.9999
-	bo := BuildOptions{grid: NewShareGrid(1), Surgery: Options{FixedPartition: FreePartition}}
-	if _, err := certifiedFrontier(k, bo); err == nil {
-		t.Fatal("an unmeetable accuracy floor certified")
-	}
-	table, err := BuildFrontier(k, bo)
-	if err != nil {
+	floor := testFrontierKey(t, rand.New(rand.NewSource(9)), keyFree)
+	floor.MinAccuracy = 0.9999
+	memory := floor
+	memory.MinAccuracy, memory.Model = 0, dnn.VGG16()
+	var err error
+	if memory.Device, err = hardware.ByName("mcu-m7"); err != nil {
 		t.Fatal(err)
 	}
-	_, _, wantErr := Optimize(k.Model, k.env(0.5, 0.5), k.options(bo.Surgery))
-	if wantErr == nil {
-		t.Fatal("fixture is feasible")
-	}
-	for ask := 1; ask <= 2; ask++ {
-		_, _, known, err := table.Lookup(0.5, 0.5)
-		if known || err == nil || err.Error() != wantErr.Error() {
-			t.Fatalf("ask %d: known %t, err %v; optimizer says %v", ask, known, err, wantErr)
+	cramped := *memory.Server
+	cramped.MemBytes = 1
+	memory.Server = &cramped
+	bo := BuildOptions{grid: NewShareGrid(1), Surgery: Options{FixedPartition: FreePartition}}
+	for name, k := range map[string]FrontierKey{"accuracy floor": floor, "memory": memory} {
+		if _, err := certifiedFrontier(k, bo); err == nil {
+			t.Fatalf("%s: an infeasible key certified", name)
 		}
-		if table.Probes() != ask {
-			t.Fatalf("ask %d: %d probes", ask, table.Probes())
+		table, err := BuildFrontier(k, bo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ask, s := range [][2]float64{{0.5, 0.5}, {0.5, 0.5}, {1, 0.125}} {
+			_, _, wantErr := Optimize(k.Model, k.env(s[0], s[1]), k.options(bo.Surgery))
+			if wantErr == nil {
+				t.Fatalf("%s: fixture is feasible", name)
+			}
+			_, _, known, err := table.Lookup(s[0], s[1])
+			if known || err == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("%s, ask %d: known %t, err %v; optimizer says %v", name, ask+1, known, err, wantErr)
+			}
+			if table.Probes() != ask+1 {
+				t.Fatalf("%s, ask %d: %d probes", name, ask+1, table.Probes())
+			}
+		}
+		if len(table.Entries()) != 0 {
+			t.Fatalf("%s: an infeasible table holds %d plans", name, len(table.Entries()))
 		}
 	}
 }
@@ -484,4 +598,45 @@ func FuzzFrontierLookup(f *testing.F) {
 			}
 		}
 	})
+}
+
+// BenchmarkFrontierFill measures the planner's unit of surgery cost: filling
+// one unknown cell of a table whose kernel is already built — one solve. The
+// only allocations are the returned plan's exits and exit probabilities (a
+// row of cells and a new entry amortize to nothing), so allocs/op stays <= 2.
+// Tables are swapped, kernel warmed, off the clock when their cells run out.
+func BenchmarkFrontierFill(b *testing.B) {
+	srv, err := hardware.ByName("edge-gpu-t4")
+	if err != nil {
+		b.Fatal(err)
+	}
+	dev, err := hardware.ByName("rpi4")
+	if err != nil {
+		b.Fatal(err)
+	}
+	k := FrontierKey{
+		Model: dnn.ResNet34(), Device: dev, Server: srv,
+		UplinkBps: 25e6, RTT: 0.004, Difficulty: workload.EasyBiased,
+	}
+	var table *Frontier
+	levels, next := NewShareGrid(0).Levels(), 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if table == nil || next == levels*levels {
+			b.StopTimer()
+			if table, err = BuildFrontier(k, BuildOptions{}); err != nil {
+				b.Fatal(err)
+			}
+			if _, _, err = table.at(0, 0); err != nil { // builds the kernel
+				b.Fatal(err)
+			}
+			next = 1
+			b.StartTimer()
+		}
+		if _, known, err := table.at(next/levels, next%levels); known || err != nil {
+			b.Fatalf("cell %d: known %t, err %v", next, known, err)
+		}
+		next++
+	}
 }

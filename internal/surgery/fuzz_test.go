@@ -40,7 +40,8 @@ func fuzzRange(v, lo, hi float64) float64 {
 
 // FuzzSurgeryOptimize drives the surgery optimizer across arbitrary (but
 // domain-valid) environments and checks its output invariants: no panic,
-// a structurally valid plan, finite positive latency at the environment's
+// a structurally valid plan whose reported evaluation is the reference
+// evaluator's to the last bit, finite positive latency at the environment's
 // shares, accuracy within [0, 1], and the accuracy floor honoured.
 func FuzzSurgeryOptimize(f *testing.F) {
 	f.Add(uint8(0), uint8(0), 0.5, 0.5, 40e6, 0.004, 2.0, 1.0, 0.7, false)
@@ -73,8 +74,8 @@ func FuzzSurgeryOptimize(f *testing.F) {
 			env.RTT = fuzzRange(rtt, 0, 0.5)
 		}
 		opt := Options{
-			MinAccuracy: fuzzRange(minAcc, 0, 0.95),
-			NoExits:     noExits,
+			MinAccuracy:    fuzzRange(minAcc, 0, 0.95),
+			NoExits:        noExits,
 			FixedPartition: FreePartition,
 		}
 		plan, ev, err := Optimize(m, env, opt)
@@ -83,6 +84,11 @@ func FuzzSurgeryOptimize(f *testing.F) {
 		}
 		if err := plan.Validate(); err != nil {
 			t.Fatalf("optimizer returned invalid plan: %v (env %+v)", err, env)
+		}
+		if want, err := Evaluate(plan, env); err != nil {
+			t.Fatalf("optimizer's plan %v does not evaluate: %v (env %+v)", plan, err, env)
+		} else if d := evalDiff(ev, want); d != "" {
+			t.Fatalf("kernel and reference evaluator disagree on plan %v: %s (env %+v)", plan, d, env)
 		}
 		cShare, bShare := env.ComputeShare, env.BandwidthShare
 		if env.Server == nil {

@@ -3,8 +3,10 @@ package surgery
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"edgesurgeon/internal/dnn"
+	"edgesurgeon/internal/hardware"
 	"edgesurgeon/internal/workload"
 )
 
@@ -16,10 +18,6 @@ type Options struct {
 	// MinAccuracy is the expected-accuracy floor a plan must satisfy
 	// (0 disables the constraint).
 	MinAccuracy float64
-	// AccBuckets quantizes the accuracy dimension of the constrained DP;
-	// 0 means 200. Rounding is downward, so accepted plans genuinely
-	// satisfy MinAccuracy.
-	AccBuckets int
 	// MaxDeviceEnergyJ caps the expected device-side energy per task in
 	// joules (compute plus radio airtime at the environment's bandwidth
 	// share; see Eval.DeviceEnergyAt). 0 disables the constraint. Note the
@@ -36,6 +34,10 @@ type Options struct {
 
 // FreePartition lets Optimize sweep all partition points.
 const FreePartition = -1
+
+// accBuckets quantizes the accuracy dimension of the constrained DP. Rounding
+// is downward, so accepted plans genuinely satisfy MinAccuracy.
+const accBuckets = 400
 
 // defaultThetaGrid is allocated once; DefaultThetaGrid hands out the shared
 // slice so the optimizer's inner loops never re-allocate it.
@@ -55,82 +57,11 @@ func DefaultThetaGrid() []float64 {
 // exactly (up to accuracy quantization) as a resource-constrained shortest
 // path over the exit chain.
 func Optimize(m *dnn.Model, env Env, opt Options) (Plan, Eval, error) {
-	if err := env.Validate(); err != nil {
+	k, err := newKernel(m, env, opt)
+	if err != nil {
 		return Plan{}, Eval{}, err
 	}
-	n := m.NumUnits()
-
-	thetas := opt.ThetaGrid
-	if len(thetas) == 0 {
-		thetas = DefaultThetaGrid()
-	}
-	if opt.NoExits {
-		thetas = thetas[:1] // theta is irrelevant without exits
-	}
-
-	parts := partitionCandidates(m, env, opt)
-	if len(parts) == 0 {
-		return Plan{}, Eval{}, fmt.Errorf("surgery: no feasible partition for %s on %s (memory)", m.Name, env.Device.Name)
-	}
-
-	// Exit candidates strictly inside the backbone. ExitCandidates is
-	// cached on the model and ascending, so the interior candidates are a
-	// prefix — reuse it without allocating.
-	var cand []int
-	if !opt.NoExits {
-		cand = m.ExitCandidates()
-		for len(cand) > 0 && cand[len(cand)-1] >= n {
-			cand = cand[:len(cand)-1]
-		}
-	}
-
-	pre := newPrecomp(m, env, cand)
-
-	// best.Exits and bestEval.ExitProbs are copied into dedicated buffers
-	// on improvement; the per-(p, theta) slices returned by solveChain and
-	// evaluateInto alias reusable precomp storage.
-	best := Plan{}
-	bestEval := Eval{Latency: math.Inf(1)}
-	var bestExits []int
-	var bestProbs []float64
-	found := false
-	for _, p := range parts {
-		for _, theta := range thetas {
-			exits, ok := pre.solveChain(p, theta, opt)
-			if !ok {
-				continue
-			}
-			plan := Plan{Model: m, Exits: exits, Theta: theta, Partition: p}
-			ev := evaluateInto(plan, env, pre.probsBuf[:0])
-			pre.probsBuf = ev.ExitProbs[:0]
-			if opt.MinAccuracy > 0 && ev.Accuracy+1e-12 < opt.MinAccuracy {
-				continue
-			}
-			if env.Rate > 0 && env.Rate*ev.DeviceSec > DeviceStabilityRho {
-				continue // device queue would be unstable at this rate
-			}
-			if opt.MaxDeviceEnergyJ > 0 && ev.DeviceEnergyAt(env.Device, envShare(env.BandwidthShare)) > opt.MaxDeviceEnergyJ {
-				continue // plan would drain the device past its energy budget
-			}
-			if ev.Latency < bestEval.Latency {
-				bestExits = append(bestExits[:0], exits...)
-				bestProbs = append(bestProbs[:0], ev.ExitProbs...)
-				plan.Exits = bestExits
-				ev.ExitProbs = bestProbs
-				best, bestEval, found = plan, ev, true
-			}
-		}
-	}
-	if !found {
-		if opt.MaxDeviceEnergyJ > 0 {
-			return Plan{}, Eval{}, fmt.Errorf("surgery: no plan meets accuracy %.3f within device energy budget %.3g J (rate %.3g/s) for %s", opt.MinAccuracy, opt.MaxDeviceEnergyJ, env.Rate, m.Name)
-		}
-		return Plan{}, Eval{}, fmt.Errorf("surgery: no plan meets accuracy %.3f (rate %.3g/s) for %s", opt.MinAccuracy, env.Rate, m.Name)
-	}
-	if len(best.Exits) == 0 {
-		best.Exits = nil // normalize: exitless plans carry nil, not empty
-	}
-	return best, bestEval, nil
+	return k.solve(env.ComputeShare, env.BandwidthShare)
 }
 
 // partitionCandidates returns the partition points consistent with device
@@ -168,180 +99,243 @@ func partitionCandidates(m *dnn.Model, env Env, opt Options) []int {
 	return out
 }
 
-// precomp caches per-model per-env quantities shared by all (p, theta)
-// subproblems, including reusable DP buffers so the sweep allocates only
-// on its first iteration.
-type precomp struct {
-	m    *dnn.Model
-	env  Env
-	cand []int // exit candidate cuts, ascending, < NumUnits
-
-	devPrefix []float64 // device time of units 1..k
-	srvPrefix []float64 // server time (share=1) of units 1..k
-	headDev   []float64 // device time of candidate i's head
-	headSrv   []float64 // server time of candidate i's head
-	depth     []float64 // depth fraction of candidate i
-	acc       []float64 // accuracy at candidate i
-
-	// Reusable buffers for solveChain and the evaluation loop.
-	tauBuf, fBuf, accBuf []float64
-	distBuf              []float64
-	prevBuf              []int
-	dpBuf, dpAccBuf      [][]float64
-	fromBuf              [][]int32
-	exitsBuf             []int
-	probsBuf             []float64
+// kernel is the share-independent half of one surgery problem: everything
+// Optimize derives from (model, environment, options) that the two allocated
+// shares cannot move. It is immutable once built, so any number of goroutines
+// may solve against one kernel; what a solve writes lives in pooled scratch.
+//
+// Nodes index the exit chain: 0 is the source (cut 0), 1..K the interior exit
+// candidates ascending, K+1 the backbone's own final exit (cut NumUnits).
+type kernel struct {
+	m      *dnn.Model
+	env    Env // the shares are not read
+	opt    Options
+	parts  []int     // memory-feasible partition points, ascending
+	thetas []float64 // threshold sweep
+	cuts   []int     // node -> cut
+	// Unit times in two summation orders, both kept bit for bit: the chain DP
+	// prices a segment as a difference of prefixes, while the reported Eval
+	// adds units up from the segment's start, as hardware.RangeTime (and so
+	// Evaluate and the simulator) does.
+	devPrefix, srvPrefix []float64 // [k] = time of units [0, k)
+	devFrom, srvFrom     []float64 // [i*(NumUnits+1)+j] = RangeTime(m, i, j)
+	headDev, headSrv     []float64 // [node] = exit-head time, server at full share
+	acc                  []float64 // [node] = accuracy of a prediction made there
+	cdf                  []float64 // [ti*len(cuts)+node] = difficulty CDF at the node's confidence power under thetas[ti]
+	bits                 []float64 // [p] = bits crossing the link at partition p
+	delta                float64   // accuracy per constrained-DP bucket
+	scratch              sync.Pool // *scratch sized for this kernel
 }
 
-func newPrecomp(m *dnn.Model, env Env, cand []int) *precomp {
+// scratch is what one solve writes.
+type scratch struct {
+	seg              []float64 // [j*len(cuts)+i] = latency of chain edge i -> j at the current partition and shares
+	dist, dpAcc      []float64 // DP latency ([node], or [node*(accBuckets+1)+q] when constrained) and exact path accuracy
+	prev             []int32   // DP predecessor, same indexing (constrained: node<<16 | bucket)
+	nodes, bestNodes []int     // selected interior exit nodes, ascending
+	probs, bestProbs []float64
+}
+
+// newKernel validates the problem and builds its share-independent half.
+func newKernel(m *dnn.Model, env Env, opt Options) (*kernel, error) {
+	if err := env.Validate(); err != nil {
+		return nil, err
+	}
 	n := m.NumUnits()
-	pc := &precomp{m: m, env: env, cand: cand}
-	pc.devPrefix = make([]float64, n+1)
-	pc.srvPrefix = make([]float64, n+1)
+	k := &kernel{m: m, env: env, opt: opt, thetas: opt.ThetaGrid}
+	if len(k.thetas) == 0 {
+		k.thetas = DefaultThetaGrid()
+	}
+	if opt.NoExits {
+		k.thetas = k.thetas[:1] // theta is irrelevant without exits
+	}
+	k.parts = partitionCandidates(m, env, opt)
+	if len(k.parts) == 0 {
+		return nil, fmt.Errorf("surgery: no feasible partition for %s on %s (memory)", m.Name, env.Device.Name)
+	}
+	k.cuts = make([]int, 1, len(m.ExitCandidates())+2)
+	if !opt.NoExits {
+		for _, c := range m.ExitCandidates() {
+			if c < n { // exit candidates strictly inside the backbone
+				k.cuts = append(k.cuts, c)
+			}
+		}
+	}
+	k.cuts = append(k.cuts, n)
+	nodes := len(k.cuts)
+
+	k.devPrefix, k.devFrom = unitSums(env.Device, m)
+	k.srvPrefix, k.srvFrom = unitSums(env.Server, m)
+	k.bits = make([]float64, n+1)
+	for p := range k.bits {
+		k.bits[p] = float64(m.CutBytes(p)) * 8 * env.txFactor()
+	}
+	curves := env.curves()
+	k.delta = curves.Final / accBuckets
+	k.headDev, k.headSrv = make([]float64, nodes), make([]float64, nodes)
+	k.acc, k.cdf = make([]float64, nodes), make([]float64, len(k.thetas)*nodes)
+	depth := make([]float64, nodes)
+	for i := 1; i < nodes-1; i++ {
+		hf, _ := HeadCost(m, k.cuts[i])
+		k.headDev[i] = env.Device.FLOPsTime(hf)
+		if env.Server != nil {
+			k.headSrv[i] = env.Server.FLOPsTime(hf)
+		}
+		depth[i] = DepthFrac(m, k.cuts[i])
+		k.acc[i] = curves.Accuracy(depth[i])
+	}
+	depth[nodes-1], k.acc[nodes-1] = 1, curves.Accuracy(1)
+	for ti, theta := range k.thetas {
+		for i := 1; i < nodes; i++ {
+			k.cdf[ti*nodes+i] = workload.DifficultyCDF(env.Difficulty, curves.Confidence(depth[i], theta))
+		}
+	}
+
+	cells, constrained := nodes, opt.MinAccuracy > 0
+	if constrained {
+		cells *= accBuckets + 1
+	}
+	k.scratch.New = func() any {
+		s := &scratch{seg: make([]float64, nodes*nodes), dist: make([]float64, cells), prev: make([]int32, cells),
+			nodes: make([]int, 0, nodes), bestNodes: make([]int, 0, nodes),
+			probs: make([]float64, 0, nodes), bestProbs: make([]float64, 0, nodes)}
+		if constrained {
+			s.dpAcc = make([]float64, cells)
+		}
+		return s
+	}
+	return k, nil
+}
+
+// unitSums returns hw's unit times over m as prefix sums and as sums from
+// every start unit; all zero for the absent server of a device-only problem.
+func unitSums(hw *hardware.Profile, m *dnn.Model) (prefix, from []float64) {
+	n1 := m.NumUnits() + 1
+	prefix, from = make([]float64, n1), make([]float64, n1*n1)
+	if hw == nil {
+		return prefix, from
+	}
 	for i, u := range m.Units {
-		pc.devPrefix[i+1] = pc.devPrefix[i] + env.Device.UnitTime(u)
-		if env.Server != nil {
-			pc.srvPrefix[i+1] = pc.srvPrefix[i] + env.Server.UnitTime(u)
+		t := hw.UnitTime(u)
+		prefix[i+1] = prefix[i] + t
+		for s := 0; s <= i; s++ {
+			from[s*n1+i+1] = from[s*n1+i] + t
 		}
 	}
-	pc.headDev = make([]float64, len(cand))
-	pc.headSrv = make([]float64, len(cand))
-	pc.depth = make([]float64, len(cand))
-	pc.acc = make([]float64, len(cand))
-	curves := env.curves()
-	for i, c := range cand {
-		hf, _ := HeadCost(m, c)
-		pc.headDev[i] = env.Device.FLOPsTime(hf)
-		if env.Server != nil {
-			pc.headSrv[i] = env.Server.FLOPsTime(hf)
-		}
-		pc.depth[i] = DepthFrac(m, c)
-		pc.acc[i] = curves.Accuracy(pc.depth[i])
-	}
-	return pc
+	return prefix, from
 }
 
-// segTime returns the latency contribution of the backbone segment
-// (fromCut, toCut] plus the transfer if the segment crosses partition p,
-// at the environment's shares.
-func (pc *precomp) segTime(fromCut, toCut, p int) float64 {
-	f := envShare(pc.env.ComputeShare)
-	b := envShare(pc.env.BandwidthShare)
-	t := 0.0
-	devEnd := min(toCut, p)
-	if devEnd > fromCut {
-		t += pc.devPrefix[devEnd] - pc.devPrefix[fromCut]
+// solve finds the kernel's best plan at the given shares: the (partition,
+// theta) sweep, keeping the first winner in sweep order.
+func (k *kernel) solve(computeShare, bandwidthShare float64) (Plan, Eval, error) {
+	f, b := envShare(computeShare), envShare(bandwidthShare)
+	env, opt, nodes := &k.env, &k.opt, len(k.cuts)
+	s := k.scratch.Get().(*scratch)
+	defer k.scratch.Put(s)
+
+	best := Eval{Latency: math.Inf(1)}
+	bestP, bestTheta := -1, 0.0
+	for _, p := range k.parts {
+		k.edgeTimes(s.seg, p, f, b)
+		for ti, theta := range k.thetas {
+			cdf := k.cdf[ti*nodes : (ti+1)*nodes]
+			if !k.solveChain(s, cdf) {
+				continue
+			}
+			ev := k.eval(s, p, cdf)
+			ev.Latency = ev.LatencyAt(f, b)
+			if opt.MinAccuracy > 0 && ev.Accuracy+1e-12 < opt.MinAccuracy {
+				continue
+			}
+			if env.Rate > 0 && env.Rate*ev.DeviceSec > DeviceStabilityRho {
+				continue // device queue would be unstable at this rate
+			}
+			if opt.MaxDeviceEnergyJ > 0 && ev.DeviceEnergyAt(env.Device, b) > opt.MaxDeviceEnergyJ {
+				continue // plan would drain the device past its energy budget
+			}
+			if ev.Latency < best.Latency {
+				s.bestNodes = append(s.bestNodes[:0], s.nodes...)
+				s.bestProbs = append(s.bestProbs[:0], s.probs...)
+				best, bestP, bestTheta = ev, p, theta
+			}
+		}
 	}
-	srvStart := max(fromCut, p)
-	if toCut > srvStart {
-		t += (pc.srvPrefix[toCut] - pc.srvPrefix[srvStart]) / f
+	if bestP < 0 {
+		if opt.MaxDeviceEnergyJ > 0 {
+			return Plan{}, Eval{}, fmt.Errorf("surgery: no plan meets accuracy %.3f within device energy budget %.3g J (rate %.3g/s) for %s", opt.MinAccuracy, opt.MaxDeviceEnergyJ, env.Rate, k.m.Name)
+		}
+		return Plan{}, Eval{}, fmt.Errorf("surgery: no plan meets accuracy %.3f (rate %.3g/s) for %s", opt.MinAccuracy, env.Rate, k.m.Name)
 	}
-	if fromCut <= p && p < toCut {
-		bits := float64(pc.m.CutBytes(p)) * 8 * pc.env.txFactor()
-		t += bits/(pc.env.UplinkBps*b) + pc.env.RTT
+	// The caller owns what it is handed: nothing returned aliases the scratch.
+	plan := Plan{Model: k.m, Theta: bestTheta, Partition: bestP}
+	if len(s.bestNodes) > 0 { // exitless plans carry nil, not empty
+		plan.Exits = make([]int, len(s.bestNodes))
+		for i, node := range s.bestNodes {
+			plan.Exits[i] = k.cuts[node]
+		}
 	}
-	return t
+	best.ExitProbs = append([]float64(nil), s.bestProbs...)
+	return plan, best, nil
 }
 
-// headTime returns the latency of candidate i's head under partition p at
-// the environment's shares.
-func (pc *precomp) headTime(i, p int) float64 {
-	if pc.cand[i] <= p {
-		return pc.headDev[i]
+// edgeTimes prices every chain edge i -> j under partition p at shares (f, b):
+// the backbone segment (cuts[i], cuts[j]] — its device part, its server part
+// over f, the transfer when it crosses p — plus node j's exit head.
+func (k *kernel) edgeTimes(seg []float64, p int, f, b float64) {
+	nodes := len(k.cuts)
+	cross := k.bits[p]/(k.env.UplinkBps*b) + k.env.RTT
+	for j := 1; j < nodes; j++ {
+		to := k.cuts[j]
+		devEnd, head := to, k.headDev[j] // the final node's head is zero: the backbone's own classifier is already counted
+		if to > p {
+			devEnd, head = p, k.headSrv[j]/f
+		}
+		for i := 0; i < j; i++ {
+			from, t := k.cuts[i], 0.0
+			if devEnd > from {
+				t += k.devPrefix[devEnd] - k.devPrefix[from]
+			}
+			if srvStart := max(from, p); to > srvStart {
+				t += (k.srvPrefix[to] - k.srvPrefix[srvStart]) / f
+			}
+			if from <= p && p < to {
+				t += cross
+			}
+			seg[j*nodes+i] = t + head
+		}
 	}
-	return pc.headSrv[i] / envShare(pc.env.ComputeShare)
 }
 
-// solveChain finds the optimal exit subset for fixed partition p and
-// threshold theta. Nodes are (virtual source, candidates..., final); the
-// expected latency decomposes over consecutive selected exits as
-// (1 - F(tau_i)) * T_seg(i, j), so subset selection is a shortest path,
-// with a quantized-accuracy dimension when MinAccuracy binds.
-func (pc *precomp) solveChain(p int, theta float64, opt Options) ([]int, bool) {
-	env := pc.env
-	curves := env.curves()
-	n := pc.m.NumUnits()
-	K := len(pc.cand)
-
-	// Node indexing: 0 = source (cut 0), 1..K = candidates, K+1 = final.
-	cut := func(i int) int {
-		switch {
-		case i == 0:
-			return 0
-		case i <= K:
-			return pc.cand[i-1]
-		default:
-			return n
-		}
-	}
-	if pc.tauBuf == nil {
-		pc.tauBuf = make([]float64, K+2)
-		pc.fBuf = make([]float64, K+2)
-		pc.accBuf = make([]float64, K+2)
-	}
-	tau := pc.tauBuf
-	F := pc.fBuf
-	accAt := pc.accBuf
-	for i := 0; i <= K+1; i++ {
-		switch {
-		case i == 0:
-			tau[i] = 0
-		case i <= K:
-			tau[i] = curves.Confidence(pc.depth[i-1], theta)
-		default:
-			tau[i] = 1
-		}
-		F[i] = workload.DifficultyCDF(env.Difficulty, tau[i])
-		if i == K+1 {
-			accAt[i] = curves.Accuracy(1)
-		} else if i > 0 {
-			accAt[i] = pc.acc[i-1]
-		}
-	}
-	latEdge := func(i, j int) float64 {
-		t := pc.segTime(cut(i), cut(j), p)
-		if j <= K {
-			t += pc.headTime(j-1, p)
-		}
-		return (1 - F[i]) * t
-	}
-	accEdge := func(i, j int) float64 {
-		d := F[j] - F[i]
-		if d < 0 {
-			d = 0
-		}
-		return d * accAt[j]
-	}
-
-	if opt.MinAccuracy <= 0 {
+// solveChain finds the optimal exit subset for the edge times in s.seg and
+// one threshold's difficulty CDF, into s.nodes. The expected latency
+// decomposes over consecutive selected exits as (1 - F(tau_i)) * T_seg(i, j),
+// so subset selection is a shortest path, with a quantized-accuracy dimension
+// when MinAccuracy binds.
+func (k *kernel) solveChain(s *scratch, cdf []float64) bool {
+	const inf = math.MaxFloat64
+	nodes := len(k.cuts)
+	last := nodes - 1
+	s.nodes = s.nodes[:0]
+	if k.opt.MinAccuracy <= 0 {
 		// Pure shortest path over the DAG.
-		const inf = math.MaxFloat64
-		if pc.distBuf == nil {
-			pc.distBuf = make([]float64, K+2)
-			pc.prevBuf = make([]int, K+2)
-		}
-		dist := pc.distBuf
-		prev := pc.prevBuf
-		dist[0] = 0
-		prev[0] = -1
-		for i := 1; i <= K+1; i++ {
-			dist[i] = inf
-			prev[i] = -1
-		}
-		for j := 1; j <= K+1; j++ {
+		dist, prev := s.dist, s.prev
+		dist[0], prev[0] = 0, -1
+		for j := 1; j <= last; j++ {
+			dist[j], prev[j] = inf, -1
 			for i := 0; i < j; i++ {
 				if dist[i] == inf {
 					continue
 				}
-				if d := dist[i] + latEdge(i, j); d < dist[j] {
-					dist[j] = d
-					prev[j] = i
+				if d := dist[i] + (1-cdf[i])*s.seg[j*nodes+i]; d < dist[j] {
+					dist[j], prev[j] = d, int32(i)
 				}
 			}
 		}
-		exits := chainToExits(prev, K, cut, pc.exitsBuf[:0])
-		pc.exitsBuf = exits
-		return exits, true
+		for node := prev[last]; node > 0; node = prev[node] {
+			s.nodes = append(s.nodes, int(node))
+		}
+		reverseInts(s.nodes)
+		return true
 	}
 
 	// Resource-constrained shortest path with a quantized accuracy index.
@@ -350,100 +344,107 @@ func (pc *precomp) solveChain(p int, theta float64, opt Options) ([]int, bool) {
 	// error does not accumulate along paths. Ties within a bucket keep the
 	// lower-latency path (a bounded-error dominance rule; the caller
 	// re-verifies the final plan exactly).
-	buckets := opt.AccBuckets
-	if buckets <= 0 {
-		buckets = 400
+	const width = accBuckets + 1
+	dp, acc, from := s.dist, s.dpAcc, s.prev // min latency, exact accuracy of the stored path, packed predecessor
+	for c := range dp {
+		dp[c], acc[c], from[c] = inf, 0, -1
 	}
-	delta := curves.Final / float64(buckets)
-	const inf = math.MaxFloat64
-	if pc.dpBuf == nil || len(pc.dpBuf[0]) != buckets+1 {
-		pc.dpBuf = make([][]float64, K+2)
-		pc.dpAccBuf = make([][]float64, K+2)
-		pc.fromBuf = make([][]int32, K+2)
-		for i := 0; i <= K+1; i++ {
-			pc.dpBuf[i] = make([]float64, buckets+1)
-			pc.dpAccBuf[i] = make([]float64, buckets+1)
-			pc.fromBuf[i] = make([]int32, buckets+1)
-		}
-	}
-	dp := pc.dpBuf     // min latency
-	acc := pc.dpAccBuf // exact accuracy of the stored path
-	from := pc.fromBuf // packed predecessor (node, bucket)
-	for i := range dp {
-		for q := range dp[i] {
-			dp[i][q] = inf
-			acc[i][q] = 0
-			from[i][q] = -1
-		}
-	}
-	dp[0][0] = 0
-	for j := 1; j <= K+1; j++ {
+	dp[0] = 0
+	for j := 1; j <= last; j++ {
 		for i := 0; i < j; i++ {
-			le := latEdge(i, j)
-			ae := accEdge(i, j)
-			for q := 0; q <= buckets; q++ {
-				if dp[i][q] == inf {
+			le := (1 - cdf[i]) * s.seg[j*nodes+i]
+			ae := cdf[j] - cdf[i]
+			if ae < 0 {
+				ae = 0
+			}
+			ae *= k.acc[j]
+			for q := 0; q <= accBuckets; q++ {
+				if dp[i*width+q] == inf {
 					continue
 				}
-				na := acc[i][q] + ae
-				nq := int(na / delta)
-				if nq > buckets {
-					nq = buckets
+				na := acc[i*width+q] + ae
+				nq := int(na / k.delta)
+				if nq > accBuckets {
+					nq = accBuckets
 				}
-				d := dp[i][q] + le
-				if d < dp[j][nq] || (d == dp[j][nq] && na > acc[j][nq]) {
-					dp[j][nq] = d
-					acc[j][nq] = na
-					from[j][nq] = int32(i)<<16 | int32(q)
+				c := j*width + nq
+				if d := dp[i*width+q] + le; d < dp[c] || (d == dp[c] && na > acc[c]) {
+					dp[c], acc[c], from[c] = d, na, int32(i)<<16|int32(q)
 				}
 			}
 		}
 	}
 	bestQ, bestD := -1, inf
-	for q := 0; q <= buckets; q++ {
-		if dp[K+1][q] < inf && acc[K+1][q]+1e-12 >= opt.MinAccuracy && dp[K+1][q] < bestD {
-			bestD = dp[K+1][q]
-			bestQ = q
+	for q := 0; q <= accBuckets; q++ {
+		if c := last*width + q; dp[c] < inf && acc[c]+1e-12 >= k.opt.MinAccuracy && dp[c] < bestD {
+			bestD, bestQ = dp[c], q
 		}
 	}
 	if bestQ < 0 {
-		return nil, false
+		return false
 	}
-	// Reconstruct into the reusable exits buffer.
-	exits := pc.exitsBuf[:0]
-	node, q := K+1, bestQ
-	for node != 0 {
-		f := from[node][q]
+	for node, q := last, bestQ; node != 0; {
+		f := from[node*width+q]
 		if f < 0 {
-			return nil, false
+			return false
 		}
-		pnode, pq := int(f>>16), int(f&0xffff)
-		if pnode != 0 {
-			exits = append(exits, cut(pnode))
+		node, q = int(f>>16), int(f&0xffff)
+		if node != 0 {
+			s.nodes = append(s.nodes, node)
 		}
-		node, q = pnode, pq
 	}
-	reverseInts(exits)
-	pc.exitsBuf = exits
-	return exits, true
+	reverseInts(s.nodes)
+	return true
 }
 
-// chainToExits walks predecessor links from the final node back to the
-// source and appends the selected interior exit cuts, ascending, into buf.
-func chainToExits(prev []int, K int, cut func(int) int, buf []int) []int {
-	exits := buf
-	for node := K + 1; node != 0; {
-		p := prev[node]
-		if p > 0 {
-			exits = append(exits, cut(p))
+// eval is Evaluate for the plan (exits s.nodes, partition p, the threshold cdf
+// belongs to), read off the kernel's arrays in the reference evaluator's
+// arithmetic order; ExitProbs aliases s.probs and Latency is left to the caller.
+func (k *kernel) eval(s *scratch, p int, cdf []float64) Eval {
+	n1, last := len(k.devPrefix), len(k.cuts)-1
+	var ev Eval
+	s.probs = s.probs[:0]
+	prev, prevCut := 0, 0
+	var cumDev, cumSrv, cumTx, cumRTT float64 // path accumulators up to current exit
+	for i := 0; i <= len(s.nodes); i++ {
+		node := last
+		if i < len(s.nodes) {
+			node = s.nodes[i]
 		}
-		if p < 0 {
-			break
+		cut := k.cuts[node]
+		if devEnd := min(cut, p); devEnd > prevCut {
+			cumDev += k.devFrom[prevCut*n1+devEnd]
 		}
-		node = p
+		if srvStart := max(prevCut, p); cut > srvStart {
+			cumSrv += k.srvFrom[srvStart*n1+cut]
+		}
+		if prevCut <= p && p < cut {
+			cumTx += k.bits[p] / k.env.UplinkBps
+			cumRTT += k.env.RTT
+		}
+		if cut <= p {
+			cumDev += k.headDev[node]
+		} else {
+			cumSrv += k.headSrv[node]
+		}
+		pe := cdf[node] - cdf[prev]
+		if pe < 0 {
+			pe = 0
+		}
+		s.probs = append(s.probs, pe)
+		ev.DeviceSec += pe * cumDev
+		ev.ServerSec += pe * cumSrv
+		ev.TxSec += pe * cumTx
+		ev.FixedSec += pe * cumRTT
+		if cut > p {
+			ev.CrossProb += pe
+		}
+		ev.Accuracy += pe * k.acc[node]
+		prev, prevCut = node, cut
 	}
-	reverseInts(exits)
-	return exits
+	ev.FixedSec += ev.DeviceSec
+	ev.ExitProbs = s.probs
+	return ev
 }
 
 func reverseInts(s []int) {
