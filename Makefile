@@ -85,9 +85,11 @@ bench-test:
 	cd bench && $(GO) vet . && $(GO) test .
 
 # Fast perf guard for CI: one iteration of the simulator event-loop and
-# multi-user scaling benchmarks with allocation accounting.
+# multi-user scaling benchmarks and of the planner's two reconciliation
+# passes, with allocation accounting.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineEvents|BenchmarkE4' -benchtime=1x -benchmem . ./internal/sim
+	$(GO) test -run '^$$' -bench 'BenchmarkReconcile' -benchtime=1x -benchmem ./internal/joint
 
 # Planner perf guard for CI: the CI-sized E23 scale study (one dual-arm
 # size plus one sharded-only size) writing BENCH_planner.json, with the

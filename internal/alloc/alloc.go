@@ -138,20 +138,65 @@ func Proportional(demands []Demand) Allocation {
 // users with vanishing work.
 const minShareEps = 1e-9
 
-// sqrtSplit distributes budget over users proportionally to
+// Scratch holds the working vectors of the three allocators, so a caller
+// that allocates one server after another (the planner's candidate-move
+// loop) reuses them instead of making nine slices a call. The zero value is
+// ready; a call grows it to the largest n it has seen. The Allocation a
+// method returns aliases the scratch: it is valid until the next call on the
+// same Scratch, so copy the shares out first. Reuse never changes a result —
+// every vector is fully rewritten by the call that reads it. Not safe for
+// concurrent use.
+type Scratch struct {
+	back []float64 // backing array of the five vectors below
+	// coef is sqrt(weight x work) of the resource being split; lowC and lowB
+	// are the per-user lower bounds on each resource.
+	coef, lowC, lowB   []float64
+	compute, bandwidth []float64
+	clamped            []bool
+}
+
+// reset sizes every vector to n. Growth doubles, so a caller whose n creeps
+// up by one (a shard gaining users move by move) does not reallocate each
+// time.
+func (s *Scratch) reset(n int) {
+	if cap(s.clamped) < n {
+		c := max(n, 2*cap(s.clamped))
+		s.back = make([]float64, 5*c)
+		s.clamped = make([]bool, c)
+	}
+	b := s.back
+	s.coef, s.lowC, s.lowB = b[:n:n], b[n:2*n:2*n], b[2*n:3*n:3*n]
+	s.compute, s.bandwidth = b[3*n:4*n:4*n], b[4*n:5*n:5*n]
+	s.clamped = s.clamped[:n]
+}
+
+// waterFill splits each resource by the square-root rule above the lower
+// bounds already in s.lowC and s.lowB.
+func (s *Scratch) waterFill(demands []Demand, feasible bool) Allocation {
+	for i := range demands {
+		s.coef[i] = math.Sqrt(demands[i].weight() * demands[i].Server)
+	}
+	sqrtSplit(s.coef, s.lowC, s.compute, s.clamped, 1)
+	for i := range demands {
+		s.coef[i] = math.Sqrt(demands[i].weight() * demands[i].Tx)
+	}
+	sqrtSplit(s.coef, s.lowB, s.bandwidth, s.clamped, 1)
+	return Allocation{Compute: s.compute, Bandwidth: s.bandwidth, Feasible: feasible}
+}
+
+// sqrtSplit distributes budget over users proportionally to coef =
 // sqrt(weight*work), respecting per-user lower bounds via iterative
-// clamping (exact KKT water-filling; terminates in <= n rounds).
-func sqrtSplit(work, weight, lower []float64, budget float64) []float64 {
-	n := len(work)
-	out := make([]float64, n)
-	clamped := make([]bool, n)
+// clamping (exact KKT water-filling; terminates in <= n rounds). Shares go
+// to out; clamped is working space.
+func sqrtSplit(coef, lower, out []float64, clamped []bool, budget float64) {
+	clear(clamped)
 	for {
 		var coefSum, lockedBudget float64
-		for i := 0; i < n; i++ {
+		for i := range coef {
 			if clamped[i] {
 				lockedBudget += lower[i]
 			} else {
-				coefSum += math.Sqrt(weight[i] * work[i])
+				coefSum += coef[i]
 			}
 		}
 		free := budget - lockedBudget
@@ -159,14 +204,14 @@ func sqrtSplit(work, weight, lower []float64, budget float64) []float64 {
 			free = 0
 		}
 		changed := false
-		for i := 0; i < n; i++ {
+		for i := range coef {
 			if clamped[i] {
 				out[i] = lower[i]
 				continue
 			}
 			var s float64
 			if coefSum > 0 {
-				s = free * math.Sqrt(weight[i]*work[i]) / coefSum
+				s = free * coef[i] / coefSum
 			}
 			if s < lower[i] {
 				clamped[i] = true
@@ -177,7 +222,7 @@ func sqrtSplit(work, weight, lower []float64, budget float64) []float64 {
 			}
 		}
 		if !changed {
-			return out
+			return
 		}
 	}
 }
@@ -185,36 +230,31 @@ func sqrtSplit(work, weight, lower []float64, budget float64) []float64 {
 // MinSumLatency returns the weighted-sum-latency-optimal allocation with no
 // hard constraints: shares proportional to sqrt(weight x work) on each
 // resource independently.
-func MinSumLatency(demands []Demand) Allocation {
+func MinSumLatency(demands []Demand) Allocation { return new(Scratch).MinSumLatency(demands) }
+
+// MinSumLatency is the package-level MinSumLatency on s's vectors.
+func (s *Scratch) MinSumLatency(demands []Demand) Allocation {
 	n := len(demands)
+	s.reset(n)
 	if n == 1 {
 		// Fast path: a lone user takes each whole resource it uses. Shares
 		// match the general water-filling exactly (zero-work resources
 		// collapse to the epsilon lower bound, as sqrtSplit's clamping
 		// would produce).
 		d := demands[0]
-		a := Allocation{Compute: []float64{minShareEps}, Bandwidth: []float64{minShareEps}, Feasible: true}
+		s.compute[0], s.bandwidth[0] = minShareEps, minShareEps
 		if d.Server > 0 {
-			a.Compute[0] = 1
+			s.compute[0] = 1
 		}
 		if d.Tx > 0 {
-			a.Bandwidth[0] = 1
+			s.bandwidth[0] = 1
 		}
-		return a
+		return Allocation{Compute: s.compute, Bandwidth: s.bandwidth, Feasible: true}
 	}
-	v := make([]float64, n)
-	w := make([]float64, n)
-	wt := make([]float64, n)
-	lo := make([]float64, n)
-	for i, d := range demands {
-		v[i], w[i], wt[i] = d.Server, d.Tx, d.weight()
-		lo[i] = minShareEps
+	for i := range demands {
+		s.lowC[i], s.lowB[i] = minShareEps, minShareEps
 	}
-	return Allocation{
-		Compute:   sqrtSplit(v, wt, lo, 1),
-		Bandwidth: sqrtSplit(w, wt, lo, 1),
-		Feasible:  true,
-	}
+	return s.waterFill(demands, true)
 }
 
 // StabilityRho is the maximum queue utilization the deadline-aware
@@ -271,8 +311,12 @@ func minShares(d Demand) (fmin, bmin float64, err error) {
 // to per-user deadline and stability lower bounds. When the bounds are
 // jointly infeasible it returns a proportional scaling of the bounds with
 // Feasible == false so callers can trigger reassignment.
-func DeadlineAware(demands []Demand) Allocation {
+func DeadlineAware(demands []Demand) Allocation { return new(Scratch).DeadlineAware(demands) }
+
+// DeadlineAware is the package-level DeadlineAware on s's vectors.
+func (s *Scratch) DeadlineAware(demands []Demand) Allocation {
 	n := len(demands)
+	s.reset(n)
 	if n == 1 {
 		// Fast path mirroring the general machinery for a single user: the
 		// user takes the whole of each resource it uses; a zero-work
@@ -293,24 +337,19 @@ func DeadlineAware(demands []Demand) Allocation {
 		if b > 1 {
 			b, feasible = 1, false
 		}
-		cf, cb := f, b
+		s.compute[0], s.bandwidth[0] = f, b
 		if d.Server > 0 {
-			cf = 1
+			s.compute[0] = 1
 		}
 		if d.Tx > 0 {
-			cb = 1
+			s.bandwidth[0] = 1
 		}
-		return Allocation{Compute: []float64{cf}, Bandwidth: []float64{cb}, Feasible: feasible}
+		return Allocation{Compute: s.compute, Bandwidth: s.bandwidth, Feasible: feasible}
 	}
-	v := make([]float64, n)
-	w := make([]float64, n)
-	wt := make([]float64, n)
-	fmin := make([]float64, n)
-	bmin := make([]float64, n)
+	fmin, bmin := s.lowC, s.lowB
 	feasible := true
 	var sumF, sumB float64
 	for i, d := range demands {
-		v[i], w[i], wt[i] = d.Server, d.Tx, d.weight()
 		f, b, err := minShares(d)
 		if err != nil {
 			// The deadline is individually unmeetable (fixed latency
@@ -338,37 +377,36 @@ func DeadlineAware(demands []Demand) Allocation {
 			bmin[i] /= sumB
 		}
 	}
-	return Allocation{
-		Compute:   sqrtSplit(v, wt, fmin, 1),
-		Bandwidth: sqrtSplit(w, wt, bmin, 1),
-		Feasible:  feasible,
-	}
+	return s.waterFill(demands, feasible)
 }
 
 // MinMaxLatency minimizes the worst per-user latency by bisecting on the
 // latency target and testing feasibility through the minimal-share
 // machinery. Returns the achieved bound alongside the allocation.
 func MinMaxLatency(demands []Demand) (Allocation, float64) {
+	return new(Scratch).MinMaxLatency(demands)
+}
+
+// MinMaxLatency is the package-level MinMaxLatency on s's vectors.
+func (s *Scratch) MinMaxLatency(demands []Demand) (Allocation, float64) {
 	n := len(demands)
 	if n == 0 {
 		return Allocation{Feasible: true}, 0
 	}
-	feasibleAt := func(L float64) ([]float64, []float64, bool) {
-		fmin := make([]float64, n)
-		bmin := make([]float64, n)
+	// Only the two sums decide feasibility, so the bisection keeps no
+	// per-user bounds; they are filled once, at the accepted target.
+	feasibleAt := func(L float64) bool {
 		var sumF, sumB float64
-		for i, d := range demands {
-			dd := d
-			dd.Deadline = L
-			f, b, err := minShares(dd)
+		for _, d := range demands {
+			d.Deadline = L
+			f, b, err := minShares(d)
 			if err != nil {
-				return nil, nil, false
+				return false
 			}
-			fmin[i], bmin[i] = f, b
 			sumF += f
 			sumB += b
 		}
-		return fmin, bmin, sumF <= 1 && sumB <= 1
+		return sumF <= 1 && sumB <= 1
 	}
 	// Bracket: lower bound is the max fixed latency; upper bound grows
 	// geometrically until feasible.
@@ -380,36 +418,30 @@ func MinMaxLatency(demands []Demand) (Allocation, float64) {
 	}
 	hi := lo + 1e-3
 	for i := 0; i < 60; i++ {
-		if _, _, ok := feasibleAt(hi); ok {
+		if feasibleAt(hi) {
 			break
 		}
 		hi = lo + (hi-lo)*2
 	}
-	if _, _, ok := feasibleAt(hi); !ok {
+	if !feasibleAt(hi) {
 		// Stability constraints alone exceed capacity: report best effort.
-		a := DeadlineAware(demands)
+		a := s.DeadlineAware(demands)
 		return a, MaxLatency(demands, a)
 	}
 	for i := 0; i < 60; i++ {
 		mid := (lo + hi) / 2
-		if _, _, ok := feasibleAt(mid); ok {
+		if feasibleAt(mid) {
 			hi = mid
 		} else {
 			lo = mid
 		}
 	}
-	fmin, bmin, _ := feasibleAt(hi)
-	// Distribute any slack beyond the binding bounds by the sqrt rule.
-	v := make([]float64, n)
-	w := make([]float64, n)
-	wt := make([]float64, n)
+	s.reset(n)
 	for i, d := range demands {
-		v[i], w[i], wt[i] = d.Server, d.Tx, d.weight()
+		d.Deadline = hi
+		s.lowC[i], s.lowB[i], _ = minShares(d) // feasible at hi: no error
 	}
-	a := Allocation{
-		Compute:   sqrtSplit(v, wt, fmin, 1),
-		Bandwidth: sqrtSplit(w, wt, bmin, 1),
-		Feasible:  true,
-	}
+	// Distribute any slack beyond the binding bounds by the sqrt rule.
+	a := s.waterFill(demands, true)
 	return a, MaxLatency(demands, a)
 }

@@ -288,7 +288,9 @@ func TestAllocationsAlwaysFeasibleProperty(t *testing.T) {
 // demand, so the single-user fast paths can be checked against the exact
 // shares the general machinery computes.
 func generalSqrtSplitSingle(work, weight, lower float64) float64 {
-	return sqrtSplit([]float64{work}, []float64{weight}, []float64{lower}, 1)[0]
+	out := make([]float64, 1)
+	sqrtSplit([]float64{math.Sqrt(weight * work)}, []float64{lower}, out, make([]bool, 1), 1)
+	return out[0]
 }
 
 // TestSingleDemandFastPathsMatchGeneral verifies the n == 1 fast paths in
@@ -349,5 +351,83 @@ func TestSingleDemandFastPathsMatchGeneral(t *testing.T) {
 				t.Errorf("DeadlineAware feasible = %v, want %v", got.Feasible, wantFeasible)
 			}
 		})
+	}
+}
+
+// sameAllocation fails unless got equals want bit for bit: same arity, same
+// math.Float64bits per share, same Feasible.
+func sameAllocation(t *testing.T, label string, got, want Allocation) {
+	t.Helper()
+	if got.Feasible != want.Feasible {
+		t.Fatalf("%s: Feasible = %v, want %v", label, got.Feasible, want.Feasible)
+	}
+	for _, v := range []struct {
+		name      string
+		got, want []float64
+	}{{"Compute", got.Compute, want.Compute}, {"Bandwidth", got.Bandwidth, want.Bandwidth}} {
+		if len(v.got) != len(v.want) {
+			t.Fatalf("%s: %d %s shares, want %d", label, len(v.got), v.name, len(v.want))
+		}
+		for i := range v.got {
+			if math.Float64bits(v.got[i]) != math.Float64bits(v.want[i]) {
+				t.Fatalf("%s: %s[%d] = %x, want %x", label, v.name, i, v.got[i], v.want[i])
+			}
+		}
+	}
+}
+
+// TestScratchReuseInvisible drives one Scratch through a seeded sequence of
+// calls whose n shrinks and grows and whose demand sets hit every structural
+// case (empty, single user, a fixed latency past its deadline,
+// over-subscribed minima, zero-work resources), all three allocators each
+// step, and requires every result to equal a fresh call's bit for bit: what
+// an earlier call left in the vectors never reaches a later result.
+func TestScratchReuseInvisible(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	sizes := []int{7, 0, 1, 40, 3, 1, 0, 120, 2, 64, 5}
+	var s Scratch
+	for step := 0; step < 400; step++ {
+		n := sizes[step%len(sizes)]
+		if step >= 2*len(sizes) {
+			n = rng.Intn(48)
+		}
+		shape := step % 5
+		ds := make([]Demand, n)
+		for i := range ds {
+			d := Demand{
+				Fixed:    0.2 * rng.Float64(),
+				Server:   0.04 * rng.Float64(),
+				Tx:       0.04 * rng.Float64(),
+				Weight:   3*rng.Float64() - 0.5,
+				Deadline: 0.1 + 0.6*rng.Float64(),
+				Rate:     4 * rng.Float64(),
+			}
+			switch shape {
+			case 1: // fixed latency alone misses the deadline
+				if i%2 == 0 {
+					d.Deadline = d.Fixed * rng.Float64()
+				}
+			case 2: // minima sum past unit capacity
+				d.Rate *= 40
+			case 3: // resources nobody uses
+				if rng.Intn(2) == 0 {
+					d.Tx = 0
+				}
+				if rng.Intn(2) == 0 {
+					d.Server = 0
+				}
+			case 4: // unconstrained
+				d.Deadline, d.Rate = 0, 0
+			}
+			ds[i] = d
+		}
+		sameAllocation(t, "DeadlineAware", s.DeadlineAware(ds), DeadlineAware(ds))
+		sameAllocation(t, "MinSumLatency", s.MinSumLatency(ds), MinSumLatency(ds))
+		got, gotBound := s.MinMaxLatency(ds)
+		want, wantBound := MinMaxLatency(ds)
+		sameAllocation(t, "MinMaxLatency", got, want)
+		if math.Float64bits(gotBound) != math.Float64bits(wantBound) {
+			t.Fatalf("step %d: MinMaxLatency bound %x, want %x", step, gotBound, wantBound)
+		}
 	}
 }

@@ -23,8 +23,10 @@ func fuzzClamp(v, cap float64) float64 {
 // checks the allocation invariants that every caller relies on: no panic,
 // per-user shares in [0, 1], each resource's shares summing to at most 1,
 // finite latency for every user with work, and — when the allocator claims
-// feasibility — every deadline actually met.
+// feasibility — every deadline actually met. One Scratch lives across every
+// input of the run and must return what the wrapper's fresh one does.
 func FuzzAllocDeadline(f *testing.F) {
+	var reused Scratch
 	f.Add(3, 0.01, 0.02, 0.005, 1.0, 0.1, 2.0, int64(1))
 	f.Add(1, 0.0, 0.5, 0.5, 2.0, 0.05, 10.0, int64(7))
 	f.Add(8, 0.04, 0.004, 0.02, 0.5, 0.3, 4.0, int64(42))
@@ -47,6 +49,7 @@ func FuzzAllocDeadline(f *testing.F) {
 			}
 		}
 		a := DeadlineAware(demands)
+		sameAllocation(t, "reused scratch", reused.DeadlineAware(demands), a)
 		if len(a.Compute) != n || len(a.Bandwidth) != n {
 			t.Fatalf("allocation arity %d/%d for %d demands", len(a.Compute), len(a.Bandwidth), n)
 		}

@@ -173,8 +173,12 @@ func (g *goldenHash) registry(reg *telemetry.Registry) {
 // sharded and delta routes take their budget-bounded reconciliation with no
 // monolithic cross-check. Rates and deadlines are set so shards contend and
 // reconciliation actually migrates users.
-func goldenLargeScenario() *Scenario {
-	sc := millionUserScenario(520, 8)
+func goldenLargeScenario() *Scenario { return contendedScaleScenario(520) }
+
+// contendedScaleScenario is the scale-study population over 8 servers with
+// rates, deadlines and weights that make shards contend.
+func contendedScaleScenario(nUsers int) *Scenario {
+	sc := millionUserScenario(nUsers, 8)
 	for i := range sc.Users {
 		u := &sc.Users[i]
 		// Two rates only: every distinct (device, model, rate, server class)

@@ -52,8 +52,8 @@ const reconcileTopK = 4
 
 // reconcileWorkBudget caps one budget-regime reconciliation round's total
 // move-evaluation work, measured in user-slots (candidates × donor shard
-// size — a tryMove re-allocates both touched shards, which is linear in
-// their sizes). A fixed work budget makes every round cost about the same
+// size — evaluating a move re-allocates the touched shards, which is linear
+// in their sizes). A fixed work budget makes every round cost about the same
 // wall-clock at any scale: mid-size scenarios with small shards nominate
 // most of each donor shard, 100k-user shards fall back to the topK floor.
 const reconcileWorkBudget = 1 << 19
@@ -227,7 +227,7 @@ func (st *state) settle(scope []bool, sub []*Plan, plan *Plan) (*Plan, error) {
 //
 // With a donor scope (the scale regime of a delta replan; updated in place)
 // the repair only re-balances shares: every mover's surgery was already
-// refreshed at its new home inside tryMove, incumbents' plans are still
+// refreshed at its new home inside tryTargets, incumbents' plans are still
 // optimal for shares that only shifted marginally, and re-optimizing whole
 // touched shards is what would drag a dirty-single-shard replan back to
 // O(n). Touched shards join the scope, so contention ripples outward
@@ -496,22 +496,20 @@ func (st *state) reconcileStep(scope []bool) (int, []bool) {
 	}
 	moved := 0
 	for _, s := range donors {
+		targets := st.targets(s, demand)
 		for _, ui := range st.nominate(s, st.nominationWidth(len(donors), s)) {
 			if st.ds[ui].Server != s {
 				continue // an earlier accepted move already relocated it
 			}
-			for _, to := range st.targets(s, demand) {
-				ok := st.tryMove(ui, s, to, localAccept)
-				if ok {
-					// Keep the demand ledger current so later target picks
-					// see the shifted load.
-					d := st.ds[ui].Eval.ServerSec * math.Max(st.hot.rate[ui], 0)
-					demand[s] -= d
-					demand[to] += d
-					touched[s], touched[to] = true, true
-					moved++
-					break
-				}
+			if to := st.tryTargets(ui, s, targets, localAccept); to >= 0 {
+				// Keep the demand ledger current so later target picks
+				// see the shifted load.
+				d := st.ds[ui].Eval.ServerSec * math.Max(st.hot.rate[ui], 0)
+				demand[s] -= d
+				demand[to] += d
+				targets = st.targets(s, demand)
+				touched[s], touched[to] = true, true
+				moved++
 			}
 		}
 	}
@@ -527,27 +525,26 @@ func (st *state) reconcileStep(scope []bool) (int, []bool) {
 // pinned bound. scope (nil = all) restricts donors exactly as in
 // reconcileStep: a user may only move if its current server is in scope.
 func (st *state) reconcileExhaustive(scope, touched []bool) (int, []bool) {
+	// The global objective only changes when a move is accepted (rejection
+	// restores exactly), so it is carried across users, not re-summed for each.
+	base := st.objectiveNow()
+	globalAccept := func(before, after float64) bool {
+		// base - before + after is the global objective the move leaves
+		// behind: only the two touched shards' terms change.
+		return base-before+after < base*(1-1e-9)
+	}
+	targets := make([]int, 0, len(st.sc.Servers))
 	moved := 0
 	for ui := range st.sc.Users {
 		from := st.ds[ui].Server
 		if from < 0 || (scope != nil && !scope[from]) {
 			continue
 		}
-		base := st.objectiveNow()
-		for to := range st.sc.Servers {
-			if to == from {
-				continue
-			}
-			globalAccept := func(before, after float64) bool {
-				// base - before + after is the global objective the move
-				// leaves behind: only the two touched shards' terms change.
-				return base-before+after < base*(1-1e-9)
-			}
-			if st.tryMove(ui, from, to, globalAccept) {
-				touched[from], touched[to] = true, true
-				moved++
-				break
-			}
+		targets = st.otherServers(targets[:0], from)
+		if to := st.tryTargets(ui, from, targets, globalAccept); to >= 0 {
+			touched[from], touched[to] = true, true
+			moved++
+			base = st.objectiveNow()
 		}
 	}
 	return moved, touched
@@ -607,74 +604,77 @@ func (st *state) targets(s int, demand []float64) []int {
 	return out
 }
 
-// tryMove evaluates migrating user ui from server s to server to, in place:
-// move, re-run the mover's surgery, re-allocate both servers, re-run the
-// mover once more at its allocated share (the same refresh pattern the
-// monolithic candidate evaluation uses). accept decides on the objective
-// restricted to the two touched shards, before versus after the move; on
-// rejection every touched decision, list, and feasibility flag is restored
-// exactly. A surgery failure on the probe rejects the candidate (the
-// mover's current plan remains valid).
-func (st *state) tryMove(ui, s, to int, accept func(before, after float64) bool) bool {
-	st.spent += 2 // the mover's two surgery refreshes, charged up front
-	// Save/restore runs on the state's moveScratch arena: tryMove is only
-	// ever called from the sequential reconciliation scans, so one arena per
-	// state suffices, and a rejected candidate is allocation-free once the
-	// arena has grown to shard size.
+// tryTargets evaluates migrating user ui out of server s, in place, and
+// returns the first of targets (tried in order) that accept takes, or -1 with
+// the state restored exactly. The donor side does not depend on where the
+// mover lands, so it is evaluated once per candidate: drop the mover,
+// re-allocate s without it, sum s's objective terms before and after. Each
+// target then pays for its own side only: join at the uniform share, re-run
+// the mover's surgery, re-allocate the target, re-run the mover once more at
+// its allocated share (the refresh pattern the monolithic candidate
+// evaluation uses) — 2 ledger ops per target evaluated. accept decides on
+// the objective restricted to the two touched shards, before versus after
+// the move, each a single running sum: the donor's terms first, then the
+// target's. A surgery failure on a probe rejects that target (the mover's
+// current plan remains valid); every target starts from the same state.
+//
+// Only what a candidate can change is saved: the mover's Decision, the
+// donor's list, the target's length, both feasibility flags and two shares
+// per incumbent, on the state's moveScratch arena — so with allocServer's
+// buffers a rejected candidate allocates nothing once they have grown to
+// shard size (TestRejectedCandidateAllocatesNothing). Only the sequential
+// reconciliation scans call it, one candidate at a time.
+func (st *state) tryTargets(ui, s int, targets []int, accept func(before, after float64) bool) int {
 	mv := &st.mv
+	mover := st.ds[ui]
 	mv.from = append(mv.from[:0], st.assigned[s]...)
-	mv.to = append(mv.to[:0], st.assigned[to]...)
-	savedFeasFrom, savedFeasTo := st.srvFeasible[s], st.srvFeasible[to]
-	mv.touched = mv.touched[:0]
-	mv.touched = append(mv.touched, mv.from...)
-	mv.touched = append(mv.touched, mv.to...)
-	if cap(mv.ds) < len(mv.touched) {
-		mv.ds = make([]Decision, len(mv.touched))
-	}
-	mv.ds = mv.ds[:len(mv.touched)]
-	for i, u := range mv.touched {
-		mv.ds[i] = st.ds[u]
-	}
-	before := st.twoShardObjective(s, to)
+	mv.fromShares = st.saveShares(mv.fromShares[:0], mv.from)
+	fromFeasible := st.srvFeasible[s]
 
-	restore := func() {
-		st.assigned[s] = append(st.assigned[s][:0], mv.from...)
-		st.assigned[to] = append(st.assigned[to][:0], mv.to...)
-		st.srvFeasible[s], st.srvFeasible[to] = savedFeasFrom, savedFeasTo
-		for i, u := range mv.touched {
-			st.ds[u] = mv.ds[i]
-		}
-	}
-
-	st.moveUser(ui, s, to)
-	if err := st.refreshUser(ui); err != nil {
-		restore()
-		return false
-	}
+	donorBefore := st.shardObjective(s)
+	st.dropFromServer(ui, s)
 	st.allocServer(s)
-	st.allocServer(to)
-	if err := st.refreshUser(ui); err != nil {
-		restore()
-		return false
+	donorAfter := st.shardObjective(s)
+
+	for _, to := range targets {
+		st.spent += 2 // the mover's two surgery refreshes, charged up front
+		n := len(st.assigned[to])
+		mv.toShares = st.saveShares(mv.toShares[:0], st.assigned[to])
+		toFeasible := st.srvFeasible[to]
+		before := st.addShardObjective(donorBefore, to)
+
+		st.joinServer(ui, to)
+		err := st.refreshUser(ui)
+		if err == nil {
+			st.allocServer(to)
+			err = st.refreshUser(ui)
+		}
+		if err == nil && accept(before, st.addShardObjective(donorAfter, to)) {
+			return to
+		}
+		st.ds[ui] = mover
+		st.assigned[to] = st.assigned[to][:n]
+		st.restoreShares(st.assigned[to], mv.toShares)
+		st.srvFeasible[to] = toFeasible
 	}
-	after := st.twoShardObjective(s, to)
-	if accept(before, after) {
-		return true
-	}
-	restore()
-	return false
+	st.assigned[s] = append(st.assigned[s][:0], mv.from...)
+	st.restoreShares(mv.from, mv.fromShares)
+	st.srvFeasible[s] = fromFeasible
+	return -1
 }
 
-// twoShardObjective sums the weighted latency of every user currently on
-// the two given servers — the only objective terms a migration between them
-// can change.
-func (st *state) twoShardObjective(a, b int) float64 {
-	var sum float64
-	for _, ui := range st.assigned[a] {
-		sum += st.hot.weight[ui] * st.ds[ui].Latency()
+// saveShares appends the (compute, bandwidth) share pair of each listed user
+// to buf.
+func (st *state) saveShares(buf []float64, users []int) []float64 {
+	for _, u := range users {
+		buf = append(buf, st.ds[u].ComputeShare, st.ds[u].BandwidthShare)
 	}
-	for _, ui := range st.assigned[b] {
-		sum += st.hot.weight[ui] * st.ds[ui].Latency()
+	return buf
+}
+
+// restoreShares writes back what saveShares took from the same list.
+func (st *state) restoreShares(users []int, saved []float64) {
+	for i, u := range users {
+		st.ds[u].ComputeShare, st.ds[u].BandwidthShare = saved[2*i], saved[2*i+1]
 	}
-	return sum
 }

@@ -350,7 +350,13 @@ type state struct {
 	envBuf   []surgery.Env // reusable env snapshot for refresh
 	everyone []int         // 0..n-1, surgeryStep's refresh list (built on first use)
 	hot      *userSoA      // flat per-user planning scalars (see soa.go)
-	mv       moveScratch   // tryMove's reusable save/restore arena
+	mv       moveScratch   // tryTargets' reusable save/restore arena
+
+	// allocServer's reusable buffers: the allocator's working vectors and the
+	// demand list it is handed. One server is allocated at a time on a state,
+	// so one of each suffices; scratch clones start with their own.
+	allocScratch alloc.Scratch
+	demands      []alloc.Demand
 
 	// spent is the deterministic work ledger behind SurgeryBudget: every
 	// orchestration step charges the surgery optimizations it schedules
@@ -606,20 +612,22 @@ func (st *state) optimizeUser(ui int, env surgery.Env) error {
 	return nil
 }
 
-// demandsFor builds the per-server allocation inputs from current evals.
+// demandsFor builds the per-server allocation inputs from current evals, in
+// the state's demand buffer: the result is valid until the next call.
 func (st *state) demandsFor(s int) []alloc.Demand {
-	out := make([]alloc.Demand, len(st.assigned[s]))
-	for i, ui := range st.assigned[s] {
-		ev := st.ds[ui].Eval
-		out[i] = alloc.Demand{
+	out := st.demands[:0]
+	for _, ui := range st.assigned[s] {
+		ev := &st.ds[ui].Eval
+		out = append(out, alloc.Demand{
 			Fixed:    ev.FixedSec,
 			Server:   ev.ServerSec,
 			Tx:       ev.TxSec,
 			Weight:   st.hot.weight[ui],
 			Deadline: st.hot.deadline[ui],
 			Rate:     st.hot.rate[ui],
-		}
+		})
 	}
+	st.demands = out
 	return out
 }
 
@@ -663,18 +671,15 @@ func (st *state) reassignStep() error {
 		return candidate{scratch: c, obj: c.objectiveNow()}
 	}
 	targets := make([]int, 0, len(st.sc.Servers))
+	// The objective only changes when a move is accepted, so it is carried
+	// across users rather than re-summed for each.
+	base := st.objectiveNow()
 	for ui := range st.sc.Users {
 		from := st.ds[ui].Server
 		if from < 0 {
 			continue
 		}
-		base := st.objectiveNow()
-		targets = targets[:0]
-		for to := range st.sc.Servers {
-			if to != from {
-				targets = append(targets, to)
-			}
-		}
+		targets = st.otherServers(targets[:0], from)
 		// Charge the full candidate scan up front — two surgery refreshes
 		// per target, whether the lazy serial scan stops early or the eager
 		// parallel one evaluates everything — so the budget ledger is
@@ -705,6 +710,7 @@ func (st *state) reassignStep() error {
 			if cands[k].obj < base*(1-1e-9) {
 				st.ds = cands[k].scratch.ds
 				st.assigned = cands[k].scratch.assigned
+				base = cands[k].obj // objectiveNow of the decision set just adopted
 				break
 			}
 		}
@@ -736,8 +742,24 @@ func (st *state) scratchClone() *state {
 	return c
 }
 
+// otherServers appends every server index but from to buf, ascending — the
+// exhaustive scans' target order.
+func (st *state) otherServers(buf []int, from int) []int {
+	for to := range st.sc.Servers {
+		if to != from {
+			buf = append(buf, to)
+		}
+	}
+	return buf
+}
+
 func (st *state) moveUser(ui, from, to int) {
 	st.dropFromServer(ui, from)
+	st.joinServer(ui, to)
+}
+
+// joinServer appends user ui to server to's list at the uniform share.
+func (st *state) joinServer(ui, to int) {
 	st.assigned[to] = append(st.assigned[to], ui)
 	st.ds[ui].Server = to
 	n := float64(len(st.assigned[to]))
@@ -768,14 +790,14 @@ func (st *state) allocServer(s int) {
 		return
 	}
 	demands := st.demandsFor(s)
-	var a alloc.Allocation
+	var a alloc.Allocation // aliases st.allocScratch: copied into st.ds below
 	switch st.opt.Allocator {
 	case MinSumAlloc:
-		a = alloc.MinSumLatency(demands)
+		a = st.allocScratch.MinSumLatency(demands)
 	case MinMaxAlloc:
-		a, _ = alloc.MinMaxLatency(demands)
+		a, _ = st.allocScratch.MinMaxLatency(demands)
 	default:
-		a = alloc.DeadlineAware(demands)
+		a = st.allocScratch.DeadlineAware(demands)
 	}
 	if !a.Feasible {
 		st.srvFeasible[s] = false

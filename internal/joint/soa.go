@@ -98,25 +98,25 @@ func (st *state) objectiveNow() float64 {
 // to server s — the per-shard slice of the objective a single-shard replan
 // converges on.
 func (st *state) shardObjective(s int) float64 {
-	var sum float64
+	return st.addShardObjective(0, s)
+}
+
+// addShardObjective continues the running sum with server s's users, in list
+// order: a candidate move's two-shard objective is one float accumulated over
+// the donor's terms and then the target's.
+func (st *state) addShardObjective(sum float64, s int) float64 {
 	for _, ui := range st.assigned[s] {
 		sum += st.hot.weight[ui] * st.ds[ui].Latency()
 	}
 	return sum
 }
 
-// moveScratch is the reusable buffer set behind tryMove's save/restore: a
-// candidate migration snapshots both touched assignment lists and every
-// touched decision, and at reconciliation scale that used to mean four
-// fresh allocations per evaluated candidate — O(n) garbage per round.
-// Reusing one arena per state makes an evaluated-and-rejected candidate
-// allocation-free at steady state, which is what lets a delta replan's
-// reconciliation allocate O(dirty) instead of O(candidates × shard).
-// tryMove runs only on sequential orchestration code (the reconciliation
-// scans), never concurrently on one state, so a single arena suffices;
-// scratch clones start with their own empty arena.
+// moveScratch is the reusable buffer set behind tryTargets' save/restore: the
+// donor's assignment list and the share pairs of both touched shards'
+// incumbents. tryTargets runs only on sequential orchestration code (the
+// reconciliation scans), never concurrently on one state, so one arena per
+// state suffices; scratch clones start with their own empty one.
 type moveScratch struct {
-	from, to []int
-	touched  []int
-	ds       []Decision
+	from                 []int
+	fromShares, toShares []float64
 }

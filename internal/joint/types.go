@@ -171,9 +171,18 @@ type Decision struct {
 	ComputeShare, BandwidthShare float64
 }
 
-// Latency returns the decision's expected latency at its shares.
+// Latency returns the decision's expected latency at its shares:
+// Eval.LatencyAt, read through the pointer — the objective sums call this per
+// user per candidate move, and LatencyAt's value receiver copies the Eval.
 func (d *Decision) Latency() float64 {
-	return d.Eval.LatencyAt(orOne(d.ComputeShare), orOne(d.BandwidthShare))
+	l := d.Eval.FixedSec
+	if d.Eval.ServerSec > 0 {
+		l += d.Eval.ServerSec / orOne(d.ComputeShare)
+	}
+	if d.Eval.TxSec > 0 {
+		l += d.Eval.TxSec / orOne(d.BandwidthShare)
+	}
+	return l
 }
 
 func orOne(v float64) float64 {
