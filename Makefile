@@ -86,10 +86,12 @@ bench-test:
 
 # Fast perf guard for CI: one iteration of the simulator event-loop and
 # multi-user scaling benchmarks and of the planner's two reconciliation
-# passes, with allocation accounting.
+# passes, and a hundred 64 KiB activation hops (codec pair, then a real
+# agent), with allocation accounting.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineEvents|BenchmarkE4' -benchtime=1x -benchmem . ./internal/sim
 	$(GO) test -run '^$$' -bench 'BenchmarkReconcile' -benchtime=1x -benchmem ./internal/joint
+	$(GO) test -run '^$$' -bench 'BenchmarkInfer64kRoundTrip|BenchmarkAgentInfer64k' -benchtime=100x -benchmem ./internal/wire ./internal/agent
 
 # Planner perf guard for CI: the CI-sized E23 scale study (one dual-arm
 # size plus one sharded-only size) writing BENCH_planner.json, with the

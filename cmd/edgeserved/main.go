@@ -11,7 +11,8 @@
 //	edgeserved -scenario deploy.json -trace trace.jsonl -policy hysteresis \
 //	    -expect-full-replans 3                # CI smoke: pin the replan count
 //	edgeserved -scenario deploy.json -trace trace.jsonl -http :8080
-//	    # then: curl localhost:8080/metrics ; curl localhost:8080/plan
+//	    # then: curl localhost:8080/metrics ; curl localhost:8080/plan ;
+//	    # go tool pprof localhost:8080/debug/pprof/profile?seconds=10
 //	edgeserved -scenario deploy.json -trace trace.jsonl -snapshot-dir state/ \
 //	    -chaos crash:3 -chaos crash:8 -verify-recovery
 //	    # chaos replay: kill/recover after samples 3 and 8, then assert the
@@ -24,7 +25,7 @@
 //	    # protocol over TCP, drive a bounded closed loop, gate the exit code
 //	edgeserved -scenario deploy.json -listen 127.0.0.1:7443 -http :8080
 //	    # live mode without -requests: serve clients until interrupted,
-//	    # /metrics and /plan live on :8080 the whole time
+//	    # /metrics, /plan and /debug/pprof/ live on :8080 the whole time
 //	edgeserved -scenario deploy.json -listen 127.0.0.1:0 -timescale 0.002 \
 //	    -requests 200 -stall-clients 2 -min-ok-frac 0.95
 //	    # backpressure smoke: two stalled clients alongside the closed loop;
@@ -39,6 +40,7 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
+	httppprof "net/http/pprof"
 	"os"
 	"runtime/pprof"
 	"strconv"
@@ -190,7 +192,7 @@ func main() {
 		budgetWindow = flag.Float64("budget-window", -1, "override: trailing budget window in seconds")
 		journalPath  = flag.String("journal", "", "write the replan-decision journal here (\"-\" = stdout)")
 		expectFull   = flag.Int("expect-full-replans", -1, "exit non-zero unless the replay ran exactly this many full replans")
-		httpAddr     = flag.String("http", "", "serve /metrics and /plan on this address (after the replay, or alongside live mode)")
+		httpAddr     = flag.String("http", "", "serve /metrics, /plan and /debug/pprof/ on this address (after the replay, or alongside live mode)")
 		parallelism  = flag.Int("parallelism", 0, "planner worker count (0 = GOMAXPROCS); plans are identical across levels")
 		shardThresh  = flag.Int("shard-threshold", 0, "route full replans of scenarios with at least this many users through the hierarchical sharded planner (0 = always monolithic)")
 		frontier     = flag.Bool("frontier", false, "precompute Pareto-frontier surgery tables per planned scenario (see serve.frontier.* metrics): changes speed and the planner.frontier.* hit/miss counters, never the plan")
@@ -608,8 +610,15 @@ type userSummary struct {
 	LatencySec     float64 `json:"latencySec"`
 }
 
-func serveHTTP(addr string, sc *joint.Scenario, rt *serve.Runtime) error {
+// newMux builds the -http handler: /metrics and /plan off the runtime, and
+// the process's own profiles under /debug/pprof/.
+func newMux(sc *joint.Scenario, rt *serve.Runtime) *http.ServeMux {
 	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", httppprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", httppprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", httppprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", httppprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", httppprof.Trace)
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		rt.Metrics().WriteText(w)
@@ -639,6 +648,10 @@ func serveHTTP(addr string, sc *joint.Scenario, rt *serve.Runtime) error {
 		enc.SetIndent("", "  ")
 		enc.Encode(sum)
 	})
-	fmt.Printf("serving /metrics and /plan on %s\n", addr)
-	return http.ListenAndServe(addr, mux)
+	return mux
+}
+
+func serveHTTP(addr string, sc *joint.Scenario, rt *serve.Runtime) error {
+	fmt.Printf("serving /metrics, /plan and /debug/pprof/ on %s\n", addr)
+	return http.ListenAndServe(addr, newMux(sc, rt))
 }

@@ -3,11 +3,47 @@ package main
 import (
 	"bytes"
 	"errors"
+	"net/http"
+	"net/http/httptest"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"edgesurgeon/internal/config"
+	"edgesurgeon/internal/serve"
 )
+
+// TestHTTPMux drives the -http handler: the runtime's two endpoints and the
+// process's profiles answer on the one mux, no flag of their own.
+func TestHTTPMux(t *testing.T) {
+	data, err := os.ReadFile("testdata/smoke-scenario.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, _, err := config.Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := serve.New(serve.Config{Scenario: sc, Policy: serve.NeverReplan()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	srv := httptest.NewServer(newMux(sc, rt))
+	defer srv.Close()
+	for _, path := range []string{"/metrics", "/plan", "/debug/pprof/cmdline", "/debug/pprof/heap"} {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("GET %s: status %d, want 200", path, resp.StatusCode)
+		}
+	}
+}
 
 // TestLiveModeRejectsReplayFlags pins the -listen contract: a flag that only
 // configures trace replay is refused with exit status 2 and named on stderr,

@@ -306,8 +306,10 @@ func (a *Agent) slot(user int) *userSlot { return (*a.slots.Load())[user] }
 
 // handleInfer executes one suffix inference: the modeled activation
 // transfer, then the user's GPU share (same-user FIFO; distinct users hold
-// disjoint shares and overlap freely).
+// disjoint shares and overlap freely). The activation is on loan from the
+// connection's receive frames until the result is sent.
 func (a *Agent) handleInfer(m *wire.Infer) {
+	defer m.Release()
 	slot := a.slot(m.User)
 	if slot == nil {
 		_ = a.conn.Send(&wire.InferResult{Seq: m.Seq, User: m.User, Status: wire.StatusRejected})

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -410,5 +411,134 @@ func TestPublishPushesOnlyChangedSlices(t *testing.T) {
 	}
 	if d.plan.Load() != d.lastPlan {
 		t.Fatal("the routing plan is not the last published plan")
+	}
+}
+
+// agentUnderTest makes the test the dispatcher of one real Run: it accepts
+// the agent's registration on loopback, installs a one-user table (user 0,
+// full offload) and returns the connection once the agent has acknowledged
+// it. Zero physics, telemetry effectively off.
+func agentUnderTest(t testing.TB) *wire.Conn {
+	t.Helper()
+	sc := testScenario(t, 2, 40)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = Run(ctx, Config{Scenario: sc, Server: 0, Dispatcher: ln.Addr().String(), TimeScale: 1e-9, TelemetryPeriod: 1e15})
+	}()
+	t.Cleanup(func() { cancel(); <-done })
+	_ = ln.(*net.TCPListener).SetDeadline(time.Now().Add(10 * time.Second))
+	nc, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := wire.NewConn(bufio.NewReader(nc), nc, nc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	if m, err := conn.Recv(); err != nil {
+		t.Fatal(err)
+	} else if _, ok := m.(*wire.Hello); !ok {
+		t.Fatalf("expected Hello, got %T", m)
+	}
+	if err := conn.Send(&wire.Welcome{Servers: len(sc.Servers), Users: len(sc.Users)}); err != nil {
+		t.Fatal(err)
+	}
+	err = conn.Send(&wire.Allocation{
+		Epoch: 1, UplinkBps: netmodel.Mbps(40), RTT: 0.004,
+		Entries: []wire.AllocEntry{{User: 0, Partition: 0, ComputeShare: 0.5, BandwidthShare: 0.5}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err := conn.Recv(); err != nil {
+		t.Fatal(err)
+	} else if _, ok := m.(*wire.AllocAck); !ok {
+		t.Fatalf("expected AllocAck, got %T", m)
+	}
+	return conn
+}
+
+// TestAgentBorrowsTheActivation: a real Run answers a long stream of 64 KiB
+// Infers — a window of them in flight, one in eight for a user it has no slot
+// for — and the process allocates nothing payload-sized per Infer while it
+// does: the activation stays in the receive frame it arrived in, and the
+// frame goes back for the next one once the result is sent, on the
+// rejected-slot path too.
+func TestAgentBorrowsTheActivation(t *testing.T) {
+	const warm, total, window = 64, 2000, 8
+	conn := agentUnderTest(t)
+	payload := make([]byte, 1<<16)
+	sent := make(chan struct{}, window)
+	drive := func(first, n int) {
+		go func() {
+			for seq := first; seq < first+n; seq++ {
+				sent <- struct{}{}
+				user := 0
+				if seq%8 == 7 {
+					user = 1
+				}
+				if err := conn.Send(&wire.Infer{Seq: uint64(seq), User: user, DeviceSec: 0.01, Payload: payload}); err != nil {
+					t.Errorf("send %d: %v", seq, err)
+					return
+				}
+			}
+		}()
+		for i := 0; i < n; i++ {
+			m, err := conn.Recv()
+			if err != nil {
+				t.Fatalf("result %d of %d: %v", i, n, err)
+			}
+			res, ok := m.(*wire.InferResult)
+			if !ok {
+				t.Fatalf("expected InferResult, got %T", m)
+			}
+			wantUser, want := 0, uint64(wire.StatusOK)
+			if res.Seq%8 == 7 {
+				wantUser, want = 1, wire.StatusRejected
+			}
+			if res.User != wantUser || res.Status != want {
+				t.Fatalf("Infer %d answered for user %d with status %d, want user %d, status %d", res.Seq, res.User, res.Status, wantUser, want)
+			}
+			<-sent
+		}
+	}
+	drive(0, warm)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	drive(warm, total)
+	runtime.ReadMemStats(&after)
+	perInfer := float64(after.TotalAlloc-before.TotalAlloc) / total
+	t.Logf("%.0f bytes allocated per 64 KiB Infer, both ends of the hop in this process", perInfer)
+	// Under the race detector sync.Pool drops a quarter of what it is given.
+	if !raceEnabled && perInfer >= 2048 {
+		t.Errorf("%.0f bytes allocated per 64 KiB Infer, want < 2 KiB", perInfer)
+	}
+}
+
+// BenchmarkAgentInfer64k: the activation hop against a real Run — the
+// benchmark is its dispatcher on loopback, one 64 KiB Infer out and its
+// InferResult back per iteration, zero physics.
+func BenchmarkAgentInfer64k(b *testing.B) {
+	conn := agentUnderTest(b)
+	infer := &wire.Infer{User: 0, DeviceSec: 0.01, Payload: make([]byte, 1<<16)}
+	b.SetBytes(1 << 16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		infer.Seq++
+		if err := conn.Send(infer); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := conn.Recv(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -270,10 +270,55 @@ func allocBytesPerRun(runs int, f func()) float64 {
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
+// inferStream is a handshake and then frames Infers of size bytes each, the
+// i-th filled with byte(i+1) and carrying Seq i.
+func inferStream(t testing.TB, frames, size int) *Conn {
+	t.Helper()
+	var stream bytes.Buffer
+	WriteHeader(&stream)
+	for i := 0; i < frames; i++ {
+		m := &Infer{Seq: uint64(i), User: 37, DeviceSec: 0.5, Payload: bytes.Repeat([]byte{byte(i + 1)}, size)}
+		payload, err := Encode(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		WriteFrame(&stream, payload)
+	}
+	c, err := NewConn(bufio.NewReader(&stream), io.Discard, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// recvInfer is Recv of an Infer that must be message seq of an inferStream.
+func recvInfer(t testing.TB, c *Conn, seq, size int) *Infer {
+	t.Helper()
+	m, err := c.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := m.(*Infer)
+	checkInfer(t, in, seq, size)
+	return in
+}
+
+func checkInfer(t testing.TB, in *Infer, seq, size int) {
+	t.Helper()
+	ok := in.Seq == uint64(seq) && len(in.Payload) == size
+	for _, b := range in.Payload {
+		ok = ok && b == byte(seq+1)
+	}
+	if !ok {
+		t.Fatalf("Infer %d does not hold the %d bytes of 0x%02x it was sent with", in.Seq, size, byte(seq+1))
+	}
+}
+
 // TestConnAllocations pins the copy budget of the activation hop: a small
 // frame is sent without allocating, a 64 KiB Infer is sent without a
-// payload-sized allocation, and receiving one costs exactly one — the copy
-// the decoded message owns.
+// payload-sized allocation, and receiving one allocates nothing of that size
+// either once the receiver releases what it was lent — and exactly one frame,
+// never a frame and a copy, when it does not.
 func TestConnAllocations(t *testing.T) {
 	c := &Conn{w: io.Discard}
 	req := &Request{Seq: 123456, User: 37}
@@ -293,38 +338,145 @@ func TestConnAllocations(t *testing.T) {
 		t.Errorf("sending a 64 KiB Infer allocates %.0f bytes, want < 1 KiB", b)
 	}
 
-	// 51 distinct frames: were a decoded message to alias the reused frame
-	// buffer, the later ones would overwrite the first.
-	const frames = 52
-	var stream bytes.Buffer
-	WriteHeader(&stream)
-	for i := 0; i < frames; i++ {
-		m := &Infer{Seq: uint64(i), User: 37, DeviceSec: 0.5, Payload: bytes.Repeat([]byte{byte(i + 1)}, 1<<16)}
-		payload, err := Encode(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		WriteFrame(&stream, payload)
+	// Distinct frames throughout: were a frame reused while a message still
+	// aliased it, the later ones would overwrite the earlier.
+	const frames, size = 52, 1 << 16
+	rc := inferStream(t, 2*frames+1, size)
+	first := recvInfer(t, rc, 0, size)
+	seq := 1
+	b := allocBytesPerRun(frames-2, func() {
+		recvInfer(t, rc, seq, size).Release()
+		seq++
+	})
+	// Under the race detector sync.Pool drops a quarter of what it is given.
+	if !raceEnabled && b >= 1024 {
+		t.Errorf("receiving and releasing a 64 KiB Infer allocates %.0f bytes, want < 1 KiB", b)
 	}
-	rc, err := NewConn(bufio.NewReader(&stream), io.Discard, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var first *Infer
+	var held []*Infer
 	if b := allocBytesPerRun(frames-2, func() {
-		m, err := rc.Recv()
+		held = append(held, recvInfer(t, rc, seq, size))
+		seq++
+	}); b < size || b >= size+size/2 {
+		t.Errorf("receiving a 64 KiB Infer and keeping it allocates %.0f bytes, want one frame-sized block (64 KiB and the rounding), not two", b)
+	}
+	checkInfer(t, first, 0, size)
+	for i, in := range held {
+		checkInfer(t, in, seq-len(held)+i, size)
+	}
+}
+
+// TestReleaseContract: Release is idempotent, leaves an Infer the caller
+// built alone, and has nothing to return for a payload small enough to have
+// been copied; a released frame is the next Recv's, a jumbo one nobody's.
+func TestReleaseContract(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // keeps this goroutine on one sync.Pool shard
+
+	built := &Infer{Seq: 1, Payload: make([]byte, 1<<16)}
+	built.Release()
+	if len(built.Payload) != 1<<16 {
+		t.Fatal("Release took the payload of an Infer the caller built")
+	}
+
+	// loanMin−1 bytes are copied out, so the Conn keeps its frame.
+	rc := inferStream(t, 3, loanMin-1)
+	small := recvInfer(t, rc, 0, loanMin-1)
+	if small.frame != nil || rc.rbuf == nil {
+		t.Fatal("a payload under loanMin borrowed the frame")
+	}
+	frame := &(*rc.rbuf)[:1][0]
+	recvInfer(t, rc, 1, loanMin-1)
+	if &(*rc.rbuf)[:1][0] != frame {
+		t.Fatal("the frame was not reused after a message that did not borrow it")
+	}
+	small.Release()
+	checkInfer(t, small, 0, loanMin-1)
+
+	// loanMin bytes are lent; released, the frame serves the next message.
+	rc = inferStream(t, 3, loanMin)
+	lent := recvInfer(t, rc, 0, loanMin)
+	if lent.frame == nil || rc.rbuf != nil {
+		t.Fatal("a payload of loanMin bytes was not lent the frame")
+	}
+	if cap(lent.Payload) != len(lent.Payload) {
+		t.Fatal("a lent payload has capacity to append into the frame")
+	}
+	frame = &lent.Payload[0]
+	lent.Release()
+	lent.Release()
+	if lent.Payload != nil || lent.frame != nil {
+		t.Fatal("Release left the payload with the message")
+	}
+	next := recvInfer(t, rc, 1, loanMin)
+	if !raceEnabled && &next.Payload[0] != frame {
+		t.Error("the released frame was not the one the next Recv used")
+	}
+	last := recvInfer(t, rc, 2, loanMin) // next is unreleased: this one cannot share its frame
+	checkInfer(t, next, 1, loanMin)
+	next.Release()
+	last.Release()
+
+	// A frame above keepBytes is lent like any other and never pooled.
+	rc = inferStream(t, 1, keepBytes+1)
+	jumbo := recvInfer(t, rc, 0, keepBytes+1)
+	if jumbo.frame == nil {
+		t.Fatal("a jumbo payload was copied")
+	}
+	jumbo.Release()
+	if jumbo.Payload != nil {
+		t.Fatal("Release left a jumbo payload with the message")
+	}
+	f := framePool.Get().(*[]byte)
+	if cap(*f) > keepBytes {
+		t.Fatalf("a %d-byte frame was pooled, the limit is %d", cap(*f), keepBytes)
+	}
+	framePool.Put(f)
+}
+
+// TestLoanedFramesAreNotRecycledEarly: a reader hands Infers to concurrent
+// handlers, as the agent does; each yields, checks every byte of its payload
+// against its own Seq, and only then releases. A frame that reached another
+// message while still borrowed fails the byte check, or the race detector.
+func TestLoanedFramesAreNotRecycledEarly(t *testing.T) {
+	const handlers, total, size = 8, 2000, 1 << 14
+	ca, cb := tcpPair(t)
+	go func() {
+		for seq := 0; seq < total; seq++ {
+			if err := ca.Send(&Infer{Seq: uint64(seq), Payload: bytes.Repeat([]byte{byte(seq)}, size)}); err != nil {
+				t.Errorf("send %d: %v", seq, err)
+				return
+			}
+		}
+	}()
+	work := make(chan *Infer)
+	var wg sync.WaitGroup
+	for h := 0; h < handlers; h++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for in := range work {
+				runtime.Gosched()
+				if len(in.Payload) != size {
+					t.Errorf("Infer %d arrived with %d bytes", in.Seq, len(in.Payload))
+				}
+				for i, b := range in.Payload {
+					if b != byte(in.Seq) {
+						t.Errorf("Infer %d: byte %d is 0x%02x, want 0x%02x: its frame was reused while on loan", in.Seq, i, b, byte(in.Seq))
+						break
+					}
+				}
+				in.Release()
+			}
+		}()
+	}
+	for seq := 0; seq < total; seq++ {
+		m, err := cb.Recv()
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("recv %d: %v", seq, err)
 		}
-		if first == nil {
-			first = m.(*Infer)
-		}
-	}); b < 1<<16 || b >= 1<<16+1024 {
-		t.Errorf("receiving a 64 KiB Infer allocates %.0f bytes, want one payload-sized block (64 KiB + < 1 KiB)", b)
+		work <- m.(*Infer)
 	}
-	if first.Seq != 0 || !bytes.Equal(first.Payload, bytes.Repeat([]byte{1}, 1<<16)) {
-		t.Fatal("a message returned by Recv changed when later frames were read")
-	}
+	close(work)
+	wg.Wait()
 }
 
 // countingWriter counts the Writes a Conn makes on its socket.
@@ -384,7 +536,9 @@ func BenchmarkInfer64kRoundTrip(b *testing.B) {
 				return
 			}
 			in := m.(*Infer)
-			if cb.Send(&InferResult{Seq: in.Seq, User: in.User, UplinkSec: 0.004321, ServerSec: 0.00987}) != nil {
+			err = cb.Send(&InferResult{Seq: in.Seq, User: in.User, UplinkSec: 0.004321, ServerSec: 0.00987})
+			in.Release()
+			if err != nil {
 				return
 			}
 		}

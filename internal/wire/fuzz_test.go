@@ -9,9 +9,15 @@ import (
 // panics on arbitrary bytes, and anything it does accept re-encodes to a
 // payload that decodes to the same message (the codec is a bijection on the
 // accepted set, modulo non-canonical float spellings — so we compare via a
-// second decode rather than byte equality).
+// second decode rather than byte equality). It is differential too: the
+// loaning decode Recv uses accepts and refuses exactly what the copying one
+// does, with the same message or the same error, and differs only in whose
+// memory a large blob is — the input's, which is how Recv lends a frame.
 func FuzzWireDecode(f *testing.F) {
-	for _, m := range allMessages() {
+	for _, m := range append(allMessages(),
+		&Infer{Seq: 1, User: 2, Payload: bytes.Repeat([]byte{7}, loanMin-1)},
+		&Infer{Seq: 1, User: 2, Payload: bytes.Repeat([]byte{7}, loanMin)},
+	) {
 		payload, err := Encode(m)
 		if err != nil {
 			f.Fatal(err)
@@ -22,8 +28,16 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decode(data)
+		d := dec{b: data, loan: true}
+		loaned, lerr := d.message()
 		if err != nil {
+			if lerr == nil || lerr.Error() != err.Error() {
+				t.Fatalf("copying decode refused with %q, loaning decode said %v", err, lerr)
+			}
 			return
+		}
+		if lerr != nil {
+			t.Fatalf("copying decode accepted a %T, loaning decode refused: %v", m, lerr)
 		}
 		re, err := Encode(m)
 		if err != nil {
@@ -39,6 +53,25 @@ func FuzzWireDecode(f *testing.F) {
 		}
 		if !bytes.Equal(re, re2) {
 			t.Fatalf("%T not stable under encode/decode: % x vs % x", m, re, re2)
+		}
+
+		// Encoded bytes, type tag first, stand in for the exported fields:
+		// DeepEqual would call a NaN unequal to itself.
+		if lre, err := Encode(loaned); err != nil || !bytes.Equal(lre, re) {
+			t.Fatalf("loaning decode of a %T yielded a different %T (%v)", m, loaned, err)
+		}
+		in, _ := loaned.(*Infer)
+		if d.lent != (in != nil && len(in.Payload) >= loanMin) {
+			t.Fatalf("lent = %v for %T", d.lent, loaned)
+		}
+		for i := range data {
+			data[i] ^= 0xFF
+		}
+		if after, _ := Encode(m); !bytes.Equal(after, re) {
+			t.Fatalf("a %T returned by Decode changed with the caller's buffer", m)
+		}
+		if after, _ := Encode(loaned); bytes.Equal(after, re) == d.lent {
+			t.Fatalf("after the input changed, the loaning decode's %T (lent %v) is the wrong side of unchanged", loaned, d.lent)
 		}
 	})
 }

@@ -97,11 +97,32 @@ type AllocAck struct {
 // Infer hands one request off at the partition point: the device prefix
 // has run (DeviceSec, computed on the device-side cost model) and Payload
 // stands in for the boundary activation. The agent owes an InferResult.
+//
+// An Infer returned by Conn.Recv with a large Payload owns the receive frame
+// the payload lies in; Release hands the frame back.
 type Infer struct {
 	Seq       uint64
 	User      int
 	DeviceSec float64
 	Payload   []byte
+
+	frame *[]byte // the receive frame Payload aliases, nil when it aliases none
+}
+
+// Release returns the receive frame m's Payload lies in, if it lies in one,
+// for a later Recv to reuse, and sets Payload to nil: the bytes are no longer
+// m's to read. It is optional — an unreleased frame is collected with m — and
+// idempotent, and does nothing to an Infer that Recv did not return or whose
+// payload was small enough to be copied out.
+func (m *Infer) Release() {
+	f := m.frame
+	if f == nil {
+		return
+	}
+	m.frame, m.Payload = nil, nil
+	if cap(*f) <= keepBytes {
+		framePool.Put(f)
+	}
 }
 
 // InferResult reports one handoff's server-side outcome with the per-stage
@@ -198,9 +219,14 @@ func (e *enc) frame(m Msg) error {
 
 // Decode parses one frame payload into its typed message. Unknown types
 // and malformed fields return typed *DecodeError; trailing garbage after a
-// well-formed message is a framing bug and rejected too.
+// well-formed message is a framing bug and rejected too. The message is a
+// copy: it shares no memory with payload.
 func Decode(payload []byte) (Msg, error) {
-	d := &dec{b: payload}
+	return (&dec{b: payload}).message()
+}
+
+// message decodes the one message d.b holds.
+func (d *dec) message() (Msg, error) {
 	t, err := d.uvarint("message type")
 	if err != nil {
 		return nil, err

@@ -26,9 +26,25 @@
 // pending in one Write, so frames queued while another write is in flight
 // ride the next one (an idle connection writes at once; there is no timer).
 // The byte stream is the concatenation of WriteFrame(Encode(m)) whatever
-// the batching. The first write error is sticky. Its read side decodes out
-// of one reused frame buffer: a message returned by Recv owns all of its
-// memory, the frame it came from is overwritten by the next Recv.
+// the batching. The first write error is sticky.
+//
+// Its read side lends. The boundary activation is the one large thing the
+// plane moves, and of the four places one crossing of a 64 KiB Infer could
+// be copied, the receiver pays only the kernel's:
+//
+//	encode into pending   one (Queue appends the payload to the batch)
+//	kernel send           one
+//	kernel receive        one (read into a pooled frame)
+//	decode copy           none — a blob of loanMin bytes or more aliases
+//	                      the frame it arrived in
+//
+// A message returned by Recv owns all of its memory. For an Infer with a
+// large Payload that includes the frame, which the next Recv therefore does
+// not reuse: it reads into another from a package-level pool.
+// (*Infer).Release hands the frame back once the receiver is done with the
+// payload; a receiver that never calls it pays one frame of garbage per
+// message and nothing worse. Decode, whose input is the caller's buffer and
+// not ours to lend, always copies.
 package wire
 
 import (
@@ -122,10 +138,12 @@ type frameReader interface {
 // ReadFrame reads one frame payload. A clean EOF before the length prefix
 // returns io.EOF (the peer hung up between messages); anything truncated
 // mid-frame is io.ErrUnexpectedEOF.
-func ReadFrame(r frameReader) ([]byte, error) { return readFrame(r, nil) }
+func ReadFrame(r frameReader) ([]byte, error) { return readFrame(r, nil, 1) }
 
-// readFrame is ReadFrame into buf's backing array when the frame fits it.
-func readFrame(r frameReader, buf []byte) ([]byte, error) {
+// readFrame is ReadFrame into buf's backing array when the frame fits it, and
+// otherwise into a new one whose capacity is the length rounded up to a
+// multiple of quantum (a power of two).
+func readFrame(r frameReader, buf []byte, quantum uint64) ([]byte, error) {
 	length, err := binary.ReadUvarint(r)
 	if err != nil {
 		if err == io.EOF {
@@ -137,7 +155,7 @@ func readFrame(r frameReader, buf []byte) ([]byte, error) {
 		return nil, decodeErr("frame", "length %d exceeds MaxFrame %d", length, MaxFrame)
 	}
 	if uint64(cap(buf)) < length {
-		buf = make([]byte, length)
+		buf = make([]byte, length, (length+quantum-1)&^(quantum-1))
 	}
 	payload := buf[:length]
 	if _, err := io.ReadFull(r, payload); err != nil {
@@ -174,9 +192,16 @@ func b2u(v bool) byte {
 	return 0
 }
 
+// loanMin is the blob size from which a loaning decoder stops copying the
+// payload out and returns a view of the frame. Below it the copy is cheaper
+// than a frame taken out of circulation.
+const loanMin = 4 << 10
+
 type dec struct {
 	b     []byte
 	field string // current field name for error messages
+	loan  bool   // a blob of loanMin bytes or more is returned as a view of b, not a copy
+	lent  bool   // one was: the decoded message aliases b
 }
 
 func (d *dec) fail(format string, args ...any) error {
@@ -204,7 +229,8 @@ func (d *dec) varint(field string) (int64, error) {
 }
 
 // raw reads a length-prefixed blob as a view into the frame; callers copy
-// what they keep, because the frame buffer is reused.
+// what they keep, because the frame buffer is reused — unless they record, as
+// bytes does, that the message now needs the frame.
 func (d *dec) raw(field string) ([]byte, error) {
 	n, err := d.uvarint(field)
 	if err != nil {
@@ -222,6 +248,10 @@ func (d *dec) bytes(field string) ([]byte, error) {
 	p, err := d.raw(field)
 	if len(p) == 0 {
 		return nil, err // keep empty blobs nil so round-trips are exact
+	}
+	if d.loan && len(p) >= loanMin {
+		d.lent = true
+		return p[:len(p):len(p)], nil // capped: an append must not reach the rest of the frame
 	}
 	return append([]byte(nil), p...), nil
 }
@@ -296,7 +326,7 @@ type Conn struct {
 	w   io.Writer
 
 	r    frameReader
-	rbuf []byte // Recv's reused frame buffer
+	rbuf *[]byte // Recv's frame: reused for the next message unless this one borrowed it
 	c    io.Closer
 }
 
@@ -363,18 +393,39 @@ func (c *Conn) Flush() error {
 	return err
 }
 
+// framePool holds receive frames between a Release and the Recv that reuses
+// them, as *[]byte so that neither direction allocates.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// frameQuantum is what a new receive frame's capacity is rounded up to, so
+// that a stream of like-sized messages whose varints grow by a byte now and
+// then keeps fitting the frames already in the pool.
+const frameQuantum = 4 << 10
+
 // Recv reads and decodes the next message. Not safe for concurrent use —
-// each connection has one reader goroutine. The returned message shares no
-// memory with the connection.
+// each connection has one reader goroutine. The returned message owns all of
+// its memory and shares none with the connection: an Infer whose Payload is
+// loanMin bytes or more takes the frame it arrived in with it (see
+// (*Infer).Release), any other message is a copy.
 func (c *Conn) Recv() (Msg, error) {
-	payload, err := readFrame(c.r, c.rbuf)
+	if c.rbuf == nil {
+		c.rbuf = framePool.Get().(*[]byte)
+	}
+	payload, err := readFrame(c.r, *c.rbuf, frameQuantum)
 	if err != nil {
 		return nil, err
 	}
-	if cap(payload) <= keepBytes {
-		c.rbuf = payload[:0]
+	*c.rbuf = payload[:0]
+	d := dec{b: payload, loan: true}
+	m, err := d.message()
+	switch {
+	case err == nil && d.lent:
+		// Only an Infer carries a blob: it owns the frame from here on.
+		m.(*Infer).frame, c.rbuf = c.rbuf, nil
+	case cap(payload) > keepBytes:
+		*c.rbuf = nil
 	}
-	return Decode(payload)
+	return m, err
 }
 
 // Close closes the underlying connection (if a closer was supplied).
