@@ -47,12 +47,12 @@ golden-update:
 # Race-check the concurrent paths: planner (parallel surgery fan-out,
 # concurrently filled surgery tables, candidate-move evaluation), the sharded
 # simulator (component worker pool + differential equivalence tests), the
-# networked data plane (wire codec, agent scheduling, dispatcher,
-# subprocess loopback cluster), and a small E21 scale run through the
-# experiments arm pool.
+# networked data plane (wire codec, deadline pacer, agent scheduling,
+# dispatcher, subprocess loopback cluster), and a small E21 scale run through
+# the experiments arm pool.
 test-race:
 	$(GO) test -race -timeout 30m ./internal/joint/... ./internal/surgery/... ./internal/sim/... ./internal/telemetry/... ./internal/serve/...
-	$(GO) test -race -timeout 15m ./internal/wire/... ./internal/agent/... ./internal/client/... ./internal/cluster/...
+	$(GO) test -race -timeout 15m ./internal/wire/... ./internal/pace/... ./internal/agent/... ./internal/client/... ./internal/cluster/...
 	$(GO) test -race -run 'TestE21SmallScaleAgrees' ./internal/experiments
 
 # Short fuzzing pass over the optimizer kernels (~10 s per target): the
@@ -86,12 +86,14 @@ bench-test:
 
 # Fast perf guard for CI: one iteration of the simulator event-loop and
 # multi-user scaling benchmarks and of the planner's two reconciliation
-# passes, and a hundred 64 KiB activation hops (codec pair, then a real
-# agent), with allocation accounting.
+# passes, a hundred 64 KiB activation hops (codec pair, then a real
+# agent), with allocation accounting, and two hundred paced waits at each of
+# three lengths beside a time.Sleep baseline (read overshoot-p50-us).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineEvents|BenchmarkE4' -benchtime=1x -benchmem . ./internal/sim
 	$(GO) test -run '^$$' -bench 'BenchmarkReconcile' -benchtime=1x -benchmem ./internal/joint
 	$(GO) test -run '^$$' -bench 'BenchmarkInfer64kRoundTrip|BenchmarkAgentInfer64k' -benchtime=100x -benchmem ./internal/wire ./internal/agent
+	$(GO) test -run '^$$' -bench 'BenchmarkClockWait' -benchtime=200x ./internal/pace
 
 # Planner perf guard for CI: the CI-sized E23 scale study (one dual-arm
 # size plus one sharded-only size) writing BENCH_planner.json, with the

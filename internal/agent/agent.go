@@ -20,9 +20,14 @@
 //     replies with the per-stage timing the dispatcher folds into the
 //     response's latency decomposition.
 //
-// Time is virtual-on-wall: one model-second costs TimeScale wall-seconds, so
-// CI can run a faithful 60-model-second workload in ~1s of wall clock while
-// reported timings stay in model-seconds.
+// Time is modelled on one Clock (clock.go). Device prefix, activation
+// transfer and suffix service are each a wait for an absolute model instant
+// counted from the request's arrival, and the stage seconds a response
+// carries are differences of those instants. By default the clock is the wall
+// clock scaled by TimeScale — one model-second costs TimeScale wall-seconds,
+// so CI runs a faithful 60-model-second workload in ~1s — with deadlines kept
+// by internal/pace; a test substitutes a clock it advances by hand. Nothing
+// else in the package may sleep (TestNoStraySleeps).
 package agent
 
 import (
@@ -59,6 +64,9 @@ type Config struct {
 	Dispatcher string
 	// TimeScale is wall-seconds per model-second; 0 means 1 (real time).
 	TimeScale float64
+	// Clock is the model clock the agent waits on; nil means the wall clock
+	// scaled by TimeScale, which is what every binary runs on.
+	Clock Clock
 	// TelemetryPeriod is the model-seconds between telemetry samples;
 	// 0 means 2.
 	TelemetryPeriod float64
@@ -110,16 +118,16 @@ type userSlot struct {
 	condServerSec float64
 
 	mu sync.Mutex
-	// nextFree is the wall instant this user's GPU share frees up;
+	// nextFree is the model instant this user's GPU share frees up;
 	// same-user requests serialize here.
-	nextFree time.Time
+	nextFree float64
 }
 
 // Agent is a running edge-server agent.
 type Agent struct {
 	cfg   Config
 	conn  *wire.Conn
-	start time.Time
+	clock Clock
 
 	// slots is the installed service table: an immutable snapshot handleInfer
 	// reads without a lock, replaced by install under mu.
@@ -130,7 +138,7 @@ type Agent struct {
 }
 
 func newAgent(cfg Config, conn *wire.Conn) *Agent {
-	a := &Agent{cfg: cfg, conn: conn, start: time.Now()}
+	a := &Agent{cfg: cfg, conn: conn, clock: orWall(cfg.Clock, cfg.timeScale())}
 	a.slots.Store(&map[int]*userSlot{})
 	return a
 }
@@ -217,16 +225,6 @@ func Run(ctx context.Context, cfg Config) error {
 	}
 }
 
-// virtualNow is the agent's model-time clock.
-func (a *Agent) virtualNow() float64 {
-	return time.Since(a.start).Seconds() / a.cfg.timeScale()
-}
-
-// scaled converts model-seconds to a wall duration.
-func (a *Agent) scaled(modelSec float64) time.Duration {
-	return time.Duration(modelSec * a.cfg.timeScale() * float64(time.Second))
-}
-
 // install validates an allocation push against the agent's own cost model
 // and swaps in the new service table. Per-user queue state (nextFree)
 // carries over across replans so an allocation push never resets an
@@ -306,10 +304,14 @@ func (a *Agent) slot(user int) *userSlot { return (*a.slots.Load())[user] }
 
 // handleInfer executes one suffix inference: the modeled activation
 // transfer, then the user's GPU share (same-user FIFO; distinct users hold
-// disjoint shares and overlap freely). The activation is on loan from the
-// connection's receive frames until the result is sent.
+// disjoint shares and overlap freely). Every instant is model time counted
+// from the Infer's arrival, so the wait for the transfer running late
+// shortens the wait for the service, and QueueSec is the exact backlog the
+// request found. The activation is on loan from the connection's receive
+// frames until the result is sent.
 func (a *Agent) handleInfer(m *wire.Infer) {
 	defer m.Release()
+	arrive := a.clock.Now()
 	slot := a.slot(m.User)
 	if slot == nil {
 		_ = a.conn.Send(&wire.InferResult{Seq: m.Seq, User: m.User, Status: wire.StatusRejected})
@@ -317,42 +319,38 @@ func (a *Agent) handleInfer(m *wire.Infer) {
 	}
 	uplinkSec := 0.0
 	if slot.condUplinkBits > 0 {
-		rate := a.cfg.Scenario.Servers[a.cfg.Server].Link.RateAt(a.virtualNow())
+		rate := a.cfg.Scenario.Servers[a.cfg.Server].Link.RateAt(arrive)
 		if rate <= 0 {
 			rate = slot.allocUplinkBps
 		}
 		uplinkSec = slot.condUplinkBits / rate
 	}
-	time.Sleep(a.scaled(uplinkSec))
+	sent := arrive + uplinkSec
+	a.clock.WaitUntil(sent)
 
-	serviceDur := a.scaled(slot.condServerSec)
 	slot.mu.Lock()
-	now := time.Now()
-	start := now
-	if slot.nextFree.After(now) {
-		start = slot.nextFree
-	}
-	finish := start.Add(serviceDur)
+	start := max(sent, slot.nextFree)
+	finish := start + slot.condServerSec
 	slot.nextFree = finish
 	slot.mu.Unlock()
-	time.Sleep(time.Until(finish))
+	a.clock.WaitUntil(finish)
 
-	queueSec := start.Sub(now).Seconds() / a.cfg.timeScale()
 	_ = a.conn.Send(&wire.InferResult{
 		Seq:       m.Seq,
 		User:      m.User,
 		Status:    wire.StatusOK,
 		UplinkSec: uplinkSec,
-		QueueSec:  queueSec,
+		QueueSec:  start - sent,
 		ServerSec: slot.condServerSec,
 	})
 }
 
-// telemetryLoop streams link-rate observations back to the dispatcher on the
-// virtual clock; the samples double as liveness heartbeats.
+// telemetryLoop streams link-rate observations back to the dispatcher,
+// stamped on the model clock; the samples double as liveness heartbeats. The
+// cadence is off the request path and stays a wall ticker.
 func (a *Agent) telemetryLoop(ctx context.Context) {
 	link := a.cfg.Scenario.Servers[a.cfg.Server].Link
-	period := a.scaled(a.cfg.telemetryPeriod())
+	period := time.Duration(a.cfg.telemetryPeriod() * a.cfg.timeScale() * float64(time.Second))
 	if period < time.Millisecond {
 		period = time.Millisecond
 	}
@@ -363,7 +361,7 @@ func (a *Agent) telemetryLoop(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		case <-tick.C:
-			t := a.virtualNow()
+			t := a.clock.Now()
 			sample := &wire.Telemetry{Time: t, UplinkBps: link.RateAt(t), Healthy: true}
 			if err := a.conn.Send(sample); err != nil {
 				return

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"fmt"
+	"math"
 	"net"
 	"runtime"
 	"testing"
@@ -181,13 +182,10 @@ func TestEndToEndRequests(t *testing.T) {
 	t.Logf("%d/%d requests crossed to an agent", crossed, total)
 }
 
-// TestSameUserRequestsSerialize pins the GPU-share scheduler: concurrent
-// requests for the same user must queue on that user's share (positive
-// QueueSec on at least one), while the slot math stays conditional-exact.
-func TestSameUserRequestsSerialize(t *testing.T) {
-	sc := testScenario(t, 2, 40)
-	// A private wire pair: the agent under test writes InferResults to one
-	// end, the test reads them from the other.
+// wirePair is a private wire connection: an agent under test writes to one
+// end, the test reads the other.
+func wirePair(t *testing.T) (agentSide, peer *wire.Conn) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -211,38 +209,54 @@ func TestSameUserRequestsSerialize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agentSide, err := wire.NewConn(bufio.NewReader(nc), nc, nc)
+	agentSide, err = wire.NewConn(bufio.NewReader(nc), nc, nc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer agentSide.Close()
-	peer := <-ch
-	if peer.err != nil {
-		t.Fatal(peer.err)
+	t.Cleanup(func() { agentSide.Close() })
+	accepted := <-ch
+	if accepted.err != nil {
+		t.Fatal(accepted.err)
 	}
-	defer peer.conn.Close()
+	t.Cleanup(func() { accepted.conn.Close() })
+	return agentSide, accepted.conn
+}
 
-	a := newAgent(Config{Scenario: sc, Server: 0, TimeScale: 0.02}, agentSide)
+// TestSameUserRequestsSerialize pins the GPU-share scheduler on a clock the
+// test advances by hand: four requests for one user that arrive at the same
+// instant are served one after another on that user's share, so with s the
+// installed service time they report QueueSec 0, s, 2s and 3s — exactly, the
+// values being differences of model instants and nothing measured — and none
+// is answered before the clock reaches its finish. The backlog survives a
+// replan: a request that arrives after a new allocation was installed queues
+// behind the four that the old one admitted.
+func TestSameUserRequestsSerialize(t *testing.T) {
+	sc := testScenario(t, 2, 40)
+	// The transfer takes no model time, so the four are "sent" at the instant
+	// they arrive, 0, and every instant below is a small multiple of s: the
+	// float sums that produce them are exact.
+	sc.Servers[0].Link = netmodel.NewStatic("instant", math.Inf(1), 0.004)
+	agentSide, peer := wirePair(t)
+	clock := newFakeClock()
+	a := newAgent(Config{Scenario: sc, Server: 0, Clock: clock}, agentSide)
 	// Full offload (partition 0) has CrossProb 1, so the conditional server
 	// time is deterministic and strictly positive.
-	alloc := &wire.Allocation{
-		Epoch: 1, UplinkBps: netmodel.Mbps(40), RTT: 0.004,
-		Entries: []wire.AllocEntry{{User: 0, Partition: 0, ComputeShare: 0.5, BandwidthShare: 0.5}},
+	push := func(epoch uint64, computeShare float64) error {
+		return a.install(&wire.Allocation{
+			Epoch: epoch, UplinkBps: netmodel.Mbps(40), RTT: 0.004,
+			Entries: []wire.AllocEntry{{User: 0, Partition: 0, ComputeShare: computeShare, BandwidthShare: 0.5}},
+		})
 	}
-	if err := a.install(alloc); err != nil {
+	if err := push(1, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	if slot := a.slot(0); slot.condServerSec <= 0 {
-		t.Fatalf("full-offload slot has condServerSec %g, want > 0", slot.condServerSec)
+	s := a.slot(0).condServerSec
+	if s <= 0 {
+		t.Fatalf("full-offload slot has condServerSec %g, want > 0", s)
 	}
-
-	const n = 4
-	for i := uint64(1); i <= n; i++ {
-		go a.handleInfer(&wire.Infer{Seq: i, User: 0})
-	}
-	queued := 0
-	for i := 0; i < n; i++ {
-		m, err := peer.conn.Recv()
+	recv := func() *wire.InferResult {
+		t.Helper()
+		m, err := peer.Recv()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,17 +267,54 @@ func TestSameUserRequestsSerialize(t *testing.T) {
 		if res.Status != wire.StatusOK {
 			t.Fatalf("infer %d status %d", res.Seq, res.Status)
 		}
-		if res.QueueSec > 0 {
-			queued++
+		return res
+	}
+
+	const n = 4
+	for i := uint64(1); i <= n; i++ {
+		go a.handleInfer(&wire.Infer{Seq: i, User: 0})
+	}
+	clock.awaitBlocked(t, n) // each has its place in the queue and waits for its finish
+	if got := a.slot(0).nextFree; got != n*s {
+		t.Fatalf("after %d admissions the share frees at %v, want %v", n, got, n*s)
+	}
+
+	// A replan halves the share. The queue carries over; the service time
+	// of what arrives from now on does not.
+	if err := push(2, 0.25); err != nil {
+		t.Fatal(err)
+	}
+	s2 := a.slot(0).condServerSec
+	if s2 <= s {
+		t.Fatalf("half the share serves in %v, no slower than %v", s2, s)
+	}
+	if got := a.slot(0).nextFree; got != n*s {
+		t.Fatalf("install moved the backlog: share frees at %v, want %v", got, n*s)
+	}
+	go a.handleInfer(&wire.Infer{Seq: n + 1, User: 0})
+	clock.awaitBlocked(t, 1)
+
+	seen := map[uint64]bool{}
+	for k := 1; k <= n; k++ {
+		clock.advance(float64(k) * s)
+		res := recv() // the only request whose finish the clock has reached
+		if seen[res.Seq] || res.Seq > n {
+			t.Fatalf("step %d answered request %d", k, res.Seq)
+		}
+		seen[res.Seq] = true
+		if want := float64(k-1) * s; res.QueueSec != want || res.UplinkSec != 0 || res.ServerSec != s {
+			t.Errorf("request served %d: uplink %v queue %v server %v, want 0, %v (%d x s), %v",
+				k, res.UplinkSec, res.QueueSec, res.ServerSec, want, k-1, s)
 		}
 	}
-	if queued == 0 {
-		t.Fatal("no concurrent same-user request queued; GPU-share serialization untested")
+	clock.advance(n*s + s2)
+	if res := recv(); res.Seq != n+1 || res.QueueSec != n*s || res.ServerSec != s2 {
+		t.Errorf("request after the replan: seq %d queue %v server %v, want %d, %v, %v", res.Seq, res.QueueSec, res.ServerSec, n+1, n*s, s2)
 	}
 
 	// An oversubscribed push must be refused outright.
 	bad := &wire.Allocation{
-		Epoch: 2, UplinkBps: netmodel.Mbps(40), RTT: 0.004,
+		Epoch: 3, UplinkBps: netmodel.Mbps(40), RTT: 0.004,
 		Entries: []wire.AllocEntry{
 			{User: 0, Partition: 0, ComputeShare: 0.7, BandwidthShare: 0.5},
 			{User: 1, Partition: 0, ComputeShare: 0.7, BandwidthShare: 0.5},

@@ -1,0 +1,56 @@
+package agent
+
+import (
+	"math"
+	"time"
+
+	"edgesurgeon/internal/pace"
+)
+
+// Clock is model time: the one clock every modelled wait of the plane is on.
+// A stage does not sleep for its duration; it computes the model instant at
+// which it ends, from the instant the request arrived, and waits for that.
+// Lateness in one wait (a scheduler hiccup, a timer's overshoot) then comes
+// out of the next one instead of being added to it, and the stage seconds a
+// response reports are differences of model instants, not measurements.
+//
+// Both Config and DispatcherConfig carry one; every binary leaves it nil and
+// gets the wall clock scaled by TimeScale. The interface exists so a test can
+// put the plane on a clock it advances by hand (fakeClock in the tests).
+type Clock interface {
+	// Now is the current model instant, in model-seconds from an origin of
+	// the clock's choosing.
+	Now() float64
+	// WaitUntil returns once Now() >= t; at once if it already is.
+	WaitUntil(t float64)
+}
+
+// wallClock is model time as scaled wall time: scale wall-seconds to the
+// model-second, counted from the clock's creation. Deadlines are kept by
+// pace.Until, so a wait is late by the kernel's timer, not the runtime's, and
+// a wait that is already due — every wait at the benchmark's zero-physics
+// scale — costs two clock readings.
+type wallClock struct {
+	origin time.Time
+	scale  float64
+}
+
+func newWallClock(timeScale float64) *wallClock {
+	return &wallClock{origin: time.Now(), scale: timeScale}
+}
+
+// orWall is the configured clock, or the wall clock at timeScale when the
+// configuration leaves it nil.
+func orWall(c Clock, timeScale float64) Clock {
+	if c == nil {
+		return newWallClock(timeScale)
+	}
+	return c
+}
+
+func (c *wallClock) Now() float64 { return time.Since(c.origin).Seconds() / c.scale }
+
+func (c *wallClock) WaitUntil(t float64) {
+	// Rounded up, so that Now() >= t holds on return.
+	pace.Until(c.origin.Add(time.Duration(math.Ceil(t * c.scale * float64(time.Second)))))
+}

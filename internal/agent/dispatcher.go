@@ -39,6 +39,10 @@ type DispatcherConfig struct {
 	Listen string
 	// TimeScale is wall-seconds per model-second; 0 means 1.
 	TimeScale float64
+	// Clock is the model clock requests wait on and samples are stamped
+	// with; nil means the wall clock scaled by TimeScale, which is what every
+	// binary runs on.
+	Clock Clock
 	// Seed fixes the partition-crossing sampler.
 	Seed int64
 	// InferTimeout bounds one remote suffix execution in wall time;
@@ -162,7 +166,7 @@ type Dispatcher struct {
 	cfg   DispatcherConfig
 	rt    *serve.Runtime
 	ln    net.Listener
-	start time.Time
+	clock Clock
 	seq   atomic.Uint64 // internal Infer sequence space
 
 	plan atomic.Pointer[joint.Plan] // current published plan, for request routing
@@ -171,7 +175,7 @@ type Dispatcher struct {
 	// follows it, keeping sample times monotone and allocation epochs
 	// ordered.
 	ingestMu  sync.Mutex
-	clock     float64
+	ingested  float64 // model time of the last ingested sample
 	epoch     uint64
 	lastPlan  *joint.Plan
 	lastRates []float64 // last telemetry uplink per server (0 = none yet)
@@ -234,7 +238,7 @@ func StartDispatcher(cfg DispatcherConfig) (*Dispatcher, error) {
 		cfg:             cfg,
 		rt:              cfg.Runtime,
 		ln:              ln,
-		start:           time.Now(),
+		clock:           orWall(cfg.Clock, cfg.timeScale()),
 		lastRates:       make([]float64, len(sc.Servers)),
 		meanRates:       make([]float64, len(sc.Servers)),
 		up:              make([]bool, len(sc.Servers)),
@@ -349,11 +353,6 @@ func (d *Dispatcher) WaitAgents(n int, timeout time.Duration) error {
 		}
 		d.ready.Wait()
 	}
-}
-
-// virtualNow is the dispatcher's model-time clock.
-func (d *Dispatcher) virtualNow() float64 {
-	return time.Since(d.start).Seconds() / d.cfg.timeScale()
 }
 
 func (d *Dispatcher) acceptLoop() {
@@ -644,21 +643,17 @@ func (d *Dispatcher) onTelemetry(ac *agentConn, m *wire.Telemetry) {
 	d.ingestLocked(telemetry.Sample{Uplinks: uplinks, Source: ac.id})
 }
 
-// ingestLocked stamps the sample with the dispatcher's monotone virtual
-// clock, runs it through the serve runtime, and publishes the resulting
+// ingestLocked stamps the sample with the dispatcher's model clock, held
+// monotone, runs it through the serve runtime, and publishes the resulting
 // plan. Caller holds ingestMu.
 func (d *Dispatcher) ingestLocked(s telemetry.Sample) {
-	t := d.virtualNow()
-	if t < d.clock {
-		t = d.clock
-	}
-	s.Time = t
+	s.Time = max(d.clock.Now(), d.ingested)
 	plan, err := d.rt.Ingest(s)
 	if err != nil {
 		d.cfg.logf("dispatcher: sample from %s rejected: %v", s.Source, err)
 		return
 	}
-	d.clock = t
+	d.ingested = s.Time
 	d.publishLocked(plan)
 }
 
@@ -850,6 +845,7 @@ func (d *Dispatcher) deliver(cc *clientConn, resp *wire.Response) {
 // shares, so the mean observed latency equals the plan's expected latency
 // exactly.
 func (d *Dispatcher) execute(req *wire.Request) *wire.Response {
+	arrive := d.clock.Now()
 	d.cRequests.Inc()
 	sc := d.cfg.Scenario
 	if req.User < 0 || req.User >= len(sc.Users) {
@@ -859,9 +855,9 @@ func (d *Dispatcher) execute(req *wire.Request) *wire.Response {
 	plan := d.plan.Load()
 	dec := &plan.Decisions[req.User]
 
-	// Device prefix (simulated on the device's clock).
+	// Device prefix: done at a model instant counted from the arrival.
 	deviceSec := dec.Eval.DeviceSec
-	time.Sleep(time.Duration(deviceSec * d.cfg.timeScale() * float64(time.Second)))
+	d.clock.WaitUntil(arrive + deviceSec)
 
 	resp := &wire.Response{Seq: req.Seq, User: req.User, Status: wire.StatusOK, Server: -1, DeviceSec: deviceSec}
 	cross := dec.Server >= 0 && dec.Eval.CrossProb > 0 &&
