@@ -257,15 +257,84 @@ func TestE19JointSustainsTenfold(t *testing.T) {
 	}
 }
 
-// TestExtensionExperimentsRun: E13, E14, E17 and E18 run and raise no
-// shape WARNING of their own.
+// TestExtensionExperimentsRun: E13, E14, E17 and E18 run, raise no shape
+// WARNING of their own and show what their EXPERIMENTS.md rows state.
 func TestExtensionExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-user simulations in -short mode")
 	}
-	for _, id := range []string{"E13", "E14", "E17", "E18"} {
-		runReport(t, id)
-	}
+	// E13: epoch replanning bounds the tail and the mean below the static
+	// plan's without giving up deadlines.
+	t.Run("E13", func(t *testing.T) {
+		tb := runReport(t, "E13").Tables[1]
+		if len(tb.Rows) != 2 || tb.Rows[0][0] != "static" || tb.Rows[1][0] != "online" {
+			t.Fatalf("rows %v, want static then online", tb.Rows)
+		}
+		for _, h := range []string{"p99(ms)", "mean(ms)"} {
+			if c := column(t, tb, h); c[1] >= c[0] {
+				t.Errorf("online %s %g, static %g; want online below", h, c[1], c[0])
+			}
+		}
+		if c := column(t, tb, "deadline-rate"); c[1] < c[0] {
+			t.Errorf("online meets %.4f of deadlines, static %.4f; want online no lower", c[1], c[0])
+		}
+	})
+	// E14: joint spends the least device energy of all arms, at least 5x
+	// below local-only, while holding the best mean latency.
+	t.Run("E14", func(t *testing.T) {
+		tb := runReport(t, "E14").Tables[0]
+		if len(tb.Rows) != len(strategiesUnderTest()) || tb.Rows[0][0] != "joint" || tb.Rows[1][0] != "local-only" {
+			t.Fatalf("rows %v, want joint, local-only, then the other baselines", tb.Rows)
+		}
+		energy, mean := column(t, tb, "energy(J/task)"), column(t, tb, "mean-latency(ms)")
+		for ri := 1; ri < len(tb.Rows); ri++ {
+			if energy[ri] <= energy[0] || mean[ri] <= mean[0] {
+				t.Errorf("%s: %g J/task, %g ms; joint %g J/task, %g ms — want joint lowest in both",
+					tb.Rows[ri][0], energy[ri], mean[ri], energy[0], mean[0])
+			}
+		}
+		if energy[1] < 5*energy[0] {
+			t.Errorf("local-only %g J/task, joint %g; want >= 5x", energy[1], energy[0])
+		}
+	})
+	// E17: gold (w=4) is served faster than bronze (w=1) both as planned
+	// and as simulated, and bronze is not starved: a class that completed
+	// nothing would read a zero mean, one stuck behind gold a p95 at the
+	// horizon.
+	t.Run("E17", func(t *testing.T) {
+		tb := runReport(t, "E17").Tables[0]
+		if len(tb.Rows) != 2 || tb.Rows[0][0] != "gold(w=4)" || tb.Rows[1][0] != "bronze(w=1)" {
+			t.Fatalf("rows %v, want gold then bronze", tb.Rows)
+		}
+		for _, h := range []string{"exp-latency(ms)", "sim-mean(ms)"} {
+			if c := column(t, tb, h); c[0] >= c[1] {
+				t.Errorf("%s: gold %g, bronze %g; want gold below", h, c[0], c[1])
+			}
+		}
+		bronzeMean, bronzeP95 := column(t, tb, "sim-mean(ms)")[1], column(t, tb, "sim-p95(ms)")[1]
+		if !(bronzeMean > 0 && bronzeP95 < simHorizon*1000) {
+			t.Errorf("bronze simulated mean %g ms, p95 %g ms; want its tasks completing inside the %g s horizon", bronzeMean, bronzeP95, simHorizon)
+		}
+	})
+	// E18: joint is the fastest arm under all three service disciplines and
+	// within 5 % of itself across them.
+	t.Run("E18", func(t *testing.T) {
+		tb := runReport(t, "E18").Tables[0]
+		if len(tb.Headers) != 4 || len(tb.Rows) != len(strategiesUnderTest()) || tb.Rows[0][0] != "joint" {
+			t.Fatalf("table %v %v, want three disciplines with joint first", tb.Headers, tb.Rows)
+		}
+		var jointMeans []float64
+		for _, h := range tb.Headers[1:] {
+			c := column(t, tb, h)
+			if best := slices.Min(c[1:]); c[0] >= best {
+				t.Errorf("%s: joint %g ms, best baseline %g ms; want joint fastest", h, c[0], best)
+			}
+			jointMeans = append(jointMeans, c[0])
+		}
+		if lo, hi := slices.Min(jointMeans), slices.Max(jointMeans); hi > 1.05*lo {
+			t.Errorf("joint mean spans %g..%g ms across disciplines (%.3fx), want <= 1.05x", lo, hi, hi/lo)
+		}
+	})
 }
 
 func TestE20FailureAwareWins(t *testing.T) {
