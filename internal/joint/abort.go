@@ -1,69 +1,33 @@
 package joint
 
-import (
-	"context"
-	"fmt"
-)
+import "fmt"
 
 // AbortedError reports a planning run abandoned at a deadline checkpoint:
-// either the caller's context was cancelled (Cause holds the context
-// error), or the deterministic surgery-op budget (Options.SurgeryBudget)
-// was exceeded. The partial state is discarded — an aborted Plan call never
-// returns a plan — so the caller's previous plan remains the valid one (the
-// control plane's stale-plan fallback).
+// the deterministic surgery-op budget (Options.SurgeryBudget) was exceeded.
+// The partial state is discarded — an aborted Plan call never returns a
+// plan — so the caller's previous plan remains the valid one (the control
+// plane's stale-plan fallback).
 type AbortedError struct {
-	// Cause is the context error when cancellation triggered the abort;
-	// nil for a virtual-budget overrun.
-	Cause error
 	// SurgeryOps is the deterministic work total charged when the abort
 	// fired, in scheduled surgery optimizations.
 	SurgeryOps int64
-	// Budget is the configured Options.SurgeryBudget (0 when the abort came
-	// from cancellation with no budget set).
+	// Budget is the configured Options.SurgeryBudget.
 	Budget int64
 }
 
 // Error implements error.
 func (e *AbortedError) Error() string {
-	if e.Cause != nil {
-		return fmt.Sprintf("joint: plan aborted after %d surgery ops: %v", e.SurgeryOps, e.Cause)
-	}
 	return fmt.Sprintf("joint: plan aborted: surgery budget %d exceeded at %d ops", e.Budget, e.SurgeryOps)
 }
 
-// Unwrap exposes the context error for errors.Is(err, context.Canceled).
-func (e *AbortedError) Unwrap() error { return e.Cause }
-
-// PlanCtx is Plan with cooperative cancellation: the context is checked at
-// every sequential orchestration checkpoint (each block-coordinate round,
-// each hierarchical reconciliation round, the shard fan-out boundaries). A
-// cancelled plan returns an *AbortedError wrapping the context error.
-// Cancellation is wall-clock and therefore not replay-deterministic; for a
-// deterministic deadline use Options.SurgeryBudget, which PlanCtx composes
-// with.
-func (p *Planner) PlanCtx(ctx context.Context, sc *Scenario) (*Plan, error) {
-	q := *p
-	q.Opt.planCtx = ctx
-	return q.Plan(sc)
-}
-
-// checkAbort is the planner's deadline checkpoint: context cancellation
-// first, then the deterministic budget. spent must be a parallelism-
-// invariant work total (scheduled surgery ops, not executed ones), and the
-// call sites must all sit on sequential orchestration code — that is what
-// makes a budget abort fire at the same point of the same run at every
-// Parallelism level.
-func (o *Options) checkAbort(spent int64) error {
-	if o.planCtx != nil {
-		if cause := o.planCtx.Err(); cause != nil {
-			return &AbortedError{Cause: cause, SurgeryOps: spent, Budget: o.SurgeryBudget}
-		}
-	}
-	if o.SurgeryBudget > 0 && spent > o.SurgeryBudget {
-		return &AbortedError{SurgeryOps: spent, Budget: o.SurgeryBudget}
+// checkpoint is the planner's deadline check on the state's ledger. spent
+// is a parallelism-invariant work total (scheduled surgery ops, not executed
+// ones), and the call sites all sit on sequential orchestration code — that
+// is what makes a budget abort fire at the same point of the same run at
+// every Parallelism level.
+func (st *state) checkpoint() error {
+	if b := st.opt.SurgeryBudget; b > 0 && st.spent > b {
+		return &AbortedError{SurgeryOps: st.spent, Budget: b}
 	}
 	return nil
 }
-
-// checkpoint applies checkAbort to the state's own charged work.
-func (st *state) checkpoint() error { return st.opt.checkAbort(st.spent) }

@@ -1,7 +1,6 @@
 package joint
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -105,37 +104,6 @@ func TestSurgeryBudgetAbortPointStable(t *testing.T) {
 			t.Errorf("par=%d: aborted at %d ops, par=1 aborted at %d", par, abort.SurgeryOps, want)
 		}
 	}
-}
-
-// TestPlanCtxCancellation: a canceled context aborts at the next checkpoint
-// with the context's error as the cause, and a live context changes nothing.
-func TestPlanCtxCancellation(t *testing.T) {
-	sc := testScenario(t, 6, 40)
-	p := &Planner{}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	plan, err := p.PlanCtx(ctx, sc)
-	if plan != nil {
-		t.Fatal("canceled context returned a plan")
-	}
-	var abort *AbortedError
-	if !errors.As(err, &abort) {
-		t.Fatalf("got %v, want *AbortedError", err)
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("abort cause %v does not unwrap to context.Canceled", err)
-	}
-
-	ref, err := p.Plan(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	live, err := p.PlanCtx(context.Background(), sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	samePlanModuloCounters(t, "live ctx", live, ref)
 }
 
 // TestSurgeryBudgetShardedPath: the sharded route splits the budget across

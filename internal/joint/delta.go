@@ -32,11 +32,10 @@ import "fmt"
 // mutated. With no dirty shard the previous decisions are returned
 // unchanged (fresh counters, "+delta" planner name).
 //
-// Budget/cancellation semantics match Plan: Options.SurgeryBudget bounds
-// the deterministic scheduled-work ledger, overruns return *AbortedError
-// and no partial plan, and the charge points all sit on sequential
-// orchestration code, so an abort fires at the same point at every
-// Parallelism level.
+// Budget semantics match Plan: Options.SurgeryBudget bounds the
+// deterministic scheduled-work ledger, overruns return *AbortedError and no
+// partial plan, and the charge points all sit on sequential orchestration
+// code, so an abort fires at the same point at every Parallelism level.
 func (p *Planner) PlanDelta(sc *Scenario, prev *Plan, dirty []bool) (*Plan, error) {
 	if err := sc.validateForPlanning(); err != nil {
 		return nil, err
@@ -79,16 +78,15 @@ func (p *Planner) PlanDelta(sc *Scenario, prev *Plan, dirty []bool) (*Plan, erro
 		}
 	}
 
-	// Phase 1: re-plan each dirty shard in isolation, warm-started from the
-	// previous shares. Ascending server order keeps the pass deterministic;
-	// within a shard the surgery fan-out is index-ordered as everywhere
-	// else, so the result is identical at every Parallelism level.
+	// Phase 1: re-converge each dirty shard in isolation, warm-started from
+	// the previous shares — the loop a full sharded plan runs cold on every
+	// shard. Ascending server order keeps the pass deterministic.
 	shardIters := 0
 	for s := range dirty {
 		if !dirty[s] {
 			continue
 		}
-		iters, err := st.replanShard(s)
+		iters, err := st.converge(s, false)
 		if err != nil {
 			return nil, err
 		}
@@ -99,61 +97,7 @@ func (p *Planner) PlanDelta(sc *Scenario, prev *Plan, dirty []bool) (*Plan, erro
 	// the tail shared with the full sharded plan. Donors start as the dirty
 	// shards (only they can have become the wrong home for their users);
 	// every server remains a legal target.
-	return st.settle(append([]bool(nil), dirty...), nil, &Plan{PlannerName: name, DirtyShards: nDirty, Iterations: shardIters})
-}
-
-// replanShard re-converges one server's shard in place, warm-started from
-// the shares currently installed: alternating surgery (at the drifted
-// uplink) and re-allocation until the shard's objective slice stops
-// improving, with a best-snapshot restore so the probe-share floor's
-// transient regressions can never leave the shard worse than its best
-// visited point. Only this shard's users are touched; cost is
-// O(iterations × shard size). Returns the round count.
-func (st *state) replanShard(s int) (int, error) {
-	users := st.assigned[s]
-	if len(users) == 0 {
-		st.allocServer(s) // clears the stale feasibility flag
-		return 0, nil
-	}
-	prev := st.shardObjective(s)
-	bestObj := prev
-	bestDs := make([]Decision, len(users))
-	for i, ui := range users {
-		bestDs[i] = st.ds[ui]
-	}
-	bestFeas := st.srvFeasible[s]
-	iters := 0
-	for ; iters < st.opt.MaxIters; iters++ {
-		// Charge the pass before running it — scheduled work, so the ledger
-		// is parallelism-invariant — and abort with no partial effects
-		// beyond this shard (the caller discards the state on error).
-		st.spent += int64(len(users))
-		if err := st.checkpoint(); err != nil {
-			return iters, err
-		}
-		if err := st.refresh(users); err != nil {
-			return iters, err
-		}
-		st.allocServer(s)
-		cur := st.shardObjective(s)
-		if cur < bestObj {
-			bestObj = cur
-			for i, ui := range users {
-				bestDs[i] = st.ds[ui]
-			}
-			bestFeas = st.srvFeasible[s]
-		}
-		if st.opt.converged(prev, cur) {
-			iters++
-			break
-		}
-		prev = cur
-	}
-	for i, ui := range users {
-		st.ds[ui] = bestDs[i]
-	}
-	st.srvFeasible[s] = bestFeas
-	return iters, nil
+	return st.settle(append([]bool(nil), dirty...), &Plan{PlannerName: name, DirtyShards: nDirty, Iterations: shardIters})
 }
 
 // DirtyServers returns the indices flagged in a dirty mask, ascending — the

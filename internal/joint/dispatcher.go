@@ -228,9 +228,9 @@ func (d *Dispatcher) Observe(serverUp []bool, ratesBps []float64) (*Plan, error)
 
 	opt := d.planner.opts()
 	// The observe path is the cheap two-round refresh, never the full
-	// replan the deadline budget bounds; a budget or context configured for
-	// Plan must not leak in here and abort a failover.
-	opt.SurgeryBudget, opt.planCtx = 0, nil
+	// replan the deadline budget bounds; a budget configured for Plan must
+	// not leak in here and abort a failover.
+	opt.SurgeryBudget = 0
 	st := newState(d.sc, opt, buildUserSoA(d.sc))
 	st.seedGreedy()
 	d.assignWithHealth(st, &report)

@@ -20,7 +20,7 @@ import (
 // a plan pays for, which the hit/miss tally reports.
 
 // tables is one planning state's view of the surgery tables, shared with
-// its scratch clones and discarded with it.
+// its cross-check state and discarded with it.
 type tables struct {
 	set  *surgery.FrontierSet // Options.Frontiers; nil when none were precomputed
 	bo   surgery.BuildOptions // what on-demand tables run the optimizer under
@@ -112,22 +112,13 @@ func (st *state) solve(ui, server int, env surgery.Env) (surgery.Plan, surgery.E
 	return plan, ev, err
 }
 
-// stampCounters writes a fresh plan's ledger and tally — the state's own plus
-// those of any sub-plans produced by uninstrumented inner planners (the
-// sharded path's shard and cross-check plans) — and publishes the tally to
-// the planner's registry. It is the single aggregation point behind every
-// plan producer, and the only place the registry series are touched, so an
-// instrumented plan reports exactly what an uninstrumented one does.
-func (st *state) stampCounters(plan *Plan, sub ...*Plan) {
+// stampCounters writes a fresh plan's ledger and tally and publishes the
+// tally to the planner's registry. It is the single aggregation point behind
+// every plan producer, and the only place the registry series are touched,
+// so an instrumented plan reports exactly what an uninstrumented one does.
+func (st *state) stampCounters(plan *Plan) {
 	plan.SurgeryOps = st.spent
 	plan.FrontierHits, plan.FrontierMisses = st.tables.hits.Load(), st.tables.misses.Load()
-	for _, sp := range sub {
-		if sp != nil {
-			plan.FrontierHits += sp.FrontierHits
-			plan.FrontierMisses += sp.FrontierMisses
-			plan.SurgeryOps += sp.SurgeryOps
-		}
-	}
 	if reg := st.opt.Metrics; reg != nil {
 		reg.Counter("planner.frontier.hits").Add(plan.FrontierHits)
 		reg.Counter("planner.frontier.misses").Add(plan.FrontierMisses)

@@ -3,8 +3,6 @@ package joint
 import (
 	"math"
 	"sort"
-
-	"edgesurgeon/internal/sim"
 )
 
 // This file implements the hierarchical sharded planner — the scale path
@@ -17,11 +15,12 @@ import (
 //
 //  1. Users are clustered by server affinity (the planner's own greedy
 //     initial assignment) into shards — one shard per server, plus a
-//     singleton shard per provably local-only user, mirroring
-//     sim.ClusterByServer's component decomposition.
-//  2. Each server shard is planned concurrently by the unmodified
-//     monolithic core against a provisional capacity split: the shard's
-//     server at full capacity, shared only by the shard's own users.
+//     singleton shard per provably local-only user, the simulator's
+//     component decomposition.
+//  2. Each server shard converges in place (state.converge, the loop a
+//     delta replan runs warm on its dirty shards) against a provisional
+//     capacity split: the shard's server at full capacity, shared only by
+//     the shard's own users, nobody changing servers.
 //  3. A small number of capacity-reconciliation rounds migrate users from
 //     pressured shards (infeasible, or above-average compute demand) into
 //     shards with slack, accepting only moves that strictly improve the
@@ -30,11 +29,11 @@ import (
 //     and the objective improvement falls under Epsilon.
 //
 // When shards never contend — no reconciliation move improves anything and
-// every shard's inner loop reaches an exact fixed point (the snapped
-// share grid makes fixed points exact, see state.env) — the sharded
-// plan is bit-identical to the monolithic one: the affinity clustering IS
-// the monolithic initial assignment, each shard's surgery environment is
-// server-local, and the merge preserves the monolithic per-server
+// every shard's loop reaches an exact fixed point (the snapped share grid
+// makes fixed points exact, see state.env) — the sharded plan is
+// bit-identical to the monolithic one: the affinity clustering IS the
+// monolithic initial assignment, each shard's surgery environment is
+// server-local, and the shards' lists keep the monolithic per-server
 // allocation input order. The differential tests pin this, plus a ≤1%
 // objective gap on contended scenarios.
 
@@ -75,8 +74,9 @@ const reconcileMaxTargets = 2
 // MaxIters rounds when that is larger — see settle.
 const reconcileRounds = 6
 
-// planSharded is the hierarchical planning entry point. opt is the
-// already-defaulted option set (see Planner.opts).
+// planSharded is the hierarchical planning entry point — a delta replan from
+// a blank plan with every shard dirty. opt is the already-defaulted option
+// set (see Planner.opts).
 func (p *Planner) planSharded(sc *Scenario, opt Options) (*Plan, error) {
 	hot := buildUserSoA(sc)
 	assign, order := initialAssignment(sc, hot)
@@ -91,109 +91,107 @@ func (p *Planner) planSharded(sc *Scenario, opt Options) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The local-only pre-pass probed one surgery optimization per user;
-	// charge it before fanning out so a budget below even that aborts here,
-	// deterministically, with no shard work spent.
-	pinOps := int64(len(sc.Users))
-	if err := opt.checkAbort(pinOps); err != nil {
+	st := newState(sc, opt, hot)
+	// The pre-pass probed one surgery optimization per user; charge it before
+	// any shard work so a budget below even that aborts here.
+	st.spent = int64(len(sc.Users))
+	if err := st.checkpoint(); err != nil {
 		return nil, err
 	}
 
-	clusters := sim.ClusterByServer(len(sc.Users), len(sc.Servers), false, func(ui int) int {
-		if pin[ui] != nil {
-			return -1
-		}
-		return assign[ui]
-	})
-
-	// Plan every server shard concurrently with the monolithic core. The
-	// fan-out is index-ordered and each shard plan is a pure function of
-	// its sub-scenario, so the result is identical at every parallelism
-	// level (the PR1 guarantee, one level up).
-	shardPlans := make([]*Plan, len(clusters))
-	workers := opt.parallelism()
-	inner := opt
-	inner.ShardThreshold = 0 // shards plan monolithically
-	inner.Metrics = nil      // instrumentation is aggregated once, in settle
-	inner.Parallelism = innerParallelism(workers, countServerShards(clusters))
-	if opt.SurgeryBudget > 0 {
-		// Split the budget left after the pin pass evenly across server
-		// shards — a deterministic division, so which shard (if any)
-		// overruns is the same at every parallelism level; forEachIndex
-		// then surfaces the lowest-index shard's AbortedError.
-		if n := countServerShards(clusters); n > 0 {
-			inner.SurgeryBudget = max((opt.SurgeryBudget-pinOps)/int64(n), 1)
-		}
-	}
-	planErr := forEachIndex(workers, len(clusters), func(ci int) error {
-		c := clusters[ci]
-		if c.Server < 0 {
-			return nil // pinned local singleton: decision already computed
-		}
-		sub := &Scenario{
-			Users:           make([]User, len(c.Users)),
-			Servers:         []Server{sc.Servers[c.Server]},
-			Curves:          sc.Curves,
-			PlanningHorizon: sc.PlanningHorizon,
-		}
-		for li, gu := range c.Users {
-			sub.Users[li] = sc.Users[gu]
-		}
-		sp := Planner{Opt: inner}
-		plan, err := sp.Plan(sub)
-		if err != nil {
-			return err
-		}
-		shardPlans[ci] = plan
-		return nil
-	})
-	if planErr != nil {
-		return nil, planErr
-	}
-
-	// Merge: fold the shard plans and pinned local decisions into one global
-	// state. Its own ledger starts at the pin-pass cost; shard (and later
-	// cross-check) work arrives through the sub-plans' SurgeryOps.
-	st := newState(sc, opt, hot)
-	st.spent = pinOps
+	// Seed: a pinned user carries its local decision, everyone else starts
+	// blank on its affinity server at the uniform split.
 	ds := make([]Decision, len(sc.Users))
-	iters := 0
-	for ci, c := range clusters {
-		if c.Server < 0 {
-			gu := c.Users[0]
-			ds[gu] = *pin[gu]
-			continue
+	shards := 0
+	for ui := range ds {
+		if pin[ui] != nil {
+			ds[ui] = *pin[ui]
+			shards++
+		} else {
+			ds[ui].Server = assign[ui]
 		}
-		sp := shardPlans[ci]
-		for li, gu := range c.Users {
-			ds[gu] = sp.Decisions[li]
-			if ds[gu].Server >= 0 {
-				ds[gu].Server = c.Server // shard-local server 0 → global index
-			}
-		}
-		st.srvFeasible[c.Server] = sp.Feasible
-		iters = max(iters, sp.Iterations)
 	}
 	st.seedDecisions(ds, order)
-	return st.settle(nil, shardPlans, &Plan{PlannerName: p.Name(), Shards: len(clusters), Iterations: iters})
+	st.equalShares()
+
+	iters := 0
+	for s := range st.assigned {
+		if len(st.assigned[s]) > 0 {
+			shards++
+		}
+		n, err := st.converge(s, true)
+		if err != nil {
+			return nil, err
+		}
+		iters = max(iters, n)
+	}
+	return st.settle(nil, &Plan{PlannerName: p.Name(), Shards: shards, Iterations: iters})
+}
+
+// converge alternates surgery and re-allocation on server s's shard, in
+// place, until the shard's objective slice stops improving (at most MaxIters
+// rounds), then restores the best point it visited, so the probe-share
+// floor's transient regressions can never leave the shard worse than that.
+// Nobody changes servers and only this shard's users are touched: cost is
+// O(rounds × shard size). A warm start (a delta replan's dirty shard, at the
+// drifted uplink) compares its first round with the shares already
+// installed; a cold one (the full sharded plan's blank seed) has nothing to
+// compare with, so that round always runs and is the first point kept —
+// descend's round 0. Returns the round count.
+func (st *state) converge(s int, cold bool) (int, error) {
+	users := st.assigned[s]
+	if len(users) == 0 {
+		st.allocServer(s) // clears the stale feasibility flag
+		return 0, nil
+	}
+	prev := st.shardObjective(s)
+	bestObj, bestFeas := prev, st.srvFeasible[s]
+	bestDs := make([]Decision, len(users))
+	keep := func(obj float64) {
+		bestObj, bestFeas = obj, st.srvFeasible[s]
+		for i, ui := range users {
+			bestDs[i] = st.ds[ui]
+		}
+	}
+	keep(prev)
+	iters := 0
+	for ; iters < st.opt.MaxIters; iters++ {
+		// Charge the pass before running it and abort with no partial
+		// effects beyond this shard (the caller discards the state on error).
+		st.spent += int64(len(users))
+		if err := st.checkpoint(); err != nil {
+			return iters, err
+		}
+		if err := st.refresh(users); err != nil {
+			return iters, err
+		}
+		st.allocServer(s)
+		cur := st.shardObjective(s)
+		first := cold && iters == 0
+		if first || cur < bestObj {
+			keep(cur)
+		}
+		if !first && st.opt.converged(prev, cur) {
+			iters++
+			break
+		}
+		prev = cur
+	}
+	for i, ui := range users {
+		st.ds[ui] = bestDs[i]
+	}
+	st.srvFeasible[s] = bestFeas
+	return iters, nil
 }
 
 // settle is the second half of both sharded routes — the full hierarchical
 // plan (scope nil: every shard donates) and the delta replan (scope = the
 // dirty mask) — run on a state whose shards have each converged in
 // isolation: capacity reconciliation, the verification-size monolithic
-// cross-check, and plan assembly. sub holds the plans of uninstrumented
-// inner planners whose ops and tallies belong to this plan; plan arrives
-// carrying the route's name, shard counts and the deepest shard's round
-// count.
-func (st *state) settle(scope []bool, sub []*Plan, plan *Plan) (*Plan, error) {
-	var subOps int64
-	for _, sp := range sub {
-		if sp != nil {
-			subOps += sp.SurgeryOps
-		}
-	}
-	if err := st.opt.checkAbort(st.spent + subOps); err != nil {
+// cross-check, and plan assembly. plan arrives carrying the route's name,
+// shard counts and the deepest shard's round count.
+func (st *state) settle(scope []bool, plan *Plan) (*Plan, error) {
+	if err := st.checkpoint(); err != nil {
 		return nil, err
 	}
 	st.recomputeFeasible()
@@ -201,20 +199,18 @@ func (st *state) settle(scope []bool, sub []*Plan, plan *Plan) (*Plan, error) {
 	// return a worse plan than the one it started from.
 	best := st.snapshot()
 	plan.Trajectory = []float64{best.obj}
-	if err := st.reconcile(scope, subOps, &best, plan); err != nil {
+	if err := st.reconcile(scope, &best, plan); err != nil {
 		return nil, err
 	}
-	if mono := st.crossCheck(st.spent + subOps); mono != nil {
-		sub = append(sub[:len(sub):len(sub)], mono)
-		subOps += mono.SurgeryOps
+	if mono := st.crossCheck(); mono != nil {
 		plan.Trajectory = append(plan.Trajectory, mono.Objective)
 		best.offer(mono.Objective, mono.Decisions, mono.Feasible)
 	}
-	if err := st.opt.checkAbort(st.spent + subOps); err != nil {
+	if err := st.checkpoint(); err != nil {
 		return nil, err
 	}
 	best.install(plan)
-	st.stampCounters(plan, sub...)
+	st.stampCounters(plan)
 	st.publish(plan)
 	return plan, nil
 }
@@ -222,8 +218,7 @@ func (st *state) settle(scope []bool, sub []*Plan, plan *Plan) (*Plan, error) {
 // reconcile runs the capacity-reconciliation rounds: each migrates load
 // between shards (reconcileStep) and then repairs the shards a migration
 // touched, offering the resulting point to best and recording it in plan's
-// trajectory and round count. subOps is the work already charged through
-// sub-plans; every budget checkpoint adds it to the state's own ledger.
+// trajectory and round count.
 //
 // With a donor scope (the scale regime of a delta replan; updated in place)
 // the repair only re-balances shares: every mover's surgery was already
@@ -245,9 +240,9 @@ func (st *state) settle(scope []bool, sub []*Plan, plan *Plan) (*Plan, error) {
 // to the monolithic reference (the pinned ≤1% gap), not wall-clock, and a
 // dirty-only scope can strand an improving move whose donor happens to be a
 // clean shard.
-func (st *state) reconcile(scope []bool, subOps int64, best *incumbent, plan *Plan) error {
+func (st *state) reconcile(scope []bool, best *incumbent, plan *Plan) error {
 	sc, opt := st.sc, &st.opt
-	if opt.DisableReassignment || len(sc.Servers) < 2 {
+	if !st.reassigns() {
 		return nil
 	}
 	maxRounds := reconcileRounds
@@ -257,7 +252,7 @@ func (st *state) reconcile(scope []bool, subOps int64, best *incumbent, plan *Pl
 	}
 	prev := best.obj
 	for r := 0; r < maxRounds; r++ {
-		if err := opt.checkAbort(st.spent + subOps); err != nil {
+		if err := st.checkpoint(); err != nil {
 			return err
 		}
 		moved, touched := st.reconcileStep(scope)
@@ -296,62 +291,35 @@ func (st *state) reconcile(scope []bool, subOps int64, best *incumbent, plan *Pl
 	return nil
 }
 
-// crossCheck plans the scenario monolithically (uninstrumented) on whatever
-// budget remains after charged ops, returning nil when the check is skipped
-// or fails. Greedy first-improvement descent is path dependent, and shards
-// converged in isolation (or warm-started from a previous plan) can land in
-// a different basin than the interleaved monolithic loop. At verification
-// sizes the cross-check pins the differential contract — never worse than
-// monolithic — by construction; ties keep the caller's decisions, so the
-// bit-identity guarantee on non-contended scenarios is unaffected. Above
-// crossCheckUserLimit the check is skipped (it would double planning cost):
-// there the reconciliation rounds are the whole story and E23/E26 report
-// the measured gap instead. With no budget left it is skipped
-// deterministically — its failures are swallowed anyway, so an in-flight
-// abort would only waste the charged work.
-func (st *state) crossCheck(charged int64) *Plan {
+// crossCheck plans the scenario monolithically — a second state on this one's
+// tables and ledger, so its lookups and ops are the plan's own — and returns
+// nil when the check is skipped or fails. Greedy first-improvement descent is
+// path dependent, and shards converged in isolation (or warm-started from a
+// previous plan) can land in a different basin than the interleaved
+// monolithic loop. At verification sizes the cross-check pins the
+// differential contract — never worse than monolithic — by construction;
+// ties keep the caller's decisions, so the bit-identity guarantee on
+// non-contended scenarios is unaffected. Above crossCheckUserLimit the check
+// is skipped (it would double planning cost): there the reconciliation
+// rounds are the whole story and E23/E26 report the measured gap instead.
+// A check the budget cuts short is dropped, and the ops it was charged with
+// it (its lookups stay in the tally: they were asked): it is an extra, so
+// running out of budget inside it must not fail a plan that was complete
+// before it started.
+func (st *state) crossCheck() *Plan {
 	if len(st.sc.Users) > crossCheckUserLimit {
 		return nil
 	}
 	mopt := st.opt
-	mopt.ShardThreshold = 0
-	mopt.Metrics = nil
-	if mopt.SurgeryBudget > 0 {
-		mopt.SurgeryBudget -= charged
-		if mopt.SurgeryBudget < 1 {
-			return nil
-		}
-	}
-	mono, err := (&Planner{Opt: mopt}).Plan(st.sc)
+	mopt.Metrics = nil // the tally is published once, by the caller's stampCounters
+	mono := newState(st.sc, mopt, st.hot)
+	mono.tables, mono.spent = st.tables, st.spent
+	plan, err := mono.planMonolithic()
 	if err != nil {
 		return nil
 	}
-	return mono
-}
-
-// innerParallelism splits the worker budget across shard-internal planners:
-// when there are fewer shards than workers the spare workers fan out inside
-// each shard instead of idling. Plans are identical at every split — this
-// only shapes wall-clock.
-func innerParallelism(workers, serverShards int) int {
-	if serverShards <= 0 {
-		return 1
-	}
-	inner := workers / serverShards
-	if inner < 1 {
-		inner = 1
-	}
-	return inner
-}
-
-func countServerShards(clusters []sim.Cluster) int {
-	n := 0
-	for _, c := range clusters {
-		if c.Server >= 0 {
-			n++
-		}
-	}
-	return n
+	st.spent = mono.spent
+	return plan
 }
 
 // pinLocalUsers returns, per user, the pre-computed local Decision when the
@@ -364,8 +332,7 @@ func countServerShards(clusters []sim.Cluster) int {
 // throw-away, uninstrumented state: full shares (1, 1) are an exact point
 // of the share grid and exactly the per-server environments
 // BuildFrontierSet tabulates, so runs handed tables answer the whole pass
-// from them, and the pass's tally stays off the plan's counters (it runs
-// before the plan's own state exists).
+// from them, and the pass's tally stays off the plan's counters.
 func pinLocalUsers(sc *Scenario, opt Options, hot *userSoA, assign []int) ([]*Decision, error) {
 	opt.Metrics = nil
 	st := newState(sc, opt, hot)
@@ -452,11 +419,10 @@ func (st *state) reconcileStep(scope []bool) (int, []bool) {
 		return 0, touched
 	}
 	if len(st.sc.Users)*nServers <= reconcileCandidateBudget {
-		// Small scenarios get the monolithic reassignment greedy verbatim —
-		// users in index order, targets in server order, first global
-		// improvement wins — so the differential gap versus the monolithic
-		// planner stays within the pinned bound.
-		return st.reconcileExhaustive(scope, touched)
+		// Small scenarios get the monolithic descent's own scan, so the
+		// differential gap versus the monolithic planner stays within the
+		// pinned bound.
+		return st.reconcileExhaustive(scope, touched), touched
 	}
 
 	// Normalized compute demand per server: how much of the server each
@@ -516,15 +482,16 @@ func (st *state) reconcileStep(scope []bool) (int, []bool) {
 	return moved, touched
 }
 
-// reconcileExhaustive is the small-scenario reconciliation pass: the
-// monolithic reassignment greedy's exact scan — users in index order,
-// targets in server-index order, first move that strictly improves the
-// GLOBAL objective (same relative threshold) wins — evaluated in place with
-// exact rollback instead of on scratch clones. Matching the monolithic
-// scan keeps the differential gap on test-sized scenarios within the
-// pinned bound. scope (nil = all) restricts donors exactly as in
-// reconcileStep: a user may only move if its current server is in scope.
-func (st *state) reconcileExhaustive(scope, touched []bool) (int, []bool) {
+// reconcileExhaustive is the exhaustive candidate scan — users in index
+// order, targets in server-index order, first move that strictly improves
+// the GLOBAL objective wins — evaluated in place with exact rollback. It is
+// the monolithic descent's reassignment half at every size and the
+// reconciliation pass of small scenarios; being one function is what keeps
+// the differential gap on test-sized scenarios within the pinned bound.
+// scope (nil = all) restricts donors exactly as in reconcileStep: a user may
+// only move if its current server is in scope. Returns the accepted move
+// count, having marked the servers they touched.
+func (st *state) reconcileExhaustive(scope, touched []bool) int {
 	// The global objective only changes when a move is accepted (rejection
 	// restores exactly), so it is carried across users, not re-summed for each.
 	base := st.objectiveNow()
@@ -547,7 +514,7 @@ func (st *state) reconcileExhaustive(scope, touched []bool) (int, []bool) {
 			base = st.objectiveNow()
 		}
 	}
-	return moved, touched
+	return moved
 }
 
 // nominationWidth sizes a donor shard's candidate list so one round's
@@ -611,8 +578,7 @@ func (st *state) targets(s int, demand []float64) []int {
 // re-allocate s without it, sum s's objective terms before and after. Each
 // target then pays for its own side only: join at the uniform share, re-run
 // the mover's surgery, re-allocate the target, re-run the mover once more at
-// its allocated share (the refresh pattern the monolithic candidate
-// evaluation uses) — 2 ledger ops per target evaluated. accept decides on
+// its allocated share — 2 ledger ops per target evaluated. accept decides on
 // the objective restricted to the two touched shards, before versus after
 // the move, each a single running sum: the donor's terms first, then the
 // target's. A surgery failure on a probe rejects that target (the mover's
@@ -622,8 +588,9 @@ func (st *state) targets(s int, demand []float64) []int {
 // donor's list, the target's length, both feasibility flags and two shares
 // per incumbent, on the state's moveScratch arena — so with allocServer's
 // buffers a rejected candidate allocates nothing once they have grown to
-// shard size (TestRejectedCandidateAllocatesNothing). Only the sequential
-// reconciliation scans call it, one candidate at a time.
+// shard size (TestRejectedCandidateAllocatesNothing). It is the planner's
+// only evaluation of a move, and only the two scans call it, one candidate at
+// a time.
 func (st *state) tryTargets(ui, s int, targets []int, accept func(before, after float64) bool) int {
 	mv := &st.mv
 	mover := st.ds[ui]

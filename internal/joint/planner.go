@@ -1,7 +1,6 @@
 package joint
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -36,20 +35,21 @@ type Options struct {
 	// Allocator selects the allocation rule when allocation is enabled.
 	Allocator AllocatorKind
 	// Parallelism bounds the worker pool the planner fans per-user surgery
-	// optimizations and candidate-move probes across; <= 0 means
-	// GOMAXPROCS. Plans are byte-identical across parallelism levels: the
-	// fan-out snapshots its inputs first and reduces results in index
-	// order, and each per-user problem is a pure function of the snapshot.
+	// lookups across (a surgery pass, the local-pin pass, table builds);
+	// <= 0 means GOMAXPROCS. It changes wall-clock only: every Plan field —
+	// decisions, ledger, hit/miss tally — is identical at every level,
+	// because a fan-out snapshots its inputs first, each lookup is a pure
+	// function of the snapshot, and everything else runs sequentially.
 	Parallelism int
 	// ShardThreshold, when positive, routes scenarios with at least this
 	// many users through the hierarchical sharded planner: users are
-	// clustered by server affinity into shards (local-only users become
-	// singleton shards, mirroring the simulator's component decomposition),
-	// each shard is planned concurrently by the monolithic block-coordinate
-	// core against its own server's capacity, and a small number of
-	// capacity-reconciliation rounds migrate load between shards until the
-	// objective stops improving. Scenarios below the threshold keep the
-	// exact monolithic path bit for bit. Zero disables sharding entirely.
+	// clustered by server affinity into shards (provably local-only users
+	// are pinned to their device), each shard converges in place against
+	// its own server's capacity — surgery and allocation alternating, no
+	// cross-shard moves — and capacity-reconciliation rounds then migrate
+	// load between shards until the objective stops improving. Scenarios
+	// below the threshold keep the exact monolithic path bit for bit. Zero
+	// disables sharding entirely.
 	ShardThreshold int
 	// Frontiers, when non-nil, is a set of precomputed Pareto-frontier
 	// surgery tables (build one per scenario with BuildFrontierSet). It
@@ -70,17 +70,16 @@ type Options struct {
 	// budget.
 	DeviceEnergyBudgetJ float64
 	// SurgeryBudget, when positive, bounds one Plan call's deterministic
-	// work budget measured in "surgery ops" — scheduled per-user surgery
-	// optimizations (each surgery pass charges its fan-out width, each
-	// reassignment candidate scan charges its full target list, whether or
-	// not lazy evaluation stopped early). The budget is checked only at
-	// sequential orchestration checkpoints, so an overrun aborts at the same
-	// round of the same run at every Parallelism level: Plan returns an
-	// *AbortedError and no partial plan. This is the control plane's
-	// virtual-clock replan deadline (Policy.ReplanDeadline); zero means
-	// unlimited. The sharded path splits the remaining budget evenly across
-	// server shards and skips the monolithic cross-check when nothing
-	// remains for it.
+	// work budget measured in "surgery ops" — per-user surgery lookups,
+	// charged by sequential code only: each surgery pass its width before it
+	// fans out, each candidate move 2 per target it evaluates. The budget is
+	// checked at orchestration checkpoints (every descent, shard-converge and
+	// reconciliation round), so an overrun aborts at the same round of the
+	// same run at every Parallelism level: Plan returns an *AbortedError and
+	// no partial plan. This is the control plane's virtual-clock replan
+	// deadline (Policy.ReplanDeadline); zero means unlimited. Every route
+	// charges one ledger; the sharded routes' monolithic cross-check runs on
+	// what is left of it and is dropped, not fatal, when that runs out.
 	SurgeryBudget int64
 	// Metrics, when non-nil, receives the planner's instrumentation:
 	// "planner.plans" and "planner.iterations" counters plus the
@@ -89,10 +88,6 @@ type Options struct {
 	// Instrumentation never changes planner output.
 	Metrics *telemetry.Registry
 
-	// planCtx carries cooperative cancellation, set by PlanCtx — the only
-	// way in, so configuration codecs never see it. Checked at the same
-	// checkpoints as SurgeryBudget; nil means no cancellation.
-	planCtx context.Context
 	// noMemo answers every surgery problem with a direct optimizer call at
 	// the snapped shares: the reference the in-package tests hold the
 	// tables to. Nothing outside them sets it.
@@ -197,14 +192,25 @@ func (p *Planner) Plan(sc *Scenario) (*Plan, error) {
 		return p.planSharded(sc, opt)
 	}
 	st := newState(sc, opt, buildUserSoA(sc))
-	st.seedGreedy()
-	plan, err := st.descend(!opt.DisableReassignment && len(sc.Servers) > 1)
+	plan, err := st.planMonolithic()
 	if err != nil {
 		return nil, err
 	}
 	plan.PlannerName = p.Name()
 	st.publish(plan)
 	return plan, nil
+}
+
+// planMonolithic seeds a fresh state greedily and runs the full descent on
+// it: Plan below the shard threshold, and the sharded routes' cross-check.
+func (st *state) planMonolithic() (*Plan, error) {
+	st.seedGreedy()
+	return st.descend(st.reassigns())
+}
+
+// reassigns reports whether users may change servers at all.
+func (st *state) reassigns() bool {
+	return !st.opt.DisableReassignment && len(st.sc.Servers) > 1
 }
 
 // PlanWithAssignment runs the alternating surgery/allocation refinement to
@@ -234,8 +240,10 @@ func PlanWithAssignment(sc *Scenario, opt Options, assign []int) (*Plan, error) 
 
 // descend is the block-coordinate descent every full monolithic plan runs
 // from its seed. Round 0 is surgery at the seed's shares, then allocation;
-// each later round optionally reassigns, then repeats the pair, until the
-// objective stops improving (Options.converged) or MaxIters rounds ran.
+// each later round optionally reassigns — one exhaustive candidate scan, the
+// pass reconciliation runs at verification sizes — then repeats the pair,
+// until the objective stops improving (Options.converged) or MaxIters rounds
+// ran.
 // The trajectory records the objective after both half-steps of round 0
 // and after every later round, so the convergence figure (E10) shows where
 // each mechanism contributes. The returned plan is the best point visited,
@@ -253,15 +261,14 @@ func (st *state) descend(reassign bool) (*Plan, error) {
 	prev := best.obj
 	traj = append(traj, prev)
 
+	touched := make([]bool, len(st.sc.Servers)) // the scan's output, unread here: the round polishes every server
 	iters := 1
 	for ; iters < st.opt.MaxIters; iters++ {
 		if err := st.checkpoint(); err != nil {
 			return nil, err
 		}
 		if reassign {
-			if err := st.reassignStep(); err != nil {
-				return nil, err
-			}
+			st.reconcileExhaustive(nil, touched)
 		}
 		if err := st.surgeryStep(); err != nil {
 			return nil, err
@@ -354,16 +361,15 @@ type state struct {
 
 	// allocServer's reusable buffers: the allocator's working vectors and the
 	// demand list it is handed. One server is allocated at a time on a state,
-	// so one of each suffices; scratch clones start with their own.
+	// so one of each suffices.
 	allocScratch alloc.Scratch
 	demands      []alloc.Demand
 
-	// spent is the deterministic work ledger behind SurgeryBudget: every
-	// orchestration step charges the surgery optimizations it schedules
-	// (not the ones lazy evaluation or the tables actually executed — those
-	// vary with Parallelism), so the total at any checkpoint is identical
-	// at every parallelism level. Scratch clones never charge; their work
-	// is covered by the scheduling step's upfront charge.
+	// spent is the deterministic work ledger behind SurgeryBudget: the
+	// surgery lookups scheduled so far, whether a table answered them or the
+	// optimizer ran. Only sequential orchestration code charges it — a pass
+	// its width before fanning out, a candidate move 2 per target tried — so
+	// the total at any checkpoint is identical at every parallelism level.
 	spent int64
 }
 
@@ -371,9 +377,9 @@ type state struct {
 // depend on where the descent starts: the SoA view, per-server uplinks and
 // feasibility flags, the worker count and the surgery tables. The decision
 // set is left to the seed — seedGreedy (Plan, the dispatcher's Observe),
-// seedAssignment (PlanWithAssignment) or seedDecisions (the shard merge and
-// the delta warm start) — and a state that only answers surgery lookups
-// (the local-pin pass) takes none.
+// seedAssignment (PlanWithAssignment) or seedDecisions (the sharded plan's
+// blank start and the delta warm start) — and a state that only answers
+// surgery lookups (the local-pin pass) takes none.
 func newState(sc *Scenario, opt Options, hot *userSoA) *state {
 	st := &state{
 		sc:          sc,
@@ -436,11 +442,12 @@ func (st *state) seedAssignment(assign []int) error {
 	return nil
 }
 
-// seedDecisions adopts an already-planned decision set (taking ownership of
-// ds) and replays the per-server lists in order — the global descending-work
-// acceptance order (workOrder), so downstream allocation sees inputs
-// order-identical to the greedy seed's. Feasibility flags are the caller's
-// to seed; settle rebuilds the global one before it reads it.
+// seedDecisions adopts a decision set whose servers are already chosen
+// (taking ownership of ds) and replays the per-server lists in order — the
+// global descending-work acceptance order (workOrder), so downstream
+// allocation sees inputs order-identical to the greedy seed's. Feasibility
+// flags are the caller's to seed; settle rebuilds the global one before it
+// reads it.
 func (st *state) seedDecisions(ds []Decision, order []int) {
 	st.ds = ds
 	for _, ui := range order {
@@ -456,7 +463,8 @@ func (st *state) seedDecisions(ds []Decision, order []int) {
 // mapping plus the acceptance order (users by descending work), which
 // seedGreedy replays to keep per-server lists in the historical order and
 // the sharded planner uses both as the server-affinity clustering and to
-// merge shard results in an order bit-compatible with the monolithic path.
+// build its shards' lists in an order bit-compatible with the monolithic
+// path.
 func initialAssignment(sc *Scenario, hot *userSoA) (assign, order []int) {
 	// Stable sort by descending work: the same permutation the historical
 	// insertion sort produced (both are stable under the same comparator),
@@ -640,108 +648,6 @@ func (st *state) allocStep() {
 	}
 }
 
-// reassignStep greedily migrates users between servers when the move
-// strictly improves the objective. Each candidate move re-runs surgery for
-// the moved user and allocation for the two touched servers on a private
-// scratch copy of the decision state, so candidates are independent and are
-// evaluated concurrently across the worker pool. Acceptance is index
-// ordered — the first improving target server wins — which reproduces the
-// sequential first-improvement greedy exactly, including which error (if
-// any) is surfaced: an error at target k is reported only when no earlier
-// target already improved, just as the sequential scan would.
-func (st *state) reassignStep() error {
-	type candidate struct {
-		scratch *state
-		obj     float64
-		err     error
-	}
-	evalCand := func(ui, from, to int) candidate {
-		c := st.scratchClone()
-		c.moveUser(ui, from, to)
-		// Cheap local refresh: surgery for the moved user at its new
-		// equalized share, allocation on both touched servers.
-		if err := c.refreshUser(ui); err != nil {
-			return candidate{err: err}
-		}
-		c.allocServer(from)
-		c.allocServer(to)
-		if err := c.refreshUser(ui); err != nil {
-			return candidate{err: err}
-		}
-		return candidate{scratch: c, obj: c.objectiveNow()}
-	}
-	targets := make([]int, 0, len(st.sc.Servers))
-	// The objective only changes when a move is accepted, so it is carried
-	// across users rather than re-summed for each.
-	base := st.objectiveNow()
-	for ui := range st.sc.Users {
-		from := st.ds[ui].Server
-		if from < 0 {
-			continue
-		}
-		targets = st.otherServers(targets[:0], from)
-		// Charge the full candidate scan up front — two surgery refreshes
-		// per target, whether the lazy serial scan stops early or the eager
-		// parallel one evaluates everything — so the budget ledger is
-		// parallelism-invariant.
-		st.spent += int64(2 * len(targets))
-		var cands []candidate
-		if st.workers <= 1 || len(targets) <= 1 {
-			// Lazy first-improvement scan: stop at the first winner so the
-			// single-worker planner does no more surgery than it must.
-			for _, to := range targets {
-				c := evalCand(ui, from, to)
-				cands = append(cands, c)
-				if c.err != nil || c.obj < base*(1-1e-9) {
-					break
-				}
-			}
-		} else {
-			cands = make([]candidate, len(targets))
-			_ = forEachIndex(st.workers, len(targets), func(k int) error {
-				cands[k] = evalCand(ui, from, targets[k])
-				return nil
-			})
-		}
-		for k := range cands {
-			if cands[k].err != nil {
-				return cands[k].err
-			}
-			if cands[k].obj < base*(1-1e-9) {
-				st.ds = cands[k].scratch.ds
-				st.assigned = cands[k].scratch.assigned
-				base = cands[k].obj // objectiveNow of the decision set just adopted
-				break
-			}
-		}
-	}
-	return nil
-}
-
-// scratchClone returns a state sharing the scenario, options, uplink cache
-// and surgery tables with st, but owning private copies of the decision set
-// and assignment lists — the mutable parts a candidate-move evaluation
-// touches. Scratch clones run their inner steps with workers == 1: the
-// parallelism lives one level up, across candidates.
-func (st *state) scratchClone() *state {
-	c := &state{
-		sc:          st.sc,
-		opt:         st.opt,
-		ds:          append([]Decision(nil), st.ds...),
-		assigned:    make([][]int, len(st.assigned)),
-		feasible:    st.feasible,
-		srvFeasible: append([]bool(nil), st.srvFeasible...),
-		uplink:      st.uplink,
-		workers:     1,
-		tables:      st.tables,
-		hot:         st.hot,
-	}
-	for i := range st.assigned {
-		c.assigned[i] = append([]int(nil), st.assigned[i]...)
-	}
-	return c
-}
-
 // otherServers appends every server index but from to buf, ascending — the
 // exhaustive scans' target order.
 func (st *state) otherServers(buf []int, from int) []int {
@@ -751,11 +657,6 @@ func (st *state) otherServers(buf []int, from int) []int {
 		}
 	}
 	return buf
-}
-
-func (st *state) moveUser(ui, from, to int) {
-	st.dropFromServer(ui, from)
-	st.joinServer(ui, to)
 }
 
 // joinServer appends user ui to server to's list at the uniform share.

@@ -30,6 +30,33 @@ func reconcileFixture(tb testing.TB, sc *Scenario, opt Options) *state {
 	return st
 }
 
+// scratchClone returns a state sharing st's scenario, options, uplinks and
+// surgery tables but owning copies of everything a candidate move touches —
+// what the tests move by hand, or keep aside, to hold tryTargets to.
+func (st *state) scratchClone() *state {
+	c := &state{
+		sc:          st.sc,
+		opt:         st.opt,
+		ds:          append([]Decision(nil), st.ds...),
+		assigned:    make([][]int, len(st.assigned)),
+		feasible:    st.feasible,
+		srvFeasible: append([]bool(nil), st.srvFeasible...),
+		uplink:      st.uplink,
+		workers:     1,
+		tables:      st.tables,
+		hot:         st.hot,
+	}
+	for i := range st.assigned {
+		c.assigned[i] = append([]int(nil), st.assigned[i]...)
+	}
+	return c
+}
+
+func (st *state) moveUser(ui, from, to int) {
+	st.dropFromServer(ui, from)
+	st.joinServer(ui, to)
+}
+
 // sameDecisionState fails unless got holds exactly want's decisions,
 // per-server lists and feasibility flags.
 func sameDecisionState(t *testing.T, label string, got, want *state) {

@@ -42,8 +42,8 @@ type modelRef struct {
 }
 
 // buildUserSoA flattens the scenario's per-user planning scalars. One pass,
-// O(n); the result is immutable and safely shared across states (scratch
-// clones, shard sub-states) and goroutines.
+// O(n); the result is immutable and safely shared across states (the pin
+// pass, the cross-check) and goroutines.
 func buildUserSoA(sc *Scenario) *userSoA {
 	n := len(sc.Users)
 	hot := &userSoA{
@@ -114,8 +114,8 @@ func (st *state) addShardObjective(sum float64, s int) float64 {
 // moveScratch is the reusable buffer set behind tryTargets' save/restore: the
 // donor's assignment list and the share pairs of both touched shards'
 // incumbents. tryTargets runs only on sequential orchestration code (the
-// reconciliation scans), never concurrently on one state, so one arena per
-// state suffices; scratch clones start with their own empty one.
+// candidate scans), never concurrently on one state, so one arena per state
+// suffices.
 type moveScratch struct {
 	from                 []int
 	fromShares, toShares []float64
