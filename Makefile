@@ -36,8 +36,8 @@ test-short:
 	$(GO) test -short ./...
 
 # Re-record internal/joint/testdata/golden_digests.txt (one decisions and one
-# bookkeeping digest per scenario x route x parallelism cell) from this
-# build's plans. A change that keeps plans bit-identical leaves the file
+# bookkeeping digest per scenario x route cell, each held equal at
+# Parallelism 1 and 4) from this build's plans. A change that keeps plans bit-identical leaves the file
 # untouched — CI runs this and fails on any diff — and a change that moves
 # plans on purpose commits the new file and says how many cells moved in each
 # half. amd64 only, as the test is (FMA fusion moves float bits elsewhere).

@@ -23,18 +23,20 @@ import (
 // compares two routes inside one build (sharded vs monolithic, frontier vs
 // fallback, parallel vs sequential), which is exactly what a refactor of the
 // shared planning core cannot be checked with — both sides move together.
-// Here each (scenario, route, parallelism) cell is reduced to two SHA-256
-// digests and compared with the pair recorded in testdata/golden_digests.txt
-// (one sorted "cell decisions bookkeeping" line per cell):
+// Here each (scenario, route) cell is reduced to two SHA-256 digests, at
+// Parallelism 1 and again at 4 — the two runs must agree in both, which is
+// the determinism contract with no field exempt — and compared with the pair
+// recorded in testdata/golden_digests.txt (one sorted "cell decisions
+// bookkeeping" line per cell):
 //
 //   - decisions: what the planner decided — every Decision field (plan, eval,
 //     server, shares, as exact float bits), Objective, Feasible, PlannerName,
 //     the dispatcher's HealthReport, and errors by their text, so abort points
 //     (SurgeryBudget) and failure routing are pinned too;
 //   - bookkeeping: how it got there — Iterations, Trajectory, Shards,
-//     DirtyShards, SurgeryOps, the surgery tables' hit and miss counts (the
-//     split is exact at every Parallelism level, so a racy tally shows up
-//     here as a flaky cell), table counts and the published registry.
+//     DirtyShards, SurgeryOps, the surgery tables' hit and miss counts (a
+//     racy tally shows up here as a flaky cell), table counts and the
+//     published registry.
 //
 // Supplying surgery tables must never move a decision, so the cells that
 // re-plan a route with a full or an empty table set record "=" for their
@@ -74,8 +76,8 @@ func (g *goldenHalf) sum() string {
 }
 
 // goldenHash is one cell: its decisions and bookkeeping halves. sameAs, when
-// set, names the cell of the same scenario and parallelism whose decisions
-// this one must repeat.
+// set, names the cell of the same scenario whose decisions this one must
+// repeat.
 type goldenHash struct {
 	dec, book goldenHalf
 	sameAs    string
@@ -499,16 +501,21 @@ func TestGoldenPlanDigests(t *testing.T) {
 	got := make(map[string][2]string)
 	for _, gs := range goldenScenarios(t) {
 		for _, par := range []int{1, 4} {
-			prefix := fmt.Sprintf("%s/par%d/", gs.name, par)
 			goldenCells(t, gs, par, func(cell string, g *goldenHash) {
+				name := gs.name + "/" + cell
 				dec := g.dec.sum()
 				if g.sameAs != "" {
-					if ref := got[prefix+g.sameAs][0]; dec != ref {
-						t.Errorf("golden %q: decisions %s, but %q decided %s", prefix+cell, dec, prefix+g.sameAs, ref)
+					if ref := got[gs.name+"/"+g.sameAs][0]; dec != ref {
+						t.Errorf("golden %q at Parallelism %d: decisions %s, but %q decided %s", name, par, dec, gs.name+"/"+g.sameAs, ref)
 					}
 					dec = "="
 				}
-				got[prefix+cell] = [2]string{dec, g.book.sum()}
+				digests := [2]string{dec, g.book.sum()}
+				if par == 1 {
+					got[name] = digests
+				} else if digests != got[name] {
+					t.Errorf("golden %q: Parallelism %d gives %v, Parallelism 1 gave %v", name, par, digests, got[name])
+				}
 			})
 		}
 	}
