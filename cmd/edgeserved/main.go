@@ -279,6 +279,12 @@ func main() {
 			fatal(err)
 		}
 	case *tracePath != "":
+		// -recover resumes a crashed run from its store: it injects no chaos
+		// and has no crash-free twin to be verified against.
+		if name := firstSet("chaos", "verify-recovery"); *recoverRun && name != "" {
+			fmt.Fprintf(os.Stderr, "edgeserved: -%s has no effect with -recover (it configures a chaos replay)\n", name)
+			os.Exit(2)
+		}
 		policy := mustPolicy()
 		opts := replayOpts{
 			tracePath: *tracePath, journalPath: *journalPath,

@@ -45,31 +45,23 @@ func TestHTTPMux(t *testing.T) {
 	}
 }
 
-// TestLiveModeRejectsReplayFlags pins the -listen contract: a flag that only
-// configures trace replay is refused with exit status 2 and named on stderr,
-// before anything is planned or spawned, instead of being silently dropped.
-func TestLiveModeRejectsReplayFlags(t *testing.T) {
+// rejectedFlag is one command line a mode must refuse: args sets flags the
+// mode would otherwise silently drop, name is the one stderr must name.
+type rejectedFlag struct {
+	name string
+	args []string
+}
+
+// expectRejected runs edgeserved once per case and fails unless each exits
+// with status 2 naming the flag on stderr.
+func expectRejected(t *testing.T, base []string, cases []rejectedFlag) {
+	t.Helper()
 	bin := filepath.Join(t.TempDir(), "edgeserved")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	cases := []struct {
-		name string // the flag stderr must name
-		args []string
-	}{
-		{"parallelism", []string{"-parallelism", "2"}},
-		{"shard-threshold", []string{"-shard-threshold", "8"}},
-		{"snapshot-dir", []string{"-snapshot-dir", t.TempDir()}},
-		{"recover", []string{"-recover"}},
-		{"journal", []string{"-journal", "-"}},
-		{"expect-full-replans", []string{"-expect-full-replans", "4"}},
-		{"chaos", []string{"-chaos", "crash:3"}},
-		{"verify-recovery", []string{"-verify-recovery"}},
-		// Several set: the first in flag order is the one named.
-		{"journal", []string{"-verify-recovery", "-journal", "-"}},
-	}
 	for _, c := range cases {
-		args := append([]string{"-scenario", "testdata/smoke-scenario.json", "-listen", "127.0.0.1:0"}, c.args...)
+		args := append(append([]string{"-scenario", "testdata/smoke-scenario.json"}, base...), c.args...)
 		var stderr bytes.Buffer
 		cmd := exec.Command(bin, args...)
 		cmd.Stderr = &stderr
@@ -83,4 +75,34 @@ func TestLiveModeRejectsReplayFlags(t *testing.T) {
 			t.Errorf("%v: stderr does not name -%s: %s", c.args, c.name, stderr.String())
 		}
 	}
+}
+
+// TestLiveModeRejectsReplayFlags pins the -listen contract: a flag that only
+// configures trace replay is refused with exit status 2 and named on stderr,
+// before anything is planned or spawned, instead of being silently dropped.
+func TestLiveModeRejectsReplayFlags(t *testing.T) {
+	expectRejected(t, []string{"-listen", "127.0.0.1:0"}, []rejectedFlag{
+		{"parallelism", []string{"-parallelism", "2"}},
+		{"shard-threshold", []string{"-shard-threshold", "8"}},
+		{"snapshot-dir", []string{"-snapshot-dir", t.TempDir()}},
+		{"recover", []string{"-recover"}},
+		{"journal", []string{"-journal", "-"}},
+		{"expect-full-replans", []string{"-expect-full-replans", "4"}},
+		{"chaos", []string{"-chaos", "crash:3"}},
+		{"verify-recovery", []string{"-verify-recovery"}},
+		// Several set: the first in flag order is the one named.
+		{"journal", []string{"-verify-recovery", "-journal", "-"}},
+	})
+}
+
+// TestRecoverRejectsChaosFlags: -recover resumes from the store and neither
+// injects chaos nor verifies against a crash-free rerun, so the flags that
+// ask for those are refused the same way, before the store is opened.
+func TestRecoverRejectsChaosFlags(t *testing.T) {
+	base := []string{"-trace", "testdata/smoke-trace.jsonl", "-snapshot-dir", t.TempDir(), "-recover"}
+	expectRejected(t, base, []rejectedFlag{
+		{"chaos", []string{"-chaos", "crash:3"}},
+		{"verify-recovery", []string{"-verify-recovery"}},
+		{"chaos", []string{"-verify-recovery", "-chaos", "slow:1:2:0.5"}},
+	})
 }
