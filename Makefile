@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet loc test test-short test-race golden-update fuzz-smoke bench bench-test bench-smoke bench-planner-smoke bench-frontier-smoke bench-replan-smoke bench-serve-smoke serve-smoke chaos-smoke cluster-smoke client-smoke backpressure-stress experiments examples cover clean
+.PHONY: all build fmt-check vet loc loc-check test test-short test-race golden-update fuzz-smoke bench bench-test bench-smoke bench-planner-smoke bench-frontier-smoke bench-replan-smoke bench-serve-smoke serve-smoke chaos-smoke cluster-smoke client-smoke backpressure-stress experiments examples cover clean
 
 all: build vet test
 
@@ -19,15 +19,26 @@ vet:
 	$(GO) vet ./...
 
 # Non-test Go lines per package (internal/*, cmd/*, the root facade) and in
-# total (examples/ included) — the figure ROADMAP's "net non-test LOC" items are judged by. CI
-# echoes it, so a size change is a diff of two logs.
+# total (examples/ included) — the figure ROADMAP's "net non-test LOC" items are judged by.
+loc_of = find $(1) -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l
+loc_total = find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -exec cat {} + | wc -l
 loc:
 	@for d in . internal/* cmd/*; do \
-		n=$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
-		printf '%6d  %s\n' $$n $$d; \
+		printf '%6d  %s\n' $$($(call loc_of,$$d)) $$d; \
 	done
-	@printf '%6d  total (non-test, bench/ excluded)\n' \
-		$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -exec cat {} + | wc -l)
+	@printf '%6d  total (non-test, bench/ excluded)\n' $$($(loc_total))
+
+# The size ratchet CI runs: prints `make loc`, then fails when internal/joint
+# or the total has grown past the figures below. They are what `make loc`
+# printed when last lowered; a PR that deletes code lowers them, and one that
+# has to add code raises them where a reviewer sees it.
+LOC_MAX_JOINT = 2900
+LOC_MAX_TOTAL = 22163
+loc-check: loc
+	@joint=$$($(call loc_of,internal/joint)); total=$$($(loc_total)); \
+	if [ $$joint -gt $(LOC_MAX_JOINT) ] || [ $$total -gt $(LOC_MAX_TOTAL) ]; then \
+		echo "loc-check: internal/joint $$joint (max $(LOC_MAX_JOINT)), total $$total (max $(LOC_MAX_TOTAL))"; exit 1; \
+	fi
 
 test: vet
 	$(GO) test ./...
@@ -142,13 +153,15 @@ chaos-smoke:
 		-verify-recovery -expect-full-replans 4
 	rm -rf .chaos-smoke-dir
 
-# Data-plane throughput guard for CI: the CI-sized E27 loopback-cluster
-# study (real edgeagent processes over TCP under each replanning policy)
-# writing its honest rps and p50/p99 latencies into BENCH_serve.json, with
-# the metric keys asserted present.
+# Data-plane guard for CI: the CI-sized E27 loopback-cluster study (real
+# edgeagent processes over TCP under each replanning policy) writing its
+# model-ms p50/p99 latencies and replan/push counters into BENCH_serve.json,
+# with the metric keys asserted present. (Throughput is bench/'s to measure:
+# E27's closed loop sleeps the modelled physics, so its rps was workers /
+# (modelled latency x TimeScale) — the clock scale, not the dispatcher.)
 bench-serve-smoke:
 	$(GO) run ./cmd/experiments -run E27 -quick -bench-json BENCH_serve.json \
-		-require-metrics E27.rps_never,E27.rps_hysteresis,E27.rps_delta,E27.p50_ms_hysteresis,E27.p99_ms_hysteresis,E27.ok_frac_hysteresis,E27.full_replans_hysteresis
+		-require-metrics E27.p50_ms_hysteresis,E27.p99_ms_hysteresis,E27.ok_frac_hysteresis,E27.full_replans_hysteresis
 
 # Live data-plane smoke for CI: boot the wire dispatcher plus one real
 # edgeagent process per server on loopback TCP, drive a bounded closed

@@ -528,8 +528,8 @@ func TestE21SmallScaleAgrees(t *testing.T) {
 // TestE27SmallShape runs a shrunken E27 data-plane study (real edgeagent
 // processes over loopback TCP under each policy arm), asserting the report
 // shape and that every metric key the bench-serve-smoke guard requires is
-// emitted. Throughput and tail numbers are host-dependent and not bounded
-// here; what is asserted is that every arm completed its requests.
+// emitted. Tail numbers are host-dependent and not bounded here; what is
+// asserted is that every arm completed its requests.
 func TestE27SmallShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess cluster arms in -short mode")
@@ -545,7 +545,7 @@ func TestE27SmallShape(t *testing.T) {
 		t.Fatalf("arm rows = %d, want 3", rows)
 	}
 	for _, arm := range []string{"never", "hysteresis", "delta"} {
-		for _, k := range []string{"rps_", "p50_ms_", "p99_ms_", "ok_frac_", "full_replans_"} {
+		for _, k := range []string{"p50_ms_", "p99_ms_", "ok_frac_", "full_replans_"} {
 			if _, ok := r.Metrics[k+arm]; !ok {
 				t.Errorf("metric %q missing", k+arm)
 			}

@@ -125,20 +125,6 @@ func IDs() []string {
 	return ids
 }
 
-// RunAll executes every experiment in order.
-func RunAll() ([]*Report, error) {
-	var out []*Report
-	reg := Registry()
-	for _, id := range IDs() {
-		r, err := reg[id]()
-		if err != nil {
-			return out, fmt.Errorf("experiments: %s: %w", id, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
 // forEachArm runs f(0..n-1) on a worker pool bounded by GOMAXPROCS and
 // returns the first error. Arms of one figure are independent (each builds
 // its own scenario and strategy), so sweeps parallelize freely; each arm's
