@@ -138,9 +138,6 @@ const (
 // (the paper's contribution) with default options.
 func NewPlanner() *joint.Planner { return &joint.Planner{} }
 
-// NewPlannerWith returns the joint planner with explicit options.
-func NewPlannerWith(opt PlannerOptions) *joint.Planner { return &joint.Planner{Opt: opt} }
-
 // Baselines returns the comparison strategies used by the evaluation:
 // local-only, edge-only, Neurosurgeon-style partitioning, BranchyNet-style
 // on-device exits, and a seeded random planner.

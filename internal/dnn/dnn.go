@@ -211,16 +211,6 @@ func NewMaxPool(name string, in Shape, k, stride, pad int) Layer {
 	}
 }
 
-// NewAvgPool builds an average-pooling layer.
-func NewAvgPool(name string, in Shape, k, stride, pad int) Layer {
-	out := convOut(in, in.C, k, stride, pad)
-	return Layer{
-		Name: name, Type: AvgPool, In: in, Out: out,
-		KH: k, KW: k, Stride: stride, Pad: pad,
-		FLOPs: out.Elems() * int64(k) * int64(k),
-	}
-}
-
 // NewGlobalAvgPool pools each channel to a single value.
 func NewGlobalAvgPool(name string, in Shape) Layer {
 	return Layer{

@@ -3,7 +3,6 @@ package faults
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 )
 
@@ -146,15 +145,6 @@ func NewChaos(events ...ChaosEvent) (*ChaosSchedule, error) {
 	return s, nil
 }
 
-// MustNewChaos is NewChaos for hand-authored schedules.
-func MustNewChaos(events ...ChaosEvent) *ChaosSchedule {
-	s, err := NewChaos(events...)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // Events returns a copy of the schedule's events in ordinal order.
 func (s *ChaosSchedule) Events() []ChaosEvent {
 	if s == nil {
@@ -207,64 +197,4 @@ func (s *ChaosSchedule) Corruption(i int) (CorruptKind, bool) {
 		}
 	}
 	return 0, false
-}
-
-// ChaosGenConfig parameterizes the seeded chaos generator.
-type ChaosGenConfig struct {
-	// Samples is the length of the ingestion stream under attack.
-	Samples int
-	// CrashRate, SlowRate and CorruptRate are the per-sample probabilities
-	// of each event kind (each in [0, 1)).
-	CrashRate, SlowRate, CorruptRate float64
-	// SlowFactor is the planner speed during generated slowdowns (0 means
-	// 0.1); SlowSpan is the window length in samples (0 means 3).
-	SlowFactor float64
-	SlowSpan   int
-	// Seed fixes the schedule.
-	Seed int64
-}
-
-// GenerateChaos builds a seeded random chaos schedule over a sample
-// stream: each ordinal independently draws crash, slowdown and corruption
-// events. The same config always yields the same schedule.
-func GenerateChaos(cfg ChaosGenConfig) (*ChaosSchedule, error) {
-	if cfg.Samples <= 0 {
-		return nil, fmt.Errorf("faults: chaos generator needs positive samples, got %d", cfg.Samples)
-	}
-	for _, r := range []float64{cfg.CrashRate, cfg.SlowRate, cfg.CorruptRate} {
-		if math.IsNaN(r) || r < 0 || r >= 1 {
-			return nil, fmt.Errorf("faults: chaos rate %g out of [0, 1)", r)
-		}
-	}
-	factor := cfg.SlowFactor
-	if factor == 0 {
-		factor = 0.1
-	}
-	if math.IsNaN(factor) || factor <= 0 || factor > 1 {
-		return nil, fmt.Errorf("faults: slow factor %g out of (0, 1]", factor)
-	}
-	span := cfg.SlowSpan
-	if span == 0 {
-		span = 3
-	}
-	if span < 0 {
-		return nil, fmt.Errorf("faults: slow span %d is negative", span)
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	var events []ChaosEvent
-	for i := 0; i < cfg.Samples; i++ {
-		if rng.Float64() < cfg.CrashRate {
-			events = append(events, ChaosEvent{Kind: CrashAfterSample, Sample: i})
-		}
-		if rng.Float64() < cfg.SlowRate {
-			events = append(events, ChaosEvent{Kind: SlowPlanner, Sample: i, Until: i + span, Factor: factor})
-		}
-		if rng.Float64() < cfg.CorruptRate {
-			events = append(events, ChaosEvent{
-				Kind: CorruptSample, Sample: i,
-				Corrupt: CorruptKind(rng.Intn(4)),
-			})
-		}
-	}
-	return NewChaos(events...)
 }

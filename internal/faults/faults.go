@@ -262,27 +262,6 @@ func (s *Schedule) Health(servers int, t float64) []bool {
 	return up
 }
 
-// UpFraction returns the fraction of [0, horizon) during which the server
-// is reachable — the availability metric failure experiments report.
-func (s *Schedule) UpFraction(server int, horizon float64) float64 {
-	if horizon <= 0 {
-		return 1
-	}
-	var down float64
-	t := 0.0
-	for t < horizon {
-		next := math.Min(horizon, math.Min(s.NextComputeChange(server, t), s.NextLinkChange(server, t)))
-		if !s.Reachable(server, t) {
-			down += next - t
-		}
-		if next <= t {
-			break
-		}
-		t = next
-	}
-	return 1 - down/horizon
-}
-
 // GenConfig parameterizes the seeded fault-schedule generator.
 type GenConfig struct {
 	// Servers is the number of servers faults may strike.

@@ -40,9 +40,6 @@ func TestNilScheduleIsAlwaysUp(t *testing.T) {
 	if !math.IsInf(s.NextComputeChange(0, 0), 1) || !math.IsInf(s.NextLinkChange(0, 0), 1) {
 		t.Fatal("nil schedule has boundaries")
 	}
-	if got := s.UpFraction(0, 100); got != 1 {
-		t.Fatalf("nil schedule availability %g", got)
-	}
 }
 
 func TestScheduleQueries(t *testing.T) {
@@ -88,14 +85,6 @@ func TestScheduleQueries(t *testing.T) {
 	}
 	if up := s.Health(2, 27); !up[0] || !up[1] {
 		t.Errorf("health at 27 = %v, want both up", up)
-	}
-	// Server 0 is unreachable for 10 s (crash) of 100; brown-out does not
-	// affect reachability.
-	if got := s.UpFraction(0, 100); math.Abs(got-0.9) > 1e-12 {
-		t.Errorf("server 0 availability = %g, want 0.9", got)
-	}
-	if got := s.UpFraction(1, 100); math.Abs(got-0.9) > 1e-12 {
-		t.Errorf("server 1 availability = %g, want 0.9", got)
 	}
 }
 

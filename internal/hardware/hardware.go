@@ -165,7 +165,6 @@ func effTable(gemm, membound float64) [dnn.NumLayerTypes]float64 {
 }
 
 const (
-	kib = 1 << 10
 	mib = 1 << 20
 	gib = 1 << 30
 )

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -84,10 +85,15 @@ func TestMaxPool2DKnownValue(t *testing.T) {
 }
 
 // TestConvNetGradientCheck compares analytic parameter gradients against
-// central finite differences — the gold-standard backpropagation test.
+// central finite differences — the gold-standard backpropagation test — on a
+// conv-fronted multi-exit network (two conv+pool stages, two dense layers,
+// an early and a final head), so every layer kind the engine trains is on
+// the path: Conv2D, MaxPool2D, dense, and the head gradients injected into
+// the backbone.
 func TestConvNetGradientCheck(t *testing.T) {
-	net, err := NewConvNet(ConvNetConfig{
-		InC: 1, InH: 6, InW: 6, C1: 2, C2: 3, Kernel: 3, Classes: 2, Seed: 9,
+	net, err := NewMultiExit(Config{
+		In: 36, Conv: []ConvStage{{OutC: 2}, {OutC: 3}}, InC: 1, InH: 6, InW: 6,
+		Hidden: []int{6, 5}, Exits: []int{0}, Classes: 2, Seed: 9,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -98,60 +104,38 @@ func TestConvNetGradientCheck(t *testing.T) {
 		x.Data[i] = rng.NormFloat64()
 	}
 	y := []int{0, 1, 1, 0}
-
-	// One backward pass to populate analytic gradients (without stepping:
-	// use lr=0 so parameters stay put).
-	net.TrainBatch(x, y, 0, 0)
+	// A step at lr = 0 (momentum 0) moves nothing: it is the loss function,
+	// and leaves the analytic gradients — sums over the batch of a loss it
+	// reports as a mean — behind.
+	loss := func() float64 { return net.trainBatch(x, y, 0, 0) }
 
 	const eps = 1e-5
 	check := func(name string, w []float64, g []float64, indices []int) {
+		loss()
+		analytic := append([]float64(nil), g...)
 		for _, i := range indices {
 			orig := w[i]
 			w[i] = orig + eps
-			lp := net.Loss(x, y)
+			lp := loss()
 			w[i] = orig - eps
-			lm := net.Loss(x, y)
+			lm := loss()
 			w[i] = orig
 			numeric := (lp - lm) / (2 * eps)
-			if math.Abs(numeric-g[i]) > 1e-4*(1+math.Abs(numeric)) {
-				t.Errorf("%s[%d]: analytic %.8g vs numeric %.8g", name, i, g[i], numeric)
+			if got := analytic[i] / float64(x.Rows); math.Abs(numeric-got) > 1e-4*(1+math.Abs(numeric)) {
+				t.Errorf("%s[%d]: analytic %.8g vs numeric %.8g", name, i, got, numeric)
 			}
 		}
 	}
 	mid := func(w []float64) []int { return []int{0, len(w) / 2, len(w) - 1} }
-	check("conv1.W", net.conv1.W, net.conv1.gW, mid(net.conv1.W))
-	check("conv1.B", net.conv1.B, net.conv1.gB, mid(net.conv1.B))
-	check("conv2.W", net.conv2.W, net.conv2.gW, mid(net.conv2.W))
-	check("fc.W", net.fc.W.Data, net.fc.gW.Data, mid(net.fc.W.Data))
-	check("fc.B", net.fc.B.Data, net.fc.gB.Data, mid(net.fc.B.Data))
-}
-
-func TestConvNetLearnsStripes(t *testing.T) {
-	x, y := StripeImages(600, 10, 10, 0.3, 21)
-	xTest, yTest := StripeImages(200, 10, 10, 0.3, 22)
-	net, err := NewConvNet(ConvNetConfig{
-		InC: 1, InH: 10, InW: 10, C1: 4, C2: 8, Kernel: 3, Classes: 2, Seed: 23,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(24))
-	const batch = 32
-	for epoch := 0; epoch < 6; epoch++ {
-		order := rng.Perm(x.Rows)
-		for s := 0; s+batch <= len(order); s += batch {
-			xb := NewMatrix(batch, x.Cols)
-			yb := make([]int, batch)
-			for i := 0; i < batch; i++ {
-				copy(xb.Row(i), x.Row(order[s+i]))
-				yb[i] = y[order[s+i]]
-			}
-			net.TrainBatch(xb, yb, 0.1, 0.9)
-		}
-	}
-	acc := net.Accuracy(xTest, yTest)
-	if acc < 0.95 {
-		t.Errorf("stripe accuracy %.3f, want >= 0.95", acc)
+	conv1, conv2 := net.front[0], net.front[1]
+	check("conv1.W", conv1.W, conv1.gW, mid(conv1.W))
+	check("conv1.B", conv1.B, conv1.gB, mid(conv1.B))
+	check("conv2.W", conv2.W, conv2.gW, mid(conv2.W))
+	for i, layer := range net.backbone {
+		check(fmt.Sprintf("dense%d.W", i), layer.W.Data, layer.gW.Data, mid(layer.W.Data))
+		check(fmt.Sprintf("dense%d.B", i), layer.B.Data, layer.gB.Data, mid(layer.B.Data))
+		head := net.heads[i]
+		check(fmt.Sprintf("head%d.W", i), head.W.Data, head.gW.Data, mid(head.W.Data))
 	}
 }
 

@@ -22,6 +22,34 @@ func TestMultiExitConvFrontValidation(t *testing.T) {
 	}
 }
 
+// StripeImages generates a synthetic vision task: class 0 images contain
+// horizontal stripes, class 1 vertical stripes, with additive noise. A
+// convolutional net separates them trivially; a linear model cannot when
+// phases are random.
+func StripeImages(samples, h, w int, noise float64, seed int64) (*Matrix, []int) {
+	rng := rand.New(rand.NewSource(seed))
+	x := NewMatrix(samples, h*w)
+	y := make([]int, samples)
+	for i := 0; i < samples; i++ {
+		cls := rng.Intn(2)
+		phase := rng.Intn(2)
+		row := x.Row(i)
+		for yy := 0; yy < h; yy++ {
+			for xx := 0; xx < w; xx++ {
+				var v float64
+				if cls == 0 { // horizontal stripes
+					v = float64((yy + phase) % 2)
+				} else { // vertical stripes
+					v = float64((xx + phase) % 2)
+				}
+				row[yy*w+xx] = v + rng.NormFloat64()*noise
+			}
+		}
+		y[i] = cls
+	}
+	return x, y
+}
+
 // stripeDataset adapts StripeImages to the Dataset type, assigning
 // difficulty from the noise draw (unknown here, so uniform placeholder).
 func stripeDataset(samples, h, w int, noise float64, seed int64) *Dataset {

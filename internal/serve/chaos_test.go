@@ -112,8 +112,11 @@ func runChaosRecoveryFidelity(t *testing.T, par int) {
 // TestRunChaosNeedsStoreForCrashes pins the harness's refusal to run a
 // crashing schedule without persistence.
 func TestRunChaosNeedsStoreForCrashes(t *testing.T) {
-	sched := faults.MustNewChaos(faults.ChaosEvent{Kind: faults.CrashAfterSample, Sample: 0})
-	_, err := RunChaos(Config{Scenario: fadingScenario(t)}, nil, sched)
+	sched, err := faults.NewChaos(faults.ChaosEvent{Kind: faults.CrashAfterSample, Sample: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = RunChaos(Config{Scenario: fadingScenario(t)}, nil, sched)
 	if err == nil {
 		t.Fatal("crash schedule without store ran")
 	}

@@ -746,14 +746,3 @@ func (rt *Runtime) validate(s *telemetry.Sample) error {
 	}
 	return nil
 }
-
-// Replay ingests an entire recorded trace in order and returns the final
-// plan. The error names the offending sample index.
-func (rt *Runtime) Replay(samples []telemetry.Sample) (*joint.Plan, error) {
-	for i := range samples {
-		if _, err := rt.Ingest(samples[i]); err != nil {
-			return nil, fmt.Errorf("serve: sample %d: %w", i, err)
-		}
-	}
-	return rt.Current(), nil
-}

@@ -316,20 +316,8 @@ func (s *Station) complete() {
 	s.tryStart()
 }
 
-// QueueLen returns the number of waiting jobs (excluding the one in
-// service).
-func (s *Station) QueueLen() int { return len(s.q) - s.head }
-
 // Served returns the number of completed jobs.
 func (s *Station) Served() int64 { return s.served }
 
 // BusyTime returns the cumulative service time delivered.
 func (s *Station) BusyTime() float64 { return s.busyTime }
-
-// Utilization returns busy time divided by the horizon.
-func (s *Station) Utilization(horizon float64) float64 {
-	if horizon <= 0 {
-		return 0
-	}
-	return s.busyTime / horizon
-}

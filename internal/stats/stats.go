@@ -51,9 +51,6 @@ func (s *Stream) Var() float64 {
 	return s.m2 / float64(s.n-1)
 }
 
-// Std returns the sample standard deviation.
-func (s *Stream) Std() float64 { return math.Sqrt(s.Var()) }
-
 // Min returns the smallest observation (0 for an empty stream).
 func (s *Stream) Min() float64 { return s.min }
 

@@ -183,23 +183,6 @@ func drawDifficulty(k DifficultyKind, rng *rand.Rand) float64 {
 	}
 }
 
-// MeanDifficulty returns the analytic mean of the difficulty distribution,
-// used by planners that need E[difficulty] without sampling.
-func MeanDifficulty(k DifficultyKind) float64 {
-	switch k {
-	case UniformDifficulty:
-		return 0.5
-	case EasyBiased:
-		return 1.0 / 3
-	case HardBiased:
-		return 2.0 / 3
-	case Bimodal:
-		return 0.7*0.075 + 0.3*0.9
-	default:
-		panic(fmt.Sprintf("workload: unknown difficulty kind %v", k))
-	}
-}
-
 // DifficultyCDF returns P[difficulty <= x] analytically for distribution k.
 // The surgery planner integrates exit probabilities against this.
 func DifficultyCDF(k DifficultyKind, x float64) float64 {

@@ -79,7 +79,14 @@ func TestDeterministicSeeding(t *testing.T) {
 }
 
 func TestDifficultyRangesAndMeans(t *testing.T) {
-	for _, kind := range []DifficultyKind{UniformDifficulty, EasyBiased, HardBiased, Bimodal} {
+	// The analytic mean of each distribution.
+	means := map[DifficultyKind]float64{
+		UniformDifficulty: 0.5,
+		EasyBiased:        1.0 / 3,
+		HardBiased:        2.0 / 3,
+		Bimodal:           0.7*0.075 + 0.3*0.9,
+	}
+	for kind, want := range means {
 		spec := Spec{User: 0, Rate: 100, Arrivals: Poisson, Difficulty: kind, Seed: 4}
 		tasks := spec.Generate(200)
 		var sum float64
@@ -90,7 +97,6 @@ func TestDifficultyRangesAndMeans(t *testing.T) {
 			sum += task.Difficulty
 		}
 		got := sum / float64(len(tasks))
-		want := MeanDifficulty(kind)
 		if math.Abs(got-want) > 0.03 {
 			t.Errorf("%v: empirical mean %g, analytic %g", kind, got, want)
 		}
