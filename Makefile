@@ -55,10 +55,10 @@ test-short:
 golden-update:
 	$(GO) test ./internal/joint -run TestGoldenPlanDigests -update -count=1
 
-# Race-check the concurrent paths: planner (parallel surgery fan-out,
-# concurrently filled surgery tables, candidate-move evaluation), the sharded
-# simulator (component worker pool + differential equivalence tests), the
-# networked data plane (wire codec, deadline pacer, agent scheduling,
+# Race-check the concurrent paths: planner (surgery fan-out over the users
+# of a pass, surgery tables filled and built concurrently; candidate moves
+# run sequentially), the sharded simulator (component worker pool +
+# differential equivalence tests), the networked data plane (wire codec, deadline pacer, agent scheduling,
 # dispatcher, subprocess loopback cluster), and a small E21 scale run through
 # the experiments arm pool.
 test-race:
