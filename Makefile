@@ -32,8 +32,8 @@ loc:
 # or the total has grown past the figures below. They are what `make loc`
 # printed when last lowered; a PR that deletes code lowers them, and one that
 # has to add code raises them where a reviewer sees it.
-LOC_MAX_JOINT = 2900
-LOC_MAX_TOTAL = 22163
+LOC_MAX_JOINT = 2670
+LOC_MAX_TOTAL = 21605
 loc-check: loc
 	@joint=$$($(call loc_of,internal/joint)); total=$$($(loc_total)); \
 	if [ $$joint -gt $(LOC_MAX_JOINT) ] || [ $$total -gt $(LOC_MAX_TOTAL) ]; then \

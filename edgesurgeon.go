@@ -68,9 +68,10 @@ type (
 	Decision = joint.Decision
 	// Strategy is anything that can plan a Scenario.
 	Strategy = joint.Strategy
-	// PlannerOptions tunes the joint planner. Parallelism bounds the
-	// worker pool the planner fans per-user surgery across (<= 0 means
-	// GOMAXPROCS); plans are byte-identical at every parallelism level.
+	// PlannerOptions tunes the joint planner: set the Opt field of what
+	// NewPlanner returns. Parallelism bounds the worker pool the planner
+	// fans per-user surgery lookups across (<= 0 means GOMAXPROCS); every
+	// field of a plan is identical at every parallelism level.
 	// ShardThreshold routes scenarios with at least that many users
 	// through the hierarchical sharded planner (0 keeps every scenario on
 	// the exact monolithic path).

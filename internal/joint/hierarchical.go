@@ -7,8 +7,8 @@ import (
 
 // This file implements the hierarchical sharded planner — the scale path
 // behind Options.ShardThreshold. The monolithic block-coordinate loop is
-// exact but super-linear: its reassignment greedy evaluates O(users ×
-// servers) candidate moves per round, each against the full decision set,
+// exact but super-linear: its exhaustive scan evaluates O(users × servers)
+// candidate moves per round, each re-allocating the two shards it touches,
 // which makes planning (not simulation) the bottleneck past a few thousand
 // users. The sharded path exploits the same independence structure the
 // sharded simulator does:
@@ -39,8 +39,8 @@ import (
 
 // reconcileCandidateBudget bounds the candidate moves a reconciliation
 // round may evaluate. Below the budget every (user, target) pair is tried —
-// matching the monolithic reassignment greedy's coverage on differential
-// test sizes; above it, each shard nominates only its topK worst
+// the monolithic descent's own scan, so its coverage on differential test
+// sizes; above it, each shard nominates only its topK worst
 // contributors against the two least-loaded targets.
 const reconcileCandidateBudget = 4096
 
@@ -144,8 +144,8 @@ func (st *state) converge(s int, cold bool) (int, error) {
 		st.allocServer(s) // clears the stale feasibility flag
 		return 0, nil
 	}
-	prev := st.shardObjective(s)
-	bestObj, bestFeas := prev, st.srvFeasible[s]
+	var bestObj float64
+	var bestFeas bool
 	bestDs := make([]Decision, len(users))
 	keep := func(obj float64) {
 		bestObj, bestFeas = obj, st.srvFeasible[s]
@@ -153,6 +153,7 @@ func (st *state) converge(s int, cold bool) (int, error) {
 			bestDs[i] = st.ds[ui]
 		}
 	}
+	prev := st.shardObjective(s)
 	keep(prev)
 	iters := 0
 	for ; iters < st.opt.MaxIters; iters++ {
@@ -236,7 +237,7 @@ func (st *state) settle(scope []bool, plan *Plan) (*Plan, error) {
 //
 // Verification-sized scenarios (the exhaustive-reconcile regime, where the
 // differential suites live) always reconcile with the full donor set and
-// the monolithic greedy's own round budget: there the contract is fidelity
+// the monolithic descent's own round budget: there the contract is fidelity
 // to the monolithic reference (the pinned ≤1% gap), not wall-clock, and a
 // dirty-only scope can strand an improving move whose donor happens to be a
 // clean shard.
@@ -401,8 +402,8 @@ func (st *state) polishServers(touched []bool) error {
 // compute demand) into shards with slack, accepting only moves that
 // strictly improve the objective over the two touched shards. Every
 // candidate is evaluated in-place and rolled back exactly on rejection, so
-// a pass costs O(candidates × shard size) rather than the monolithic
-// greedy's O(users × servers × n). Candidate nomination, target order, and
+// a pass costs O(candidates × shard size) rather than the exhaustive
+// scan's O(users × servers × shard size). Candidate nomination, target order, and
 // acceptance are all deterministic (pressure order with index tiebreaks,
 // first improvement wins). Returns the accepted move count and the set of
 // servers any accepted move touched.

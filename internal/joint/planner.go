@@ -261,7 +261,9 @@ func (st *state) descend(reassign bool) (*Plan, error) {
 	prev := best.obj
 	traj = append(traj, prev)
 
-	touched := make([]bool, len(st.sc.Servers)) // the scan's output, unread here: the round polishes every server
+	// The scan marks the servers its moves touched; unread here, where every
+	// round re-runs surgery and allocation everywhere.
+	touched := make([]bool, len(st.sc.Servers))
 	iters := 1
 	for ; iters < st.opt.MaxIters; iters++ {
 		if err := st.checkpoint(); err != nil {

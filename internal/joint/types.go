@@ -205,8 +205,8 @@ type Plan struct {
 	// the reconciliation rounds that ran on top.
 	Iterations int
 	// Trajectory records the objective after every round (experiment E10).
-	// On the sharded path it starts at the merged per-shard objective and
-	// then records each capacity-reconciliation round.
+	// On the sharded path it starts at the objective of the shards converged
+	// in isolation and then records each capacity-reconciliation round.
 	Trajectory []float64
 	// Shards is the number of server-affinity shards the hierarchical
 	// planner decomposed the scenario into (local singletons included);
