@@ -106,12 +106,12 @@ func runCluster(sc *joint.Scenario, scenarioJSON []byte, policy serve.Policy, o 
 		c.Runtime.FullReplans(),
 		reg.Counter("dataplane.alloc_pushes").Value(),
 		reg.Counter("dataplane.telemetry_coalesced").Value())
-	if o.stallClients > 0 {
-		fmt.Printf("backpressure: %d responses shed, %d deadline trips, %d clients dropped\n",
-			reg.Counter("dataplane.client_shed").Value(),
-			reg.Counter("dataplane.write_deadline_trips").Value(),
-			reg.Counter("dataplane.clients_dropped").Value())
-	}
+	flushes := reg.Counter("dataplane.flushes").Value()
+	fmt.Printf("outbox: %.2f frames per flush (%d flushes), %d responses shed, %d deadline trips, %d clients dropped\n",
+		float64(reg.Counter("dataplane.frames_flushed").Value())/float64(max(flushes, 1)), flushes,
+		reg.Counter("dataplane.client_shed").Value(),
+		reg.Counter("dataplane.write_deadline_trips").Value(),
+		reg.Counter("dataplane.clients_dropped").Value())
 	if res.Crossed == 0 {
 		return fmt.Errorf("no request crossed to an agent; the handoff path never ran")
 	}

@@ -732,6 +732,51 @@ func TestOutboxBatchesQueuedFrames(t *testing.T) {
 	}
 }
 
+// TestOutboxBatchesABurst: producers that are runnable together share a
+// Write. On one P the writer takes the first response, yields, and finds the
+// other 15 queued when it comes back: 1 Write. Without the yield it was 16:
+// each enqueue woke the writer, which ran — and wrote — before the next
+// producer did.
+func TestOutboxBatchesABurst(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const producers = 16
+	ob, peer, writes := pipeOutbox(t, producers, 5*time.Second)
+	go ob.run()
+	defer ob.shut(nil)
+	r := bufio.NewReader(peer)
+	for trial := 1; ; trial++ {
+		before := writes.Load()
+		for p := 0; p < producers; p++ {
+			go func(p int) {
+				if !ob.enqueue(&wire.Response{Seq: uint64(p), User: p}) {
+					t.Errorf("enqueue %d refused", p)
+				}
+			}(p)
+		}
+		for i := 0; i < producers; i++ {
+			if _, err := wire.ReadFrame(r); err != nil {
+				t.Fatalf("frame %d: %v", i, err)
+			}
+		}
+		for deadline := time.Now().Add(5 * time.Second); ob.queued() != 0; {
+			if time.Now().After(deadline) {
+				t.Fatalf("queued() = %d after every frame was read", ob.queued())
+			}
+			time.Sleep(time.Millisecond)
+		}
+		// As in wire's TestSendersShareAWrite: a trial that straddles one of
+		// the scheduler's every-61st-pass looks at the global run queue
+		// brings the writer back early, 2 Writes; the next trial cannot.
+		n := writes.Load() - before
+		if n == 1 {
+			return
+		}
+		if n > 2 || trial == 3 {
+			t.Fatalf("trial %d: %d responses took %d Writes, want 1", trial, producers, n)
+		}
+	}
+}
+
 // BenchmarkOutboxDrain: enqueue → batched flush → peer read on net.Pipe, small
 // frames, the producer a queue ahead of the writer.
 func BenchmarkOutboxDrain(b *testing.B) {

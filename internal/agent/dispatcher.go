@@ -205,6 +205,7 @@ type Dispatcher struct {
 	cTelemDropped, cTelemCoalesced             *telemetry.Counter
 	cClientShed, cDeadlineTrips                *telemetry.Counter
 	cClientsDropped, cAgentSuspect             *telemetry.Counter
+	cFlushes, cFramesFlushed                   *telemetry.Counter
 	gAgents                                    *telemetry.Gauge
 }
 
@@ -257,6 +258,8 @@ func StartDispatcher(cfg DispatcherConfig) (*Dispatcher, error) {
 		cDeadlineTrips:  reg.Counter("dataplane.write_deadline_trips"),
 		cClientsDropped: reg.Counter("dataplane.clients_dropped"),
 		cAgentSuspect:   reg.Counter("dataplane.agent_suspect"),
+		cFlushes:        reg.Counter("dataplane.flushes"),
+		cFramesFlushed:  reg.Counter("dataplane.frames_flushed"),
 		gAgents:         reg.Gauge("dataplane.agents_connected"),
 	}
 	d.ready = sync.NewCond(&d.mu)
@@ -410,6 +413,7 @@ func (d *Dispatcher) handleConn(nc net.Conn) {
 		}
 		ac.ob = newOutbox(conn, nc, agentQueue, d.cfg.writeDeadline())
 		ac.ob.onTrip = d.cDeadlineTrips.Inc
+		ac.ob.onFlush = d.countFlush
 		ac.ob.onDead = func(err error) { d.suspectAgent(ac, err) }
 		d.serveAgent(ac)
 	case wire.RoleClient:
@@ -426,6 +430,7 @@ func (d *Dispatcher) handleConn(nc net.Conn) {
 		cc := &clientConn{conn: conn}
 		cc.ob = newOutbox(conn, nc, d.cfg.clientQueue(), d.cfg.writeDeadline())
 		cc.ob.onTrip = d.cDeadlineTrips.Inc
+		cc.ob.onFlush = d.countFlush
 		cc.ob.onDead = func(error) {
 			// Frames queued behind the dead writer are shed by definition.
 			if n := cc.ob.queued(); n > 0 && !d.closing() {
@@ -436,6 +441,13 @@ func (d *Dispatcher) handleConn(nc net.Conn) {
 	default:
 		conn.Close()
 	}
+}
+
+// countFlush records one successful outbox flush: frames_flushed / flushes is
+// the frames a write(2) towards a peer carries.
+func (d *Dispatcher) countFlush(frames int64) {
+	d.cFlushes.Inc()
+	d.cFramesFlushed.Add(frames)
 }
 
 // closing reports whether dispatcher shutdown has begun (used to keep

@@ -3,6 +3,7 @@ package agent
 import (
 	"errors"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,7 +18,11 @@ var errOutboxDead = errors.New("agent: outbound queue closed")
 
 // outbox is one connection's bounded outbound queue, drained by a single
 // writer goroutine that moves whatever is queued (up to wire.BatchBytes) into
-// the connection and flushes it with one write under one deadline. It is the
+// the connection and flushes it with one write under one deadline. Between
+// receiving the first frame of a batch and draining the rest it yields the
+// processor once (wire.Conn's rule: queue, yield, write), so the request
+// goroutines one batched read just spawned enqueue their responses before the
+// write instead of paying one write each. It is the
 // dispatcher's backpressure boundary: enqueue never blocks, so a peer whose
 // socket has stopped absorbing bytes can stall only its own writer — never a
 // request handler, the telemetry ingest loop, or an allocation push.
@@ -43,9 +48,11 @@ type outbox struct {
 	// onTrip is called when a flush misses its deadline (before
 	// onDead). onDead is called exactly once when the writer dies with a
 	// transport error or the outbox is shut with one; a nil-error shut
-	// (normal teardown) skips it. Both may be nil.
-	onTrip func()
-	onDead func(error)
+	// (normal teardown) skips it. onFlush is called after each successful
+	// flush with the frames it carried. All may be nil.
+	onTrip  func()
+	onDead  func(error)
+	onFlush func(frames int64)
 }
 
 func newOutbox(conn *wire.Conn, nc net.Conn, queue int, deadline time.Duration) *outbox {
@@ -102,14 +109,20 @@ func (o *outbox) run() {
 				return
 			}
 			o.waiting.Add(-n)
+			if o.onFlush != nil {
+				o.onFlush(n)
+			}
 		}
 	}
 }
 
-// flush moves m and whatever is queued behind it, up to wire.BatchBytes, into
-// the connection and writes the batch under one write deadline. It returns
+// flush yields once, so that every producer already runnable enqueues first,
+// then moves m and whatever is queued behind it, up to wire.BatchBytes, into
+// the connection and writes the batch under one write deadline (armed after
+// the yield: it bounds the write, not the wait for the processor). It returns
 // the frames it took from the queue.
 func (o *outbox) flush(m wire.Msg) (n int64, err error) {
+	runtime.Gosched()
 	for size := 0; m != nil; n++ {
 		if size, err = o.conn.Queue(m); err != nil {
 			return n, err

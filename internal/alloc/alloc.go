@@ -109,31 +109,6 @@ func Equal(n int) Allocation {
 	return Allocation{Compute: c, Bandwidth: b, Feasible: true}
 }
 
-// Proportional splits each resource proportionally to the users' raw work
-// on it — the "load-proportional" heuristic baseline.
-func Proportional(demands []Demand) Allocation {
-	n := len(demands)
-	a := Allocation{Compute: make([]float64, n), Bandwidth: make([]float64, n), Feasible: true}
-	var sumV, sumW float64
-	for _, d := range demands {
-		sumV += d.Server
-		sumW += d.Tx
-	}
-	for i, d := range demands {
-		if sumV > 0 {
-			a.Compute[i] = d.Server / sumV
-		} else {
-			a.Compute[i] = 1 / float64(n)
-		}
-		if sumW > 0 {
-			a.Bandwidth[i] = d.Tx / sumW
-		} else {
-			a.Bandwidth[i] = 1 / float64(n)
-		}
-	}
-	return a
-}
-
 // minShareEps keeps shares strictly positive so latencies stay finite for
 // users with vanishing work.
 const minShareEps = 1e-9

@@ -39,17 +39,6 @@ func TestEqualSplit(t *testing.T) {
 	}
 }
 
-func TestProportional(t *testing.T) {
-	ds := []Demand{
-		{Server: 3, Tx: 1},
-		{Server: 1, Tx: 3},
-	}
-	a := Proportional(ds)
-	if !almostEq(a.Compute[0], 0.75, 1e-12) || !almostEq(a.Bandwidth[0], 0.25, 1e-12) {
-		t.Errorf("proportional = %v", a)
-	}
-}
-
 func TestMinSumLatencySqrtRule(t *testing.T) {
 	// With works 1 and 4, optimal shares are 1:2.
 	ds := []Demand{{Server: 1, Tx: 1}, {Server: 4, Tx: 4}}
@@ -267,7 +256,7 @@ func TestAllocationsAlwaysFeasibleProperty(t *testing.T) {
 				Deadline: float64(r.DL)/255*2 + 0.5,
 			}
 		}
-		for _, a := range []Allocation{MinSumLatency(ds), DeadlineAware(ds), Proportional(ds)} {
+		for _, a := range []Allocation{MinSumLatency(ds), DeadlineAware(ds)} {
 			if sum(a.Compute) > 1+1e-6 || sum(a.Bandwidth) > 1+1e-6 {
 				return false
 			}

@@ -14,7 +14,11 @@
 //   - Do submits one request and blocks for its response, honoring both the
 //     caller's context and the per-call deadline. Cancellation abandons the
 //     call (the response, if it ever arrives, is discarded) without poisoning
-//     the connection.
+//     the connection. The default deadline (Config.CallTimeout) is a pooled
+//     timer Do selects on beside ctx.Done(), not a context derived per call;
+//     its expiry reads the same from outside (*CallError wrapping
+//     context.DeadlineExceeded), and a context that carries a deadline of
+//     its own still governs alone.
 //   - In-flight requests are bounded by Config.Window, so a caller fanning
 //     out cannot flood the dispatcher's per-connection response queue into
 //     shedding; Do blocks for a window slot (context-cancellable).
@@ -234,11 +238,15 @@ func (c *Client) deadErr() error {
 // non-OK response status returns *StatusError; transport loss returns
 // *DisconnectError.
 func (c *Client) Do(ctx context.Context, user int) (*wire.Response, error) {
+	// The default deadline is a pooled timer beside ctx.Done(), not a
+	// context derived per call: nil (never ready) when ctx has a deadline
+	// of its own or the default is off.
+	var expired <-chan time.Time
 	if d := c.cfg.callTimeout(); d > 0 {
 		if _, has := ctx.Deadline(); !has {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, d)
-			defer cancel()
+			t := getTimer(d)
+			defer putTimer(t)
+			expired = t.C
 		}
 	}
 
@@ -247,6 +255,8 @@ func (c *Client) Do(ctx context.Context, user int) (*wire.Response, error) {
 	case c.window <- struct{}{}:
 	case <-ctx.Done():
 		return nil, &CallError{User: user, Err: ctx.Err()}
+	case <-expired:
+		return nil, &CallError{User: user, Err: context.DeadlineExceeded}
 	case <-c.done:
 		return nil, c.deadErr()
 	}
@@ -291,8 +301,32 @@ func (c *Client) Do(ctx context.Context, user int) (*wire.Response, error) {
 	case <-ctx.Done():
 		abandon()
 		return nil, &CallError{User: user, Seq: seq, Err: ctx.Err()}
+	case <-expired:
+		abandon()
+		return nil, &CallError{User: user, Seq: seq, Err: context.DeadlineExceeded}
 	case <-c.done:
 		return nil, c.deadErr()
+	}
+}
+
+// timerPool holds stopped timers whose channels are empty.
+var timerPool sync.Pool
+
+func getTimer(d time.Duration) *time.Timer {
+	if t, _ := timerPool.Get().(*time.Timer); t != nil {
+		t.Reset(d)
+		return t
+	}
+	return time.NewTimer(d)
+}
+
+// putTimer pools t only if Stop caught it before it fired. A timer that
+// fired has sent, or is about to send, on its channel (go.mod's timers are
+// the asynchronous kind); it is dropped, so the next call can never be handed
+// one that reads as already expired.
+func putTimer(t *time.Timer) {
+	if t.Stop() {
+		timerPool.Put(t)
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 
 // fakeServer accepts exactly one connection on loopback and hands it to
 // behave on its own goroutine.
-func fakeServer(t *testing.T, behave func(nc net.Conn)) string {
+func fakeServer(t testing.TB, behave func(nc net.Conn)) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -34,7 +34,7 @@ func fakeServer(t *testing.T, behave func(nc net.Conn)) string {
 // wireServer is a fakeServer that first completes the protocol handshake
 // (header exchange + Hello/Welcome) like a real dispatcher, then hands the
 // framed connection to behave.
-func wireServer(t *testing.T, welcome wire.Welcome, behave func(conn *wire.Conn)) string {
+func wireServer(t testing.TB, welcome wire.Welcome, behave func(conn *wire.Conn)) string {
 	t.Helper()
 	return fakeServer(t, func(nc net.Conn) {
 		conn, err := wire.NewConn(bufio.NewReader(nc), nc, nc)

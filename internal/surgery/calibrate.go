@@ -56,53 +56,3 @@ func FitAccuracyCurve(points []MeasuredPoint, final float64) (ExitCurves, float6
 	rmse := math.Sqrt(bestSSE / float64(len(points)))
 	return fitted, rmse, nil
 }
-
-// ThresholdPoint is one (threshold, mean-depth) observation used to
-// calibrate the confidence-power exponent Alpha.
-type ThresholdPoint struct {
-	// Theta is the confidence threshold the measurement ran at (the
-	// optimizer's theta, in [0, 1)).
-	Theta float64
-	// MeanDepth is the measured mean executed backbone fraction.
-	MeanDepth float64
-}
-
-// FitConfidenceAlpha fits Alpha so the model's predicted mean depth under
-// a uniform difficulty stream matches the measured (theta, depth) points
-// for a backbone with exits at the given depth fractions. Returns the
-// fitted Alpha and the RMSE in depth units.
-func FitConfidenceAlpha(points []ThresholdPoint, exitDepths []float64) (float64, float64, error) {
-	if len(points) == 0 || len(exitDepths) == 0 {
-		return 0, 0, fmt.Errorf("surgery: need calibration points and exit depths")
-	}
-	predict := func(alpha, theta float64) float64 {
-		c := ExitCurves{Alpha: alpha, Beta: 1.8, Floor: 0.55, Final: 0.76}
-		// Mean depth = sum over exits of P[exit here] * depth, uniform
-		// difficulty, final exit at depth 1.
-		prevTau := 0.0
-		mean := 0.0
-		for _, x := range exitDepths {
-			tau := c.Confidence(x, theta)
-			p := tau - prevTau
-			if p < 0 {
-				p = 0
-			}
-			mean += p * x
-			prevTau = tau
-		}
-		mean += (1 - prevTau) * 1
-		return mean
-	}
-	bestAlpha, bestSSE := 0.0, math.Inf(1)
-	for alpha := 0.2; alpha <= 10; alpha += 0.02 {
-		var sse float64
-		for _, p := range points {
-			d := predict(alpha, p.Theta) - p.MeanDepth
-			sse += d * d
-		}
-		if sse < bestSSE {
-			bestSSE, bestAlpha = sse, alpha
-		}
-	}
-	return bestAlpha, math.Sqrt(bestSSE / float64(len(points))), nil
-}

@@ -39,39 +39,3 @@ func TestFitAccuracyCurveValidation(t *testing.T) {
 		t.Error("accepted out-of-range depth")
 	}
 }
-
-func TestFitConfidenceAlphaRecoversKnownAlpha(t *testing.T) {
-	const truthAlpha = 3.0
-	exitDepths := []float64{0.2, 0.4, 0.6, 0.8}
-	truth := ExitCurves{Alpha: truthAlpha, Beta: 1.8, Floor: 0.55, Final: 0.76}
-	var points []ThresholdPoint
-	for _, theta := range []float64{0, 0.2, 0.4, 0.6, 0.8} {
-		prevTau, mean := 0.0, 0.0
-		for _, x := range exitDepths {
-			tau := truth.Confidence(x, theta)
-			mean += (tau - prevTau) * x
-			prevTau = tau
-		}
-		mean += (1 - prevTau)
-		points = append(points, ThresholdPoint{Theta: theta, MeanDepth: mean})
-	}
-	alpha, rmse, err := FitConfidenceAlpha(points, exitDepths)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(alpha-truthAlpha) > 0.05 {
-		t.Errorf("alpha %g, want %g", alpha, truthAlpha)
-	}
-	if rmse > 1e-6 {
-		t.Errorf("rmse %g for in-family data", rmse)
-	}
-}
-
-func TestFitConfidenceAlphaValidation(t *testing.T) {
-	if _, _, err := FitConfidenceAlpha(nil, []float64{0.5}); err == nil {
-		t.Error("accepted empty points")
-	}
-	if _, _, err := FitConfidenceAlpha([]ThresholdPoint{{0.5, 0.5}}, nil); err == nil {
-		t.Error("accepted empty exit depths")
-	}
-}

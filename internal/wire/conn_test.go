@@ -254,6 +254,111 @@ func TestWriteErrorIsSticky(t *testing.T) {
 	if err := c.Flush(); !errors.Is(err, errBoom) {
 		t.Fatalf("Flush on a failed Conn: %v, want the sticky error", err)
 	}
+
+	// A sender whose frame rode another's batch writes nothing itself; when
+	// that batch's Write failed it must report the failure all the same.
+	// Step by step, as Send does it: the rider queues, a second sender's
+	// Write takes both frames and fails, and only then does the rider reach
+	// the socket.
+	w = &failingWriter{failAt: 1}
+	c = &Conn{w: w}
+	ticket, _, err := c.queue(&Request{Seq: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Send(&Request{Seq: 2}); !errors.Is(err, errBoom) {
+		t.Fatalf("the sender whose Write failed: got %v, want the writer's error", err)
+	}
+	if err := c.flush(ticket); !errors.Is(err, errBoom) {
+		t.Fatalf("the sender whose frame was in the failed batch: got %v, want the writer's error", err)
+	}
+	if w.calls != 1 {
+		t.Fatalf("writer called %d times, want 1: the rider had nothing left to write", w.calls)
+	}
+}
+
+// TestSendersShareAWrite: senders that are runnable together pay one Write
+// between them. On one P each of 16 goroutines queues its frame and yields
+// before any of them takes the socket, so the first to come back carries all
+// 16 and the rest find their frames gone. The stream is still the
+// concatenation of WriteFrame(Encode(m)), in the order the frames were queued.
+func TestSendersShareAWrite(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const senders = 16
+	for trial := 1; ; trial++ {
+		var got bytes.Buffer
+		cw := &countingWriter{w: &got}
+		c := &Conn{w: cw}
+		var wg sync.WaitGroup
+		for s := 0; s < senders; s++ {
+			wg.Add(1)
+			go func(s int) {
+				defer wg.Done()
+				if err := c.Send(&Request{Seq: uint64(s), User: s}); err != nil {
+					t.Errorf("sender %d: %v", s, err)
+				}
+			}(s)
+		}
+		wg.Wait()
+		stream := append([]byte(nil), got.Bytes()...)
+		var want bytes.Buffer
+		seen := map[uint64]bool{}
+		for r := bufio.NewReader(&got); ; {
+			payload, err := ReadFrame(r)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := Decode(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen[m.(*Request).Seq] = true
+			again, _ := Encode(m)
+			WriteFrame(&want, again)
+		}
+		if len(seen) != senders {
+			t.Fatalf("the stream carried %d distinct frames, want %d", len(seen), senders)
+		}
+		if !bytes.Equal(stream, want.Bytes()) {
+			t.Fatalf("the %d-byte stream differs from the %d-byte WriteFrame(Encode) reference", len(stream), want.Len())
+		}
+		// Every 61st pass the scheduler serves the global run queue, where a
+		// yielded sender waits, ahead of the local one, where the others have
+		// yet to start: a trial that straddles such a pass sees one sender
+		// back early with a partial batch, 2 Writes. The next trial cannot.
+		n := cw.writes.Load()
+		if n == 1 {
+			return
+		}
+		if n > 2 || trial == 3 {
+			t.Fatalf("trial %d: %d senders made %d Writes, want 1", trial, senders, n)
+		}
+	}
+}
+
+// TestSendAtConcurrencyOneWritesAtOnce: a lone sender's yield finds nothing
+// to run, so every Send is written before it returns — one Write per frame —
+// and nothing was started to do it later: no flusher goroutine, no timer.
+func TestSendAtConcurrencyOneWritesAtOnce(t *testing.T) {
+	const frames = 100
+	var got bytes.Buffer
+	cw := &countingWriter{w: &got}
+	c := &Conn{w: cw}
+	before := runtime.NumGoroutine()
+	for i := 0; i < frames; i++ {
+		if err := c.Send(&Request{Seq: uint64(i)}); err != nil {
+			t.Fatal(err)
+		}
+		if n := cw.writes.Load(); n != int64(i+1) {
+			t.Fatalf("after %d Sends the writer had been called %d times", i+1, n)
+		}
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("%d goroutines before, %d after: Send started something", before, after)
+	}
 }
 
 // allocBytesPerRun is testing.AllocsPerRun for bytes.
@@ -493,7 +598,9 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // BenchmarkConnSendParallel: many goroutines sending small frames on one
 // loopback connection, the shape of a client under load and of an agent
 // returning results. frames/write is what write combining buys: 1 means every
-// frame paid its own syscall.
+// frame paid its own syscall (1.02 before senders yielded between queueing
+// and writing, ~25 since: a loopback write never blocks, so without the yield
+// no frame is ever queued while another write is in flight).
 func BenchmarkConnSendParallel(b *testing.B) {
 	ca, cb := tcpPair(b)
 	cw := &countingWriter{w: ca.w}

@@ -21,12 +21,17 @@
 // frames are refused before allocation, and a short frame surfaces as a
 // typed *DecodeError naming the offending field.
 //
-// Conn is the shared endpoint. Its write side combines: a sender appends
-// its frame to the connection's pending buffer and then writes everything
-// pending in one Write, so frames queued while another write is in flight
-// ride the next one (an idle connection writes at once; there is no timer).
-// The byte stream is the concatenation of WriteFrame(Encode(m)) whatever
-// the batching. The first write error is sticky.
+// Conn is the shared endpoint. Its write side combines, by one rule: queue,
+// yield once, write only if your frame is still unwritten. A sender appends
+// its frame to the connection's pending buffer, yields the processor, and
+// then writes everything pending in one Write — unless a sender that took the
+// socket before it already carried its frame, in which case it returns
+// without a syscall. Every sender runnable at that moment (the calls one
+// batched read just woke) queues during the yield and rides the first
+// sender's Write; a lone sender's yield finds nothing to run and it writes at
+// once. There is no timer and no writer goroutine. The byte stream is the
+// concatenation of WriteFrame(Encode(m)) whatever the batching. The first
+// write error is sticky.
 //
 // Its read side lends. The boundary activation is the one large thing the
 // plane moves, and of the four places one crossing of a 64 KiB Infer could
@@ -51,6 +56,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"runtime"
 	"strconv"
 	"sync"
 )
@@ -317,8 +323,10 @@ const (
 // shared by concurrent senders through write combining (see the package
 // doc). After a failed write every Queue, Flush and Send returns that error.
 type Conn struct {
-	mu      sync.Mutex // guards pending and err; never held across a Write
+	mu      sync.Mutex // guards pending, queued, taken and err; never held across a Write
 	pending enc        // encoded frames awaiting the next Write
+	queued  uint64     // frames ever appended to pending: the last one's ticket
+	taken   uint64     // the ticket up to which a Write has taken them
 	err     error      // first write error, sticky
 
 	wmu sync.Mutex // held across a Write; guards out
@@ -344,41 +352,63 @@ func NewConn(r frameReader, w io.Writer, c io.Closer) (*Conn, error) {
 }
 
 // Send encodes one message and returns once its frame has been written, by
-// this call or by a concurrent sender's. Safe for concurrent use.
+// this call or by a concurrent sender's. Between queueing the frame and
+// taking the socket it yields the processor once, so that every sender
+// already runnable queues behind it and one Write carries them all; with
+// nothing else to run the yield returns at once. Safe for concurrent use.
 func (c *Conn) Send(m Msg) error {
-	if _, err := c.Queue(m); err != nil {
+	ticket, _, err := c.queue(m)
+	if err != nil {
 		return err
 	}
-	return c.Flush()
+	runtime.Gosched()
+	return c.flush(ticket)
 }
 
 // Queue appends m's frame to the pending buffer without writing and returns
 // the bytes now pending. A message that does not encode leaves the buffer
 // as it was. Safe for concurrent use.
 func (c *Conn) Queue(m Msg) (int, error) {
+	_, size, err := c.queue(m)
+	return size, err
+}
+
+// queue is Queue that also returns the frame's ticket: its position in the
+// stream, which flush compares with what earlier writes have taken.
+func (c *Conn) queue(m Msg) (ticket uint64, size int, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.err != nil {
-		return 0, c.err
+		return 0, 0, c.err
 	}
-	err := c.pending.frame(m)
-	return len(c.pending.b), err
+	if err = c.pending.frame(m); err == nil {
+		c.queued++
+	}
+	return c.queued, len(c.pending.b), err
 }
 
-// Flush writes everything pending in one Write. Whoever holds the socket
-// takes every frame queued so far, so a caller that finds nothing pending
-// knows the writer before it carried its frames — and set the sticky error
-// before releasing the socket if that write failed.
-func (c *Conn) Flush() error {
+// Flush writes everything pending in one Write (the ticket no write has
+// taken: only an empty buffer stops it).
+func (c *Conn) Flush() error { return c.flush(^uint64(0)) }
+
+// flush writes everything pending in one Write unless the frame with this
+// ticket has already been taken. Whoever holds the socket takes every frame
+// queued so far, so a caller whose frame is gone knows a writer before it
+// carried it — and set the sticky error before releasing the socket if that
+// write failed. The ticket is what keeps a sender that lost the race for the
+// socket from spending a syscall on the frames queued after its own: their
+// senders are about to flush them themselves.
+func (c *Conn) flush(ticket uint64) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	c.mu.Lock()
-	if c.err != nil || len(c.pending.b) == 0 {
+	if c.err != nil || c.taken >= ticket || len(c.pending.b) == 0 {
 		err := c.err
 		c.mu.Unlock()
 		return err
 	}
 	c.pending.b, c.out = c.out[:0], c.pending.b
+	c.taken = c.queued
 	c.mu.Unlock()
 	_, err := c.w.Write(c.out)
 	if cap(c.out) > keepBytes {

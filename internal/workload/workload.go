@@ -2,15 +2,11 @@
 // simulator: arrival processes (Poisson, bursty MMPP, deterministic),
 // per-task input difficulty (which controls how deep a multi-exit network
 // must run before it is confident), and deadline classes. Everything is
-// seeded, so experiments are bit-reproducible. Traces can be serialized and
-// replayed, substituting for the production request traces a testbed paper
-// would capture.
+// seeded, so experiments are bit-reproducible.
 package workload
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"sort"
@@ -227,31 +223,4 @@ func Merge(streams ...[]Task) []Task {
 		all[i].ID = i
 	}
 	return all
-}
-
-// SaveTrace serializes tasks as JSON lines.
-func SaveTrace(w io.Writer, tasks []Task) error {
-	enc := json.NewEncoder(w)
-	for i := range tasks {
-		if err := enc.Encode(&tasks[i]); err != nil {
-			return fmt.Errorf("workload: save trace task %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// LoadTrace reads a JSON-lines trace written by SaveTrace.
-func LoadTrace(r io.Reader) ([]Task, error) {
-	dec := json.NewDecoder(r)
-	var out []Task
-	for {
-		var t Task
-		if err := dec.Decode(&t); err != nil {
-			if err == io.EOF {
-				return out, nil
-			}
-			return nil, fmt.Errorf("workload: load trace: %w", err)
-		}
-		out = append(out, t)
-	}
 }

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"sort"
@@ -158,26 +157,6 @@ func TestMergeOrdersAndRenumbers(t *testing.T) {
 		}
 		if i > 0 && all[i].Arrival < all[i-1].Arrival {
 			t.Fatal("merge not sorted")
-		}
-	}
-}
-
-func TestTraceRoundTrip(t *testing.T) {
-	tasks := Spec{User: 2, Rate: 30, Arrivals: MMPP, Difficulty: Bimodal, Deadline: 0.2, Seed: 12}.Generate(20)
-	var buf bytes.Buffer
-	if err := SaveTrace(&buf, tasks); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(tasks) {
-		t.Fatalf("round trip length %d, want %d", len(got), len(tasks))
-	}
-	for i := range got {
-		if got[i] != tasks[i] {
-			t.Fatalf("task %d differs after round trip", i)
 		}
 	}
 }
