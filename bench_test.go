@@ -297,27 +297,6 @@ func BenchmarkBuildFrontierSet(b *testing.B) {
 	}
 }
 
-// BenchmarkJointPlanParallel sweeps the planner's worker-pool size at two
-// population scales. Plans are byte-identical across workers (the planner's
-// determinism contract), so the sweep isolates pure wall-clock scaling.
-func BenchmarkJointPlanParallel(b *testing.B) {
-	for _, users := range []int{32, 128} {
-		sc := benchScenario(b, users)
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("users=%d/workers=%d", users, workers), func(b *testing.B) {
-				planner := &joint.Planner{Opt: joint.Options{Parallelism: workers}}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := planner.Plan(sc); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 func benchScenario(b *testing.B, n int) *joint.Scenario {
 	b.Helper()
 	pi, _ := hardware.ByName("rpi4")

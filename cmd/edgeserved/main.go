@@ -193,7 +193,6 @@ func main() {
 		journalPath  = flag.String("journal", "", "write the replan-decision journal here (\"-\" = stdout)")
 		expectFull   = flag.Int("expect-full-replans", -1, "exit non-zero unless the replay ran exactly this many full replans")
 		httpAddr     = flag.String("http", "", "serve /metrics, /plan and /debug/pprof/ on this address (after the replay, or alongside live mode)")
-		parallelism  = flag.Int("parallelism", 0, "planner worker count (0 = GOMAXPROCS); plans are identical across levels")
 		shardThresh  = flag.Int("shard-threshold", 0, "route full replans of scenarios with at least this many users through the hierarchical sharded planner (0 = always monolithic)")
 		frontier     = flag.Bool("frontier", false, "precompute Pareto-frontier surgery tables per planned scenario (see serve.frontier.* metrics): changes speed and the planner.frontier.* hit/miss counters, never the plan")
 
@@ -258,7 +257,7 @@ func main() {
 		// Live mode has no trace to replay, journal, crash or resume, and
 		// plans through cluster.Start's own planner; say so instead of
 		// silently dropping the flag.
-		if name := firstSet("chaos", "expect-full-replans", "journal", "parallelism",
+		if name := firstSet("chaos", "expect-full-replans", "journal",
 			"recover", "shard-threshold", "snapshot-dir", "verify-recovery"); name != "" {
 			fmt.Fprintf(os.Stderr, "edgeserved: -%s has no effect with -listen (it configures trace replay)\n", name)
 			os.Exit(2)
@@ -289,7 +288,7 @@ func main() {
 		opts := replayOpts{
 			tracePath: *tracePath, journalPath: *journalPath,
 			expectFull: *expectFull, httpAddr: *httpAddr,
-			parallelism: *parallelism, shardThreshold: *shardThresh, frontier: *frontier,
+			shardThreshold: *shardThresh, frontier: *frontier,
 			snapshotDir: *snapshotDir, recover: *recoverRun,
 			chaos: chaosSpecs.events, verifyRecovery: *verifyRec,
 		}
@@ -443,7 +442,6 @@ type replayOpts struct {
 	tracePath, journalPath string
 	expectFull             int
 	httpAddr               string
-	parallelism            int
 	shardThreshold         int
 	frontier               bool
 
@@ -458,7 +456,7 @@ type replayOpts struct {
 func (o replayOpts) config(sc *joint.Scenario, policy serve.Policy) serve.Config {
 	return serve.Config{
 		Scenario: sc,
-		Planner:  &joint.Planner{Opt: joint.Options{Parallelism: o.parallelism, ShardThreshold: o.shardThreshold}},
+		Planner:  &joint.Planner{Opt: joint.Options{ShardThreshold: o.shardThreshold}},
 		Policy:   policy,
 		Frontier: o.frontier,
 	}

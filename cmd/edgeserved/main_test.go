@@ -82,7 +82,6 @@ func expectRejected(t *testing.T, base []string, cases []rejectedFlag) {
 // before anything is planned or spawned, instead of being silently dropped.
 func TestLiveModeRejectsReplayFlags(t *testing.T) {
 	expectRejected(t, []string{"-listen", "127.0.0.1:0"}, []rejectedFlag{
-		{"parallelism", []string{"-parallelism", "2"}},
 		{"shard-threshold", []string{"-shard-threshold", "8"}},
 		{"snapshot-dir", []string{"-snapshot-dir", t.TempDir()}},
 		{"recover", []string{"-recover"}},

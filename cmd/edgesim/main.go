@@ -51,7 +51,6 @@ func main() {
 		verbose      = flag.Bool("v", false, "print per-user decisions")
 		discipline   = flag.String("discipline", "shares", "service discipline: shares | fcfs | ps")
 		tracePath    = flag.String("trace", "", "write per-task records (JSON lines) to this file")
-		parallelism  = flag.Int("parallelism", 0, "simulation worker count (0 = GOMAXPROCS, 1 = sequential)")
 		keepRecords  = flag.Bool("keep-records", true, "retain per-task records; disable for very large -users runs")
 		users        = flag.Int("users", 0, "scale the scenario to this many users by cycling its user list (0 = as written)")
 	)
@@ -111,7 +110,6 @@ func main() {
 			continue
 		}
 		cfg := joint.BuildSimConfig(sc, plan, horizon, disc)
-		cfg.Parallelism = *parallelism
 		cfg.KeepRecords = *keepRecords
 		t0 := time.Now()
 		res, err := sim.Run(cfg)

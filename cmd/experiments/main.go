@@ -1,5 +1,5 @@
 // Command experiments regenerates the reconstructed evaluation artifacts
-// (tables and figures E1-E13; see DESIGN.md for the index).
+// (tables and figures E1-E27; see DESIGN.md for the index).
 //
 // Usage:
 //

@@ -69,12 +69,9 @@ type (
 	// Strategy is anything that can plan a Scenario.
 	Strategy = joint.Strategy
 	// PlannerOptions tunes the joint planner: set the Opt field of what
-	// NewPlanner returns. Parallelism bounds the worker pool the planner
-	// fans per-user surgery lookups across (<= 0 means GOMAXPROCS); every
-	// field of a plan is identical at every parallelism level.
-	// ShardThreshold routes scenarios with at least that many users
-	// through the hierarchical sharded planner (0 keeps every scenario on
-	// the exact monolithic path).
+	// NewPlanner returns. ShardThreshold routes scenarios with at least
+	// that many users through the hierarchical sharded planner (0 keeps
+	// every scenario on the exact monolithic path).
 	PlannerOptions = joint.Options
 )
 

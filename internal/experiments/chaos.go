@@ -175,11 +175,11 @@ func E25ChaosRecovery() (*Report, error) {
 	}
 	r.Tables = append(r.Tables, t)
 
-	r.metric("E25.recovery_fidelity", fidelity)
-	r.metric("E25.crashes", float64(crash.res.Crashes))
-	r.metric("E25.deadline_hit_rate", deadlineHit)
-	r.metric("E25.stale_serves", float64(slowArm.aborted))
-	r.metric("E25.quarantine_drops", float64(corr.qdrops))
+	r.metric("recovery_fidelity", fidelity)
+	r.metric("crashes", float64(crash.res.Crashes))
+	r.metric("deadline_hit_rate", deadlineHit)
+	r.metric("stale_serves", float64(slowArm.aborted))
+	r.metric("quarantine_drops", float64(corr.qdrops))
 
 	r.note("recovery fidelity after %d kill/recover cycles: %.0f (1 = journal, metrics and final plan byte-identical to the undisturbed run)",
 		crash.res.Crashes, fidelity)

@@ -51,6 +51,13 @@ func runReport(t *testing.T, id string) *Report {
 			t.Errorf("%s: shape violation: %s", id, n)
 		}
 	}
+	// Metrics are stored under the report's ID, which -bench-json and
+	// -require-metrics prepend; a name that repeats it is written twice.
+	for name := range r.Metrics {
+		if strings.HasPrefix(name, id+".") {
+			t.Errorf("%s: metric %q repeats the report ID", id, name)
+		}
+	}
 	return r
 }
 
@@ -499,9 +506,8 @@ func TestE26SmallShape(t *testing.T) {
 }
 
 // TestE21SmallScaleAgrees runs a shrunken E21 (the full one sweeps 100k
-// users): the runner's internal sequential-vs-sharded comparison emits a
-// WARNING note on any divergence, which this test turns into a failure.
-// make test-race runs this under the race detector.
+// users), asserting the report shape, that no WARNING note was raised and
+// that every metric key BENCH_sim.json holds is emitted.
 func TestE21SmallScaleAgrees(t *testing.T) {
 	r, err := e21Scale([]int{64, 256}, 4, 5)
 	if err != nil {
@@ -518,7 +524,7 @@ func TestE21SmallScaleAgrees(t *testing.T) {
 	if len(r.Tables[0].Rows) != 4 {
 		t.Errorf("rows = %d, want 4", len(r.Tables[0].Rows))
 	}
-	for _, k := range []string{"events_per_sec", "speedup_vs_sequential", "allocs_per_event", "cores"} {
+	for _, k := range []string{"events_per_sec", "allocs_per_event", "users_max", "cores"} {
 		if _, ok := r.Metrics[k]; !ok {
 			t.Errorf("metric %q missing", k)
 		}
@@ -570,14 +576,14 @@ func TestE25ChaosShape(t *testing.T) {
 		t.Fatalf("arm rows = %d, want 4", rows)
 	}
 	for _, k := range []string{
-		"E25.recovery_fidelity", "E25.crashes", "E25.deadline_hit_rate",
-		"E25.stale_serves", "E25.quarantine_drops",
+		"recovery_fidelity", "crashes", "deadline_hit_rate",
+		"stale_serves", "quarantine_drops",
 	} {
 		if _, ok := r.Metrics[k]; !ok {
 			t.Errorf("metric %q missing", k)
 		}
 	}
-	if r.Metrics["E25.recovery_fidelity"] != 1 {
-		t.Errorf("recovery fidelity = %g, want 1", r.Metrics["E25.recovery_fidelity"])
+	if r.Metrics["recovery_fidelity"] != 1 {
+		t.Errorf("recovery fidelity = %g, want 1", r.Metrics["recovery_fidelity"])
 	}
 }

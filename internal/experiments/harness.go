@@ -24,7 +24,7 @@ import (
 
 // Report is one experiment's regenerated artifact.
 type Report struct {
-	// ID is the experiment identifier (E1..E13).
+	// ID is the experiment identifier (E1..E27).
 	ID string
 	// Artifact names the paper-class table/figure this regenerates.
 	Artifact string

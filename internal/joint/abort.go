@@ -21,10 +21,9 @@ func (e *AbortedError) Error() string {
 }
 
 // checkpoint is the planner's deadline check on the state's ledger. spent
-// is a parallelism-invariant work total (scheduled surgery ops, not executed
-// ones), and the call sites all sit on sequential orchestration code — that
-// is what makes a budget abort fire at the same point of the same run at
-// every Parallelism level.
+// counts scheduled surgery ops, not executed ones (a table hit costs what an
+// optimizer run does), which is what makes a budget abort fire at the same
+// point of every run of the same input, with or without tables.
 func (st *state) checkpoint() error {
 	if b := st.opt.SurgeryBudget; b > 0 && st.spent > b {
 		return &AbortedError{SurgeryOps: st.spent, Budget: b}

@@ -4,17 +4,37 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+
+	"edgesurgeon/internal/surgery"
 )
+
+// budgetTableArms returns the table sets a budget must be indifferent to:
+// none, and full sets built on pools of one and of four goroutines.
+func budgetTableArms(t *testing.T, sc *Scenario) []tableArm {
+	t.Helper()
+	arms := []tableArm{{"none", nil}}
+	for _, procs := range []int{1, 4} {
+		atProcs(procs, func() {
+			set, err := BuildFrontierSet(sc, Options{}, surgery.BuildOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			arms = append(arms, tableArm{fmt.Sprintf("procs=%d", procs), set})
+		})
+	}
+	return arms
+}
 
 // TestSurgeryBudgetDeterministicAcrossParallelism pins the property the
 // control plane's replan deadline depends on: the scheduled-surgery-op
-// ledger a plan is charged is identical at every parallelism level and on
-// both planner routes, so a budget either aborts every run of a given
-// (scenario, options) pair or none of them — never a race.
+// ledger a plan is charged is the same without tables and with tables built
+// at any pool width, on both planner routes, so a budget either aborts every
+// run of a given (scenario, options) pair or none of them.
 func TestSurgeryBudgetDeterministicAcrossParallelism(t *testing.T) {
 	sc := testScenario(t, 12, 40)
+	arms := budgetTableArms(t, sc)
 	for _, thresh := range []int{0, 6} {
-		base := Options{Parallelism: 1, ShardThreshold: thresh}
+		base := Options{ShardThreshold: thresh}
 		ref, err := (&Planner{Opt: base}).Plan(sc)
 		if err != nil {
 			t.Fatalf("thresh=%d: unbudgeted plan: %v", thresh, err)
@@ -22,18 +42,18 @@ func TestSurgeryBudgetDeterministicAcrossParallelism(t *testing.T) {
 		if ref.SurgeryOps <= 0 {
 			t.Fatalf("thresh=%d: plan charged %d surgery ops, want > 0", thresh, ref.SurgeryOps)
 		}
-		for _, par := range []int{1, 4} {
-			label := fmt.Sprintf("thresh=%d par=%d", thresh, par)
+		for _, arm := range arms {
+			label := fmt.Sprintf("thresh=%d tables=%s", thresh, arm.name)
 			opt := base
-			opt.Parallelism = par
+			opt.Frontiers = arm.set
 
-			// The ops ledger itself must not depend on parallelism.
+			// The ops ledger itself must not depend on the tables.
 			p, err := (&Planner{Opt: opt}).Plan(sc)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
 			if p.SurgeryOps != ref.SurgeryOps {
-				t.Fatalf("%s: charged %d ops, par=1 charged %d", label, p.SurgeryOps, ref.SurgeryOps)
+				t.Fatalf("%s: charged %d ops, without tables %d", label, p.SurgeryOps, ref.SurgeryOps)
 			}
 
 			// A budget covering the full run changes nothing.
@@ -75,9 +95,9 @@ func TestSurgeryBudgetDeterministicAcrossParallelism(t *testing.T) {
 }
 
 // TestSurgeryBudgetAbortPointStable: the op count an aborting run reports is
-// itself deterministic across parallelism levels — the checkpoint ledger
-// counts scheduled work, so two racing workers can never disagree about
-// where the budget ran out.
+// itself deterministic — the checkpoint ledger counts scheduled work, so
+// tables that answer lookups without the optimizer never move where the
+// budget ran out.
 func TestSurgeryBudgetAbortPointStable(t *testing.T) {
 	sc := testScenario(t, 12, 40)
 	ref, err := (&Planner{}).Plan(sc)
@@ -89,19 +109,19 @@ func TestSurgeryBudgetAbortPointStable(t *testing.T) {
 		budget = 1
 	}
 	var want int64
-	for i, par := range []int{1, 2, 4} {
-		opt := Options{Parallelism: par, SurgeryBudget: budget}
+	for i, arm := range budgetTableArms(t, sc) {
+		opt := Options{SurgeryBudget: budget, Frontiers: arm.set}
 		_, err := (&Planner{Opt: opt}).Plan(sc)
 		var abort *AbortedError
 		if !errors.As(err, &abort) {
-			t.Fatalf("par=%d: got %v, want *AbortedError", par, err)
+			t.Fatalf("tables=%s: got %v, want *AbortedError", arm.name, err)
 		}
 		if i == 0 {
 			want = abort.SurgeryOps
 			continue
 		}
 		if abort.SurgeryOps != want {
-			t.Errorf("par=%d: aborted at %d ops, par=1 aborted at %d", par, abort.SurgeryOps, want)
+			t.Errorf("tables=%s: aborted at %d ops, without tables at %d", arm.name, abort.SurgeryOps, want)
 		}
 	}
 }

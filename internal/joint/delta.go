@@ -34,8 +34,8 @@ import "fmt"
 //
 // Budget semantics match Plan: Options.SurgeryBudget bounds the
 // deterministic scheduled-work ledger, overruns return *AbortedError and no
-// partial plan, and the charge points all sit on sequential orchestration
-// code, so an abort fires at the same point at every Parallelism level.
+// partial plan, and the charge points all sit on orchestration code, so an
+// abort fires at the same point of every run.
 func (p *Planner) PlanDelta(sc *Scenario, prev *Plan, dirty []bool) (*Plan, error) {
 	if err := sc.validateForPlanning(); err != nil {
 		return nil, err

@@ -2,12 +2,14 @@ package joint
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"edgesurgeon/internal/netmodel"
+	"edgesurgeon/internal/surgery"
 )
 
 // driftLink returns a copy of sc with server s's link replaced by a static
@@ -23,9 +25,9 @@ func driftLink(sc *Scenario, s int, factor float64) *Scenario {
 // deltaPair plans sc fully (sharded route), drifts the flagged servers by
 // the given factors, and returns the full replan and the delta replan of
 // the drifted scenario.
-func deltaPair(t *testing.T, sc *Scenario, parallelism int, drift map[int]float64) (full, delta *Plan, drifted *Scenario) {
+func deltaPair(t *testing.T, sc *Scenario, drift map[int]float64) (full, delta *Plan, drifted *Scenario) {
 	t.Helper()
-	p := &Planner{Opt: Options{Parallelism: parallelism, ShardThreshold: 1}}
+	p := &Planner{Opt: Options{ShardThreshold: 1}}
 	prev, err := p.Plan(sc)
 	if err != nil {
 		t.Fatalf("initial plan: %v", err)
@@ -71,7 +73,7 @@ func TestDeltaDifferentialGap(t *testing.T) {
 				drift[s] = f
 			}
 		}
-		full, delta, drifted := deltaPair(t, sc, 1, drift)
+		full, delta, drifted := deltaPair(t, sc, drift)
 		checkPlanStructure(t, drifted, delta)
 		if gap := relativeGap(full, delta); gap > maxDifferentialGap {
 			t.Errorf("scenario %d: delta objective %.6g vs full %.6g (gap %.2f%% > 1%%)",
@@ -80,33 +82,52 @@ func TestDeltaDifferentialGap(t *testing.T) {
 	}
 }
 
-// TestDeltaParallelismInvariance pins that a delta replan's decisions,
-// objective, trajectory and work ledger are byte-identical at every
-// Parallelism level — the same snapshot-then-fan-out guarantee the full
-// planner carries, which the control plane's replay determinism rests on.
+// TestDeltaParallelismInvariance pins that a delta replan against a table
+// set built and then extended for the drift (ExtendFrontierSet, the control
+// plane's delta path) on pools of 1, 2 and 4 goroutines is byte-identical at
+// every width — decisions, objective, trajectory, work ledger and hit/miss
+// tally — and that every width adds the same tables.
 func TestDeltaParallelismInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(8181))
 	for i := 0; i < 4; i++ {
 		sc := randomWideScenario(rng, 40)
+		drifted := driftLink(sc, 0, 0.55)
+		dirty := make([]bool, len(sc.Servers))
+		dirty[0] = true
 		var ref *Plan
-		for _, par := range []int{1, 2, 4} {
-			_, delta, _ := deltaPair(t, sc, par, map[int]float64{0: 0.55})
+		var refAdded int
+		for _, procs := range []int{1, 2, 4} {
+			var delta *Plan
+			var added int
+			atProcs(procs, func() {
+				set, err := BuildFrontierSet(sc, Options{}, surgery.BuildOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				p := &Planner{Opt: Options{ShardThreshold: 1, Frontiers: set}}
+				prev, err := p.Plan(sc)
+				if err != nil {
+					t.Fatalf("scenario %d procs %d: initial plan: %v", i, procs, err)
+				}
+				added = ExtendFrontierSet(set, drifted, p.Opt, dirty)
+				if delta, err = p.PlanDelta(drifted, prev, dirty); err != nil {
+					t.Fatalf("scenario %d procs %d: delta replan: %v", i, procs, err)
+				}
+			})
 			if ref == nil {
-				ref = delta
+				ref, refAdded = delta, added
+				if added == 0 {
+					t.Fatalf("scenario %d: the drift added no tables", i)
+				}
 				continue
 			}
-			if !reflect.DeepEqual(ref.Decisions, delta.Decisions) {
-				t.Fatalf("scenario %d: decisions differ at parallelism %d", i, par)
+			if added != refAdded {
+				t.Fatalf("scenario %d procs %d: extension added %d tables, one goroutine %d", i, procs, added, refAdded)
 			}
-			if ref.Objective != delta.Objective || ref.Feasible != delta.Feasible {
-				t.Fatalf("scenario %d: objective/feasible differ at parallelism %d", i, par)
-			}
-			if !reflect.DeepEqual(ref.Trajectory, delta.Trajectory) {
-				t.Fatalf("scenario %d: trajectory differs at parallelism %d", i, par)
-			}
-			if ref.SurgeryOps != delta.SurgeryOps {
-				t.Fatalf("scenario %d: surgery ops %d vs %d at parallelism %d",
-					i, ref.SurgeryOps, delta.SurgeryOps, par)
+			if !reflect.DeepEqual(ref, delta) {
+				samePlanModuloCounters(t, fmt.Sprintf("scenario %d procs %d", i, procs), delta, ref)
+				t.Fatalf("scenario %d procs %d: trajectory, ledger or tally differ (ops %d vs %d, tally %d/%d vs %d/%d)",
+					i, procs, delta.SurgeryOps, ref.SurgeryOps, delta.FrontierHits, delta.FrontierMisses, ref.FrontierHits, ref.FrontierMisses)
 			}
 		}
 	}
@@ -232,7 +253,7 @@ func TestDeltaMuchCheaperThanFull(t *testing.T) {
 	for len(sc.Servers) < 4 {
 		sc = randomWideScenario(rng, 60)
 	}
-	full, delta, _ := deltaPair(t, sc, 1, map[int]float64{0: 0.6})
+	full, delta, _ := deltaPair(t, sc, map[int]float64{0: 0.6})
 	if full.SurgeryOps == 0 {
 		t.Fatalf("full replan charged no work")
 	}

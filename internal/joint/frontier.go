@@ -1,9 +1,9 @@
 package joint
 
 import (
+	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"edgesurgeon/internal/surgery"
 )
@@ -15,35 +15,33 @@ import (
 // every other key gets a table private to the planning state, whose cells
 // are filled on first query by one optimizer call at that grid point. A
 // filled cell returns exactly what the optimizer would compute there, so
-// which tables were supplied, the table budget, parallelism and shard
-// threshold can never change planner output — only how much optimizer work
-// a plan pays for, which the hit/miss tally reports.
+// which tables were supplied, how wide they were built and the table budget
+// and shard threshold can never change planner output — only how much
+// optimizer work a plan pays for, which the hit/miss tally reports.
 
 // tables is one planning state's view of the surgery tables, shared with
-// its cross-check state and discarded with it.
+// its cross-check state and discarded with it. Everything here runs on the
+// planning goroutine: the precomputed set is read-only, and the on-demand
+// tables belong to this state alone.
 type tables struct {
 	set  *surgery.FrontierSet // Options.Frontiers; nil when none were precomputed
 	bo   surgery.BuildOptions // what on-demand tables run the optimizer under
 	grid surgery.ShareGrid
 	// hits counts lookups answered from a filled cell, misses the ones that
-	// ran the optimizer. A cell's fill is reported by exactly one lookup
-	// however many race to it, so the split — not just the sum — is the
-	// same at every Parallelism level that schedules the same lookups.
-	hits, misses atomic.Int64
+	// ran the optimizer.
+	hits, misses int64
 	// slots caches the key→table resolution per (user, server) pair: within
 	// one planning state every key component except the shares — model,
 	// device, server profile, planning-time uplink, rate, constraint set —
 	// is constant for a given pair, so constructing and hashing a
 	// FrontierKey per query (the dominant lookup cost at 100k users) is
-	// pure waste after the first resolution. Racing resolvers of one slot
-	// store the same table. Laid out nUsers×(nServers+1) with column 0 the
-	// device-only (server -1) environment.
-	slots    []atomic.Pointer[surgery.Frontier]
+	// pure waste after the first resolution. Laid out nUsers×(nServers+1)
+	// with column 0 the device-only (server -1) environment.
+	slots    []*surgery.Frontier
 	nServers int
 	// own holds the on-demand tables of keys outside set — drifted uplinks
 	// on the observe path, keys past the table budget, or every key when no
 	// set was supplied. They never enter the long-lived set or its budget.
-	mu  sync.Mutex
 	own map[surgery.FrontierKey]*surgery.Frontier
 }
 
@@ -52,7 +50,7 @@ func newTables(opt *Options, nUsers, nServers int) *tables {
 		set:      opt.Frontiers,
 		bo:       surgery.BuildOptions{Surgery: opt.Surgery},
 		grid:     surgery.NewShareGrid(0),
-		slots:    make([]atomic.Pointer[surgery.Frontier], nUsers*(nServers+1)),
+		slots:    make([]*surgery.Frontier, nUsers*(nServers+1)),
 		nServers: nServers,
 		own:      make(map[surgery.FrontierKey]*surgery.Frontier),
 	}
@@ -70,16 +68,14 @@ func (tb *tables) table(k surgery.FrontierKey) (*surgery.Frontier, error) {
 			return t, nil
 		}
 	}
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
-	t := tb.own[k]
-	if t == nil {
-		var err error
-		if t, err = surgery.BuildFrontier(k, tb.bo); err != nil {
-			return nil, err
-		}
-		tb.own[k] = t
+	if t := tb.own[k]; t != nil {
+		return t, nil
 	}
+	t, err := surgery.BuildFrontier(k, tb.bo)
+	if err != nil {
+		return nil, err
+	}
+	tb.own[k] = t
 	return t, nil
 }
 
@@ -95,19 +91,18 @@ func (st *state) solve(ui, server int, env surgery.Env) (surgery.Plan, surgery.E
 	}
 	tb := st.tables
 	slot := &tb.slots[ui*(tb.nServers+1)+server+1]
-	t := slot.Load()
-	if t == nil {
-		var err error
-		if t, err = tb.table(surgery.KeyOf(u.Model, env, st.opt.surgeryOptions(u))); err != nil {
+	if *slot == nil {
+		t, err := tb.table(surgery.KeyOf(u.Model, env, st.opt.surgeryOptions(u)))
+		if err != nil {
 			return surgery.Plan{}, surgery.Eval{}, err
 		}
-		slot.Store(t)
+		*slot = t
 	}
-	plan, ev, known, err := t.Lookup(env.ComputeShare, env.BandwidthShare)
+	plan, ev, known, err := (*slot).Lookup(env.ComputeShare, env.BandwidthShare)
 	if known {
-		tb.hits.Add(1)
+		tb.hits++
 	} else {
-		tb.misses.Add(1)
+		tb.misses++
 	}
 	return plan, ev, err
 }
@@ -118,7 +113,7 @@ func (st *state) solve(ui, server int, env surgery.Env) (surgery.Plan, surgery.E
 // so an instrumented plan reports exactly what an uninstrumented one does.
 func (st *state) stampCounters(plan *Plan) {
 	plan.SurgeryOps = st.spent
-	plan.FrontierHits, plan.FrontierMisses = st.tables.hits.Load(), st.tables.misses.Load()
+	plan.FrontierHits, plan.FrontierMisses = st.tables.hits, st.tables.misses
 	if reg := st.opt.Metrics; reg != nil {
 		reg.Counter("planner.frontier.hits").Add(plan.FrontierHits)
 		reg.Counter("planner.frontier.misses").Add(plan.FrontierMisses)
@@ -161,18 +156,33 @@ func frontierKeys(sc *Scenario, opt Options, servers []bool, deviceOnly bool) ([
 	return keys, count
 }
 
-// buildFrontiers builds one table per key across opt.Parallelism workers.
-// Build errors are deliberately swallowed per key: a key whose table fails
-// to build (an infeasible constraint) is left to the planner's on-demand
-// table, which surfaces the real error with the user's name attached if a
-// plan lands on an infeasible cell. Callers truncate keys to the set's headroom up
-// front — Build refuses keys at capacity — so which keys get tables is
-// independent of build order and parallelism.
-func buildFrontiers(set *surgery.FrontierSet, opt Options, keys []surgery.FrontierKey) {
-	_ = forEachIndex(opt.parallelism(), len(keys), func(i int) error {
-		_ = set.Build(keys[i])
-		return nil
-	})
+// buildFrontiers builds one table per key on a GOMAXPROCS-wide pool — the
+// planner's one fan-out, and the one that pays: each goroutine certifies a
+// table nobody else can see until the set stores it. Build errors are
+// deliberately swallowed per key: a key whose table fails to build (an
+// infeasible constraint) is left to the planner's on-demand table, which
+// surfaces the real error with the user's name attached if a plan lands on
+// an infeasible cell. Callers truncate keys to the set's headroom up front —
+// Build refuses keys at capacity — so which keys get tables is independent
+// of build order and pool width.
+func buildFrontiers(set *surgery.FrontierSet, keys []surgery.FrontierKey) {
+	work := make(chan surgery.FrontierKey, len(keys))
+	for _, k := range keys {
+		work <- k
+	}
+	close(work)
+	workers := min(runtime.GOMAXPROCS(0), len(keys))
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			for k := range work {
+				_ = set.Build(k)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // BuildFrontierSet precomputes frontier tables for every surgery key the
@@ -181,8 +191,8 @@ func buildFrontiers(set *surgery.FrontierSet, opt Options, keys []surgery.Fronti
 // ranked by how many users share them (ties by first appearance) and built
 // most-popular-first up to the set's table budget; untabulated keys are
 // filled on demand at plan time, one frontier miss per cell.
-// Construction fans across opt.Parallelism workers; the resulting set is
-// identical at every parallelism level.
+// Construction fans across GOMAXPROCS goroutines; the resulting set is
+// identical at every width.
 func BuildFrontierSet(sc *Scenario, opt Options, bo surgery.BuildOptions) (*surgery.FrontierSet, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -193,7 +203,7 @@ func BuildFrontierSet(sc *Scenario, opt Options, bo surgery.BuildOptions) (*surg
 	if budget := set.Budget(); len(keys) > budget {
 		keys = keys[:budget]
 	}
-	buildFrontiers(set, opt, keys)
+	buildFrontiers(set, keys)
 	return set, nil
 }
 
@@ -218,6 +228,6 @@ func ExtendFrontierSet(set *surgery.FrontierSet, sc *Scenario, opt Options, serv
 	if room := set.Budget() - before; len(missing) > room {
 		missing = missing[:max(room, 0)]
 	}
-	buildFrontiers(set, opt, missing)
+	buildFrontiers(set, missing)
 	return set.Len() - before
 }

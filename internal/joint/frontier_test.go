@@ -3,6 +3,7 @@ package joint
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -64,9 +65,9 @@ func tableArms(t *testing.T, gs goldenScenario) []tableArm {
 // contract: on every golden scenario, every planning route — monolithic,
 // sharded, delta replan, the dispatcher's Observe under drift and under
 // failover — decides bit for bit the same whether the planner is handed no
-// table set, an empty one, a partial one or a full one, at Parallelism 1 and
-// 4, and schedules the same number of lookups. Only the split moves: tables
-// turn optimizer runs into hits.
+// table set, an empty one, a partial one or a full one, and schedules the
+// same number of lookups. Only the split moves: tables turn optimizer runs
+// into hits.
 func TestFrontierPathMatchesOptimizerPath(t *testing.T) {
 	type outcome struct {
 		dec          string
@@ -85,70 +86,68 @@ func TestFrontierPathMatchesOptimizerPath(t *testing.T) {
 		if gs.large {
 			thresh = 64
 		}
-		for _, par := range []int{1, 4} {
-			var ref map[string]outcome
-			for _, arm := range arms {
-				opt := gs.opt
-				opt.Parallelism, opt.Frontiers = par, arm.set
-				got := make(map[string]outcome)
-				record := func(route string, p *Plan, err error, report *HealthReport) {
-					var g goldenHash
-					g.outcome(p, err)
-					if report != nil {
-						g.report(*report)
-					}
-					o := outcome{dec: g.dec.sum()}
-					if p != nil {
-						o.hits, o.misses = p.FrontierHits, p.FrontierMisses
-					}
-					got[route] = o
+		var ref map[string]outcome
+		for _, arm := range arms {
+			opt := gs.opt
+			opt.Frontiers = arm.set
+			got := make(map[string]outcome)
+			record := func(route string, p *Plan, err error, report *HealthReport) {
+				var g goldenHash
+				g.outcome(p, err)
+				if report != nil {
+					g.report(*report)
 				}
-				if !gs.large {
-					p, err := (&Planner{Opt: opt}).Plan(gs.sc)
-					record("mono", p, err, nil)
+				o := outcome{dec: g.dec.sum()}
+				if p != nil {
+					o.hits, o.misses = p.FrontierHits, p.FrontierMisses
 				}
-				opt.ShardThreshold = thresh
-				sharded := &Planner{Opt: opt}
-				prev, err := sharded.Plan(gs.sc)
-				record("sharded", prev, err, nil)
-				if err != nil {
-					t.Fatalf("%s par=%d %s: sharded plan: %v", gs.name, par, arm.name, err)
-				}
-				p, err := sharded.PlanDelta(one, prev, oneMask)
-				record("delta", p, err, nil)
-				d, err := NewDispatcherWithPlan(gs.sc, sharded, prev)
-				if err != nil {
-					t.Fatal(err)
-				}
-				p, err = d.Observe(nil, rates)
-				report := d.Health()
-				record("observe/drift", p, err, &report)
-				p, err = d.Observe(up, rates)
-				report = d.Health()
-				record("observe/failover", p, err, &report)
+				got[route] = o
+			}
+			if !gs.large {
+				p, err := (&Planner{Opt: opt}).Plan(gs.sc)
+				record("mono", p, err, nil)
+			}
+			opt.ShardThreshold = thresh
+			sharded := &Planner{Opt: opt}
+			prev, err := sharded.Plan(gs.sc)
+			record("sharded", prev, err, nil)
+			if err != nil {
+				t.Fatalf("%s %s: sharded plan: %v", gs.name, arm.name, err)
+			}
+			p, err := sharded.PlanDelta(one, prev, oneMask)
+			record("delta", p, err, nil)
+			d, err := NewDispatcherWithPlan(gs.sc, sharded, prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err = d.Observe(nil, rates)
+			report := d.Health()
+			record("observe/drift", p, err, &report)
+			p, err = d.Observe(up, rates)
+			report = d.Health()
+			record("observe/failover", p, err, &report)
 
-				if ref == nil {
-					ref = got
-					continue
+			if ref == nil {
+				ref = got
+				continue
+			}
+			for route, want := range ref {
+				label := fmt.Sprintf("%s %s %s", gs.name, route, arm.name)
+				o := got[route]
+				if o.dec != want.dec {
+					t.Errorf("%s: decisions %s, without tables %s", label, o.dec, want.dec)
 				}
-				for route, want := range ref {
-					label := fmt.Sprintf("%s par=%d %s %s", gs.name, par, route, arm.name)
-					o := got[route]
-					if o.dec != want.dec {
-						t.Errorf("%s: decisions %s, without tables %s", label, o.dec, want.dec)
-					}
-					if o.hits+o.misses != want.hits+want.misses {
-						t.Errorf("%s: %d+%d lookups, without tables %d+%d", label, o.hits, o.misses, want.hits, want.misses)
-					}
-					if o.misses > want.misses {
-						t.Errorf("%s: %d optimizer runs, more than the %d without tables", label, o.misses, want.misses)
-					}
-					if arm.name == "empty" && o != want {
-						t.Errorf("%s: tally %d/%d, without tables %d/%d", label, o.hits, o.misses, want.hits, want.misses)
-					}
-					if arm.name == "full" && strings.HasPrefix(route, "mono") && o.misses >= want.misses && want.misses > 0 {
-						t.Errorf("%s: tables saved no optimizer run (%d misses either way)", label, o.misses)
-					}
+				if o.hits+o.misses != want.hits+want.misses {
+					t.Errorf("%s: %d+%d lookups, without tables %d+%d", label, o.hits, o.misses, want.hits, want.misses)
+				}
+				if o.misses > want.misses {
+					t.Errorf("%s: %d optimizer runs, more than the %d without tables", label, o.misses, want.misses)
+				}
+				if arm.name == "empty" && o != want {
+					t.Errorf("%s: tally %d/%d, without tables %d/%d", label, o.hits, o.misses, want.hits, want.misses)
+				}
+				if arm.name == "full" && strings.HasPrefix(route, "mono") && o.misses >= want.misses && want.misses > 0 {
+					t.Errorf("%s: tables saved no optimizer run (%d misses either way)", label, o.misses)
 				}
 			}
 		}
@@ -159,8 +158,8 @@ func TestFrontierPathMatchesOptimizerPath(t *testing.T) {
 // planner.frontier.* series mirror the plan's tally, and attaching a registry
 // changes neither — an instrumented planner reports exactly the hits and
 // misses an uninstrumented one does, on the monolithic, sharded and delta
-// routes (whose sub-plans' tallies are published once, not twice), at
-// Parallelism 1 and 4, with and without precomputed tables.
+// routes (whose sub-plans' tallies are published once, not twice), with and
+// without precomputed tables.
 func TestFrontierCountersAndMetrics(t *testing.T) {
 	sc := testScenario(t, 12, 40)
 	one := driftLink(sc, 0, 0.5)
@@ -169,52 +168,50 @@ func TestFrontierCountersAndMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, set := range []*surgery.FrontierSet{nil, full} {
-		for _, par := range []int{1, 4} {
-			for _, thresh := range []int{0, 1} {
-				label := fmt.Sprintf("tables=%t par=%d thresh=%d", set != nil, par, thresh)
-				bare := &Planner{Opt: Options{Parallelism: par, ShardThreshold: thresh, Frontiers: set}}
-				reg := telemetry.NewRegistry()
-				inst := &Planner{Opt: bare.Opt}
-				inst.Opt.Metrics = reg
-				published := func() (hits, misses int64) {
-					return reg.Counter("planner.frontier.hits").Value(), reg.Counter("planner.frontier.misses").Value()
-				}
+		for _, thresh := range []int{0, 1} {
+			label := fmt.Sprintf("tables=%t thresh=%d", set != nil, thresh)
+			bare := &Planner{Opt: Options{ShardThreshold: thresh, Frontiers: set}}
+			reg := telemetry.NewRegistry()
+			inst := &Planner{Opt: bare.Opt}
+			inst.Opt.Metrics = reg
+			published := func() (hits, misses int64) {
+				return reg.Counter("planner.frontier.hits").Value(), reg.Counter("planner.frontier.misses").Value()
+			}
 
-				want, err := bare.Plan(sc)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				got, err := inst.Plan(sc)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				if want.FrontierHits+want.FrontierMisses == 0 {
-					t.Fatalf("%s: planned without a single lookup", label)
-				}
-				if got.FrontierHits != want.FrontierHits || got.FrontierMisses != want.FrontierMisses {
-					t.Errorf("%s: instrumented plan tallied %d/%d, uninstrumented %d/%d", label,
-						got.FrontierHits, got.FrontierMisses, want.FrontierHits, want.FrontierMisses)
-				}
-				if h, m := published(); h != got.FrontierHits || m != got.FrontierMisses {
-					t.Errorf("%s: registry %d/%d != plan %d/%d", label, h, m, got.FrontierHits, got.FrontierMisses)
-				}
+			want, err := bare.Plan(sc)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			got, err := inst.Plan(sc)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if want.FrontierHits+want.FrontierMisses == 0 {
+				t.Fatalf("%s: planned without a single lookup", label)
+			}
+			if got.FrontierHits != want.FrontierHits || got.FrontierMisses != want.FrontierMisses {
+				t.Errorf("%s: instrumented plan tallied %d/%d, uninstrumented %d/%d", label,
+					got.FrontierHits, got.FrontierMisses, want.FrontierHits, want.FrontierMisses)
+			}
+			if h, m := published(); h != got.FrontierHits || m != got.FrontierMisses {
+				t.Errorf("%s: registry %d/%d != plan %d/%d", label, h, m, got.FrontierHits, got.FrontierMisses)
+			}
 
-				dirty := []bool{true, false}
-				wantDelta, err := bare.PlanDelta(one, want, dirty)
-				if err != nil {
-					t.Fatalf("%s: delta: %v", label, err)
-				}
-				gotDelta, err := inst.PlanDelta(one, got, dirty)
-				if err != nil {
-					t.Fatalf("%s: delta: %v", label, err)
-				}
-				if gotDelta.FrontierHits != wantDelta.FrontierHits || gotDelta.FrontierMisses != wantDelta.FrontierMisses {
-					t.Errorf("%s: instrumented delta tallied %d/%d, uninstrumented %d/%d", label,
-						gotDelta.FrontierHits, gotDelta.FrontierMisses, wantDelta.FrontierHits, wantDelta.FrontierMisses)
-				}
-				if h, m := published(); h != got.FrontierHits+gotDelta.FrontierHits || m != got.FrontierMisses+gotDelta.FrontierMisses {
-					t.Errorf("%s: registry %d/%d is not the sum of the two plans' tallies", label, h, m)
-				}
+			dirty := []bool{true, false}
+			wantDelta, err := bare.PlanDelta(one, want, dirty)
+			if err != nil {
+				t.Fatalf("%s: delta: %v", label, err)
+			}
+			gotDelta, err := inst.PlanDelta(one, got, dirty)
+			if err != nil {
+				t.Fatalf("%s: delta: %v", label, err)
+			}
+			if gotDelta.FrontierHits != wantDelta.FrontierHits || gotDelta.FrontierMisses != wantDelta.FrontierMisses {
+				t.Errorf("%s: instrumented delta tallied %d/%d, uninstrumented %d/%d", label,
+					gotDelta.FrontierHits, gotDelta.FrontierMisses, wantDelta.FrontierHits, wantDelta.FrontierMisses)
+			}
+			if h, m := published(); h != got.FrontierHits+gotDelta.FrontierHits || m != got.FrontierMisses+gotDelta.FrontierMisses {
+				t.Errorf("%s: registry %d/%d is not the sum of the two plans' tallies", label, h, m)
 			}
 		}
 	}
@@ -246,32 +243,67 @@ func TestInfeasibleCellSurfacesUserError(t *testing.T) {
 	}
 }
 
-// TestBuildFrontierSetDeterminismAndBudget: two builds of the same scenario
-// agree exactly, parallel and serial builds agree, and a table budget
-// truncates the popularity-ordered key list instead of erroring.
+// atProcs runs f with GOMAXPROCS set to procs — the width of the table-build
+// pool, the planner's one fan-out — and restores the previous setting.
+func atProcs(procs int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+}
+
+// TestBuildFrontierSetDeterminismAndBudget pins the one fan-out's
+// determinism contract: builds of the same scenario on a pool of one and of
+// four goroutines, and two builds on four, hold the same tables — the same
+// keys, entries in the same order, every cell answering the same lookup — at
+// the same probe cost; and a table budget truncates the popularity-ordered
+// key list instead of erroring.
 func TestBuildFrontierSetDeterminismAndBudget(t *testing.T) {
 	sc := testScenario(t, 10, 40)
-	build := func(par, maxTables int) *surgery.FrontierSet {
+	build := func(procs, maxTables int) (set *surgery.FrontierSet) {
 		t.Helper()
-		set, err := BuildFrontierSet(sc, Options{Parallelism: par},
-			surgery.BuildOptions{Surgery: surgery.Options{}, MaxTables: maxTables})
-		if err != nil {
-			t.Fatal(err)
-		}
+		atProcs(procs, func() {
+			var err error
+			set, err = BuildFrontierSet(sc, Options{}, surgery.BuildOptions{MaxTables: maxTables})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
 		return set
 	}
-	a, b, serial := build(4, 0), build(4, 0), build(1, 0)
-	if a.Len() != b.Len() || a.Len() != serial.Len() {
-		t.Fatalf("table counts diverged: %d, %d, %d", a.Len(), b.Len(), serial.Len())
+	serial, a, b := build(1, 0), build(4, 0), build(4, 0)
+	keys, _ := frontierKeys(sc, Options{}, nil, true)
+	grid := serial.Grid()
+	for _, other := range []*surgery.FrontierSet{a, b} {
+		if other.Len() != serial.Len() || other.Probes() != serial.Probes() {
+			t.Fatalf("%d tables / %d probes, the one-goroutine build %d / %d",
+				other.Len(), other.Probes(), serial.Len(), serial.Probes())
+		}
+		for ki, k := range keys {
+			want, got := serial.Get(k), other.Get(k)
+			if (want == nil) != (got == nil) {
+				t.Fatalf("key %d tabulated in one build only", ki)
+			}
+			if want == nil {
+				continue
+			}
+			if want.Probes() != got.Probes() || !reflect.DeepEqual(want.Entries(), got.Entries()) {
+				t.Fatalf("key %d: %d entries / %d probes, the one-goroutine build %d / %d",
+					ki, len(got.Entries()), got.Probes(), len(want.Entries()), want.Probes())
+			}
+			for fi := 0; fi < grid.Levels(); fi++ {
+				for bi := 0; bi < grid.Levels(); bi++ {
+					wp, we, wk, werr := want.Lookup(grid.Value(fi), grid.Value(bi))
+					gp, ge, gk, gerr := got.Lookup(grid.Value(fi), grid.Value(bi))
+					if !reflect.DeepEqual(wp, gp) || !reflect.DeepEqual(we, ge) || wk != gk || werr != gerr {
+						t.Fatalf("key %d cell (%d, %d): %v %+v, the one-goroutine build %v %+v", ki, fi, bi, gp, ge, wp, we)
+					}
+				}
+			}
+		}
 	}
-	if a.Probes() != b.Probes() || a.Probes() != serial.Probes() {
-		t.Fatalf("probe counts diverged: %d, %d, %d", a.Probes(), b.Probes(), serial.Probes())
+	if serial.Len() < len(sc.Users) {
+		t.Fatalf("only %d tables for %d users across 2 servers", serial.Len(), len(sc.Users))
 	}
-	if a.Len() < len(sc.Users) {
-		t.Fatalf("only %d tables for %d users across 2 servers", a.Len(), len(sc.Users))
-	}
-	capped := build(4, 3)
-	if capped.Len() != 3 {
+	if capped := build(4, 3); capped.Len() != 3 {
 		t.Fatalf("budget of 3 kept %d tables", capped.Len())
 	}
 }

@@ -21,11 +21,9 @@ import (
 
 // This file is the cross-build golden: every other suite in the package
 // compares two routes inside one build (sharded vs monolithic, frontier vs
-// fallback, parallel vs sequential), which is exactly what a refactor of the
-// shared planning core cannot be checked with — both sides move together.
-// Here each (scenario, route) cell is reduced to two SHA-256 digests, at
-// Parallelism 1 and again at 4 — the two runs must agree in both, which is
-// the determinism contract with no field exempt — and compared with the pair
+// fallback), which is exactly what a refactor of the shared planning core
+// cannot be checked with — both sides move together. Here each (scenario,
+// route) cell is reduced to two SHA-256 digests and compared with the pair
 // recorded in testdata/golden_digests.txt (one sorted "cell decisions
 // bookkeeping" line per cell):
 //
@@ -34,9 +32,8 @@ import (
 //     the dispatcher's HealthReport, and errors by their text, so abort points
 //     (SurgeryBudget) and failure routing are pinned too;
 //   - bookkeeping: how it got there — Iterations, Trajectory, Shards,
-//     DirtyShards, SurgeryOps, the surgery tables' hit and miss counts (a
-//     racy tally shows up here as a flaky cell), table counts and the
-//     published registry.
+//     DirtyShards, SurgeryOps, the surgery tables' hit and miss counts, table
+//     counts and the published registry.
 //
 // Supplying surgery tables must never move a decision, so the cells that
 // re-plan a route with a full or an empty table set record "=" for their
@@ -243,12 +240,11 @@ func goldenDrift(sc *Scenario) (one *Scenario, oneMask []bool, many *Scenario, m
 	return
 }
 
-// goldenCells runs every route for one scenario at one parallelism level and
-// reports each cell through emit.
-func goldenCells(t *testing.T, gs goldenScenario, par int, emit func(cell string, g *goldenHash)) {
+// goldenCells runs every route for one scenario and reports each cell
+// through emit.
+func goldenCells(t *testing.T, gs goldenScenario, emit func(cell string, g *goldenHash)) {
 	sc := gs.sc
 	base := gs.opt
-	base.Parallelism = par
 	thresh := 1
 	if gs.large {
 		thresh = 64
@@ -500,24 +496,17 @@ func TestGoldenPlanDigests(t *testing.T) {
 	}
 	got := make(map[string][2]string)
 	for _, gs := range goldenScenarios(t) {
-		for _, par := range []int{1, 4} {
-			goldenCells(t, gs, par, func(cell string, g *goldenHash) {
-				name := gs.name + "/" + cell
-				dec := g.dec.sum()
-				if g.sameAs != "" {
-					if ref := got[gs.name+"/"+g.sameAs][0]; dec != ref {
-						t.Errorf("golden %q at Parallelism %d: decisions %s, but %q decided %s", name, par, dec, gs.name+"/"+g.sameAs, ref)
-					}
-					dec = "="
+		goldenCells(t, gs, func(cell string, g *goldenHash) {
+			name := gs.name + "/" + cell
+			dec := g.dec.sum()
+			if g.sameAs != "" {
+				if ref := got[gs.name+"/"+g.sameAs][0]; dec != ref {
+					t.Errorf("golden %q: decisions %s, but %q decided %s", name, dec, gs.name+"/"+g.sameAs, ref)
 				}
-				digests := [2]string{dec, g.book.sum()}
-				if par == 1 {
-					got[name] = digests
-				} else if digests != got[name] {
-					t.Errorf("golden %q: Parallelism %d gives %v, Parallelism 1 gave %v", name, par, digests, got[name])
-				}
-			})
-		}
+				dec = "="
+			}
+			got[name] = [2]string{dec, g.book.sum()}
+		})
 	}
 	if *updateGolden {
 		writeGoldenDigests(t, got)

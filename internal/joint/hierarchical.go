@@ -326,8 +326,8 @@ func (st *state) crossCheck() *Plan {
 // pinLocalUsers returns, per user, the pre-computed local Decision when the
 // user is provably local-only (nil otherwise): its surgery optimum on its
 // affinity server at the full share stays on-device, so no allocation the
-// planner could produce would make it offload. The check fans across the
-// worker pool; each user's probe is a pure function of the scenario.
+// planner could produce would make it offload. Each user's probe is a pure
+// function of the scenario; the first failing one ends the pass.
 //
 // The probes go through the planner's one lookup path (state.solve) on a
 // throw-away, uninstrumented state: full shares (1, 1) are an exact point
@@ -338,22 +338,18 @@ func pinLocalUsers(sc *Scenario, opt Options, hot *userSoA, assign []int) ([]*De
 	opt.Metrics = nil
 	st := newState(sc, opt, hot)
 	pin := make([]*Decision, len(sc.Users))
-	err := forEachIndex(st.workers, len(sc.Users), func(ui int) error {
+	for ui := range sc.Users {
 		u := &sc.Users[ui]
 		plan, ev, err := st.solve(ui, assign[ui], sc.fullShareEnv(u, assign[ui], st.uplink))
 		if err != nil {
 			// An infeasible full-share probe (e.g. an accuracy floor no
 			// plan meets) is a real planning failure, not a local user.
-			return err
+			return nil, err
 		}
 		if plan.Partition < u.Model.NumUnits() {
-			return nil // the optimum crosses: this user genuinely wants a server
+			continue // the optimum crosses: this user genuinely wants a server
 		}
 		pin[ui] = &Decision{Plan: plan, Eval: ev, Server: -1}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return pin, nil
 }

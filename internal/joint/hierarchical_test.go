@@ -10,6 +10,7 @@ import (
 	"edgesurgeon/internal/dnn"
 	"edgesurgeon/internal/hardware"
 	"edgesurgeon/internal/netmodel"
+	"edgesurgeon/internal/surgery"
 	"edgesurgeon/internal/workload"
 )
 
@@ -108,15 +109,14 @@ func offloadScenario(perServer int) *Scenario {
 }
 
 // planPair plans the same scenario monolithically and sharded.
-func planPair(t *testing.T, sc *Scenario, parallelism int) (mono, sharded *Plan) {
+func planPair(t *testing.T, sc *Scenario) (mono, sharded *Plan) {
 	t.Helper()
-	mp := &Planner{Opt: Options{Parallelism: parallelism}}
 	var err error
-	mono, err = mp.Plan(sc)
+	mono, err = (&Planner{}).Plan(sc)
 	if err != nil {
 		t.Fatalf("monolithic plan: %v", err)
 	}
-	sp := &Planner{Opt: Options{Parallelism: parallelism, ShardThreshold: 1}}
+	sp := &Planner{Opt: Options{ShardThreshold: 1}}
 	sharded, err = sp.Plan(sc)
 	if err != nil {
 		t.Fatalf("sharded plan: %v", err)
@@ -175,7 +175,7 @@ func TestShardedDifferentialGap(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	for trial := 0; trial < 12; trial++ {
 		sc := randomWideScenario(rng, 64)
-		mono, sharded := planPair(t, sc, 0)
+		mono, sharded := planPair(t, sc)
 		checkPlanStructure(t, sc, sharded)
 		if gap := relativeGap(mono, sharded); gap > maxDifferentialGap {
 			t.Fatalf("trial %d (%d users, %d servers): sharded objective %.9g is %.2f%% worse than monolithic %.9g",
@@ -191,7 +191,7 @@ func TestShardedDifferentialGap(t *testing.T) {
 func TestShardedBitIdenticalWithoutContention(t *testing.T) {
 	for _, perServer := range []int{2, 5, 9} {
 		sc := offloadScenario(perServer)
-		mono, sharded := planPair(t, sc, 0)
+		mono, sharded := planPair(t, sc)
 		// The scenario must actually exercise offloading, or bit-identity
 		// would hold vacuously for all-local plans.
 		crossing := 0
@@ -220,49 +220,34 @@ func TestShardedBitIdenticalWithoutContention(t *testing.T) {
 }
 
 // TestShardedParallelismInvariance demands the sharded planner produce
-// byte-identical plans at every parallelism level: the shard fan-out and
-// the reconciliation rounds must be as order-free as the monolithic steps.
+// byte-identical plans — decisions, objective, shards, feasibility and the
+// hit/miss tally — against table sets built on pools of 1, 2 and 8
+// goroutines: the planner's one fan-out must leave no trace in a plan.
 func TestShardedParallelismInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(4096))
 	for trial := 0; trial < 4; trial++ {
 		sc := randomWideScenario(rng, 48)
 		var ref *Plan
-		for _, par := range []int{1, 2, 8} {
-			p := &Planner{Opt: Options{Parallelism: par, ShardThreshold: 1}}
-			plan, err := p.Plan(sc)
-			if err != nil {
-				t.Fatalf("trial %d parallelism %d: %v", trial, par, err)
-			}
+		for _, procs := range []int{1, 2, 8} {
+			var plan *Plan
+			atProcs(procs, func() {
+				set, err := BuildFrontierSet(sc, Options{}, surgery.BuildOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if plan, err = (&Planner{Opt: Options{ShardThreshold: 1, Frontiers: set}}).Plan(sc); err != nil {
+					t.Fatalf("trial %d procs %d: %v", trial, procs, err)
+				}
+			})
 			if ref == nil {
 				ref = plan
 				continue
 			}
-			if plan.Objective != ref.Objective {
-				t.Fatalf("trial %d parallelism %d: objective %.17g != reference %.17g",
-					trial, par, plan.Objective, ref.Objective)
+			if !reflect.DeepEqual(plan, ref) {
+				samePlanModuloCounters(t, fmt.Sprintf("trial %d procs %d", trial, procs), plan, ref)
+				t.Fatalf("trial %d procs %d: plan diverges from the one-goroutine build's (shards %d vs %d, tally %d/%d vs %d/%d)",
+					trial, procs, plan.Shards, ref.Shards, plan.FrontierHits, plan.FrontierMisses, ref.FrontierHits, ref.FrontierMisses)
 			}
-			if !reflect.DeepEqual(plan.Decisions, ref.Decisions) {
-				t.Fatalf("trial %d parallelism %d: decisions diverge from parallelism 1", trial, par)
-			}
-			if plan.Shards != ref.Shards || plan.Feasible != ref.Feasible {
-				t.Fatalf("trial %d parallelism %d: plan metadata diverges (shards %d vs %d, feasible %v vs %v)",
-					trial, par, plan.Shards, ref.Shards, plan.Feasible, ref.Feasible)
-			}
-		}
-	}
-}
-
-// TestShardedGapAcrossParallelism re-runs the differential gap check at
-// explicit parallelism levels — the differential guarantee must not depend
-// on the worker-pool size.
-func TestShardedGapAcrossParallelism(t *testing.T) {
-	rng := rand.New(rand.NewSource(512))
-	sc := randomWideScenario(rng, 40)
-	for _, par := range []int{1, 4} {
-		mono, sharded := planPair(t, sc, par)
-		if gap := relativeGap(mono, sharded); gap > maxDifferentialGap {
-			t.Fatalf("parallelism %d: sharded objective %.9g is %.2f%% worse than monolithic %.9g",
-				par, sharded.Objective, gap*100, mono.Objective)
 		}
 	}
 }

@@ -34,13 +34,6 @@ type Options struct {
 	DisableProbe bool
 	// Allocator selects the allocation rule when allocation is enabled.
 	Allocator AllocatorKind
-	// Parallelism bounds the worker pool the planner fans per-user surgery
-	// lookups across (a surgery pass, the local-pin pass, table builds);
-	// <= 0 means GOMAXPROCS. It changes wall-clock only: every Plan field —
-	// decisions, ledger, hit/miss tally — is identical at every level,
-	// because a fan-out snapshots its inputs first, each lookup is a pure
-	// function of the snapshot, and everything else runs sequentially.
-	Parallelism int
 	// ShardThreshold, when positive, routes scenarios with at least this
 	// many users through the hierarchical sharded planner: users are
 	// clustered by server affinity into shards (provably local-only users
@@ -71,13 +64,13 @@ type Options struct {
 	DeviceEnergyBudgetJ float64
 	// SurgeryBudget, when positive, bounds one Plan call's deterministic
 	// work budget measured in "surgery ops" — per-user surgery lookups,
-	// charged by sequential code only: each surgery pass its width before it
-	// fans out, each candidate move 2 per target it evaluates. The budget is
-	// checked at orchestration checkpoints (every descent, shard-converge and
-	// reconciliation round), so an overrun aborts at the same round of the
-	// same run at every Parallelism level: Plan returns an *AbortedError and
-	// no partial plan. This is the control plane's virtual-clock replan
-	// deadline (Policy.ReplanDeadline); zero means unlimited. Every route
+	// charged as scheduled: each surgery pass its width before it runs, each
+	// candidate move 2 per target it evaluates. The budget is checked at
+	// orchestration checkpoints (every descent, shard-converge and
+	// reconciliation round), so an overrun aborts at the same round of every
+	// run of the same input: Plan returns an *AbortedError and no partial
+	// plan. This is the control plane's virtual-clock replan deadline
+	// (Policy.ReplanDeadline); zero means unlimited. Every route
 	// charges one ledger; the sharded routes' monolithic cross-check runs on
 	// what is left of it and is dropped, not fatal, when that runs out.
 	SurgeryBudget int64
@@ -354,7 +347,6 @@ type state struct {
 	srvFeasible []bool
 	uplink      []float64 // cached mean uplink rate per server
 
-	workers  int           // resolved worker-pool size for fan-out steps
 	tables   *tables       // the surgery memo and its hit/miss tally (see frontier.go)
 	envBuf   []surgery.Env // reusable env snapshot for refresh
 	everyone []int         // 0..n-1, surgeryStep's refresh list (built on first use)
@@ -369,16 +361,15 @@ type state struct {
 
 	// spent is the deterministic work ledger behind SurgeryBudget: the
 	// surgery lookups scheduled so far, whether a table answered them or the
-	// optimizer ran. Only sequential orchestration code charges it — a pass
-	// its width before fanning out, a candidate move 2 per target tried — so
-	// the total at any checkpoint is identical at every parallelism level.
+	// optimizer ran — a pass its width before it runs, a candidate move 2 per
+	// target tried.
 	spent int64
 }
 
 // newState allocates everything a planning state holds that does not
 // depend on where the descent starts: the SoA view, per-server uplinks and
-// feasibility flags, the worker count and the surgery tables. The decision
-// set is left to the seed — seedGreedy (Plan, the dispatcher's Observe),
+// feasibility flags and the surgery tables. The decision set is left to the
+// seed — seedGreedy (Plan, the dispatcher's Observe),
 // seedAssignment (PlanWithAssignment) or seedDecisions (the sharded plan's
 // blank start and the delta warm start) — and a state that only answers
 // surgery lookups (the local-pin pass) takes none.
@@ -388,7 +379,6 @@ func newState(sc *Scenario, opt Options, hot *userSoA) *state {
 		opt:         opt,
 		hot:         hot,
 		feasible:    true,
-		workers:     opt.parallelism(),
 		assigned:    make([][]int, len(sc.Servers)),
 		srvFeasible: make([]bool, len(sc.Servers)),
 		uplink:      make([]float64, len(sc.Servers)),
@@ -589,13 +579,13 @@ func (st *state) surgeryStep() error {
 	return st.refresh(st.everyone)
 }
 
-// refresh re-runs surgery for the listed users at the current shares. All
-// environments are snapshotted before any plan is replaced, so every user's
-// optimization is a pure function of the pre-step state (the offloader
-// probe counts, in particular, see the step's inputs rather than its
-// partial outputs). That makes the fan-out order-free: the parallel planner
-// produces byte-identical plans to Parallelism == 1. The caller charges the
-// pass to the ledger — before its own checkpoint, where it has one.
+// refresh re-runs surgery for the listed users at the current shares,
+// stopping at the first error. All environments are snapshotted before any
+// plan is replaced, so every user's optimization is a pure function of the
+// pre-step state (the offloader probe counts, in particular, see the step's
+// inputs rather than its partial outputs): the pass is order-free. The caller
+// charges the pass to the ledger — before its own checkpoint, where it has
+// one.
 func (st *state) refresh(users []int) error {
 	if cap(st.envBuf) < len(users) {
 		st.envBuf = make([]surgery.Env, len(users))
@@ -604,14 +594,16 @@ func (st *state) refresh(users []int) error {
 	for i, ui := range users {
 		envs[i] = st.env(ui)
 	}
-	return forEachIndex(st.workers, len(users), func(i int) error {
-		return st.optimizeUser(users[i], envs[i])
-	})
+	for i, ui := range users {
+		if err := st.optimizeUser(ui, envs[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // optimizeUser answers one user's surgery problem in the given snapped
-// environment and installs the result in st.ds[ui]. Safe for concurrent
-// calls with distinct ui.
+// environment and installs the result in st.ds[ui].
 func (st *state) optimizeUser(ui int, env surgery.Env) error {
 	plan, ev, err := st.solve(ui, st.ds[ui].Server, env)
 	if err != nil {

@@ -42,7 +42,6 @@ func (st *state) scratchClone() *state {
 		feasible:    st.feasible,
 		srvFeasible: append([]bool(nil), st.srvFeasible...),
 		uplink:      st.uplink,
-		workers:     1,
 		tables:      st.tables,
 		hot:         st.hot,
 	}

@@ -10,7 +10,7 @@ import (
 func BuildSimConfig(sc *Scenario, plan *Plan, horizon float64, discipline sim.Discipline) sim.Config {
 	// Existing consumers (experiments, examples, trace export) read
 	// Records, so the bridge keeps them; heavy-traffic callers clear the
-	// flag (and set Parallelism) on the returned config.
+	// flag on the returned config.
 	cfg := sim.Config{Discipline: discipline, KeepRecords: true}
 	for _, s := range sc.Servers {
 		cfg.Servers = append(cfg.Servers, sim.ServerConfig{Profile: s.Profile, Link: s.Link})

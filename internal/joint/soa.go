@@ -16,7 +16,7 @@ import (
 // once, into contiguous flat arrays the hot paths index directly. Every
 // array entry is bit-identical to what the corresponding accessor returns,
 // so switching a loop from the struct to the array can never change planner
-// output — the parallelism/differential suites pin that.
+// output — the golden and differential suites pin that.
 type userSoA struct {
 	// weight is User.weight() resolved (<= 0 defaulted to 1).
 	weight []float64

@@ -221,13 +221,13 @@ type Plan struct {
 	// problems were answered, across the whole planning run: from an already
 	// filled cell of a Pareto-frontier table, or by running the optimizer
 	// to fill one. Supplying Options.Frontiers moves lookups from misses to
-	// hits and never changes the plan. Both are exact at every Parallelism
-	// level: a cell's fill is counted once however many workers race to it.
+	// hits and never changes the plan. A cell's fill is counted once: by the
+	// lookup that ran the optimizer.
 	FrontierHits, FrontierMisses int64
 	// SurgeryOps is the deterministic work total the plan was charged in
 	// scheduled surgery optimizations — the ledger Options.SurgeryBudget
-	// bounds. It is identical at every Parallelism level (scheduled, not
-	// executed, work), which is what lets the control plane's replan
+	// bounds. It counts scheduled, not executed, work — the same with or
+	// without tables — which is what lets the control plane's replan
 	// deadline abort reproducibly under replay.
 	SurgeryOps int64
 }

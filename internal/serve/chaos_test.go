@@ -37,16 +37,18 @@ func chaosSchedule(t *testing.T, crashes bool) *faults.ChaosSchedule {
 // tentpole invariant: a replay that crashes three times, throttles the
 // planner into deadline aborts and eats corrupt samples produces the same
 // journal, metrics and final plan as the identical replay without the
-// crashes — compared raw, the planner's hit/miss split included, serially and
-// at Parallelism 4 (what edgeserved -verify-recovery does at its default
-// -parallelism).
+// crashes — compared raw, the planner's hit/miss split included. Both runs
+// build frontier tables (at construction, on every full replan and on every
+// recovery), on a pool one goroutine wide and again four wide.
 func TestRunChaosRecoveryFidelity(t *testing.T) {
-	for _, par := range []int{1, 4} {
-		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) { runChaosRecoveryFidelity(t, par) })
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("parallelism=%d", procs), func(t *testing.T) {
+			atProcs(procs, func() { runChaosRecoveryFidelity(t) })
+		})
 	}
 }
 
-func runChaosRecoveryFidelity(t *testing.T, par int) {
+func runChaosRecoveryFidelity(t *testing.T) {
 	trace := recordReplayTrace(t)
 	policy := chaosPolicy()
 	baseGoroutines := runtime.NumGoroutine()
@@ -59,9 +61,10 @@ func runChaosRecoveryFidelity(t *testing.T, par int) {
 		}
 		res, err := RunChaos(Config{
 			Scenario: fadingScenario(t),
-			Planner:  &joint.Planner{Opt: joint.Options{Parallelism: par}},
+			Planner:  &joint.Planner{},
 			Policy:   policy,
 			Store:    store,
+			Frontier: true,
 		}, trace, chaosSchedule(t, crashes))
 		if err != nil {
 			t.Fatal(err)

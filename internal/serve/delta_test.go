@@ -20,13 +20,15 @@ func deltaPolicy() Policy {
 }
 
 // runDeltaReplay replays the trace through a fresh runtime under the
-// delta-enabled policy and returns the three byte-comparable artifacts.
-func runDeltaReplay(t testing.TB, trace []telemetry.Sample, opt joint.Options) (plans, journal, metrics string) {
+// delta-enabled policy, with or without frontier tables, and returns the
+// three byte-comparable artifacts.
+func runDeltaReplay(t testing.TB, trace []telemetry.Sample, opt joint.Options, frontier bool) (plans, journal, metrics string) {
 	t.Helper()
 	rt, err := New(Config{
 		Scenario: fadingScenario(t),
 		Planner:  &joint.Planner{Opt: opt},
 		Policy:   deltaPolicy(),
+		Frontier: frontier,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -49,12 +51,12 @@ func TestDeltaReplayDeterminism(t *testing.T) {
 		name string
 		opt  joint.Options
 	}{
-		{"monolithic-initial", joint.Options{Parallelism: 1}},
-		{"sharded-initial", joint.Options{Parallelism: 1, ShardThreshold: 1}},
+		{"monolithic-initial", joint.Options{}},
+		{"sharded-initial", joint.Options{ShardThreshold: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			plans1, journal1, metrics1 := runDeltaReplay(t, trace, tc.opt)
-			plans2, journal2, metrics2 := runDeltaReplay(t, trace, tc.opt)
+			plans1, journal1, metrics1 := runDeltaReplay(t, trace, tc.opt, false)
+			plans2, journal2, metrics2 := runDeltaReplay(t, trace, tc.opt, false)
 			if plans1 != plans2 {
 				t.Fatalf("plan sequences diverged:\n--- first ---\n%s\n--- second ---\n%s", plans1, plans2)
 			}
@@ -79,14 +81,16 @@ func TestDeltaReplayDeterminism(t *testing.T) {
 	}
 }
 
-// TestDeltaReplayParallelismInvariance extends the end-to-end parallelism
-// invariant to the delta path: the control plane's entire observable
-// output, the planner's hit/miss split included, is identical whether
-// PlanDelta's shard passes fan out or run serially.
+// TestDeltaReplayParallelismInvariance extends the end-to-end invariant to
+// the delta path, where each delta replan extends the frontier set for the
+// drifted servers on the table-build pool: the control plane's entire
+// observable output, the extension ledger and the planner's hit/miss split
+// included, is identical whether that pool is one goroutine wide or four.
 func TestDeltaReplayParallelismInvariance(t *testing.T) {
 	trace := chaosTrace(t)
-	plans1, journal1, metrics1 := runDeltaReplay(t, trace, joint.Options{Parallelism: 1})
-	plans4, journal4, metrics4 := runDeltaReplay(t, trace, joint.Options{Parallelism: 4})
+	var plans1, journal1, metrics1, plans4, journal4, metrics4 string
+	atProcs(1, func() { plans1, journal1, metrics1 = runDeltaReplay(t, trace, joint.Options{}, true) })
+	atProcs(4, func() { plans4, journal4, metrics4 = runDeltaReplay(t, trace, joint.Options{}, true) })
 	if plans1 != plans4 {
 		t.Fatalf("plan sequences diverged across parallelism levels:\n--- serial ---\n%s\n--- parallel ---\n%s", plans1, plans4)
 	}
@@ -96,8 +100,8 @@ func TestDeltaReplayParallelismInvariance(t *testing.T) {
 	if metrics1 != metrics4 {
 		t.Fatalf("metrics diverged across parallelism levels:\n--- serial ---\n%s\n--- parallel ---\n%s", metrics1, metrics4)
 	}
-	if !strings.Contains(journal1, string(EventDeltaReplan)) {
-		t.Fatalf("trace triggered no delta replan:\n%s", journal1)
+	if !strings.Contains(journal1, string(EventDeltaReplan)) || !strings.Contains(metrics1, "serve.frontier.extend_tables") {
+		t.Fatalf("trace extended no table set on a delta replan:\n%s\n%s", journal1, metrics1)
 	}
 }
 
@@ -110,23 +114,21 @@ func TestDeltaReplayParallelismInvariance(t *testing.T) {
 func TestDeltaKillRecoverEveryPoint(t *testing.T) {
 	trace := chaosTrace(t)
 	policy := deltaPolicy()
-	for _, par := range []int{1, 4} {
-		opt := joint.Options{Parallelism: par}
-		basePlans, baseJournal, baseMetrics := runStored(t, t.TempDir(), trace, policy, opt)
-		if par == 1 && !strings.Contains(baseJournal, string(EventDeltaReplan)) {
-			t.Fatalf("fixture journal lacks %q:\n%s", EventDeltaReplan, baseJournal)
+	opt := joint.Options{}
+	basePlans, baseJournal, baseMetrics := runStored(t, t.TempDir(), trace, policy, opt)
+	if !strings.Contains(baseJournal, string(EventDeltaReplan)) {
+		t.Fatalf("fixture journal lacks %q:\n%s", EventDeltaReplan, baseJournal)
+	}
+	for k := 0; k <= len(trace); k++ {
+		plans, journal, metrics := runKilled(t, t.TempDir(), trace, policy, opt, k)
+		if plans != basePlans {
+			t.Fatalf("kill@%d: plan sequence diverged:\n--- baseline ---\n%s\n--- recovered ---\n%s", k, basePlans, plans)
 		}
-		for k := 0; k <= len(trace); k++ {
-			plans, journal, metrics := runKilled(t, t.TempDir(), trace, policy, opt, k)
-			if plans != basePlans {
-				t.Fatalf("par=%d kill@%d: plan sequence diverged:\n--- baseline ---\n%s\n--- recovered ---\n%s", par, k, basePlans, plans)
-			}
-			if journal != baseJournal {
-				t.Fatalf("par=%d kill@%d: journal diverged:\n--- baseline ---\n%s\n--- recovered ---\n%s", par, k, baseJournal, journal)
-			}
-			if metrics != baseMetrics {
-				t.Fatalf("par=%d kill@%d: metrics diverged:\n--- baseline ---\n%s\n--- recovered ---\n%s", par, k, baseMetrics, metrics)
-			}
+		if journal != baseJournal {
+			t.Fatalf("kill@%d: journal diverged:\n--- baseline ---\n%s\n--- recovered ---\n%s", k, baseJournal, journal)
+		}
+		if metrics != baseMetrics {
+			t.Fatalf("kill@%d: metrics diverged:\n--- baseline ---\n%s\n--- recovered ---\n%s", k, baseMetrics, metrics)
 		}
 	}
 }
@@ -142,7 +144,7 @@ func TestDeltaDirtyFracFallback(t *testing.T) {
 	policy.DeltaMaxDirtyFrac = 0.4
 	rt, err := New(Config{
 		Scenario: fadingScenario(t),
-		Planner:  &joint.Planner{Opt: joint.Options{Parallelism: 1}},
+		Planner:  &joint.Planner{},
 		Policy:   policy,
 	})
 	if err != nil {

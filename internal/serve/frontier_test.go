@@ -46,8 +46,8 @@ func TestFrontierReplayDeterminism(t *testing.T) {
 		name string
 		opt  joint.Options
 	}{
-		{"monolithic", joint.Options{Parallelism: 1}},
-		{"sharded", joint.Options{Parallelism: 1, ShardThreshold: 1}},
+		{"monolithic", joint.Options{}},
+		{"sharded", joint.Options{ShardThreshold: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			plans1, journal1, metrics1, rt := runFrontierReplay(t, trace, tc.opt)
@@ -86,31 +86,12 @@ func TestFrontierReplayDeterminism(t *testing.T) {
 	}
 }
 
-// TestFrontierReplayParallelismInvariance: precomputed tables must keep the
-// control plane's parallelism invariance — identical plans, journals and
-// metrics whether the planner fans out or runs serially.
-func TestFrontierReplayParallelismInvariance(t *testing.T) {
-	trace := recordReplayTrace(t)
-	plans1, journal1, metrics1, _ := runFrontierReplay(t, trace, joint.Options{Parallelism: 1})
-	plans4, journal4, metrics4, _ := runFrontierReplay(t, trace, joint.Options{Parallelism: 4})
-
-	if plans1 != plans4 {
-		t.Fatalf("plan sequences diverged across parallelism levels:\n--- serial ---\n%s\n--- parallel ---\n%s", plans1, plans4)
-	}
-	if journal1 != journal4 {
-		t.Fatalf("journals diverged across parallelism levels:\n--- serial ---\n%s\n--- parallel ---\n%s", journal1, journal4)
-	}
-	if metrics1 != metrics4 {
-		t.Fatalf("metrics diverged across parallelism levels:\n--- serial ---\n%s\n--- parallel ---\n%s", metrics1, metrics4)
-	}
-}
-
 // TestFrontierOnOffReplay is the control-plane half of "tables are a pure
 // accelerator": the same trace replayed with Config.Frontier on and off
 // yields byte-identical plans sample by sample, the same journal, and the
 // same metrics — apart from the serve.frontier.* build ledger and how the
 // planner's lookups split into hits and misses (their sum is pinned) — on
-// both planner routes and at Parallelism 1 and 4.
+// both planner routes.
 func TestFrontierOnOffReplay(t *testing.T) {
 	trace := recordReplayTrace(t)
 	// split returns the metrics dump without the series Frontier may move,
@@ -133,26 +114,24 @@ func TestFrontierOnOffReplay(t *testing.T) {
 		}
 		return strings.Join(keep, "\n"), lookups
 	}
-	for _, par := range []int{1, 4} {
-		for _, thresh := range []int{0, 1} {
-			opt := joint.Options{Parallelism: par, ShardThreshold: thresh}
-			plansOff, journalOff, metricsOff := runReplay(t, trace, opt)
-			plansOn, journalOn, metricsOn, _ := runFrontierReplay(t, trace, opt)
-			label := fmt.Sprintf("par=%d thresh=%d", par, thresh)
-			if plansOn != plansOff {
-				t.Fatalf("%s: Frontier changed a plan:\n--- off ---\n%s\n--- on ---\n%s", label, plansOff, plansOn)
-			}
-			if journalOn != journalOff {
-				t.Fatalf("%s: Frontier changed the journal:\n--- off ---\n%s\n--- on ---\n%s", label, journalOff, journalOn)
-			}
-			restOff, lookupsOff := split(metricsOff)
-			restOn, lookupsOn := split(metricsOn)
-			if restOn != restOff {
-				t.Fatalf("%s: Frontier changed the metrics:\n--- off ---\n%s\n--- on ---\n%s", label, restOff, restOn)
-			}
-			if lookupsOn != lookupsOff || lookupsOn == 0 {
-				t.Fatalf("%s: %d lookups with Frontier, %d without", label, lookupsOn, lookupsOff)
-			}
+	for _, thresh := range []int{0, 1} {
+		opt := joint.Options{ShardThreshold: thresh}
+		plansOff, journalOff, metricsOff := runReplay(t, trace, opt)
+		plansOn, journalOn, metricsOn, _ := runFrontierReplay(t, trace, opt)
+		label := fmt.Sprintf("thresh=%d", thresh)
+		if plansOn != plansOff {
+			t.Fatalf("%s: Frontier changed a plan:\n--- off ---\n%s\n--- on ---\n%s", label, plansOff, plansOn)
+		}
+		if journalOn != journalOff {
+			t.Fatalf("%s: Frontier changed the journal:\n--- off ---\n%s\n--- on ---\n%s", label, journalOff, journalOn)
+		}
+		restOff, lookupsOff := split(metricsOff)
+		restOn, lookupsOn := split(metricsOn)
+		if restOn != restOff {
+			t.Fatalf("%s: Frontier changed the metrics:\n--- off ---\n%s\n--- on ---\n%s", label, restOff, restOn)
+		}
+		if lookupsOn != lookupsOff || lookupsOn == 0 {
+			t.Fatalf("%s: %d lookups with Frontier, %d without", label, lookupsOn, lookupsOff)
 		}
 	}
 }

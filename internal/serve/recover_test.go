@@ -147,33 +147,29 @@ func runKilled(t testing.TB, dir string, trace []telemetry.Sample, policy Policy
 // plane after ANY ingested sample and recovering from its snapshot + WAL
 // yields byte-identical plans, journal and metrics to the uninterrupted
 // run — with deadline aborts, quarantine trips and muted drops in the
-// stream, at both parallelism levels.
+// stream.
 func TestKillRecoverEveryPoint(t *testing.T) {
 	trace := chaosTrace(t)
 	policy := chaosPolicy()
-	for _, par := range []int{1, 4} {
-		opt := joint.Options{Parallelism: par}
-		basePlans, baseJournal, baseMetrics := runStored(t, t.TempDir(), trace, policy, opt)
-		if par == 1 {
-			// The fixture must actually exercise the robustness machinery,
-			// or the invariant is vacuous.
-			for _, needle := range []string{string(EventQuarantine), string(EventFullReplan)} {
-				if !strings.Contains(baseJournal, needle) {
-					t.Fatalf("fixture journal lacks %q:\n%s", needle, baseJournal)
-				}
-			}
+	opt := joint.Options{}
+	basePlans, baseJournal, baseMetrics := runStored(t, t.TempDir(), trace, policy, opt)
+	// The fixture must actually exercise the robustness machinery, or the
+	// invariant is vacuous.
+	for _, needle := range []string{string(EventQuarantine), string(EventFullReplan)} {
+		if !strings.Contains(baseJournal, needle) {
+			t.Fatalf("fixture journal lacks %q:\n%s", needle, baseJournal)
 		}
-		for k := 0; k <= len(trace); k++ {
-			plans, journal, metrics := runKilled(t, t.TempDir(), trace, policy, opt, k)
-			if plans != basePlans {
-				t.Fatalf("par=%d kill@%d: plan sequence diverged:\n--- baseline ---\n%s\n--- recovered ---\n%s", par, k, basePlans, plans)
-			}
-			if journal != baseJournal {
-				t.Fatalf("par=%d kill@%d: journal diverged:\n--- baseline ---\n%s\n--- recovered ---\n%s", par, k, baseJournal, journal)
-			}
-			if metrics != baseMetrics {
-				t.Fatalf("par=%d kill@%d: metrics diverged:\n--- baseline ---\n%s\n--- recovered ---\n%s", par, k, baseMetrics, metrics)
-			}
+	}
+	for k := 0; k <= len(trace); k++ {
+		plans, journal, metrics := runKilled(t, t.TempDir(), trace, policy, opt, k)
+		if plans != basePlans {
+			t.Fatalf("kill@%d: plan sequence diverged:\n--- baseline ---\n%s\n--- recovered ---\n%s", k, basePlans, plans)
+		}
+		if journal != baseJournal {
+			t.Fatalf("kill@%d: journal diverged:\n--- baseline ---\n%s\n--- recovered ---\n%s", k, baseJournal, journal)
+		}
+		if metrics != baseMetrics {
+			t.Fatalf("kill@%d: metrics diverged:\n--- baseline ---\n%s\n--- recovered ---\n%s", k, baseMetrics, metrics)
 		}
 	}
 }

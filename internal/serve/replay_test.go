@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -86,8 +87,8 @@ func TestReplayDeterminism(t *testing.T) {
 		name string
 		opt  joint.Options
 	}{
-		{"monolithic", joint.Options{Parallelism: 1}},
-		{"sharded", joint.Options{Parallelism: 1, ShardThreshold: 1}},
+		{"monolithic", joint.Options{}},
+		{"sharded", joint.Options{ShardThreshold: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			plans1, journal1, metrics1 := runReplay(t, trace, tc.opt)
@@ -114,10 +115,19 @@ func TestReplayDeterminism(t *testing.T) {
 	}
 }
 
-// TestReplayParallelismInvariance pins the PR1 guarantee end to end: the
-// control plane's entire observable output — plans, journal, and the full
-// metrics dump, the planner's hit/miss split included — is identical whether
-// the planner fans out or runs serially.
+// atProcs runs f with GOMAXPROCS set to procs — the width of the planner's
+// one fan-out, the table-build pool — and restores the previous setting.
+func atProcs(procs int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+}
+
+// TestReplayParallelismInvariance pins the determinism guarantee end to end
+// for the one fan-out left, the frontier-table builds (at construction and on
+// every full replan): the control plane's entire observable output — plans,
+// journal, and the full metrics dump, the build ledger and the planner's
+// hit/miss split included — is identical whether the tables are built on one
+// goroutine or four.
 func TestReplayParallelismInvariance(t *testing.T) {
 	trace := recordReplayTrace(t)
 	for _, tc := range []struct {
@@ -128,8 +138,10 @@ func TestReplayParallelismInvariance(t *testing.T) {
 		{"sharded", 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			plans1, journal1, metrics1 := runReplay(t, trace, joint.Options{Parallelism: 1, ShardThreshold: tc.threshold})
-			plans4, journal4, metrics4 := runReplay(t, trace, joint.Options{Parallelism: 4, ShardThreshold: tc.threshold})
+			opt := joint.Options{ShardThreshold: tc.threshold}
+			var plans1, journal1, metrics1, plans4, journal4, metrics4 string
+			atProcs(1, func() { plans1, journal1, metrics1, _ = runFrontierReplay(t, trace, opt) })
+			atProcs(4, func() { plans4, journal4, metrics4, _ = runFrontierReplay(t, trace, opt) })
 
 			if plans1 != plans4 {
 				t.Fatalf("plan sequences diverged across parallelism levels:\n--- serial ---\n%s\n--- parallel ---\n%s", plans1, plans4)

@@ -13,10 +13,10 @@ import (
 	"edgesurgeon/internal/workload"
 )
 
-// parallelScenario builds a multi-server scenario that exercises every
+// componentScenario builds a multi-server scenario that exercises every
 // component shape: three servers with uneven user populations plus two
 // local-only users.
-func parallelScenario(t *testing.T, disc Discipline) Config {
+func componentScenario(t *testing.T, disc Discipline) Config {
 	t.Helper()
 	dev1, _ := hardware.ByName("rpi4")
 	dev2, _ := hardware.ByName("phone-soc")
@@ -67,96 +67,16 @@ func parallelScenario(t *testing.T, disc Discipline) Config {
 	return cfg
 }
 
-// mixedFaults strikes all three servers with all three fault kinds.
-func mixedFaults() *faults.Schedule {
-	return faults.MustNew(
-		faults.Window{Kind: faults.ServerCrash, Server: 0, Start: 8, End: 11},
-		faults.Window{Kind: faults.LinkOutage, Server: 1, Start: 5, End: 6},
-		faults.Window{Kind: faults.Brownout, Server: 2, Start: 10, End: 20, Factor: 0.4},
-		faults.Window{Kind: faults.LinkOutage, Server: 0, Start: 25, End: 26},
-	)
-}
-
-// TestParallelSimMatchesSequential is the tentpole's differential proof:
-// across all disciplines, fault schedules and horizon/warmup settings, the
-// sharded parallel run must be bit-identical to the sequential run.
-func TestParallelSimMatchesSequential(t *testing.T) {
-	for _, disc := range []Discipline{DedicatedShares, SharedFCFS, ProcessorSharing} {
-		for _, faulty := range []bool{false, true} {
-			if faulty && disc == ProcessorSharing {
-				continue // faults are rejected under PS
-			}
-			for _, bounded := range []bool{false, true} {
-				cfg := parallelScenario(t, disc)
-				if faulty {
-					cfg.Faults = mixedFaults()
-					cfg.Retry = RetryPolicy{TaskTimeout: 2}
-				}
-				if bounded {
-					cfg.Horizon = 30
-					cfg.Warmup = 5
-				}
-
-				seq := cfg
-				seq.Parallelism = 1
-				seqRes, err := Run(seq)
-				if err != nil {
-					t.Fatal(err)
-				}
-				par := cfg
-				par.Parallelism = 8
-				parRes, err := Run(par)
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				name := func() string {
-					return "disc=" + map[Discipline]string{
-						DedicatedShares: "dedicated", SharedFCFS: "fcfs", ProcessorSharing: "ps",
-					}[disc] + map[bool]string{true: " faulty", false: ""}[faulty] +
-						map[bool]string{true: " bounded", false: ""}[bounded]
-				}()
-				if len(seqRes.Records) == 0 {
-					t.Fatalf("%s: empty run proves nothing", name)
-				}
-				if !reflect.DeepEqual(seqRes.Records, parRes.Records) {
-					t.Errorf("%s: records differ", name)
-				}
-				if !reflect.DeepEqual(seqRes.PerUser, parRes.PerUser) {
-					t.Errorf("%s: per-user stats differ", name)
-				}
-				if !reflect.DeepEqual(seqRes.ServerUtil, parRes.ServerUtil) {
-					t.Errorf("%s: server utilizations differ: %v vs %v", name, seqRes.ServerUtil, parRes.ServerUtil)
-				}
-				if seqRes.Horizon != parRes.Horizon || seqRes.Events != parRes.Events {
-					t.Errorf("%s: horizon/events differ: (%g,%d) vs (%g,%d)",
-						name, seqRes.Horizon, seqRes.Events, parRes.Horizon, parRes.Events)
-				}
-				if seqRes.Latencies().Mean() != parRes.Latencies().Mean() ||
-					seqRes.DeadlineRate() != parRes.DeadlineRate() ||
-					seqRes.FailureRate() != parRes.FailureRate() ||
-					seqRes.MeanAccuracy() != parRes.MeanAccuracy() ||
-					seqRes.MeanDeviceEnergy() != parRes.MeanDeviceEnergy() {
-					t.Errorf("%s: pooled aggregates differ", name)
-				}
-				if !reflect.DeepEqual(seqRes.FailuresByCause(), parRes.FailuresByCause()) {
-					t.Errorf("%s: failure causes differ", name)
-				}
-			}
-		}
-	}
-}
-
 // TestDroppedRecordsKeepAggregates verifies KeepRecords=false changes only
 // the Records slice: every streaming aggregate matches the record-keeping
 // run exactly.
 func TestDroppedRecordsKeepAggregates(t *testing.T) {
-	full := parallelScenario(t, SharedFCFS)
+	full := componentScenario(t, SharedFCFS)
 	fullRes, err := Run(full)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lean := parallelScenario(t, SharedFCFS)
+	lean := componentScenario(t, SharedFCFS)
 	lean.KeepRecords = false
 	leanRes, err := Run(lean)
 	if err != nil {
@@ -241,8 +161,7 @@ func TestRunAllocsPerEventBounded(t *testing.T) {
 			Device: dev, Server: 0, ComputeShare: 1, BandwidthShare: 1,
 			Tasks: tasks,
 		}},
-		Discipline:  DedicatedShares,
-		Parallelism: 1, // inline: no worker-pool allocations in the measurement
+		Discipline: DedicatedShares,
 	}
 	res, err := Run(cfg)
 	if err != nil {

@@ -7,10 +7,9 @@
 // substitute for the paper's line-rate testbed measurements).
 //
 // Scenarios decompose into independent components (each server plus its
-// assigned users; each local-only user), and Run executes components
-// concurrently on a bounded worker pool (Config.Parallelism) with a
-// deterministic merge, so the parallel result is bit-identical to the
-// sequential one. See shard.go for the decomposition argument.
+// assigned users; each local-only user), and Run executes them one after
+// another, each on its own small engine, with a deterministic merge. See
+// shard.go for the decomposition argument.
 package sim
 
 import (

@@ -74,10 +74,6 @@ type Config struct {
 	// backoff, per-task timeout). Consulted whenever Faults is set or
 	// Retry.TaskTimeout is positive.
 	Retry RetryPolicy
-	// Parallelism bounds how many independent components (see shard.go)
-	// are simulated concurrently: 0 means GOMAXPROCS, 1 forces fully
-	// sequential execution. The result is bit-identical either way.
-	Parallelism int
 	// KeepRecords retains the per-task Records slice. When false (the
 	// default) only the streaming aggregates (PerUser and the Result
 	// methods) are available, so heavy-traffic runs don't hold millions of
@@ -127,8 +123,8 @@ type UserStats struct {
 }
 
 // Result is the full simulation outcome. Pooled aggregates are reduced from
-// PerUser in user-index order, so they are identical whether the simulation
-// ran sequentially or sharded.
+// PerUser in user-index order, so they do not depend on how the scenario
+// decomposed into components.
 type Result struct {
 	// Records holds every recorded task, grouped by user index and in
 	// completion order within each user. Nil unless Config.KeepRecords.
@@ -318,8 +314,8 @@ func pickExit(choices []exitChoice, difficulty float64) *exitChoice {
 
 // Run executes the scenario and returns streaming aggregates (plus per-task
 // records when Config.KeepRecords is set). The scenario is decomposed into
-// independent components simulated concurrently up to Config.Parallelism;
-// the merged result is bit-identical to a sequential run.
+// independent components (see shard.go), each run to completion on its own
+// engine, and the results merged in user-index order.
 func Run(cfg Config) (*Result, error) {
 	if cfg.Faults != nil && !cfg.Faults.Empty() && cfg.Discipline == ProcessorSharing {
 		return nil, fmt.Errorf("sim: fault injection is not supported under ProcessorSharing")

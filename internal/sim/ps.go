@@ -14,8 +14,7 @@ import (
 // events are rescheduled on every arrival/departure via a generation
 // counter, so stale events are ignored rather than cancelled. Jobs are held
 // in submission order, so simultaneous completions fire deterministically
-// (oldest first) — a requirement for the parallel path's bit-identical
-// merge.
+// (oldest first) — a requirement for a deterministic run.
 type PSStation struct {
 	Name string
 	eng  *Engine

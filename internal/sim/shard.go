@@ -2,16 +2,13 @@ package sim
 
 import (
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"edgesurgeon/internal/hardware"
 	"edgesurgeon/internal/netmodel"
 	"edgesurgeon/internal/workload"
 )
 
-// The sharded parallel path exploits the scenario's independence structure:
+// The sharded path exploits the scenario's independence structure:
 // no station is ever shared across servers, so the station graph decomposes
 // into closed components whose event streams never interact —
 //
@@ -28,9 +25,9 @@ import (
 // have produced inside the global run: events touch only component-local
 // state, relative (time, sequence) order within a component is preserved,
 // and every floating-point quantity is computed from the same inputs in the
-// same order. Components therefore run concurrently and their results merge
-// by global user index into a result bit-identical to the sequential one —
-// Parallelism=1 and Parallelism=N execute the very same per-component code.
+// same order. Components therefore run one at a time, each on an engine (and
+// event heap) sized to it alone, and their results merge by global user
+// index.
 
 // component is one closed subsystem of the scenario.
 type component struct {
@@ -397,61 +394,13 @@ func (r *shardRun) failTask(su *shardUser, t *taskState, abort float64, cause Fa
 	r.byCause[cause]++
 }
 
-// runComponents executes every component on a bounded worker pool and
-// returns the per-component runs in component order. A panic inside any
-// component (bad station duration, scheduling into the past) is re-raised
-// on the caller's goroutine after the pool drains.
+// runComponents executes every component in order, on the caller's
+// goroutine, and returns the per-component runs in component order.
 func runComponents(cfg *Config, comps []component, choices [][]exitChoice) []*shardRun {
 	shards := make([]*shardRun, len(comps))
-	workers := cfg.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(comps) {
-		workers = len(comps)
-	}
-	runOne := func(i int) {
-		r := newShardRun(cfg, comps[i], choices, simFaulty(cfg))
-		r.run()
-		shards[i] = r
-	}
-	if workers <= 1 {
-		for i := range comps {
-			runOne(i)
-		}
-		return shards
-	}
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		panicMu  sync.Mutex
-		panicked any
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					panicMu.Lock()
-					if panicked == nil {
-						panicked = p
-					}
-					panicMu.Unlock()
-				}
-			}()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(comps) {
-					return
-				}
-				runOne(i)
-			}
-		}()
-	}
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
+	for i := range comps {
+		shards[i] = newShardRun(cfg, comps[i], choices, simFaulty(cfg))
+		shards[i].run()
 	}
 	return shards
 }
@@ -463,8 +412,7 @@ func simFaulty(cfg *Config) bool {
 
 // mergeShards reduces per-component runs into one Result. Every reduction
 // is either order-insensitive (integer counts) or performed in global user
-// index order (records, series, streams, lane busy-time sums), so the
-// result does not depend on which worker ran which component when.
+// index order (records, series, streams, lane busy-time sums).
 func mergeShards(cfg *Config, comps []component, shards []*shardRun) *Result {
 	res := &Result{PerUser: make([]*UserStats, len(cfg.Users))}
 

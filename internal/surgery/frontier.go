@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"edgesurgeon/internal/dnn"
 	"edgesurgeon/internal/hardware"
@@ -216,9 +215,12 @@ type FrontierEntry struct {
 	Eval Eval
 }
 
-// Frontier is one key's share→plan table. Safe for concurrent use: lookups
-// of known cells are lock-free reads, and any number of callers may fill
-// unknown cells at once.
+// Frontier is one key's share→plan table. It is not safe for concurrent
+// fills; the sharing contract is ownership. A certified table (one a
+// FrontierSet holds) has every cell filled before anyone else can see it, so
+// its lookups only read and one Options.Frontiers may serve any number of
+// goroutines. A table from BuildFrontier fills on demand and belongs to the one
+// planning state that made it.
 type Frontier struct {
 	key  FrontierKey
 	opt  Options // what every fill of this table runs the optimizer under
@@ -227,17 +229,13 @@ type Frontier struct {
 	// is allocated when the row's first cell is filled, so memory follows the
 	// cells touched rather than Levels()². A cell is 1 + the index of its
 	// entry, 0 while unknown. A device-only key has one row of one cell.
-	rows []atomic.Pointer[[]atomic.Int32]
-	// entries is append-only, grown under mu, and always published before a
-	// cell that refers to the new entry.
-	mu      sync.Mutex
-	entries atomic.Pointer[[]FrontierEntry]
-	probes  atomic.Int64
+	rows    [][]int32
+	entries []FrontierEntry
+	probes  int
 	// kernel is what every fill solves against, built (or found infeasible, for
 	// good) by the first one; it lives exactly as long as the table.
-	kernelOnce sync.Once
-	kernel     *kernel
-	kernelErr  error
+	kernel    *kernel
+	kernelErr error
 }
 
 // Key returns the table's identity.
@@ -250,15 +248,10 @@ func (t *Frontier) Grid() ShareGrid { return t.grid }
 // filled by FrontierSet.Build lists them in canonical order: descending
 // share-sensitivity (ServerSec+TxSec), so the winning entry index along a
 // shrinking share diagonal is monotone non-decreasing. Read-only.
-func (t *Frontier) Entries() []FrontierEntry {
-	if p := t.entries.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
+func (t *Frontier) Entries() []FrontierEntry { return t.entries }
 
 // Probes returns how many optimizer calls the table has spent.
-func (t *Frontier) Probes() int { return int(t.probes.Load()) }
+func (t *Frontier) Probes() int { return t.probes }
 
 // Lookup returns the optimizer's plan at the given shares, which must lie
 // on the table's grid for bit-identity (arbitrary shares quantize to the
@@ -267,8 +260,7 @@ func (t *Frontier) Probes() int { return int(t.probes.Load()) }
 // by the same expression the optimizer uses. known reports that the cell was
 // already filled; otherwise this call ran the optimizer at the cell's grid
 // point, whose error (an infeasible constraint) is returned and leaves the
-// cell unknown. When concurrent callers race to fill one cell, exactly one
-// of them reports known == false.
+// cell unknown.
 func (t *Frontier) Lookup(computeShare, bandwidthShare float64) (plan Plan, ev Eval, known bool, err error) {
 	fi, bi := 0, 0
 	if t.key.Server != nil {
@@ -278,7 +270,7 @@ func (t *Frontier) Lookup(computeShare, bandwidthShare float64) (plan Plan, ev E
 	if err != nil {
 		return Plan{}, Eval{}, false, err
 	}
-	e := &(*t.entries.Load())[id-1]
+	e := &t.entries[id-1]
 	ev = e.Eval
 	ev.Latency = ev.LatencyAt(envShare(computeShare), envShare(bandwidthShare))
 	return e.Plan, ev, known, nil
@@ -287,17 +279,14 @@ func (t *Frontier) Lookup(computeShare, bandwidthShare float64) (plan Plan, ev E
 // at returns cell (fi, bi)'s entry id, first filling the cell with the
 // optimizer's answer at that grid point when it is unknown.
 func (t *Frontier) at(fi, bi int) (id int32, known bool, err error) {
-	row := t.rows[fi].Load()
-	if row != nil {
-		if id := (*row)[bi].Load(); id != 0 {
-			return id, true, nil
-		}
+	if row := t.rows[fi]; row != nil && row[bi] != 0 {
+		return row[bi], true, nil
 	}
-	t.probes.Add(1)
-	t.kernelOnce.Do(func() {
+	t.probes++
+	if t.kernel == nil && t.kernelErr == nil {
 		// Every grid share is valid, so one validation stands for all fills.
 		t.kernel, t.kernelErr = newKernel(t.key.Model, t.key.env(1, 1), t.opt)
-	})
+	}
 	if t.kernelErr != nil {
 		return 0, false, t.kernelErr
 	}
@@ -305,44 +294,34 @@ func (t *Frontier) at(fi, bi int) (id int32, known bool, err error) {
 	if err != nil {
 		return 0, false, err
 	}
-	// Racing fillers computed the same plan, hence the same id; the one whose
-	// compare-and-swap lands is the one that reports the fill.
 	id = t.intern(plan, ev)
-	return id, !t.row(fi)[bi].CompareAndSwap(0, id), nil
+	t.row(fi)[bi] = id
+	return id, false, nil
 }
 
 // row returns compute level fi's cells, allocating them on first touch.
-func (t *Frontier) row(fi int) []atomic.Int32 {
-	if r := t.rows[fi].Load(); r != nil {
-		return *r
+func (t *Frontier) row(fi int) []int32 {
+	if t.rows[fi] == nil {
+		t.rows[fi] = make([]int32, len(t.rows))
 	}
-	r := make([]atomic.Int32, len(t.rows))
-	if t.rows[fi].CompareAndSwap(nil, &r) {
-		return r
-	}
-	return *t.rows[fi].Load()
+	return t.rows[fi]
 }
 
 // intern returns the id (index + 1) of plan's entry, appending it when the
 // plan is new to the table.
 func (t *Frontier) intern(plan Plan, ev Eval) int32 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	entries := t.Entries()
-	for i := range entries {
-		if samePlan(&entries[i].Plan, &plan) {
+	for i := range t.entries {
+		if samePlan(&t.entries[i].Plan, &plan) {
 			return int32(i + 1)
 		}
 	}
 	// All Eval fields except Latency are share-independent, so the first
 	// probe's evaluation stands for the plan at every grid point bit for
 	// bit; Latency is normalized to full shares here and re-derived per
-	// lookup. Appending in place is safe: readers holding the previous
-	// header never index past its length.
+	// lookup.
 	ev.Latency = ev.LatencyAt(1, 1)
-	grown := append(entries, FrontierEntry{Plan: plan, Eval: ev}) // its own variable: only a new plan pays for the escaping header
-	t.entries.Store(&grown)
-	return int32(len(grown))
+	t.entries = append(t.entries, FrontierEntry{Plan: plan, Eval: ev})
+	return int32(len(t.entries))
 }
 
 func samePlan(a, b *Plan) bool {
@@ -405,7 +384,7 @@ func BuildFrontier(k FrontierKey, bo BuildOptions) (*Frontier, error) {
 	if k.Server != nil {
 		n = t.grid.Levels()
 	}
-	t.rows = make([]atomic.Pointer[[]atomic.Int32], n)
+	t.rows = make([][]int32, n)
 	return t, nil
 }
 
@@ -511,7 +490,7 @@ func (t *Frontier) fill(i0, i1, j0, j1 int, id int32) {
 	for i := i0; i <= i1; i++ {
 		row := t.row(i)
 		for j := j0; j <= j1; j++ {
-			row[j].Store(id)
+			row[j] = id
 		}
 	}
 }
@@ -519,7 +498,7 @@ func (t *Frontier) fill(i0, i1, j0, j1 int, id int32) {
 // canonicalize sorts the entries into frontier order and rewrites the cells
 // accordingly.
 func (t *Frontier) canonicalize() {
-	entries := t.Entries()
+	entries := t.entries
 	order := make([]int32, len(entries))
 	for i := range order {
 		order[i] = int32(i)
@@ -533,13 +512,11 @@ func (t *Frontier) canonicalize() {
 		perm[oldID] = int32(newID)
 		sorted[newID] = entries[oldID]
 	}
-	t.entries.Store(&sorted)
-	for fi := range t.rows {
-		if r := t.rows[fi].Load(); r != nil {
-			for bi := range *r {
-				if id := (*r)[bi].Load(); id != 0 {
-					(*r)[bi].Store(perm[id-1] + 1)
-				}
+	t.entries = sorted
+	for _, row := range t.rows {
+		for bi, id := range row {
+			if id != 0 {
+				row[bi] = perm[id-1] + 1
 			}
 		}
 	}
@@ -653,7 +630,7 @@ func (s *FrontierSet) Build(k FrontierKey) error {
 	s.mu.Lock()
 	if _, ok := s.tables[k]; !ok {
 		s.tables[k] = t
-		s.probes += t.probes.Load()
+		s.probes += int64(t.probes)
 	}
 	s.mu.Unlock()
 	return nil
