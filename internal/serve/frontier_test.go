@@ -86,6 +86,32 @@ func TestFrontierReplayDeterminism(t *testing.T) {
 	}
 }
 
+// TestFrontierReplayParallelismInvariance: precomputed tables must keep the
+// control plane's parallelism invariance — identical plans, journals and
+// metrics, the build ledger included, whether the tables are built (at
+// construction and on every full replan) on one goroutine or four, on both
+// planner routes.
+func TestFrontierReplayParallelismInvariance(t *testing.T) {
+	trace := recordReplayTrace(t)
+	for _, thresh := range []int{0, 1} {
+		opt := joint.Options{ShardThreshold: thresh}
+		var plans1, journal1, metrics1, plans4, journal4, metrics4 string
+		atProcs(1, func() { plans1, journal1, metrics1, _ = runFrontierReplay(t, trace, opt) })
+		atProcs(4, func() { plans4, journal4, metrics4, _ = runFrontierReplay(t, trace, opt) })
+
+		label := fmt.Sprintf("thresh=%d", thresh)
+		if plans1 != plans4 {
+			t.Fatalf("%s: plan sequences diverged across parallelism levels:\n--- serial ---\n%s\n--- parallel ---\n%s", label, plans1, plans4)
+		}
+		if journal1 != journal4 {
+			t.Fatalf("%s: journals diverged across parallelism levels:\n--- serial ---\n%s\n--- parallel ---\n%s", label, journal1, journal4)
+		}
+		if metrics1 != metrics4 {
+			t.Fatalf("%s: metrics diverged across parallelism levels:\n--- serial ---\n%s\n--- parallel ---\n%s", label, metrics1, metrics4)
+		}
+	}
+}
+
 // TestFrontierOnOffReplay is the control-plane half of "tables are a pure
 // accelerator": the same trace replayed with Config.Frontier on and off
 // yields byte-identical plans sample by sample, the same journal, and the

@@ -123,11 +123,11 @@ func atProcs(procs int, f func()) {
 }
 
 // TestReplayParallelismInvariance pins the determinism guarantee end to end
-// for the one fan-out left, the frontier-table builds (at construction and on
-// every full replan): the control plane's entire observable output — plans,
-// journal, and the full metrics dump, the build ledger and the planner's
-// hit/miss split included — is identical whether the tables are built on one
-// goroutine or four.
+// for the table-less control plane: its entire observable output — plans,
+// journal, and the full metrics dump, the planner's hit/miss split included
+// — is identical at GOMAXPROCS 1 and 4, so nothing on the plain planning
+// path reads the core count. TestFrontierReplayParallelismInvariance covers
+// the one fan-out left, the frontier-table builds.
 func TestReplayParallelismInvariance(t *testing.T) {
 	trace := recordReplayTrace(t)
 	for _, tc := range []struct {
@@ -140,8 +140,8 @@ func TestReplayParallelismInvariance(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := joint.Options{ShardThreshold: tc.threshold}
 			var plans1, journal1, metrics1, plans4, journal4, metrics4 string
-			atProcs(1, func() { plans1, journal1, metrics1, _ = runFrontierReplay(t, trace, opt) })
-			atProcs(4, func() { plans4, journal4, metrics4, _ = runFrontierReplay(t, trace, opt) })
+			atProcs(1, func() { plans1, journal1, metrics1 = runReplay(t, trace, opt) })
+			atProcs(4, func() { plans4, journal4, metrics4 = runReplay(t, trace, opt) })
 
 			if plans1 != plans4 {
 				t.Fatalf("plan sequences diverged across parallelism levels:\n--- serial ---\n%s\n--- parallel ---\n%s", plans1, plans4)
