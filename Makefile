@@ -31,9 +31,13 @@ loc:
 # The size ratchet CI runs: prints `make loc`, then fails when internal/joint
 # or the total has grown past the figures below. They are what `make loc`
 # printed when last lowered; a PR that deletes code lowers them, and one that
-# has to add code raises them where a reviewer sees it.
+# has to add code raises them where a reviewer sees it. The total went
+# 21407 -> 21469 for wire version 2: queueing blobs of 16 KiB or more by
+# reference and gathering them into one writev (the segment list, its
+# rollback and the gathered write) bought plane_offload rps +17 % at the
+# median on a 2-vCPU host, 10 of 10 alternating pairs.
 LOC_MAX_JOINT = 2604
-LOC_MAX_TOTAL = 21407
+LOC_MAX_TOTAL = 21469
 loc-check: loc
 	@joint=$$($(call loc_of,internal/joint)); total=$$($(loc_total)); \
 	if [ $$joint -gt $(LOC_MAX_JOINT) ] || [ $$total -gt $(LOC_MAX_TOTAL) ]; then \
@@ -69,9 +73,11 @@ test-race:
 # surgery optimizer must never panic or emit invalid plans, frontier
 # lookups (certified and on-demand tables) must stay bit-identical to the
 # optimizer at snapped shares, the
-# deadline-aware allocator must keep shares in [0, 1] summing to <= 1, and
+# deadline-aware allocator must keep shares in [0, 1] summing to <= 1,
 # end-to-end planning of arbitrary decoded scenarios (monolithic and
-# sharded routes both) must never panic or break the share invariants.
+# sharded routes both) must never panic or break the share invariants, and
+# the wire's frame reader, message decoder and client handshake must never
+# panic on arbitrary bytes.
 fuzz-smoke:
 	$(GO) test ./internal/surgery -run '^$$' -fuzz FuzzSurgeryOptimize -fuzztime 10s
 	$(GO) test ./internal/surgery -run '^$$' -fuzz FuzzFrontierLookup -fuzztime 10s
@@ -81,6 +87,7 @@ fuzz-smoke:
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 10s
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzWALReplay -fuzztime 10s
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzWireDecode -fuzztime 10s
+	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzWireFrame -fuzztime 10s
 	$(GO) test ./internal/client -run '^$$' -fuzz FuzzClientDecode -fuzztime 10s
 
 # One benchmark per evaluation artifact (E1-E21) plus kernel microbenchmarks,

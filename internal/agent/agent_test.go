@@ -2,11 +2,15 @@ package agent
 
 import (
 	"bufio"
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -404,6 +408,84 @@ func TestAgentDisconnectEvacuates(t *testing.T) {
 	drive(1000, 8)
 	if got := rt.Metrics().Counter("dataplane.requests_ok").Value(); got < 16 {
 		t.Fatalf("only %d requests completed OK, want >= 16", got)
+	}
+}
+
+// TestVersionOneRefused: a peer still speaking wire version 1 is refused at
+// the header in both directions. A v1 agent or client dialling the dispatcher
+// reads the dispatcher's header and then the close — no Welcome, no
+// registration, no allocation push, even if it sends its Hello regardless —
+// and an agent whose dispatcher answers with a v1 header returns an error
+// naming both versions.
+func TestVersionOneRefused(t *testing.T) {
+	sc := testScenario(t, 2, 40)
+	rt, err := serve.New(serve.Config{Scenario: sc, Policy: serve.Hysteresis()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := StartDispatcher(DispatcherConfig{Scenario: sc, Runtime: rt, TimeScale: 0.001, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close(); rt.Close() })
+	v1 := append([]byte(wire.Magic), 1)
+	var v2 bytes.Buffer
+	if err := wire.WriteHeader(&v2); err != nil {
+		t.Fatal(err)
+	}
+	for _, hello := range []*wire.Hello{
+		{Role: wire.RoleAgent, ID: telemetry.SourceID(0), Server: 0},
+		{Role: wire.RoleClient, ID: "v1-client"},
+	} {
+		nc, err := net.Dial("tcp", d.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = nc.SetDeadline(time.Now().Add(10 * time.Second))
+		if _, err := nc.Write(v1); err != nil {
+			t.Fatal(err)
+		}
+		header := make([]byte, v2.Len())
+		if _, err := io.ReadFull(nc, header); err != nil || !bytes.Equal(header, v2.Bytes()) {
+			t.Fatalf("role %d: the dispatcher's header read % x (%v), want % x", hello.Role, header, err, v2.Bytes())
+		}
+		payload, err := wire.Encode(hello) // a Hello has no float: its v1 and v2 bytes agree
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = wire.WriteFrame(nc, payload) // may already meet the close
+		rest, err := io.ReadAll(nc)
+		var ne net.Error
+		if len(rest) != 0 || errors.As(err, &ne) && ne.Timeout() {
+			t.Fatalf("role %d: after refusing the header the dispatcher sent %d more bytes and ended with %v, want the close alone", hello.Role, len(rest), err)
+		}
+		nc.Close()
+	}
+	reg := rt.Metrics()
+	if n := reg.Gauge("dataplane.agents_connected").Value(); n != 0 {
+		t.Fatalf("dataplane.agents_connected = %v after v1 peers only, want 0", n)
+	}
+	if n := reg.Counter("dataplane.alloc_pushes").Value(); n != 0 {
+		t.Fatalf("dataplane.alloc_pushes = %d after v1 peers only, want 0", n)
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		_, _ = nc.Write(v1)
+		_, _ = io.Copy(io.Discard, nc)
+	}()
+	err = Run(context.Background(), Config{Scenario: sc, Server: 0, Dispatcher: ln.Addr().String()})
+	if err == nil || !strings.Contains(err.Error(), "version 1, want 2") {
+		t.Fatalf("agent against a v1 dispatcher: got %v, want an error naming versions 1 and 2", err)
 	}
 }
 

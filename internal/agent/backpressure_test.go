@@ -683,10 +683,14 @@ func TestOutboxOverflowAndDeadline(t *testing.T) {
 }
 
 // TestOutboxBatchesQueuedFrames: frames queued while the writer was away go
-// out in one Write, in order; a batch stops growing at wire.BatchBytes; and
-// queued() returns to zero once they are written.
+// out in one flush, in order; a batch stops growing at wire.BatchBytes; and
+// queued() returns to zero once they are written. Flushes, not Writes, are
+// counted: a batch that carries 100 KiB blobs is one gathered write on a
+// socket, but reaches a pipe one piece per Write.
 func TestOutboxBatchesQueuedFrames(t *testing.T) {
-	ob, peer, writes := pipeOutbox(t, 16, 5*time.Second)
+	ob, peer, _ := pipeOutbox(t, 16, 5*time.Second)
+	flushed := make(chan int64, 16)
+	ob.onFlush = func(frames int64) { flushed <- frames }
 	// Ten small frames, then five of 100 KiB: the first batch closes on the
 	// frame that takes it past BatchBytes (the third big one), the second
 	// carries the other two.
@@ -721,8 +725,15 @@ func TestOutboxBatchesQueuedFrames(t *testing.T) {
 			t.Fatalf("frame %d arrived as %T, want %T in queue order", i, got, m)
 		}
 	}
-	if n := writes.Load(); n != 2 {
-		t.Fatalf("15 queued frames took %d Writes, want 2 (one per batch)", n)
+	for i, want := range []int64{13, 2} {
+		select {
+		case got := <-flushed:
+			if got != want {
+				t.Fatalf("flush %d carried %d frames, want %d", i+1, got, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("15 queued frames took %d flushes, want 2 (one per batch)", i)
+		}
 	}
 	for deadline := time.Now().Add(5 * time.Second); ob.queued() != 0; {
 		if time.Now().After(deadline) {

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -69,6 +70,7 @@ func TestHandshakeRejection(t *testing.T) {
 		name string
 		cfg  Config
 		addr func(t *testing.T) string
+		want string // in the error text, when set
 	}{
 		{
 			name: "bad magic",
@@ -81,17 +83,18 @@ func TestHandshakeRejection(t *testing.T) {
 			},
 		},
 		{
-			name: "bad version",
+			name: "bad version", // a version 1 dispatcher
 			addr: func(t *testing.T) string {
 				return fakeServer(t, func(nc net.Conn) {
 					go drain(nc)
 					var buf [16]byte
 					n := copy(buf[:], wire.Magic)
-					n += binary.PutUvarint(buf[n:], 99)
+					n += binary.PutUvarint(buf[n:], 1)
 					nc.Write(buf[:n])
 					nc.Close()
 				})
 			},
+			want: "version 1, want 2",
 		},
 		{
 			name: "dispatcher error reply",
@@ -150,6 +153,9 @@ func TestHandshakeRejection(t *testing.T) {
 			var he *HandshakeError
 			if !errors.As(err, &he) {
 				t.Fatalf("got %T (%v), want *HandshakeError", err, err)
+			}
+			if !strings.Contains(he.Error(), tc.want) {
+				t.Fatalf("%q does not say %q", he.Error(), tc.want)
 			}
 		})
 	}

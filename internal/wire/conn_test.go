@@ -51,17 +51,24 @@ func tcpPair(t testing.TB) (*Conn, *Conn) {
 }
 
 // TestConcurrentSendsArriveIntact: whatever batches the combining writer
-// forms, the peer decodes exactly the frames sent, each sender's in order.
+// forms, the peer decodes exactly the frames sent, each sender's in order —
+// every eighth sender's frames carrying one shared read-only blob of refMin
+// bytes, as the dispatcher's do, so batches mix copied and gathered frames.
 func TestConcurrentSendsArriveIntact(t *testing.T) {
 	const senders, each = 32, 1000
 	ca, cb := tcpPair(t)
+	blob := bytes.Repeat([]byte{0x5A}, refMin)
 	var wg sync.WaitGroup
 	for s := 0; s < senders; s++ {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
 			for i := 1; i <= each; i++ {
-				if err := ca.Send(&Request{Seq: uint64(i), User: s}); err != nil {
+				var m Msg = &Request{Seq: uint64(i), User: s}
+				if s%8 == 0 {
+					m = &Infer{Seq: uint64(i), User: s, Payload: blob}
+				}
+				if err := ca.Send(m); err != nil {
 					t.Errorf("sender %d send %d: %v", s, i, err)
 					return
 				}
@@ -84,14 +91,25 @@ func TestConcurrentSendsArriveIntact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("recv %d: %v", n, err)
 		}
-		req, ok := m.(*Request)
-		if !ok || req.User < 0 || req.User >= senders {
-			t.Fatalf("recv %d: unexpected %+v", n, m)
+		var user int
+		var seq uint64
+		switch m := m.(type) {
+		case *Request:
+			user, seq = m.User, m.Seq
+		case *Infer:
+			if !bytes.Equal(m.Payload, blob) {
+				t.Fatalf("recv %d: sender %d's frame %d arrived with a damaged payload", n, m.User, m.Seq)
+			}
+			m.Release()
+			user, seq = m.User, m.Seq
 		}
-		if req.Seq != last[req.User]+1 {
-			t.Fatalf("sender %d: seq %d arrived after %d", req.User, req.Seq, last[req.User])
+		if user < 0 || user >= senders || (user%8 == 0) != (m.Type() == TypeInfer) {
+			t.Fatalf("recv %d: unexpected %T from sender %d", n, m, user)
 		}
-		last[req.User] = req.Seq
+		if seq != last[user]+1 {
+			t.Fatalf("sender %d: seq %d arrived after %d", user, seq, last[user])
+		}
+		last[user] = seq
 	}
 }
 
@@ -139,8 +157,8 @@ func TestStreamIdentity(t *testing.T) {
 			t.Fatalf("%s: %d-byte stream differs from the %d-byte WriteFrame(Encode) reference", mode, got.Len(), want.Len())
 		}
 		// The jumbo frame grew a buffer past keepBytes; it must not be kept.
-		if cap(c.out) > keepBytes || cap(c.pending.b) > keepBytes {
-			t.Fatalf("%s: retained buffers of %d and %d bytes, the limit is %d", mode, cap(c.out), cap(c.pending.b), keepBytes)
+		if cap(c.out.b) > keepBytes || cap(c.pending.b) > keepBytes {
+			t.Fatalf("%s: retained buffers of %d and %d bytes, the limit is %d", mode, cap(c.out.b), cap(c.pending.b), keepBytes)
 		}
 	}
 
@@ -162,6 +180,51 @@ func TestStreamIdentity(t *testing.T) {
 	WriteFrame(&twice, one)
 	if !bytes.Equal(got.Bytes(), twice.Bytes()) {
 		t.Fatalf("stream after a refused message: % x, want % x", got.Bytes(), twice.Bytes())
+	}
+}
+
+// TestQueuedBlobIsReferenced pins the write side's ownership rule: a blob of
+// refMin bytes or more is queued by reference, so a change to it between
+// Queue and Flush reaches the wire — the caller must leave it alone until the
+// Flush returns — while a smaller one is copied at Queue. After the write the
+// Conn holds no reference to either.
+func TestQueuedBlobIsReferenced(t *testing.T) {
+	for _, size := range []int{refMin - 1, 1 << 16} {
+		var got bytes.Buffer
+		c := &Conn{w: &got}
+		payload := make([]byte, size)
+		if _, err := c.Queue(&Infer{Seq: 1, Payload: payload}); err != nil {
+			t.Fatal(err)
+		}
+		payload[size-1] = 0xAB
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		frame, err := ReadFrame(bufio.NewReader(&got))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := Decode(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if changed, referenced := m.(*Infer).Payload[size-1] == 0xAB, size >= refMin; changed != referenced {
+			t.Fatalf("%d-byte payload: a change after Queue reached the wire: %v, want %v", size, changed, referenced)
+		}
+		for _, e := range []*enc{&c.out, &c.pending} {
+			held := e.refd != 0
+			for _, r := range e.refs[:cap(e.refs)] {
+				held = held || r.p != nil
+			}
+			if held {
+				t.Fatalf("%d-byte payload: the Conn still references a blob after the write", size)
+			}
+		}
+		for _, p := range c.iov[:cap(c.iov)] {
+			if p != nil {
+				t.Fatalf("%d-byte payload: the Conn's write vector still references a buffer after the write", size)
+			}
+		}
 	}
 }
 

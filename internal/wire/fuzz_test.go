@@ -7,9 +7,9 @@ import (
 
 // FuzzWireDecode pins the core safety property of the protocol: Decode never
 // panics on arbitrary bytes, and anything it does accept re-encodes to a
-// payload that decodes to the same message (the codec is a bijection on the
-// accepted set, modulo non-canonical float spellings — so we compare via a
-// second decode rather than byte equality). It is differential too: the
+// payload that decodes to the same message (floats are their bits, but a
+// varint may arrive overlong and re-encodes minimal — so we compare via a
+// second decode rather than with the input). It is differential too: the
 // loaning decode Recv uses accepts and refuses exactly what the copying one
 // does, with the same message or the same error, and differs only in whose
 // memory a large blob is — the input's, which is how Recv lends a frame.

@@ -186,7 +186,7 @@ func (*ErrorMsg) Type() MsgType    { return TypeError }
 
 // Encode renders a message to its frame payload (type tag + fields).
 func Encode(m Msg) ([]byte, error) {
-	e := &enc{b: make([]byte, 0, 64)}
+	e := &enc{b: make([]byte, 0, 64), flat: true}
 	e.uvarint(uint64(m.Type()))
 	m.encode(e)
 	if len(e.b) > MaxFrame {
@@ -196,19 +196,21 @@ func Encode(m Msg) ([]byte, error) {
 }
 
 // frame appends m's whole frame — uvarint length prefix, then the payload
-// Encode would return — to e.b, encoding in place. The prefix length is only
+// Encode would return — to e, encoding in place. The prefix length is only
 // known once the payload is, so the widest one (3 bytes at MaxFrame) is
 // reserved and a payload under 16 KiB, whose prefix is shorter, is moved down
-// over the gap. On error e.b is left as it was.
+// over the gap; such a payload references no blob (refMin). On error e is left
+// as it was.
 func (e *enc) frame(m Msg) error {
 	const widest = 3
-	start := len(e.b)
+	start, refs, refd := len(e.b), len(e.refs), e.refd
 	e.b = append(e.b, make([]byte, widest)...)
 	e.uvarint(uint64(m.Type()))
 	m.encode(e)
-	n := len(e.b) - start - widest
+	n := e.size() - refd - start - widest
 	if n > MaxFrame {
-		e.b = e.b[:start]
+		clear(e.refs[refs:])
+		e.b, e.refs, e.refd = e.b[:start], e.refs[:refs], refd
 		return fmt.Errorf("wire: %T encodes to %d bytes, over MaxFrame %d", m, n, MaxFrame)
 	}
 	if k := binary.PutUvarint(e.b[start:], uint64(n)); k < widest {
@@ -350,7 +352,7 @@ func (m *Allocation) decode(d *dec) error {
 	if m.RTT, err = d.float("allocation rtt"); err != nil {
 		return err
 	}
-	n, err := d.count("allocation entries", 8) // each entry is >= 8 bytes
+	n, err := d.count("allocation entries", 27) // two varints, an exit count and three floats
 	if err != nil {
 		return err
 	}

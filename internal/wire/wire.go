@@ -10,9 +10,9 @@
 //   - every message is one length-prefixed frame: a uvarint payload length
 //     (bounded by MaxFrame) followed by the payload — a uvarint message
 //     type and the message fields;
-//   - floats travel as length-prefixed strconv 'g'/-1 strings, the same
-//     codec the serve WAL uses, so NaN and ±Inf telemetry round-trips
-//     exactly (the quarantine machinery strikes on exactly such samples);
+//   - floats travel as the 8 little-endian bytes of math.Float64bits, so
+//     NaN payloads, ±Inf and -0 round-trip bit for bit (the serve quarantine
+//     strikes on NaN samples, so the wire must deliver them intact);
 //   - integers are uvarint/zigzag-varint, strings and byte blobs are
 //     length-prefixed.
 //
@@ -33,31 +33,38 @@
 // concatenation of WriteFrame(Encode(m)) whatever the batching. The first
 // write error is sticky.
 //
-// Its read side lends. The boundary activation is the one large thing the
-// plane moves, and of the four places one crossing of a 64 KiB Infer could
-// be copied, the receiver pays only the kernel's:
+// The boundary activation is the one large thing the plane moves, and of the
+// four places one crossing of a 64 KiB Infer could be copied, each end pays
+// only the kernel's:
 //
-//	encode into pending   one (Queue appends the payload to the batch)
+//	encode into pending   none — a blob of refMin bytes or more is queued
+//	                      by reference and gathered into the batch's write
+//	                      (net.Buffers: one writev on a socket)
 //	kernel send           one
 //	kernel receive        one (read into a pooled frame)
 //	decode copy           none — a blob of loanMin bytes or more aliases
 //	                      the frame it arrived in
 //
-// A message returned by Recv owns all of its memory. For an Infer with a
-// large Payload that includes the frame, which the next Recv therefore does
-// not reuse: it reads into another from a package-level pool.
-// (*Infer).Release hands the frame back once the receiver is done with the
-// payload; a receiver that never calls it pays one frame of garbage per
-// message and nothing worse. Decode, whose input is the caller's buffer and
-// not ours to lend, always copies.
+// So the write side borrows: a blob queued by reference must not change until
+// the Send, or the Flush, that carries it has returned. After the write the
+// Conn keeps no reference to it.
+//
+// And the read side lends. A message returned by Recv owns all of its
+// memory. For an Infer with a large Payload that includes the frame, which
+// the next Recv therefore does not reuse: it reads into another from a
+// package-level pool. (*Infer).Release hands the frame back once the receiver
+// is done with the payload; a receiver that never calls it pays one frame of
+// garbage per message and nothing worse. Decode, whose input is the caller's
+// buffer and not ours to lend, always copies.
 package wire
 
 import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
+	"net"
 	"runtime"
-	"strconv"
 	"sync"
 )
 
@@ -67,7 +74,7 @@ const Magic = "ESWP"
 
 // Version is the protocol version carried after the magic. Peers with a
 // different version are rejected at handshake.
-const Version = 1
+const Version = 2
 
 // MaxFrame bounds one message frame's payload. A length prefix above this
 // is refused before any allocation — a torn stream or a hostile peer must
@@ -175,21 +182,45 @@ func readFrame(r frameReader, buf []byte, quantum uint64) ([]byte, error) {
 
 // --- field primitives ---
 
-type enc struct{ b []byte }
+// refMin is the blob size from which a Conn queues a blob by reference rather
+// than copying it into the batch. It is the smallest blob whose frame always
+// has the widest (3-byte) length prefix, so the in-place framing in enc.frame
+// never moves bytes past a referenced blob's offset.
+const refMin = 16 << 10
+
+// enc is an encoding in progress: the bytes in b, with every blob in refs
+// spliced in at its offset. Encode's is flat, so b is the whole payload.
+type enc struct {
+	b    []byte
+	refs []ref
+	refd int  // bytes in refs
+	flat bool // copy every blob into b
+}
+
+// ref is a blob queued by reference, which belongs at offset at of b.
+type ref struct {
+	at int
+	p  []byte
+}
 
 func (e *enc) uvarint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
 func (e *enc) varint(v int64)   { e.b = binary.AppendVarint(e.b, v) }
-func (e *enc) bytes(p []byte)   { e.uvarint(uint64(len(p))); e.b = append(e.b, p...) }
 func (e *enc) str(s string)     { e.uvarint(uint64(len(s))); e.b = append(e.b, s...) }
 func (e *enc) boolean(v bool)   { e.b = append(e.b, b2u(v)) }
+func (e *enc) float(v float64)  { e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(v)) }
 
-// float renders v in place behind a one-byte length ('g'/-1 never needs more
-// than 24 characters), the same bytes as str(FormatFloat(v)).
-func (e *enc) float(v float64) {
-	at := len(e.b)
-	e.b = strconv.AppendFloat(append(e.b, 0), v, 'g', -1, 64)
-	e.b[at] = byte(len(e.b) - at - 1)
+func (e *enc) bytes(p []byte) {
+	e.uvarint(uint64(len(p)))
+	if e.flat || len(p) < refMin {
+		e.b = append(e.b, p...)
+		return
+	}
+	e.refs = append(e.refs, ref{len(e.b), p})
+	e.refd += len(p)
 }
+
+// size is the encoded length, referenced blobs included.
+func (e *enc) size() int { return len(e.b) + e.refd }
 
 func b2u(v bool) byte {
 	if v {
@@ -281,14 +312,12 @@ func (d *dec) boolean(field string) (bool, error) {
 }
 
 func (d *dec) float(field string) (float64, error) {
-	p, err := d.raw(field)
-	if err != nil {
-		return 0, err
+	d.field = field
+	if len(d.b) < 8 {
+		return 0, d.fail("float needs 8 bytes, %d remain", len(d.b))
 	}
-	v, err := strconv.ParseFloat(string(p), 64)
-	if err != nil {
-		return 0, d.fail("float %q: %v", p, err)
-	}
+	v := math.Float64frombits(binary.LittleEndian.Uint64(d.b))
+	d.b = d.b[8:]
 	return v, nil
 }
 
@@ -323,14 +352,15 @@ const (
 // shared by concurrent senders through write combining (see the package
 // doc). After a failed write every Queue, Flush and Send returns that error.
 type Conn struct {
-	mu      sync.Mutex // guards pending, queued, taken and err; never held across a Write
-	pending enc        // encoded frames awaiting the next Write
+	mu      sync.Mutex // guards pending, queued, taken and err; never held across a write
+	pending enc        // encoded frames awaiting the next write
 	queued  uint64     // frames ever appended to pending: the last one's ticket
-	taken   uint64     // the ticket up to which a Write has taken them
+	taken   uint64     // the ticket up to which a write has taken them
 	err     error      // first write error, sticky
 
-	wmu sync.Mutex // held across a Write; guards out
-	out []byte     // the batch being written, swapped with pending
+	wmu sync.Mutex  // held across a write; guards out and iov
+	out enc         // the batch being written, swapped with pending
+	iov net.Buffers // out's bytes and blobs in stream order, for a gathered write
 	w   io.Writer
 
 	r    frameReader
@@ -366,8 +396,10 @@ func (c *Conn) Send(m Msg) error {
 }
 
 // Queue appends m's frame to the pending buffer without writing and returns
-// the bytes now pending. A message that does not encode leaves the buffer
-// as it was. Safe for concurrent use.
+// the bytes now pending. A blob of refMin bytes or more is queued by
+// reference: it must not change until a Flush that carries it returns. A
+// message that does not encode leaves the buffer as it was. Safe for
+// concurrent use.
 func (c *Conn) Queue(m Msg) (int, error) {
 	_, size, err := c.queue(m)
 	return size, err
@@ -384,14 +416,14 @@ func (c *Conn) queue(m Msg) (ticket uint64, size int, err error) {
 	if err = c.pending.frame(m); err == nil {
 		c.queued++
 	}
-	return c.queued, len(c.pending.b), err
+	return c.queued, c.pending.size(), err
 }
 
-// Flush writes everything pending in one Write (the ticket no write has
+// Flush writes everything pending in one write (the ticket no write has
 // taken: only an empty buffer stops it).
 func (c *Conn) Flush() error { return c.flush(^uint64(0)) }
 
-// flush writes everything pending in one Write unless the frame with this
+// flush writes everything pending in one write unless the frame with this
 // ticket has already been taken. Whoever holds the socket takes every frame
 // queued so far, so a caller whose frame is gone knows a writer before it
 // carried it — and set the sticky error before releasing the socket if that
@@ -402,23 +434,51 @@ func (c *Conn) flush(ticket uint64) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	c.mu.Lock()
-	if c.err != nil || c.taken >= ticket || len(c.pending.b) == 0 {
+	if c.err != nil || c.taken >= ticket || c.pending.size() == 0 {
 		err := c.err
 		c.mu.Unlock()
 		return err
 	}
-	c.pending.b, c.out = c.out[:0], c.pending.b
+	c.pending, c.out = c.out, c.pending
 	c.taken = c.queued
 	c.mu.Unlock()
-	_, err := c.w.Write(c.out)
-	if cap(c.out) > keepBytes {
-		c.out = nil
-	}
+	err := c.write()
 	if err != nil {
 		err = fmt.Errorf("wire: writing frames: %w", err)
 		c.mu.Lock()
 		c.err = err
 		c.mu.Unlock()
+	}
+	return err
+}
+
+// write puts the batch in out on the socket — in one Write, or, when it
+// references blobs, gathered with them in stream order — and empties out,
+// keeping no reference to a blob. A writer that cannot gather (anything but a
+// socket) receives a gathered batch one piece per Write.
+func (c *Conn) write() error {
+	out := &c.out
+	var err error
+	if len(out.refs) == 0 {
+		_, err = c.w.Write(out.b)
+	} else {
+		iov, at := c.iov[:0], 0
+		for _, r := range out.refs {
+			iov = append(iov, out.b[at:r.at], r.p)
+			at = r.at
+		}
+		if at < len(out.b) {
+			iov = append(iov, out.b[at:])
+		}
+		c.iov = iov
+		_, err = c.iov.WriteTo(c.w) // consumes c.iov; iov keeps the array
+		clear(iov)
+		clear(out.refs)
+		c.iov, out.refs, out.refd = iov[:0], out.refs[:0], 0
+	}
+	out.b = out.b[:0]
+	if cap(out.b) > keepBytes {
+		out.b = nil
 	}
 	return err
 }

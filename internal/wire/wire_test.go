@@ -6,19 +6,21 @@ import (
 	"errors"
 	"io"
 	"math"
-	"reflect"
+	"strings"
 	"testing"
 )
 
 // allMessages is one exemplar per message type, with special floats where
 // telemetry can legitimately carry them (the serve quarantine strikes on
-// NaN samples, so the wire must deliver them intact).
+// NaN samples, so the wire must deliver them intact) and a -0 and a NaN with
+// payload bits, which only a bit-exact float encoding round-trips.
 func allMessages() []Msg {
 	return []Msg{
 		&Hello{Role: RoleAgent, ID: "s01", Server: 1},
 		&Hello{Role: RoleClient},
 		&Welcome{Servers: 2, Users: 8, ID: "s01"},
 		&Heartbeat{Time: 12.25},
+		&Heartbeat{Time: math.Copysign(0, -1)},
 		&Allocation{
 			Epoch: 7, UplinkBps: 2.4e7, RTT: 0.004,
 			Entries: []AllocEntry{
@@ -33,6 +35,7 @@ func allMessages() []Msg {
 		&InferResult{Seq: 41, User: 3, Status: StatusOK, UplinkSec: 0.02, QueueSec: 0.001, ServerSec: 0.008},
 		&Telemetry{Time: 30, UplinkBps: 8e6, Healthy: true},
 		&Telemetry{Time: math.NaN(), UplinkBps: math.Inf(1), Healthy: false},
+		&Telemetry{Time: math.Float64frombits(0xfff4_dead_beef_0001), UplinkBps: math.Inf(-1)},
 		&Request{Seq: 9, User: 2},
 		&Response{Seq: 9, User: 2, Status: StatusOK, Server: 1,
 			DeviceSec: 0.01, UplinkSec: 0.02, QueueSec: 0, ServerSec: 0.005, TotalSec: 0.035},
@@ -41,23 +44,20 @@ func allMessages() []Msg {
 	}
 }
 
-// floatsEqual treats NaN == NaN: the codec must round-trip specials.
-func msgsEqual(a, b Msg) bool {
-	// Normalize NaNs by comparing formatted forms via reflect on the
-	// concrete structs; reflect.DeepEqual already treats NaN != NaN, so
-	// special-case Telemetry (the only message that may carry specials).
-	ta, ok := a.(*Telemetry)
-	if ok {
-		tb, ok := b.(*Telemetry)
-		if !ok {
-			return false
-		}
-		eq := func(x, y float64) bool {
-			return x == y || (math.IsNaN(x) && math.IsNaN(y))
-		}
-		return eq(ta.Time, tb.Time) && eq(ta.UplinkBps, tb.UplinkBps) && ta.Healthy == tb.Healthy
+// sameEncoding reports whether got re-encodes to exactly the payload want
+// encodes to. Every field is on the wire and every float is its bits, so this
+// is field equality with NaN equal to itself, payload bits and all.
+func sameEncoding(t *testing.T, want, got Msg) bool {
+	t.Helper()
+	a, err := Encode(want)
+	if err != nil {
+		t.Fatalf("encode %T: %v", want, err)
 	}
-	return reflect.DeepEqual(a, b)
+	b, err := Encode(got)
+	if err != nil {
+		t.Fatalf("re-encode %T: %v", got, err)
+	}
+	return bytes.Equal(a, b)
 }
 
 func TestRoundTripAllMessages(t *testing.T) {
@@ -70,8 +70,29 @@ func TestRoundTripAllMessages(t *testing.T) {
 		if err != nil {
 			t.Fatalf("decode %T: %v", m, err)
 		}
-		if !msgsEqual(m, got) {
+		if !sameEncoding(t, m, got) {
 			t.Fatalf("round trip %T: sent %+v got %+v", m, m, got)
+		}
+	}
+}
+
+// TestFloatIsEightBytes: a float is its 8 bits, little-endian, and a float
+// cut short is refused naming its field.
+func TestFloatIsEightBytes(t *testing.T) {
+	v := math.Float64frombits(0x7ff0_0000_0000_0001) // a signalling NaN
+	payload, err := Encode(&Heartbeat{Time: v})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []byte{byte(TypeHeartbeat), 0x01, 0, 0, 0, 0, 0, 0xf0, 0x7f}
+	if !bytes.Equal(payload, want) {
+		t.Fatalf("Heartbeat{NaN 0x7ff0000000000001} encodes to % x, want % x", payload, want)
+	}
+	for cut := 1; cut < len(payload); cut++ {
+		_, err := Decode(payload[:cut])
+		var de *DecodeError
+		if !errors.As(err, &de) || de.Field != "heartbeat time" {
+			t.Fatalf("a float cut to %d bytes: got %v, want a *DecodeError on heartbeat time", cut-1, err)
 		}
 	}
 }
@@ -95,7 +116,7 @@ func TestRoundTripOverConn(t *testing.T) {
 		if err != nil {
 			t.Fatalf("recv (want %T): %v", want, err)
 		}
-		if !msgsEqual(want, got) {
+		if !sameEncoding(t, want, got) {
 			t.Fatalf("over conn: sent %+v got %+v", want, got)
 		}
 	}
@@ -110,14 +131,19 @@ func TestForeignMagicRejected(t *testing.T) {
 	}
 }
 
+// TestWrongVersionRejected: a peer still speaking version 1 (string floats,
+// copied blobs) is refused at the header, and the error names both versions.
 func TestWrongVersionRejected(t *testing.T) {
 	var buf bytes.Buffer
 	buf.WriteString(Magic)
-	buf.WriteByte(99) // uvarint version 99
+	buf.WriteByte(1) // uvarint version 1
 	err := ReadHeader(bufio.NewReader(&buf))
 	var de *DecodeError
 	if !errors.As(err, &de) {
 		t.Fatalf("wrong version: got %v, want *DecodeError", err)
+	}
+	if !strings.Contains(err.Error(), "version 1, want 2") {
+		t.Fatalf("wrong version: %q does not name both versions", err)
 	}
 }
 
@@ -196,16 +222,29 @@ func TestUnknownTypeRejected(t *testing.T) {
 }
 
 func TestLyingCollectionCountRejected(t *testing.T) {
-	// An Allocation claiming 2^40 entries in a 16-byte payload must be
-	// refused before allocation.
-	e := &enc{}
-	e.uvarint(uint64(TypeAllocation))
-	e.uvarint(1)       // epoch
-	e.float(1e6)       // uplink
-	e.float(0)         // rtt
-	e.uvarint(1 << 40) // entry count lie
-	if _, err := Decode(e.b); err == nil {
+	// An Allocation header claiming count entries, followed by rest zero bytes.
+	lie := func(count uint64, rest int) []byte {
+		e := &enc{}
+		e.uvarint(uint64(TypeAllocation))
+		e.uvarint(1) // epoch
+		e.float(1e6) // uplink
+		e.float(0)   // rtt
+		e.uvarint(count)
+		return append(e.b, make([]byte, rest)...)
+	}
+	// 2^40 entries and no bytes for them must be refused before allocation.
+	if _, err := Decode(lie(1<<40, 0)); err == nil {
 		t.Fatal("lying entry count decoded successfully")
+	}
+	// So must 2 entries in 53 bytes, which a bound of 8 bytes an entry would
+	// let through: an entry is at least 27 (two varints, an exit count and
+	// three floats), so the count itself is refused, before the make.
+	var de *DecodeError
+	if _, err := Decode(lie(2, 2*27-1)); !errors.As(err, &de) || de.Field != "allocation entries" {
+		t.Fatalf("2 entries in %d bytes: got %v, want a *DecodeError on allocation entries", 2*27-1, err)
+	}
+	if _, err := Decode(lie(2, 2*27)); err != nil {
+		t.Fatalf("2 zero entries in %d bytes: %v", 2*27, err)
 	}
 }
 
