@@ -21,13 +21,15 @@
 //     response's latency decomposition.
 //
 // Time is modelled on one Clock (clock.go). Device prefix, activation
-// transfer and suffix service are each a wait for an absolute model instant
-// counted from the request's arrival, and the stage seconds a response
-// carries are differences of those instants. By default the clock is the wall
-// clock scaled by TimeScale — one model-second costs TimeScale wall-seconds,
-// so CI runs a faithful 60-model-second workload in ~1s — with deadlines kept
-// by internal/pace; a test substitutes a clock it advances by hand. Nothing
-// else in the package may sleep (TestNoStraySleeps).
+// transfer and suffix service each end at an absolute model instant counted
+// from the request's arrival, and the stage seconds a response carries are
+// differences of those instants. A request is a record that whoever holds
+// its next event (a clock callback, a read loop, a timeout) continues; no
+// goroutine waits on its behalf. By default the clock is the wall clock
+// scaled by TimeScale — one model-second costs TimeScale wall-seconds, so CI
+// runs a faithful 60-model-second workload in ~1s — with deadlines kept by
+// internal/pace; a test substitutes a clock it advances by hand. Nothing else
+// in the package may sleep (TestNoStraySleeps).
 package agent
 
 import (
@@ -126,7 +128,7 @@ type userSlot struct {
 // Agent is a running edge-server agent.
 type Agent struct {
 	cfg   Config
-	conn  *wire.Conn
+	ob    *outbox // every frame to the dispatcher, results first among them
 	clock Clock
 
 	// slots is the installed service table: an immutable snapshot handleInfer
@@ -137,10 +139,21 @@ type Agent struct {
 	epoch uint64
 }
 
+// newAgent starts the outbox writer on conn; shutting the outbox ends both.
 func newAgent(cfg Config, conn *wire.Conn) *Agent {
-	a := &Agent{cfg: cfg, conn: conn, clock: orWall(cfg.Clock, cfg.timeScale())}
+	a := &Agent{cfg: cfg, ob: newOutbox(conn, nil, agentQueue, 0), clock: orWall(cfg.Clock, cfg.timeScale())}
 	a.slots.Store(&map[int]*userSlot{})
+	go a.ob.run()
 	return a
+}
+
+// send queues one frame for the dispatcher. An outbox that cannot take it —
+// full, or its writer dead — ends the connection, which the dispatcher
+// evacuates like any lost agent: a result is never dropped silently.
+func (a *Agent) send(m wire.Msg) {
+	if !a.ob.enqueue(m) {
+		a.ob.shut(errOutboxDead)
+	}
 }
 
 // Run dials the dispatcher and serves until the connection drops or ctx is
@@ -182,6 +195,7 @@ func Run(ctx context.Context, cfg Config) error {
 	cfg.logf("agent %s: registered for server %d at %s", cfg.id(), cfg.Server, cfg.Dispatcher)
 
 	a := newAgent(cfg, conn)
+	defer a.ob.shut(nil)
 
 	// Unblock the read loop when ctx is cancelled.
 	done := make(chan struct{})
@@ -193,7 +207,7 @@ func Run(ctx context.Context, cfg Config) error {
 		case <-done:
 		}
 	}()
-	go a.telemetryLoop(ctx)
+	go a.telemetryLoop()
 
 	for {
 		m, err := conn.Recv()
@@ -207,16 +221,12 @@ func Run(ctx context.Context, cfg Config) error {
 		case *wire.Allocation:
 			if err := a.install(m); err != nil {
 				cfg.logf("agent %s: refusing allocation epoch %d: %v", cfg.id(), m.Epoch, err)
-				if serr := conn.Send(&wire.ErrorMsg{Text: err.Error()}); serr != nil {
-					return serr
-				}
+				a.send(&wire.ErrorMsg{Text: err.Error()})
 				continue
 			}
-			if err := conn.Send(&wire.AllocAck{Epoch: m.Epoch}); err != nil {
-				return err
-			}
+			a.send(&wire.AllocAck{Epoch: m.Epoch})
 		case *wire.Infer:
-			go a.handleInfer(m)
+			a.handleInfer(m)
 		case *wire.Heartbeat:
 			// Liveness probe; telemetry already flows the other way.
 		default:
@@ -302,19 +312,20 @@ func (a *Agent) install(alloc *wire.Allocation) error {
 
 func (a *Agent) slot(user int) *userSlot { return (*a.slots.Load())[user] }
 
-// handleInfer executes one suffix inference: the modeled activation
-// transfer, then the user's GPU share (same-user FIFO; distinct users hold
-// disjoint shares and overlap freely). Every instant is model time counted
-// from the Infer's arrival, so the wait for the transfer running late
-// shortens the wait for the service, and QueueSec is the exact backlog the
-// request found. The activation is on loan from the connection's receive
-// frames until the result is sent.
+// handleInfer admits one suffix inference, on the read loop, as two clock
+// events: at sent, the end of the modelled activation transfer, it claims the
+// user's GPU share (same-user FIFO by sent, not by arrival; distinct users
+// hold disjoint shares and overlap freely), and at finish it queues the
+// result. Every instant is model time counted from the Infer's arrival, so
+// a late transfer event shortens the service wait, and QueueSec is the exact
+// backlog the request found. The activation is on loan from the connection's
+// receive frames until the result is queued.
 func (a *Agent) handleInfer(m *wire.Infer) {
-	defer m.Release()
 	arrive := a.clock.Now()
 	slot := a.slot(m.User)
 	if slot == nil {
-		_ = a.conn.Send(&wire.InferResult{Seq: m.Seq, User: m.User, Status: wire.StatusRejected})
+		m.Release()
+		a.send(&wire.InferResult{Seq: m.Seq, User: m.User, Status: wire.StatusRejected})
 		return
 	}
 	uplinkSec := 0.0
@@ -326,29 +337,25 @@ func (a *Agent) handleInfer(m *wire.Infer) {
 		uplinkSec = slot.condUplinkBits / rate
 	}
 	sent := arrive + uplinkSec
-	a.clock.WaitUntil(sent)
-
-	slot.mu.Lock()
-	start := max(sent, slot.nextFree)
-	finish := start + slot.condServerSec
-	slot.nextFree = finish
-	slot.mu.Unlock()
-	a.clock.WaitUntil(finish)
-
-	_ = a.conn.Send(&wire.InferResult{
-		Seq:       m.Seq,
-		User:      m.User,
-		Status:    wire.StatusOK,
-		UplinkSec: uplinkSec,
-		QueueSec:  start - sent,
-		ServerSec: slot.condServerSec,
+	res := &wire.InferResult{Seq: m.Seq, User: m.User, Status: wire.StatusOK, UplinkSec: uplinkSec, ServerSec: slot.condServerSec}
+	a.clock.At(sent, func() {
+		slot.mu.Lock()
+		start := max(sent, slot.nextFree)
+		finish := start + slot.condServerSec
+		slot.nextFree = finish
+		slot.mu.Unlock()
+		res.QueueSec = start - sent
+		a.clock.At(finish, func() {
+			m.Release()
+			a.send(res)
+		})
 	})
 }
 
 // telemetryLoop streams link-rate observations back to the dispatcher,
 // stamped on the model clock; the samples double as liveness heartbeats. The
 // cadence is off the request path and stays a wall ticker.
-func (a *Agent) telemetryLoop(ctx context.Context) {
+func (a *Agent) telemetryLoop() {
 	link := a.cfg.Scenario.Servers[a.cfg.Server].Link
 	period := time.Duration(a.cfg.telemetryPeriod() * a.cfg.timeScale() * float64(time.Second))
 	if period < time.Millisecond {
@@ -358,14 +365,11 @@ func (a *Agent) telemetryLoop(ctx context.Context) {
 	defer tick.Stop()
 	for {
 		select {
-		case <-ctx.Done():
+		case <-a.ob.done: // the connection is over, ctx cancelled or not
 			return
 		case <-tick.C:
 			t := a.clock.Now()
-			sample := &wire.Telemetry{Time: t, UplinkBps: link.RateAt(t), Healthy: true}
-			if err := a.conn.Send(sample); err != nil {
-				return
-			}
+			a.send(&wire.Telemetry{Time: t, UplinkBps: link.RateAt(t), Healthy: true})
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"net"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -95,7 +96,7 @@ func testPlane(t *testing.T, sc *joint.Scenario, policy serve.Policy) (*Dispatch
 }
 
 // dialClient opens a client connection to the dispatcher.
-func dialClient(t *testing.T, addr string) *wire.Conn {
+func dialClient(t testing.TB, addr string) *wire.Conn {
 	t.Helper()
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -243,6 +244,7 @@ func TestSameUserRequestsSerialize(t *testing.T) {
 	agentSide, peer := wirePair(t)
 	clock := newFakeClock()
 	a := newAgent(Config{Scenario: sc, Server: 0, Clock: clock}, agentSide)
+	t.Cleanup(func() { a.ob.shut(nil) })
 	// Full offload (partition 0) has CrossProb 1, so the conditional server
 	// time is deterministic and strictly positive.
 	push := func(epoch uint64, computeShare float64) error {
@@ -276,7 +278,7 @@ func TestSameUserRequestsSerialize(t *testing.T) {
 
 	const n = 4
 	for i := uint64(1); i <= n; i++ {
-		go a.handleInfer(&wire.Infer{Seq: i, User: 0})
+		a.handleInfer(&wire.Infer{Seq: i, User: 0})
 	}
 	clock.awaitBlocked(t, n) // each has its place in the queue and waits for its finish
 	if got := a.slot(0).nextFree; got != n*s {
@@ -295,17 +297,15 @@ func TestSameUserRequestsSerialize(t *testing.T) {
 	if got := a.slot(0).nextFree; got != n*s {
 		t.Fatalf("install moved the backlog: share frees at %v, want %v", got, n*s)
 	}
-	go a.handleInfer(&wire.Infer{Seq: n + 1, User: 0})
+	a.handleInfer(&wire.Infer{Seq: n + 1, User: 0})
 	clock.awaitBlocked(t, 1)
 
-	seen := map[uint64]bool{}
 	for k := 1; k <= n; k++ {
 		clock.advance(float64(k) * s)
 		res := recv() // the only request whose finish the clock has reached
-		if seen[res.Seq] || res.Seq > n {
-			t.Fatalf("step %d answered request %d", k, res.Seq)
+		if res.Seq != uint64(k) {
+			t.Fatalf("step %d answered request %d: the share is claimed in arrival order", k, res.Seq)
 		}
-		seen[res.Seq] = true
 		if want := float64(k-1) * s; res.QueueSec != want || res.UplinkSec != 0 || res.ServerSec != s {
 			t.Errorf("request served %d: uplink %v queue %v server %v, want 0, %v (%d x s), %v",
 				k, res.UplinkSec, res.QueueSec, res.ServerSec, want, k-1, s)
@@ -326,6 +326,52 @@ func TestSameUserRequestsSerialize(t *testing.T) {
 	}
 	if err := a.install(bad); err == nil {
 		t.Fatal("oversubscribed allocation (Σ compute 1.4) was accepted")
+	}
+}
+
+// TestLaneClaimedAtSentNotArrival: a user's share is claimed in the order
+// transfers end, not the order Infers arrive. On a link that speeds up
+// twentyfold at model instant s, request 1 arrives at 0 and transfers until
+// 2s, request 2 arrives at s and is sent at 1.1s: it takes the share first
+// and finds it free, and request 1 queues behind it until 2.1s.
+func TestLaneClaimedAtSentNotArrival(t *testing.T) {
+	sc := testScenario(t, 2, 40)
+	agentSide, peer := wirePair(t)
+	clock := newFakeClock()
+	a := newAgent(Config{Scenario: sc, Server: 0, Clock: clock}, agentSide)
+	t.Cleanup(func() { a.ob.shut(nil) })
+	err := a.install(&wire.Allocation{
+		Epoch: 1, UplinkBps: netmodel.Mbps(40), RTT: 0.004,
+		Entries: []wire.AllocEntry{{User: 0, Partition: 0, ComputeShare: 0.5, BandwidthShare: 0.5}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slot := a.slot(0)
+	bits, s := slot.condUplinkBits, slot.condServerSec
+	if bits <= 0 || s <= 0 {
+		t.Fatalf("full-offload slot has %g bits and %g s of service, want both > 0", bits, s)
+	}
+	sc.Servers[0].Link, err = netmodel.NewTrace("speeds-up", []float64{0, s}, []float64{bits / (2 * s), bits / (0.1 * s)}, 0.004)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.handleInfer(&wire.Infer{Seq: 1, User: 0})
+	clock.advance(s)
+	a.handleInfer(&wire.Infer{Seq: 2, User: 0})
+	clock.awaitBlocked(t, 2)
+	for clock.earliest() < math.Inf(1) {
+		clock.advance(clock.earliest())
+	}
+	for i, want := range []uint64{2, 1} {
+		m, err := peer.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := m.(*wire.InferResult)
+		if res.Seq != want || (want == 2) != (res.QueueSec == 0) || res.QueueSec < 0 {
+			t.Errorf("result %d: request %d queued %v; want request %d, queued only if it is request 1", i+1, res.Seq, res.QueueSec, want)
+		}
 	}
 }
 
@@ -674,4 +720,67 @@ func BenchmarkAgentInfer64k(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkDispatcherRequests: the request path end to end in one process —
+// a raw client keeping 32 requests in flight on one connection, the
+// dispatcher, and an in-process agent.Run per server, on loopback with zero
+// physics, round robin over users whose requests answer locally and cross.
+// Besides allocs/op (client, dispatcher and agents together) it reports
+// frames/flush, the frames one dispatcher write carries
+// (dataplane.frames_flushed / dataplane.flushes), and crossed/op.
+func BenchmarkDispatcherRequests(b *testing.B) {
+	const inflight, zeroPhysics = 32, 1e-9
+	sc := testScenario(b, 4, 40)
+	rt, err := serve.New(serve.Config{Scenario: sc, Policy: serve.NeverReplan()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := StartDispatcher(DispatcherConfig{Scenario: sc, Runtime: rt, TimeScale: zeroPhysics, Seed: 42})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	var agents sync.WaitGroup
+	for s := range sc.Servers {
+		agents.Add(1)
+		go func() {
+			defer agents.Done()
+			_ = Run(ctx, Config{Scenario: sc, Server: s, Dispatcher: d.Addr(), TimeScale: zeroPhysics, TelemetryPeriod: 1e15})
+		}()
+	}
+	b.Cleanup(func() { cancel(); d.Close(); agents.Wait(); rt.Close() })
+	if err := d.WaitAgents(len(sc.Servers), 10*time.Second); err != nil {
+		b.Fatal(err)
+	}
+	conn := dialClient(b, d.Addr())
+	flushes, frames := rt.Metrics().Counter("dataplane.flushes"), rt.Metrics().Counter("dataplane.frames_flushed")
+	slots := make(chan struct{}, inflight)
+	b.ReportAllocs()
+	b.ResetTimer()
+	flushes0, frames0 := flushes.Value(), frames.Value()
+	go func() {
+		for i := 0; i < b.N; i++ {
+			slots <- struct{}{}
+			if conn.Send(&wire.Request{Seq: uint64(i + 1), User: i % len(sc.Users)}) != nil {
+				return // the Recv below fails too
+			}
+		}
+	}()
+	crossed := 0
+	for i := 0; i < b.N; i++ {
+		m, err := conn.Recv()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if resp, ok := m.(*wire.Response); !ok || resp.Status != wire.StatusOK {
+			b.Fatalf("expected an OK Response, got %+v", m)
+		} else if resp.Server >= 0 {
+			crossed++
+		}
+		<-slots
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(frames.Value()-frames0)/float64(flushes.Value()-flushes0), "frames/flush")
+	b.ReportMetric(float64(crossed)/float64(b.N), "crossed/op")
 }

@@ -9,27 +9,31 @@ import (
 
 // Clock is model time: the one clock every modelled wait of the plane is on.
 // A stage does not sleep for its duration; it computes the model instant at
-// which it ends, from the instant the request arrived, and waits for that.
-// Lateness in one wait (a scheduler hiccup, a timer's overshoot) then comes
-// out of the next one instead of being added to it, and the stage seconds a
-// response reports are differences of model instants, not measurements.
+// which it ends, from the instant the request arrived, and schedules what
+// follows at that instant. Lateness in one stage (a scheduler hiccup, a
+// timer's overshoot) then comes out of the next one instead of being added
+// to it, and the stage seconds a response reports are differences of model
+// instants, not measurements.
 //
 // Both Config and DispatcherConfig carry one; every binary leaves it nil and
 // gets the wall clock scaled by TimeScale. The interface exists so a test can
-// put the plane on a clock it advances by hand (fakeClock in the tests).
+// put the plane on a clock it advances by hand (fakeClock in the tests); it
+// has sim.Engine's shape.
 type Clock interface {
 	// Now is the current model instant, in model-seconds from an origin of
 	// the clock's choosing.
 	Now() float64
-	// WaitUntil returns once Now() >= t; at once if it already is.
-	WaitUntil(t float64)
+	// At runs fn once Now() >= t: on the caller, before At returns, if it
+	// already is, and otherwise later on a goroutine of the clock's. fn must
+	// not block; it may call At.
+	At(t float64, fn func())
 }
 
 // wallClock is model time as scaled wall time: scale wall-seconds to the
 // model-second, counted from the clock's creation. Deadlines are kept by
-// pace.Until, so a wait is late by the kernel's timer, not the runtime's, and
-// a wait that is already due — every wait at the benchmark's zero-physics
-// scale — costs two clock readings.
+// pace.At, so a stage ends late by the kernel's timer, not the runtime's, and
+// one that is already due — every stage at the benchmark's zero-physics
+// scale — costs two clock readings and runs on the caller.
 type wallClock struct {
 	origin time.Time
 	scale  float64
@@ -50,7 +54,7 @@ func orWall(c Clock, timeScale float64) Clock {
 
 func (c *wallClock) Now() float64 { return time.Since(c.origin).Seconds() / c.scale }
 
-func (c *wallClock) WaitUntil(t float64) {
-	// Rounded up, so that Now() >= t holds on return.
-	pace.Until(c.origin.Add(time.Duration(math.Ceil(t * c.scale * float64(time.Second)))))
+func (c *wallClock) At(t float64, fn func()) {
+	// Rounded up, so that Now() >= t holds when fn runs.
+	pace.At(c.origin.Add(time.Duration(math.Ceil(t*c.scale*float64(time.Second)))), fn)
 }

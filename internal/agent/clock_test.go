@@ -7,7 +7,8 @@ import (
 	"go/token"
 	"math"
 	"path/filepath"
-	"sort"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -19,27 +20,29 @@ import (
 	"edgesurgeon/internal/wire"
 )
 
-// fakeClock is model time that moves only when the test says so. A wait
-// that is not due blocks and announces itself on blocked, so the test knows
-// when the plane has come to rest and what it is waiting for; advance then
-// moves the clock and releases whoever is due. Stage seconds measured on it
-// are exact: nothing in them comes from a scheduler or a timer.
+// fakeClock is model time that moves only when the test says so. An event
+// that is not due is recorded and announces itself on blocked, so the test
+// knows when the plane has come to rest and what it waits for; advance then
+// moves the clock and runs whatever is due, on the test's goroutine, in
+// (instant, scheduling) order. Stage seconds measured on it are exact, and
+// the order in which events of one instant run is the order they were
+// scheduled in: nothing in either comes from a scheduler or a timer.
 type fakeClock struct {
-	blocked chan struct{} // one token per wait that blocked
+	blocked chan struct{} // one token per event scheduled ahead of now
 
-	mu      sync.Mutex
-	now     float64
-	waiting []fakeWait
+	mu     sync.Mutex
+	now    float64
+	events []fakeEvent // in scheduling order
 }
 
-type fakeWait struct {
+type fakeEvent struct {
 	t  float64
-	ch chan struct{}
+	fn func()
 }
 
-// newFakeClock's blocked has room for more waits than any test leaves
-// outstanding, so a wait never blocks on announcing itself.
-func newFakeClock() *fakeClock { return &fakeClock{blocked: make(chan struct{}, 64)} }
+// newFakeClock's blocked has room for more events than any test leaves
+// outstanding, so scheduling one never blocks on announcing it.
+func newFakeClock() *fakeClock { return &fakeClock{blocked: make(chan struct{}, 256)} }
 
 func (c *fakeClock) Now() float64 {
 	c.mu.Lock()
@@ -47,54 +50,63 @@ func (c *fakeClock) Now() float64 {
 	return c.now
 }
 
-func (c *fakeClock) WaitUntil(t float64) {
+func (c *fakeClock) At(t float64, fn func()) {
 	c.mu.Lock()
 	if t <= c.now {
 		c.mu.Unlock()
+		fn()
 		return
 	}
-	w := fakeWait{t, make(chan struct{})}
-	c.waiting = append(c.waiting, w)
+	c.events = append(c.events, fakeEvent{t, fn})
 	c.mu.Unlock()
 	c.blocked <- struct{}{}
-	<-w.ch
 }
 
-// advance moves the clock to t and releases every wait due by then.
+// advance moves the clock to t, running every event due by then: the
+// earliest first, events of one instant in scheduling order, the clock
+// reading each event's instant while it runs, and an event scheduled by one
+// of them in its turn.
 func (c *fakeClock) advance(t float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = t
-	kept := c.waiting[:0]
-	for _, w := range c.waiting {
-		if w.t <= t {
-			close(w.ch)
-		} else {
-			kept = append(kept, w)
+	for {
+		c.mu.Lock()
+		next := -1
+		for i, e := range c.events {
+			if e.t <= t && (next < 0 || e.t < c.events[next].t) {
+				next = i
+			}
 		}
+		if next < 0 {
+			c.now = t
+			c.mu.Unlock()
+			return
+		}
+		e := c.events[next]
+		c.events = slices.Delete(c.events, next, next+1)
+		c.now = e.t
+		c.mu.Unlock()
+		e.fn()
 	}
-	c.waiting = kept
 }
 
-// earliest is the soonest instant anybody waits for.
+// earliest is the soonest instant anything is scheduled for.
 func (c *fakeClock) earliest() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	t := math.Inf(1)
-	for _, w := range c.waiting {
-		t = min(t, w.t)
+	for _, e := range c.events {
+		t = min(t, e.t)
 	}
 	return t
 }
 
-// awaitBlocked returns once n more waits have blocked.
+// awaitBlocked returns once n more events have been scheduled ahead of now.
 func (c *fakeClock) awaitBlocked(t *testing.T, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		select {
 		case <-c.blocked:
 		case <-time.After(10 * time.Second):
-			t.Fatalf("only %d of %d expected waits reached the clock", i, n)
+			t.Fatalf("only %d of %d expected events reached the clock", i, n)
 		}
 	}
 }
@@ -154,24 +166,25 @@ func TestNoStraySleeps(t *testing.T) {
 }
 
 // TestWallClockKeepsModelDeadlines: the default clock maps model instants
-// onto scaled wall time — a wait returns at or after its instant, by both
-// clocks, and a due one does not block.
+// onto scaled wall time — an event runs at or after its instant, by both
+// clocks, and a due one runs on the caller before At returns.
 func TestWallClockKeepsModelDeadlines(t *testing.T) {
 	const scale = 0.01
 	c := newWallClock(scale)
 	t0 := time.Now()
 	from := c.Now()
-	c.WaitUntil(from + 0.5) // 5 ms of wall clock
-	if got := c.Now(); got < from+0.5 {
-		t.Errorf("WaitUntil(%g) returned at model time %g", from+0.5, got)
+	ran := make(chan float64, 1)
+	c.At(from+0.5, func() { ran <- c.Now() }) // 5 ms of wall clock
+	if got := <-ran; got < from+0.5 {
+		t.Errorf("At(%g) ran at model time %g", from+0.5, got)
 	}
 	if wall := time.Since(t0); wall < 5*time.Millisecond || wall > time.Second {
 		t.Errorf("0.5 model-seconds at scale %g took %v of wall clock, want ~5ms", scale, wall)
 	}
-	t0 = time.Now()
-	c.WaitUntil(from)
-	if wall := time.Since(t0); wall > time.Millisecond {
-		t.Errorf("a due wait took %v", wall)
+	due := false
+	c.At(from, func() { due = true })
+	if !due {
+		t.Error("a due event had not run when At returned")
 	}
 }
 
@@ -319,20 +332,26 @@ func stageSeconds(t *testing.T) []*wire.Response {
 	stages(burstUser, 4, c)
 	collect(4)
 
-	// Which request of a burst takes which place in the queue is the
-	// scheduler's choice; the places themselves are not.
-	burst := out[len(out)-4:]
-	sort.Slice(burst, func(i, j int) bool { return burst[i].TotalSec < burst[j].TotalSec })
-	for _, resp := range burst {
-		resp.Seq = 0
+	// The burst's crossing requests leave the queue in the order they took
+	// their places, which is the order they arrived in.
+	var last *wire.Response
+	for _, resp := range out[len(out)-4:] {
+		if resp.Server < 0 {
+			continue
+		}
+		if last != nil && (resp.Seq <= last.Seq || resp.QueueSec <= last.QueueSec) {
+			t.Fatalf("request %d left the queue after %d with queue %v after %v", resp.Seq, last.Seq, resp.QueueSec, last.QueueSec)
+		}
+		last = resp
 	}
 	return out
 }
 
 // TestStageSecondsExactOnFakeClock: on a hand-advanced clock every response
 // decomposes exactly — device + uplink + queue + service is the total, bit
-// for bit — a burst queues on the user's share, and a second run of the same
-// schedule on a fresh plane reproduces every float of every response.
+// for bit — a burst queues on the user's share in arrival order, and a second
+// run of the same schedule on a fresh plane reproduces every response, which
+// request took which place in the queue included.
 func TestStageSecondsExactOnFakeClock(t *testing.T) {
 	first := stageSeconds(t)
 	fourStage, queued := 0, 0
@@ -363,5 +382,59 @@ func TestStageSecondsExactOnFakeClock(t *testing.T) {
 			bits(a.TotalSec) != bits(b.TotalSec) {
 			t.Errorf("response %d differs between two runs of one schedule:\n %+v\n %+v", i, a, b)
 		}
+	}
+}
+
+// TestNoGoroutinePerRequest: a request waiting on the clock is a record, not
+// a goroutine. Sixteen crossing requests held at their agent's lane and 64
+// whose device prefix is not yet due leave the process's goroutine count
+// where it was at rest, give or take a few; a plane that parks a goroutine
+// per waiting request grows by 80.
+func TestNoGoroutinePerRequest(t *testing.T) {
+	sc := testScenario(t, 4, 40)
+	clock := newFakeClock()
+	d, conn := fakePlane(t, sc, clock)
+	plan := d.plan.Load()
+	prefix, crossing := -1, -1
+	for u := range plan.Decisions {
+		dec := &plan.Decisions[u]
+		if dec.Eval.DeviceSec > 0 && prefix < 0 {
+			prefix = u
+		}
+		if dec.Server >= 0 && dec.Eval.CrossProb > 0 && crossing < 0 {
+			crossing = u
+		}
+	}
+	if prefix < 0 || crossing < 0 {
+		t.Fatalf("the plan has no user with a device prefix (%d) or none that offloads (%d)", prefix, crossing)
+	}
+	send := func(user int, seq uint64) {
+		t.Helper()
+		if err := conn.Send(&wire.Request{Seq: seq, User: user}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rest := runtime.NumGoroutine()
+
+	seq := uint64(0)
+	for n := 0; n < 16; {
+		seq++
+		if crossDraw(42, crossing, seq) < plan.Decisions[crossing].Eval.CrossProb {
+			send(crossing, seq)
+			n++
+		}
+	}
+	if plan.Decisions[crossing].Eval.DeviceSec > 0 {
+		clock.awaitBlocked(t, 16)
+		clock.advance(clock.earliest())
+	}
+	clock.awaitBlocked(t, 16) // each has reached its agent and waits for its transfer to end
+	for i := 0; i < 64; i++ {
+		seq++
+		send(prefix, seq)
+	}
+	clock.awaitBlocked(t, 64)
+	if grew := runtime.NumGoroutine() - rest; grew > 4 {
+		t.Errorf("80 requests waiting on the clock grew the process by %d goroutines, want <= 4", grew)
 	}
 }

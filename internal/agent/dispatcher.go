@@ -70,9 +70,10 @@ type DispatcherConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// agentQueue bounds each agent connection's outbound queue (allocation
-// pushes + Infer handoffs). Overflow marks the agent suspect: an agent that
-// cannot drain this many frames is not serving.
+// agentQueue bounds the outbound queue at each end of an agent connection
+// (allocation pushes + Infer handoffs; results, acks, telemetry). Overflow
+// ends the connection and the agent is evacuated: a peer that cannot drain
+// this many frames is not serving.
 const agentQueue = 256
 
 // handshakeTimeout bounds the header + Hello/Welcome exchange so a peer
@@ -130,28 +131,43 @@ type agentConn struct {
 	suspectOnce sync.Once
 
 	mu      sync.Mutex
-	pending map[uint64]chan *wire.InferResult
-	acked   bool // has acknowledged at least one allocation push
+	pending map[uint64]*call // Infers awaiting their InferResult, by Infer Seq
+	acked   bool             // has acknowledged at least one allocation push
 }
 
 // clientConn is one registered client: its connection, its bounded outbound
 // queue, and its shed-strike standing.
 type clientConn struct {
-	conn    *wire.Conn
-	ob      *outbox
-	strikes atomic.Int64
-	dropped atomic.Bool
+	conn     *wire.Conn
+	ob       *outbox
+	strikes  atomic.Int64
+	dropped  atomic.Bool
+	inflight sync.WaitGroup // requests read and not yet answered
 }
 
-// failPending aborts every in-flight Infer on this agent.
-func (ac *agentConn) failPending() {
+// call is one client request in flight: a record, not a goroutine. Whoever
+// holds its next event continues it — the clock at its device instant, the
+// agent read loop with its InferResult, its Infer's timeout, the teardown of
+// its agent — and every path ends in deliver.
+type call struct {
+	resp    wire.Response // the answer, filled in stage by stage
+	cc      *clientConn
+	dec     *joint.Decision // the routing decision the next stage follows
+	retried bool
+	timer   *time.Timer // the InferTimeout of the Infer in flight
+}
+
+// take removes the call an Infer is pending for, and stops its timeout; nil
+// means another path already took it. Whoever takes a call finishes it.
+func (ac *agentConn) take(seq uint64) *call {
 	ac.mu.Lock()
-	pending := ac.pending
-	ac.pending = map[uint64]chan *wire.InferResult{}
+	c := ac.pending[seq]
+	delete(ac.pending, seq)
 	ac.mu.Unlock()
-	for _, ch := range pending {
-		close(ch)
+	if c != nil {
+		c.timer.Stop()
 	}
+	return c
 }
 
 // Dispatcher is the wire-facing control/data plane head: it accepts agent
@@ -409,7 +425,7 @@ func (d *Dispatcher) handleConn(nc net.Conn) {
 		_ = nc.SetDeadline(time.Time{}) // per-frame write deadlines take over
 		ac := &agentConn{
 			conn: conn, id: hello.ID, server: hello.Server,
-			pending: map[uint64]chan *wire.InferResult{},
+			pending: map[uint64]*call{},
 		}
 		ac.ob = newOutbox(conn, nc, agentQueue, d.cfg.writeDeadline())
 		ac.ob.onTrip = d.cDeadlineTrips.Inc
@@ -513,13 +529,8 @@ readLoop:
 				d.mu.Unlock()
 			}
 		case *wire.InferResult:
-			ac.mu.Lock()
-			ch := ac.pending[m.Seq]
-			delete(ac.pending, m.Seq)
-			ac.mu.Unlock()
-			if ch != nil {
-				ch <- m
-				close(ch)
+			if c := ac.take(m.Seq); c != nil {
+				d.suffixDone(c, m, nil)
 			}
 		case *wire.Heartbeat:
 		case *wire.Hello:
@@ -584,10 +595,10 @@ func (d *Dispatcher) suspectAgent(ac *agentConn, err error) {
 
 // onAgentDown deregisters a lost agent, aborts its in-flight work, and
 // routes the disconnect through the fault machinery: a health sample whose
-// cheap-refresh path runs the dispatcher's evacuation/fallback.
+// cheap-refresh path runs the dispatcher's evacuation/fallback. The agent
+// leaves the table before its calls fail, so their retries do not find it.
 func (d *Dispatcher) onAgentDown(ac *agentConn) {
 	ac.conn.Close()
-	ac.failPending()
 	d.mu.Lock()
 	replaced := (*d.agents.Load())[ac.server] != ac
 	if !replaced {
@@ -595,6 +606,14 @@ func (d *Dispatcher) onAgentDown(ac *agentConn) {
 	}
 	closed := d.closed
 	d.mu.Unlock()
+	ac.mu.Lock()
+	pending := ac.pending
+	ac.pending = map[uint64]*call{}
+	ac.mu.Unlock()
+	for _, c := range pending {
+		c.timer.Stop()
+		d.suffixDone(c, nil, fmt.Errorf("agent %s disconnected mid-request", ac.id))
+	}
 	if replaced || closed {
 		return
 	}
@@ -769,11 +788,12 @@ func (d *Dispatcher) rateForLocked(server int) float64 {
 	return d.meanRates[server]
 }
 
-// serveClient pumps one client connection: each Request is executed
-// concurrently against the live plan and its Response delivered through the
-// client's bounded outbox. A client that stops reading can therefore stall
-// only its own writer goroutine; once its queue overflows, responses are
-// shed (dataplane.client_shed) and, past the strike limit, the connection is
+// serveClient pumps one client connection: each Request is started on the
+// read loop (execute) and its Response, once its events have run, delivered
+// through the client's bounded outbox, which is shut only after the last.
+// A client that stops reading can therefore stall only its own writer
+// goroutine; once its queue overflows, responses are shed
+// (dataplane.client_shed) and, past the strike limit, the connection is
 // dropped (dataplane.clients_dropped).
 func (d *Dispatcher) serveClient(cc *clientConn) {
 	conn := cc.conn
@@ -795,7 +815,6 @@ func (d *Dispatcher) serveClient(cc *clientConn) {
 		defer d.wg.Done()
 		cc.ob.run()
 	}()
-	var wg sync.WaitGroup
 readLoop:
 	for {
 		m, err := conn.Recv()
@@ -804,11 +823,7 @@ readLoop:
 		}
 		switch m := m.(type) {
 		case *wire.Request:
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				d.deliver(cc, d.execute(m))
-			}()
+			d.execute(cc, m)
 		case *wire.Hello:
 			d.cfg.logf("dispatcher: client sent duplicate Hello; disconnecting")
 			d.rejectDuplicateHello(cc.ob)
@@ -818,7 +833,7 @@ readLoop:
 			d.cfg.logf("dispatcher: client sent unexpected %T", m)
 		}
 	}
-	wg.Wait()
+	cc.inflight.Wait()
 	cc.ob.shut(nil)
 	conn.Close()
 }
@@ -833,10 +848,12 @@ func (d *Dispatcher) rejectDuplicateHello(ob *outbox) {
 	_ = ob.conn.Send(&wire.ErrorMsg{Text: "duplicate Hello on a live connection"})
 }
 
-// deliver queues one response on the client's outbox, applying the shed /
-// strike / disconnect policy on overflow.
-func (d *Dispatcher) deliver(cc *clientConn, resp *wire.Response) {
-	if cc.ob.enqueue(resp) {
+// deliver queues c's response on the client's outbox, applying the shed /
+// strike / disconnect policy on overflow. It is the end of every call.
+func (d *Dispatcher) deliver(c *call) {
+	cc := c.cc
+	defer cc.inflight.Done()
+	if cc.ob.enqueue(&c.resp) {
 		return
 	}
 	if d.closing() {
@@ -850,107 +867,101 @@ func (d *Dispatcher) deliver(cc *clientConn, resp *wire.Response) {
 	}
 }
 
-// execute runs one end-to-end request against the live plan: the simulated
-// device prefix, a Bernoulli(CrossProb) draw for whether this task crosses
-// the partition, and — when it crosses — the suffix handoff to the assigned
+// execute starts one end-to-end request against the live plan: the
+// simulated device prefix ends at a model instant counted from the arrival,
+// where a Bernoulli(CrossProb) draw decides whether this task crosses the
+// partition and — when it does — the suffix is handed off to the assigned
 // agent. The sampled stage times are conditional expectations at the plan's
 // shares, so the mean observed latency equals the plan's expected latency
 // exactly.
-func (d *Dispatcher) execute(req *wire.Request) *wire.Response {
+func (d *Dispatcher) execute(cc *clientConn, req *wire.Request) {
 	arrive := d.clock.Now()
 	d.cRequests.Inc()
-	sc := d.cfg.Scenario
-	if req.User < 0 || req.User >= len(sc.Users) {
+	cc.inflight.Add(1)
+	c := &call{cc: cc, resp: wire.Response{Seq: req.Seq, User: req.User, Server: -1}}
+	if req.User < 0 || req.User >= len(d.cfg.Scenario.Users) {
 		d.cFailed.Inc()
-		return &wire.Response{Seq: req.Seq, User: req.User, Status: wire.StatusRejected, Server: -1}
+		c.resp.Status = wire.StatusRejected
+		d.deliver(c)
+		return
 	}
-	plan := d.plan.Load()
-	dec := &plan.Decisions[req.User]
-
-	// Device prefix: done at a model instant counted from the arrival.
-	deviceSec := dec.Eval.DeviceSec
-	d.clock.WaitUntil(arrive + deviceSec)
-
-	resp := &wire.Response{Seq: req.Seq, User: req.User, Status: wire.StatusOK, Server: -1, DeviceSec: deviceSec}
-	cross := dec.Server >= 0 && dec.Eval.CrossProb > 0 &&
-		crossDraw(d.cfg.Seed, req.User, req.Seq) < dec.Eval.CrossProb
-	if !cross {
-		resp.TotalSec = deviceSec
-		d.cOK.Inc()
-		return resp
-	}
-
-	res, server, err := d.remoteSuffix(dec, req)
-	if err != nil {
-		// The plan may have shifted under us (evacuation); retry once
-		// against the refreshed decision before giving up.
-		d.cRetries.Inc()
-		fresh := d.plan.Load()
-		dec = &fresh.Decisions[req.User]
-		if dec.Server < 0 || dec.Eval.CrossProb <= 0 {
-			// Evacuated to device-only: the task completes locally.
-			resp.TotalSec = deviceSec
-			d.cOK.Inc()
-			return resp
+	c.dec = &d.plan.Load().Decisions[req.User]
+	c.resp.DeviceSec = c.dec.Eval.DeviceSec
+	d.clock.At(arrive+c.resp.DeviceSec, func() {
+		if dec := c.dec; dec.Server >= 0 && dec.Eval.CrossProb > 0 &&
+			crossDraw(d.cfg.Seed, c.resp.User, c.resp.Seq) < dec.Eval.CrossProb {
+			d.remoteSuffix(c)
+		} else {
+			d.finishLocal(c)
 		}
-		res, server, err = d.remoteSuffix(dec, req)
-	}
-	if err != nil {
-		d.cfg.logf("dispatcher: request %d (user %d): %v", req.Seq, req.User, err)
-		d.cFailed.Inc()
-		return &wire.Response{Seq: req.Seq, User: req.User, Status: wire.StatusFailed, Server: dec.Server, DeviceSec: deviceSec}
-	}
-	resp.Server = server
-	resp.UplinkSec = sc.Servers[server].RTT + res.UplinkSec
-	resp.QueueSec = res.QueueSec
-	resp.ServerSec = res.ServerSec
-	resp.TotalSec = deviceSec + resp.UplinkSec + resp.QueueSec + resp.ServerSec
-	d.cOK.Inc()
-	return resp
+	})
 }
 
-// remoteSuffix hands the device-prefix result off to the decision's agent
-// and awaits the per-stage timings.
-func (d *Dispatcher) remoteSuffix(dec *joint.Decision, req *wire.Request) (*wire.InferResult, int, error) {
-	server := dec.Server
-	ac := (*d.agents.Load())[server]
+// finishLocal answers a call whose task never crossed the partition.
+func (d *Dispatcher) finishLocal(c *call) {
+	c.resp.TotalSec = c.resp.DeviceSec
+	d.cOK.Inc()
+	d.deliver(c)
+}
+
+// remoteSuffix hands c's device-prefix result off to its decision's agent.
+// The agent's InferResult, the timeout, or the agent's teardown continues c
+// in suffixDone; so does a handoff that fails here.
+func (d *Dispatcher) remoteSuffix(c *call) {
+	dec := c.dec
+	ac := (*d.agents.Load())[dec.Server]
 	if ac == nil {
-		return nil, server, fmt.Errorf("no agent connected for server %d", server)
+		d.suffixDone(c, nil, fmt.Errorf("no agent connected for server %d", dec.Server))
+		return
 	}
 	seq := d.seq.Add(1)
-	ch := make(chan *wire.InferResult, 1)
 	ac.mu.Lock()
-	ac.pending[seq] = ch
+	ac.pending[seq] = c
+	c.timer = time.AfterFunc(d.cfg.inferTimeout(), func() {
+		if ac.take(seq) != nil {
+			d.suffixDone(c, nil, fmt.Errorf("agent %s timed out after %v", ac.id, d.cfg.inferTimeout()))
+		}
+	})
 	ac.mu.Unlock()
-	infer := &wire.Infer{
-		Seq:       seq,
-		User:      req.User,
-		DeviceSec: dec.Eval.DeviceSec,
-		Payload:   activationPayload(dec),
+	infer := &wire.Infer{Seq: seq, User: c.resp.User, DeviceSec: dec.Eval.DeviceSec, Payload: activationPayload(dec)}
+	if err := d.sendAgent(ac, infer); err != nil && ac.take(seq) != nil {
+		d.suffixDone(c, nil, fmt.Errorf("sending to agent %s: %w", ac.id, err))
 	}
-	if err := d.sendAgent(ac, infer); err != nil {
-		ac.mu.Lock()
-		delete(ac.pending, seq)
-		ac.mu.Unlock()
-		return nil, server, fmt.Errorf("sending to agent %s: %w", ac.id, err)
+}
+
+// suffixDone continues c with its agent's answer, or with err when there was
+// none. A failed handoff is retried once against the refreshed plan — it may
+// have shifted under the request (evacuation) — before the call fails.
+func (d *Dispatcher) suffixDone(c *call, res *wire.InferResult, err error) {
+	if err == nil && res.Status != wire.StatusOK {
+		err = fmt.Errorf("agent for server %d returned status %d", c.dec.Server, res.Status)
 	}
-	timer := time.NewTimer(d.cfg.inferTimeout())
-	defer timer.Stop()
-	select {
-	case res, ok := <-ch:
-		if !ok {
-			return nil, server, fmt.Errorf("agent %s disconnected mid-request", ac.id)
+	if err != nil && !c.retried {
+		c.retried = true
+		d.cRetries.Inc()
+		c.dec = &d.plan.Load().Decisions[c.resp.User]
+		if c.dec.Server < 0 || c.dec.Eval.CrossProb <= 0 {
+			d.finishLocal(c) // evacuated to device-only: the task completes locally
+			return
 		}
-		if res.Status != wire.StatusOK {
-			return nil, server, fmt.Errorf("agent %s returned status %d", ac.id, res.Status)
-		}
-		return res, server, nil
-	case <-timer.C:
-		ac.mu.Lock()
-		delete(ac.pending, seq)
-		ac.mu.Unlock()
-		return nil, server, fmt.Errorf("agent %s timed out after %v", ac.id, d.cfg.inferTimeout())
+		d.remoteSuffix(c)
+		return
 	}
+	resp := &c.resp
+	if err != nil {
+		d.cfg.logf("dispatcher: request %d (user %d): %v", resp.Seq, resp.User, err)
+		d.cFailed.Inc()
+		resp.Status, resp.Server = wire.StatusFailed, c.dec.Server
+		d.deliver(c)
+		return
+	}
+	resp.Server = c.dec.Server
+	resp.UplinkSec = d.cfg.Scenario.Servers[resp.Server].RTT + res.UplinkSec
+	resp.QueueSec = res.QueueSec
+	resp.ServerSec = res.ServerSec
+	resp.TotalSec = resp.DeviceSec + resp.UplinkSec + resp.QueueSec + resp.ServerSec
+	d.cOK.Inc()
+	d.deliver(c)
 }
 
 // activationPayload builds the stand-in device-prefix blob: sized like the

@@ -11,21 +11,21 @@ import (
 	"edgesurgeon/internal/wire"
 )
 
-// errOutboxDead is the terminal error an outbox records when it is shut for
-// a reason other than a transport failure (queue overflow past the strike
-// limit, dispatcher shutdown).
+// errOutboxDead is the terminal error an agent shuts its outbox with when a
+// frame does not fit: the queue is full, or its writer already gone.
 var errOutboxDead = errors.New("agent: outbound queue closed")
 
 // outbox is one connection's bounded outbound queue, drained by a single
 // writer goroutine that moves whatever is queued (up to wire.BatchBytes) into
 // the connection and flushes it with one write under one deadline. Between
 // receiving the first frame of a batch and draining the rest it yields the
-// processor once (wire.Conn's rule: queue, yield, write), so the request
-// goroutines one batched read just spawned enqueue their responses before the
-// write instead of paying one write each. It is the
-// dispatcher's backpressure boundary: enqueue never blocks, so a peer whose
+// processor once (wire.Conn's rule: queue, yield, write), so the answers a
+// read loop gives to one batched read, or the clock callbacks one deadline
+// runs, are queued before the write instead of paying one write each. It is
+// the plane's backpressure boundary: enqueue never blocks, so a peer whose
 // socket has stopped absorbing bytes can stall only its own writer — never a
-// request handler, the telemetry ingest loop, or an allocation push.
+// read loop, a clock callback, the telemetry ingest loop, or an allocation
+// push.
 //
 // What happens on pressure is the caller's policy: enqueue returns false on
 // overflow (the dispatcher sheds a client response, or marks an agent

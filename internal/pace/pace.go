@@ -14,8 +14,10 @@
 // What it costs is CPU: a kernel sleep is a sleep/wake cycle, so a paced wait
 // takes some 0.1 ms of CPU more than the time.Sleep it replaces.
 //
-// Until is wall time only. Model time (agent.Clock) is built on it, and a
-// load generator pacing its own sends can use it directly.
+// Its one kind of waiter is a callback, run outside the heap lock (it may
+// call At) and never blocking (later deadlines wait behind it); Until is At
+// plus a channel. Both are wall time only: model time (agent.Clock) is built
+// on At, and a load generator pacing its own sends can use Until directly.
 package pace
 
 import (
@@ -41,18 +43,30 @@ const (
 )
 
 // Until blocks until the wall clock reads t or later. A t that is already
-// due returns at once: no lock, no allocation, no pacer.
+// due returns at once after one reading of the monotonic clock (for a t
+// derived from time.Now): no lock, no allocation, no pacer.
 func Until(t time.Time) {
-	if !time.Now().Before(t) {
-		return
+	if time.Until(t) > 0 {
+		ch := make(chan struct{})
+		global.at(t, func() { close(ch) })
+		<-ch
 	}
-	global.wait(t)
 }
 
-// waiter is one blocked Until call; the pacer closes ch at its deadline.
+// At runs fn once the wall clock reads t: on the caller, before At returns,
+// when t is already due, and otherwise on the pacer goroutine at t.
+func At(t time.Time, fn func()) {
+	if time.Until(t) > 0 {
+		global.at(t, fn)
+	} else {
+		fn()
+	}
+}
+
+// waiter is one callback the pacer runs at its deadline.
 type waiter struct {
 	at time.Time
-	ch chan struct{}
+	fn func()
 }
 
 // deadlines is a min-heap of waiters by deadline.
@@ -81,13 +95,15 @@ type pacer struct {
 	// wake tells a pacer that is idle or behind a runtime timer that the
 	// earliest deadline changed; one pending token is all it needs.
 	wake chan struct{}
+	// due holds the callbacks one release runs; the pacer goroutine's own.
+	due []func()
 }
 
 var global = pacer{wake: make(chan struct{}, 1)}
 
-func (p *pacer) wait(t time.Time) {
+func (p *pacer) at(t time.Time, fn func()) {
 	p.start.Do(func() { go p.run() })
-	w := &waiter{at: t, ch: make(chan struct{})}
+	w := &waiter{at: t, fn: fn}
 	p.mu.Lock()
 	heap.Push(&p.heap, w)
 	earliest := p.heap[0] == w
@@ -98,22 +114,27 @@ func (p *pacer) wait(t time.Time) {
 		default:
 		}
 	}
-	<-w.ch
 }
 
-// release pops every waiter due at now, and reports whether there was one
-// and how long until the next (negative: nobody waits).
+// release runs every callback due at now, after letting go of the heap lock,
+// and reports whether there was one and, when there was not, how long until
+// the next deadline (negative: nobody waits).
 func (p *pacer) release(now time.Time) (released bool, next time.Duration) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	for len(p.heap) > 0 && !p.heap[0].at.After(now) {
-		close(heap.Pop(&p.heap).(*waiter).ch)
-		released = true
+		p.due = append(p.due, heap.Pop(&p.heap).(*waiter).fn)
 	}
-	if len(p.heap) == 0 {
-		return released, -1
+	next = -1
+	if len(p.heap) > 0 {
+		next = p.heap[0].at.Sub(now)
 	}
-	return released, p.heap[0].at.Sub(now)
+	p.mu.Unlock()
+	for _, fn := range p.due {
+		fn()
+	}
+	clear(p.due)
+	released, p.due = len(p.due) > 0, p.due[:0]
+	return released, next
 }
 
 func (p *pacer) run() {
@@ -129,8 +150,8 @@ func (p *pacer) run() {
 		released, next := p.release(time.Now())
 		switch {
 		case released:
-			// The released waiters sit on this thread's run queue. Let them
-			// run before it blocks in the kernel again.
+			// What the callbacks woke sits on this thread's run queue: let it
+			// run before the thread blocks in the kernel again, then look again.
 			runtime.Gosched()
 		case next < 0:
 			<-p.wake

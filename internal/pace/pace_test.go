@@ -85,11 +85,58 @@ func TestEarlierDeadlineWhileSlicing(t *testing.T) {
 }
 
 // TestDueDeadlineSkipsThePacer: a wait that is already due (zero physics)
-// touches neither the heap nor the allocator.
+// touches neither the heap nor the allocator, and a due callback runs on the
+// caller before At returns.
 func TestDueDeadlineSkipsThePacer(t *testing.T) {
 	past := time.Now()
 	if n := testing.AllocsPerRun(1000, func() { Until(past) }); n != 0 {
 		t.Errorf("a due wait allocates %v times, want 0", n)
+	}
+	ran := false
+	At(past, func() { ran = true })
+	if !ran {
+		t.Error("a due callback had not run when At returned")
+	}
+}
+
+// TestCallbackSchedulesAt: a callback that schedules more work — one At
+// already due, one due before the pacer's next deadline — neither deadlocks
+// the pacer nor is released early. The pacer runs callbacks after letting go
+// of its heap lock; one run under it would hang on the second At.
+func TestCallbackSchedulesAt(t *testing.T) {
+	type release struct {
+		name  string
+		early time.Duration // > 0: released before its deadline
+	}
+	got := make(chan release, 4)
+	at := func(name string, deadline time.Time, then func()) {
+		At(deadline, func() {
+			got <- release{name, time.Until(deadline)}
+			if then != nil {
+				then()
+			}
+		})
+	}
+	far := time.Now().Add(60 * time.Millisecond) // the pacer's next deadline
+	at("far", far, nil)
+	at("first", time.Now().Add(2*time.Millisecond), func() {
+		at("due", time.Now(), nil)
+		at("near", time.Now().Add(5*time.Millisecond), nil)
+	})
+	var order []string
+	for range 4 {
+		select {
+		case r := <-got:
+			if r.early > 0 {
+				t.Errorf("%s released %v before its deadline", r.name, r.early)
+			}
+			order = append(order, r.name)
+		case <-time.After(5 * time.Second):
+			t.Fatalf("released %v, then nothing: the pacer is stuck", order)
+		}
+	}
+	if fmt.Sprint(order) != "[first due near far]" {
+		t.Errorf("released in the order %v, want [first due near far]", order)
 	}
 }
 
