@@ -14,11 +14,13 @@
 //   - Do submits one request and blocks for its response, honoring both the
 //     caller's context and the per-call deadline. Cancellation abandons the
 //     call (the response, if it ever arrives, is discarded) without poisoning
-//     the connection. The default deadline (Config.CallTimeout) is a pooled
-//     timer Do selects on beside ctx.Done(), not a context derived per call;
-//     its expiry reads the same from outside (*CallError wrapping
-//     context.DeadlineExceeded), and a context that carries a deadline of
-//     its own still governs alone.
+//     the connection. A call is a pooled record in the pending map; whoever
+//     removes it (response, expiry, transport loss, cancellation) delivers
+//     its outcome, once, and Do waits on that record alone. The default
+//     deadline (Config.CallTimeout) is one timer per client armed at the
+//     earliest deadline in flight; its expiry is a *CallError wrapping
+//     context.DeadlineExceeded, and a context that carries a deadline of its
+//     own still governs alone.
 //   - In-flight requests are bounded by Config.Window, so a caller fanning
 //     out cannot flood the dispatcher's per-connection response queue into
 //     shedding; Do blocks for a window slot (context-cancellable).
@@ -37,7 +39,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"edgesurgeon/internal/wire"
@@ -98,16 +99,35 @@ type Client struct {
 	nc      net.Conn
 	welcome wire.Welcome
 
-	seq    atomic.Uint64
 	window chan struct{} // in-flight slots
 
 	mu      sync.Mutex
-	pending map[uint64]chan *wire.Response
-	dead    error // set once the read loop exits; nil while live
-	closed  bool  // Close was called (dead becomes ErrClosed)
+	seq     uint64
+	pending map[uint64]*call
+	expiry  *time.Timer // fails expired calls; see expire
+	armed   time.Time   // the deadline expiry is armed for; zero when idle
+	dead    error       // set once the read loop exits; nil while live
+	closed  bool        // Close was called (dead becomes ErrClosed)
 
 	done chan struct{} // closed when the read loop exits
 }
+
+// call is one request in flight. Whoever removes it from Client.pending
+// sends its outcome on ch, under Client.mu; ch holds one, so that send never
+// blocks, and Do receives it exactly once before the record is pooled.
+type call struct {
+	req      wire.Request // Seq and User; sent from here, so it costs no allocation
+	deadline time.Time    // the default deadline; zero when ctx governs alone
+	ch       chan outcome
+}
+
+// outcome is what a call ends with: a response, or a typed error.
+type outcome struct {
+	resp *wire.Response
+	err  error
+}
+
+var callPool = sync.Pool{New: func() any { return &call{ch: make(chan outcome, 1)} }}
 
 // Dial connects to a dispatcher and performs the handshake.
 func Dial(addr string, cfg Config) (*Client, error) {
@@ -154,9 +174,11 @@ func New(nc net.Conn, cfg Config) (*Client, error) {
 			nc:      nc,
 			welcome: *m,
 			window:  make(chan struct{}, cfg.window()),
-			pending: map[uint64]chan *wire.Response{},
+			pending: map[uint64]*call{},
 			done:    make(chan struct{}),
 		}
+		c.expiry = time.AfterFunc(time.Hour, c.expire)
+		c.expiry.Stop() // armed by the first call with a default deadline
 		go c.readLoop()
 		return c, nil
 	case *wire.ErrorMsg:
@@ -182,12 +204,10 @@ func (c *Client) readLoop() {
 		switch m := m.(type) {
 		case *wire.Response:
 			c.mu.Lock()
-			ch := c.pending[m.Seq]
-			delete(c.pending, m.Seq)
-			c.mu.Unlock()
-			if ch != nil {
-				ch <- m
+			if k := c.pending[m.Seq]; k != nil {
+				c.finishLocked(k, outcome{resp: m})
 			}
+			c.mu.Unlock()
 		case *wire.ErrorMsg:
 			cause = fmt.Errorf("dispatcher error: %s", m.Text)
 		case *wire.Heartbeat:
@@ -208,17 +228,47 @@ func (c *Client) readLoop() {
 			c.dead = &DisconnectError{Err: cause}
 		}
 	}
-	orphans := c.pending
-	c.pending = map[uint64]chan *wire.Response{}
+	for _, k := range c.pending {
+		c.finishLocked(k, outcome{err: c.dead})
+	}
+	c.expiry.Stop()
 	c.mu.Unlock()
 	close(c.done)
-	for _, ch := range orphans {
-		close(ch)
+}
+
+// finishLocked removes k from the pending map and delivers its outcome.
+// c.mu is held.
+func (c *Client) finishLocked(k *call, out outcome) {
+	delete(c.pending, k.req.Seq)
+	k.ch <- out
+}
+
+// expire is the expiry timer's callback: it fails every call whose default
+// deadline has passed and re-arms for the earliest one left. pending holds at
+// most Window calls, so the scan is short, and a call that completes in time
+// never touches the timer.
+func (c *Client) expire() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	now := time.Now()
+	c.armed = time.Time{}
+	for _, k := range c.pending {
+		switch {
+		case k.deadline.IsZero():
+		case !k.deadline.After(now):
+			c.finishLocked(k, outcome{err: &CallError{User: k.req.User, Seq: k.req.Seq, Err: context.DeadlineExceeded}})
+		case c.armed.IsZero() || k.deadline.Before(c.armed):
+			c.armed = k.deadline
+		}
+	}
+	if !c.armed.IsZero() {
+		c.expiry.Reset(c.armed.Sub(now))
 	}
 }
 
-// deadErr returns the terminal error once the connection is gone.
-func (c *Client) deadErr() error {
+// deadErr returns the terminal error once the connection is gone or closing,
+// and otherwise while it is live.
+func (c *Client) deadErr(otherwise error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.dead != nil {
@@ -227,7 +277,7 @@ func (c *Client) deadErr() error {
 	if c.closed {
 		return ErrClosed
 	}
-	return nil
+	return otherwise
 }
 
 // Do submits one inference request for user and blocks for its response.
@@ -238,32 +288,30 @@ func (c *Client) deadErr() error {
 // non-OK response status returns *StatusError; transport loss returns
 // *DisconnectError.
 func (c *Client) Do(ctx context.Context, user int) (*wire.Response, error) {
-	// The default deadline is a pooled timer beside ctx.Done(), not a
-	// context derived per call: nil (never ready) when ctx has a deadline
-	// of its own or the default is off.
-	var expired <-chan time.Time
+	// A context that is already done sends nothing: a select would take a
+	// free window slot as often as ctx.Done().
+	if err := ctx.Err(); err != nil {
+		return nil, &CallError{User: user, Err: err}
+	}
+	// The default deadline runs from here, so a window wait counts against
+	// it; a context with a deadline of its own governs alone.
+	var deadline time.Time
 	if d := c.cfg.callTimeout(); d > 0 {
 		if _, has := ctx.Deadline(); !has {
-			t := getTimer(d)
-			defer putTimer(t)
-			expired = t.C
+			deadline = time.Now().Add(d)
 		}
 	}
 
 	// A window slot bounds this client's in-flight requests.
 	select {
 	case c.window <- struct{}{}:
-	case <-ctx.Done():
-		return nil, &CallError{User: user, Err: ctx.Err()}
-	case <-expired:
-		return nil, &CallError{User: user, Err: context.DeadlineExceeded}
-	case <-c.done:
-		return nil, c.deadErr()
+	default:
+		if err := c.waitWindow(ctx, user, deadline); err != nil {
+			return nil, err
+		}
 	}
 	defer func() { <-c.window }()
 
-	seq := c.seq.Add(1)
-	ch := make(chan *wire.Response, 1)
 	c.mu.Lock()
 	if c.dead != nil || c.closed {
 		err := c.dead
@@ -273,61 +321,70 @@ func (c *Client) Do(ctx context.Context, user int) (*wire.Response, error) {
 		}
 		return nil, err
 	}
-	c.pending[seq] = ch
+	c.seq++
+	k := callPool.Get().(*call)
+	k.req, k.deadline = wire.Request{Seq: c.seq, User: user}, deadline
+	c.pending[c.seq] = k
+	if !deadline.IsZero() && (c.armed.IsZero() || deadline.Before(c.armed)) {
+		c.armed = deadline
+		c.expiry.Reset(time.Until(deadline))
+	}
 	c.mu.Unlock()
-	abandon := func() {
-		c.mu.Lock()
-		delete(c.pending, seq)
-		c.mu.Unlock()
-	}
 
-	if err := c.conn.Send(&wire.Request{Seq: seq, User: user}); err != nil {
-		abandon()
-		if dead := c.deadErr(); dead != nil {
-			return nil, dead
+	var out outcome
+	switch err := c.conn.Send(&k.req); {
+	case err != nil:
+		out = c.abandon(k, c.deadErr(&DisconnectError{Err: err}))
+	case ctx.Done() == nil:
+		out = <-k.ch
+	default:
+		select {
+		case out = <-k.ch:
+		case <-ctx.Done():
+			out = c.abandon(k, &CallError{User: user, Seq: k.req.Seq, Err: ctx.Err()})
 		}
-		return nil, &DisconnectError{Err: err}
 	}
+	seq := k.req.Seq
+	callPool.Put(k)
+	if out.err != nil {
+		return nil, out.err
+	}
+	if out.resp.Status != wire.StatusOK {
+		return out.resp, &StatusError{Status: out.resp.Status, User: user, Seq: seq}
+	}
+	return out.resp, nil
+}
 
+// waitWindow blocks for a window slot once the window is full, under ctx, the
+// default deadline (if any) and the connection's life.
+func (c *Client) waitWindow(ctx context.Context, user int, deadline time.Time) error {
+	var expired <-chan time.Time
+	if !deadline.IsZero() {
+		t := time.NewTimer(time.Until(deadline))
+		defer t.Stop()
+		expired = t.C
+	}
 	select {
-	case resp, ok := <-ch:
-		if !ok {
-			return nil, c.deadErr()
-		}
-		if resp.Status != wire.StatusOK {
-			return resp, &StatusError{Status: resp.Status, User: user, Seq: seq}
-		}
-		return resp, nil
+	case c.window <- struct{}{}:
+		return nil
 	case <-ctx.Done():
-		abandon()
-		return nil, &CallError{User: user, Seq: seq, Err: ctx.Err()}
+		return &CallError{User: user, Err: ctx.Err()}
 	case <-expired:
-		abandon()
-		return nil, &CallError{User: user, Seq: seq, Err: context.DeadlineExceeded}
+		return &CallError{User: user, Err: context.DeadlineExceeded}
 	case <-c.done:
-		return nil, c.deadErr()
+		return c.deadErr(nil)
 	}
 }
 
-// timerPool holds stopped timers whose channels are empty.
-var timerPool sync.Pool
-
-func getTimer(d time.Duration) *time.Timer {
-	if t, _ := timerPool.Get().(*time.Timer); t != nil {
-		t.Reset(d)
-		return t
+// abandon ends k on Do's own behalf with err, unless another path removed it
+// from the pending map first, and returns the outcome k ended with.
+func (c *Client) abandon(k *call, err error) outcome {
+	c.mu.Lock()
+	if c.pending[k.req.Seq] == k {
+		c.finishLocked(k, outcome{err: err})
 	}
-	return time.NewTimer(d)
-}
-
-// putTimer pools t only if Stop caught it before it fired. A timer that
-// fired has sent, or is about to send, on its channel (go.mod's timers are
-// the asynchronous kind); it is dropped, so the next call can never be handed
-// one that reads as already expired.
-func putTimer(t *time.Timer) {
-	if t.Stop() {
-		timerPool.Put(t)
-	}
+	c.mu.Unlock()
+	return <-k.ch
 }
 
 // Close tears the connection down. In-flight calls fail with ErrClosed.

@@ -14,7 +14,12 @@ import (
 // TestManyWaitersNoneEarly: 2 000 goroutines wait for seeded random
 // deadlines at once. Every one returns, none before its deadline, and the
 // process grows by the pacer's thread (and at most one the runtime felt like
-// adding), not by a thread per waiter.
+// adding), not by a thread per waiter. Whatever else the host is doing may
+// make the runtime add a thread or two more, so a wave over the bound gets up
+// to two more to average it out over. The runtime never gives a thread back
+// and a later wave reuses what an earlier one created, so the bound is on
+// the growth over all the waves run, not on the best one: a thread per waiter
+// grows by hundreds in the first wave and fails however many follow.
 func TestManyWaitersNoneEarly(t *testing.T) {
 	const n = 2000
 	rng := rand.New(rand.NewSource(1))
@@ -36,15 +41,18 @@ func TestManyWaitersNoneEarly(t *testing.T) {
 	}
 	wave(50) // the pacer's thread and the runtime's own exist before the count
 	threads := pprof.Lookup("threadcreate")
-	before := threads.Count()
-	wave(n)
-	for i, d := range early {
-		if d > 0 {
-			t.Errorf("waiter %d returned %v before its deadline", i, d)
+	before, waves := threads.Count(), 0
+	for waves == 0 || waves < 3 && threads.Count()-before > 2*waves {
+		wave(n)
+		waves++
+		for i, d := range early {
+			if d > 0 {
+				t.Errorf("waiter %d returned %v before its deadline", i, d)
+			}
 		}
 	}
-	if grew := threads.Count() - before; grew > 2 {
-		t.Errorf("%d threads created for %d waiters, want <= 2", grew, n)
+	if grew := threads.Count() - before; grew > 2*waves {
+		t.Errorf("%d threads created for %d waves of %d waiters, want <= 2 a wave", grew, waves, n)
 	}
 }
 
