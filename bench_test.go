@@ -231,10 +231,11 @@ func BenchmarkJointPlan(b *testing.B) {
 	}
 }
 
-// BenchmarkJointPlanFrontier is BenchmarkJointPlan with every surgery table
-// precomputed, so the plan runs no optimizer at all. The table set is
-// built before the timer (once per scenario in production); the measured
-// loop is planning alone, for a direct comparison against BenchmarkJointPlan.
+// BenchmarkJointPlanFrontier is BenchmarkJointPlan on a shared table set:
+// the first iteration fills the cells the plan reads, and every later one
+// runs no optimizer at all — the reuse a replan at unchanged rates gets. The
+// measured loop is planning alone, for a direct comparison against
+// BenchmarkJointPlan.
 func BenchmarkJointPlanFrontier(b *testing.B) {
 	sc := benchScenario(b, 16)
 	set, err := joint.BuildFrontierSet(sc, joint.Options{}, surgery.BuildOptions{})
@@ -251,8 +252,9 @@ func BenchmarkJointPlanFrontier(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildFrontierSet measures eager certification of a whole table set
-// — what a full replan in serve and every cold start pay — on the benchmark's
+// BenchmarkBuildFrontierSet measures registering a whole table set — what a
+// full replan in serve and every cold start pay before planning; no optimizer
+// runs, the plan fills the cells it reads — on the benchmark's
 // control_replay mix: 5 (device, model) classes in front of 4 alternating
 // GPU/CPU servers at 100/70/90/60 Mbit/s, so 5 device-only and 20 server-side
 // tables per iteration, each on a kernel of its own.

@@ -194,7 +194,7 @@ func main() {
 		expectFull   = flag.Int("expect-full-replans", -1, "exit non-zero unless the replay ran exactly this many full replans")
 		httpAddr     = flag.String("http", "", "serve /metrics, /plan and /debug/pprof/ on this address (after the replay, or alongside live mode)")
 		shardThresh  = flag.Int("shard-threshold", 0, "route full replans of scenarios with at least this many users through the hierarchical sharded planner (0 = always monolithic)")
-		frontier     = flag.Bool("frontier", false, "precompute Pareto-frontier surgery tables per planned scenario (see serve.frontier.* metrics): changes speed and the planner.frontier.* hit/miss counters, never the plan")
+		frontier     = flag.Bool("frontier", false, "keep Pareto-frontier surgery tables across plans, one set per planned scenario (see serve.frontier.* metrics): changes speed and the planner.frontier.* hit/miss counters, never the plan")
 
 		snapshotDir = flag.String("snapshot-dir", "", "persist snapshot + WAL state in this directory (crash-safe replay)")
 		recoverRun  = flag.Bool("recover", false, "recover the control plane from -snapshot-dir and continue the trace from where it crashed")

@@ -39,8 +39,8 @@ type Config struct {
 	Listen string
 	// Policy is the serve runtime's replanning policy.
 	Policy serve.Policy
-	// Frontier has the runtime precompute surgery tables (serve.Config.Frontier):
-	// a speed setting, never a different plan.
+	// Frontier has the runtime keep surgery tables across plans
+	// (serve.Config.Frontier): a speed setting, never a different plan.
 	Frontier bool
 	// TimeScale is wall-seconds per model-second for every process.
 	TimeScale float64

@@ -374,8 +374,8 @@ func (m *Model) MaxActBytesThrough(k int) int64 {
 }
 
 // ensureCaches builds all derived read-only caches exactly once. It is safe
-// for concurrent use, which the frontier-table build pool relies on when
-// several goroutines certify tables of one *Model.
+// for concurrent use, which planners on several goroutines sharing a
+// frontier-table set rely on when they fill tables of one *Model.
 func (m *Model) ensureCaches() {
 	m.cacheOnce.Do(func() {
 		n := len(m.Units)

@@ -442,9 +442,9 @@ func TestE23SmallScaleShape(t *testing.T) {
 
 // TestE24SmallShape runs a shrunken E24 frontier study, asserting the
 // report shape, that the parity cross-check passed (parity_ok = 1: the
-// frontier-backed plan was bit-identical to the optimizer-fallback plan),
-// and that every metric key the bench-frontier-smoke guard requires is
-// emitted.
+// replan on the shared set was bit-identical to the plan with no set), that
+// the replan found every cell it read filled (hit_rate_pct = 100), and that
+// every metric key the bench-frontier-smoke guard requires is emitted.
 func TestE24SmallShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("frontier study arms in -short mode")
@@ -466,6 +466,9 @@ func TestE24SmallShape(t *testing.T) {
 	}
 	if r.Metrics["parity_ok"] != 1 {
 		t.Errorf("frontier/optimizer parity failed: %v", r.Notes)
+	}
+	if r.Metrics["hit_rate_pct"] != 100 {
+		t.Errorf("the replan on the filled set hit %g%% of its lookups, want 100", r.Metrics["hit_rate_pct"])
 	}
 	for _, n := range r.Notes {
 		if strings.Contains(n, "WARNING") {

@@ -85,9 +85,9 @@ func e23Scale(bothSizes, shardedSizes []int, nServers, shardThreshold int) (*Rep
 		}
 		shSec := time.Since(t0).Seconds()
 
-		// Frontier arm: same sharded route with precomputed Pareto-frontier
-		// surgery tables answering the per-user subproblems (the table
-		// build is excluded — it amortizes across replans; E24 times it).
+		// Frontier arm: same sharded route on a registered Pareto-frontier
+		// table set, whose cells this plan fills as it reads them
+		// (registration is excluded; E24 times a replan on a filled set).
 		fopt := joint.Options{ShardThreshold: shardThreshold}
 		set, err := joint.BuildFrontierSet(sc, fopt, surgery.BuildOptions{Surgery: fopt.Surgery})
 		if err != nil {

@@ -9,7 +9,8 @@ import (
 )
 
 // budgetTableArms returns the table sets a budget must be indifferent to:
-// none, and full sets built on pools of one and of four goroutines.
+// none, and sets registered at GOMAXPROCS 1 and 4, each filled by the plans
+// that share it.
 func budgetTableArms(t *testing.T, sc *Scenario) []tableArm {
 	t.Helper()
 	arms := []tableArm{{"none", nil}}
@@ -27,8 +28,8 @@ func budgetTableArms(t *testing.T, sc *Scenario) []tableArm {
 
 // TestSurgeryBudgetDeterministicAcrossParallelism pins the property the
 // control plane's replan deadline depends on: the scheduled-surgery-op
-// ledger a plan is charged is the same without tables and with tables built
-// at any pool width, on both planner routes, so a budget either aborts every
+// ledger a plan is charged is the same without tables and on sets however
+// filled, on both planner routes, so a budget either aborts every
 // run of a given (scenario, options) pair or none of them.
 func TestSurgeryBudgetDeterministicAcrossParallelism(t *testing.T) {
 	sc := testScenario(t, 12, 40)

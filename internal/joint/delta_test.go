@@ -83,10 +83,10 @@ func TestDeltaDifferentialGap(t *testing.T) {
 }
 
 // TestDeltaParallelismInvariance pins that a delta replan against a table
-// set built and then extended for the drift (ExtendFrontierSet, the control
-// plane's delta path) on pools of 1, 2 and 4 goroutines is byte-identical at
-// every width — decisions, objective, trajectory, work ledger and hit/miss
-// tally — and that every width adds the same tables.
+// set registered and then extended for the drift (ExtendFrontierSet, the
+// control plane's delta path) at GOMAXPROCS 1, 2 and 4 is byte-identical at
+// every setting — decisions, objective, trajectory, work ledger and hit/miss
+// tally — and that every setting adds the same tables.
 func TestDeltaParallelismInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(8181))
 	for i := 0; i < 4; i++ {

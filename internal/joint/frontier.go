@@ -1,9 +1,7 @@
 package joint
 
 import (
-	"runtime"
 	"sort"
-	"sync"
 
 	"edgesurgeon/internal/surgery"
 )
@@ -11,21 +9,23 @@ import (
 // This file is the planner's one memo for its innermost question — the best
 // surgery for a user at these shares: surgery.Frontier tables over the one
 // geometric share grid (state.env snaps every environment onto it). A key
-// tabulated in Options.Frontiers is answered from the precomputed set;
-// every other key gets a table private to the planning state, whose cells
-// are filled on first query by one optimizer call at that grid point. A
-// filled cell returns exactly what the optimizer would compute there, so
-// which tables were supplied, how wide they were built and the table budget
-// and shard threshold can never change planner output — only how much
-// optimizer work a plan pays for, which the hit/miss tally reports.
+// registered in Options.Frontiers is answered from the set's table, which
+// keeps its cells for every plan that shares the set; every other key gets a
+// table private to the planning state. Either way a cell is filled on its
+// first query by one optimizer call at that grid point. A filled cell
+// returns exactly what the optimizer would compute there, so which tables
+// were registered, which plan filled a cell first, the table budget and the
+// shard threshold can never change planner output — only how much optimizer
+// work a plan pays for, which the hit/miss tally reports.
 
 // tables is one planning state's view of the surgery tables, shared with
-// its cross-check state and discarded with it. Everything here runs on the
-// planning goroutine: the precomputed set is read-only, and the on-demand
-// tables belong to this state alone.
+// its cross-check state and discarded with it. It runs on the planning
+// goroutine: the set's tables may be shared with planners on other goroutines
+// (each table locks its own cells), while the private tables and the tally
+// belong to this state alone.
 type tables struct {
-	set  *surgery.FrontierSet // Options.Frontiers; nil when none were precomputed
-	bo   surgery.BuildOptions // what on-demand tables run the optimizer under
+	set  *surgery.FrontierSet // Options.Frontiers; nil when none was supplied
+	bo   surgery.BuildOptions // what private tables run the optimizer under
 	grid surgery.ShareGrid
 	// hits counts lookups answered from a filled cell, misses the ones that
 	// ran the optimizer.
@@ -39,7 +39,7 @@ type tables struct {
 	// with column 0 the device-only (server -1) environment.
 	slots    []*surgery.Frontier
 	nServers int
-	// own holds the on-demand tables of keys outside set — drifted uplinks
+	// own holds the private tables of keys outside set — drifted uplinks
 	// on the observe path, keys past the table budget, or every key when no
 	// set was supplied. They never enter the long-lived set or its budget.
 	own map[surgery.FrontierKey]*surgery.Frontier
@@ -60,8 +60,8 @@ func newTables(opt *Options, nUsers, nServers int) *tables {
 	return tb
 }
 
-// table resolves a key: the precomputed table when the set holds one, else
-// this state's on-demand table for it.
+// table resolves a key: the set's table when it holds one, else this
+// state's private table for it.
 func (tb *tables) table(k surgery.FrontierKey) (*surgery.Frontier, error) {
 	if tb.set != nil {
 		if t := tb.set.Get(k); t != nil {
@@ -156,43 +156,14 @@ func frontierKeys(sc *Scenario, opt Options, servers []bool, deviceOnly bool) ([
 	return keys, count
 }
 
-// buildFrontiers builds one table per key on a GOMAXPROCS-wide pool — the
-// planner's one fan-out, and the one that pays: each goroutine certifies a
-// table nobody else can see until the set stores it. Build errors are
-// deliberately swallowed per key: a key whose table fails to build (an
-// infeasible constraint) is left to the planner's on-demand table, which
-// surfaces the real error with the user's name attached if a plan lands on
-// an infeasible cell. Callers truncate keys to the set's headroom up front —
-// Build refuses keys at capacity — so which keys get tables is independent
-// of build order and pool width.
-func buildFrontiers(set *surgery.FrontierSet, keys []surgery.FrontierKey) {
-	work := make(chan surgery.FrontierKey, len(keys))
-	for _, k := range keys {
-		work <- k
-	}
-	close(work)
-	workers := min(runtime.GOMAXPROCS(0), len(keys))
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for range workers {
-		go func() {
-			defer wg.Done()
-			for k := range work {
-				_ = set.Build(k)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// BuildFrontierSet precomputes frontier tables for every surgery key the
+// BuildFrontierSet registers a frontier table for every surgery key the
 // planner can probe in sc: for each user, its device-only key plus one key
 // per server at the scenario's planning-time uplink. Keys are deduplicated,
-// ranked by how many users share them (ties by first appearance) and built
-// most-popular-first up to the set's table budget; untabulated keys are
-// filled on demand at plan time, one frontier miss per cell.
-// Construction fans across GOMAXPROCS goroutines; the resulting set is
-// identical at every width.
+// ranked by how many users share them (ties by first appearance) and
+// registered most-popular-first up to the set's table budget; keys past it
+// get tables private to each plan. Registration runs no optimizer: a table
+// fills a cell the first time a plan reads it and keeps it for every later
+// plan that shares the set.
 func BuildFrontierSet(sc *Scenario, opt Options, bo surgery.BuildOptions) (*surgery.FrontierSet, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -203,14 +174,18 @@ func BuildFrontierSet(sc *Scenario, opt Options, bo surgery.BuildOptions) (*surg
 	if budget := set.Budget(); len(keys) > budget {
 		keys = keys[:budget]
 	}
-	buildFrontiers(set, keys)
+	for _, k := range keys {
+		if err := set.Build(k); err != nil {
+			return nil, err
+		}
+	}
 	return set, nil
 }
 
-// ExtendFrontierSet adds frontier tables for the flagged servers' drifted
-// environments to an existing set: one key per (user, flagged server) pair
+// ExtendFrontierSet registers empty tables for the flagged servers' drifted
+// environments in an existing set: one key per (user, flagged server) pair
 // at the scenario's current planning-time uplink, deduplicated, keys already
-// tabulated skipped, and the missing list truncated to the set's remaining
+// registered skipped, and the missing list truncated to the set's remaining
 // table headroom. Device-only keys never drift (they contain no link state)
 // so they are not revisited. Returns the number of tables added.
 func ExtendFrontierSet(set *surgery.FrontierSet, sc *Scenario, opt Options, servers []bool) int {
@@ -228,6 +203,8 @@ func ExtendFrontierSet(set *surgery.FrontierSet, sc *Scenario, opt Options, serv
 	if room := set.Budget() - before; len(missing) > room {
 		missing = missing[:max(room, 0)]
 	}
-	buildFrontiers(set, missing)
+	for _, k := range missing {
+		_ = set.Build(k) // a validated scenario's key within the headroom cannot fail
+	}
 	return set.Len() - before
 }

@@ -7,9 +7,9 @@ import (
 )
 
 // BenchmarkFrontierPlanArms contrasts the two E23 planning arms on one
-// sharded population: tables filled on demand (no set supplied) and a
-// precomputed set. Compare ns/op across the sub-benchmarks to see what the
-// warm-up saves per plan.
+// sharded population: tables private to each plan (no set supplied) and a
+// shared set, which keeps the cells earlier iterations filled. Compare ns/op
+// across the sub-benchmarks to see what reuse across plans saves.
 func BenchmarkFrontierPlanArms(b *testing.B) {
 	const (
 		nUsers         = 192
@@ -28,8 +28,8 @@ func BenchmarkFrontierPlanArms(b *testing.B) {
 		name string
 		opt  Options
 	}{
-		{"on-demand", base},
-		{"precomputed", func() Options { o := base; o.Frontiers = set; return o }()},
+		{"private", base},
+		{"shared", func() Options { o := base; o.Frontiers = set; return o }()},
 	}
 	for _, arm := range arms {
 		b.Run(arm.name, func(b *testing.B) {

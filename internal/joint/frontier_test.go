@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
@@ -66,8 +67,9 @@ func tableArms(t *testing.T, gs goldenScenario) []tableArm {
 // sharded, delta replan, the dispatcher's Observe under drift and under
 // failover — decides bit for bit the same whether the planner is handed no
 // table set, an empty one, a partial one or a full one, and schedules the
-// same number of lookups. Only the split moves: tables turn optimizer runs
-// into hits.
+// same number of lookups. Only the split moves: a set keeps the cells the
+// routes before filled, and a second identical plan on the full set the
+// first one filled runs no optimizer at all.
 func TestFrontierPathMatchesOptimizerPath(t *testing.T) {
 	type outcome struct {
 		dec          string
@@ -126,6 +128,8 @@ func TestFrontierPathMatchesOptimizerPath(t *testing.T) {
 			p, err = d.Observe(up, rates)
 			report = d.Health()
 			record("observe/failover", p, err, &report)
+			p, err = sharded.Plan(gs.sc)
+			record("sharded/again", p, err, nil)
 
 			if ref == nil {
 				ref = got
@@ -146,8 +150,8 @@ func TestFrontierPathMatchesOptimizerPath(t *testing.T) {
 				if arm.name == "empty" && o != want {
 					t.Errorf("%s: tally %d/%d, without tables %d/%d", label, o.hits, o.misses, want.hits, want.misses)
 				}
-				if arm.name == "full" && strings.HasPrefix(route, "mono") && o.misses >= want.misses && want.misses > 0 {
-					t.Errorf("%s: tables saved no optimizer run (%d misses either way)", label, o.misses)
+				if arm.name == "full" && route == "sharded/again" && gs.maxTables == 0 && o.misses != 0 {
+					t.Errorf("%s: %d optimizer runs on the set the first plan filled", label, o.misses)
 				}
 			}
 		}
@@ -159,21 +163,27 @@ func TestFrontierPathMatchesOptimizerPath(t *testing.T) {
 // changes neither — an instrumented planner reports exactly the hits and
 // misses an uninstrumented one does, on the monolithic, sharded and delta
 // routes (whose sub-plans' tallies are published once, not twice), with and
-// without precomputed tables.
+// without a table set. Each planner gets a fresh set of its own: a shared one
+// would hand the second planner the cells the first one filled.
 func TestFrontierCountersAndMetrics(t *testing.T) {
 	sc := testScenario(t, 12, 40)
 	one := driftLink(sc, 0, 0.5)
-	full, err := BuildFrontierSet(sc, Options{}, surgery.BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, set := range []*surgery.FrontierSet{nil, full} {
+	for _, withSet := range []bool{false, true} {
+		fresh := func() *surgery.FrontierSet {
+			if !withSet {
+				return nil
+			}
+			set, err := BuildFrontierSet(sc, Options{}, surgery.BuildOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return set
+		}
 		for _, thresh := range []int{0, 1} {
-			label := fmt.Sprintf("tables=%t thresh=%d", set != nil, thresh)
-			bare := &Planner{Opt: Options{ShardThreshold: thresh, Frontiers: set}}
+			label := fmt.Sprintf("tables=%t thresh=%d", withSet, thresh)
+			bare := &Planner{Opt: Options{ShardThreshold: thresh, Frontiers: fresh()}}
 			reg := telemetry.NewRegistry()
-			inst := &Planner{Opt: bare.Opt}
-			inst.Opt.Metrics = reg
+			inst := &Planner{Opt: Options{ShardThreshold: thresh, Frontiers: fresh(), Metrics: reg}}
 			published := func() (hits, misses int64) {
 				return reg.Counter("planner.frontier.hits").Value(), reg.Counter("planner.frontier.misses").Value()
 			}
@@ -217,10 +227,10 @@ func TestFrontierCountersAndMetrics(t *testing.T) {
 	}
 }
 
-// TestInfeasibleCellSurfacesUserError: an optimizer error on an on-demand
+// TestInfeasibleCellSurfacesUserError: an optimizer error on an unknown
 // cell reaches the caller as the planner's user-named surgery error, whatever
-// tables were supplied (a key that is infeasible anywhere fails to certify,
-// so even a "full" set leaves it to the on-demand table).
+// tables were supplied (an infeasible cell stays unknown in every table, so
+// a full set hands the error back too).
 func TestInfeasibleCellSurfacesUserError(t *testing.T) {
 	sc := testScenario(t, 6, 40)
 	opt := Options{AccuracyFloor: 0.999}
@@ -243,76 +253,61 @@ func TestInfeasibleCellSurfacesUserError(t *testing.T) {
 	}
 }
 
-// atProcs runs f with GOMAXPROCS set to procs — the width of the table-build
-// pool, the planner's one fan-out — and restores the previous setting.
+// atProcs runs f with GOMAXPROCS set to procs and restores the previous
+// setting: no plan field may depend on the core count.
 func atProcs(procs int, f func()) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	f()
 }
 
-// TestBuildFrontierSetDeterminismAndBudget pins the one fan-out's
-// determinism contract: builds of the same scenario on a pool of one and of
-// four goroutines, and two builds on four, hold the same tables — the same
-// keys, entries in the same order, every cell answering the same lookup — at
-// the same probe cost; and a table budget truncates the popularity-ordered
-// key list instead of erroring.
+// TestBuildFrontierSetDeterminismAndBudget pins registration: a set holds an
+// empty table for every key the planner can probe, the same keys build after
+// build, and a table budget keeps the most popular keys instead of erroring.
 func TestBuildFrontierSetDeterminismAndBudget(t *testing.T) {
 	sc := testScenario(t, 10, 40)
-	build := func(procs, maxTables int) (set *surgery.FrontierSet) {
+	build := func(maxTables int) *surgery.FrontierSet {
 		t.Helper()
-		atProcs(procs, func() {
-			var err error
-			set, err = BuildFrontierSet(sc, Options{}, surgery.BuildOptions{MaxTables: maxTables})
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
+		set, err := BuildFrontierSet(sc, Options{}, surgery.BuildOptions{MaxTables: maxTables})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if set.Probes() != 0 {
+			t.Fatalf("registration ran %d optimizer calls", set.Probes())
+		}
 		return set
 	}
-	serial, a, b := build(1, 0), build(4, 0), build(4, 0)
-	keys, _ := frontierKeys(sc, Options{}, nil, true)
-	grid := serial.Grid()
-	for _, other := range []*surgery.FrontierSet{a, b} {
-		if other.Len() != serial.Len() || other.Probes() != serial.Probes() {
-			t.Fatalf("%d tables / %d probes, the one-goroutine build %d / %d",
-				other.Len(), other.Probes(), serial.Len(), serial.Probes())
+	keys, count := frontierKeys(sc, Options{}, nil, true)
+	for _, set := range []*surgery.FrontierSet{build(0), build(0)} {
+		if set.Len() != len(keys) {
+			t.Fatalf("%d tables for %d keys", set.Len(), len(keys))
 		}
 		for ki, k := range keys {
-			want, got := serial.Get(k), other.Get(k)
-			if (want == nil) != (got == nil) {
-				t.Fatalf("key %d tabulated in one build only", ki)
-			}
-			if want == nil {
-				continue
-			}
-			if want.Probes() != got.Probes() || !reflect.DeepEqual(want.Entries(), got.Entries()) {
-				t.Fatalf("key %d: %d entries / %d probes, the one-goroutine build %d / %d",
-					ki, len(got.Entries()), got.Probes(), len(want.Entries()), want.Probes())
-			}
-			for fi := 0; fi < grid.Levels(); fi++ {
-				for bi := 0; bi < grid.Levels(); bi++ {
-					wp, we, wk, werr := want.Lookup(grid.Value(fi), grid.Value(bi))
-					gp, ge, gk, gerr := got.Lookup(grid.Value(fi), grid.Value(bi))
-					if !reflect.DeepEqual(wp, gp) || !reflect.DeepEqual(we, ge) || wk != gk || werr != gerr {
-						t.Fatalf("key %d cell (%d, %d): %v %+v, the one-goroutine build %v %+v", ki, fi, bi, gp, ge, wp, we)
-					}
-				}
+			if set.Get(k) == nil {
+				t.Fatalf("key %d not registered", ki)
 			}
 		}
 	}
-	if serial.Len() < len(sc.Users) {
-		t.Fatalf("only %d tables for %d users across 2 servers", serial.Len(), len(sc.Users))
+	if len(keys) < len(sc.Users) {
+		t.Fatalf("only %d keys for %d users across 2 servers", len(keys), len(sc.Users))
 	}
-	if capped := build(4, 3); capped.Len() != 3 {
+	capped := build(3)
+	if capped.Len() != 3 {
 		t.Fatalf("budget of 3 kept %d tables", capped.Len())
+	}
+	sort.SliceStable(keys, func(a, b int) bool { return count[keys[a]] > count[keys[b]] })
+	for ki, k := range keys[:3] {
+		if capped.Get(k) == nil {
+			t.Fatalf("budget of 3 dropped the key ranked %d", ki)
+		}
 	}
 }
 
-// TestDispatcherFrontierDrift: after an uplink observation drifts the links
-// away from the tabulated keys, the dispatcher must answer the new keys with
-// the optimizer (misses, not stale hits) on tables of its own — the
-// long-lived set and its budget never see a drifted key — and decide exactly
-// what a dispatcher without tables decides.
+// TestDispatcherFrontierDrift: a second dispatcher on the set the first one's
+// initial plan filled plans without a single optimizer call; after an uplink
+// observation drifts the links away from the registered keys, it must answer
+// the new keys with the optimizer (misses, not stale hits) on tables of its
+// own — the long-lived set and its budget never see a drifted key — and
+// decide exactly what a dispatcher without tables decides.
 func TestDispatcherFrontierDrift(t *testing.T) {
 	sc := testScenario(t, 6, 40)
 	opt := Options{}
@@ -320,20 +315,23 @@ func TestDispatcherFrontierDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables, probes := set.Len(), set.Probes()
 	bare, err := NewDispatcher(sc, &Planner{Opt: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt.Frontiers = set
+	if _, err := NewDispatcher(sc, &Planner{Opt: opt}); err != nil {
+		t.Fatal(err)
+	}
 	disp, err := NewDispatcher(sc, &Planner{Opt: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cur := disp.Current(); cur.FrontierHits == 0 || cur.FrontierMisses != 0 {
-		t.Fatalf("initial dispatch tallied %d/%d against a full table set", cur.FrontierHits, cur.FrontierMisses)
+		t.Fatalf("second initial dispatch tallied %d/%d on the set the first one filled", cur.FrontierHits, cur.FrontierMisses)
 	}
-	// Halve both uplinks: every key changes, so no precomputed table applies.
+	tables, probes := set.Len(), set.Probes()
+	// Halve both uplinks: every key changes, so no registered table applies.
 	rates := []float64{20e6 / 8 * 8, 12e6}
 	plan, err := disp.ObserveUplinks(rates)
 	if err != nil {
@@ -350,14 +348,14 @@ func TestDispatcherFrontierDrift(t *testing.T) {
 			plan.FrontierHits, plan.FrontierMisses, want.FrontierHits, want.FrontierMisses)
 	}
 	if set.Len() != tables || set.Probes() != probes {
-		t.Errorf("drifted keys leaked into the precomputed set: %d tables/%d probes, was %d/%d",
+		t.Errorf("drifted keys leaked into the shared set: %d tables/%d probes, was %d/%d",
 			set.Len(), set.Probes(), tables, probes)
 	}
 }
 
 // TestFrontierAccuracyFloorAndEnergyBudget: the constraint knobs must
-// tighten every user's surgery problem identically with precomputed tables,
-// with an empty set and with none.
+// tighten every user's surgery problem identically with a registered table
+// set, with an empty set and with none.
 func TestFrontierAccuracyFloorAndEnergyBudget(t *testing.T) {
 	sc := testScenario(t, 6, 40)
 	for _, tc := range []struct {

@@ -199,9 +199,9 @@ type goldenScenario struct {
 	sc    *Scenario
 	opt   Options // scenario-level constraints (accuracy floor, ...)
 	large bool
-	// maxTables caps the frontier set (0 = default budget): table builds
-	// dominate this test's runtime, and a partial set pins the mixed
-	// hit/miss path the full and empty sets cannot.
+	// maxTables caps the frontier set (0 = default budget): keys past the
+	// cap get private tables, which pins the mixed shared/private path the
+	// full and empty sets cannot.
 	maxTables int
 }
 

@@ -332,8 +332,8 @@ func (st *state) crossCheck() *Plan {
 // The probes go through the planner's one lookup path (state.solve) on a
 // throw-away, uninstrumented state: full shares (1, 1) are an exact point
 // of the share grid and exactly the per-server environments
-// BuildFrontierSet tabulates, so runs handed tables answer the whole pass
-// from them, and the pass's tally stays off the plan's counters.
+// BuildFrontierSet registers, so on a set the cells this pass fills are the
+// plan's to read back, and the pass's tally stays off the plan's counters.
 func pinLocalUsers(sc *Scenario, opt Options, hot *userSoA, assign []int) ([]*Decision, error) {
 	opt.Metrics = nil
 	st := newState(sc, opt, hot)

@@ -221,8 +221,8 @@ func TestShardedBitIdenticalWithoutContention(t *testing.T) {
 
 // TestShardedParallelismInvariance demands the sharded planner produce
 // byte-identical plans — decisions, objective, shards, feasibility and the
-// hit/miss tally — against table sets built on pools of 1, 2 and 8
-// goroutines: the planner's one fan-out must leave no trace in a plan.
+// hit/miss tally — on fresh table sets at GOMAXPROCS 1, 2 and 8: the core
+// count must leave no trace in a plan.
 func TestShardedParallelismInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(4096))
 	for trial := 0; trial < 4; trial++ {

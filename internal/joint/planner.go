@@ -44,13 +44,14 @@ type Options struct {
 	// below the threshold keep the exact monolithic path bit for bit. Zero
 	// disables sharding entirely.
 	ShardThreshold int
-	// Frontiers, when non-nil, is a set of precomputed Pareto-frontier
-	// surgery tables (build one per scenario with BuildFrontierSet). It
-	// changes speed and the hit/miss counters, never the plan: the planner
-	// answers every surgery problem from a table over the same geometric
-	// share grid either way, and a key the set does not hold (or any key,
-	// with no set) gets a table filled on demand, one optimizer call per
-	// cell a plan actually lands on.
+	// Frontiers, when non-nil, is a long-lived set of Pareto-frontier
+	// surgery tables (register one per scenario with BuildFrontierSet) that
+	// keeps the cells every plan sharing it fills, and may serve planners on
+	// several goroutines at once. It changes speed and the hit/miss
+	// counters, never the plan: the planner answers every surgery problem
+	// from a table over the same geometric share grid either way, and a key
+	// the set does not hold (or any key, with no set) gets a table private
+	// to the plan, one optimizer call per cell the plan lands on.
 	Frontiers *surgery.FrontierSet
 	// AccuracyFloor, when positive, imposes a fleet-wide expected-accuracy
 	// floor on every user's surgery plan; a user's own stricter MinAccuracy

@@ -38,8 +38,8 @@ func chaosSchedule(t *testing.T, crashes bool) *faults.ChaosSchedule {
 // planner into deadline aborts and eats corrupt samples produces the same
 // journal, metrics and final plan as the identical replay without the
 // crashes — compared raw, the planner's hit/miss split included. Both runs
-// build frontier tables (at construction, on every full replan and on every
-// recovery), on a pool one goroutine wide and again four wide.
+// keep frontier tables (registered at construction, on every full replan and
+// on every recovery), at GOMAXPROCS 1 and again at 4.
 func TestRunChaosRecoveryFidelity(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		t.Run(fmt.Sprintf("parallelism=%d", procs), func(t *testing.T) {

@@ -83,9 +83,9 @@ func TestDeltaReplayDeterminism(t *testing.T) {
 
 // TestDeltaReplayParallelismInvariance extends the end-to-end invariant to
 // the delta path, where each delta replan extends the frontier set for the
-// drifted servers on the table-build pool: the control plane's entire
-// observable output, the extension ledger and the planner's hit/miss split
-// included, is identical whether that pool is one goroutine wide or four.
+// drifted servers: the control plane's entire observable output, the
+// extension ledger and the planner's hit/miss split included, is identical
+// at GOMAXPROCS 1 and 4.
 func TestDeltaReplayParallelismInvariance(t *testing.T) {
 	trace := chaosTrace(t)
 	var plans1, journal1, metrics1, plans4, journal4, metrics4 string
@@ -113,23 +113,10 @@ func TestDeltaReplayParallelismInvariance(t *testing.T) {
 // byte-identical plans, journal and metrics to the uninterrupted run.
 func TestDeltaKillRecoverEveryPoint(t *testing.T) {
 	trace := chaosTrace(t)
-	policy := deltaPolicy()
-	opt := joint.Options{}
-	basePlans, baseJournal, baseMetrics := runStored(t, t.TempDir(), trace, policy, opt)
-	if !strings.Contains(baseJournal, string(EventDeltaReplan)) {
-		t.Fatalf("fixture journal lacks %q:\n%s", EventDeltaReplan, baseJournal)
-	}
-	for k := 0; k <= len(trace); k++ {
-		plans, journal, metrics := runKilled(t, t.TempDir(), trace, policy, opt, k)
-		if plans != basePlans {
-			t.Fatalf("kill@%d: plan sequence diverged:\n--- baseline ---\n%s\n--- recovered ---\n%s", k, basePlans, plans)
-		}
-		if journal != baseJournal {
-			t.Fatalf("kill@%d: journal diverged:\n--- baseline ---\n%s\n--- recovered ---\n%s", k, baseJournal, journal)
-		}
-		if metrics != baseMetrics {
-			t.Fatalf("kill@%d: metrics diverged:\n--- baseline ---\n%s\n--- recovered ---\n%s", k, baseMetrics, metrics)
-		}
+	for _, arm := range killArms {
+		t.Run(arm.name, func(t *testing.T) {
+			killAtEveryPoint(t, trace, deltaPolicy(), arm.frontier, string(EventDeltaReplan))
+		})
 	}
 }
 

@@ -72,7 +72,7 @@ func ingestAll(t testing.TB, rt *Runtime, samples []telemetry.Sample, plans *str
 
 // runStored runs the whole trace in one uninterrupted process backed by a
 // store, returning the three byte-comparable artifacts.
-func runStored(t testing.TB, dir string, trace []telemetry.Sample, policy Policy, opt joint.Options) (plans, journal, metrics string) {
+func runStored(t testing.TB, dir string, trace []telemetry.Sample, policy Policy, frontier bool) (plans, journal, metrics string) {
 	t.Helper()
 	store, err := OpenStore(dir)
 	if err != nil {
@@ -80,9 +80,10 @@ func runStored(t testing.TB, dir string, trace []telemetry.Sample, policy Policy
 	}
 	rt, err := New(Config{
 		Scenario: fadingScenario(t),
-		Planner:  &joint.Planner{Opt: opt},
+		Planner:  &joint.Planner{},
 		Policy:   policy,
 		Store:    store,
+		Frontier: frontier,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +98,7 @@ func runStored(t testing.TB, dir string, trace []telemetry.Sample, policy Policy
 // runKilled ingests k samples, abandons the process (Close = the handle is
 // gone; everything else is whatever made it to disk), recovers a second
 // runtime from the directory, and continues with the rest of the trace.
-func runKilled(t testing.TB, dir string, trace []telemetry.Sample, policy Policy, opt joint.Options, k int) (plans, journal, metrics string) {
+func runKilled(t testing.TB, dir string, trace []telemetry.Sample, policy Policy, frontier bool, k int) (plans, journal, metrics string) {
 	t.Helper()
 	store, err := OpenStore(dir)
 	if err != nil {
@@ -105,9 +106,10 @@ func runKilled(t testing.TB, dir string, trace []telemetry.Sample, policy Policy
 	}
 	cfg := Config{
 		Scenario: fadingScenario(t),
-		Planner:  &joint.Planner{Opt: opt},
+		Planner:  &joint.Planner{},
 		Policy:   policy,
 		Store:    store,
+		Frontier: frontier,
 	}
 	rt, err := New(cfg)
 	if err != nil {
@@ -126,7 +128,7 @@ func runKilled(t testing.TB, dir string, trace []telemetry.Sample, policy Policy
 		t.Fatal(err)
 	}
 	cfg.Scenario = fadingScenario(t) // a fresh process parses its own config
-	cfg.Planner = &joint.Planner{Opt: opt}
+	cfg.Planner = &joint.Planner{}
 	cfg.Store = store2
 	rt2, err := Recover(cfg)
 	if err != nil {
@@ -143,25 +145,29 @@ func runKilled(t testing.TB, dir string, trace []telemetry.Sample, policy Policy
 	return b.String(), rt2.Journal().String(), rt2.Metrics().Text()
 }
 
-// TestKillRecoverEveryPoint is the tentpole invariant: killing the control
-// plane after ANY ingested sample and recovering from its snapshot + WAL
-// yields byte-identical plans, journal and metrics to the uninterrupted
-// run — with deadline aborts, quarantine trips and muted drops in the
-// stream.
-func TestKillRecoverEveryPoint(t *testing.T) {
-	trace := chaosTrace(t)
-	policy := chaosPolicy()
-	opt := joint.Options{}
-	basePlans, baseJournal, baseMetrics := runStored(t, t.TempDir(), trace, policy, opt)
-	// The fixture must actually exercise the robustness machinery, or the
-	// invariant is vacuous.
-	for _, needle := range []string{string(EventQuarantine), string(EventFullReplan)} {
+// killArms are the configurations every kill-at-every-sample suite runs: the
+// plain control plane, and one keeping frontier tables, whose hit/miss series
+// depend on which plans filled the tables' cells before the kill.
+var killArms = []struct {
+	name     string
+	frontier bool
+}{{"plain", false}, {"frontier", true}}
+
+// killAtEveryPoint kills the control plane after every sample of trace in
+// turn, recovers from its snapshot + WAL and finishes the trace, and holds
+// the plans, journal and metrics — compared raw — to the uninterrupted run's.
+// The uninterrupted journal must contain every needle, or the check is
+// vacuous.
+func killAtEveryPoint(t *testing.T, trace []telemetry.Sample, policy Policy, frontier bool, needles ...string) {
+	t.Helper()
+	basePlans, baseJournal, baseMetrics := runStored(t, t.TempDir(), trace, policy, frontier)
+	for _, needle := range needles {
 		if !strings.Contains(baseJournal, needle) {
 			t.Fatalf("fixture journal lacks %q:\n%s", needle, baseJournal)
 		}
 	}
 	for k := 0; k <= len(trace); k++ {
-		plans, journal, metrics := runKilled(t, t.TempDir(), trace, policy, opt, k)
+		plans, journal, metrics := runKilled(t, t.TempDir(), trace, policy, frontier, k)
 		if plans != basePlans {
 			t.Fatalf("kill@%d: plan sequence diverged:\n--- baseline ---\n%s\n--- recovered ---\n%s", k, basePlans, plans)
 		}
@@ -171,6 +177,20 @@ func TestKillRecoverEveryPoint(t *testing.T) {
 		if metrics != baseMetrics {
 			t.Fatalf("kill@%d: metrics diverged:\n--- baseline ---\n%s\n--- recovered ---\n%s", k, baseMetrics, metrics)
 		}
+	}
+}
+
+// TestKillRecoverEveryPoint is the tentpole invariant: killing the control
+// plane after ANY ingested sample and recovering from its snapshot + WAL
+// yields byte-identical plans, journal and metrics to the uninterrupted
+// run — with deadline aborts, quarantine trips and muted drops in the
+// stream, with and without frontier tables.
+func TestKillRecoverEveryPoint(t *testing.T) {
+	trace := chaosTrace(t)
+	for _, arm := range killArms {
+		t.Run(arm.name, func(t *testing.T) {
+			killAtEveryPoint(t, trace, chaosPolicy(), arm.frontier, string(EventQuarantine), string(EventFullReplan))
+		})
 	}
 }
 

@@ -115,33 +115,42 @@ func TestReplayDeterminism(t *testing.T) {
 	}
 }
 
-// atProcs runs f with GOMAXPROCS set to procs — the width of the planner's
-// one fan-out, the table-build pool — and restores the previous setting.
+// atProcs runs f with GOMAXPROCS set to procs and restores the previous
+// setting.
 func atProcs(procs int, f func()) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	f()
 }
 
-// TestReplayParallelismInvariance pins the determinism guarantee end to end
-// for the table-less control plane: its entire observable output — plans,
-// journal, and the full metrics dump, the planner's hit/miss split included
-// — is identical at GOMAXPROCS 1 and 4, so nothing on the plain planning
-// path reads the core count. TestFrontierReplayParallelismInvariance covers
-// the one fan-out left, the frontier-table builds.
+// TestReplayParallelismInvariance pins the determinism guarantee end to end,
+// with and without Config.Frontier: the control plane's entire observable
+// output — plans, journal, and the full metrics dump, the planner's hit/miss
+// split included — is identical at GOMAXPROCS 1 and 4, so nothing on the
+// planning path reads the core count.
 func TestReplayParallelismInvariance(t *testing.T) {
 	trace := recordReplayTrace(t)
 	for _, tc := range []struct {
 		name      string
 		threshold int
+		frontier  bool
 	}{
-		{"monolithic", 0},
-		{"sharded", 1},
+		{"monolithic", 0, false},
+		{"sharded", 1, false},
+		{"monolithic-frontier", 0, true},
+		{"sharded-frontier", 1, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := joint.Options{ShardThreshold: tc.threshold}
+			run := func() (plans, journal, metrics string) {
+				if tc.frontier {
+					plans, journal, metrics, _ = runFrontierReplay(t, trace, opt)
+					return plans, journal, metrics
+				}
+				return runReplay(t, trace, opt)
+			}
 			var plans1, journal1, metrics1, plans4, journal4, metrics4 string
-			atProcs(1, func() { plans1, journal1, metrics1 = runReplay(t, trace, opt) })
-			atProcs(4, func() { plans4, journal4, metrics4 = runReplay(t, trace, opt) })
+			atProcs(1, func() { plans1, journal1, metrics1 = run() })
+			atProcs(4, func() { plans4, journal4, metrics4 = run() })
 
 			if plans1 != plans4 {
 				t.Fatalf("plan sequences diverged across parallelism levels:\n--- serial ---\n%s\n--- parallel ---\n%s", plans1, plans4)

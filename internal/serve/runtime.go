@@ -93,13 +93,13 @@ type Config struct {
 	// Metrics receives all instrumentation (nil = a fresh registry,
 	// retrievable via Runtime.Metrics).
 	Metrics *telemetry.Registry
-	// Frontier precomputes Pareto-frontier surgery tables: one table set is
-	// built per scenario at construction and reused across every cheap
-	// refresh, and each full replan rebuilds the set against its frozen
-	// drifted rates before planning. Build cost and table counts land in
-	// the "serve.frontier.*" series. It changes speed and the
-	// planner.frontier.* hit/miss split, never the plan: without it the
-	// planner fills the same tables on demand.
+	// Frontier keeps Pareto-frontier surgery tables across plans: a table
+	// set is registered per planned scenario at construction and on every
+	// full replan (against its frozen drifted rates), extended on delta
+	// replans, and each table keeps the cells every plan sharing it fills.
+	// Table counts land in the "serve.frontier.*" series. It changes speed
+	// and the planner.frontier.* hit/miss split, never the plan: without it
+	// every plan fills tables of its own.
 	Frontier bool
 	// Store, when set, makes the runtime crash-safe: every ingested sample
 	// is written ahead to the store's WAL before it is acted on, and a
@@ -565,9 +565,12 @@ func (rt *Runtime) fullReplan(now, maxRel float64) (*joint.AbortedError, error) 
 	frozen := rt.frozenScenario(rt.rates)
 	prevSet := rt.planner.Opt.Frontiers
 	if rt.frontier {
-		// The drifted rates are new frontier keys; rebuild the tables
-		// against the frozen scenario so the replan (and every cheap
-		// refresh at these rates) finds its cells already filled.
+		// The drifted rates are new frontier keys: register a fresh set
+		// for the frozen scenario. The replan fills the cells it reads, and
+		// delta replans and Recover's re-derivation at these rates reuse
+		// them. Cheap refreshes reuse only the device-only tables: observed
+		// rates carry telemetry noise, so each refresh's server keys are new
+		// and fill tables private to that refresh.
 		if err := rt.buildFrontiers(frozen); err != nil {
 			return nil, fmt.Errorf("serve: full replan at t=%g: %w", now, err)
 		}
@@ -640,9 +643,9 @@ func (rt *Runtime) deltaReplan(now, maxRel float64, dirty []bool, nDirty int) (*
 	if rt.frontier && rt.planner.Opt.Frontiers != nil {
 		// The dirty servers' drifted rates are new frontier keys; extend the
 		// existing set in place (within its table budget) instead of
-		// rebuilding from scratch — clean shards keep their tables, and the
-		// dirty shards' replans run no optimizer. The extension stays even
-		// if the replan aborts: extra tables never change output.
+		// registering a new one, so clean shards keep the cells earlier
+		// plans filled. The extension stays even if the replan aborts:
+		// extra tables never change output.
 		added := joint.ExtendFrontierSet(rt.planner.Opt.Frontiers, frozen, rt.planner.Opt, dirty)
 		rt.reg.Counter("serve.frontier.extends").Inc()
 		rt.reg.Counter("serve.frontier.extend_tables").Add(int64(added))
@@ -690,11 +693,12 @@ func (rt *Runtime) cheapRefresh(s *telemetry.Sample, deferred telemetry.EventKin
 	return plan, nil
 }
 
-// buildFrontiers precomputes the Pareto-frontier surgery tables for sc and
-// installs them on the runtime's planner (shared with its dispatcher), so
-// every subsequent plan — initial, cheap refresh, full replan — answers its
-// surgery hot loop from filled cells, running the optimizer only for
-// off-table keys (e.g. cheap refreshes at drifted rates between rebuilds).
+// buildFrontiers registers the Pareto-frontier surgery tables for sc and
+// installs them on the runtime's planner (shared with its dispatcher). The
+// tables start empty and keep what each plan fills, so later plans at the
+// same rates pay for no cell twice. Cheap refreshes gain little: observed
+// rates carry telemetry noise, so every refresh's server keys are new and
+// fill tables private to that refresh.
 func (rt *Runtime) buildFrontiers(sc *joint.Scenario) error {
 	set, err := joint.BuildFrontierSet(sc, rt.planner.Opt, surgery.BuildOptions{Surgery: rt.planner.Opt.Surgery})
 	if err != nil {
@@ -702,7 +706,6 @@ func (rt *Runtime) buildFrontiers(sc *joint.Scenario) error {
 	}
 	rt.planner.Opt.Frontiers = set
 	rt.reg.Counter("serve.frontier.builds").Inc()
-	rt.reg.Counter("serve.frontier.build_probes").Add(set.Probes())
 	rt.reg.Gauge("serve.frontier.tables").Set(float64(set.Len()))
 	return nil
 }

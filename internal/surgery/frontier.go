@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 
 	"edgesurgeon/internal/dnn"
@@ -21,40 +20,11 @@ import (
 //
 // A table holds two things: the key's kernel — the share-independent half of
 // Optimize, built by the table's first fill and shared by every later one —
-// and the cells. A cell is filled in one of two ways. On first query, by one
-// kernel solve at that grid point (Frontier.Lookup) — a table costs memory in
-// proportion to the cells touched, which is what the planner runs keys nobody
-// precomputed on. Or in bulk, by corner certification (FrontierSet.Build),
-// the eager warm-up that fills every cell with far fewer optimizer calls
-// than cells.
-//
-// Certification rests on the latency decomposition (see Eval): for a fixed
-// plan,
-//
-//	Latency(f, b) = FixedSec + ServerSec/f + TxSec/b
-//
-// is linear in (x, y) = (1/f, 1/b), and every other Eval field is
-// share-independent. Construction probes the optimizer at the corners of
-// share rectangles and fills a rectangle only when all four corners return
-// the same plan: if a rival plan U beat the corner plan P anywhere inside,
-// U−P — a linear function of (x, y) — would be negative at an interior
-// point while non-negative at all four corners, which is impossible. Ties
-// resolve identically everywhere because the optimizer keeps the first
-// winner in a fixed sweep order. Disagreeing rectangles subdivide, down to
-// single cells, so every cell holds exactly what Optimize returns at its
-// share pair.
-//
-// Two caveats bound the guarantee, both covered by fallbacks rather than
-// silent error: (1) an accuracy floor routes Optimize through the bucketed
-// DP, whose returned plan is only approximately the envelope minimizer, so
-// constrained keys use per-column subdivision with a midpoint-agreement
-// rule and the differential tests pin planner-level equality; (2) a device
-// energy budget makes feasibility depend on the bandwidth share (radio
-// airtime stretches as b shrinks), which breaks the rectangle argument
-// across columns — constrained keys therefore subdivide one bandwidth
-// column at a time, where feasibility is constant. A key whose optimizer
-// errors anywhere on the grid fails to certify; the planner then answers it
-// cell by cell, and the error surfaces only if a plan actually lands there.
+// and the cells. Every cell starts unknown and is filled by the first lookup
+// that lands on it, with one kernel solve at that grid point, so a table
+// costs memory and optimizer work in proportion to the cells plans actually
+// read. A cell where the optimizer errors (an infeasible constraint) stays
+// unknown, and the error surfaces only when a plan lands there.
 
 // shareGridOctaves fixes the grid's dynamic range: levels span
 // [2^-shareGridOctaves, 1] = [1/4096, 1].
@@ -215,16 +185,20 @@ type FrontierEntry struct {
 	Eval Eval
 }
 
-// Frontier is one key's share→plan table. It is not safe for concurrent
-// fills; the sharing contract is ownership. A certified table (one a
-// FrontierSet holds) has every cell filled before anyone else can see it, so
-// its lookups only read and one Options.Frontiers may serve any number of
-// goroutines. A table from BuildFrontier fills on demand and belongs to the one
-// planning state that made it.
+// Frontier is one key's share→plan table, safe for concurrent use: one mutex
+// serializes the reads and fills of its cells, so a table a FrontierSet holds
+// may serve any number of planners at once and keeps every cell they fill. A
+// table from BuildFrontier that no set holds belongs to the one planning state
+// that made it.
 type Frontier struct {
 	key  FrontierKey
 	opt  Options // what every fill of this table runs the optimizer under
 	grid ShareGrid
+
+	// mu guards everything below. Lookup holds it while it reads or fills a
+	// cell and copies the entry out after releasing it: an entry never
+	// changes once appended.
+	mu sync.Mutex
 	// rows[fi] holds compute level fi's cells, one per bandwidth level, and
 	// is allocated when the row's first cell is filled, so memory follows the
 	// cells touched rather than Levels()². A cell is 1 + the index of its
@@ -244,14 +218,20 @@ func (t *Frontier) Key() FrontierKey { return t.key }
 // Grid returns the share grid the table is indexed on.
 func (t *Frontier) Grid() ShareGrid { return t.grid }
 
-// Entries returns the plans that have won at least one filled cell. A table
-// filled by FrontierSet.Build lists them in canonical order: descending
-// share-sensitivity (ServerSec+TxSec), so the winning entry index along a
-// shrinking share diagonal is monotone non-decreasing. Read-only.
-func (t *Frontier) Entries() []FrontierEntry { return t.entries }
+// Entries returns the plans that have won at least one filled cell, in the
+// order their first cells were filled. Read-only.
+func (t *Frontier) Entries() []FrontierEntry {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.entries
+}
 
 // Probes returns how many optimizer calls the table has spent.
-func (t *Frontier) Probes() int { return t.probes }
+func (t *Frontier) Probes() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.probes
+}
 
 // Lookup returns the optimizer's plan at the given shares, which must lie
 // on the table's grid for bit-identity (arbitrary shares quantize to the
@@ -266,18 +246,22 @@ func (t *Frontier) Lookup(computeShare, bandwidthShare float64) (plan Plan, ev E
 	if t.key.Server != nil {
 		fi, bi = t.grid.Index(computeShare), t.grid.Index(bandwidthShare)
 	}
+	t.mu.Lock()
 	id, known, err := t.at(fi, bi)
+	entries := t.entries
+	t.mu.Unlock()
 	if err != nil {
 		return Plan{}, Eval{}, false, err
 	}
-	e := &t.entries[id-1]
+	e := &entries[id-1]
 	ev = e.Eval
 	ev.Latency = ev.LatencyAt(envShare(computeShare), envShare(bandwidthShare))
 	return e.Plan, ev, known, nil
 }
 
 // at returns cell (fi, bi)'s entry id, first filling the cell with the
-// optimizer's answer at that grid point when it is unknown.
+// optimizer's answer at that grid point when it is unknown. The caller holds
+// t.mu.
 func (t *Frontier) at(fi, bi int) (id int32, known bool, err error) {
 	if row := t.rows[fi]; row != nil && row[bi] != 0 {
 		return row[bi], true, nil
@@ -295,16 +279,11 @@ func (t *Frontier) at(fi, bi int) (id int32, known bool, err error) {
 		return 0, false, err
 	}
 	id = t.intern(plan, ev)
-	t.row(fi)[bi] = id
-	return id, false, nil
-}
-
-// row returns compute level fi's cells, allocating them on first touch.
-func (t *Frontier) row(fi int) []int32 {
 	if t.rows[fi] == nil {
 		t.rows[fi] = make([]int32, len(t.rows))
 	}
-	return t.rows[fi]
+	t.rows[fi][bi] = id
+	return id, false, nil
 }
 
 // intern returns the id (index + 1) of plan's entry, appending it when the
@@ -373,8 +352,7 @@ func (bo BuildOptions) maxTables() int {
 }
 
 // BuildFrontier returns k's table with every cell unknown: each cell is
-// filled by the first Lookup that lands on it, or all of them at once by
-// FrontierSet.Build.
+// filled by the first Lookup that lands on it.
 func BuildFrontier(k FrontierKey, bo BuildOptions) (*Frontier, error) {
 	if k.Model == nil || k.Device == nil {
 		return nil, fmt.Errorf("surgery: frontier key needs a model and a device")
@@ -388,186 +366,17 @@ func BuildFrontier(k FrontierKey, bo BuildOptions) (*Frontier, error) {
 	return t, nil
 }
 
-// certify fills every cell of a table nobody else can see yet by
-// corner-certified subdivision (see the file comment) and puts the entries in
-// canonical order. It fails — rather than tabulating approximately — when the
-// optimizer reports infeasibility anywhere on the grid.
-func (t *Frontier) certify() error {
-	last := len(t.rows) - 1
-	var err error
-	if t.key.MinAccuracy > 0 || t.key.MaxDeviceEnergyJ > 0 {
-		// Constrained keys: per-bandwidth-column subdivision (feasibility
-		// is constant within a column) with midpoint agreement as
-		// insurance against the accuracy DP's non-envelope returns.
-		for bi := 0; bi <= last && err == nil; bi++ {
-			err = t.fillColumn(bi, 0, last)
-		}
-	} else {
-		err = t.fillRect(0, last, 0, last)
-	}
-	if err != nil {
-		return err
-	}
-	t.canonicalize()
-	return nil
-}
-
-// probe is at for the certifier, which only wants the id.
-func (t *Frontier) probe(fi, bi int) (int32, error) {
-	id, _, err := t.at(fi, bi)
-	return id, err
-}
-
-// fillRect fills the inclusive index rectangle [i0,i1]×[j0,j1] by corner
-// certification, splitting the longer dimension on disagreement. Splits are
-// disjoint, so every cell is written exactly once — by its certified
-// rectangle or by its own probe.
-func (t *Frontier) fillRect(i0, i1, j0, j1 int) error {
-	c00, err := t.probe(i0, j0)
-	if err != nil {
-		return err
-	}
-	c01, err := t.probe(i0, j1)
-	if err != nil {
-		return err
-	}
-	c10, err := t.probe(i1, j0)
-	if err != nil {
-		return err
-	}
-	c11, err := t.probe(i1, j1)
-	if err != nil {
-		return err
-	}
-	if c00 == c01 && c00 == c10 && c00 == c11 {
-		t.fill(i0, i1, j0, j1, c00)
-		return nil
-	}
-	if i1-i0 >= j1-j0 {
-		im := (i0 + i1) / 2
-		if err := t.fillRect(i0, im, j0, j1); err != nil {
-			return err
-		}
-		return t.fillRect(im+1, i1, j0, j1)
-	}
-	jm := (j0 + j1) / 2
-	if err := t.fillRect(i0, i1, j0, jm); err != nil {
-		return err
-	}
-	return t.fillRect(i0, i1, jm+1, j1)
-}
-
-// fillColumn fills compute-share rows [i0,i1] of bandwidth column bi,
-// requiring endpoint plus midpoint agreement before filling an interval.
-func (t *Frontier) fillColumn(bi, i0, i1 int) error {
-	a, err := t.probe(i0, bi)
-	if err != nil {
-		return err
-	}
-	c, err := t.probe(i1, bi)
-	if err != nil {
-		return err
-	}
-	if i1-i0 <= 1 {
-		return nil // both cells probed directly
-	}
-	im := (i0 + i1) / 2
-	mid, err := t.probe(im, bi)
-	if err != nil {
-		return err
-	}
-	if a == c && a == mid {
-		t.fill(i0, i1, bi, bi, a)
-		return nil
-	}
-	if err := t.fillColumn(bi, i0, im); err != nil {
-		return err
-	}
-	return t.fillColumn(bi, im+1, i1)
-}
-
-func (t *Frontier) fill(i0, i1, j0, j1 int, id int32) {
-	for i := i0; i <= i1; i++ {
-		row := t.row(i)
-		for j := j0; j <= j1; j++ {
-			row[j] = id
-		}
-	}
-}
-
-// canonicalize sorts the entries into frontier order and rewrites the cells
-// accordingly.
-func (t *Frontier) canonicalize() {
-	entries := t.entries
-	order := make([]int32, len(entries))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return entryLess(&entries[order[a]], &entries[order[b]])
-	})
-	perm := make([]int32, len(entries)) // old index → new index
-	sorted := make([]FrontierEntry, len(entries))
-	for newID, oldID := range order {
-		perm[oldID] = int32(newID)
-		sorted[newID] = entries[oldID]
-	}
-	t.entries = sorted
-	for _, row := range t.rows {
-		for bi, id := range row {
-			if id != 0 {
-				row[bi] = perm[id-1] + 1
-			}
-		}
-	}
-}
-
-// entryLess is the canonical frontier order: descending share-sensitivity
-// (ServerSec+TxSec, the latency slope along the 1/share diagonal — the
-// lower envelope's minimizer slope is non-increasing as shares shrink, so
-// the diagonal winner's index is monotone), then ascending FixedSec, with
-// deterministic structural tiebreaks.
-func entryLess(a, b *FrontierEntry) bool {
-	sa, sb := a.Eval.ServerSec+a.Eval.TxSec, b.Eval.ServerSec+b.Eval.TxSec
-	if sa != sb {
-		return sa > sb
-	}
-	if a.Eval.FixedSec != b.Eval.FixedSec {
-		return a.Eval.FixedSec < b.Eval.FixedSec
-	}
-	if a.Eval.TxSec != b.Eval.TxSec {
-		return a.Eval.TxSec < b.Eval.TxSec
-	}
-	if a.Plan.Partition != b.Plan.Partition {
-		return a.Plan.Partition < b.Plan.Partition
-	}
-	if a.Plan.Theta != b.Plan.Theta {
-		return a.Plan.Theta < b.Plan.Theta
-	}
-	return planSig(a.Plan) < planSig(b.Plan)
-}
-
-// planSig is a collision-free textual plan identity, the canonical order's
-// last tiebreak.
-func planSig(p Plan) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%d|%x", p.Partition, math.Float64bits(p.Theta))
-	for _, e := range p.Exits {
-		fmt.Fprintf(&sb, "|%d", e)
-	}
-	return sb.String()
-}
-
-// FrontierSet is a concurrency-safe collection of fully tabulated frontier
-// tables sharing one grid and one base option set — the precomputed warm-up
-// the joint planner consumes. An empty set is valid: the planner then fills
-// every table it needs on demand.
+// FrontierSet is a concurrency-safe collection of frontier tables sharing one
+// grid and one base option set: the long-lived memo the joint planner
+// consumes. A registered table starts empty and fills a cell on its first
+// lookup, so every plan that shares the set finds the cells earlier plans
+// filled. An empty set is valid: the planner then keeps a private table for
+// every key it needs.
 type FrontierSet struct {
 	bo     BuildOptions
 	grid   ShareGrid
-	mu     sync.RWMutex
+	mu     sync.RWMutex // guards tables; each table guards its own cells
 	tables map[FrontierKey]*Frontier
-	probes int64
 }
 
 // NewFrontierSet returns an empty set with the resolved grid.
@@ -582,7 +391,7 @@ func (s *FrontierSet) Grid() ShareGrid { return s.grid }
 // Budget returns the set's table-count capacity — BuildOptions.MaxTables
 // with the default applied. Len() < Budget() means Build can still add
 // tables; incremental extenders (the delta-replan path) use the headroom to
-// truncate their key lists deterministically before fanning out.
+// truncate their key lists deterministically before registering them.
 func (s *FrontierSet) Budget() int { return s.bo.maxTables() }
 
 // Len returns the number of tables held.
@@ -592,11 +401,16 @@ func (s *FrontierSet) Len() int {
 	return len(s.tables)
 }
 
-// Probes returns the total optimizer probes spent building the set.
+// Probes returns the optimizer calls the set's tables have spent filling
+// their cells so far.
 func (s *FrontierSet) Probes() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.probes
+	var n int64
+	for _, t := range s.tables {
+		n += int64(t.Probes())
+	}
+	return n
 }
 
 // Get returns the table for k, or nil.
@@ -606,38 +420,29 @@ func (s *FrontierSet) Get(k FrontierKey) *Frontier {
 	return s.tables[k]
 }
 
-// Build tabulates k if absent, filling every cell of its table by corner
-// certification. Safe for concurrent use; concurrent builds of the same key
-// keep the first stored table.
+// Build registers k's table, every cell unknown, unless the set holds one
+// already. It runs no optimizer and fails only for a key BuildFrontier
+// rejects or a set at its table budget. Safe for concurrent use.
 func (s *FrontierSet) Build(k FrontierKey) error {
-	s.mu.RLock()
-	_, ok := s.tables[k]
-	n := len(s.tables)
-	s.mu.RUnlock()
-	if ok {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.tables[k]; ok {
 		return nil
 	}
-	if n >= s.bo.maxTables() {
+	if n := len(s.tables); n >= s.bo.maxTables() {
 		return fmt.Errorf("surgery: frontier set at capacity (%d tables)", n)
 	}
 	t, err := BuildFrontier(k, s.bo)
-	if err == nil {
-		err = t.certify()
-	}
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	if _, ok := s.tables[k]; !ok {
-		s.tables[k] = t
-		s.probes += int64(t.probes)
-	}
-	s.mu.Unlock()
+	s.tables[k] = t
 	return nil
 }
 
-// Lookup answers one surgery problem from the tables: ok reports whether
-// the key is tabulated.
+// Lookup answers one surgery problem from the set, filling the cell on its
+// first ask: ok is false when the key has no table or the optimizer has no
+// plan at that cell.
 func (s *FrontierSet) Lookup(k FrontierKey, computeShare, bandwidthShare float64) (Plan, Eval, bool) {
 	t := s.Get(k)
 	if t == nil {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"edgesurgeon/internal/dnn"
@@ -52,15 +53,6 @@ func testFrontierKey(t testing.TB, rng *rand.Rand, kind int) FrontierKey {
 		k.MaxDeviceEnergyJ = 0.5 + 2*rng.Float64()
 	}
 	return k
-}
-
-// certifiedFrontier is the table FrontierSet.Build would store for k.
-func certifiedFrontier(k FrontierKey, bo BuildOptions) (*Frontier, error) {
-	table, err := BuildFrontier(k, bo)
-	if err == nil {
-		err = table.certify()
-	}
-	return table, err
 }
 
 func TestShareGridProperties(t *testing.T) {
@@ -113,19 +105,17 @@ func TestShareGridProperties(t *testing.T) {
 	}
 }
 
-// TestFrontierMatchesOptimizer is the exactness pin for both fill modes: for
-// seeded random (model, device, link) keys — unconstrained, accuracy-floored
-// and energy-capped — every cell of a table filled on demand, of a table
-// filled by certification, and a direct surgery.Optimize call agree bit for
-// bit. A key that is infeasible somewhere on the grid must fail to certify
-// rather than tabulate approximately, and its on-demand table must return the
-// optimizer's own error at exactly the infeasible cells. A coarse
+// TestFrontierMatchesOptimizer is the exactness pin: for seeded random
+// (model, device, link) keys — unconstrained, accuracy-floored and
+// energy-capped — every cell of a table, on its first and on a repeat lookup,
+// agrees bit for bit with a direct surgery.Optimize call, and at infeasible
+// cells the table returns the optimizer's own error. A coarse
 // 1-step-per-octave grid keeps the exhaustive sweep cheap while still covering
 // the full 12-octave share range.
 func TestFrontierMatchesOptimizer(t *testing.T) {
 	grid := NewShareGrid(1)
 	rng := rand.New(rand.NewSource(42))
-	certified := make(map[int]int)
+	compared := make(map[int]int)
 	for trial := 0; trial < 12; trial++ {
 		kind := keyFree
 		if trial >= 8 {
@@ -133,33 +123,27 @@ func TestFrontierMatchesOptimizer(t *testing.T) {
 		}
 		k := testFrontierKey(t, rng, kind)
 		bo := BuildOptions{grid: grid, Surgery: Options{FixedPartition: FreePartition}}
-		bulk, bulkErr := certifiedFrontier(k, bo)
-		if bulkErr != nil && kind == keyFree {
-			t.Fatalf("unconstrained build failed: %v", bulkErr)
-		}
-		lazy, err := BuildFrontier(k, bo)
+		table, err := BuildFrontier(k, bo)
 		if err != nil {
 			t.Fatal(err)
 		}
 		opt := k.options(bo.Surgery)
-		infeasible := 0
 		for fi := 0; fi < grid.Levels(); fi++ {
 			for bi := 0; bi < grid.Levels(); bi++ {
 				f, b := grid.Value(fi), grid.Value(bi)
 				wantPlan, wantEv, wantErr := Optimize(k.Model, k.env(f, b), opt)
-				gotPlan, gotEv, known, err := lazy.Lookup(f, b)
+				gotPlan, gotEv, known, err := table.Lookup(f, b)
 				if known {
 					t.Fatalf("trial %d: first lookup at (%g, %g) found the cell filled", trial, f, b)
 				}
 				if wantErr != nil {
-					infeasible++
 					if err == nil || err.Error() != wantErr.Error() {
-						t.Fatalf("trial %d: on-demand error at (%g, %g) = %v, optimizer says %v", trial, f, b, err, wantErr)
+						t.Fatalf("trial %d: error at (%g, %g) = %v, optimizer says %v", trial, f, b, err, wantErr)
 					}
 					continue
 				}
 				if err != nil {
-					t.Fatalf("trial %d: on-demand fill failed at (%g, %g): %v", trial, f, b, err)
+					t.Fatalf("trial %d: fill failed at (%g, %g): %v", trial, f, b, err)
 				}
 				check := func(mode string, gotPlan Plan, gotEv Eval) {
 					t.Helper()
@@ -172,42 +156,27 @@ func TestFrontierMatchesOptimizer(t *testing.T) {
 							trial, mode, f, b, gotEv, wantEv)
 					}
 				}
-				check("on-demand", gotPlan, gotEv)
-				gotPlan, gotEv, known, err = lazy.Lookup(f, b)
+				check("first lookup", gotPlan, gotEv)
+				gotPlan, gotEv, known, err = table.Lookup(f, b)
 				if !known || err != nil {
 					t.Fatalf("trial %d: second lookup at (%g, %g): known %t, err %v", trial, f, b, known, err)
 				}
-				check("on-demand (filled)", gotPlan, gotEv)
-				if bulkErr == nil {
-					gotPlan, gotEv, known, err = bulk.Lookup(f, b)
-					if !known || err != nil {
-						t.Fatalf("trial %d: certified table at (%g, %g): known %t, err %v", trial, f, b, known, err)
-					}
-					check("certified", gotPlan, gotEv)
-				}
+				check("filled cell", gotPlan, gotEv)
+				compared[kind]++
 			}
-		}
-		if (bulkErr != nil) != (infeasible > 0) {
-			t.Fatalf("trial %d: certification error %v with %d infeasible cells", trial, bulkErr, infeasible)
 		}
 		// One optimizer call per cell: repeat lookups of a filled cell are
 		// free, and no infeasible cell was asked twice.
-		if want := grid.Levels() * grid.Levels(); lazy.Probes() != want {
-			t.Fatalf("trial %d: on-demand table spent %d probes on %d cells", trial, lazy.Probes(), want)
-		}
-		if bulkErr == nil {
-			certified[kind]++
-			if bulk.Probes() >= grid.Levels()*grid.Levels() && kind == keyFree {
-				t.Errorf("trial %d: certification spent %d probes, no fewer than the %d cells", trial, bulk.Probes(), grid.Levels()*grid.Levels())
-			}
+		if want := grid.Levels() * grid.Levels(); table.Probes() != want {
+			t.Fatalf("trial %d: table spent %d probes on %d cells", trial, table.Probes(), want)
 		}
 	}
-	if certified[keyFree] < 8 || certified[keyAccuracyFloor] == 0 || certified[keyEnergyCap] == 0 {
-		t.Fatalf("certified keys by kind %v; the corpus is too thin", certified)
+	if compared[keyFree] == 0 || compared[keyAccuracyFloor] == 0 || compared[keyEnergyCap] == 0 {
+		t.Fatalf("feasible cells compared by kind %v; the corpus is too thin", compared)
 	}
 }
 
-// TestFrontierFillsOnDemand pins the on-demand mode's two promises. Memory
+// TestFrontierFillsOnDemand pins the fill mode's two promises. Memory
 // follows the cells touched: a row exists only once one of its cells is
 // filled. And a fill is counted once: a cell is reported unknown to the first
 // lookup that lands on it and known to every later one — the planner's
@@ -263,13 +232,6 @@ func TestFrontierFillsOnDemand(t *testing.T) {
 	if table.Probes() != cells {
 		t.Fatalf("%d probes filled %d cells", table.Probes(), cells)
 	}
-	want, err := certifiedFrontier(k, bo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(table.Entries()) != len(want.Entries()) {
-		t.Fatalf("on-demand table found %d plans, certification %d", len(table.Entries()), len(want.Entries()))
-	}
 
 	// One kernel, many shares: whatever order a table's cells are filled in —
 	// ascending, descending or shuffled, all solving against the kernel the
@@ -283,9 +245,6 @@ func TestFrontierFillsOnDemand(t *testing.T) {
 	}
 	if k.Server, err = hardware.ByName("edge-gpu-t4"); err != nil {
 		t.Fatal(err)
-	}
-	if want, err = certifiedFrontier(k, bo); err != nil || len(want.Entries()) < 3 {
-		t.Fatalf("fixture: %d plans on the grid, err %v; want several", len(want.Entries()), err)
 	}
 	n := grid.Levels()
 	type answer struct {
@@ -322,6 +281,9 @@ func TestFrontierFillsOnDemand(t *testing.T) {
 		for _, c := range seq {
 			checkCell(order, tb, c)
 		}
+		if len(tb.Entries()) < 3 {
+			t.Fatalf("fixture: %d plans on the grid; want several", len(tb.Entries()))
+		}
 	}
 
 	// What a solve returns is the caller's, not a view of the pooled scratch:
@@ -356,17 +318,25 @@ func TestFrontierFillsOnDemand(t *testing.T) {
 	}
 }
 
-// TestFrontierNoDominatedEntries checks the Pareto property: no retained
-// entry is weakly dominated (with a strict improvement) by another on the
-// (FixedSec, ServerSec, TxSec) latency components — such an entry would
-// have strictly higher latency at every share pair and could never win a
-// grid cell.
+// TestFrontierNoDominatedEntries checks the Pareto property on tables filled
+// cell by cell: no retained entry is weakly dominated (with a strict
+// improvement) by another on the (FixedSec, ServerSec, TxSec) latency
+// components — such an entry would have strictly higher latency at every
+// share pair and could never win a grid cell.
 func TestFrontierNoDominatedEntries(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 6; trial++ {
-		table, err := certifiedFrontier(testFrontierKey(t, rng, keyFree), BuildOptions{Surgery: Options{FixedPartition: FreePartition}})
+		table, err := BuildFrontier(testFrontierKey(t, rng, keyFree), BuildOptions{grid: NewShareGrid(2), Surgery: Options{FixedPartition: FreePartition}})
 		if err != nil {
 			t.Fatal(err)
+		}
+		grid := table.Grid()
+		for fi := 0; fi < grid.Levels(); fi++ {
+			for bi := 0; bi < grid.Levels(); bi++ {
+				if _, _, _, err := table.Lookup(grid.Value(fi), grid.Value(bi)); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 		entries := table.Entries()
 		dominates := func(a, b *Eval) bool {
@@ -386,52 +356,11 @@ func TestFrontierNoDominatedEntries(t *testing.T) {
 	}
 }
 
-// TestFrontierSortedAndMonotone checks the canonical order: entries sorted
-// by descending share-sensitivity (ServerSec+TxSec), and the winning entry
-// index monotone non-decreasing along the shrinking-share diagonal.
-func TestFrontierSortedAndMonotone(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	for trial := 0; trial < 6; trial++ {
-		table, err := certifiedFrontier(testFrontierKey(t, rng, keyFree), BuildOptions{Surgery: Options{FixedPartition: FreePartition}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		entries := table.Entries()
-		for i := 1; i < len(entries); i++ {
-			prev := entries[i-1].Eval.ServerSec + entries[i-1].Eval.TxSec
-			cur := entries[i].Eval.ServerSec + entries[i].Eval.TxSec
-			if cur > prev {
-				t.Fatalf("trial %d: entries out of order at %d: sensitivity %g after %g", trial, i, cur, prev)
-			}
-		}
-		grid := table.Grid()
-		prevIdx := -1
-		for i := 0; i < grid.Levels(); i++ {
-			s := grid.Value(i)
-			plan, _, _, _ := table.Lookup(s, s)
-			idx := -1
-			for j := range entries {
-				if reflect.DeepEqual(entries[j].Plan, plan) {
-					idx = j
-					break
-				}
-			}
-			if idx < 0 {
-				t.Fatalf("trial %d: diagonal winner at share %g is not a frontier entry", trial, s)
-			}
-			if idx < prevIdx {
-				t.Fatalf("trial %d: diagonal winner index regressed from %d to %d at share %g", trial, prevIdx, idx, s)
-			}
-			prevIdx = idx
-		}
-	}
-}
-
 // TestFrontierInfeasibleCell: a key no plan satisfies — an unmeetable accuracy
 // floor, which every solve discovers anew, or a model no partition fits in
-// memory, which the kernel build discovers once — fails to certify, and its
-// on-demand table hands back the optimizer's error on every ask, whichever cell
-// is asked, counting each as a probe and leaving the cell unknown.
+// memory, which the kernel build discovers once — has a table that hands back
+// the optimizer's error on every ask, whichever cell is asked, counting each
+// as a probe and leaving the cell unknown.
 func TestFrontierInfeasibleCell(t *testing.T) {
 	floor := testFrontierKey(t, rand.New(rand.NewSource(9)), keyFree)
 	floor.MinAccuracy = 0.9999
@@ -446,9 +375,6 @@ func TestFrontierInfeasibleCell(t *testing.T) {
 	memory.Server = &cramped
 	bo := BuildOptions{grid: NewShareGrid(1), Surgery: Options{FixedPartition: FreePartition}}
 	for name, k := range map[string]FrontierKey{"accuracy floor": floor, "memory": memory} {
-		if _, err := certifiedFrontier(k, bo); err == nil {
-			t.Fatalf("%s: an infeasible key certified", name)
-		}
 		table, err := BuildFrontier(k, bo)
 		if err != nil {
 			t.Fatal(err)
@@ -489,18 +415,23 @@ func TestFrontierSetSemantics(t *testing.T) {
 	if set.Len() != 1 {
 		t.Fatalf("set holds %d tables, want 1", set.Len())
 	}
+	if set.Probes() != 0 || len(set.Get(k1).Entries()) != 0 {
+		t.Fatal("a registered table already holds cells")
+	}
 	if err := set.Build(k2); err == nil {
 		t.Fatal("capacity overflow must error")
 	}
 	if _, _, ok := set.Lookup(k2, 1, 1); ok {
 		t.Fatal("lookup of an untabulated key must miss")
 	}
-	plan, _, ok := set.Lookup(k1, 0.5, 0.5)
-	if !ok || plan.Model == nil {
-		t.Fatal("lookup of a tabulated key must hit with a real plan")
-	}
-	if set.Probes() <= 0 {
-		t.Fatal("set must account its construction probes")
+	for ask := 0; ask < 2; ask++ {
+		plan, _, ok := set.Lookup(k1, 0.5, 0.5)
+		if !ok || plan.Model == nil {
+			t.Fatal("lookup of a registered key must answer with a real plan")
+		}
+		if set.Probes() != 1 {
+			t.Fatalf("ask %d: the set counts %d fills, want 1", ask+1, set.Probes())
+		}
 	}
 	// Device-only keys tabulate as single-entry tables.
 	k3 := k1
@@ -518,62 +449,105 @@ func TestFrontierSetSemantics(t *testing.T) {
 		t.Fatalf("device-only plan crosses at partition %d", dp.Partition)
 	}
 	_, dev2, _ := only.Lookup(k3, 0.25, 0.5)
-	if !reflect.DeepEqual(dev1, dev2) {
-		t.Fatal("device-only tables must ignore shares")
+	if !reflect.DeepEqual(dev1, dev2) || only.Probes() != 1 {
+		t.Fatalf("device-only tables must ignore shares: %d fills", only.Probes())
 	}
 }
 
-// FuzzFrontierLookup drives table lookups with arbitrary shares, against a
-// certified table and an on-demand one per key: no panic, and both return
-// exactly the optimizer's answer at the snapped shares.
+// FuzzFrontierLookup drives table lookups with arbitrary shares: no panic,
+// and every lookup returns exactly the optimizer's answer at the snapped
+// shares, a plan the table lists among its entries.
 func FuzzFrontierLookup(f *testing.F) {
 	f.Add(uint8(0), 0.5, 0.5)
 	f.Add(uint8(1), 1.0, 0.001)
 	f.Add(uint8(2), -3.0, 7.5)
 	rng := rand.New(rand.NewSource(5))
 	bo := BuildOptions{grid: NewShareGrid(2), Surgery: Options{FixedPartition: FreePartition}}
-	tables := make([][2]*Frontier, 3)
+	tables := make([]*Frontier, 3)
 	for i := range tables {
-		k := testFrontierKey(f, rng, keyFree)
-		bulk, err := certifiedFrontier(k, bo)
+		table, err := BuildFrontier(testFrontierKey(f, rng, keyFree), bo)
 		if err != nil {
 			f.Fatal(err)
 		}
-		lazy, err := BuildFrontier(k, bo)
-		if err != nil {
-			f.Fatal(err)
-		}
-		tables[i] = [2]*Frontier{bulk, lazy}
+		tables[i] = table
 	}
 	f.Fuzz(func(t *testing.T, sel uint8, cs, bs float64) {
-		pair := tables[int(sel)%len(tables)]
+		table := tables[int(sel)%len(tables)]
 		fShare, bShare := fuzzUnit(cs), fuzzUnit(bs)
-		key, grid := pair[0].Key(), pair[0].Grid()
+		key, grid := table.Key(), table.Grid()
 		sf, sb := grid.Snap(fShare), grid.Snap(bShare)
 		wantPlan, wantEv, err := Optimize(key.Model, key.env(sf, sb), key.options(bo.Surgery))
 		if err != nil {
 			t.Fatalf("optimizer failed at snapped shares (%g, %g): %v", sf, sb, err)
 		}
-		for _, table := range pair {
-			plan, ev, _, err := table.Lookup(fShare, bShare)
-			if err != nil {
-				t.Fatalf("lookup at (%g, %g): %v", fShare, bShare, err)
-			}
-			found := false
-			for _, e := range table.Entries() {
-				if reflect.DeepEqual(e.Plan, plan) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Fatalf("lookup at (%g, %g) returned a plan outside the frontier", fShare, bShare)
-			}
-			if !reflect.DeepEqual(plan, wantPlan) || !reflect.DeepEqual(ev, wantEv) {
-				t.Fatalf("lookup at (%g, %g) diverged from optimizer at snapped (%g, %g)", fShare, bShare, sf, sb)
+		plan, ev, _, err := table.Lookup(fShare, bShare)
+		if err != nil {
+			t.Fatalf("lookup at (%g, %g): %v", fShare, bShare, err)
+		}
+		found := false
+		for _, e := range table.Entries() {
+			if reflect.DeepEqual(e.Plan, plan) {
+				found = true
+				break
 			}
 		}
+		if !found {
+			t.Fatalf("lookup at (%g, %g) returned a plan outside the frontier", fShare, bShare)
+		}
+		if !reflect.DeepEqual(plan, wantPlan) || !reflect.DeepEqual(ev, wantEv) {
+			t.Fatalf("lookup at (%g, %g) diverged from optimizer at snapped (%g, %g)", fShare, bShare, sf, sb)
+		}
 	})
+}
+
+// TestFrontierConcurrentFills pins the sharing contract a FrontierSet's
+// tables rely on: eight goroutines looking up every cell of one table at once
+// report exactly one fill per cell between them, spend one optimizer call per
+// cell, and each read the optimizer's answer. make test-race repeats it under
+// the race detector.
+func TestFrontierConcurrentFills(t *testing.T) {
+	k := testFrontierKey(t, rand.New(rand.NewSource(13)), keyFree)
+	bo := BuildOptions{grid: NewShareGrid(1), Surgery: Options{FixedPartition: FreePartition}}
+	table, err := BuildFrontier(k, bo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := table.Grid()
+	n := grid.Levels()
+	want := make([]Plan, n*n)
+	for c := range want {
+		if want[c], _, err = Optimize(k.Model, k.env(grid.Value(c/n), grid.Value(c%n)), k.options(bo.Surgery)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const workers = 8
+	fills := make([]int, workers)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			defer wg.Done()
+			for i := range want {
+				c := (i + w*len(want)/workers) % len(want) // start apart, then overlap
+				plan, _, known, err := table.Lookup(grid.Value(c/n), grid.Value(c%n))
+				if err != nil || !reflect.DeepEqual(plan, want[c]) {
+					t.Errorf("worker %d, cell %d: %v, err %v; the optimizer returns %v", w, c, plan, err, want[c])
+					return
+				}
+				if !known {
+					fills[w]++
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	total := 0
+	for _, f := range fills {
+		total += f
+	}
+	if total != len(want) || table.Probes() != len(want) {
+		t.Fatalf("%d fills reported and %d probes spent for %d cells", total, table.Probes(), len(want))
+	}
 }
 
 // BenchmarkFrontierFill measures the planner's unit of surgery cost: filling
