@@ -1,5 +1,5 @@
-// Benchmarks regenerating every evaluation artifact (one benchmark per
-// table/figure, BenchmarkE1..BenchmarkE21) plus microbenchmarks for the
+// Benchmarks regenerating every evaluation artifact (BenchmarkExperiments,
+// one sub-benchmark per experiment spec) plus microbenchmarks for the
 // performance-critical kernels: the surgery DP, the allocation water-fill,
 // the simulator event loop and the nn matmul.
 //
@@ -9,7 +9,7 @@
 //
 // Regenerate one figure's data:
 //
-//	go test -bench=BenchmarkE4 -benchtime=1x
+//	go test -bench='BenchmarkExperiments/E4$' -benchtime=1x
 package edgesurgeon
 
 import (
@@ -29,84 +29,22 @@ import (
 	"edgesurgeon/internal/workload"
 )
 
-// benchExperiment runs one experiment per iteration; the regenerated tables
-// are the artifact, the benchmark time is the cost of regenerating them.
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	runner, ok := experiments.Registry()[id]
-	if !ok {
-		b.Fatalf("unknown experiment %s", id)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := runner(); err != nil {
-			b.Fatalf("%s: %v", id, err)
-		}
+// BenchmarkExperiments runs each experiment once per iteration, its
+// CI-sized variant where it has one (`experiments -quick`); the
+// regenerated tables are the artifact, the benchmark time is the cost of
+// regenerating them.
+func BenchmarkExperiments(b *testing.B) {
+	for _, s := range experiments.Specs {
+		b.Run(s.ID, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Report(true); err != nil {
+					b.Fatalf("%s: %v", s.ID, err)
+				}
+			}
+		})
 	}
 }
-
-// Table 1: model zoo characteristics.
-func BenchmarkE1ModelZoo(b *testing.B) { benchExperiment(b, "E1") }
-
-// Table 2: per-model latency across hardware classes.
-func BenchmarkE2HardwareProfile(b *testing.B) { benchExperiment(b, "E2") }
-
-// Figure 3: latency vs uplink bandwidth.
-func BenchmarkE3BandwidthSweep(b *testing.B) { benchExperiment(b, "E3") }
-
-// Figure 4: latency vs number of users.
-func BenchmarkE4UserScaling(b *testing.B) { benchExperiment(b, "E4") }
-
-// Figure 5: deadline satisfaction vs arrival rate.
-func BenchmarkE5DeadlineVsRate(b *testing.B) { benchExperiment(b, "E5") }
-
-// Figure 6: accuracy-latency frontier.
-func BenchmarkE6AccuracyLatency(b *testing.B) { benchExperiment(b, "E6") }
-
-// Figure 7: joint vs single-axis ablations.
-func BenchmarkE7Ablation(b *testing.B) { benchExperiment(b, "E7") }
-
-// Figure 8: heterogeneity sensitivity.
-func BenchmarkE8Heterogeneity(b *testing.B) { benchExperiment(b, "E8") }
-
-// Figure 9: planner runtime scalability.
-func BenchmarkE9PlannerScalability(b *testing.B) { benchExperiment(b, "E9") }
-
-// Figure 10: block-coordinate convergence.
-func BenchmarkE10Convergence(b *testing.B) { benchExperiment(b, "E10") }
-
-// Table 3: optimality gap vs exhaustive assignment.
-func BenchmarkE11OptimalityGap(b *testing.B) { benchExperiment(b, "E11") }
-
-// Figure 11: measured multi-exit behaviour of a trained network.
-func BenchmarkE12RealMultiExit(b *testing.B) { benchExperiment(b, "E12") }
-
-// Figure 12: online adaptation under fading bandwidth.
-func BenchmarkE13OnlineAdaptation(b *testing.B) { benchExperiment(b, "E13") }
-
-// Figure 13 (extension): device energy per task by strategy.
-func BenchmarkE14DeviceEnergy(b *testing.B) { benchExperiment(b, "E14") }
-
-// Figure 14 (extension): activation compression before transfer.
-func BenchmarkE15Compression(b *testing.B) { benchExperiment(b, "E15") }
-
-// Figure 15 (extension): offload-probe ablation.
-func BenchmarkE16ProbeAblation(b *testing.B) { benchExperiment(b, "E16") }
-
-// Figure 16 (extension): priority-weight service differentiation.
-func BenchmarkE17PriorityWeights(b *testing.B) { benchExperiment(b, "E17") }
-
-// Figure 17 (extension): service-discipline sensitivity.
-func BenchmarkE18DisciplineSensitivity(b *testing.B) { benchExperiment(b, "E18") }
-
-// Table 4 (extension): max sustainable throughput at 90% satisfaction.
-func BenchmarkE19SaturationThroughput(b *testing.B) { benchExperiment(b, "E19") }
-
-// Figure 18 (extension): availability under server/link failures.
-func BenchmarkE20AvailabilityUnderFailures(b *testing.B) { benchExperiment(b, "E20") }
-
-// Scale study (extension): sharded-simulator throughput at 10k-100k users.
-func BenchmarkE21ScaleThroughput(b *testing.B) { benchExperiment(b, "E21") }
 
 // --- microbenchmarks -----------------------------------------------------
 

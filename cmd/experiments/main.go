@@ -10,6 +10,11 @@
 //	experiments -run E21 -bench-json BENCH_sim.json   # perf trajectory
 //	experiments -run E23 -quick -bench-json BENCH_planner.json \
 //	    -require-metrics E23.speedup_vs_monolithic,E23.gap_worst_pct   # CI smoke
+//	experiments -scenario deploy.json   # plan and simulate a JSON scenario
+//
+// -scenario runs one JSON scenario (schema in internal/config) under the
+// strategies every E-series figure compares, over the scenario's horizon,
+// and prints one row per strategy plus the joint plan's per-user decisions.
 package main
 
 import (
@@ -36,8 +41,13 @@ func main() {
 		requireStr = flag.String("require-metrics", "", "comma-separated EID.metric keys that must be present in the collected metrics; missing keys exit non-zero (CI guard for -bench-json consumers)")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the selected experiments to this file")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
+		scenario   = flag.String("scenario", "", "plan and simulate this JSON scenario under the comparison strategies instead of running experiments")
 	)
 	flag.Parse()
+	if *scenario != "" && *runList != "" {
+		fmt.Fprintln(os.Stderr, "-scenario and -run are exclusive: -scenario runs the one scenario, not experiments")
+		os.Exit(2)
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -68,39 +78,43 @@ func main() {
 		}()
 	}
 
-	reg := experiments.Registry()
-	if *quick {
-		for id, runner := range experiments.QuickVariants() {
-			reg[id] = runner
-		}
-	}
 	if *list {
-		for _, id := range experiments.IDs() {
-			fmt.Println(id)
+		for _, s := range experiments.Specs {
+			fmt.Println(s.ID)
 		}
 		return
 	}
 
-	ids := experiments.IDs()
-	if *runList != "" {
-		ids = strings.Split(*runList, ",")
+	specs := experiments.Specs
+	switch {
+	case *scenario != "":
+		s, err := experiments.ScenarioSpec(*scenario)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "scenario: %v\n", err)
+			os.Exit(1)
+		}
+		specs = []experiments.Spec{s}
+	case *runList != "":
+		specs = nil
+		for _, id := range strings.Split(*runList, ",") {
+			s, ok := experiments.Lookup(strings.TrimSpace(id))
+			if !ok {
+				fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", strings.TrimSpace(id))
+				os.Exit(2)
+			}
+			specs = append(specs, s)
+		}
 	}
 	metrics := map[string]map[string]float64{}
-	for _, id := range ids {
-		id = strings.TrimSpace(id)
-		runner, ok := reg[id]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", id)
-			os.Exit(2)
-		}
+	for _, s := range specs {
 		start := time.Now()
-		rep, err := runner()
+		rep, err := s.Report(*quick)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s failed: %v\n", id, err)
+			fmt.Fprintf(os.Stderr, "%s failed: %v\n", s.ID, err)
 			os.Exit(1)
 		}
 		fmt.Print(rep.String())
-		fmt.Printf("(%s completed in %.1fs)\n\n", id, time.Since(start).Seconds())
+		fmt.Printf("(%s completed in %.1fs)\n\n", s.ID, time.Since(start).Seconds())
 		if *csvDir != "" {
 			if err := exportCSV(*csvDir, rep); err != nil {
 				fmt.Fprintf(os.Stderr, "csv export: %v\n", err)

@@ -1,13 +1,13 @@
 // Package config parses JSON scenario descriptions into joint.Scenario
-// values and resolves strategy names, backing the cmd/edgesim CLI so
-// deployments can be described declaratively.
+// values, so deployments can be described declaratively: cmd/edgeserved
+// serves one, `experiments -scenario` plans and simulates one, and the
+// data-plane agents resolve their copy of it.
 package config
 
 import (
 	"encoding/json"
 	"fmt"
 
-	"edgesurgeon/internal/baseline"
 	"edgesurgeon/internal/dnn"
 	"edgesurgeon/internal/hardware"
 	"edgesurgeon/internal/joint"
@@ -176,39 +176,5 @@ func parseArrivals(s string) (workload.ArrivalKind, error) {
 		return workload.Periodic, nil
 	default:
 		return 0, fmt.Errorf("unknown arrival kind %q", s)
-	}
-}
-
-// Strategy resolves a strategy name to an implementation.
-func Strategy(name string) (joint.Strategy, error) {
-	switch name {
-	case "", "joint":
-		return &joint.Planner{}, nil
-	case "joint-minmax":
-		return &joint.Planner{Opt: joint.Options{Allocator: joint.MinMaxAlloc}}, nil
-	case "surgery-only":
-		return &joint.Planner{Opt: joint.Options{DisableAllocation: true}}, nil
-	case "alloc-only":
-		return &joint.Planner{Opt: joint.Options{DisableSurgery: true}}, nil
-	case "local-only":
-		return baseline.LocalOnly{}, nil
-	case "edge-only":
-		return baseline.EdgeOnly{}, nil
-	case "neurosurgeon":
-		return baseline.Neurosurgeon{}, nil
-	case "branchy-local":
-		return baseline.BranchyLocal{}, nil
-	case "random":
-		return baseline.Random{Seed: 1}, nil
-	default:
-		return nil, fmt.Errorf("config: unknown strategy %q (known: joint, joint-minmax, surgery-only, alloc-only, local-only, edge-only, neurosurgeon, branchy-local, random)", name)
-	}
-}
-
-// StrategyNames lists the recognized strategy names.
-func StrategyNames() []string {
-	return []string{
-		"joint", "joint-minmax", "surgery-only", "alloc-only",
-		"local-only", "edge-only", "neurosurgeon", "branchy-local", "random",
 	}
 }

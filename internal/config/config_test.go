@@ -84,24 +84,6 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestStrategyResolution(t *testing.T) {
-	for _, name := range StrategyNames() {
-		s, err := Strategy(name)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if s.Name() == "" {
-			t.Errorf("%s: empty strategy name", name)
-		}
-	}
-	if s, err := Strategy(""); err != nil || s.Name() != "joint" {
-		t.Errorf("default strategy: %v, %v", s, err)
-	}
-	if _, err := Strategy("quantum"); err == nil || !strings.Contains(err.Error(), "known:") {
-		t.Errorf("unknown strategy error unhelpful: %v", err)
-	}
-}
-
 // TestParseInternsCatalogInstances: users and servers naming one catalog
 // entry share one instance — the planner's surgery cache and frontier tables
 // key on pointer identity, so this is what keeps them O(classes) for parsed

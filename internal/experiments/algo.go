@@ -2,21 +2,15 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"edgesurgeon/internal/joint"
-	"edgesurgeon/internal/stats"
 )
 
-// E9PlannerScalability regenerates Figure 9: planner wall-clock runtime as
+// e9PlannerScalability regenerates Figure 9: planner wall-clock runtime as
 // the user count grows. Reassignment is disabled (its greedy pass is the
 // only super-linear step); the block-coordinate core is what must scale.
-func E9PlannerScalability() (*Report, error) {
-	r := &Report{
-		ID: "E9", Artifact: "Figure 9",
-		Title: "Planner runtime vs number of users (reassignment off, 4 rounds)",
-	}
-	t := stats.NewTable("Planner wall-clock time",
+func e9PlannerScalability(r *Report) error {
+	t := r.table("Planner wall-clock time",
 		"users", "runtime(ms)", "ms/user", "objective")
 	counts := []int{10, 25, 50, 100, 250, 500, 1000}
 	var first, last float64
@@ -25,12 +19,11 @@ func E9PlannerScalability() (*Report, error) {
 		planner := &joint.Planner{Opt: joint.Options{
 			MaxIters: 4, DisableReassignment: true,
 		}}
-		start := time.Now()
-		plan, err := planner.Plan(sc)
+		plan, sec, err := timed(func() (*joint.Plan, error) { return planner.Plan(sc) })
 		if err != nil {
-			return nil, fmt.Errorf("n=%d: %w", n, err)
+			return fmt.Errorf("n=%d: %w", n, err)
 		}
-		elapsed := time.Since(start).Seconds() * 1000
+		elapsed := sec * 1000
 		perUser := elapsed / float64(n)
 		t.AddRow(n, elapsed, perUser, plan.Objective)
 		if n == counts[0] {
@@ -38,29 +31,24 @@ func E9PlannerScalability() (*Report, error) {
 		}
 		last = perUser
 	}
-	r.Tables = append(r.Tables, t)
 	ratio := last / first
 	r.note("per-user planning cost changed %.2fx from N=%d to N=%d (1.0 = perfectly linear)",
 		ratio, counts[0], counts[len(counts)-1])
-	return r, nil
+	return nil
 }
 
-// E10Convergence regenerates Figure 10: the block-coordinate objective
+// e10Convergence regenerates Figure 10: the block-coordinate objective
 // trajectory.
-func E10Convergence() (*Report, error) {
-	r := &Report{
-		ID: "E10", Artifact: "Figure 10",
-		Title: "Convergence of the block-coordinate iteration (16 users)",
-	}
+func e10Convergence(r *Report) error {
 	// Scarce bandwidth and tight deadlines couple the two blocks: the best
 	// surgery plan depends strongly on the shares and vice versa.
 	sc := mixedScenario(16, 5, 0.25, 9)
 	planner := &joint.Planner{Opt: joint.Options{MaxIters: 12, Epsilon: 1e-9}}
 	plan, err := planner.Plan(sc)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	t := stats.NewTable("Objective per half-step",
+	t := r.table("Objective per half-step",
 		"step", "phase", "objective", "improvement(%)")
 	phase := func(i int) string {
 		switch {
@@ -79,9 +67,8 @@ func E10Convergence() (*Report, error) {
 		}
 		t.AddRow(i, phase(i), obj, imp)
 	}
-	r.Tables = append(r.Tables, t)
 	totalDrop := 100 * (plan.Trajectory[0] - plan.Trajectory[len(plan.Trajectory)-1]) / plan.Trajectory[0]
 	r.note("converged in %d rounds; objective reduction from the first surgery pass: %.1f%%",
 		plan.Iterations, totalDrop)
-	return r, nil
+	return nil
 }

@@ -5,14 +5,10 @@ import (
 	"os"
 
 	"edgesurgeon/internal/faults"
-	"edgesurgeon/internal/joint"
-	"edgesurgeon/internal/netmodel"
 	"edgesurgeon/internal/serve"
-	"edgesurgeon/internal/sim"
-	"edgesurgeon/internal/stats"
 )
 
-// E25ChaosRecovery replays one drifting-bandwidth telemetry trace through
+// e25ChaosRecovery replays one drifting-bandwidth telemetry trace through
 // the crash-safe control plane four times: undisturbed, with the process
 // killed and recovered from its snapshot+WAL store six times, with the
 // planner throttled into replan-deadline aborts, and with a corrupt
@@ -21,51 +17,17 @@ import (
 // are byte-identical to the undisturbed run's), deadline aborts degrade to
 // stale-plan serving instead of erroring, and quarantine contains a bad
 // source without losing the stream.
-func E25ChaosRecovery() (*Report, error) {
-	r := &Report{
-		ID: "E25", Artifact: "Robustness study",
-		Title: "Chaos replay: crash/recover fidelity, replan deadlines, telemetry quarantine",
-	}
+func e25ChaosRecovery(r *Report) error {
 	const (
 		horizon = 240.0
 		period  = 5.0
 	)
-
-	build := func() (*joint.Scenario, error) {
-		sc := mixedScenario(8, 1.2, 0.35, 40)
-		mk := func(name string, statesMbps []float64, dwell float64, rtt float64, seed int64) (netmodel.Link, error) {
-			states := make([]float64, len(statesMbps))
-			for i, v := range statesMbps {
-				states[i] = netmodel.Mbps(v)
-			}
-			return netmodel.NewFading(name, netmodel.FadingConfig{
-				States: states, MeanDwell: dwell, Horizon: horizon * 2, RTT: rtt, Seed: seed,
-			})
-		}
-		var err error
-		if sc.Servers[0].Link, err = mk("wifi-a", []float64{16, 28, 45}, 16, 0.004, 51); err != nil {
-			return nil, err
-		}
-		if sc.Servers[1].Link, err = mk("wifi-b", []float64{10, 18, 30}, 18, 0.006, 52); err != nil {
-			return nil, err
-		}
-		return sc, nil
-	}
 	sched := faults.MustNew(
 		faults.Window{Kind: faults.ServerCrash, Server: 0, Start: 60, End: 100},
 	)
-
-	scTrace, err := build()
+	build, trace, err := fadingStudy(51, sched, horizon, period)
 	if err != nil {
-		return nil, err
-	}
-	servers := make([]sim.ServerConfig, len(scTrace.Servers))
-	for i, s := range scTrace.Servers {
-		servers[i] = sim.ServerConfig{Profile: s.Profile, Link: s.Link}
-	}
-	trace, err := sim.RecordTrace(servers, sched, horizon, period)
-	if err != nil {
-		return nil, err
+		return err
 	}
 
 	policy := serve.Policy{
@@ -113,11 +75,7 @@ func E25ChaosRecovery() (*Report, error) {
 	}
 	results := make([]armResult, len(arms))
 	err = forEachArm(len(arms), func(ai int) error {
-		sc, err := build()
-		if err != nil {
-			return err
-		}
-		cfg := serve.Config{Scenario: sc, Policy: policy}
+		cfg := serve.Config{Scenario: build(), Policy: policy}
 		if arms[ai].store {
 			dir, err := os.MkdirTemp("", "e25-chaos-*")
 			if err != nil {
@@ -153,7 +111,7 @@ func E25ChaosRecovery() (*Report, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	calm, crash, slowArm, corr := &results[0], &results[1], &results[2], &results[3]
@@ -167,19 +125,18 @@ func E25ChaosRecovery() (*Report, error) {
 		deadlineHit = float64(slowArm.aborted) / float64(attempts)
 	}
 
-	t := stats.NewTable(fmt.Sprintf("Chaos replay over one %g s trace (%d samples)", horizon, len(trace)),
+	t := r.table(fmt.Sprintf("Chaos replay over one %g s trace (%d samples)", horizon, len(trace)),
 		"arm", "crashes", "full-replans", "deadline-aborts", "rejections", "quarantined", "muted-drops")
 	for ai, res := range results {
 		t.AddRow(arms[ai].name, float64(res.res.Crashes), float64(res.fulls), float64(res.aborted),
 			float64(res.res.Rejections), float64(res.quarantined), float64(res.qdrops))
 	}
-	r.Tables = append(r.Tables, t)
 
-	r.metric("recovery_fidelity", fidelity)
-	r.metric("crashes", float64(crash.res.Crashes))
-	r.metric("deadline_hit_rate", deadlineHit)
-	r.metric("stale_serves", float64(slowArm.aborted))
-	r.metric("quarantine_drops", float64(corr.qdrops))
+	r.Metrics["recovery_fidelity"] = fidelity
+	r.Metrics["crashes"] = float64(crash.res.Crashes)
+	r.Metrics["deadline_hit_rate"] = deadlineHit
+	r.Metrics["stale_serves"] = float64(slowArm.aborted)
+	r.Metrics["quarantine_drops"] = float64(corr.qdrops)
 
 	r.note("recovery fidelity after %d kill/recover cycles: %.0f (1 = journal, metrics and final plan byte-identical to the undisturbed run)",
 		crash.res.Crashes, fidelity)
@@ -198,5 +155,5 @@ func E25ChaosRecovery() (*Report, error) {
 	if corr.quarantined == 0 {
 		r.note("WARNING: the corrupt arm never tripped quarantine")
 	}
-	return r, nil
+	return nil
 }

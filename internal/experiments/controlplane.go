@@ -9,10 +9,10 @@ import (
 	"edgesurgeon/internal/serve"
 	"edgesurgeon/internal/sim"
 	"edgesurgeon/internal/stats"
-	"edgesurgeon/internal/workload"
+	"edgesurgeon/internal/telemetry"
 )
 
-// E22ControlPlanePolicies replays one drifting-bandwidth + fault telemetry
+// e22ControlPlanePolicies replays one drifting-bandwidth + fault telemetry
 // trace through the serve.Runtime under three replanning policies —
 // replan-always, hysteresis, and never-replan — and simulates each sample
 // window's arrivals under the plan each policy was actually serving at that
@@ -20,67 +20,25 @@ import (
 // within one point of replan-always while running at least five times fewer
 // full (block-coordinate) replans; never-replan shows what that planning
 // work buys.
-func E22ControlPlanePolicies() (*Report, error) {
-	r := &Report{
-		ID: "E22", Artifact: "Control-plane study",
-		Title: "Replanning policies on a drifting + faulty trace (always vs hysteresis vs never)",
-	}
+func e22ControlPlanePolicies(r *Report) error {
 	const (
 		horizon = 240.0
 		period  = 5.0
 	)
-
-	// A moderately fading cluster: both uplinks wander across a 4-5x range
-	// so the trace genuinely drifts, with an E20-style crash and outage on
-	// top of it.
-	build := func() (*joint.Scenario, error) {
-		sc := mixedScenario(8, 1.2, 0.35, 40)
-		mk := func(name string, statesMbps []float64, dwell float64, rtt float64, seed int64) (netmodel.Link, error) {
-			states := make([]float64, len(statesMbps))
-			for i, v := range statesMbps {
-				states[i] = netmodel.Mbps(v)
-			}
-			return netmodel.NewFading(name, netmodel.FadingConfig{
-				States: states, MeanDwell: dwell, Horizon: horizon * 2, RTT: rtt, Seed: seed,
-			})
-		}
-		var err error
-		if sc.Servers[0].Link, err = mk("wifi-a", []float64{16, 28, 45}, 16, 0.004, 41); err != nil {
-			return nil, err
-		}
-		if sc.Servers[1].Link, err = mk("wifi-b", []float64{10, 18, 30}, 18, 0.006, 42); err != nil {
-			return nil, err
-		}
-		return sc, nil
-	}
+	// An E20-style crash and outage on top of the drifting uplinks.
 	sched := faults.MustNew(
 		faults.Window{Kind: faults.ServerCrash, Server: 0, Start: 60, End: 100},
 		faults.Window{Kind: faults.LinkOutage, Server: 1, Start: 120, End: 160},
 	)
-
-	// Record the telemetry trace once; every arm replays the same samples.
-	scTrace, err := build()
+	build, trace, err := fadingStudy(41, sched, horizon, period)
 	if err != nil {
-		return nil, err
-	}
-	servers := make([]sim.ServerConfig, len(scTrace.Servers))
-	for i, s := range scTrace.Servers {
-		servers[i] = sim.ServerConfig{Profile: s.Profile, Link: s.Link}
-	}
-	trace, err := sim.RecordTrace(servers, sched, horizon, period)
-	if err != nil {
-		return nil, err
+		return err
 	}
 
 	type armResult struct {
-		name        string
-		fulls       int64
-		cheaps      int64
-		deferred    int64
-		met         stats.Meter
-		fail        stats.Meter
-		faultMet    stats.Meter
-		finalChange float64
+		name                    string
+		fulls, cheaps, deferred int64
+		met, fail, faultMet     stats.Meter
 	}
 	arms := []struct {
 		name   string
@@ -92,50 +50,23 @@ func E22ControlPlanePolicies() (*Report, error) {
 	}
 	results := make([]armResult, len(arms))
 	err = forEachArm(len(arms), func(ai int) error {
-		sc, err := build()
-		if err != nil {
-			return err
-		}
+		sc := build()
 		rt, err := serve.New(serve.Config{Scenario: sc, Policy: arms[ai].policy})
 		if err != nil {
 			return err
 		}
-		res := armResult{name: arms[ai].name}
-		for i := range trace {
-			plan, err := rt.Ingest(trace[i])
-			if err != nil {
-				return fmt.Errorf("%s: sample %d: %w", arms[ai].name, i, err)
-			}
-			// Simulate this sample window's arrivals under whatever plan the
-			// policy is serving right now, with the fault trace live.
-			start := trace[i].Time
-			cfg := joint.BuildSimConfig(sc, plan, horizon, sim.DedicatedShares)
-			cfg.Faults = sched
-			cfg.Retry = sim.RetryPolicy{TaskTimeout: 2}
-			for ui := range cfg.Users {
-				var kept []workload.Task
-				for _, task := range cfg.Users[ui].Tasks {
-					if task.Arrival >= start && task.Arrival < start+period {
-						kept = append(kept, task)
-					}
-				}
-				cfg.Users[ui].Tasks = kept
-			}
-			simRes, err := sim.Run(cfg)
-			if err != nil {
-				return err
-			}
-			up := sched.Health(len(sc.Servers), start)
-			inFault := !up[0] || !up[1]
-			for ri := range simRes.Records {
-				rec := &simRes.Records[ri]
-				if rec.Deadline > 0 {
-					res.met.Observe(rec.Met)
-					if inFault {
-						res.faultMet.Observe(rec.Met)
-					}
-				}
-				res.fail.Observe(rec.Failed)
+		// Each sample window's arrivals run under whatever plan the policy
+		// is serving right then, with the fault trace live.
+		total, windows, err := replay(sc, horizon, period, sched, func(i int, _ float64) (*joint.Plan, error) {
+			return rt.Ingest(trace[i])
+		})
+		if err != nil {
+			return fmt.Errorf("%s: %w", arms[ai].name, err)
+		}
+		res := armResult{name: arms[ai].name, met: total.met, fail: total.fail}
+		for i, w := range windows {
+			if up := sched.Health(len(sc.Servers), trace[i].Time); !up[0] || !up[1] {
+				res.faultMet.Merge(w.met)
 			}
 		}
 		reg := rt.Metrics()
@@ -146,22 +77,21 @@ func E22ControlPlanePolicies() (*Report, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 
-	t := stats.NewTable("Policy comparison over one 240 s trace (48 samples)",
+	t := r.table("Policy comparison over one 240 s trace (48 samples)",
 		"policy", "full-replans", "cheap-refreshes", "deferred", "deadline-rate", "failure-rate", "fault-window-deadline-rate")
 	for _, res := range results {
 		t.AddRow(res.name, float64(res.fulls), float64(res.cheaps), float64(res.deferred),
 			res.met.Rate(), res.fail.Rate(), res.faultMet.Rate())
 	}
-	r.Tables = append(r.Tables, t)
 
 	always, hyst, never := &results[0], &results[1], &results[2]
 	r.note("deadline satisfaction: hysteresis %.3f vs replan-always %.3f (delta %.3f) vs never-replan %.3f",
 		hyst.met.Rate(), always.met.Rate(), always.met.Rate()-hyst.met.Rate(), never.met.Rate())
 	r.note("full replans: hysteresis %d vs replan-always %d (%.1fx fewer)",
-		hyst.fulls, always.fulls, float64(always.fulls)/float64(max64(hyst.fulls, 1)))
+		hyst.fulls, always.fulls, float64(always.fulls)/float64(max(hyst.fulls, 1)))
 	if hyst.met.Rate() < always.met.Rate()-0.01 {
 		r.note("WARNING: hysteresis lost more than one point of deadline satisfaction vs replan-always")
 	}
@@ -171,12 +101,46 @@ func E22ControlPlanePolicies() (*Report, error) {
 	if never.faultMet.Rate() > hyst.faultMet.Rate() {
 		r.note("WARNING: never-replan beat hysteresis inside fault windows — the control plane is not earning its keep")
 	}
-	return r, nil
+	return nil
 }
 
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
+// fadingStudy is the cluster the control-plane studies replay (E22, E25):
+// E20's eight users in front of two servers whose uplinks wander across a
+// 3x range (fading seeded seed and seed+1), so the trace genuinely drifts.
+// It returns a builder of fresh scenarios, one per arm, all sharing the two
+// read-only links, and the telemetry trace recorded once from them under
+// sched: every arm replays the same samples.
+func fadingStudy(seed int64, sched *faults.Schedule, horizon, period float64) (func() *joint.Scenario, []telemetry.Sample, error) {
+	links := make([]netmodel.Link, 2)
+	for i, c := range []struct {
+		name       string
+		mbps       []float64
+		dwell, rtt float64
+	}{
+		{"wifi-a", []float64{16, 28, 45}, 16, 0.004},
+		{"wifi-b", []float64{10, 18, 30}, 18, 0.006},
+	} {
+		states := make([]float64, len(c.mbps))
+		for j, v := range c.mbps {
+			states[j] = netmodel.Mbps(v)
+		}
+		var err error
+		links[i], err = netmodel.NewFading(c.name, netmodel.FadingConfig{
+			States: states, MeanDwell: c.dwell, Horizon: horizon * 2, RTT: c.rtt, Seed: seed + int64(i),
+		})
+		if err != nil {
+			return nil, nil, err
+		}
 	}
-	return b
+	build := func() *joint.Scenario {
+		sc := mixedScenario(8, 1.2, 0.35, 40)
+		sc.Servers[0].Link, sc.Servers[1].Link = links[0], links[1]
+		return sc
+	}
+	servers := make([]sim.ServerConfig, len(links))
+	for i, s := range build().Servers {
+		servers[i] = sim.ServerConfig{Profile: s.Profile, Link: s.Link}
+	}
+	trace, err := sim.RecordTrace(servers, sched, horizon, period)
+	return build, trace, err
 }

@@ -8,7 +8,6 @@ import (
 	"edgesurgeon/internal/cluster"
 	"edgesurgeon/internal/config"
 	"edgesurgeon/internal/serve"
-	"edgesurgeon/internal/stats"
 )
 
 // e27Scenario authors the data-plane scenario through the same JSON schema
@@ -56,26 +55,23 @@ func e27Scenario(nUsers int) ([]byte, error) {
 // to model milliseconds (divide by TimeScale) so they are comparable with
 // planned latencies and deadlines; RPS stays in wall time because it is a
 // harness-throughput number, not a model quantity.
-func e27DataPlane(nUsers, requests, workers int, timeScale float64) (*Report, error) {
-	r := &Report{
-		ID: "E27", Artifact: "Networked data plane study",
-		Title: fmt.Sprintf("Loopback cluster: %d requests over %d users per policy arm", requests, nUsers),
-	}
+func e27DataPlane(r *Report, nUsers, requests, workers int, timeScale float64) error {
+	r.Title = fmt.Sprintf("Loopback cluster: %d requests over %d users per policy arm", requests, nUsers)
 	scenario, err := e27Scenario(nUsers)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// One agent binary shared by every arm; each cluster gets its own
 	// scratch dir but reuses the build.
 	binDir, err := os.MkdirTemp("", "e27-agent-*")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer os.RemoveAll(binDir)
 	bin, err := cluster.BuildAgentBin(binDir)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	delta := serve.Hysteresis()
@@ -89,7 +85,7 @@ func e27DataPlane(nUsers, requests, workers int, timeScale float64) (*Report, er
 		{"delta", delta},
 	}
 
-	t := stats.NewTable("Client-observed outcome per replanning policy (loopback cluster, real TCP)",
+	t := r.table("Client-observed outcome per replanning policy (loopback cluster, real TCP)",
 		"arm", "sent", "ok", "crossed", "p50(ms)", "p99(ms)", "full", "delta")
 	for _, arm := range arms {
 		c, err := cluster.Start(cluster.Config{
@@ -101,12 +97,12 @@ func e27DataPlane(nUsers, requests, workers int, timeScale float64) (*Report, er
 			Seed:            42,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("E27 %s: start: %w", arm.name, err)
+			return fmt.Errorf("E27 %s: start: %w", arm.name, err)
 		}
 		res, err := cluster.Drive(c.Addr(), nUsers, cluster.DriveConfig{Requests: requests, Workers: workers})
 		if err != nil {
 			c.Close()
-			return nil, fmt.Errorf("E27 %s: drive: %w", arm.name, err)
+			return fmt.Errorf("E27 %s: drive: %w", arm.name, err)
 		}
 		full := c.Runtime.FullReplans()
 		reg := c.Runtime.Metrics()
@@ -124,37 +120,20 @@ func e27DataPlane(nUsers, requests, workers int, timeScale float64) (*Report, er
 		t.AddRow(arm.name, res.Sent, res.OK, res.Crossed,
 			fmt.Sprintf("%.1f", p50ms), fmt.Sprintf("%.1f", p99ms),
 			full, deltaReplans)
-		r.metric("p50_ms_"+arm.name, p50ms)
-		r.metric("p99_ms_"+arm.name, p99ms)
-		r.metric("ok_frac_"+arm.name, okFrac)
-		r.metric("full_replans_"+arm.name, float64(full))
-		r.metric("delta_replans_"+arm.name, float64(deltaReplans))
-		r.metric("alloc_pushes_"+arm.name, float64(pushes))
-		r.metric("telemetry_coalesced_"+arm.name, float64(coalesced))
+		r.Metrics["p50_ms_"+arm.name] = p50ms
+		r.Metrics["p99_ms_"+arm.name] = p99ms
+		r.Metrics["ok_frac_"+arm.name] = okFrac
+		r.Metrics["full_replans_"+arm.name] = float64(full)
+		r.Metrics["delta_replans_"+arm.name] = float64(deltaReplans)
+		r.Metrics["alloc_pushes_"+arm.name] = float64(pushes)
+		r.Metrics["telemetry_coalesced_"+arm.name] = float64(coalesced)
 		if okFrac < 1 {
 			r.note("WARNING: %s arm failed %d/%d requests", arm.name, res.Failed, res.Sent)
 		}
 	}
-	r.Tables = append(r.Tables, t)
-	r.metric("time_scale", timeScale)
+	r.Metrics["time_scale"] = timeScale
 	r.note("p50/p99 are client wall latencies of the %d-worker closed loop converted to model ms (wall/TimeScale); its throughput is workers / (modelled latency x TimeScale), a property of the clock scale, and is not reported", workers)
 	r.note("the never arm plans once on mean rates and ignores fading drift; hysteresis and delta arms push refreshed allocations to the agents as telemetry drifts")
 	r.note("replanning arms pay an honest tail cost on small hosts: a full replan's planning wall-time contends with the loopback plane for CPU, which the 1/TimeScale conversion magnifies into the p99 column")
-	return r, nil
-}
-
-// E27DataPlane is the full networked data-plane study. The request count
-// is sized so the closed loop spans several fading dwells and replan
-// debounce windows (model time advances roughly one plan latency per
-// worker round), so the policy arms genuinely diverge.
-func E27DataPlane() (*Report, error) {
-	return e27DataPlane(6, 4000, 4, 0.005)
-}
-
-// E27QuickDataPlane is the CI-sized variant behind `experiments -quick`:
-// same arms and metric keys, fewer requests and a faster clock. It backs
-// `make bench-serve-smoke`, which asserts the metric keys into
-// BENCH_serve.json.
-func E27QuickDataPlane() (*Report, error) {
-	return e27DataPlane(4, 1200, 4, 0.002)
+	return nil
 }

@@ -6,8 +6,6 @@ import (
 	"edgesurgeon/internal/dnn"
 	"edgesurgeon/internal/joint"
 	"edgesurgeon/internal/netmodel"
-	"edgesurgeon/internal/sim"
-	"edgesurgeon/internal/stats"
 	"edgesurgeon/internal/workload"
 )
 
@@ -16,46 +14,36 @@ import (
 // accounting (E14), activation compression before transfer (E15), and an
 // ablation of the planner's offload-probe mechanism (E16).
 
-// E14DeviceEnergy regenerates the device-energy comparison battery papers
+// e14DeviceEnergy regenerates the device-energy comparison battery papers
 // report: joules per task on battery-powered endpoints, per strategy.
-func E14DeviceEnergy() (*Report, error) {
-	r := &Report{
-		ID: "E14", Artifact: "Figure 13 (extension)",
-		Title: "Device energy per task by strategy (battery endpoints)",
-	}
-	sc := mixedScenario(12, 2, 0.4, 40)
-	strategies := strategiesUnderTest()
-	t := stats.NewTable("Energy and latency by strategy",
+func e14DeviceEnergy(r *Report) error {
+	t := r.table("Energy and latency by strategy",
 		"strategy", "energy(J/task)", "mean-latency(ms)", "deadline-rate")
-	energies := map[string]float64{}
-	for _, s := range strategies {
-		_, res, err := joint.PlanAndSimulate(sc, s, simHorizon, sim.DedicatedShares)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", s.Name(), err)
-		}
-		e := res.MeanDeviceEnergy()
-		energies[s.Name()] = e
-		t.AddRow(s.Name(), e, res.Latencies().Mean()*1000, res.DeadlineRate())
+	res, err := grid[float64]{points: []float64{2}, strategies: strategiesUnderTest,
+		scenario: func(rate float64) *joint.Scenario { return mixedScenario(12, rate, 0.4, 40) }}.run()
+	if err != nil {
+		return err
 	}
-	r.Tables = append(r.Tables, t)
-	if energies["local-only"] > 0 {
+	for si, s := range strategiesUnderTest() {
+		o := res[0][si]
+		t.AddRow(s.Name(), o.MeanDeviceEnergy(), o.Latencies().Mean()*1000, o.DeadlineRate())
+	}
+	// Strategy order: joint, local-only, edge-only, ...
+	jointJ, localJ, edgeJ := res[0][0].MeanDeviceEnergy(), res[0][1].MeanDeviceEnergy(), res[0][2].MeanDeviceEnergy()
+	if localJ > 0 {
 		r.note("joint device energy is %.2fx local-only's (%.3f vs %.3f J/task): surgery sheds compute from the battery",
-			energies["joint"]/energies["local-only"], energies["joint"], energies["local-only"])
+			jointJ/localJ, jointJ, localJ)
 	}
-	if energies["edge-only"] > 0 {
-		r.note("edge-only spends %.3f J/task purely on the radio", energies["edge-only"])
+	if edgeJ > 0 {
+		r.note("edge-only spends %.3f J/task purely on the radio", edgeJ)
 	}
-	return r, nil
+	return nil
 }
 
-// E15Compression regenerates the activation-compression ablation: expected
+// e15Compression regenerates the activation-compression ablation: expected
 // latency vs uplink bandwidth with 32-bit, 8-bit (0.25x) and 4-bit (0.125x)
 // cross-partition transfers for a single VGG16 user.
-func E15Compression() (*Report, error) {
-	r := &Report{
-		ID: "E15", Artifact: "Figure 14 (extension)",
-		Title: "Activation compression before transfer (VGG16, Pi -> GPU)",
-	}
+func e15Compression(r *Report) error {
 	factors := []struct {
 		name string
 		f    float64
@@ -65,26 +53,15 @@ func E15Compression() (*Report, error) {
 	for _, fc := range factors {
 		headers = append(headers, fc.name+"(ms)")
 	}
-	t := stats.NewTable("Expected joint-plan latency by compression factor", headers...)
+	t := r.table("Expected joint-plan latency by compression factor", headers...)
 
 	var worst, best float64
 	for _, mbps := range bandwidths {
 		row := []any{mbps}
 		for fi, fc := range factors {
-			sc := &joint.Scenario{
-				Servers: []joint.Server{{
-					Name: "edge-gpu", Profile: mustDevice("edge-gpu-t4"),
-					Link: netmodel.NewStatic("wifi", netmodel.Mbps(mbps), 0.004), RTT: 0.004,
-				}},
-				Users: []joint.User{{
-					Name: "cam", Model: dnn.VGG16(), Device: mustDevice("rpi4"),
-					Rate: 0.1, Difficulty: workload.EasyBiased, Arrivals: workload.Poisson,
-					TxCompression: fc.f, Seed: 1,
-				}},
-			}
-			plan, err := (&joint.Planner{}).Plan(sc)
+			plan, err := (&joint.Planner{}).Plan(vggCamera(mbps, fc.f))
 			if err != nil {
-				return nil, err
+				return err
 			}
 			lat := plan.Decisions[0].Latency()
 			row = append(row, lat*1000)
@@ -99,21 +76,16 @@ func E15Compression() (*Report, error) {
 		}
 		t.AddRow(row...)
 	}
-	r.Tables = append(r.Tables, t)
 	r.note("at 1 Mbps, int4 compression improves the joint plan %.2fx over fp32 transfer", worst/best)
 	r.note("compression shifts the offload crossover toward lower bandwidths, as the transfer term shrinks 8x")
-	return r, nil
+	return nil
 }
 
-// E16ProbeAblation regenerates the cold-start ablation: the planner with
+// e16ProbeAblation regenerates the cold-start ablation: the planner with
 // and without the offload-probe mechanism on a scenario engineered to have
 // the local-lock-in equilibrium (few heavy offload-worthy users among many
 // local ones sharing one uplink).
-func E16ProbeAblation() (*Report, error) {
-	r := &Report{
-		ID: "E16", Artifact: "Figure 15 (extension)",
-		Title: "Offload-probe ablation: escaping the all-local equilibrium",
-	}
+func e16ProbeAblation(r *Report) error {
 	build := func() *joint.Scenario {
 		sc := &joint.Scenario{
 			Servers: []joint.Server{{
@@ -141,39 +113,34 @@ func E16ProbeAblation() (*Report, error) {
 		}
 		return sc
 	}
-	t := stats.NewTable("Probe ablation", "arm", "objective", "offloading-users", "heavy-user-exp-latency(ms)")
-	heavyLat := func(p *joint.Plan) float64 {
-		var sum float64
-		for i := 6; i < 8; i++ {
-			sum += p.Decisions[i].Latency()
-		}
-		return sum / 2 * 1000
-	}
-	countOff := func(p *joint.Plan) int {
-		n := 0
-		for _, d := range p.Decisions {
+	t := r.table("Probe ablation", "arm", "objective", "offloading-users", "heavy-user-exp-latency(ms)")
+	addRow := func(arm string, p *joint.Plan) {
+		offloading, heavy := 0, 0.0
+		for i, d := range p.Decisions {
 			if d.Plan.Partition < d.Plan.Model.NumUnits() {
-				n++
+				offloading++
+			}
+			if i >= 6 {
+				heavy += d.Latency()
 			}
 		}
-		return n
+		t.AddRow(arm, p.Objective, offloading, heavy/2*1000)
 	}
 	withProbe, err := (&joint.Planner{}).Plan(build())
 	if err != nil {
-		return nil, err
+		return err
 	}
 	withoutProbe, err := (&joint.Planner{Opt: joint.Options{DisableProbe: true}}).Plan(build())
 	if err != nil {
-		return nil, err
+		return err
 	}
-	t.AddRow("probe-on", withProbe.Objective, countOff(withProbe), heavyLat(withProbe))
-	t.AddRow("probe-off", withoutProbe.Objective, countOff(withoutProbe), heavyLat(withoutProbe))
-	r.Tables = append(r.Tables, t)
+	addRow("probe-on", withProbe)
+	addRow("probe-off", withoutProbe)
 	if withProbe.Objective <= withoutProbe.Objective*1.0001 {
 		r.note("probe-on objective %.4g <= probe-off %.4g: the probe escapes (or matches) the all-local equilibrium",
 			withProbe.Objective, withoutProbe.Objective)
 	} else {
 		r.note("WARNING: probe made the objective worse (%.4g vs %.4g)", withProbe.Objective, withoutProbe.Objective)
 	}
-	return r, nil
+	return nil
 }

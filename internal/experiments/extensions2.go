@@ -8,15 +8,11 @@ import (
 	"edgesurgeon/internal/stats"
 )
 
-// E17PriorityWeights regenerates the service-differentiation figure:
+// e17PriorityWeights regenerates the service-differentiation figure:
 // two user classes share the cluster, gold users carrying 4x the weight of
 // bronze users in the objective. The weighted allocation must buy gold
 // users lower latency without starving bronze.
-func E17PriorityWeights() (*Report, error) {
-	r := &Report{
-		ID: "E17", Artifact: "Figure 16 (extension)",
-		Title: "Priority weights: gold (w=4) vs bronze (w=1) service differentiation",
-	}
+func e17PriorityWeights(r *Report) error {
 	sc := mixedScenario(12, 4, 0, 25)
 	for i := range sc.Users {
 		if i%2 == 0 {
@@ -29,7 +25,7 @@ func E17PriorityWeights() (*Report, error) {
 	}
 	plan, res, err := joint.PlanAndSimulate(sc, &joint.Planner{}, simHorizon, sim.DedicatedShares)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	classMean := func(gold bool) (analytic, simulated float64) {
 		var sumA, sumS float64
@@ -47,7 +43,7 @@ func E17PriorityWeights() (*Report, error) {
 	goldA, goldS := classMean(true)
 	bronzeA, bronzeS := classMean(false)
 
-	t := stats.NewTable("Class outcomes",
+	t := r.table("Class outcomes",
 		"class", "exp-latency(ms)", "sim-mean(ms)", "sim-p95(ms)")
 	p95 := func(gold bool) float64 {
 		var s stats.Series
@@ -60,7 +56,6 @@ func E17PriorityWeights() (*Report, error) {
 	}
 	t.AddRow("gold(w=4)", goldA*1000, goldS*1000, p95(true)*1000)
 	t.AddRow("bronze(w=1)", bronzeA*1000, bronzeS*1000, p95(false)*1000)
-	r.Tables = append(r.Tables, t)
 
 	if goldA < bronzeA {
 		r.note("gold expected latency %.1f ms < bronze %.1f ms: weights buy differentiated service", goldA*1000, bronzeA*1000)
@@ -70,24 +65,20 @@ func E17PriorityWeights() (*Report, error) {
 	if bronzeS > 0 && goldS > 0 {
 		r.note("simulated class means: gold %.1f ms, bronze %.1f ms (ratio %.2f)", goldS*1000, bronzeS*1000, bronzeS/goldS)
 	}
-	return r, nil
+	return nil
 }
 
-// E18DisciplineSensitivity regenerates the robustness check for the GPS
-// idealization: the same joint plan replayed under dedicated-share lanes,
+// e18DisciplineSensitivity regenerates the robustness check for the GPS
+// idealization: each strategy's plan replayed under dedicated-share lanes,
 // processor sharing and no-allocation FCFS. The strategy ordering must not
 // depend on the service-discipline model.
-func E18DisciplineSensitivity() (*Report, error) {
-	r := &Report{
-		ID: "E18", Artifact: "Figure 17 (extension)",
-		Title: "Service-discipline sensitivity of the simulated results",
-	}
-	sc := mixedScenario(12, 3, 0.3, 40)
+func e18DisciplineSensitivity(r *Report) error {
 	strategies := strategiesUnderTest()
-	disciplines := []struct {
+	type discipline struct {
 		name string
 		d    sim.Discipline
-	}{
+	}
+	disciplines := []discipline{
 		{"dedicated-shares", sim.DedicatedShares},
 		{"processor-sharing", sim.ProcessorSharing},
 		{"shared-fcfs", sim.SharedFCFS},
@@ -96,27 +87,24 @@ func E18DisciplineSensitivity() (*Report, error) {
 	for _, d := range disciplines {
 		headers = append(headers, d.name+"-mean(ms)")
 	}
-	t := stats.NewTable("Mean latency by discipline", headers...)
+	t := r.table("Mean latency by discipline", headers...)
 
+	res, err := grid[discipline]{points: disciplines, strategies: strategiesUnderTest,
+		scenario:   func(discipline) *joint.Scenario { return mixedScenario(12, 3, 0.3, 40) },
+		discipline: func(d discipline) sim.Discipline { return d.d }}.run()
+	if err != nil {
+		return err
+	}
 	means := map[string][]float64{}
-	for _, s := range strategies {
-		plan, err := s.Plan(sc)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", s.Name(), err)
-		}
+	for si, s := range strategies {
 		row := []any{s.Name()}
-		for _, d := range disciplines {
-			res, err := joint.Simulate(sc, plan, simHorizon, d.d)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", s.Name(), d.name, err)
-			}
-			m := res.Latencies().Mean()
+		for di, d := range disciplines {
+			m := res[di][si].Latencies().Mean()
 			means[d.name] = append(means[d.name], m)
 			row = append(row, m*1000)
 		}
 		t.AddRow(row...)
 	}
-	r.Tables = append(r.Tables, t)
 
 	// The joint planner (strategy 0) must be the fastest under every
 	// discipline.
@@ -134,5 +122,5 @@ func E18DisciplineSensitivity() (*Report, error) {
 	if robust {
 		r.note("joint remains the fastest strategy under all three service-discipline models")
 	}
-	return r, nil
+	return nil
 }

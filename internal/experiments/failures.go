@@ -1,16 +1,13 @@
 package experiments
 
 import (
-	"fmt"
-
 	"edgesurgeon/internal/faults"
 	"edgesurgeon/internal/joint"
 	"edgesurgeon/internal/sim"
 	"edgesurgeon/internal/stats"
-	"edgesurgeon/internal/workload"
 )
 
-// E20AvailabilityUnderFailures measures serving availability across a
+// e20AvailabilityUnderFailures measures serving availability across a
 // scripted fault trace: a server crash, an uplink outage, and a capacity
 // brown-out, each spanning whole replanning epochs. Three arms run the
 // identical workload under the identical faults: a static plan, the
@@ -18,11 +15,7 @@ import (
 // health), and the failure-aware dispatcher (ObserveHealth evacuation,
 // local fallback, and admission control). Failed tasks count as deadline
 // misses; latency percentiles are over completed tasks.
-func E20AvailabilityUnderFailures() (*Report, error) {
-	r := &Report{
-		ID: "E20", Artifact: "Figure 18",
-		Title: "Availability under server/link failures (static vs drift-only vs failure-aware dispatch)",
-	}
+func e20AvailabilityUnderFailures(r *Report) error {
 	const (
 		horizon = 240.0
 		epoch   = 20.0
@@ -32,103 +25,57 @@ func E20AvailabilityUnderFailures() (*Report, error) {
 		faults.Window{Kind: faults.LinkOutage, Server: 1, Start: 120, End: 160},
 		faults.Window{Kind: faults.Brownout, Server: 0, Start: 180, End: 220, Factor: 0.4},
 	)
-	retry := sim.RetryPolicy{TaskTimeout: 2}
 	build := func() *joint.Scenario { return mixedScenario(8, 1.2, 0.35, 40) }
-	faulty := func(cfg sim.Config) sim.Config {
-		cfg.Faults = sched
-		cfg.Retry = retry
-		return cfg
-	}
 
 	// Static arm: one plan, one whole-horizon run under the fault trace.
 	scStatic := build()
 	staticPlan, err := (&joint.Planner{}).Plan(scStatic)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	staticRes, err := sim.Run(faulty(joint.BuildSimConfig(scStatic, staticPlan, horizon, sim.DedicatedShares)))
+	staticCfg := joint.BuildSimConfig(scStatic, staticPlan, horizon, sim.DedicatedShares)
+	staticCfg.Faults, staticCfg.Retry = sched, sim.RetryPolicy{TaskTimeout: 2}
+	staticRes, err := sim.Run(staticCfg)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// Dispatcher arms: replan at every epoch boundary, simulate that
 	// epoch's arrivals under the refreshed decisions and the fault trace.
-	type epochStats struct {
-		lat  stats.Series
-		met  stats.Meter
-		fail stats.Meter
-	}
-	runDispatcherArm := func(observe func(d *joint.Dispatcher, start float64) (*joint.Plan, error)) (overall epochStats, perEpoch []epochStats, lastRestored bool, err error) {
+	dispatcherArm := func(observe func(d *joint.Dispatcher, start float64) (*joint.Plan, error)) (*joint.Dispatcher, window, []window, error) {
 		sc := build()
 		disp, err := joint.NewDispatcher(sc, &joint.Planner{})
 		if err != nil {
-			return overall, nil, false, err
+			return nil, window{}, nil, err
 		}
-		for start := 0.0; start < horizon; start += epoch {
-			plan, err := observe(disp, start)
-			if err != nil {
-				return overall, nil, false, fmt.Errorf("epoch %.0f: %w", start, err)
-			}
-			cfg := faulty(joint.BuildSimConfig(sc, plan, horizon, sim.DedicatedShares))
-			for ui := range cfg.Users {
-				var kept []workload.Task
-				for _, task := range cfg.Users[ui].Tasks {
-					if task.Arrival >= start && task.Arrival < start+epoch {
-						kept = append(kept, task)
-					}
-				}
-				cfg.Users[ui].Tasks = kept
-			}
-			res, err := sim.Run(cfg)
-			if err != nil {
-				return overall, nil, false, err
-			}
-			var ep epochStats
-			for i := range res.Records {
-				rec := &res.Records[i]
-				if !rec.Failed {
-					ep.lat.Add(rec.Latency)
-					overall.lat.Add(rec.Latency)
-				}
-				if rec.Deadline > 0 {
-					ep.met.Observe(rec.Met)
-					overall.met.Observe(rec.Met)
-				}
-				ep.fail.Observe(rec.Failed)
-				overall.fail.Observe(rec.Failed)
-			}
-			perEpoch = append(perEpoch, ep)
-		}
-		// Recovery contract: after the final (all-healthy) epoch the
-		// dispatcher must hold the pristine pre-fault plan — same
-		// objective, bit for bit.
-		base, err := (&joint.Planner{}).Plan(build())
-		if err != nil {
-			return overall, nil, false, err
-		}
-		lastRestored = disp.Health().Restored && disp.Current().Objective == base.Objective
-		return overall, perEpoch, lastRestored, nil
+		overall, epochs, err := replay(sc, horizon, epoch, sched, func(_ int, start float64) (*joint.Plan, error) {
+			return observe(disp, start)
+		})
+		return disp, overall, epochs, err
 	}
-
-	driftOverall, driftEpochs, _, err := runDispatcherArm(func(d *joint.Dispatcher, start float64) (*joint.Plan, error) {
+	_, driftOverall, driftEpochs, err := dispatcherArm(func(d *joint.Dispatcher, start float64) (*joint.Plan, error) {
 		return d.ObserveWindow(start, epoch)
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	awareOverall, awareEpochs, awareRestored, err := runDispatcherArm(func(d *joint.Dispatcher, start float64) (*joint.Plan, error) {
+	aware, awareOverall, awareEpochs, err := dispatcherArm(func(d *joint.Dispatcher, start float64) (*joint.Plan, error) {
 		return d.ObserveHealth(sched.Health(2, start))
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
+	// Recovery contract: after the final (all-healthy) epoch the
+	// failure-aware dispatcher must hold the pristine pre-fault plan — same
+	// objective, bit for bit.
+	base, err := (&joint.Planner{}).Plan(build())
+	if err != nil {
+		return err
+	}
+	awareRestored := aware.Health().Restored && aware.Current().Objective == base.Objective
 
-	epochTable := stats.NewTable("Per-epoch deadline satisfaction",
+	epochTable := r.table("Per-epoch deadline satisfaction",
 		"epoch-start(s)", "srv0-up", "srv1-up", "static", "drift-only", "failure-aware")
-	inFault := func(start float64) bool {
-		up := sched.Health(2, start)
-		return !up[0] || !up[1]
-	}
 	var staticFault, driftFault, awareFault stats.Meter
 	for ei, start := 0, 0.0; start < horizon; ei, start = ei+1, start+epoch {
 		var staticEp stats.Meter
@@ -141,16 +88,15 @@ func E20AvailabilityUnderFailures() (*Report, error) {
 		up := sched.Health(2, start)
 		epochTable.AddRow(start, boolInt(up[0]), boolInt(up[1]),
 			staticEp.Rate(), driftEpochs[ei].met.Rate(), awareEpochs[ei].met.Rate())
-		if inFault(start) {
+		if !up[0] || !up[1] {
 			staticFault.Merge(staticEp)
 			driftFault.Merge(driftEpochs[ei].met)
 			awareFault.Merge(awareEpochs[ei].met)
 		}
 	}
-	r.Tables = append(r.Tables, epochTable)
 
 	staticLat := staticRes.Latencies()
-	t := stats.NewTable("Overall comparison",
+	t := r.table("Overall comparison",
 		"arm", "mean(ms)", "p99(ms)", "deadline-rate", "failure-rate", "fault-window-deadline-rate")
 	t.AddRow("static", staticLat.Mean()*1000, staticLat.P99()*1000,
 		staticRes.DeadlineRate(), staticRes.FailureRate(), staticFault.Rate())
@@ -158,7 +104,6 @@ func E20AvailabilityUnderFailures() (*Report, error) {
 		driftOverall.met.Rate(), driftOverall.fail.Rate(), driftFault.Rate())
 	t.AddRow("failure-aware", awareOverall.lat.Mean()*1000, awareOverall.lat.P99()*1000,
 		awareOverall.met.Rate(), awareOverall.fail.Rate(), awareFault.Rate())
-	r.Tables = append(r.Tables, t)
 
 	r.note("fault-window deadline rate: failure-aware %.3f vs drift-only %.3f vs static %.3f",
 		awareFault.Rate(), driftFault.Rate(), staticFault.Rate())
@@ -172,7 +117,7 @@ func E20AvailabilityUnderFailures() (*Report, error) {
 	} else {
 		r.note("WARNING: recovery did not restore the pre-fault plan")
 	}
-	return r, nil
+	return nil
 }
 
 func boolInt(b bool) float64 {

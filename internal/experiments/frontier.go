@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"time"
 
 	"edgesurgeon/internal/joint"
-	"edgesurgeon/internal/stats"
 	"edgesurgeon/internal/surgery"
 )
 
@@ -19,12 +17,9 @@ import (
 // cross-checks that the set is pure speedup: the replan must be exactly the
 // plan made with no set (metric keys keep their "build" and "legacy" names
 // for the dashboards that read them).
-func e24Frontier(sizes []int, nServers, shardThreshold, paritySize int) (*Report, error) {
-	r := &Report{
-		ID: "E24", Artifact: "Frontier table study",
-		Title: fmt.Sprintf("Pareto-frontier surgery tables shared across replans (%d servers)", nServers),
-	}
-	t := stats.NewTable("Registration, first plan and replan on a shared table set vs planning with no set",
+func e24Frontier(r *Report, sizes []int, nServers, shardThreshold, paritySize int) error {
+	r.Title = fmt.Sprintf("Pareto-frontier surgery tables shared across replans (%d servers)", nServers)
+	t := r.table("Registration, first plan and replan on a shared table set vs planning with no set",
 		"users", "tables", "fills", "register(s)", "no set(s)", "first(s)", "replan(s)", "speedup", "hit(%)")
 
 	var usersMax int
@@ -34,36 +29,29 @@ func e24Frontier(sizes []int, nServers, shardThreshold, paritySize int) (*Report
 		sc := e23Scenario(n, nServers)
 		opt := joint.Options{ShardThreshold: shardThreshold}
 
-		t0 := time.Now()
-		set, err := joint.BuildFrontierSet(sc, opt, surgery.BuildOptions{Surgery: opt.Surgery})
+		set, buildSec, err := timed(func() (*surgery.FrontierSet, error) {
+			return joint.BuildFrontierSet(sc, opt, surgery.BuildOptions{Surgery: opt.Surgery})
+		})
 		if err != nil {
-			return nil, fmt.Errorf("E24 build n=%d: %w", n, err)
+			return fmt.Errorf("E24 build n=%d: %w", n, err)
 		}
-		buildSec := time.Since(t0).Seconds()
-
-		t1 := time.Now()
-		cPlan, err := (&joint.Planner{Opt: opt}).Plan(sc)
+		cPlan, legacySec, err := timed(func() (*joint.Plan, error) { return (&joint.Planner{Opt: opt}).Plan(sc) })
 		if err != nil {
-			return nil, fmt.Errorf("E24 no set n=%d: %w", n, err)
+			return fmt.Errorf("E24 no set n=%d: %w", n, err)
 		}
-		legacySec := time.Since(t1).Seconds()
 
 		fopt := opt
 		fopt.Frontiers = set
 		planner := &joint.Planner{Opt: fopt}
-		t2 := time.Now()
-		if _, err := planner.Plan(sc); err != nil {
-			return nil, fmt.Errorf("E24 first plan n=%d: %w", n, err)
-		}
-		firstSec := time.Since(t2).Seconds()
-		fills := set.Probes()
-
-		t3 := time.Now()
-		fPlan, err := planner.Plan(sc)
+		_, firstSec, err := timed(func() (*joint.Plan, error) { return planner.Plan(sc) })
 		if err != nil {
-			return nil, fmt.Errorf("E24 replan n=%d: %w", n, err)
+			return fmt.Errorf("E24 first plan n=%d: %w", n, err)
 		}
-		frontierSec := time.Since(t3).Seconds()
+		fills := set.Probes()
+		fPlan, frontierSec, err := timed(func() (*joint.Plan, error) { return planner.Plan(sc) })
+		if err != nil {
+			return fmt.Errorf("E24 replan n=%d: %w", n, err)
+		}
 
 		hitRate := 0.0
 		if lookups := fPlan.FrontierHits + fPlan.FrontierMisses; lookups > 0 {
@@ -89,29 +77,15 @@ func e24Frontier(sizes []int, nServers, shardThreshold, paritySize int) (*Report
 			speedupLargest, hitRateLargest = speedup, hitRate
 		}
 	}
-	r.Tables = append(r.Tables, t)
-	r.metric("cores", float64(runtime.GOMAXPROCS(0)))
-	r.metric("users_max", float64(usersMax))
-	r.metric("build_sec", buildSecLargest)
-	r.metric("legacy_wallclock_sec", legacySecLargest)
-	r.metric("frontier_wallclock_sec", frontierSecLargest)
-	r.metric("speedup_vs_legacy", speedupLargest)
-	r.metric("hit_rate_pct", hitRateLargest)
-	r.metric("parity_ok", parityOK)
+	r.Metrics["cores"] = float64(runtime.GOMAXPROCS(0))
+	r.Metrics["users_max"] = float64(usersMax)
+	r.Metrics["build_sec"] = buildSecLargest
+	r.Metrics["legacy_wallclock_sec"] = legacySecLargest
+	r.Metrics["frontier_wallclock_sec"] = frontierSecLargest
+	r.Metrics["speedup_vs_legacy"] = speedupLargest
+	r.Metrics["hit_rate_pct"] = hitRateLargest
+	r.Metrics["parity_ok"] = parityOK
 	r.note("at the largest size a replan on the filled set took %.3fs vs %.2fs with no set (%.1fx); registering the set took %.4fs and the first plan on it %.2fs",
 		frontierSecLargest, legacySecLargest, speedupLargest, buildSecLargest, firstSecLargest)
-	return r, nil
-}
-
-// E24FrontierStudy regenerates the frontier-table study at planner-scale
-// sizes, with the plan-parity cross-check at the dual-arm size.
-func E24FrontierStudy() (*Report, error) {
-	return e24Frontier([]int{1000, 10000}, 8, 256, 1000)
-}
-
-// E24QuickFrontierStudy is the CI-sized variant behind `experiments
-// -quick`: one small size with the parity check on, emitting every metric
-// key the full run emits.
-func E24QuickFrontierStudy() (*Report, error) {
-	return e24Frontier([]int{256}, 4, 64, 256)
+	return nil
 }

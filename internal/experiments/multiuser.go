@@ -1,170 +1,103 @@
 package experiments
 
-import (
-	"fmt"
-
-	"edgesurgeon/internal/joint"
-	"edgesurgeon/internal/netmodel"
-	"edgesurgeon/internal/sim"
-	"edgesurgeon/internal/stats"
-)
+import "edgesurgeon/internal/joint"
 
 // simHorizon is the simulated time per multi-user data point.
 const simHorizon = 40.0
 
-// E4UserScaling regenerates Figure 4: simulated mean and P95 latency as
+// e4UserScaling regenerates Figure 4: simulated mean and P95 latency as
 // the number of concurrent users grows on two fixed servers.
-func E4UserScaling() (*Report, error) {
-	r := &Report{
-		ID: "E4", Artifact: "Figure 4",
-		Title: "Latency vs number of users (2 servers, 60 Mbps uplinks)",
-	}
+func e4UserScaling(r *Report) error {
 	strategies := strategiesUnderTest()
-	headers := []string{"users"}
-	for _, s := range strategies {
-		headers = append(headers, s.Name()+"-mean(ms)", s.Name()+"-p95(ms)")
-	}
-	t := stats.NewTable("Simulated latency vs user count", headers...)
+	t := r.table("Simulated latency vs user count", strategyHeaders("users", strategies, "-mean(ms)", "-p95(ms)")...)
 
 	counts := []int{1, 2, 4, 8, 16, 32}
-	// Every (count, strategy) arm is independent: plan and simulate them
-	// concurrently (each arm builds its own scenario and strategy), then
-	// assemble rows in order.
-	nStrat := len(strategies)
-	type cell struct{ mean, p95 float64 }
-	cells := make([]cell, len(counts)*nStrat)
-	err := forEachArm(len(cells), func(k int) error {
-		ci, si := k/nStrat, k%nStrat
-		sc := mixedScenario(counts[ci], 1.5, 0, 60)
-		s := strategiesUnderTest()[si]
-		_, res, err := joint.PlanAndSimulate(sc, s, simHorizon, sim.DedicatedShares)
-		if err != nil {
-			return fmt.Errorf("%s at n=%d: %w", s.Name(), counts[ci], err)
-		}
-		lat := res.Latencies()
-		cells[k] = cell{mean: lat.Mean(), p95: lat.P95()}
-		return nil
-	})
+	res, err := grid[int]{points: counts, strategies: strategiesUnderTest,
+		scenario: func(n int) *joint.Scenario { return mixedScenario(n, 1.5, 0, 60) }}.run()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var gapAt1, gapAtMax float64
+	gaps := make([]float64, len(counts)) // best baseline mean / joint mean
 	for ci, n := range counts {
 		row := []any{n}
 		var jointMean, bestBaseMean float64
 		for si := range strategies {
-			c := cells[ci*nStrat+si]
-			row = append(row, c.mean*1000, c.p95*1000)
+			lat := res[ci][si].Latencies()
+			row = append(row, lat.Mean()*1000, lat.P95()*1000)
 			if si == 0 {
-				jointMean = c.mean
-			} else if bestBaseMean == 0 || c.mean < bestBaseMean {
-				bestBaseMean = c.mean
+				jointMean = lat.Mean()
+			} else if bestBaseMean == 0 || lat.Mean() < bestBaseMean {
+				bestBaseMean = lat.Mean()
 			}
 		}
 		t.AddRow(row...)
-		if n == counts[0] {
-			gapAt1 = bestBaseMean / jointMean
-		}
-		if n == counts[len(counts)-1] {
-			gapAtMax = bestBaseMean / jointMean
-		}
+		gaps[ci] = bestBaseMean / jointMean
 	}
-	r.Tables = append(r.Tables, t)
+	last := len(counts) - 1
 	r.note("joint advantage over best baseline: %.2fx at N=%d, %.2fx at N=%d (gap %s with contention)",
-		gapAt1, counts[0], gapAtMax, counts[len(counts)-1],
-		map[bool]string{true: "widens", false: "narrows"}[gapAtMax > gapAt1])
-	return r, nil
+		gaps[0], counts[0], gaps[last], counts[last],
+		map[bool]string{true: "widens", false: "narrows"}[gaps[last] > gaps[0]])
+	return nil
 }
 
-// E5DeadlineVsRate regenerates Figure 5: deadline satisfaction ratio as
-// the per-user arrival rate sweeps upward (12 users, 200 ms SLO).
-func E5DeadlineVsRate() (*Report, error) {
-	r := &Report{
-		ID: "E5", Artifact: "Figure 5",
-		Title: "Deadline satisfaction vs arrival rate (12 users, 300 ms SLO)",
-	}
+// e5DeadlineVsRate regenerates Figure 5: deadline satisfaction ratio as
+// the per-user arrival rate sweeps upward (12 users, 300 ms SLO).
+func e5DeadlineVsRate(r *Report) error {
 	strategies := strategiesUnderTest()
-	headers := []string{"rate(req/s/user)"}
-	for _, s := range strategies {
-		headers = append(headers, s.Name())
-	}
-	t := stats.NewTable("Deadline satisfaction ratio", headers...)
+	t := r.table("Deadline satisfaction ratio", strategyHeaders("rate(req/s/user)", strategies, "")...)
 
 	rates := []float64{1, 2, 4, 8, 16, 24}
-	// Arms run concurrently (see E4); the sustained-rate scan below needs
-	// the full grid anyway.
-	nStrat := len(strategies)
-	drs := make([]float64, len(rates)*nStrat)
-	err := forEachArm(len(drs), func(k int) error {
-		ri, si := k/nStrat, k%nStrat
-		sc := mixedScenario(12, rates[ri], 0.3, 100)
-		s := strategiesUnderTest()[si]
-		_, res, err := joint.PlanAndSimulate(sc, s, simHorizon, sim.DedicatedShares)
-		if err != nil {
-			return fmt.Errorf("%s at rate=%g: %w", s.Name(), rates[ri], err)
-		}
-		drs[k] = res.DeadlineRate()
-		return nil
-	})
+	res, err := grid[float64]{points: rates, strategies: strategiesUnderTest,
+		scenario: func(rate float64) *joint.Scenario { return mixedScenario(12, rate, 0.3, 100) }}.run()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	sustained := map[string]float64{}
-	alive := map[string]bool{}
-	for _, s := range strategies {
-		alive[s.Name()] = true
-	}
+	collapsed := map[string]bool{}
 	for ri, rate := range rates {
 		row := []any{rate}
 		for si, s := range strategies {
-			dr := drs[ri*nStrat+si]
+			dr := res[ri][si].DeadlineRate()
 			row = append(row, dr)
-			if alive[s.Name()] && dr >= 0.9 {
+			if !collapsed[s.Name()] && dr >= 0.9 {
 				sustained[s.Name()] = rate
 			} else {
-				alive[s.Name()] = false
+				collapsed[s.Name()] = true
 			}
 		}
 		t.AddRow(row...)
 	}
-	r.Tables = append(r.Tables, t)
 	for _, s := range strategies {
 		r.note("%s sustains >=90%% satisfaction up to %g req/s/user", s.Name(), sustained[s.Name()])
 	}
-	return r, nil
+	return nil
 }
 
-// E7Ablation regenerates Figure 7: the joint planner against its
+// e7Ablation regenerates Figure 7: the joint planner against its
 // single-axis ablations at three load levels.
-func E7Ablation() (*Report, error) {
-	r := &Report{
-		ID: "E7", Artifact: "Figure 7",
-		Title: "Ablation: joint vs surgery-only vs alloc-only vs neither",
+func e7Ablation(r *Report) error {
+	ablations := func() []joint.Strategy {
+		return []joint.Strategy{
+			&joint.Planner{},
+			&joint.Planner{Opt: joint.Options{DisableAllocation: true}},
+			&joint.Planner{Opt: joint.Options{DisableSurgery: true}},
+			&joint.Planner{Opt: joint.Options{DisableSurgery: true, DisableAllocation: true}},
+		}
 	}
-	arms := []joint.Strategy{
-		&joint.Planner{},
-		&joint.Planner{Opt: joint.Options{DisableAllocation: true}},
-		&joint.Planner{Opt: joint.Options{DisableSurgery: true}},
-		&joint.Planner{Opt: joint.Options{DisableSurgery: true, DisableAllocation: true}},
-	}
-	headers := []string{"load(req/s/user)"}
-	for _, a := range arms {
-		headers = append(headers, a.Name()+"-mean(ms)", a.Name()+"-p99(ms)")
-	}
-	t := stats.NewTable("Simulated latency by ablation arm", headers...)
+	t := r.table("Simulated latency by ablation arm", strategyHeaders("load(req/s/user)", ablations(), "-mean(ms)", "-p99(ms)")...)
 
 	loads := []float64{2, 6, 12}
+	res, err := grid[float64]{points: loads, strategies: ablations,
+		scenario: func(load float64) *joint.Scenario { return mixedScenario(12, load, 0, 25) }}.run()
+	if err != nil {
+		return err
+	}
 	synergy := true
-	for _, load := range loads {
-		sc := mixedScenario(12, load, 0, 25)
+	for li, load := range loads {
 		row := []any{load}
 		var means []float64
-		for _, a := range arms {
-			_, res, err := joint.PlanAndSimulate(sc, a, simHorizon, sim.DedicatedShares)
-			if err != nil {
-				return nil, fmt.Errorf("%s at load=%g: %w", a.Name(), load, err)
-			}
-			lat := res.Latencies()
+		for _, o := range res[li] {
+			lat := o.Latencies()
 			means = append(means, lat.Mean())
 			row = append(row, lat.Mean()*1000, lat.P99()*1000)
 		}
@@ -175,68 +108,50 @@ func E7Ablation() (*Report, error) {
 			synergy = false
 		}
 	}
-	r.Tables = append(r.Tables, t)
 	if synergy {
 		r.note("joint <= each single-axis arm at every load: the two mechanisms compose")
 	} else {
 		r.note("WARNING: an ablation arm beat joint at some load")
 	}
-	return r, nil
+	return nil
 }
 
-// E8Heterogeneity regenerates Figure 8: fixed aggregate capacity deployed
+// e8Heterogeneity regenerates Figure 8: fixed aggregate capacity deployed
 // as homogeneous twins vs a heterogeneous (strong + weak) pair.
-func E8Heterogeneity() (*Report, error) {
-	r := &Report{
-		ID: "E8", Artifact: "Figure 8",
-		Title: "Heterogeneity sensitivity at fixed aggregate capacity",
-	}
+func e8Heterogeneity(r *Report) error {
 	gpu := mustDevice("edge-gpu-t4")
-	configs := []struct {
+	type split struct {
 		name    string
 		factors [2]float64
-	}{
+	}
+	configs := []split{
 		{"homogeneous(0.5+0.5)", [2]float64{0.5, 0.5}},
 		{"mild(0.65+0.35)", [2]float64{0.65, 0.35}},
 		{"strong(0.8+0.2)", [2]float64{0.8, 0.2}},
 	}
-	strategies := strategiesUnderTest()
-	headers := []string{"capacity-split"}
-	for _, s := range strategies {
-		headers = append(headers, s.Name()+"-mean(ms)")
-	}
-	t := stats.NewTable("Simulated mean latency by capacity split", headers...)
+	t := r.table("Simulated mean latency by capacity split", strategyHeaders("capacity-split", strategiesUnderTest(), "-mean(ms)")...)
 
-	type key struct{ cfg, strat string }
-	means := map[key]float64{}
-	for _, cfg := range configs {
-		sc := mixedScenario(12, 4, 0, 25)
-		sc.Servers[0].Profile = gpu.Scale(cfg.factors[0], "gpu-a")
-		sc.Servers[1].Profile = gpu.Scale(cfg.factors[1], "gpu-b")
+	res, err := grid[split]{points: configs, strategies: strategiesUnderTest,
+		scenario: func(cfg split) *joint.Scenario {
+			sc := mixedScenario(12, 4, 0, 25)
+			sc.Servers[0].Profile = gpu.Scale(cfg.factors[0], "gpu-a")
+			sc.Servers[1].Profile = gpu.Scale(cfg.factors[1], "gpu-b")
+			return sc
+		}}.run()
+	if err != nil {
+		return err
+	}
+	for ci, cfg := range configs {
 		row := []any{cfg.name}
-		for _, s := range strategies {
-			_, res, err := joint.PlanAndSimulate(sc, s, simHorizon, sim.DedicatedShares)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", cfg.name, s.Name(), err)
-			}
-			m := res.Latencies().Mean()
-			means[key{cfg.name, s.Name()}] = m
-			row = append(row, m*1000)
+		for _, o := range res[ci] {
+			row = append(row, o.Latencies().Mean()*1000)
 		}
 		t.AddRow(row...)
 	}
-	r.Tables = append(r.Tables, t)
-	jHomo := means[key{configs[0].name, "joint"}]
-	jHet := means[key{configs[2].name, "joint"}]
+	// Strategy 0 is joint.
+	jHomo := res[0][0].Latencies().Mean()
+	jHet := res[2][0].Latencies().Mean()
 	r.note("joint under strong heterogeneity vs homogeneous: %.2fx (values %.1f vs %.1f ms)",
 		jHet/jHomo, jHet*1000, jHomo*1000)
-	return r, nil
-}
-
-// fadingLink builds the Markov-fading uplink used by the online experiment.
-func fadingLink(seed int64) (netmodel.Link, error) {
-	return netmodel.NewFading("wlan", netmodel.FadingConfig{
-		States:    []float64{netmodel.Mbps(2), netmodel.Mbps(12), netmodel.Mbps(45)},
-		MeanDwell: 8, Horizon: 300, RTT: 0.004, Seed: seed,
-	})
+	return nil
 }

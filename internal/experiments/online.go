@@ -1,29 +1,26 @@
 package experiments
 
 import (
-	"fmt"
-
 	"edgesurgeon/internal/joint"
+	"edgesurgeon/internal/netmodel"
 	"edgesurgeon/internal/sim"
 	"edgesurgeon/internal/stats"
-	"edgesurgeon/internal/workload"
 )
 
-// E13OnlineAdaptation regenerates Figure 12: a fading uplink drives the
+// e13OnlineAdaptation regenerates Figure 12: a fading uplink drives the
 // online dispatcher, comparing a static plan (planned once against the
 // long-run mean rate) with epoch-wise replanning.
-func E13OnlineAdaptation() (*Report, error) {
-	r := &Report{
-		ID: "E13", Artifact: "Figure 12",
-		Title: "Online adaptation under a fading uplink (epoch replanning vs static plan)",
-	}
+func e13OnlineAdaptation(r *Report) error {
 	const (
 		horizon = 240.0
 		epoch   = 20.0
 	)
-	link, err := fadingLink(404)
+	link, err := netmodel.NewFading("wlan", netmodel.FadingConfig{
+		States:    []float64{netmodel.Mbps(2), netmodel.Mbps(12), netmodel.Mbps(45)},
+		MeanDwell: 8, Horizon: 300, RTT: 0.004, Seed: 404,
+	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	build := func() *joint.Scenario {
 		sc := mixedScenario(6, 3, 0.35, 25)
@@ -38,11 +35,11 @@ func E13OnlineAdaptation() (*Report, error) {
 	scStatic.PlanningHorizon = horizon
 	staticPlan, err := (&joint.Planner{}).Plan(scStatic)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	staticRes, err := joint.Simulate(scStatic, staticPlan, horizon, sim.DedicatedShares)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// Online arm: replan each epoch from the observed window rate, then
@@ -50,39 +47,19 @@ func E13OnlineAdaptation() (*Report, error) {
 	scOnline := build()
 	disp, err := joint.NewDispatcher(scOnline, &joint.Planner{})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var online stats.Series
-	var onlineMeter stats.Meter
-	epochTable := stats.NewTable("Per-epoch outcomes",
+	online, epochs, err := replay(scOnline, horizon, epoch, nil, func(_ int, start float64) (*joint.Plan, error) {
+		return disp.ObserveWindow(start, epoch)
+	})
+	if err != nil {
+		return err
+	}
+	epochTable := r.table("Per-epoch outcomes",
 		"epoch-start(s)", "observed-uplink(Mbps)", "static-p95(ms)", "online-p95(ms)")
-	for start := 0.0; start < horizon; start += epoch {
-		plan, err := disp.ObserveWindow(start, epoch)
-		if err != nil {
-			return nil, fmt.Errorf("epoch %.0f: %w", start, err)
-		}
-		cfg := joint.BuildSimConfig(scOnline, plan, horizon, sim.DedicatedShares)
+	for ei, ep := range epochs {
+		start := float64(ei) * epoch
 		var epochStatic stats.Series
-		for ui := range cfg.Users {
-			var kept []workload.Task
-			for _, task := range cfg.Users[ui].Tasks {
-				if task.Arrival >= start && task.Arrival < start+epoch {
-					kept = append(kept, task)
-				}
-			}
-			cfg.Users[ui].Tasks = kept
-		}
-		res, err := sim.Run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		for i := range res.Records {
-			rec := &res.Records[i]
-			online.Add(rec.Latency)
-			if rec.Deadline > 0 {
-				onlineMeter.Observe(rec.Met)
-			}
-		}
 		for i := range staticRes.Records {
 			rec := &staticRes.Records[i]
 			if rec.Arrival >= start && rec.Arrival < start+epoch {
@@ -95,20 +72,18 @@ func E13OnlineAdaptation() (*Report, error) {
 			obs += link.RateAt(start + epoch*float64(i)/steps)
 		}
 		obs /= steps
-		epochTable.AddRow(start, obs/1e6, epochStatic.P95()*1000, res.Latencies().P95()*1000)
+		epochTable.AddRow(start, obs/1e6, epochStatic.P95()*1000, ep.lat.P95()*1000)
 	}
-	r.Tables = append(r.Tables, epochTable)
 
 	staticLat := staticRes.Latencies()
-	t := stats.NewTable("Overall comparison",
+	t := r.table("Overall comparison",
 		"arm", "mean(ms)", "p50(ms)", "p95(ms)", "p99(ms)", "deadline-rate")
 	t.AddRow("static", staticLat.Mean()*1000, staticLat.P50()*1000,
 		staticLat.P95()*1000, staticLat.P99()*1000, staticRes.DeadlineRate())
-	t.AddRow("online", online.Mean()*1000, online.P50()*1000,
-		online.P95()*1000, online.P99()*1000, onlineMeter.Rate())
-	r.Tables = append(r.Tables, t)
+	t.AddRow("online", online.lat.Mean()*1000, online.lat.P50()*1000,
+		online.lat.P95()*1000, online.lat.P99()*1000, online.met.Rate())
 	r.note("online replanning vs static at P99: %.2fx (%.0f ms vs %.0f ms); deadline rate %.3f vs %.3f",
-		staticLat.P99()/online.P99(), staticLat.P99()*1000, online.P99()*1000,
-		onlineMeter.Rate(), staticRes.DeadlineRate())
-	return r, nil
+		staticLat.P99()/online.lat.P99(), staticLat.P99()*1000, online.lat.P99()*1000,
+		online.met.Rate(), staticRes.DeadlineRate())
+	return nil
 }

@@ -3,13 +3,11 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"time"
 
 	"edgesurgeon/internal/dnn"
 	"edgesurgeon/internal/hardware"
 	"edgesurgeon/internal/joint"
 	"edgesurgeon/internal/netmodel"
-	"edgesurgeon/internal/stats"
 	"edgesurgeon/internal/surgery"
 	"edgesurgeon/internal/workload"
 )
@@ -63,27 +61,22 @@ func e23Scenario(nUsers, nServers int) *joint.Scenario {
 // relative objective gap; shardedSizes run only the sharded arm (the
 // monolithic planner's reassignment greedy is super-linear and becomes
 // intractable there — that intractability is the experiment's premise).
-func e23Scale(bothSizes, shardedSizes []int, nServers, shardThreshold int) (*Report, error) {
-	r := &Report{
-		ID: "E23", Artifact: "Planner scale study",
-		Title: fmt.Sprintf("Hierarchical sharded planner vs monolithic (%d servers)", nServers),
-	}
-	t := stats.NewTable("Planner wall-clock, sharded vs monolithic vs frontier-backed",
+func e23Scale(r *Report, bothSizes, shardedSizes []int, nServers, shardThreshold int) error {
+	r.Title = fmt.Sprintf("Hierarchical sharded planner vs monolithic (%d servers)", nServers)
+	t := r.table("Planner wall-clock, sharded vs monolithic vs frontier-backed",
 		"users", "shards", "mono(s)", "sharded(s)", "frontier(s)", "speedup", "gap(%)")
 	cores := runtime.GOMAXPROCS(0)
 
-	var worstGap, bestSpeedup, speedupLargest, shardedSecLargest, frontierSecLargest float64
+	var worstGap, speedupLargest, shardedSecLargest, frontierSecLargest float64
 	var usersMax int
 	runArm := func(n int, withMono bool) error {
 		sc := e23Scenario(n, nServers)
 
 		sp := &joint.Planner{Opt: joint.Options{ShardThreshold: shardThreshold}}
-		t0 := time.Now()
-		shPlan, err := sp.Plan(sc)
+		shPlan, shSec, err := timed(func() (*joint.Plan, error) { return sp.Plan(sc) })
 		if err != nil {
 			return fmt.Errorf("E23 sharded n=%d: %w", n, err)
 		}
-		shSec := time.Since(t0).Seconds()
 
 		// Frontier arm: same sharded route on a registered Pareto-frontier
 		// table set, whose cells this plan fills as it reads them
@@ -94,33 +87,25 @@ func e23Scale(bothSizes, shardedSizes []int, nServers, shardThreshold int) (*Rep
 			return fmt.Errorf("E23 frontier build n=%d: %w", n, err)
 		}
 		fopt.Frontiers = set
-		t2 := time.Now()
-		if _, err := (&joint.Planner{Opt: fopt}).Plan(sc); err != nil {
+		_, frSec, err := timed(func() (*joint.Plan, error) { return (&joint.Planner{Opt: fopt}).Plan(sc) })
+		if err != nil {
 			return fmt.Errorf("E23 frontier n=%d: %w", n, err)
 		}
-		frSec := time.Since(t2).Seconds()
 
 		monoSec, gap := 0.0, 0.0
 		monoCell, speedCell, gapCell := "-", "-", "-"
 		if withMono {
-			mp := &joint.Planner{}
-			t1 := time.Now()
-			moPlan, err := mp.Plan(sc)
+			var moPlan *joint.Plan
+			moPlan, monoSec, err = timed(func() (*joint.Plan, error) { return (&joint.Planner{}).Plan(sc) })
 			if err != nil {
 				return fmt.Errorf("E23 monolithic n=%d: %w", n, err)
 			}
-			monoSec = time.Since(t1).Seconds()
 			gap = 100 * (shPlan.Objective - moPlan.Objective) / moPlan.Objective
 			speedup := monoSec / shSec
 			monoCell = fmt.Sprintf("%.2f", monoSec)
 			speedCell = fmt.Sprintf("%.2fx", speedup)
 			gapCell = fmt.Sprintf("%+.3f", gap)
-			if gap > worstGap {
-				worstGap = gap
-			}
-			if speedup > bestSpeedup {
-				bestSpeedup = speedup
-			}
+			worstGap = max(worstGap, gap)
 			speedupLargest = speedup
 		}
 		t.AddRow(n, shPlan.Shards, monoCell, fmt.Sprintf("%.2f", shSec), fmt.Sprintf("%.3f", frSec), speedCell, gapCell)
@@ -133,38 +118,23 @@ func e23Scale(bothSizes, shardedSizes []int, nServers, shardThreshold int) (*Rep
 	}
 	for _, n := range bothSizes {
 		if err := runArm(n, true); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	for _, n := range shardedSizes {
 		if err := runArm(n, false); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	r.Tables = append(r.Tables, t)
-	r.metric("cores", float64(cores))
-	r.metric("users_max", float64(usersMax))
-	r.metric("speedup_vs_monolithic", speedupLargest)
-	r.metric("gap_worst_pct", worstGap)
-	r.metric("sharded_wallclock_sec", shardedSecLargest)
-	r.metric("frontier_wallclock_sec", frontierSecLargest)
+	r.Metrics["cores"] = float64(cores)
+	r.Metrics["users_max"] = float64(usersMax)
+	r.Metrics["speedup_vs_monolithic"] = speedupLargest
+	r.Metrics["gap_worst_pct"] = worstGap
+	r.Metrics["sharded_wallclock_sec"] = shardedSecLargest
+	r.Metrics["frontier_wallclock_sec"] = frontierSecLargest
 	r.note("speedup at the largest dual-arm size: %.2fx on %d core(s); worst objective gap %+.3f%%", speedupLargest, cores, worstGap)
 	if cores < 8 {
 		r.note("machine has %d core(s) < 8: the speedup above is purely algorithmic (shard-local planning skips the cross-server reassignment greedy); with more cores the concurrent shard fan-out multiplies it", cores)
 	}
-	return r, nil
-}
-
-// E23PlannerScale regenerates the planner scale study: monolithic and
-// sharded arms at 1k and 10k users, sharded alone at 100k.
-func E23PlannerScale() (*Report, error) {
-	return e23Scale([]int{1000, 10000}, []int{100000}, 8, 256)
-}
-
-// E23QuickPlannerScale is the CI-sized variant behind `experiments -quick`:
-// one dual-arm size plus one sharded-only size, small enough for the
-// bench-smoke job yet still exercising every metric key the full run
-// emits.
-func E23QuickPlannerScale() (*Report, error) {
-	return e23Scale([]int{256}, []int{4000}, 4, 64)
+	return nil
 }

@@ -3,16 +3,11 @@ package experiments
 import (
 	"edgesurgeon/internal/dnn"
 	"edgesurgeon/internal/hardware"
-	"edgesurgeon/internal/stats"
 )
 
-// E1ModelZoo regenerates Table 1: workload model characteristics.
-func E1ModelZoo() (*Report, error) {
-	r := &Report{
-		ID: "E1", Artifact: "Table 1",
-		Title: "DNN workload characteristics (model zoo)",
-	}
-	t := stats.NewTable("Model zoo",
+// e1ModelZoo regenerates Table 1: workload model characteristics.
+func e1ModelZoo(r *Report) error {
+	t := r.table("Model zoo",
 		"model", "units", "GFLOPs", "Mparams", "weights(MB)", "input(KB)", "max-act(KB)", "exit-candidates")
 	var heaviest, lightest *dnn.Model
 	for _, m := range dnn.Zoo() {
@@ -33,26 +28,21 @@ func E1ModelZoo() (*Report, error) {
 			lightest = m
 		}
 	}
-	r.Tables = append(r.Tables, t)
 	r.note("heaviest model by compute: %s (%.1f GFLOPs); lightest: %s (%.2f GFLOPs)",
 		heaviest.Name, float64(heaviest.TotalFLOPs())/1e9,
 		lightest.Name, float64(lightest.TotalFLOPs())/1e9)
-	return r, nil
+	return nil
 }
 
-// E2HardwareProfile regenerates Table 2: full-inference latency of every
+// e2HardwareProfile regenerates Table 2: full-inference latency of every
 // zoo model on every hardware class.
-func E2HardwareProfile() (*Report, error) {
-	r := &Report{
-		ID: "E2", Artifact: "Table 2",
-		Title: "Full-inference latency (ms) across heterogeneous hardware",
-	}
+func e2HardwareProfile(r *Report) error {
 	models := dnn.Zoo()
 	headers := []string{"hardware"}
 	for _, m := range models {
 		headers = append(headers, m.Name)
 	}
-	t := stats.NewTable("Per-model full-inference latency (ms)", headers...)
+	t := r.table("Per-model full-inference latency (ms)", headers...)
 	for _, p := range hardware.Catalog() {
 		row := []any{p.Name}
 		for _, m := range models {
@@ -64,11 +54,10 @@ func E2HardwareProfile() (*Report, error) {
 		}
 		t.AddRow(row...)
 	}
-	r.Tables = append(r.Tables, t)
 
 	gpu, _ := hardware.ByName("edge-gpu-t4")
 	pi, _ := hardware.ByName("rpi4")
 	m := dnn.ResNet18()
 	r.note("GPU-server/Pi speedup on %s: %.0fx", m.Name, pi.ModelTime(m)/gpu.ModelTime(m))
-	return r, nil
+	return nil
 }

@@ -5,26 +5,21 @@ import (
 	"math/rand"
 
 	"edgesurgeon/internal/nn"
-	"edgesurgeon/internal/stats"
 	"edgesurgeon/internal/surgery"
 )
 
-// E12RealMultiExit regenerates Figure 11: exit rates and accuracy measured
+// e12RealMultiExit regenerates Figure 11: exit rates and accuracy measured
 // on a genuinely trained multi-exit network, cross-checking the parametric
 // exit model the optimizer uses. Nothing here is assumed: the network is
 // trained by internal/nn on a synthetic concentric-rings task (whose Bayes
 // boundary is nonlinear, so depth genuinely matters) and thresholded
 // inference is actually executed.
-func E12RealMultiExit() (*Report, error) {
-	r := &Report{
-		ID: "E12", Artifact: "Figure 11",
-		Title: "Measured exit behaviour of a trained multi-exit network (rings task)",
-	}
+func e12RealMultiExit(r *Report) error {
 	ds, err := nn.Rings(nn.RingsConfig{
 		Samples: 8000, Features: 10, Classes: 5, BandWidth: 1.2, Jitter: 0.35, Seed: 101,
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	rng := rand.New(rand.NewSource(101))
 	train, test := ds.Split(0.8, rng)
@@ -33,13 +28,13 @@ func E12RealMultiExit() (*Report, error) {
 		Classes: 5, Seed: 101,
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for epoch := 0; epoch < 50; epoch++ {
 		net.TrainEpoch(train, 32, 0.02, 0.9, rng)
 	}
 
-	t := stats.NewTable("Threshold sweep on the trained network",
+	t := r.table("Threshold sweep on the trained network",
 		"threshold", "accuracy", "mean-depth", "exit0", "exit1", "exit2", "final")
 	type point struct{ depth, acc float64 }
 	var pts []point
@@ -55,7 +50,6 @@ func E12RealMultiExit() (*Report, error) {
 		}
 		prevAcc = ev.Accuracy
 	}
-	r.Tables = append(r.Tables, t)
 
 	// Per-exit standalone quality: force everything to one depth by
 	// thresholding at > 1 (final) and at 0 (first exit).
@@ -75,9 +69,9 @@ func E12RealMultiExit() (*Report, error) {
 	}
 	fitted, rmse, err := surgery.FitAccuracyCurve(measured, finalAcc)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	t2 := stats.NewTable("Measured vs fitted parametric accuracy",
+	t2 := r.table("Measured vs fitted parametric accuracy",
 		"mean-depth", "measured-acc", "fitted-parametric-acc")
 	var maxErr float64
 	for _, p := range pts {
@@ -87,7 +81,6 @@ func E12RealMultiExit() (*Report, error) {
 			maxErr = e
 		}
 	}
-	r.Tables = append(r.Tables, t2)
 	r.note("fitted curve: Floor=%.3f Beta=%.2f Final=%.3f; RMSE %.4f, worst residual %.4f",
 		fitted.Floor, fitted.Beta, finalAcc, rmse, maxErr)
 	if rising {
@@ -95,5 +88,5 @@ func E12RealMultiExit() (*Report, error) {
 	} else {
 		r.note("WARNING: accuracy did not rise with threshold")
 	}
-	return r, nil
+	return nil
 }

@@ -3,11 +3,9 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"edgesurgeon/internal/joint"
 	"edgesurgeon/internal/netmodel"
-	"edgesurgeon/internal/stats"
 )
 
 // e26Drift returns a copy of sc with server s's uplink replaced by a static
@@ -32,12 +30,9 @@ func e26Drift(sc *joint.Scenario, s int, factor float64) *joint.Scenario {
 // plan. The speedup is the tentpole claim — a dirty-single-shard delta
 // replan is O(shard), not O(n) — and the objective gap pins that the saved
 // work costs at most 1% of plan quality.
-func e26Replan(sizes []int, nServers, shardThreshold int) (*Report, error) {
-	r := &Report{
-		ID: "E26", Artifact: "Replan latency study",
-		Title: fmt.Sprintf("Delta replan vs full replan, single dirty shard (%d servers)", nServers),
-	}
-	t := stats.NewTable("Replan wall-clock, full vs dirty-single-shard delta",
+func e26Replan(r *Report, sizes []int, nServers, shardThreshold int) error {
+	r.Title = fmt.Sprintf("Delta replan vs full replan, single dirty shard (%d servers)", nServers)
+	t := r.table("Replan wall-clock, full vs dirty-single-shard delta",
 		"users", "full(s)", "delta(s)", "speedup", "gap(%)", "delta ops/full ops")
 
 	var usersMax int
@@ -47,25 +42,20 @@ func e26Replan(sizes []int, nServers, shardThreshold int) (*Report, error) {
 		p := &joint.Planner{Opt: joint.Options{ShardThreshold: shardThreshold}}
 		prev, err := p.Plan(sc)
 		if err != nil {
-			return nil, fmt.Errorf("E26 initial plan n=%d: %w", n, err)
+			return fmt.Errorf("E26 initial plan n=%d: %w", n, err)
 		}
 		drifted := e26Drift(sc, 0, 0.7)
 		dirty := make([]bool, nServers)
 		dirty[0] = true
 
-		t0 := time.Now()
-		full, err := p.Plan(drifted)
+		full, fullSec, err := timed(func() (*joint.Plan, error) { return p.Plan(drifted) })
 		if err != nil {
-			return nil, fmt.Errorf("E26 full replan n=%d: %w", n, err)
+			return fmt.Errorf("E26 full replan n=%d: %w", n, err)
 		}
-		fullSec := time.Since(t0).Seconds()
-
-		t1 := time.Now()
-		delta, err := p.PlanDelta(drifted, prev, dirty)
+		delta, deltaSec, err := timed(func() (*joint.Plan, error) { return p.PlanDelta(drifted, prev, dirty) })
 		if err != nil {
-			return nil, fmt.Errorf("E26 delta replan n=%d: %w", n, err)
+			return fmt.Errorf("E26 delta replan n=%d: %w", n, err)
 		}
-		deltaSec := time.Since(t1).Seconds()
 
 		speedup := fullSec / math.Max(deltaSec, 1e-9)
 		gap := 100 * (delta.Objective - full.Objective) / full.Objective
@@ -78,28 +68,14 @@ func e26Replan(sizes []int, nServers, shardThreshold int) (*Report, error) {
 			speedupLargest, gapLargest, opsFracLargest = speedup, gap, opsFrac
 		}
 	}
-	r.Tables = append(r.Tables, t)
-	r.metric("users_max", float64(usersMax))
-	r.metric("full_replan_sec", fullSecLargest)
-	r.metric("delta_replan_sec", deltaSecLargest)
-	r.metric("replan_speedup", speedupLargest)
-	r.metric("delta_gap_pct", gapLargest)
-	r.metric("delta_ops_frac", opsFracLargest)
-	r.metric("dirty_shards", 1)
+	r.Metrics["users_max"] = float64(usersMax)
+	r.Metrics["full_replan_sec"] = fullSecLargest
+	r.Metrics["delta_replan_sec"] = deltaSecLargest
+	r.Metrics["replan_speedup"] = speedupLargest
+	r.Metrics["delta_gap_pct"] = gapLargest
+	r.Metrics["delta_ops_frac"] = opsFracLargest
+	r.Metrics["dirty_shards"] = 1
 	r.note("at %d users a single-dirty-shard delta replan is %.1fx faster than a full replan (%.4f s vs %.3f s), objective gap %+.3f%%",
 		usersMax, speedupLargest, deltaSecLargest, fullSecLargest, gapLargest)
-	return r, nil
-}
-
-// E26ReplanLatency regenerates the replan-latency study at control-plane
-// scale: 10k and 100k users over 8 servers, one drifted shard.
-func E26ReplanLatency() (*Report, error) {
-	return e26Replan([]int{10000, 100000}, 8, 256)
-}
-
-// E26QuickReplanLatency is the CI-sized variant behind `experiments -quick`
-// (the bench-replan-smoke make target): one size, small enough for CI, same
-// metric keys as the full run.
-func E26QuickReplanLatency() (*Report, error) {
-	return e26Replan([]int{4000}, 4, 64)
+	return nil
 }

@@ -1,46 +1,36 @@
 package experiments
 
 import (
-	"fmt"
-
 	"edgesurgeon/internal/joint"
-	"edgesurgeon/internal/sim"
-	"edgesurgeon/internal/stats"
 )
 
-// E19SaturationThroughput regenerates the capacity table: the maximum
+// e19SaturationThroughput regenerates the capacity table: the maximum
 // per-user arrival rate each strategy sustains while keeping deadline
-// satisfaction at or above 90%, found by bisection over the rate.
-func E19SaturationThroughput() (*Report, error) {
-	r := &Report{
-		ID: "E19", Artifact: "Table 4 (extension)",
-		Title: "Max sustainable rate at >=90% deadline satisfaction (12 users, 300 ms SLO)",
-	}
+// satisfaction at or above 90%, found by bisection over the rate. The
+// strategies bisect concurrently, each probe a one-arm grid.
+func e19SaturationThroughput(r *Report) error {
 	const target = 0.90
+	g := grid[float64]{scenario: func(rate float64) *joint.Scenario { return mixedScenario(12, rate, 0.3, 100) }}
 	measure := func(s joint.Strategy, rate float64) (float64, error) {
-		sc := mixedScenario(12, rate, 0.3, 100)
-		_, res, err := joint.PlanAndSimulate(sc, s, simHorizon, sim.DedicatedShares)
+		o, err := g.probe(rate, s)
 		if err != nil {
 			return 0, err
 		}
-		return res.DeadlineRate(), nil
+		return o.DeadlineRate(), nil
 	}
-	t := stats.NewTable("Sustainable throughput",
+	t := r.table("Sustainable throughput",
 		"strategy", "max-rate(req/s/user)", "satisfaction-at-max", "normalized-vs-joint")
-	var jointMax float64
-	type row struct {
-		name string
-		rate float64
-		sat  float64
-	}
-	var rows []row
-	for _, s := range strategiesUnderTest() {
+	type row struct{ rate, sat float64 }
+	strategies := strategiesUnderTest()
+	rows := make([]row, len(strategies))
+	err := forEachArm(len(strategies), func(si int) error {
+		s := strategies[si]
 		// Establish an upper bracket.
 		lo, hi := 0.0, 1.0
 		for i := 0; i < 8; i++ {
 			dr, err := measure(s, hi)
 			if err != nil {
-				return nil, fmt.Errorf("%s: %w", s.Name(), err)
+				return err
 			}
 			if dr < target {
 				break
@@ -52,7 +42,7 @@ func E19SaturationThroughput() (*Report, error) {
 			// Cannot sustain even the smallest probe rate.
 			dr, err := measure(s, 0.25)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if dr >= target {
 				lo = 0.25
@@ -63,7 +53,7 @@ func E19SaturationThroughput() (*Report, error) {
 			mid := (lo + hi) / 2
 			dr, err := measure(s, mid)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if dr >= target {
 				lo = mid
@@ -76,39 +66,31 @@ func E19SaturationThroughput() (*Report, error) {
 			var err error
 			sat, err = measure(s, lo)
 			if err != nil {
-				return nil, err
+				return err
 			}
 		}
-		rows = append(rows, row{s.Name(), lo, sat})
-		if s.Name() == "joint" {
-			jointMax = lo
-		}
+		rows[si] = row{lo, sat}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	for _, rw := range rows {
+	jointMax := rows[0].rate // strategy 0 is joint
+	for si, rw := range rows {
 		norm := 0.0
 		if jointMax > 0 {
 			norm = rw.rate / jointMax
 		}
-		t.AddRow(rw.name, rw.rate, rw.sat, norm)
+		t.AddRow(strategies[si].Name(), rw.rate, rw.sat, norm)
 	}
-	r.Tables = append(r.Tables, t)
 	bestBase := 0.0
 	for _, rw := range rows[1:] {
-		if rw.rate > bestBase {
-			bestBase = rw.rate
-		}
+		bestBase = max(bestBase, rw.rate)
 	}
 	if jointMax > bestBase {
-		r.note("joint sustains %.2f req/s/user, %.1fx the best baseline (%.2f)", jointMax, jointMax/maxf(bestBase, 1e-9), bestBase)
+		r.note("joint sustains %.2f req/s/user, %.1fx the best baseline (%.2f)", jointMax, jointMax/max(bestBase, 1e-9), bestBase)
 	} else {
 		r.note("WARNING: a baseline sustained more throughput than joint")
 	}
-	return r, nil
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
+	return nil
 }

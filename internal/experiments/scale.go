@@ -3,13 +3,11 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"time"
 
 	"edgesurgeon/internal/dnn"
 	"edgesurgeon/internal/hardware"
 	"edgesurgeon/internal/netmodel"
 	"edgesurgeon/internal/sim"
-	"edgesurgeon/internal/stats"
 	"edgesurgeon/internal/surgery"
 	"edgesurgeon/internal/workload"
 )
@@ -56,12 +54,9 @@ func e21Config(nUsers, nServers int, horizon float64, disc sim.Discipline) sim.C
 // e21Scale times one simulation per (size, discipline) arm and reports its
 // throughput and allocations per event. The sizes slice parameterizes small
 // CI runs vs the full experiment.
-func e21Scale(sizes []int, nServers int, horizon float64) (*Report, error) {
-	r := &Report{
-		ID: "E21", Artifact: "Scale study",
-		Title: fmt.Sprintf("Simulator throughput (%d servers, ProcessorSharing + DedicatedShares)", nServers),
-	}
-	t := stats.NewTable("Heavy-traffic events/sec",
+func e21Scale(r *Report, sizes []int, nServers int, horizon float64) error {
+	r.Title = fmt.Sprintf("Simulator throughput (%d servers, ProcessorSharing + DedicatedShares)", nServers)
+	t := r.table("Heavy-traffic events/sec",
 		"users", "discipline", "events", "wall(s)", "events/sec", "allocs/event")
 	cores := runtime.GOMAXPROCS(0)
 	discNames := map[sim.Discipline]string{
@@ -74,12 +69,10 @@ func e21Scale(sizes []int, nServers int, horizon float64) (*Report, error) {
 			cfg := e21Config(n, nServers, horizon, disc)
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
-			t0 := time.Now()
-			res, err := sim.Run(cfg)
+			res, sec, err := timed(func() (*sim.Result, error) { return sim.Run(cfg) })
 			if err != nil {
-				return nil, fmt.Errorf("E21 n=%d: %w", n, err)
+				return fmt.Errorf("E21 n=%d: %w", n, err)
 			}
-			sec := time.Since(t0).Seconds()
 			runtime.ReadMemStats(&m1)
 
 			allocsPerEvent := float64(m1.Mallocs-m0.Mallocs) / float64(res.Events)
@@ -89,17 +82,10 @@ func e21Scale(sizes []int, nServers int, horizon float64) (*Report, error) {
 			lastAllocs = allocsPerEvent
 		}
 	}
-	r.Tables = append(r.Tables, t)
-	r.metric("cores", float64(cores))
-	r.metric("users_max", float64(sizes[len(sizes)-1]))
-	r.metric("events_per_sec", bestEPS)
-	r.metric("allocs_per_event", lastAllocs)
+	r.Metrics["cores"] = float64(cores)
+	r.Metrics["users_max"] = float64(sizes[len(sizes)-1])
+	r.Metrics["events_per_sec"] = bestEPS
+	r.Metrics["allocs_per_event"] = lastAllocs
 	r.note("best throughput %.3g events/sec on %d core(s); the simulator runs on one of them", bestEPS, cores)
-	return r, nil
-}
-
-// E21ScaleThroughput regenerates the heavy-traffic scale study: 10k and
-// 100k users across 32 edge servers, tracking the simulator's events/sec.
-func E21ScaleThroughput() (*Report, error) {
-	return e21Scale([]int{10000, 100000}, 32, 20)
+	return nil
 }

@@ -7,49 +7,29 @@ import (
 	"edgesurgeon/internal/dnn"
 	"edgesurgeon/internal/joint"
 	"edgesurgeon/internal/netmodel"
-	"edgesurgeon/internal/stats"
 	"edgesurgeon/internal/surgery"
 	"edgesurgeon/internal/workload"
 )
 
-// E3BandwidthSweep regenerates Figure 3: expected end-to-end latency of
+// e3BandwidthSweep regenerates Figure 3: expected end-to-end latency of
 // each strategy as the uplink bandwidth sweeps from starvation to
 // abundance, for a single Pi-class user running VGG16 against a GPU edge
 // server.
-func E3BandwidthSweep() (*Report, error) {
-	r := &Report{
-		ID: "E3", Artifact: "Figure 3",
-		Title: "Latency vs uplink bandwidth (single user, VGG16, Pi -> GPU server)",
-	}
+func e3BandwidthSweep(r *Report) error {
 	bandwidths := []float64{0.5, 1, 2, 4, 8, 16, 32, 64, 100}
 	strategies := strategiesUnderTest()
-	headers := []string{"uplink(Mbps)"}
-	for _, s := range strategies {
-		headers = append(headers, s.Name()+"(ms)")
-	}
-	t := stats.NewTable("Expected latency vs bandwidth", headers...)
+	t := r.table("Expected latency vs bandwidth", strategyHeaders("uplink(Mbps)", strategies, "(ms)")...)
 
 	var crossover float64
 	var prevLocalWins bool
 	for bi, mbps := range bandwidths {
-		sc := &joint.Scenario{
-			Servers: []joint.Server{{
-				Name: "edge-gpu", Profile: mustDevice("edge-gpu-t4"),
-				Link: netmodel.NewStatic("wifi", netmodel.Mbps(mbps), 0.004), RTT: 0.004,
-			}},
-			// A light probe rate keeps every strategy queue-stable so the
-			// analytic expected latencies are directly comparable.
-			Users: []joint.User{{
-				Name: "cam", Model: dnn.VGG16(), Device: mustDevice("rpi4"),
-				Rate: 0.1, Difficulty: workload.EasyBiased, Arrivals: workload.Poisson, Seed: 1,
-			}},
-		}
+		sc := vggCamera(mbps, 0)
 		row := []any{mbps}
 		var lats []float64
 		for _, s := range strategies {
 			plan, err := s.Plan(sc)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			lat := plan.Decisions[0].Latency()
 			lats = append(lats, lat)
@@ -71,23 +51,36 @@ func E3BandwidthSweep() (*Report, error) {
 			}
 		}
 	}
-	r.Tables = append(r.Tables, t)
 	if crossover > 0 {
 		r.note("local-only/edge-only crossover near %g Mbps; joint dominates the full sweep", crossover)
 	} else {
 		r.note("no local/edge crossover inside the sweep; joint dominates the full sweep")
 	}
-	return r, nil
+	return nil
 }
 
-// E6AccuracyLatency regenerates Figure 6: the accuracy-latency frontier
+// vggCamera is the single-user scenario of E3 and E15: a Pi running VGG16
+// against one GPU server behind an uplink of mbps, sending its activations
+// scaled by txCompression. A light probe rate keeps every strategy
+// queue-stable so the analytic expected latencies are directly comparable.
+func vggCamera(mbps, txCompression float64) *joint.Scenario {
+	return &joint.Scenario{
+		Servers: []joint.Server{{
+			Name: "edge-gpu", Profile: mustDevice("edge-gpu-t4"),
+			Link: netmodel.NewStatic("wifi", netmodel.Mbps(mbps), 0.004), RTT: 0.004,
+		}},
+		Users: []joint.User{{
+			Name: "cam", Model: dnn.VGG16(), Device: mustDevice("rpi4"),
+			Rate: 0.1, Difficulty: workload.EasyBiased, Arrivals: workload.Poisson,
+			TxCompression: txCompression, Seed: 1,
+		}},
+	}
+}
+
+// e6AccuracyLatency regenerates Figure 6: the accuracy-latency frontier
 // traced by tightening the expected-accuracy floor, for joint surgery
 // against the exit-only and partition-only arms.
-func E6AccuracyLatency() (*Report, error) {
-	r := &Report{
-		ID: "E6", Artifact: "Figure 6",
-		Title: "Accuracy-latency trade-off frontier (VGG16, Pi -> GPU @ 20 Mbps)",
-	}
+func e6AccuracyLatency(r *Report) error {
 	env := surgery.Env{
 		Device: mustDevice("rpi4"), Server: mustDevice("edge-gpu-t4"),
 		ComputeShare: 1, UplinkBps: netmodel.Mbps(20), BandwidthShare: 1,
@@ -96,16 +89,15 @@ func E6AccuracyLatency() (*Report, error) {
 	m := dnn.VGG16()
 	curves := surgery.DefaultCurves()
 
-	t := stats.NewTable("Frontier under accuracy floors",
+	t := r.table("Frontier under accuracy floors",
 		"min-acc", "joint-acc", "joint-lat(ms)", "exit-only-lat(ms)", "partition-only-lat(ms)")
 	// Partition-only ignores accuracy floors (always full accuracy).
-	partPlan, partEval, err := surgery.Optimize(m, env, surgery.Options{
+	_, partEval, err := surgery.Optimize(m, env, surgery.Options{
 		NoExits: true, FixedPartition: surgery.FreePartition,
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	_ = partPlan
 	floors := []float64{0, 0.60, 0.65, 0.70, 0.72, 0.74, 0.755, curves.Final - 1e-9}
 	var prevLat float64
 	monotone := true
@@ -113,14 +105,14 @@ func E6AccuracyLatency() (*Report, error) {
 		opt := surgery.Options{MinAccuracy: floor, FixedPartition: surgery.FreePartition}
 		_, ev, err := surgery.Optimize(m, env, opt)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		// Exit-only arm: partition pinned fully local.
 		exitOpt := opt
 		exitOpt.FixedPartition = m.NumUnits()
 		_, exitEval, err := surgery.Optimize(m, env, exitOpt)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		t.AddRow(floor, ev.Accuracy, ev.Latency*1000, exitEval.Latency*1000, partEval.Latency*1000)
 		if prevLat > 0 && ev.Latency < prevLat-1e-9 {
@@ -128,7 +120,6 @@ func E6AccuracyLatency() (*Report, error) {
 		}
 		prevLat = ev.Latency
 	}
-	r.Tables = append(r.Tables, t)
 	if monotone {
 		r.note("frontier is monotone: tighter accuracy floors cost latency, as expected")
 	} else {
@@ -137,7 +128,7 @@ func E6AccuracyLatency() (*Report, error) {
 	r.note("at the full-accuracy floor the joint plan degenerates to partition-only (%.1f ms)", partEval.Latency*1000)
 
 	// Second panel: raw theta sweep of a fixed surgered model.
-	t2 := stats.NewTable("Theta sweep (fixed exits, partition 5)",
+	t2 := r.table("Theta sweep (fixed exits, partition 5)",
 		"theta", "exp-accuracy", "exp-latency(ms)", "cross-prob")
 	cand := m.ExitCandidates()
 	exits := cand[:3]
@@ -145,22 +136,17 @@ func E6AccuracyLatency() (*Report, error) {
 		plan := surgery.Plan{Model: m, Exits: exits, Theta: theta, Partition: 5}
 		ev, err := surgery.Evaluate(plan, env)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		t2.AddRow(theta, ev.Accuracy, ev.Latency*1000, ev.CrossProb)
 	}
-	r.Tables = append(r.Tables, t2)
-	return r, nil
+	return nil
 }
 
-// E11OptimalityGap regenerates Table 3: joint-planner objective vs the
+// e11OptimalityGap regenerates Table 3: joint-planner objective vs the
 // exhaustive-assignment reference on small instances.
-func E11OptimalityGap() (*Report, error) {
-	r := &Report{
-		ID: "E11", Artifact: "Table 3",
-		Title: "Optimality gap vs exhaustive assignment (small instances)",
-	}
-	t := stats.NewTable("Optimality gap", "instance", "users", "joint-obj", "exhaustive-obj", "gap(%)")
+func e11OptimalityGap(r *Report) error {
+	t := r.table("Optimality gap", "instance", "users", "joint-obj", "exhaustive-obj", "gap(%)")
 	var worst, sum float64
 	instances := []struct {
 		n    int
@@ -170,11 +156,11 @@ func E11OptimalityGap() (*Report, error) {
 		sc := mixedScenario(inst.n, 2.5, 0.4, inst.mbps)
 		jp, err := (&joint.Planner{}).Plan(sc)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		ep, err := baseline.ExhaustiveAssignment{}.Plan(sc)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		gap := 100 * (jp.Objective - ep.Objective) / ep.Objective
 		if gap < 0 {
@@ -184,7 +170,6 @@ func E11OptimalityGap() (*Report, error) {
 		sum += gap
 		worst = math.Max(worst, gap)
 	}
-	r.Tables = append(r.Tables, t)
 	r.note("mean gap %.2f%%, worst %.2f%% across %d instances", sum/float64(len(instances)), worst, len(instances))
-	return r, nil
+	return nil
 }
