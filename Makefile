@@ -51,9 +51,14 @@ loc:
 # report boilerplate and six copies of a strategy x point sweep, three of a
 # window replay and two of the fading control-plane cluster deleted) and
 # cmd/edgesim with config's strategy-name resolver folded into
-# `experiments -scenario`.
+# `experiments -scenario`. It went 20877 -> 20811 when serve.RunChaos
+# became the one replay driver: edgeserved's -recover flag, its second
+# ingest loop, its refusal rules and its private verifier, the WAL's
+# string-float sample codec (wireSample and its two float helpers),
+# RecoverFrom and WriteSnapshotOnly as separate entry points, and the
+# preamble New and snapshot recovery each repeated were deleted.
 LOC_MAX_JOINT = 2582
-LOC_MAX_TOTAL = 20877
+LOC_MAX_TOTAL = 20811
 loc-check: loc
 	@joint=$$($(call loc_of,internal/joint)); total=$$($(loc_total)); \
 	if [ $$joint -gt $(LOC_MAX_JOINT) ] || [ $$total -gt $(LOC_MAX_TOTAL) ]; then \
@@ -176,7 +181,10 @@ serve-smoke:
 # recovered run's journal, metrics and final plan are byte-identical to a
 # crash-free rerun (-verify-recovery exits non-zero on any divergence).
 # The in-process harness test repeats the invariant with three crashes
-# and checks zero goroutine leaks after the runtimes close.
+# and checks zero goroutine leaks after the runtimes close. The resume leg
+# replays the trace's first 10 samples under a planner slowdown into a
+# directory, then the whole trace on it: the replay resumes at sample 10
+# and must match the uninterrupted run (4 full replans) byte for byte.
 chaos-smoke:
 	$(GO) test ./internal/serve -run 'TestRunChaos' -count=1
 	rm -rf .chaos-smoke-dir
@@ -186,6 +194,13 @@ chaos-smoke:
 		-chaos crash:3 -chaos crash:8 -chaos slow:12:15:0.001 -chaos corrupt:5:nan \
 		-verify-recovery -expect-full-replans 4
 	rm -rf .chaos-smoke-dir
+	head -n 10 cmd/edgeserved/testdata/smoke-trace.jsonl > .chaos-smoke-prefix.jsonl
+	$(GO) run ./cmd/edgeserved -scenario cmd/edgeserved/testdata/smoke-scenario.json \
+		-trace .chaos-smoke-prefix.jsonl -snapshot-dir .chaos-smoke-dir -chaos slow:2:5:0.5
+	$(GO) run ./cmd/edgeserved -scenario cmd/edgeserved/testdata/smoke-scenario.json \
+		-trace cmd/edgeserved/testdata/smoke-trace.jsonl -snapshot-dir .chaos-smoke-dir \
+		-chaos slow:2:5:0.5 -verify-recovery -expect-full-replans 4
+	rm -rf .chaos-smoke-dir .chaos-smoke-prefix.jsonl
 
 # Data-plane guard for CI: the CI-sized E27 loopback-cluster study (real
 # edgeagent processes over TCP under each replanning policy) writing its

@@ -16,9 +16,9 @@
 //	edgeserved -scenario deploy.json -trace trace.jsonl -snapshot-dir state/ \
 //	    -chaos crash:3 -chaos crash:8 -verify-recovery
 //	    # chaos replay: kill/recover after samples 3 and 8, then assert the
-//	    # run was byte-identical to one that never crashed
-//	edgeserved -scenario deploy.json -trace trace.jsonl -snapshot-dir state/ -recover
-//	    # resume a crashed replay from its snapshot + WAL
+//	    # run was byte-identical to one that never crashed. A -snapshot-dir
+//	    # that already holds a run is resumed at the first sample it has not
+//	    # seen ("resumed at sample N"), never overwritten.
 //	edgeserved -scenario deploy.json -listen 127.0.0.1:0 -timescale 0.002 \
 //	    -requests 200 -min-ok-frac 0.95
 //	    # live mode: spawn one edgeagent process per server, serve the wire
@@ -196,9 +196,8 @@ func main() {
 		shardThresh  = flag.Int("shard-threshold", 0, "route full replans of scenarios with at least this many users through the hierarchical sharded planner (0 = always monolithic)")
 		frontier     = flag.Bool("frontier", false, "keep Pareto-frontier surgery tables across plans, one set per planned scenario (see serve.frontier.* metrics): changes speed and the planner.frontier.* hit/miss counters, never the plan")
 
-		snapshotDir = flag.String("snapshot-dir", "", "persist snapshot + WAL state in this directory (crash-safe replay)")
-		recoverRun  = flag.Bool("recover", false, "recover the control plane from -snapshot-dir and continue the trace from where it crashed")
-		verifyRec   = flag.Bool("verify-recovery", false, "after a chaos replay with crashes, rerun without the crashes and exit non-zero unless journal, metrics and final plan are byte-identical")
+		snapshotDir = flag.String("snapshot-dir", "", "persist snapshot + WAL state in this directory (crash-safe replay; a directory holding a run resumes it)")
+		verifyRec   = flag.Bool("verify-recovery", false, "after a crashed or resumed replay, rerun the whole trace in memory without the crashes and exit non-zero unless journal, metrics and final plan are byte-identical")
 
 		deltaReplan   = flag.Bool("delta-replan", false, "route qualifying replans through the incremental delta planner: only drifted servers' shards are re-planned, warm-started from the active plan (same hysteresis gates and deadline budget as full replans)")
 		deltaDirtyMax = flag.Float64("delta-dirty-frac", -1, "override: max fraction of servers that may be dirty for a delta replan; wider drift falls back to a full replan (default 0.5)")
@@ -258,7 +257,7 @@ func main() {
 		// plans through cluster.Start's own planner; say so instead of
 		// silently dropping the flag.
 		if name := firstSet("chaos", "expect-full-replans", "journal",
-			"recover", "shard-threshold", "snapshot-dir", "verify-recovery"); name != "" {
+			"shard-threshold", "snapshot-dir", "verify-recovery"); name != "" {
 			fmt.Fprintf(os.Stderr, "edgeserved: -%s has no effect with -listen (it configures trace replay)\n", name)
 			os.Exit(2)
 		}
@@ -278,21 +277,19 @@ func main() {
 			fatal(err)
 		}
 	case *tracePath != "":
-		// -recover resumes a crashed run from its store: it injects no chaos
-		// and has no crash-free twin to be verified against.
-		if name := firstSet("chaos", "verify-recovery"); *recoverRun && name != "" {
-			fmt.Fprintf(os.Stderr, "edgeserved: -%s has no effect with -recover (it configures a chaos replay)\n", name)
-			os.Exit(2)
-		}
-		policy := mustPolicy()
 		opts := replayOpts{
 			tracePath: *tracePath, journalPath: *journalPath,
 			expectFull: *expectFull, httpAddr: *httpAddr,
-			shardThreshold: *shardThresh, frontier: *frontier,
-			snapshotDir: *snapshotDir, recover: *recoverRun,
-			chaos: chaosSpecs.events, verifyRecovery: *verifyRec,
+			snapshotDir: *snapshotDir,
+			chaos:       chaosSpecs.events, verifyRecovery: *verifyRec,
 		}
-		if err := replay(sc, policy, opts); err != nil {
+		cfg := serve.Config{
+			Scenario: sc,
+			Planner:  &joint.Planner{Opt: joint.Options{ShardThreshold: *shardThresh}},
+			Policy:   mustPolicy(),
+			Frontier: *frontier,
+		}
+		if err := replay(cfg, opts); err != nil {
 			fatal(err)
 		}
 	default:
@@ -442,30 +439,16 @@ type replayOpts struct {
 	tracePath, journalPath string
 	expectFull             int
 	httpAddr               string
-	shardThreshold         int
-	frontier               bool
 
 	snapshotDir    string
-	recover        bool
 	chaos          []faults.ChaosEvent
 	verifyRecovery bool
 }
 
-// config is the control-plane configuration a replay runs under: in memory,
-// with a fresh planner (the caller attaches a store where it wants one).
-func (o replayOpts) config(sc *joint.Scenario, policy serve.Policy) serve.Config {
-	return serve.Config{
-		Scenario: sc,
-		Planner:  &joint.Planner{Opt: joint.Options{ShardThreshold: o.shardThreshold}},
-		Policy:   policy,
-		Frontier: o.frontier,
-	}
-}
-
-// replay drives the recorded trace through the control plane — fresh,
-// recovered from a snapshot directory, or under a chaos schedule — and
-// reports what the policy decided.
-func replay(sc *joint.Scenario, policy serve.Policy, o replayOpts) error {
+// replay drives the recorded trace through the control plane under cfg —
+// in memory, or resuming whatever run -snapshot-dir holds, under a chaos
+// schedule — and reports what the policy decided.
+func replay(cfg serve.Config, o replayOpts) error {
 	in, err := os.Open(o.tracePath)
 	if err != nil {
 		return err
@@ -475,56 +458,46 @@ func replay(sc *joint.Scenario, policy serve.Policy, o replayOpts) error {
 	if err != nil {
 		return err
 	}
-	cfg := o.config(sc, policy)
 	chaos, err := faults.NewChaos(o.chaos...)
 	if err != nil {
 		return err
 	}
-
-	var rt *serve.Runtime
-	switch {
-	case o.recover:
-		if o.snapshotDir == "" {
-			return fmt.Errorf("-recover needs -snapshot-dir")
+	if o.snapshotDir != "" {
+		if cfg.Store, err = serve.OpenStore(o.snapshotDir); err != nil {
+			return err
 		}
-		store, err := serve.OpenStore(o.snapshotDir)
+	}
+	res, err := serve.RunChaos(cfg, trace, chaos)
+	if err != nil {
+		return err
+	}
+	rt := res.Runtime
+	if res.Resumed > 0 {
+		fmt.Printf("resumed at sample %d\n", res.Resumed)
+	}
+	if !chaos.Empty() {
+		fmt.Printf("chaos: %d crashes, %d corrupted samples, %d rejections, %d throttle changes\n",
+			res.Crashes, res.Corrupted, res.Rejections, res.Throttles)
+	}
+	if o.verifyRecovery {
+		// The twin replays the whole trace in memory under the same
+		// schedule minus its crashes (a subset of events NewChaos took).
+		var calm []faults.ChaosEvent
+		for _, e := range o.chaos {
+			if e.Kind != faults.CrashAfterSample {
+				calm = append(calm, e)
+			}
+		}
+		calmChaos, _ := faults.NewChaos(calm...)
+		cfg.Store = nil // RunChaos owns the store; the twin runs in memory
+		twin, err := serve.RunChaos(cfg, trace, calmChaos)
 		if err != nil {
-			return err
+			return fmt.Errorf("verify-recovery: crash-free rerun: %w", err)
 		}
-		cfg.Store = store
-		if rt, err = serve.Recover(cfg); err != nil {
-			return err
+		if err := serve.Diff(twin.Runtime, rt); err != nil {
+			return fmt.Errorf("verify-recovery: %w", err)
 		}
-		skip := rt.Seq()
-		fmt.Printf("recovered at seq %d; replaying %d remaining samples\n", skip, max(0, len(trace)-int(skip)))
-		for i := int(skip); i < len(trace); i++ {
-			if _, err := rt.Ingest(trace[i]); err != nil {
-				return fmt.Errorf("sample %d: %w", i, err)
-			}
-		}
-	default:
-		if o.snapshotDir != "" {
-			store, err := serve.OpenStore(o.snapshotDir)
-			if err != nil {
-				return err
-			}
-			cfg.Store = store
-		}
-		res, err := serve.RunChaos(cfg, trace, chaos)
-		if err != nil {
-			return err
-		}
-		rt = res.Runtime
-		if !chaos.Empty() {
-			fmt.Printf("chaos: %d crashes, %d corrupted samples, %d rejections, %d throttle changes\n",
-				res.Crashes, res.Corrupted, res.Rejections, res.Throttles)
-		}
-		if o.verifyRecovery {
-			if err := verifyRecovery(sc, policy, o, trace, chaos, rt); err != nil {
-				return err
-			}
-			fmt.Println("verify-recovery: journal, metrics and final plan byte-identical to the crash-free run")
-		}
+		fmt.Println("verify-recovery: journal, metrics and final plan byte-identical to the crash-free run")
 	}
 
 	reg := rt.Metrics()
@@ -555,42 +528,9 @@ func replay(sc *joint.Scenario, policy serve.Policy, o replayOpts) error {
 		return fmt.Errorf("expected %d full replans, got %d", o.expectFull, rt.FullReplans())
 	}
 	if o.httpAddr != "" {
-		return serveHTTP(o.httpAddr, sc, rt)
+		return serveHTTP(o.httpAddr, cfg.Scenario, rt)
 	}
 	return rt.Close()
-}
-
-// verifyRecovery reruns the chaos replay with the crash events stripped
-// (in memory, no store, fresh planner) and errors out unless the
-// crashed-and-recovered runtime's journal, metrics and final plan match
-// byte for byte.
-func verifyRecovery(sc *joint.Scenario, policy serve.Policy, o replayOpts, trace []telemetry.Sample, chaos *faults.ChaosSchedule, crashed *serve.Runtime) error {
-	var calmEvents []faults.ChaosEvent
-	for _, e := range chaos.Events() {
-		if e.Kind != faults.CrashAfterSample {
-			calmEvents = append(calmEvents, e)
-		}
-	}
-	calmChaos, err := faults.NewChaos(calmEvents...)
-	if err != nil {
-		return err
-	}
-	cfg := o.config(sc, policy)
-	calm, err := serve.RunChaos(cfg, trace, calmChaos)
-	if err != nil {
-		return fmt.Errorf("verify-recovery: crash-free rerun: %w", err)
-	}
-	defer calm.Runtime.Close()
-	if got, want := crashed.Journal().String(), calm.Runtime.Journal().String(); got != want {
-		return fmt.Errorf("verify-recovery: journal diverged\n--- crash-free ---\n%s--- recovered ---\n%s", want, got)
-	}
-	if got, want := crashed.Metrics().Text(), calm.Runtime.Metrics().Text(); got != want {
-		return fmt.Errorf("verify-recovery: metrics diverged\n--- crash-free ---\n%s--- recovered ---\n%s", want, got)
-	}
-	if got, want := serve.EncodePlan(crashed.Current()), serve.EncodePlan(calm.Runtime.Current()); got != want {
-		return fmt.Errorf("verify-recovery: final plan diverged\n--- crash-free ---\n%s--- recovered ---\n%s", want, got)
-	}
-	return nil
 }
 
 // planSummary is the /plan endpoint's per-user view of the active plan. It

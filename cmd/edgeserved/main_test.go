@@ -52,14 +52,21 @@ type rejectedFlag struct {
 	args []string
 }
 
-// expectRejected runs edgeserved once per case and fails unless each exits
-// with status 2 naming the flag on stderr.
-func expectRejected(t *testing.T, base []string, cases []rejectedFlag) {
+// build compiles edgeserved into a temporary directory.
+func build(t *testing.T) string {
 	t.Helper()
 	bin := filepath.Join(t.TempDir(), "edgeserved")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
+	return bin
+}
+
+// expectRejected runs edgeserved once per case and fails unless each exits
+// with status 2 naming the flag on stderr.
+func expectRejected(t *testing.T, base []string, cases []rejectedFlag) {
+	t.Helper()
+	bin := build(t)
 	for _, c := range cases {
 		args := append(append([]string{"-scenario", "testdata/smoke-scenario.json"}, base...), c.args...)
 		var stderr bytes.Buffer
@@ -84,7 +91,6 @@ func TestLiveModeRejectsReplayFlags(t *testing.T) {
 	expectRejected(t, []string{"-listen", "127.0.0.1:0"}, []rejectedFlag{
 		{"shard-threshold", []string{"-shard-threshold", "8"}},
 		{"snapshot-dir", []string{"-snapshot-dir", t.TempDir()}},
-		{"recover", []string{"-recover"}},
 		{"journal", []string{"-journal", "-"}},
 		{"expect-full-replans", []string{"-expect-full-replans", "4"}},
 		{"chaos", []string{"-chaos", "crash:3"}},
@@ -94,14 +100,38 @@ func TestLiveModeRejectsReplayFlags(t *testing.T) {
 	})
 }
 
-// TestRecoverRejectsChaosFlags: -recover resumes from the store and neither
-// injects chaos nor verifies against a crash-free rerun, so the flags that
-// ask for those are refused the same way, before the store is opened.
-func TestRecoverRejectsChaosFlags(t *testing.T) {
-	base := []string{"-trace", "testdata/smoke-trace.jsonl", "-snapshot-dir", t.TempDir(), "-recover"}
-	expectRejected(t, base, []rejectedFlag{
-		{"chaos", []string{"-chaos", "crash:3"}},
-		{"verify-recovery", []string{"-verify-recovery"}},
-		{"chaos", []string{"-verify-recovery", "-chaos", "slow:1:2:0.5"}},
-	})
+// TestReplayResumesSnapshotDir: a replay of the trace's first 10 samples
+// under a planner slowdown leaves its run in -snapshot-dir; replaying the
+// whole trace on the same directory resumes at sample 10 — throttle entries
+// in the WAL do not shift it — and -verify-recovery holds the result to a
+// run that never stopped.
+func TestReplayResumesSnapshotDir(t *testing.T) {
+	bin := build(t)
+	trace, err := os.ReadFile("testdata/smoke-trace.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(trace), "\n")
+	prefix := filepath.Join(t.TempDir(), "prefix.jsonl")
+	if err := os.WriteFile(prefix, []byte(strings.Join(lines[:10], "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	run := func(tracePath string, extra ...string) string {
+		t.Helper()
+		args := append([]string{"-scenario", "testdata/smoke-scenario.json", "-trace", tracePath,
+			"-snapshot-dir", dir, "-chaos", "slow:2:5:0.5"}, extra...)
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("%v: %v\n%s", extra, err, out)
+		}
+		return string(out)
+	}
+	run(prefix)
+	out := run("testdata/smoke-trace.jsonl", "-verify-recovery", "-expect-full-replans", "4")
+	for _, want := range []string{"resumed at sample 10\n", "verify-recovery: journal, metrics and final plan byte-identical"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
+	}
 }

@@ -68,10 +68,9 @@ func e25ChaosRecovery(r *Report) error {
 		{"corrupt", corrupt, false},
 	}
 	type armResult struct {
-		res                   *serve.ChaosResult
-		journal, metrics, fin string
-		fulls, aborted        int64
-		qdrops, quarantined   int64
+		res                 *serve.ChaosResult
+		fulls, aborted      int64
+		qdrops, quarantined int64
 	}
 	results := make([]armResult, len(arms))
 	err = forEachArm(len(arms), func(ai int) error {
@@ -100,9 +99,6 @@ func e25ChaosRecovery(r *Report) error {
 		reg := res.Runtime.Metrics()
 		results[ai] = armResult{
 			res:         res,
-			journal:     res.Runtime.Journal().String(),
-			metrics:     reg.Text(),
-			fin:         serve.EncodePlan(res.Runtime.Current()),
 			fulls:       reg.Counter("serve.replans.full").Value(),
 			aborted:     reg.Counter("serve.replans.aborted").Value(),
 			qdrops:      reg.Counter("serve.quarantine.dropped").Value(),
@@ -116,7 +112,7 @@ func e25ChaosRecovery(r *Report) error {
 
 	calm, crash, slowArm, corr := &results[0], &results[1], &results[2], &results[3]
 	fidelity := 0.0
-	if crash.journal == calm.journal && crash.metrics == calm.metrics && crash.fin == calm.fin {
+	if serve.Diff(calm.res.Runtime, crash.res.Runtime) == nil {
 		fidelity = 1
 	}
 	attempts := slowArm.fulls + slowArm.aborted

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"edgesurgeon/internal/faults"
@@ -83,14 +84,8 @@ func runChaosRecoveryFidelity(t *testing.T) {
 	if calm.Crashes != 0 || calm.Corrupted != 3 || wild.Corrupted != 3 {
 		t.Fatalf("tallies off: calm=%+v wild=%+v", calm, wild)
 	}
-	if got, want := encodePlan(wild.Runtime.Current()), encodePlan(calm.Runtime.Current()); got != want {
-		t.Fatalf("final plan diverged under crashes:\n--- calm ---\n%s\n--- wild ---\n%s", want, got)
-	}
-	if got, want := wild.Runtime.Journal().String(), calm.Runtime.Journal().String(); got != want {
-		t.Fatalf("journal diverged under crashes:\n--- calm ---\n%s\n--- wild ---\n%s", want, got)
-	}
-	if got, want := wild.Runtime.Metrics().Text(), calm.Runtime.Metrics().Text(); got != want {
-		t.Fatalf("metrics diverged under crashes:\n--- calm ---\n%s\n--- wild ---\n%s", want, got)
+	if err := Diff(calm.Runtime, wild.Runtime); err != nil {
+		t.Fatalf("crashes changed the run: %v", err)
 	}
 
 	// The schedule must actually have drawn blood, or fidelity is vacuous.
@@ -109,6 +104,67 @@ func runChaosRecoveryFidelity(t *testing.T) {
 	wild.Runtime.Close()
 	if err := CheckGoroutineLeak(baseGoroutines); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunChaosResumesStore: a replay cut short after a prefix of the trace
+// under corruption and a planner slowdown leaves a store that RunChaos,
+// handed the whole trace and no chaos, resumes at the prefix's end — and
+// finishes with the journal, metrics and plan of the run that never
+// stopped. A store that has seen more samples than the trace holds is an
+// error naming both counts.
+func TestRunChaosResumesStore(t *testing.T) {
+	trace := recordReplayTrace(t)
+	const prefix = 8
+	schedule, err := faults.NewChaos(
+		faults.ChaosEvent{Kind: faults.SlowPlanner, Sample: 2, Until: 5, Factor: 0.001},
+		faults.ChaosEvent{Kind: faults.CorruptSample, Sample: 3, Corrupt: faults.CorruptNegative},
+		faults.ChaosEvent{Kind: faults.CorruptSample, Sample: 4, Corrupt: faults.CorruptWidth},
+		faults.ChaosEvent{Kind: faults.CorruptSample, Sample: 6, Corrupt: faults.CorruptNaN},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := func(store *Store) Config {
+		return Config{Scenario: fadingScenario(t), Planner: &joint.Planner{}, Policy: chaosPolicy(), Store: store}
+	}
+	whole, err := RunChaos(cfg(nil), trace, schedule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if whole.Runtime.Journal().CountKind(EventQuarantine) == 0 || whole.Runtime.Journal().CountKind(EventAbortedReplan) == 0 {
+		t.Fatalf("schedule drew no quarantine or abort:\n%s", whole.Runtime.Journal().String())
+	}
+
+	dir := t.TempDir()
+	reopen := func() *Store {
+		store, err := OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return store
+	}
+	first, err := RunChaos(cfg(reopen()), trace[:prefix], schedule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.Runtime.Close()
+	rest, err := RunChaos(cfg(reopen()), trace, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rest.Runtime.Close()
+	if rest.Resumed != prefix {
+		t.Fatalf("resumed at sample %d, want %d", rest.Resumed, prefix)
+	}
+	if err := Diff(whole.Runtime, rest.Runtime); err != nil {
+		t.Fatalf("resumed run differs from the uninterrupted one: %v", err)
+	}
+	rest.Runtime.Close()
+
+	_, err = RunChaos(cfg(reopen()), trace[:prefix-1], nil)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("seen %d samples, the trace holds %d", len(trace), prefix-1)) {
+		t.Fatalf("store longer than the trace: got %v", err)
 	}
 }
 

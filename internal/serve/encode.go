@@ -23,3 +23,23 @@ func EncodePlan(p *joint.Plan) string {
 	}
 	return b.String()
 }
+
+// Diff names the first of journal, metrics text and final plan (EncodePlan)
+// where got differs from want, showing both; nil when all three are byte
+// for byte the same. It is the one test of "a crashed, resumed or
+// recovered run is the run that never stopped".
+func Diff(want, got *Runtime) error {
+	for _, a := range []struct {
+		name string
+		text func(*Runtime) string
+	}{
+		{"journal", func(rt *Runtime) string { return rt.Journal().String() }},
+		{"metrics", func(rt *Runtime) string { return rt.Metrics().Text() }},
+		{"final plan", func(rt *Runtime) string { return EncodePlan(rt.Current()) }},
+	} {
+		if w, g := a.text(want), a.text(got); w != g {
+			return fmt.Errorf("serve: %s diverged\n--- want ---\n%s--- got ---\n%s", a.name, w, g)
+		}
+	}
+	return nil
+}

@@ -5,7 +5,6 @@ import (
 
 	"edgesurgeon/internal/joint"
 	"edgesurgeon/internal/surgery"
-	"edgesurgeon/internal/telemetry"
 )
 
 // This file is the crash-recovery path: Recover rebuilds a Runtime from a
@@ -14,8 +13,9 @@ import (
 // interrupted. The protocol has three legs:
 //
 //  1. The snapshot stores every scalar the runtime folded out of its
-//     sample stream — clock, rates, hysteresis state, quarantine table,
-//     journal, the full metric registry — but NOT the active plan.
+//     sample stream — clock, sample count, rates, hysteresis state,
+//     quarantine table, journal, the full metric registry — but NOT the
+//     active plan.
 //  2. The plan is re-derived by replanning the scenario frozen at the
 //     snapshot's PlanRates with an *uninstrumented* planner copy: the
 //     planner is deterministic, so the plan is bit-identical to the lost
@@ -28,8 +28,8 @@ import (
 
 // Seq returns the WAL sequence number of the last ingested mutation — how
 // many samples and control changes this runtime (or its crashed
-// predecessors) has consumed, which is what a replaying driver uses to
-// skip already-ingested input after Recover.
+// predecessors) has consumed. It is not a trace ordinal: throttle changes
+// count too.
 func (rt *Runtime) Seq() uint64 {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -49,65 +49,64 @@ func (rt *Runtime) Close() error {
 	return err
 }
 
-// Recover loads the snapshot and WAL from cfg.Store and rebuilds the
-// runtime they describe. cfg must carry the same scenario, planner
-// options, policy and frontier flag the crashed runtime ran with — the
-// store persists folded state, not configuration.
-func Recover(cfg Config) (*Runtime, error) {
-	if cfg.Store == nil {
-		return nil, fmt.Errorf("serve: recovery needs a store")
-	}
-	snap, err := cfg.Store.LoadSnapshot()
-	if err != nil {
-		return nil, err
-	}
-	wal, err := cfg.Store.LoadWAL()
-	if err != nil {
-		return nil, err
-	}
-	return RecoverFrom(cfg, snap, wal)
-}
-
-// RecoverFrom rebuilds a runtime from an already-loaded snapshot and WAL.
-// A nil snapshot (a crash before the construction-time snapshot landed)
-// falls back to constructing from cfg and replaying the whole WAL. After
-// the replay the WAL is rewritten to exactly the valid tail (dropping a
-// torn final line and already-folded entries); the snapshot is left
-// untouched — snapshots are only ever captured at construction and
+// Recover returns the runtime cfg.Store holds: it loads the snapshot and
+// WAL and rebuilds the runtime they describe. A store holding neither, or
+// no store at all, gets a New runtime — the one open-or-resume rule. cfg
+// must carry the same scenario, planner options, policy and frontier flag
+// the crashed runtime ran with — the store persists folded state, not
+// configuration.
+//
+// A missing snapshot (a crash before the construction-time snapshot
+// landed) falls back to constructing from cfg and replaying the whole
+// WAL. After the replay the WAL is rewritten to exactly the valid tail
+// (dropping a torn final line and already-folded entries); the snapshot is
+// left untouched — snapshots are only ever captured at construction and
 // full-replan boundaries, where the dispatcher is pristine and therefore
 // re-derivable, never mid-stream where its cheap-refresh state depends on
 // the last observed sample.
-func RecoverFrom(cfg Config, snap *Snapshot, wal []WALEntry) (*Runtime, error) {
-	if cfg.Store == nil {
-		return nil, fmt.Errorf("serve: recovery needs a store")
-	}
+func Recover(cfg Config) (*Runtime, error) {
 	store := cfg.Store
+	if store == nil {
+		return New(cfg)
+	}
+	snap, err := store.LoadSnapshot()
+	if err != nil {
+		return nil, err
+	}
+	wal, err := store.LoadWAL()
+	if err != nil {
+		return nil, err
+	}
+	if snap == nil && len(wal) == 0 {
+		return New(cfg)
+	}
 	var rt *Runtime
 	var fromSeq uint64
 	if snap == nil {
 		// Suppress New's own snapshot/WAL writes until the replay is done;
 		// the loaded WAL is the authoritative history.
 		cfg.Store = nil
-		fresh, err := New(cfg)
-		if err != nil {
+		if rt, err = New(cfg); err != nil {
 			return nil, err
 		}
-		rt = fresh
 		rt.store = store
 	} else {
-		restored, err := restoreSnapshot(cfg, snap)
-		if err != nil {
+		if rt, err = restoreSnapshot(cfg, snap); err != nil {
 			return nil, err
 		}
-		rt = restored
 		fromSeq = snap.Seq
 	}
 
+	// Replay the tail, then rewrite the WAL to it, so a torn final line
+	// cannot precede future appends as mid-file corruption. The next full
+	// replan folds the tail into a fresh snapshot as usual.
+	var tail []WALEntry
 	rt.recovering = true
 	for _, e := range wal {
 		if e.Seq <= fromSeq {
 			continue // already folded into the snapshot
 		}
+		tail = append(tail, e)
 		rt.mu.Lock()
 		rt.seq = e.Seq - 1 // Ingest/SetPlannerThrottle re-increment to e.Seq
 		rt.mu.Unlock()
@@ -124,16 +123,6 @@ func RecoverFrom(cfg Config, snap *Snapshot, wal []WALEntry) (*Runtime, error) {
 		}
 	}
 	rt.recovering = false
-
-	// Rewrite the WAL to the tail that survived validation, so a torn
-	// final line cannot precede future appends as mid-file corruption. The
-	// next full replan folds the tail into a fresh snapshot as usual.
-	var tail []WALEntry
-	for _, e := range wal {
-		if e.Seq > fromSeq {
-			tail = append(tail, e)
-		}
-	}
 	if err := store.ResetWAL(tail); err != nil {
 		return nil, err
 	}
@@ -143,32 +132,19 @@ func RecoverFrom(cfg Config, snap *Snapshot, wal []WALEntry) (*Runtime, error) {
 // restoreSnapshot rebuilds the runtime a snapshot describes (legs 1 and 2
 // of the protocol; the caller replays the WAL tail).
 func restoreSnapshot(cfg Config, snap *Snapshot) (*Runtime, error) {
-	if cfg.Scenario == nil {
-		return nil, fmt.Errorf("serve: config needs a scenario")
-	}
-	if err := cfg.Policy.Validate(); err != nil {
+	rt, err := newShell(cfg)
+	if err != nil {
 		return nil, err
 	}
 	if len(snap.Rates) != len(cfg.Scenario.Servers) {
 		return nil, fmt.Errorf("serve: snapshot covers %d servers, scenario has %d", len(snap.Rates), len(cfg.Scenario.Servers))
 	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
-	base := cfg.Planner
-	if base == nil {
-		base = &joint.Planner{}
-	}
-	planner := &joint.Planner{Opt: base.Opt}
-	planner.Opt.Metrics = reg
-
-	rt := newShell(cfg, planner, reg)
-	if err := reg.Restore(snap.Metrics); err != nil {
+	if err := rt.reg.Restore(snap.Metrics); err != nil {
 		return nil, fmt.Errorf("serve: restoring metrics: %w", err)
 	}
 	rt.journal.Reset(snap.Journal)
 	rt.seq = snap.Seq
+	rt.ingested = snap.Samples
 	rt.clock = snap.Clock
 	rt.rates = append([]float64(nil), snap.Rates...)
 	rt.planRates = append([]float64(nil), snap.PlanRates...)
@@ -188,7 +164,7 @@ func restoreSnapshot(cfg Config, snap *Snapshot) (*Runtime, error) {
 	// uninstrumented planner copy, install the result with the
 	// instrumented planner for live rounds.
 	frozen := rt.frozenScenario(rt.planRates)
-	rPlanner := &joint.Planner{Opt: planner.Opt}
+	rPlanner := &joint.Planner{Opt: rt.planner.Opt}
 	rPlanner.Opt.Metrics = nil
 	if rt.frontier {
 		set, err := joint.BuildFrontierSet(frozen, rPlanner.Opt, surgery.BuildOptions{Surgery: rPlanner.Opt.Surgery})
@@ -221,7 +197,7 @@ func restoreSnapshot(cfg Config, snap *Snapshot) (*Runtime, error) {
 		}
 	}
 	disp.SetPlanner(rt.planner)
-	disp.Instrument(reg)
+	disp.Instrument(rt.reg)
 	rt.disp = disp
 	// No publish: the gauges were restored to their exact values already.
 	return rt, nil
@@ -232,6 +208,7 @@ func restoreSnapshot(cfg Config, snap *Snapshot) (*Runtime, error) {
 func (rt *Runtime) captureSnapshot() *Snapshot {
 	snap := &Snapshot{
 		Seq:       rt.seq,
+		Samples:   rt.ingested,
 		Clock:     rt.clock,
 		Rates:     append([]float64(nil), rt.rates...),
 		PlanRates: append([]float64(nil), rt.planRates...),

@@ -134,6 +134,7 @@ type Runtime struct {
 
 	store      *Store                  // nil = in-memory only
 	seq        uint64                  // WAL sequence of the last ingested mutation
+	ingested   uint64                  // Ingest calls, whatever their outcome (the snapshot's Samples)
 	throttle   float64                 // planner speed factor in (0, 1], scales the replan budget
 	sources    map[string]*sourceState // per-source quarantine tracking
 	recovering bool                    // true while replaying the WAL tail (suppresses persistence)
@@ -156,35 +157,20 @@ type sourceState struct {
 // New validates the configuration, plans the scenario once (the initial
 // plan, journaled at virtual time 0) and returns the running control plane.
 func New(cfg Config) (*Runtime, error) {
-	if cfg.Scenario == nil {
-		return nil, fmt.Errorf("serve: config needs a scenario")
-	}
-	if err := cfg.Policy.Validate(); err != nil {
+	rt, err := newShell(cfg)
+	if err != nil {
 		return nil, err
 	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
-	base := cfg.Planner
-	if base == nil {
-		base = &joint.Planner{}
-	}
-	// Instrument a private copy so the caller's planner keeps its options.
-	planner := &joint.Planner{Opt: base.Opt}
-	planner.Opt.Metrics = reg
-
-	rt := newShell(cfg, planner, reg)
 	if rt.frontier {
 		if err := rt.buildFrontiers(cfg.Scenario); err != nil {
 			return nil, fmt.Errorf("serve: %w", err)
 		}
 	}
-	disp, err := joint.NewDispatcher(cfg.Scenario, planner)
+	disp, err := joint.NewDispatcher(cfg.Scenario, rt.planner)
 	if err != nil {
 		return nil, err
 	}
-	disp.Instrument(reg)
+	disp.Instrument(rt.reg)
 	rt.disp = disp
 	rt.rates = make([]float64, len(cfg.Scenario.Servers))
 	horizon := cfg.Scenario.PlanningHorizon
@@ -209,11 +195,28 @@ func New(cfg Config) (*Runtime, error) {
 	return rt, nil
 }
 
-// newShell builds the runtime skeleton New and the recovery constructor
-// share: the wired registry series, the quarantine table, the store handle.
-// Every counter is registered here unconditionally so a runtime that never
-// aborts or quarantines still renders the same metric schema.
-func newShell(cfg Config, planner *joint.Planner, reg *telemetry.Registry) *Runtime {
+// newShell validates cfg and builds the runtime skeleton New and the
+// recovery constructor share: the instrumented planner copy, the wired
+// registry series, the quarantine table, the store handle. Every counter
+// is registered here unconditionally so a runtime that never aborts or
+// quarantines still renders the same metric schema.
+func newShell(cfg Config) (*Runtime, error) {
+	if cfg.Scenario == nil {
+		return nil, fmt.Errorf("serve: config needs a scenario")
+	}
+	if err := cfg.Policy.Validate(); err != nil {
+		return nil, err
+	}
+	reg := cfg.Metrics
+	if reg == nil {
+		reg = telemetry.NewRegistry()
+	}
+	// Instrument a private copy so the caller's planner keeps its options.
+	planner := &joint.Planner{}
+	if cfg.Planner != nil {
+		planner.Opt = cfg.Planner.Opt
+	}
+	planner.Opt.Metrics = reg
 	rt := &Runtime{
 		sc:       cfg.Scenario,
 		planner:  planner,
@@ -253,7 +256,7 @@ func newShell(cfg Config, planner *joint.Planner, reg *telemetry.Registry) *Runt
 		// naming scheme across every per-server label.
 		rt.gDriftSrv[i] = reg.Gauge("serve.drift." + telemetry.SourceID(i))
 	}
-	return rt
+	return rt, nil
 }
 
 // Current returns the active plan.
@@ -283,11 +286,11 @@ func (rt *Runtime) FullReplans() int64 { return rt.cFull.Value() }
 // Ingest validates one telemetry sample, advances the virtual clock,
 // decides between full replan / cheap refresh / nothing under the policy,
 // and returns the now-active plan. A rejected sample (typed
-// *joint.BadObservationError for malformed values, plain errors for
-// structural mismatches, *QuarantineError on the strike that trips a
-// source's quarantine) leaves clock, plan and dispatcher untouched; a
-// sample from an already-quarantined source is dropped silently and the
-// current plan returned. With a store attached, the sample is written
+// *joint.BadObservationError for malformed values and mismatched widths,
+// *QuarantineError on the strike that trips a source's quarantine) leaves
+// clock, plan and dispatcher untouched; a sample from an
+// already-quarantined source is dropped silently and the current plan
+// returned. With a store attached, the sample is written
 // ahead to the WAL — validated or not; the log records inputs, so
 // replaying it reproduces rejections and quarantine trips too — before
 // anything else happens.
@@ -295,7 +298,16 @@ func (rt *Runtime) Ingest(s telemetry.Sample) (*joint.Plan, error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 
+	// The WAL cannot tell an empty observation slice from an absent one,
+	// so neither can the runtime.
+	if len(s.Uplinks) == 0 {
+		s.Uplinks = nil
+	}
+	if len(s.Health) == 0 {
+		s.Health = nil
+	}
 	rt.seq++
+	rt.ingested++
 	if rt.store != nil && !rt.recovering {
 		if err := rt.store.AppendEntry(WALEntry{Seq: rt.seq, Sample: &s}); err != nil {
 			return nil, err
@@ -720,8 +732,8 @@ func (rt *Runtime) publish(plan *joint.Plan) {
 	}
 }
 
-// validate is the ingestion boundary: malformed values are rejected with
-// index-named *joint.BadObservationError before they can reach the
+// validate is the ingestion boundary: malformed values and widths are
+// rejected with *joint.BadObservationError before they can reach the
 // dispatcher or perturb the runtime's state.
 func (rt *Runtime) validate(s *telemetry.Sample) error {
 	if math.IsNaN(s.Time) || math.IsInf(s.Time, 0) {
@@ -733,11 +745,15 @@ func (rt *Runtime) validate(s *telemetry.Sample) error {
 			Reason: fmt.Sprintf("precedes the virtual clock %g", rt.clock),
 		}
 	}
-	if s.Uplinks != nil && len(s.Uplinks) != len(rt.sc.Servers) {
-		return fmt.Errorf("serve: sample at t=%g observed %d uplink rates for %d servers", s.Time, len(s.Uplinks), len(rt.sc.Servers))
+	n := len(rt.sc.Servers)
+	width := func(field string, w int) error {
+		return &joint.BadObservationError{Server: -1, Rate: float64(w), Field: field, Reason: fmt.Sprintf("does not match the %d servers", n)}
 	}
-	if s.Health != nil && len(s.Health) != len(rt.sc.Servers) {
-		return fmt.Errorf("serve: sample at t=%g observed %d health states for %d servers", s.Time, len(s.Health), len(rt.sc.Servers))
+	if s.Uplinks != nil && len(s.Uplinks) != n {
+		return width("uplink rate count", len(s.Uplinks))
+	}
+	if s.Health != nil && len(s.Health) != n {
+		return width("health state count", len(s.Health))
 	}
 	for i, r := range s.Uplinks {
 		if math.IsNaN(r) || math.IsInf(r, 0) {

@@ -75,8 +75,8 @@ func TestIngestValidation(t *testing.T) {
 		{"nan uplink", telemetry.Sample{Time: 1, Uplinks: []float64{math.NaN(), mbps(10)}}, true, 0, "server 0"},
 		{"inf uplink", telemetry.Sample{Time: 1, Uplinks: []float64{mbps(10), math.Inf(1)}}, true, 1, "server 1"},
 		{"negative uplink", telemetry.Sample{Time: 1, Uplinks: []float64{mbps(10), -5}}, true, 1, "is negative"},
-		{"short uplinks", telemetry.Sample{Time: 1, Uplinks: []float64{mbps(10)}}, false, 0, "1 uplink rates for 2 servers"},
-		{"long health", telemetry.Sample{Time: 1, Health: []bool{true, true, true}}, false, 0, "3 health states for 2 servers"},
+		{"short uplinks", telemetry.Sample{Time: 1, Uplinks: []float64{mbps(10)}}, true, -1, "uplink rate count 1 does not match the 2 servers"},
+		{"long health", telemetry.Sample{Time: 1, Health: []bool{true, true, true}}, true, -1, "health state count 3 does not match the 2 servers"},
 	}
 	for _, tc := range cases {
 		_, err := rt.Ingest(tc.sample)

@@ -13,7 +13,7 @@ import (
 // or future state into a running control plane.
 const (
 	SnapshotMagic   = "edgesurgeon-serve-snapshot"
-	SnapshotVersion = 1
+	SnapshotVersion = 2
 )
 
 // SourceState is one telemetry source's quarantine record inside a
@@ -39,6 +39,10 @@ type Snapshot struct {
 	// Seq is the WAL sequence number of the last sample folded into this
 	// snapshot; recovery replays WAL entries with Seq greater than this.
 	Seq uint64 `json:"seq"`
+	// Samples is how many samples the runtime had ingested, whatever their
+	// outcome: the trace ordinal a resumed replay continues at. Seq also
+	// counts throttle entries, so it cannot stand in.
+	Samples uint64 `json:"samples"`
 
 	Clock     float64                 `json:"clock"`
 	Rates     []float64               `json:"rates"`

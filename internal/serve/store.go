@@ -7,7 +7,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"edgesurgeon/internal/telemetry"
@@ -17,7 +16,7 @@ import (
 // self-description contract the snapshot carries.
 const (
 	WALMagic   = "edgesurgeon-wal"
-	WALVersion = 1
+	WALVersion = 2
 )
 
 // Store filenames inside the state directory.
@@ -33,79 +32,13 @@ const (
 // change). Seq is strictly increasing across the runtime's lifetime and
 // survives snapshots, which remember the last folded Seq.
 type WALEntry struct {
-	Seq uint64
-	// Sample is the ingested sample, nil for control entries.
-	Sample *telemetry.Sample
+	Seq uint64 `json:"seq"`
+	// Sample is the ingested sample, nil for control entries. Its NaN and
+	// ±Inf values are strings (telemetry.Sample's codec), so the rejected
+	// inputs the WAL records round-trip exactly.
+	Sample *telemetry.Sample `json:"sample,omitempty"`
 	// Throttle, when positive, records a SetPlannerThrottle call.
-	Throttle float64
-}
-
-// The WAL wire form encodes sample floats as strings: the log records
-// rejected inputs too — a NaN timestamp or ±Inf rate is exactly the kind
-// of sample the quarantine strikes on — and encoding/json refuses bare
-// non-finite floats. strconv's 'g'/-1 format round-trips every float64
-// (specials included) exactly.
-type wireEntry struct {
-	Seq      uint64      `json:"seq"`
-	Sample   *wireSample `json:"sample,omitempty"`
-	Throttle float64     `json:"throttle,omitempty"`
-}
-
-type wireSample struct {
-	T       string   `json:"t"`
-	Uplinks []string `json:"uplinks,omitempty"`
-	Health  []bool   `json:"health,omitempty"`
-	Src     string   `json:"src,omitempty"`
-}
-
-// MarshalJSON implements json.Marshaler.
-func (e WALEntry) MarshalJSON() ([]byte, error) {
-	w := wireEntry{Seq: e.Seq, Throttle: e.Throttle}
-	if e.Sample != nil {
-		ws := &wireSample{T: formatWALFloat(e.Sample.Time), Src: e.Sample.Source}
-		for _, r := range e.Sample.Uplinks {
-			ws.Uplinks = append(ws.Uplinks, formatWALFloat(r))
-		}
-		if e.Sample.Health != nil {
-			ws.Health = append([]bool(nil), e.Sample.Health...)
-		}
-		w.Sample = ws
-	}
-	return json.Marshal(&w)
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (e *WALEntry) UnmarshalJSON(data []byte) error {
-	var w wireEntry
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	e.Seq, e.Throttle, e.Sample = w.Seq, w.Throttle, nil
-	if w.Sample == nil {
-		return nil
-	}
-	t, err := parseWALFloat(w.Sample.T)
-	if err != nil {
-		return fmt.Errorf("sample time: %w", err)
-	}
-	s := &telemetry.Sample{Time: t, Source: w.Sample.Src}
-	for i, r := range w.Sample.Uplinks {
-		v, err := parseWALFloat(r)
-		if err != nil {
-			return fmt.Errorf("sample uplink %d: %w", i, err)
-		}
-		s.Uplinks = append(s.Uplinks, v)
-	}
-	if w.Sample.Health != nil {
-		s.Health = append([]bool(nil), w.Sample.Health...)
-	}
-	e.Sample = s
-	return nil
-}
-
-func formatWALFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-func parseWALFloat(s string) (float64, error) {
-	return strconv.ParseFloat(s, 64)
+	Throttle float64 `json:"throttle,omitempty"`
 }
 
 // walHeader is the first line of every WAL file.
@@ -196,23 +129,17 @@ func (st *Store) AppendEntry(e WALEntry) error {
 	return nil
 }
 
-// WriteSnapshotOnly atomically replaces the snapshot file, leaving the WAL
-// alone. WriteSnapshot uses this ordering — snapshot first, WAL reset
-// second — so a crash between the two steps leaves a state that still
-// recovers exactly (replaying an already-folded WAL prefix is prevented
-// by Seq).
-func (st *Store) WriteSnapshotOnly(s *Snapshot) error {
+// WriteSnapshot atomically replaces the snapshot and resets the WAL to
+// empty: the snapshot has folded everything the WAL held. Snapshot first,
+// WAL reset second, so a crash between the two steps leaves a state that
+// still recovers exactly (replaying an already-folded WAL prefix is
+// prevented by Seq).
+func (st *Store) WriteSnapshot(s *Snapshot) error {
 	data, err := EncodeSnapshot(s)
 	if err != nil {
 		return err
 	}
-	return telemetry.WriteFileAtomic(filepath.Join(st.dir, snapshotFile), data, 0o644)
-}
-
-// WriteSnapshot atomically replaces the snapshot and resets the WAL to
-// empty: the snapshot has folded everything the WAL held.
-func (st *Store) WriteSnapshot(s *Snapshot) error {
-	if err := st.WriteSnapshotOnly(s); err != nil {
+	if err := telemetry.WriteFileAtomic(filepath.Join(st.dir, snapshotFile), data, 0o644); err != nil {
 		return err
 	}
 	return st.ResetWAL(nil)
@@ -264,12 +191,7 @@ func (st *Store) LoadSnapshot() (*Snapshot, error) {
 // is the recovery source of truth, so silent skips in the middle would
 // resurrect a different history than the one that ran.
 func (st *Store) LoadWAL() ([]WALEntry, error) {
-	return DecodeWAL(filepath.Join(st.dir, walFile))
-}
-
-// DecodeWAL parses one WAL file (see LoadWAL for the tolerance contract).
-func DecodeWAL(path string) ([]WALEntry, error) {
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(filepath.Join(st.dir, walFile))
 	if os.IsNotExist(err) {
 		return nil, nil
 	}

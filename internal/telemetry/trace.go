@@ -2,30 +2,94 @@ package telemetry
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 	"strings"
 )
 
 // Sample is one timestamped telemetry observation of the cluster: per-server
 // uplink rates and/or a per-server reachability probe. It is the unit the
-// control plane ingests and the unit a recorded trace stores.
+// control plane ingests and the unit a recorded trace and the serve WAL
+// store, both through sampleJSON.
 type Sample struct {
 	// Time is the observation's virtual timestamp in seconds.
-	Time float64 `json:"t"`
+	Time float64
 	// Uplinks holds the observed per-server uplink rates in bits/second.
 	// An entry <= 0 means "no observation for that server this sample";
-	// nil means no uplink telemetry at all.
-	Uplinks []float64 `json:"uplinks,omitempty"`
+	// nil or empty means no uplink telemetry at all.
+	Uplinks []float64
 	// Health holds the per-server reachability probe (compute and uplink
-	// both up); nil means no probe this sample.
-	Health []bool `json:"health,omitempty"`
+	// both up); nil or empty means no probe this sample.
+	Health []bool
 	// Source names the process or sensor that produced the sample; the
 	// control plane's quarantine tracks validation failures per source.
 	// Empty is a valid (anonymous) source.
-	Source string `json:"src,omitempty"`
+	Source string
+}
+
+// sampleJSON is a Sample's one JSON form. Unknown fields are refused.
+// omitempty drops empty observation slices, so they decode as nil.
+type sampleJSON struct {
+	Time    jsonFloat   `json:"t"`
+	Uplinks []jsonFloat `json:"uplinks,omitempty"`
+	Health  []bool      `json:"health,omitempty"`
+	Source  string      `json:"src,omitempty"`
+}
+
+// MarshalJSON implements json.Marshaler.
+func (s Sample) MarshalJSON() ([]byte, error) {
+	w := sampleJSON{Time: jsonFloat(s.Time), Health: s.Health, Source: s.Source}
+	for _, v := range s.Uplinks {
+		w.Uplinks = append(w.Uplinks, jsonFloat(v))
+	}
+	return json.Marshal(&w)
+}
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (s *Sample) UnmarshalJSON(data []byte) error {
+	var w sampleJSON
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&w); err != nil {
+		return err
+	}
+	*s = Sample{Time: float64(w.Time), Source: w.Source}
+	for _, v := range w.Uplinks {
+		s.Uplinks = append(s.Uplinks, float64(v))
+	}
+	if len(w.Health) > 0 {
+		s.Health = w.Health
+	}
+	return nil
+}
+
+// jsonFloat encodes a finite float64 exactly as encoding/json does, and
+// NaN, +Inf and -Inf, which a JSON number cannot hold, as the strings
+// "NaN", "+Inf" and "-Inf": the WAL records malformed samples too, and a
+// NaN timestamp is exactly what the quarantine strikes on.
+type jsonFloat float64
+
+func (f jsonFloat) MarshalJSON() ([]byte, error) {
+	if v := float64(f); math.IsNaN(v) || math.IsInf(v, 0) {
+		return strconv.AppendQuote(nil, strconv.FormatFloat(v, 'g', -1, 64)), nil
+	}
+	return json.Marshal(float64(f))
+}
+
+func (f *jsonFloat) UnmarshalJSON(data []byte) error {
+	if len(data) == 0 || data[0] != '"' {
+		return json.Unmarshal(data, (*float64)(f))
+	}
+	v, err := strconv.ParseFloat(strings.Trim(string(data), `"`), 64)
+	if err != nil || !(math.IsNaN(v) || math.IsInf(v, 0)) {
+		return fmt.Errorf("telemetry: float string %s is not NaN, +Inf or -Inf", data)
+	}
+	*f = jsonFloat(v)
+	return nil
 }
 
 // EncodeTrace writes samples as JSON lines (one sample per line), the
@@ -70,7 +134,6 @@ func DecodeTrace(r io.Reader) ([]Sample, error) {
 		}
 		var s Sample
 		dec := json.NewDecoder(strings.NewReader(text))
-		dec.DisallowUnknownFields()
 		if err := dec.Decode(&s); err != nil {
 			return nil, fmt.Errorf("telemetry: trace line %d: %w", line, err)
 		}
@@ -98,14 +161,6 @@ func DecodeTrace(r io.Reader) ([]Sample, error) {
 		}
 		if len(s.Uplinks) > 0 && len(s.Health) > 0 && len(s.Uplinks) != len(s.Health) {
 			return nil, fmt.Errorf("telemetry: trace line %d: %d uplink rates vs %d health states", line, len(s.Uplinks), len(s.Health))
-		}
-		// Normalize empty observation slices to nil so decode(encode(tr))
-		// round-trips exactly (omitempty drops empty slices on encode).
-		if len(s.Uplinks) == 0 {
-			s.Uplinks = nil
-		}
-		if len(s.Health) == 0 {
-			s.Health = nil
 		}
 		prev = s.Time
 		samples = append(samples, s)

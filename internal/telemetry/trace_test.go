@@ -1,6 +1,9 @@
 package telemetry
 
 import (
+	"encoding/json"
+	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -32,6 +35,58 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSampleJSONFloats pins the one Sample codec: a finite float is written
+// exactly as encoding/json writes a bare float64 (so traces are unchanged),
+// NaN and ±Inf become strings, and every value, -0 included, decodes back
+// to the same bits.
+func TestSampleJSONFloats(t *testing.T) {
+	type plain struct {
+		Time    float64   `json:"t"`
+		Uplinks []float64 `json:"uplinks,omitempty"`
+		Health  []bool    `json:"health,omitempty"`
+		Source  string    `json:"src,omitempty"`
+	}
+	rng := rand.New(rand.NewSource(1))
+	vals := []float64{0, math.Copysign(0, -1), 1, -3, 1e-7, 1e-6, 1e20, 1e21, 123456789.125, math.MaxFloat64, math.SmallestNonzeroFloat64}
+	for i := 0; i < 200; i++ {
+		vals = append(vals, math.Float64frombits(rng.Uint64()))
+	}
+	for _, v := range vals {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			continue
+		}
+		s := Sample{Time: v, Uplinks: []float64{v, -v}, Health: []bool{true}, Source: "<s&>"}
+		got, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := json.Marshal(plain{s.Time, s.Uplinks, s.Health, s.Source})
+		if string(got) != string(want) {
+			t.Fatalf("%v: encoded %s, encoding/json writes %s", v, got, want)
+		}
+	}
+	special := Sample{Time: math.NaN(), Uplinks: []float64{math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}}
+	text, err := json.Marshal(special)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"t":"NaN","uplinks":["+Inf","-Inf",-0]}`; string(text) != want {
+		t.Fatalf("encoded %s, want %s", text, want)
+	}
+	var back Sample
+	if err := json.Unmarshal(text, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsNaN(back.Time) || !math.IsInf(back.Uplinks[0], 1) || !math.IsInf(back.Uplinks[1], -1) || !math.Signbit(back.Uplinks[2]) {
+		t.Fatalf("decoded %+v", back)
+	}
+	for _, bad := range []string{`{"t":"1"}`, `{"t":"x"}`, `{"t":1,"bogus":2}`} {
+		if err := json.Unmarshal([]byte(bad), &back); err == nil {
+			t.Errorf("accepted %s", bad)
+		}
+	}
+}
+
 func TestDecodeTraceSkipsBlankLines(t *testing.T) {
 	text := "\n" + `{"t":1}` + "\n\n" + `{"t":2}` + "\n"
 	got, err := DecodeTrace(strings.NewReader(text))
@@ -53,6 +108,8 @@ func TestDecodeTraceRejectsMalformed(t *testing.T) {
 		"width change":      `{"t":1,"uplinks":[1,2]}` + "\n" + `{"t":2,"uplinks":[1]}`,
 		"uplink vs health":  `{"t":1,"uplinks":[1,2],"health":[true]}`,
 		"non-number uplink": `{"t":1,"uplinks":["x"]}`,
+		"nan time":          `{"t":"NaN"}`,
+		"inf uplink":        `{"t":1,"uplinks":["+Inf",1]}`,
 	}
 	for name, text := range cases {
 		if _, err := DecodeTrace(strings.NewReader(text)); err == nil {
