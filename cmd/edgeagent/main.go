@@ -33,14 +33,13 @@ func main() {
 		scenarioPath    = flag.String("scenario", "", "path to the shared JSON scenario (required)")
 		server          = flag.Int("server", -1, "edge-server index this agent serves (required)")
 		dispatcher      = flag.String("dispatcher", "", "dispatcher address host:port (required)")
-		id              = flag.String("id", "", "agent ID (default: canonical sNN source ID)")
 		timeScale       = flag.Float64("timescale", 1, "wall-seconds per model-second")
 		telemetryPeriod = flag.Float64("telemetry-period", 2, "model-seconds between telemetry samples")
 		httpAddr        = flag.String("http", "", "serve /debug/pprof/ on this address (empty = off)")
 		quiet           = flag.Bool("quiet", false, "suppress lifecycle logging")
 	)
 	flag.Parse()
-	if err := run(*scenarioPath, *server, *dispatcher, *id, *timeScale, *telemetryPeriod, *httpAddr, *quiet); err != nil {
+	if err := run(*scenarioPath, *server, *dispatcher, *timeScale, *telemetryPeriod, *httpAddr, *quiet); err != nil {
 		fmt.Fprintln(os.Stderr, "edgeagent:", err)
 		os.Exit(1)
 	}
@@ -58,7 +57,7 @@ func newMux() *http.ServeMux {
 	return mux
 }
 
-func run(scenarioPath string, server int, dispatcher, id string, timeScale, telemetryPeriod float64, httpAddr string, quiet bool) error {
+func run(scenarioPath string, server int, dispatcher string, timeScale, telemetryPeriod float64, httpAddr string, quiet bool) error {
 	if scenarioPath == "" || server < 0 || dispatcher == "" {
 		return fmt.Errorf("-scenario, -server and -dispatcher are required")
 	}
@@ -90,7 +89,6 @@ func run(scenarioPath string, server int, dispatcher, id string, timeScale, tele
 	return agent.Run(ctx, agent.Config{
 		Scenario:        sc,
 		Server:          server,
-		ID:              id,
 		Dispatcher:      dispatcher,
 		TimeScale:       timeScale,
 		TelemetryPeriod: telemetryPeriod,

@@ -1,7 +1,7 @@
 // Command edgeserved is the online serving control plane around one
 // deployment: it records cluster telemetry traces and replays them through
-// the serve.Runtime, reporting every replan decision the hysteresis policy
-// made.
+// the serve.Runtime, reporting every replan decision the chosen -policy
+// preset made.
 //
 // Usage:
 //
@@ -10,6 +10,10 @@
 //	edgeserved -scenario deploy.json -trace trace.jsonl -policy hysteresis
 //	edgeserved -scenario deploy.json -trace trace.jsonl -policy hysteresis \
 //	    -expect-full-replans 3                # CI smoke: pin the replan count
+//	edgeserved -scenario deploy.json -trace trace.jsonl -policy delta
+//	    # replans re-plan only drifted servers' shards (serve.Delta)
+//	edgeserved -scenario deploy.json -trace trace.jsonl -policy robust
+//	    # replan deadline and telemetry quarantine armed (serve.Robust)
 //	edgeserved -scenario deploy.json -trace trace.jsonl -http :8080
 //	    # then: curl localhost:8080/metrics ; curl localhost:8080/plan ;
 //	    # go tool pprof localhost:8080/debug/pprof/profile?seconds=10
@@ -26,10 +30,6 @@
 //	edgeserved -scenario deploy.json -listen 127.0.0.1:7443 -http :8080
 //	    # live mode without -requests: serve clients until interrupted,
 //	    # /metrics, /plan and /debug/pprof/ live on :8080 the whole time
-//	edgeserved -scenario deploy.json -listen 127.0.0.1:0 -timescale 0.002 \
-//	    -requests 200 -stall-clients 2 -min-ok-frac 0.95
-//	    # backpressure smoke: two stalled clients alongside the closed loop;
-//	    # the dispatcher sheds their responses without denting the drive
 //
 // The scenario schema is documented in internal/config; the trace format is
 // JSON lines, one telemetry.Sample per line.
@@ -39,13 +39,16 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	httppprof "net/http/pprof"
 	"os"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 
+	"edgesurgeon/internal/cluster"
 	"edgesurgeon/internal/config"
 	"edgesurgeon/internal/faults"
 	"edgesurgeon/internal/joint"
@@ -185,11 +188,7 @@ func main() {
 		horizon      = flag.Float64("horizon", 0, "recording horizon in seconds (0 = scenario horizon)")
 		period       = flag.Float64("period", 5, "recording sample period in seconds")
 		tracePath    = flag.String("trace", "", "replay this telemetry trace through the control plane")
-		policyName   = flag.String("policy", "hysteresis", "replan policy: always | hysteresis | never")
-		relChange    = flag.Float64("rel-change", -1, "override: min relative uplink drift for a full replan")
-		minInterval  = flag.Float64("min-interval", -1, "override: min seconds between full replans")
-		budget       = flag.Int("replan-budget", -1, "override: max full replans per trailing window")
-		budgetWindow = flag.Float64("budget-window", -1, "override: trailing budget window in seconds")
+		policyName   = flag.String("policy", "hysteresis", "replan policy preset: "+policyNames())
 		journalPath  = flag.String("journal", "", "write the replan-decision journal here (\"-\" = stdout)")
 		expectFull   = flag.Int("expect-full-replans", -1, "exit non-zero unless the replay ran exactly this many full replans")
 		httpAddr     = flag.String("http", "", "serve /metrics, /plan and /debug/pprof/ on this address (after the replay, or alongside live mode)")
@@ -199,13 +198,6 @@ func main() {
 		snapshotDir = flag.String("snapshot-dir", "", "persist snapshot + WAL state in this directory (crash-safe replay; a directory holding a run resumes it)")
 		verifyRec   = flag.Bool("verify-recovery", false, "after a crashed or resumed replay, rerun the whole trace in memory without the crashes and exit non-zero unless journal, metrics and final plan are byte-identical")
 
-		deltaReplan   = flag.Bool("delta-replan", false, "route qualifying replans through the incremental delta planner: only drifted servers' shards are re-planned, warm-started from the active plan (same hysteresis gates and deadline budget as full replans)")
-		deltaDirtyMax = flag.Float64("delta-dirty-frac", -1, "override: max fraction of servers that may be dirty for a delta replan; wider drift falls back to a full replan (default 0.5)")
-
-		replanDeadline = flag.Float64("replan-deadline", -1, "override: virtual-seconds deadline for one full replan (0 = unbounded); an over-deadline replan aborts and keeps serving the stale plan")
-		qStrikes       = flag.Int("quarantine-strikes", -1, "override: consecutive validation failures before a telemetry source is quarantined (0 = off)")
-		qProbation     = flag.Float64("quarantine-probation", -1, "override: virtual seconds a quarantined source stays muted")
-
 		listenAddr  = flag.String("listen", "", "live mode: run the wire dispatcher on this TCP address with one edgeagent process per server")
 		agents      = flag.Int("agents", 0, "live mode: local agent process count (0 = one per scenario server, -1 = spawn none and wait for remote edgeagent processes to dial in)")
 		agentBin    = flag.String("agent-bin", "", "live mode: prebuilt edgeagent binary (empty = go build one)")
@@ -214,8 +206,6 @@ func main() {
 		timeScale   = flag.Float64("timescale", 1, "live mode: wall-seconds per model-second for every process")
 		telemPeriod = flag.Float64("telemetry-period", 2, "live mode: agent telemetry period in model-seconds")
 		minOKFrac   = flag.Float64("min-ok-frac", 0, "live mode: exit non-zero unless at least this fraction of driven requests succeed")
-		clusterSeed = flag.Int64("seed", 42, "live mode: partition-crossing sampler seed")
-		stallCount  = flag.Int("stall-clients", 0, "live mode: also connect this many stalled clients (handshake, burst requests, never read) to exercise backpressure shedding")
 
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
@@ -231,8 +221,11 @@ func main() {
 	defer stopProfiles()
 
 	if *scenarioPath == "" {
-		fmt.Fprintln(os.Stderr, "edgeserved: -scenario required")
-		os.Exit(2)
+		usage("-scenario required")
+	}
+	preset, ok := policies[*policyName]
+	if !ok {
+		usage("-policy %q is not one of %s", *policyName, policyNames())
 	}
 	data, err := os.ReadFile(*scenarioPath)
 	if err != nil {
@@ -243,14 +236,6 @@ func main() {
 		fatal(err)
 	}
 
-	mustPolicy := func() serve.Policy {
-		policy, err := buildPolicy(*policyName, *relChange, *minInterval, *budget, *budgetWindow,
-			*replanDeadline, *qStrikes, *qProbation, *deltaReplan, *deltaDirtyMax)
-		if err != nil {
-			fatal(err)
-		}
-		return policy
-	}
 	switch {
 	case *listenAddr != "":
 		// Live mode has no trace to replay, journal, crash or resume, and
@@ -258,17 +243,25 @@ func main() {
 		// silently dropping the flag.
 		if name := firstSet("chaos", "expect-full-replans", "journal",
 			"shard-threshold", "snapshot-dir", "verify-recovery"); name != "" {
-			fmt.Fprintf(os.Stderr, "edgeserved: -%s has no effect with -listen (it configures trace replay)\n", name)
-			os.Exit(2)
+			usage("-%s has no effect with -listen (it configures trace replay)", name)
 		}
-		policy := mustPolicy()
-		err = runCluster(sc, data, policy, clusterOpts{
-			listen: *listenAddr, agents: *agents, agentBin: *agentBin,
-			requests: *requests, workers: *workers,
-			timeScale: *timeScale, telemetryPeriod: *telemPeriod,
-			minOKFrac: *minOKFrac, frontier: *frontier, seed: *clusterSeed,
-			stallClients: *stallCount, httpAddr: *httpAddr,
-		})
+		for _, f := range []struct {
+			name string
+			v    float64
+		}{{"timescale", *timeScale}, {"telemetry-period", *telemPeriod}} {
+			if !(f.v > 0) || math.IsInf(f.v, 1) {
+				usage("-%s %g is not a finite number > 0", f.name, f.v)
+			}
+		}
+		if !(*minOKFrac >= 0 && *minOKFrac <= 1) {
+			usage("-min-ok-frac %g is outside [0, 1]", *minOKFrac)
+		}
+		// Seed fixes the dispatcher's partition-crossing sampler.
+		err = runCluster(sc, cluster.Config{
+			ScenarioJSON: data, Agents: *agents, AgentBin: *agentBin, Listen: *listenAddr,
+			Policy: preset(), Frontier: *frontier,
+			TimeScale: *timeScale, TelemetryPeriod: *telemPeriod, Seed: 42,
+		}, cluster.DriveConfig{Requests: *requests, Workers: *workers}, *minOKFrac, *httpAddr)
 		if err != nil {
 			fatal(err)
 		}
@@ -286,21 +279,26 @@ func main() {
 		cfg := serve.Config{
 			Scenario: sc,
 			Planner:  &joint.Planner{Opt: joint.Options{ShardThreshold: *shardThresh}},
-			Policy:   mustPolicy(),
+			Policy:   preset(),
 			Frontier: *frontier,
 		}
 		if err := replay(cfg, opts); err != nil {
 			fatal(err)
 		}
 	default:
-		fmt.Fprintln(os.Stderr, "edgeserved: need -record, -trace, or -listen")
-		os.Exit(2)
+		usage("need -record, -trace, or -listen")
 	}
 }
 
 func fatal(err error) {
 	fmt.Fprintf(os.Stderr, "edgeserved: %v\n", err)
 	os.Exit(1)
+}
+
+// usage reports a command-line error and exits with status 2.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "edgeserved: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 // startProfiles starts a CPU profile and/or arranges a heap profile dump,
@@ -391,47 +389,24 @@ func firstSet(names ...string) string {
 	return found
 }
 
-func buildPolicy(name string, relChange, minInterval float64, budget int, window,
-	replanDeadline float64, qStrikes int, qProbation float64, deltaReplan bool, deltaDirtyMax float64) (serve.Policy, error) {
-	var p serve.Policy
-	switch name {
-	case "always":
-		p = serve.AlwaysReplan()
-	case "hysteresis":
-		p = serve.Hysteresis()
-	case "never":
-		p = serve.NeverReplan()
-	default:
-		return p, fmt.Errorf("unknown policy %q (always | hysteresis | never)", name)
+// policies are the -policy presets, each one a policy an existing caller
+// runs.
+var policies = map[string]func() serve.Policy{
+	"always":     serve.AlwaysReplan,
+	"delta":      serve.Delta,
+	"hysteresis": serve.Hysteresis,
+	"never":      serve.NeverReplan,
+	"robust":     serve.Robust,
+}
+
+// policyNames lists the -policy presets, sorted: "always | delta | ...".
+func policyNames() string {
+	names := make([]string, 0, len(policies))
+	for name := range policies {
+		names = append(names, name)
 	}
-	if relChange >= 0 {
-		p.RelChange = relChange
-	}
-	if minInterval >= 0 {
-		p.MinInterval = minInterval
-	}
-	if budget >= 0 {
-		p.Budget = budget
-	}
-	if window >= 0 {
-		p.Window = window
-	}
-	if replanDeadline >= 0 {
-		p.ReplanDeadline = replanDeadline
-	}
-	if qStrikes >= 0 {
-		p.QuarantineStrikes = qStrikes
-	}
-	if qProbation >= 0 {
-		p.QuarantineProbation = qProbation
-	}
-	if deltaReplan {
-		p.DeltaReplan = true
-	}
-	if deltaDirtyMax >= 0 {
-		p.DeltaMaxDirtyFrac = deltaDirtyMax
-	}
-	return p, p.Validate()
+	slices.Sort(names)
+	return strings.Join(names, " | ")
 }
 
 // replayOpts bundles the replay-mode configuration.

@@ -8,6 +8,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -97,7 +99,111 @@ func TestLiveModeRejectsReplayFlags(t *testing.T) {
 		{"verify-recovery", []string{"-verify-recovery"}},
 		// Several set: the first in flag order is the one named.
 		{"journal", []string{"-verify-recovery", "-journal", "-"}},
+		// Live-mode numbers that would print Inf/NaN latencies or turn the
+		// exit gate off.
+		{"timescale", []string{"-timescale", "0"}},
+		{"timescale", []string{"-timescale", "-1"}},
+		{"timescale", []string{"-timescale", "NaN"}},
+		{"timescale", []string{"-timescale", "+Inf"}},
+		{"telemetry-period", []string{"-telemetry-period", "0"}},
+		{"telemetry-period", []string{"-telemetry-period", "NaN"}},
+		{"min-ok-frac", []string{"-min-ok-frac", "NaN"}},
+		{"min-ok-frac", []string{"-min-ok-frac", "-0.1"}},
+		{"min-ok-frac", []string{"-min-ok-frac", "1.5"}},
 	})
+}
+
+// TestFlagSet is the flag ratchet: the flags -h prints must be exactly this
+// list, so adding or removing one is a reviewed diff here.
+func TestFlagSet(t *testing.T) {
+	want := []string{
+		"agent-bin", "agents", "chaos", "cpuprofile", "expect-full-replans",
+		"fault", "frontier", "horizon", "http", "journal", "listen",
+		"memprofile", "min-ok-frac", "period", "policy", "record", "requests",
+		"scenario", "shard-threshold", "snapshot-dir", "telemetry-period",
+		"timescale", "trace", "verify-recovery", "workers",
+	}
+	if got := helpFlags(t, build(t)); !slices.Equal(got, want) {
+		t.Errorf("flags -h prints:\n  %q\nwant:\n  %q", got, want)
+	}
+}
+
+// helpFlags runs bin -h and returns the flag names it prints, in its order.
+func helpFlags(t *testing.T, bin string) []string {
+	t.Helper()
+	out, err := exec.Command(bin, "-h").CombinedOutput()
+	if err != nil {
+		t.Fatalf("-h: %v\n%s", err, out)
+	}
+	var names []string
+	for _, line := range strings.Split(string(out), "\n") {
+		if rest, ok := strings.CutPrefix(line, "  -"); ok {
+			names = append(names, strings.Fields(rest)[0])
+		}
+	}
+	return names
+}
+
+// TestPolicyPresets: each -policy name is exactly its serve constructor's
+// policy, and a name outside the five exits 2 listing all of them.
+func TestPolicyPresets(t *testing.T) {
+	want := map[string]serve.Policy{
+		"always":     serve.AlwaysReplan(),
+		"delta":      serve.Delta(),
+		"hysteresis": serve.Hysteresis(),
+		"never":      serve.NeverReplan(),
+		"robust":     serve.Robust(),
+	}
+	if len(policies) != len(want) {
+		t.Errorf("%d presets, want %d: %s", len(policies), len(want), policyNames())
+	}
+	for name, w := range want {
+		preset, ok := policies[name]
+		if !ok {
+			t.Errorf("no -policy %s", name)
+			continue
+		}
+		if got := preset(); !reflect.DeepEqual(got, w) {
+			t.Errorf("-policy %s = %+v, want %+v", name, got, w)
+		}
+		if err := w.Validate(); err != nil {
+			t.Errorf("-policy %s: %v", name, err)
+		}
+	}
+
+	var stderr bytes.Buffer
+	cmd := exec.Command(build(t), "-scenario", "testdata/smoke-scenario.json",
+		"-trace", "testdata/smoke-trace.jsonl", "-policy", "sometimes")
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("-policy sometimes: got %v, want exit status 2 (stderr: %s)", err, stderr.String())
+	}
+	for name := range want {
+		if !strings.Contains(stderr.String(), name) {
+			t.Errorf("-policy sometimes: stderr does not list %s: %s", name, stderr.String())
+		}
+	}
+}
+
+// TestRecordRejectsBadSpan: a horizon or period RecordTrace cannot turn into
+// a sample count exits 1 with its error, not a stack trace.
+func TestRecordRejectsBadSpan(t *testing.T) {
+	bin := build(t)
+	for _, args := range [][]string{
+		{"-horizon", "NaN"}, {"-period", "NaN"}, {"-horizon", "1e300", "-period", "1e-300"},
+	} {
+		var stderr bytes.Buffer
+		cmd := exec.Command(bin, append([]string{"-scenario", "testdata/smoke-scenario.json",
+			"-record", filepath.Join(t.TempDir(), "t.jsonl")}, args...)...)
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.HasPrefix(stderr.String(), "edgeserved: sim: ") {
+			t.Errorf("%v: got %v, want exit status 1 with RecordTrace's error (stderr: %s)", args, err, stderr.String())
+		}
+	}
 }
 
 // TestReplayResumesSnapshotDir: a replay of the trace's first 10 samples

@@ -58,10 +58,6 @@ type Config struct {
 	Scenario *joint.Scenario
 	// Server is the index of the edge server this agent serves.
 	Server int
-	// ID is the agent's registration ID; empty means the canonical
-	// telemetry.SourceID(Server), which keeps quarantine standings, drift
-	// gauges, and wire registrations on one naming scheme.
-	ID string
 	// Dispatcher is the dispatcher's TCP address (host:port).
 	Dispatcher string
 	// TimeScale is wall-seconds per model-second; 0 means 1 (real time).
@@ -76,12 +72,10 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-func (c *Config) id() string {
-	if c.ID != "" {
-		return c.ID
-	}
-	return telemetry.SourceID(c.Server)
-}
+// id is the agent's registration ID: the canonical telemetry.SourceID, which
+// keeps quarantine standings, drift gauges, and wire registrations on one
+// naming scheme.
+func (c *Config) id() string { return telemetry.SourceID(c.Server) }
 
 func (c *Config) timeScale() float64 {
 	if c.TimeScale > 0 {

@@ -70,7 +70,7 @@ func testPlane(t *testing.T, sc *joint.Scenario, policy serve.Policy) (*Dispatch
 	}
 	d, err := StartDispatcher(DispatcherConfig{
 		Scenario: sc, Runtime: rt, TimeScale: 0.001, Seed: 42,
-		InferTimeout: 10 * time.Second,
+		limits: limits{inferTimeout: 10 * time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -386,7 +386,7 @@ func TestAgentDisconnectEvacuates(t *testing.T) {
 	}
 	d, err := StartDispatcher(DispatcherConfig{
 		Scenario: sc, Runtime: rt, TimeScale: 0.001, Seed: 7,
-		InferTimeout: 10 * time.Second,
+		limits: limits{inferTimeout: 10 * time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)

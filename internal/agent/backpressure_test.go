@@ -39,8 +39,8 @@ func stressPlane(t *testing.T, sc *joint.Scenario, mutate func(*DispatcherConfig
 	}
 	cfg := DispatcherConfig{
 		Scenario: sc, Runtime: rt, TimeScale: 0.001, Seed: 42,
-		InferTimeout: 10 * time.Second,
-		Logf:         t.Logf,
+		limits: limits{inferTimeout: 10 * time.Second},
+		Logf:   t.Logf,
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -151,10 +151,10 @@ func driveHealthy(t *testing.T, addr string, workers, perWorker, users int) []fl
 func TestStalledClientShedsWithoutCollateral(t *testing.T) {
 	sc := testScenario(t, 4, 40)
 	d, rt := stressPlane(t, sc, func(cfg *DispatcherConfig) {
-		cfg.WriteDeadline = 200 * time.Millisecond
-		cfg.ClientQueue = 8
-		cfg.ClientStrikes = 4
-		cfg.ClientWriteBuffer = 2048
+		cfg.limits.writeDeadline = 200 * time.Millisecond
+		cfg.limits.clientQueue = 8
+		cfg.limits.clientStrikes = 4
+		cfg.limits.writeBuffer = 2048
 	})
 	reg := rt.Metrics()
 	telemProgress := func() int64 {
@@ -389,7 +389,7 @@ func TestCloseWithIdleAndMidRequestClients(t *testing.T) {
 	defer rt.Close()
 	d, err := StartDispatcher(DispatcherConfig{
 		Scenario: sc, Runtime: rt, TimeScale: 0.001, Seed: 42,
-		InferTimeout: 10 * time.Second,
+		limits: limits{inferTimeout: 10 * time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -458,7 +458,7 @@ func TestAgentDeathMidRequestTypedError(t *testing.T) {
 	}
 	d, err := StartDispatcher(DispatcherConfig{
 		Scenario: sc, Runtime: rt, TimeScale: 0.001, Seed: 7,
-		InferTimeout: 2 * time.Second,
+		limits: limits{inferTimeout: 2 * time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)

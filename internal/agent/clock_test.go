@@ -196,7 +196,7 @@ func fakePlane(t *testing.T, sc *joint.Scenario, clock *fakeClock) (*Dispatcher,
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := StartDispatcher(DispatcherConfig{Scenario: sc, Runtime: rt, Clock: clock, Seed: 42, InferTimeout: 10 * time.Second})
+	d, err := StartDispatcher(DispatcherConfig{Scenario: sc, Runtime: rt, Clock: clock, Seed: 42, limits: limits{inferTimeout: 10 * time.Second}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package agent
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"maps"
 	"math"
@@ -45,29 +46,31 @@ type DispatcherConfig struct {
 	Clock Clock
 	// Seed fixes the partition-crossing sampler.
 	Seed int64
-	// InferTimeout bounds one remote suffix execution in wall time;
-	// 0 means 30s.
-	InferTimeout time.Duration
-	// WriteDeadline bounds one outbound frame write on any peer socket.
-	// A connection whose kernel buffer cannot absorb a frame within the
-	// deadline has a stalled reader behind it; the frame may be half
-	// written, so the connection is dropped (client) or marked suspect and
-	// evacuated (agent). 0 means 5s.
-	WriteDeadline time.Duration
-	// ClientQueue bounds each client connection's outbound response queue;
-	// a response that does not fit is shed (dataplane.client_shed).
-	// 0 means 64.
-	ClientQueue int
-	// ClientStrikes is how many sheds a client survives before the
-	// dispatcher disconnects it (dataplane.clients_dropped). 0 means 32.
-	ClientStrikes int
-	// ClientWriteBuffer, when > 0, sets the kernel send-buffer size for
-	// client sockets. Production leaves it 0 (OS default/auto-tuning); the
-	// backpressure stress tests shrink it so a stalled reader exerts
-	// pressure within a few frames instead of a few hundred kilobytes.
-	ClientWriteBuffer int
 	// Logf, when set, receives dispatcher lifecycle logging.
 	Logf func(format string, args ...any)
+
+	limits limits // in-package tests only
+}
+
+// The dispatcher's backpressure and timeout limits; in-package tests shrink
+// them through DispatcherConfig.limits. A frame write that misses
+// writeDeadline has a stalled reader behind it and may be half written, so
+// the connection ends: a client is dropped, an agent marked suspect and
+// evacuated.
+const (
+	inferTimeout  = 30 * time.Second // one remote suffix execution, wall time
+	writeDeadline = 5 * time.Second  // one outbound frame write on any peer socket
+	clientQueue   = 64               // a client's queued responses; overflow is shed (dataplane.client_shed)
+	clientStrikes = 32               // sheds a client survives before it is dropped (dataplane.clients_dropped)
+)
+
+// limits overrides the constants above; a zero field keeps its constant.
+// writeBuffer > 0 sets client sockets' kernel send buffer, which the
+// dispatcher otherwise leaves to the OS, so a stalled reader exerts pressure
+// within a few frames instead of a few hundred kilobytes.
+type limits struct {
+	inferTimeout, writeDeadline             time.Duration
+	clientQueue, clientStrikes, writeBuffer int
 }
 
 // agentQueue bounds the outbound queue at each end of an agent connection
@@ -85,34 +88,6 @@ func (c *DispatcherConfig) timeScale() float64 {
 		return c.TimeScale
 	}
 	return 1
-}
-
-func (c *DispatcherConfig) inferTimeout() time.Duration {
-	if c.InferTimeout > 0 {
-		return c.InferTimeout
-	}
-	return 30 * time.Second
-}
-
-func (c *DispatcherConfig) writeDeadline() time.Duration {
-	if c.WriteDeadline > 0 {
-		return c.WriteDeadline
-	}
-	return 5 * time.Second
-}
-
-func (c *DispatcherConfig) clientQueue() int {
-	if c.ClientQueue > 0 {
-		return c.ClientQueue
-	}
-	return 64
-}
-
-func (c *DispatcherConfig) clientStrikes() int {
-	if c.ClientStrikes > 0 {
-		return c.ClientStrikes
-	}
-	return 32
 }
 
 func (c *DispatcherConfig) logf(format string, args ...any) {
@@ -154,7 +129,7 @@ type call struct {
 	cc      *clientConn
 	dec     *joint.Decision // the routing decision the next stage follows
 	retried bool
-	timer   *time.Timer // the InferTimeout of the Infer in flight
+	timer   *time.Timer // the inferTimeout of the Infer in flight
 }
 
 // take removes the call an Infer is pending for, and stops its timeout; nil
@@ -251,6 +226,11 @@ func StartDispatcher(cfg DispatcherConfig) (*Dispatcher, error) {
 		horizon = 60
 	}
 	reg := cfg.Runtime.Metrics()
+	l := &cfg.limits
+	l.inferTimeout = cmp.Or(l.inferTimeout, inferTimeout)
+	l.writeDeadline = cmp.Or(l.writeDeadline, writeDeadline)
+	l.clientQueue = cmp.Or(l.clientQueue, clientQueue)
+	l.clientStrikes = cmp.Or(l.clientStrikes, clientStrikes)
 	d := &Dispatcher{
 		cfg:             cfg,
 		rt:              cfg.Runtime,
@@ -427,7 +407,7 @@ func (d *Dispatcher) handleConn(nc net.Conn) {
 			conn: conn, id: hello.ID, server: hello.Server,
 			pending: map[uint64]*call{},
 		}
-		ac.ob = newOutbox(conn, nc, agentQueue, d.cfg.writeDeadline())
+		ac.ob = newOutbox(conn, nc, agentQueue, d.cfg.limits.writeDeadline)
 		ac.ob.onTrip = d.cDeadlineTrips.Inc
 		ac.ob.onFlush = d.countFlush
 		ac.ob.onDead = func(err error) { d.suspectAgent(ac, err) }
@@ -438,13 +418,13 @@ func (d *Dispatcher) handleConn(nc net.Conn) {
 			return
 		}
 		_ = nc.SetDeadline(time.Time{})
-		if buf := d.cfg.ClientWriteBuffer; buf > 0 {
+		if buf := d.cfg.limits.writeBuffer; buf > 0 {
 			if tc, ok := nc.(*net.TCPConn); ok {
 				_ = tc.SetWriteBuffer(buf)
 			}
 		}
 		cc := &clientConn{conn: conn}
-		cc.ob = newOutbox(conn, nc, d.cfg.clientQueue(), d.cfg.writeDeadline())
+		cc.ob = newOutbox(conn, nc, d.cfg.limits.clientQueue, d.cfg.limits.writeDeadline)
 		cc.ob.onTrip = d.cDeadlineTrips.Inc
 		cc.ob.onFlush = d.countFlush
 		cc.ob.onDead = func(error) {
@@ -844,7 +824,7 @@ readLoop:
 // safe alongside the outbox writer (wire.Conn combines concurrent writers)
 // and cannot wedge the read loop: the write deadline bounds it.
 func (d *Dispatcher) rejectDuplicateHello(ob *outbox) {
-	_ = ob.nc.SetWriteDeadline(time.Now().Add(d.cfg.writeDeadline()))
+	_ = ob.nc.SetWriteDeadline(time.Now().Add(d.cfg.limits.writeDeadline))
 	_ = ob.conn.Send(&wire.ErrorMsg{Text: "duplicate Hello on a live connection"})
 }
 
@@ -860,10 +840,10 @@ func (d *Dispatcher) deliver(c *call) {
 		return // shutdown teardown, not backpressure
 	}
 	d.cClientShed.Inc()
-	if cc.strikes.Add(1) >= int64(d.cfg.clientStrikes()) && cc.dropped.CompareAndSwap(false, true) {
+	if cc.strikes.Add(1) >= int64(d.cfg.limits.clientStrikes) && cc.dropped.CompareAndSwap(false, true) {
 		d.cClientsDropped.Inc()
 		d.cfg.logf("dispatcher: dropping client after %d shed responses", cc.strikes.Load())
-		cc.ob.shut(fmt.Errorf("client exceeded %d shed responses", d.cfg.clientStrikes()))
+		cc.ob.shut(fmt.Errorf("client exceeded %d shed responses", d.cfg.limits.clientStrikes))
 	}
 }
 
@@ -917,9 +897,9 @@ func (d *Dispatcher) remoteSuffix(c *call) {
 	seq := d.seq.Add(1)
 	ac.mu.Lock()
 	ac.pending[seq] = c
-	c.timer = time.AfterFunc(d.cfg.inferTimeout(), func() {
+	c.timer = time.AfterFunc(d.cfg.limits.inferTimeout, func() {
 		if ac.take(seq) != nil {
-			d.suffixDone(c, nil, fmt.Errorf("agent %s timed out after %v", ac.id, d.cfg.inferTimeout()))
+			d.suffixDone(c, nil, fmt.Errorf("agent %s timed out after %v", ac.id, d.cfg.limits.inferTimeout))
 		}
 	})
 	ac.mu.Unlock()

@@ -62,7 +62,7 @@ func TestNonLoopbackSmoke(t *testing.T) {
 	}
 	d, err := StartDispatcher(DispatcherConfig{
 		Scenario: sc, Runtime: rt, Listen: ip + ":0",
-		TimeScale: 0.001, Seed: 42, InferTimeout: 10 * time.Second,
+		TimeScale: 0.001, Seed: 42, limits: limits{inferTimeout: 10 * time.Second},
 	})
 	if err != nil {
 		t.Skipf("cannot bind %s (sandboxed network?): %v", ip, err)

@@ -48,15 +48,6 @@ type Config struct {
 	TelemetryPeriod float64
 	// Seed fixes the dispatcher's crossing sampler.
 	Seed int64
-	// WriteDeadline, ClientQueue, ClientStrikes and ClientWriteBuffer pass
-	// through to the dispatcher's backpressure policy (see
-	// agent.DispatcherConfig); zero values keep the production defaults.
-	// The backpressure stress arm shrinks them so a stalled client bites
-	// within a few frames.
-	WriteDeadline     time.Duration
-	ClientQueue       int
-	ClientStrikes     int
-	ClientWriteBuffer int
 	// Dir is the scratch directory for the scenario file and binary;
 	// empty means a fresh temp dir removed on Close.
 	Dir string
@@ -138,16 +129,12 @@ func Start(cfg Config) (*Cluster, error) {
 		return fail(err)
 	}
 	c.Dispatcher, err = agent.StartDispatcher(agent.DispatcherConfig{
-		Scenario:          sc,
-		Runtime:           c.Runtime,
-		Listen:            cfg.Listen,
-		TimeScale:         cfg.TimeScale,
-		Seed:              cfg.Seed,
-		WriteDeadline:     cfg.WriteDeadline,
-		ClientQueue:       cfg.ClientQueue,
-		ClientStrikes:     cfg.ClientStrikes,
-		ClientWriteBuffer: cfg.ClientWriteBuffer,
-		Logf:              cfg.Logf,
+		Scenario:  sc,
+		Runtime:   c.Runtime,
+		Listen:    cfg.Listen,
+		TimeScale: cfg.TimeScale,
+		Seed:      cfg.Seed,
+		Logf:      cfg.Logf,
 	})
 	if err != nil {
 		return fail(err)

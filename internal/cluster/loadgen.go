@@ -18,12 +18,6 @@ type DriveConfig struct {
 	// Workers is the closed-loop client concurrency (each worker owns one
 	// connection and keeps exactly one request in flight); 0 means 4.
 	Workers int
-	// Users restricts the request mix to the first N scenario users;
-	// 0 means all.
-	Users int
-	// CallTimeout is the per-request deadline each worker applies;
-	// 0 means the client default (30s).
-	CallTimeout time.Duration
 }
 
 // Result is the honest wall-clock outcome of one load run. Latencies are
@@ -63,11 +57,7 @@ func Drive(addr string, nUsers int, cfg DriveConfig) (*Result, error) {
 	if workers > cfg.Requests {
 		workers = cfg.Requests
 	}
-	users := cfg.Users
-	if users <= 0 || users > nUsers {
-		users = nUsers
-	}
-	if users <= 0 {
+	if nUsers <= 0 {
 		return nil, fmt.Errorf("cluster: drive needs at least one user")
 	}
 
@@ -87,7 +77,7 @@ func Drive(addr string, nUsers int, cfg DriveConfig) (*Result, error) {
 		wg.Add(1)
 		go func(w, n int) {
 			defer wg.Done()
-			lats, ok, failed, crossed, err := runWorker(addr, w, n, users, cfg.CallTimeout)
+			lats, ok, failed, crossed, err := runWorker(addr, w, n, nUsers)
 			mu.Lock()
 			defer mu.Unlock()
 			latencies = append(latencies, lats...)
@@ -117,11 +107,10 @@ func Drive(addr string, nUsers int, cfg DriveConfig) (*Result, error) {
 // runWorker is one closed-loop client: request, await, repeat. A non-OK
 // status counts as failed and the worker continues; transport loss fails the
 // worker's remaining budget and surfaces the error.
-func runWorker(addr string, worker, n, users int, callTimeout time.Duration) (lats []float64, ok, failed, crossed int, err error) {
+func runWorker(addr string, worker, n, users int) (lats []float64, ok, failed, crossed int, err error) {
 	c, err := client.Dial(addr, client.Config{
-		ID:          fmt.Sprintf("loadgen-%d", worker),
-		Window:      1, // closed loop: exactly one request in flight
-		CallTimeout: callTimeout,
+		ID:     fmt.Sprintf("loadgen-%d", worker),
+		Window: 1, // closed loop: exactly one request in flight
 	})
 	if err != nil {
 		return nil, 0, n, 0, err

@@ -30,11 +30,7 @@ func e25ChaosRecovery(r *Report) error {
 		return err
 	}
 
-	policy := serve.Policy{
-		RelChange: 0.2, MinInterval: 10, Budget: 4, Window: 60,
-		ReplanDeadline: 2, PlannerOpsPerSec: 1000,
-		QuarantineStrikes: 3, QuarantineProbation: 60,
-	}
+	policy := serve.Robust()
 
 	// Per-arm chaos. The slow arm throttles to 0.001 over two windows (a
 	// 2-op budget no replan fits); the corrupt arm mangles six samples from

@@ -74,15 +74,13 @@ func e27DataPlane(r *Report, nUsers, requests, workers int, timeScale float64) e
 		return err
 	}
 
-	delta := serve.Hysteresis()
-	delta.DeltaReplan = true
 	arms := []struct {
 		name   string
 		policy serve.Policy
 	}{
 		{"never", serve.NeverReplan()},
 		{"hysteresis", serve.Hysteresis()},
-		{"delta", delta},
+		{"delta", serve.Delta()},
 	}
 
 	t := r.table("Client-observed outcome per replanning policy (loopback cluster, real TCP)",
@@ -113,10 +111,7 @@ func e27DataPlane(r *Report, nUsers, requests, workers int, timeScale float64) e
 
 		p50ms := res.P50 / timeScale * 1e3
 		p99ms := res.P99 / timeScale * 1e3
-		okFrac := 0.0
-		if res.Sent > 0 {
-			okFrac = float64(res.OK) / float64(res.Sent)
-		}
+		okFrac := res.OKFrac()
 		t.AddRow(arm.name, res.Sent, res.OK, res.Crossed,
 			fmt.Sprintf("%.1f", p50ms), fmt.Sprintf("%.1f", p99ms),
 			full, deltaReplans)

@@ -33,17 +33,12 @@ type Policy struct {
 	NeverReplan bool
 	// ReplanDeadline bounds how long a full replan may run, in virtual
 	// seconds of planner work: the planner is granted a surgery-op budget of
-	// ReplanDeadline × PlannerOpsPerSec and aborts deterministically when a
+	// ReplanDeadline × DefaultPlannerOpsPerSec and aborts deterministically when a
 	// replan would exceed it; the previous valid plan stays published and
 	// the abort is journaled (feeding the MinInterval debounce). 0 disables
 	// the deadline. The budget is over scheduled planner work, never wall
 	// time, so a deadline abort replays bit-identically.
 	ReplanDeadline float64
-	// PlannerOpsPerSec calibrates ReplanDeadline: how many surgery
-	// optimizations the planner is assumed to schedule per virtual second
-	// (0 means DefaultPlannerOpsPerSec). Only meaningful with
-	// ReplanDeadline > 0.
-	PlannerOpsPerSec float64
 	// QuarantineStrikes is how many consecutive validation failures from
 	// one telemetry source trip its quarantine: further samples from the
 	// source are dropped (counted, not erroring) until readmission. 0
@@ -73,8 +68,8 @@ type Policy struct {
 	DeltaMaxDirtyFrac float64
 }
 
-// DefaultPlannerOpsPerSec is the ReplanDeadline calibration used when
-// Policy.PlannerOpsPerSec is zero.
+// DefaultPlannerOpsPerSec calibrates ReplanDeadline: how many surgery
+// optimizations the planner is assumed to schedule per virtual second.
 const DefaultPlannerOpsPerSec = 1000
 
 // AlwaysReplan returns the policy that fully replans on every uplink
@@ -90,6 +85,25 @@ func NeverReplan() Policy { return Policy{NeverReplan: true} }
 // 60 s; everything else rides the cheap refresh path.
 func Hysteresis() Policy {
 	return Policy{RelChange: 0.2, MinInterval: 25, Budget: 3, Window: 60}
+}
+
+// Delta returns Hysteresis with its replans routed through the incremental
+// delta planner: the same cadence at a lower cost per replan.
+func Delta() Policy {
+	p := Hysteresis()
+	p.DeltaReplan = true
+	return p
+}
+
+// Robust returns the policy with every robustness guard armed: full replans
+// on >= 20% drift, debounced to one per 10 s, at most 4 per trailing 60 s,
+// each bounded by a 2 s replan deadline; a telemetry source that fails
+// validation 3 times in a row is muted for 60 s.
+func Robust() Policy {
+	return Policy{
+		RelChange: 0.2, MinInterval: 10, Budget: 4, Window: 60,
+		ReplanDeadline: 2, QuarantineStrikes: 3, QuarantineProbation: 60,
+	}
 }
 
 // deltaDirtyFracLimit resolves the DeltaMaxDirtyFrac default.
@@ -118,9 +132,6 @@ func (p Policy) Validate() error {
 		return err
 	}
 	if err := check("ReplanDeadline", p.ReplanDeadline); err != nil {
-		return err
-	}
-	if err := check("PlannerOpsPerSec", p.PlannerOpsPerSec); err != nil {
 		return err
 	}
 	if err := check("QuarantineProbation", p.QuarantineProbation); err != nil {

@@ -47,8 +47,7 @@ func chaosTrace(t testing.TB) []telemetry.Sample {
 func chaosPolicy() Policy {
 	return Policy{
 		RelChange: 0.2, MinInterval: 10, Budget: 4, Window: 60,
-		ReplanDeadline: 2, PlannerOpsPerSec: 1000,
-		QuarantineStrikes: 3, QuarantineProbation: 30,
+		ReplanDeadline: 2, QuarantineStrikes: 3, QuarantineProbation: 30,
 	}
 }
 

@@ -473,11 +473,7 @@ func (rt *Runtime) replanBudget() int64 {
 	if rt.policy.ReplanDeadline <= 0 {
 		return 0
 	}
-	ops := rt.policy.PlannerOpsPerSec
-	if ops <= 0 {
-		ops = DefaultPlannerOpsPerSec
-	}
-	b := int64(rt.policy.ReplanDeadline * ops * rt.throttle)
+	b := int64(rt.policy.ReplanDeadline * DefaultPlannerOpsPerSec * rt.throttle)
 	if b < 1 {
 		b = 1
 	}

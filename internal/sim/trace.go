@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"edgesurgeon/internal/faults"
 	"edgesurgeon/internal/telemetry"
@@ -20,8 +21,11 @@ func RecordTrace(servers []ServerConfig, sched *faults.Schedule, horizon, period
 	if len(servers) == 0 {
 		return nil, fmt.Errorf("sim: trace needs at least one server")
 	}
-	if horizon <= 0 || period <= 0 {
-		return nil, fmt.Errorf("sim: trace needs positive horizon and period, got %g/%g", horizon, period)
+	if !(horizon > 0 && period > 0) || math.IsInf(horizon, 1) || math.IsInf(period, 1) {
+		return nil, fmt.Errorf("sim: trace needs finite positive horizon and period, got %g/%g", horizon, period)
+	}
+	if horizon/period >= math.MaxInt {
+		return nil, fmt.Errorf("sim: horizon %g over period %g is more samples than an int counts", horizon, period)
 	}
 	n := int(horizon / period)
 	if float64(n)*period < horizon {

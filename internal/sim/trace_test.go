@@ -80,10 +80,25 @@ func TestRecordTrace(t *testing.T) {
 	if _, err := RecordTrace(nil, nil, 60, 10); err == nil {
 		t.Fatal("empty server list accepted")
 	}
-	if _, err := RecordTrace(servers, nil, 0, 10); err == nil {
-		t.Fatal("zero horizon accepted")
+}
+
+// TestRecordTraceRejectsBadSpans: a horizon or period that is not a finite
+// positive number, or a ratio of the two past what an int counts, is an
+// error, never a panic in the sample slice's allocation.
+func TestRecordTraceRejectsBadSpans(t *testing.T) {
+	prof, err := hardware.ByName("edge-gpu-t4")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := RecordTrace(servers, nil, 60, 0); err == nil {
-		t.Fatal("zero period accepted")
+	servers := []ServerConfig{{Profile: prof, Link: netmodel.NewStatic("eth", netmodel.Mbps(25), 0.002)}}
+	inf, nan := math.Inf(1), math.NaN()
+	for _, c := range []struct{ horizon, period float64 }{
+		{0, 10}, {60, 0}, {-60, 10}, {60, -10},
+		{nan, 10}, {60, nan}, {inf, 10}, {60, inf}, {-inf, 10},
+		{1e300, 1e-300}, {1e19, 1},
+	} {
+		if tr, err := RecordTrace(servers, nil, c.horizon, c.period); err == nil {
+			t.Errorf("horizon %g period %g: accepted (%d samples)", c.horizon, c.period, len(tr))
+		}
 	}
 }
