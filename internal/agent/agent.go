@@ -151,8 +151,10 @@ func (a *Agent) send(m wire.Msg) {
 }
 
 // Run dials the dispatcher and serves until the connection drops or ctx is
-// cancelled. It returns nil on a clean shutdown (ctx cancelled), and the
-// transport error otherwise.
+// cancelled. It returns nil on a clean shutdown (ctx cancelled, during the
+// handshake too), and the transport error otherwise. The dial and the
+// header + Hello/Welcome exchange are bounded by handshakeTimeout, as the
+// dispatcher bounds its side.
 func Run(ctx context.Context, cfg Config) error {
 	sc := cfg.Scenario
 	if sc == nil {
@@ -161,55 +163,35 @@ func Run(ctx context.Context, cfg Config) error {
 	if cfg.Server < 0 || cfg.Server >= len(sc.Servers) {
 		return fmt.Errorf("agent: server index %d out of range (scenario has %d servers)", cfg.Server, len(sc.Servers))
 	}
-	nc, err := net.Dial("tcp", cfg.Dispatcher)
-	if err != nil {
-		return fmt.Errorf("agent: dialing dispatcher: %w", err)
-	}
-	conn, err := wire.NewConn(bufio.NewReader(nc), nc, nc)
-	if err != nil {
-		nc.Close()
-		return fmt.Errorf("agent: handshake: %w", err)
-	}
-	defer conn.Close()
-	if err := conn.Send(&wire.Hello{Role: wire.RoleAgent, ID: cfg.id(), Server: cfg.Server}); err != nil {
+	// A cancelled ctx is a clean shutdown, whatever error it caused.
+	clean := func(err error) error {
+		if ctx.Err() != nil {
+			return nil
+		}
 		return err
 	}
-	m, err := conn.Recv()
+	nc, err := (&net.Dialer{Timeout: handshakeTimeout}).DialContext(ctx, "tcp", cfg.Dispatcher)
 	if err != nil {
-		return fmt.Errorf("agent: awaiting welcome: %w", err)
+		return clean(fmt.Errorf("agent: dialing dispatcher: %w", err))
 	}
-	w, ok := m.(*wire.Welcome)
-	if !ok {
-		return fmt.Errorf("agent: expected Welcome, got %T", m)
+	defer nc.Close()
+	// Unblock the handshake, then the read loop, when ctx is cancelled.
+	defer context.AfterFunc(ctx, func() { nc.Close() })()
+	_ = nc.SetDeadline(time.Now().Add(handshakeTimeout))
+	conn, err := handshake(nc, cfg)
+	if err != nil {
+		return clean(err)
 	}
-	if w.Servers != len(sc.Servers) || w.Users != len(sc.Users) {
-		return fmt.Errorf("agent: scenario mismatch: dispatcher has %d servers/%d users, agent has %d/%d",
-			w.Servers, w.Users, len(sc.Servers), len(sc.Users))
-	}
+	_ = nc.SetDeadline(time.Time{})
 	cfg.logf("agent %s: registered for server %d at %s", cfg.id(), cfg.Server, cfg.Dispatcher)
 
 	a := newAgent(cfg, conn)
 	defer a.ob.shut(nil)
-
-	// Unblock the read loop when ctx is cancelled.
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-ctx.Done():
-			conn.Close()
-		case <-done:
-		}
-	}()
 	go a.telemetryLoop()
-
 	for {
 		m, err := conn.Recv()
 		if err != nil {
-			if ctx.Err() != nil {
-				return nil
-			}
-			return fmt.Errorf("agent: connection to dispatcher lost: %w", err)
+			return clean(fmt.Errorf("agent: connection to dispatcher lost: %w", err))
 		}
 		switch m := m.(type) {
 		case *wire.Allocation:
@@ -227,6 +209,32 @@ func Run(ctx context.Context, cfg Config) error {
 			cfg.logf("agent %s: ignoring unexpected %T", cfg.id(), m)
 		}
 	}
+}
+
+// handshake exchanges wire headers and Hello/Welcome with the dispatcher on
+// nc and checks that both ends parsed the same scenario.
+func handshake(nc net.Conn, cfg Config) (*wire.Conn, error) {
+	sc := cfg.Scenario
+	conn, err := wire.NewConn(bufio.NewReader(nc), nc, nc)
+	if err != nil {
+		return nil, fmt.Errorf("agent: handshake: %w", err)
+	}
+	if err := conn.Send(&wire.Hello{Role: wire.RoleAgent, ID: cfg.id(), Server: cfg.Server}); err != nil {
+		return nil, err
+	}
+	m, err := conn.Recv()
+	if err != nil {
+		return nil, fmt.Errorf("agent: awaiting welcome: %w", err)
+	}
+	w, ok := m.(*wire.Welcome)
+	if !ok {
+		return nil, fmt.Errorf("agent: expected Welcome, got %T", m)
+	}
+	if w.Servers != len(sc.Servers) || w.Users != len(sc.Users) {
+		return nil, fmt.Errorf("agent: scenario mismatch: dispatcher has %d servers/%d users, agent has %d/%d",
+			w.Servers, w.Users, len(sc.Servers), len(sc.Users))
+	}
+	return conn, nil
 }
 
 // install validates an allocation push against the agent's own cost model

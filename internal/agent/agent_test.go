@@ -547,15 +547,15 @@ func TestPublishPushesOnlyChangedSlices(t *testing.T) {
 	// Held to the end: no telemetry ingest may publish between the steps.
 	d.ingestMu.Lock()
 	defer d.ingestMu.Unlock()
-	base, cheapBefore, before := pushes.Value(), cheap.Value(), d.lastPlan
+	base, cheapBefore, before := pushes.Value(), cheap.Value(), d.plan.Load()
 
 	// An observation at the planning rate is still an observation: the
 	// runtime answers with a cheap refresh, whose surgery and allocation at
 	// unchanged rates yield a new plan value holding the same decisions.
 	uplinks := make([]float64, len(sc.Servers))
-	uplinks[0] = d.meanRates[0]
+	uplinks[0] = rt.Rate(0)
 	d.ingestLocked(telemetry.Sample{Uplinks: uplinks, Source: telemetry.SourceID(0)})
-	if cheap.Value() != cheapBefore+1 || d.lastPlan == before {
+	if cheap.Value() != cheapBefore+1 || d.plan.Load() == before {
 		t.Fatalf("the sample was not a cheap refresh onto a fresh plan (cheap %d → %d)", cheapBefore, cheap.Value())
 	}
 	if got := pushes.Value(); got != base {
@@ -563,9 +563,10 @@ func TestPublishPushesOnlyChangedSlices(t *testing.T) {
 	}
 
 	// One user's share changes: its server's agent hears once, the other not.
+	refreshed := d.plan.Load()
 	user := -1
-	for u := range d.lastPlan.Decisions {
-		if dec := &d.lastPlan.Decisions[u]; dec.Server >= 0 && dec.ComputeShare > 0 {
+	for u := range refreshed.Decisions {
+		if dec := &refreshed.Decisions[u]; dec.Server >= 0 && dec.ComputeShare > 0 {
 			user = u
 			break
 		}
@@ -574,8 +575,8 @@ func TestPublishPushesOnlyChangedSlices(t *testing.T) {
 		t.Fatal("the plan offloads nobody; nothing to change")
 	}
 	edit := func(f func(*joint.Decision)) *joint.Plan {
-		next := *d.lastPlan
-		next.Decisions = append([]joint.Decision(nil), d.lastPlan.Decisions...)
+		next := *refreshed
+		next.Decisions = append([]joint.Decision(nil), refreshed.Decisions...)
 		f(&next.Decisions[user])
 		return &next
 	}
@@ -584,12 +585,99 @@ func TestPublishPushesOnlyChangedSlices(t *testing.T) {
 		t.Fatalf("one changed share pushed %d allocations, want 1", got-base)
 	}
 	// The user moves to the other server: both agents' slices change.
-	d.publishLocked(edit(func(dec *joint.Decision) { dec.Server = 1 - dec.Server }))
+	moved := edit(func(dec *joint.Decision) { dec.Server = 1 - dec.Server })
+	d.publishLocked(moved)
 	if got := pushes.Value(); got != base+3 {
 		t.Fatalf("one moved user pushed %d allocations, want 2", got-base-1)
 	}
-	if d.plan.Load() != d.lastPlan {
+	if d.plan.Load() != moved {
 		t.Fatal("the routing plan is not the last published plan")
+	}
+}
+
+// TestPushQuotesTheRuntimeRate pins the rate an allocation push quotes to
+// the runtime's last-known rate: a +Inf observation the runtime rejects
+// must not reach an agent through a later push.
+func TestPushQuotesTheRuntimeRate(t *testing.T) {
+	sc := testScenario(t, 4, 40)
+	rt, err := serve.New(serve.Config{Scenario: sc, Policy: serve.Hysteresis()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := StartDispatcher(DispatcherConfig{Scenario: sc, Runtime: rt, TimeScale: 0.001})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close(); rt.Close() })
+	nc, err := net.Dial("tcp", d.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = nc.SetDeadline(time.Now().Add(10 * time.Second))
+	conn, err := handshake(nc, Config{Scenario: sc, Server: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	nextAlloc := func() *wire.Allocation {
+		t.Helper()
+		for {
+			m, err := conn.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a, ok := m.(*wire.Allocation); ok {
+				return a
+			}
+		}
+	}
+	nextAlloc() // the registration push
+
+	rejected := rt.Metrics().Counter("serve.samples_rejected")
+	if err := conn.Send(&wire.Telemetry{UplinkBps: math.Inf(1), Healthy: true}); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); rejected.Value() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the +Inf sample never reached the runtime")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	d.pushTo((*d.agents.Load())[0], d.plan.Load())
+	if got, want := nextAlloc().UplinkBps, rt.Rate(0); got != want || math.IsInf(got, 0) {
+		t.Fatalf("push after a rejected +Inf sample quotes %g bps, want the runtime's %g", got, want)
+	}
+}
+
+// TestRunHonoursCancelDuringHandshake: an agent whose dispatcher accepts
+// and then stays silent returns nil promptly once ctx is cancelled.
+func TestRunHonoursCancelDuringHandshake(t *testing.T) {
+	sc := testScenario(t, 2, 40)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		if nc, err := ln.Accept(); err == nil {
+			accepted <- nc
+		}
+	}()
+	ctx, cancel := context.WithCancel(context.Background())
+	ret := make(chan error, 1)
+	go func() { ret <- Run(ctx, Config{Scenario: sc, Server: 0, Dispatcher: ln.Addr().String()}) }()
+	nc := <-accepted
+	defer nc.Close()
+	time.Sleep(50 * time.Millisecond) // let Run block in the handshake
+	cancel()
+	select {
+	case err := <-ret:
+		if err != nil {
+			t.Fatalf("Run after cancel during the handshake: %v, want nil", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Run still blocked in the handshake 1 s after cancel")
 	}
 }
 

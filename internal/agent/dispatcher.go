@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"edgesurgeon/internal/joint"
-	"edgesurgeon/internal/netmodel"
 	"edgesurgeon/internal/serve"
 	"edgesurgeon/internal/telemetry"
 	"edgesurgeon/internal/wire"
@@ -164,14 +163,11 @@ type Dispatcher struct {
 
 	// ingestMu serializes telemetry ingestion and the plan-push that
 	// follows it, keeping sample times monotone and allocation epochs
-	// ordered.
-	ingestMu  sync.Mutex
-	ingested  float64 // model time of the last ingested sample
-	epoch     uint64
-	lastPlan  *joint.Plan
-	lastRates []float64 // last telemetry uplink per server (0 = none yet)
-	meanRates []float64 // scenario planning-time rates, the fallback
-	up        []bool    // connectivity-derived health, as last ingested
+	// ordered. The runtime owns every other piece of control-plane state:
+	// rates, clock and plan are read from it, never copied.
+	ingestMu sync.Mutex
+	epoch    uint64
+	up       []bool // connectivity-derived health, as last ingested
 
 	// agents is the registered agent per server: an immutable snapshot the
 	// request path reads without a lock, copied and replaced under mu.
@@ -221,10 +217,6 @@ func StartDispatcher(cfg DispatcherConfig) (*Dispatcher, error) {
 		return nil, fmt.Errorf("agent: dispatcher listen: %w", err)
 	}
 	sc := cfg.Scenario
-	horizon := sc.PlanningHorizon
-	if horizon <= 0 {
-		horizon = 60
-	}
 	reg := cfg.Runtime.Metrics()
 	l := &cfg.limits
 	l.inferTimeout = cmp.Or(l.inferTimeout, inferTimeout)
@@ -236,8 +228,6 @@ func StartDispatcher(cfg DispatcherConfig) (*Dispatcher, error) {
 		rt:              cfg.Runtime,
 		ln:              ln,
 		clock:           orWall(cfg.Clock, cfg.timeScale()),
-		lastRates:       make([]float64, len(sc.Servers)),
-		meanRates:       make([]float64, len(sc.Servers)),
 		up:              make([]bool, len(sc.Servers)),
 		ever:            make([]bool, len(sc.Servers)),
 		clients:         map[*wire.Conn]struct{}{},
@@ -260,13 +250,10 @@ func StartDispatcher(cfg DispatcherConfig) (*Dispatcher, error) {
 	}
 	d.ready = sync.NewCond(&d.mu)
 	d.agents.Store(&map[int]*agentConn{})
-	for s := range sc.Servers {
-		d.meanRates[s] = netmodel.MeanRate(sc.Servers[s].Link, horizon)
+	for s := range d.up {
 		d.up[s] = true // servers start optimistically up, like the runtime
 	}
-	initial := cfg.Runtime.Current()
-	d.lastPlan = initial
-	d.plan.Store(initial)
+	d.plan.Store(cfg.Runtime.Current())
 	d.wg.Add(2)
 	go d.acceptLoop()
 	go d.ingestLoop()
@@ -632,39 +619,35 @@ func (d *Dispatcher) observeConnectivity(source string) {
 	d.ingestLocked(telemetry.Sample{Health: health, Source: source})
 }
 
-// onTelemetry folds one agent's link observation into the runtime. Samples
-// whose rate matches the last ingested observation are coalesced away: an
-// unchanged rate carries no new information for the planner, and on small
-// machines running every no-op sample through the control plane's refresh
-// path would steal the CPU the data plane needs (the agent's transfer
-// physics never depend on ingestion — see userSlot.condUplinkBits).
+// onTelemetry folds one agent's link observation into the runtime. A rate
+// within 1 % of the runtime's last-known rate for the server — its last
+// valid observation, or the planning rate before any — is coalesced away:
+// it carries no new information for the planner, and on small machines
+// running every no-op sample through the control plane's refresh path would
+// steal the CPU the data plane needs (the agent's transfer physics never
+// depend on ingestion — see userSlot.condUplinkBits).
 func (d *Dispatcher) onTelemetry(ac *agentConn, m *wire.Telemetry) {
 	d.ingestMu.Lock()
 	defer d.ingestMu.Unlock()
-	if last := d.lastRates[ac.server]; m.UplinkBps > 0 && last > 0 &&
-		math.Abs(m.UplinkBps-last)/last < 0.01 {
+	if last := d.rt.Rate(ac.server); m.UplinkBps > 0 && math.Abs(m.UplinkBps-last)/last < 0.01 {
 		d.cTelemCoalesced.Inc()
 		return
 	}
-	uplinks := make([]float64, len(d.lastRates))
+	uplinks := make([]float64, len(d.up))
 	uplinks[ac.server] = m.UplinkBps
-	if m.UplinkBps > 0 {
-		d.lastRates[ac.server] = m.UplinkBps
-	}
 	d.ingestLocked(telemetry.Sample{Uplinks: uplinks, Source: ac.id})
 }
 
 // ingestLocked stamps the sample with the dispatcher's model clock, held
-// monotone, runs it through the serve runtime, and publishes the resulting
-// plan. Caller holds ingestMu.
+// monotone against the runtime's, runs it through the serve runtime, and
+// publishes the resulting plan. Caller holds ingestMu.
 func (d *Dispatcher) ingestLocked(s telemetry.Sample) {
-	s.Time = max(d.clock.Now(), d.ingested)
+	s.Time = max(d.clock.Now(), d.rt.Clock())
 	plan, err := d.rt.Ingest(s)
 	if err != nil {
 		d.cfg.logf("dispatcher: sample from %s rejected: %v", s.Source, err)
 		return
 	}
-	d.ingested = s.Time
 	d.publishLocked(plan)
 }
 
@@ -675,12 +658,11 @@ func (d *Dispatcher) ingestLocked(s telemetry.Sample) {
 // re-pushing an unchanged slice would just burn agent CPU on surgery
 // re-evaluation. Caller holds ingestMu.
 func (d *Dispatcher) publishLocked(plan *joint.Plan) {
-	if plan == d.lastPlan {
+	prev := d.plan.Swap(plan)
+	if plan == prev {
 		return
 	}
-	dirty := changedServers(d.lastPlan, plan, len(d.up))
-	d.lastPlan = plan
-	d.plan.Store(plan)
+	dirty := changedServers(prev, plan, len(d.up))
 	for _, ac := range *d.agents.Load() {
 		if dirty[ac.server] {
 			d.pushLocked(ac, plan)
@@ -744,7 +726,7 @@ func (d *Dispatcher) pushLocked(ac *agentConn, plan *joint.Plan) {
 	}
 	alloc := &wire.Allocation{
 		Epoch:     d.epoch,
-		UplinkBps: d.rateForLocked(ac.server),
+		UplinkBps: d.rt.Rate(ac.server),
 		RTT:       sc.Servers[ac.server].RTT,
 		Entries:   entries,
 	}
@@ -756,16 +738,6 @@ func (d *Dispatcher) pushLocked(ac *agentConn, plan *joint.Plan) {
 		return
 	}
 	d.cPushes.Inc()
-}
-
-// rateForLocked is the uplink capacity an allocation push quotes to an
-// agent: the last telemetry observation, or the scenario's planning-time
-// mean before any telemetry has arrived. Caller holds ingestMu.
-func (d *Dispatcher) rateForLocked(server int) float64 {
-	if r := d.lastRates[server]; r > 0 {
-		return r
-	}
-	return d.meanRates[server]
 }
 
 // serveClient pumps one client connection: each Request is started on the

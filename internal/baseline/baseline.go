@@ -22,7 +22,6 @@ import (
 	"math/rand"
 
 	"edgesurgeon/internal/joint"
-	"edgesurgeon/internal/netmodel"
 	"edgesurgeon/internal/surgery"
 )
 
@@ -79,11 +78,7 @@ func buildEnv(sc *joint.Scenario, ui int, d *joint.Decision) surgery.Env {
 		env.Server = srv.Profile
 		env.ComputeShare = d.ComputeShare
 		env.BandwidthShare = d.BandwidthShare
-		horizon := sc.PlanningHorizon
-		if horizon <= 0 {
-			horizon = 60
-		}
-		env.UplinkBps = netmodel.MeanRate(srv.Link, horizon)
+		env.UplinkBps = sc.PlanningRate(d.Server)
 		env.RTT = srv.RTT
 	}
 	return env

@@ -14,11 +14,7 @@ import (
 func e26Drift(sc *joint.Scenario, s int, factor float64) *joint.Scenario {
 	out := *sc
 	out.Servers = append([]joint.Server(nil), sc.Servers...)
-	horizon := sc.PlanningHorizon
-	if horizon <= 0 {
-		horizon = 60
-	}
-	rate := netmodel.MeanRate(sc.Servers[s].Link, horizon) * factor
+	rate := sc.PlanningRate(s) * factor
 	out.Servers[s].Link = netmodel.NewStatic(sc.Servers[s].Name+"-drift", rate, sc.Servers[s].RTT)
 	return &out
 }

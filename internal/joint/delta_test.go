@@ -18,7 +18,7 @@ import (
 func driftLink(sc *Scenario, s int, factor float64) *Scenario {
 	out := *sc
 	out.Servers = append([]Server(nil), sc.Servers...)
-	out.Servers[s].Link = netmodel.NewStatic(sc.Servers[s].Name+"-drift", sc.meanUplink(s)*factor, 0)
+	out.Servers[s].Link = netmodel.NewStatic(sc.Servers[s].Name+"-drift", sc.PlanningRate(s)*factor, 0)
 	return &out
 }
 

@@ -103,13 +103,11 @@ func NewDispatcher(sc *Scenario, planner *Planner) (*Dispatcher, error) {
 }
 
 // NewDispatcherWithPlan builds a dispatcher around an externally produced
-// plan instead of planning the scenario itself — the control plane's
-// crash-recovery constructor: after a restart it replans the frozen
-// scenario with an uninstrumented planner copy (so restored counters are
-// not double-bumped) and installs the result here with the instrumented
-// planner, which future Observe rounds then use. plan becomes both the
-// active and the pristine base plan, exactly as NewDispatcher would have
-// installed it.
+// plan instead of planning the scenario itself — the control plane's one
+// install path, whether the plan is its initial plan, a full or delta
+// replan, or crash recovery's re-derivation. plan becomes both the active
+// and the pristine base plan, exactly as NewDispatcher would have
+// installed it; planner serves future Observe rounds.
 func NewDispatcherWithPlan(sc *Scenario, planner *Planner, plan *Plan) (*Dispatcher, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -129,13 +127,6 @@ func NewDispatcherWithPlan(sc *Scenario, planner *Planner, plan *Plan) (*Dispatc
 		down:    make([]bool, len(sc.Servers)),
 	}, nil
 }
-
-// SetPlanner replaces the planner future observations use. The
-// crash-recovery sequence rebuilds dispatcher state with an uninstrumented
-// planner — every counter bump that state originally produced is already
-// in the restored registry — then installs the instrumented planner here
-// for live rounds.
-func (d *Dispatcher) SetPlanner(p *Planner) { d.planner = p }
 
 // Current returns the active plan.
 func (d *Dispatcher) Current() *Plan { return d.plan }

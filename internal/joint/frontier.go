@@ -130,7 +130,7 @@ func frontierKeys(sc *Scenario, opt Options, servers []bool, deviceOnly bool) ([
 	var include []int
 	for s := range sc.Servers {
 		if servers == nil || (s < len(servers) && servers[s]) {
-			uplink[s] = sc.meanUplink(s)
+			uplink[s] = sc.PlanningRate(s)
 			include = append(include, s)
 		}
 	}

@@ -81,7 +81,7 @@ func TestFrontierPathMatchesOptimizerPath(t *testing.T) {
 		rates := make([]float64, len(gs.sc.Servers))
 		up := make([]bool, len(gs.sc.Servers))
 		for s := range rates {
-			rates[s] = gs.sc.meanUplink(s) * (0.35 + 0.4*float64(s%3))
+			rates[s] = gs.sc.PlanningRate(s) * (0.35 + 0.4*float64(s%3))
 			up[s] = s != 0
 		}
 		thresh := 1

@@ -390,7 +390,7 @@ func goldenCells(t *testing.T, gs goldenScenario, emit func(cell string, g *gold
 		}
 		rates := make([]float64, len(sc.Servers))
 		for s := range rates {
-			rates[s] = sc.meanUplink(s) * (0.35 + 0.4*float64(s%3))
+			rates[s] = sc.PlanningRate(s) * (0.35 + 0.4*float64(s%3))
 		}
 		rates[len(rates)-1] = 0 // keep the last link as planned
 		up := make([]bool, len(sc.Servers))
@@ -479,7 +479,7 @@ func goldenCells(t *testing.T, gs goldenScenario, emit func(cell string, g *gold
 	}
 	d.Instrument(reg)
 	rates := make([]float64, len(sc.Servers))
-	rates[0] = sc.meanUplink(0) * 0.5
+	rates[0] = sc.PlanningRate(0) * 0.5
 	if _, err := d.ObserveUplinks(rates); err != nil {
 		t.Fatalf("%s: instrumented observe: %v", gs.name, err)
 	}

@@ -386,7 +386,7 @@ func newState(sc *Scenario, opt Options, hot *userSoA) *state {
 	}
 	for s := range sc.Servers {
 		st.srvFeasible[s] = true
-		st.uplink[s] = sc.meanUplink(s)
+		st.uplink[s] = sc.PlanningRate(s)
 	}
 	st.tables = newTables(&st.opt, len(sc.Users), len(sc.Servers))
 	return st

@@ -165,7 +165,7 @@ func TestPlannerResourceMonotonicity(t *testing.T) {
 		{"double-bandwidth", func(sc *Scenario) *Scenario {
 			out := clone(sc)
 			for s := range out.Servers {
-				rate := sc.meanUplink(s)
+				rate := sc.PlanningRate(s)
 				out.Servers[s].Link = netmodel.NewStatic("l2x", 2*rate, 0)
 			}
 			return out
@@ -208,7 +208,7 @@ func TestPlannerResourceMonotonicity(t *testing.T) {
 				// resource increase (the random RTT would otherwise be lost
 				// when the link is rebuilt).
 				for s := range sc.Servers {
-					sc.Servers[s].Link = netmodel.NewStatic("l", sc.meanUplink(s), 0)
+					sc.Servers[s].Link = netmodel.NewStatic("l", sc.PlanningRate(s), 0)
 				}
 				base, err := p.Plan(sc)
 				if err != nil {

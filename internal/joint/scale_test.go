@@ -88,7 +88,7 @@ func TestMillionUserHierarchicalPlan(t *testing.T) {
 
 	drifted := *sc
 	drifted.Servers = append([]Server(nil), sc.Servers...)
-	drifted.Servers[0].Link = netmodel.NewStatic("ap00-drift", sc.meanUplink(0)*0.7, sc.Servers[0].RTT)
+	drifted.Servers[0].Link = netmodel.NewStatic("ap00-drift", sc.PlanningRate(0)*0.7, sc.Servers[0].RTT)
 	dirty := make([]bool, len(sc.Servers))
 	dirty[0] = true
 	t1 := time.Now()

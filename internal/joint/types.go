@@ -135,7 +135,7 @@ func (sc *Scenario) Validate() error {
 		if s.Link == nil {
 			return fmt.Errorf("joint: server %d (%s) missing link", i, s.Name)
 		}
-		if r := sc.meanUplink(i); bad(r) || r <= 0 {
+		if r := sc.PlanningRate(i); bad(r) || r <= 0 {
 			return fmt.Errorf("joint: server %d (%s) mean uplink %g bps is not a positive finite number", i, s.Name, r)
 		}
 		if bad(s.RTT) || s.RTT < 0 {
@@ -155,8 +155,10 @@ func (sc *Scenario) horizon() float64 {
 	return 60
 }
 
-// meanUplink returns server s's planning-time uplink rate.
-func (sc *Scenario) meanUplink(s int) float64 {
+// PlanningRate returns server s's planning-time uplink rate in bps: its
+// link's mean rate over the planning horizon. Every layer that plans or
+// quotes a rate before any observation reads it here.
+func (sc *Scenario) PlanningRate(s int) float64 {
 	return netmodel.MeanRate(sc.Servers[s].Link, sc.horizon())
 }
 

@@ -103,35 +103,20 @@ func softmaxRows(m *Matrix) {
 	}
 }
 
-// MultiExit is a multi-exit classifier: an optional convolutional
-// front-end, a dense backbone, and a softmax head after each configured
-// backbone layer. The final backbone layer always carries the last
-// (mandatory) head.
+// MultiExit is a multi-exit classifier: a dense backbone and a softmax head
+// after each configured backbone layer. The final backbone layer always
+// carries the last (mandatory) head.
 type MultiExit struct {
-	front    []*Conv2D
-	pools    []*MaxPool2D
 	backbone []*dense
 	heads    map[int]*dense // head after backbone layer i (0-based)
 	exits    []int          // sorted backbone indices carrying heads
 	classes  int
 }
 
-// ConvStage describes one conv+relu+pool stage of the front-end.
-type ConvStage struct {
-	// OutC is the stage's channel width; kernels are 3x3 with same
-	// padding, followed by 2x2/2 max pooling.
-	OutC int
-}
-
 // Config describes a multi-exit network.
 type Config struct {
-	// In is the input feature width (for Conv front-ends, In must equal
-	// InC*InH*InW).
+	// In is the input feature width.
 	In int
-	// Conv optionally prepends convolutional stages; when set, InC/InH/InW
-	// describe the image geometry.
-	Conv          []ConvStage
-	InC, InH, InW int
 	// Hidden lists the dense backbone layer widths.
 	Hidden []int
 	// Exits are the 0-based backbone layer indices carrying exit heads.
@@ -151,30 +136,6 @@ func NewMultiExit(cfg Config) (*MultiExit, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	m := &MultiExit{heads: make(map[int]*dense), classes: cfg.Classes}
 	in := cfg.In
-	if len(cfg.Conv) > 0 {
-		if cfg.InC*cfg.InH*cfg.InW != cfg.In {
-			return nil, fmt.Errorf("nn: conv front-end geometry %dx%dx%d != In %d",
-				cfg.InC, cfg.InH, cfg.InW, cfg.In)
-		}
-		c, h, w := cfg.InC, cfg.InH, cfg.InW
-		for _, st := range cfg.Conv {
-			if st.OutC <= 0 {
-				return nil, fmt.Errorf("nn: bad conv stage width %d", st.OutC)
-			}
-			conv, err := NewConv2D(rng, c, h, w, st.OutC, 3, 1, 1)
-			if err != nil {
-				return nil, err
-			}
-			pool, err := NewMaxPool2D(st.OutC, conv.OutH, conv.OutW, 2, 2)
-			if err != nil {
-				return nil, err
-			}
-			m.front = append(m.front, conv)
-			m.pools = append(m.pools, pool)
-			c, h, w = st.OutC, pool.OutH, pool.OutW
-		}
-		in = c * h * w
-	}
 	for _, h := range cfg.Hidden {
 		if h <= 0 {
 			return nil, fmt.Errorf("nn: bad hidden width %d", h)
@@ -218,20 +179,14 @@ func (m *MultiExit) Exits() []int { return append([]int(nil), m.exits...) }
 // forwardAll runs the backbone and every head, returning per-exit
 // probability matrices and caching activations for backward.
 type forwardCache struct {
-	frontPre []*Matrix // conv pre-activations
-	pre      []*Matrix // backbone pre-activations
-	post     []*Matrix // backbone post-ReLU activations
-	prob     map[int]*Matrix
+	pre  []*Matrix // backbone pre-activations
+	post []*Matrix // backbone post-ReLU activations
+	prob map[int]*Matrix
 }
 
 func (m *MultiExit) forwardAll(x *Matrix) *forwardCache {
 	fc := &forwardCache{prob: make(map[int]*Matrix)}
 	cur := x
-	for i := range m.front {
-		z := m.front[i].Forward(cur)
-		fc.frontPre = append(fc.frontPre, z)
-		cur = m.pools[i].Forward(relu(z))
-	}
 	for i, layer := range m.backbone {
 		z := layer.forward(cur)
 		fc.pre = append(fc.pre, z)
@@ -321,21 +276,12 @@ func (m *MultiExit) trainBatch(x *Matrix, y []int, lr, momentum float64) float64
 		dPre := reluBackward(fc.pre[i], dCur)
 		dCur = m.backbone[i].backward(dPre)
 	}
-	// Continue into the convolutional front-end.
-	for i := len(m.front) - 1; i >= 0 && dCur != nil; i-- {
-		dRelu := m.pools[i].Backward(dCur)
-		dConv := reluBackward(fc.frontPre[i], dRelu)
-		dCur = m.front[i].Backward(dConv)
-	}
 
 	for i, layer := range m.backbone {
 		layer.step(lr, momentum, bs)
 		if head, ok := m.heads[i]; ok {
 			head.step(lr, momentum, bs)
 		}
-	}
-	for i := range m.front {
-		m.front[i].Step(lr, momentum, bs)
 	}
 	return loss / float64(bs)
 }

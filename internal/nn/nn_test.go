@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -262,5 +263,48 @@ func TestInferDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("inference not deterministic at %d", i)
 		}
+	}
+}
+
+// TestGradientCheck compares trainBatch's analytic gradients for every
+// backbone and head layer with central differences of the loss.
+func TestGradientCheck(t *testing.T) {
+	net, err := NewMultiExit(Config{In: 6, Hidden: []int{6, 5}, Exits: []int{0}, Classes: 2, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(10))
+	x := NewMatrix(4, 6)
+	for i := range x.Data {
+		x.Data[i] = rng.NormFloat64()
+	}
+	y := []int{0, 1, 1, 0}
+	// A step at lr = 0 (momentum 0) moves nothing: it is the loss function,
+	// and leaves the analytic gradients — sums over the batch of a loss it
+	// reports as a mean — behind.
+	loss := func() float64 { return net.trainBatch(x, y, 0, 0) }
+
+	const eps = 1e-5
+	check := func(name string, w []float64, g []float64) {
+		loss()
+		analytic := append([]float64(nil), g...)
+		for _, i := range []int{0, len(w) / 2, len(w) - 1} {
+			orig := w[i]
+			w[i] = orig + eps
+			lp := loss()
+			w[i] = orig - eps
+			lm := loss()
+			w[i] = orig
+			numeric := (lp - lm) / (2 * eps)
+			if got := analytic[i] / float64(x.Rows); math.Abs(numeric-got) > 1e-4*(1+math.Abs(numeric)) {
+				t.Errorf("%s[%d]: analytic %.8g vs numeric %.8g", name, i, got, numeric)
+			}
+		}
+	}
+	for i, layer := range net.backbone {
+		check(fmt.Sprintf("dense%d.W", i), layer.W.Data, layer.gW.Data)
+		check(fmt.Sprintf("dense%d.B", i), layer.B.Data, layer.gB.Data)
+		head := net.heads[i]
+		check(fmt.Sprintf("head%d.W", i), head.W.Data, head.gW.Data)
 	}
 }

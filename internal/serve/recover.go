@@ -1,11 +1,6 @@
 package serve
 
-import (
-	"fmt"
-
-	"edgesurgeon/internal/joint"
-	"edgesurgeon/internal/surgery"
-)
+import "fmt"
 
 // This file is the crash-recovery path: Recover rebuilds a Runtime from a
 // state directory so that kill-at-any-point / recover / continue produces
@@ -16,11 +11,12 @@ import (
 //     sample stream — clock, sample count, rates, hysteresis state,
 //     quarantine table, journal, the full metric registry — but NOT the
 //     active plan.
-//  2. The plan is re-derived by replanning the scenario frozen at the
-//     snapshot's PlanRates with an *uninstrumented* planner copy: the
-//     planner is deterministic, so the plan is bit-identical to the lost
-//     one, and the restored registry already holds the counter bumps the
-//     original planning produced.
+//  2. The plan is re-derived through the one install path New and every
+//     full replan take (planAt at the snapshot's PlanRates, then install,
+//     health reapplied): the planner is deterministic, so the plan is
+//     bit-identical to the lost one. Re-derivation bumps the same series
+//     the original planning did, and the registry is restored after it,
+//     overwriting each of them with its captured value.
 //  3. The WAL tail (entries with Seq beyond the snapshot's) replays
 //     through the ordinary Ingest path, reproducing every decision —
 //     including rejections, quarantine trips and deadline aborts — the
@@ -139,9 +135,6 @@ func restoreSnapshot(cfg Config, snap *Snapshot) (*Runtime, error) {
 	if len(snap.Rates) != len(cfg.Scenario.Servers) {
 		return nil, fmt.Errorf("serve: snapshot covers %d servers, scenario has %d", len(snap.Rates), len(cfg.Scenario.Servers))
 	}
-	if err := rt.reg.Restore(snap.Metrics); err != nil {
-		return nil, fmt.Errorf("serve: restoring metrics: %w", err)
-	}
 	rt.journal.Reset(snap.Journal)
 	rt.seq = snap.Seq
 	rt.ingested = snap.Samples
@@ -160,46 +153,18 @@ func restoreSnapshot(cfg Config, snap *Snapshot) (*Runtime, error) {
 		rt.sources[src] = &sourceState{strikes: st.Strikes, until: st.Until}
 	}
 
-	// Re-derive the plan (leg 2): replan the frozen scenario with an
-	// uninstrumented planner copy, install the result with the
-	// instrumented planner for live rounds.
-	frozen := rt.frozenScenario(rt.planRates)
-	rPlanner := &joint.Planner{Opt: rt.planner.Opt}
-	rPlanner.Opt.Metrics = nil
-	if rt.frontier {
-		set, err := joint.BuildFrontierSet(frozen, rPlanner.Opt, surgery.BuildOptions{Surgery: rPlanner.Opt.Surgery})
-		if err != nil {
-			return nil, fmt.Errorf("serve: rebuilding frontier tables: %w", err)
-		}
-		rPlanner.Opt.Frontiers = set
-		rt.planner.Opt.Frontiers = set
-	}
-	plan, err := rPlanner.Plan(frozen)
+	// Re-derive the plan (leg 2) the way New and a full replan made it,
+	// then let the restored registry overwrite every series that bumped.
+	frozen, plan, err := rt.planAt(rt.planRates)
 	if err != nil {
 		return nil, fmt.Errorf("serve: recovery replan: %w", err)
 	}
-	disp, err := joint.NewDispatcherWithPlan(frozen, rPlanner, plan)
-	if err != nil {
-		return nil, err
+	if err := rt.install(frozen, plan); err != nil {
+		return nil, fmt.Errorf("serve: recovery: %w", err)
 	}
-	anyDown := false
-	up := make([]bool, len(rt.down))
-	for i, dn := range rt.down {
-		up[i] = !dn
-		anyDown = anyDown || dn
+	if err := rt.reg.Restore(snap.Metrics); err != nil {
+		return nil, fmt.Errorf("serve: restoring metrics: %w", err)
 	}
-	if anyDown {
-		// Reapply the health state exactly as the original full replan
-		// did — still uninstrumented, and before Instrument, so neither
-		// the planner nor the dispatcher series double-count.
-		if _, err := disp.ObserveHealth(up); err != nil {
-			return nil, fmt.Errorf("serve: recovery: applying health: %w", err)
-		}
-	}
-	disp.SetPlanner(rt.planner)
-	disp.Instrument(rt.reg)
-	rt.disp = disp
-	// No publish: the gauges were restored to their exact values already.
 	return rt, nil
 }
 

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"edgesurgeon/internal/joint"
@@ -154,38 +155,29 @@ type sourceState struct {
 	until   float64 // muted until this virtual time (0 = not quarantined)
 }
 
-// New validates the configuration, plans the scenario once (the initial
-// plan, journaled at virtual time 0) and returns the running control plane.
+// New validates the configuration, plans the scenario once at its planning
+// rates (the initial plan, journaled at virtual time 0) and returns the
+// running control plane.
 func New(cfg Config) (*Runtime, error) {
 	rt, err := newShell(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if rt.frontier {
-		if err := rt.buildFrontiers(cfg.Scenario); err != nil {
-			return nil, fmt.Errorf("serve: %w", err)
-		}
-	}
-	disp, err := joint.NewDispatcher(cfg.Scenario, rt.planner)
-	if err != nil {
-		return nil, err
-	}
-	disp.Instrument(rt.reg)
-	rt.disp = disp
 	rt.rates = make([]float64, len(cfg.Scenario.Servers))
-	horizon := cfg.Scenario.PlanningHorizon
-	if horizon <= 0 {
-		horizon = 60
-	}
-	for s := range cfg.Scenario.Servers {
-		rt.rates[s] = netmodel.MeanRate(cfg.Scenario.Servers[s].Link, horizon)
+	for s := range rt.rates {
+		rt.rates[s] = cfg.Scenario.PlanningRate(s)
 	}
 	rt.planRates = append([]float64(nil), rt.rates...)
 	rt.down = make([]bool, len(cfg.Scenario.Servers))
-	rt.publish(disp.Current())
+	frozen, plan, err := rt.planAt(rt.planRates)
+	if err != nil {
+		return nil, fmt.Errorf("serve: initial plan: %w", err)
+	}
+	if err := rt.install(frozen, plan); err != nil {
+		return nil, fmt.Errorf("serve: initial plan: %w", err)
+	}
 	rt.journal.Record(telemetry.Event{
-		Time: 0, Kind: EventInitialPlan, Value: disp.Current().Objective,
-		Reason: disp.Current().PlannerName,
+		Time: 0, Kind: EventInitialPlan, Value: plan.Objective, Reason: plan.PlannerName,
 	})
 	if rt.store != nil {
 		if err := rt.store.WriteSnapshot(rt.captureSnapshot()); err != nil {
@@ -203,6 +195,9 @@ func New(cfg Config) (*Runtime, error) {
 func newShell(cfg Config) (*Runtime, error) {
 	if cfg.Scenario == nil {
 		return nil, fmt.Errorf("serve: config needs a scenario")
+	}
+	if err := cfg.Scenario.Validate(); err != nil {
+		return nil, err
 	}
 	if err := cfg.Policy.Validate(); err != nil {
 		return nil, err
@@ -271,6 +266,14 @@ func (rt *Runtime) Clock() float64 {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	return rt.clock
+}
+
+// Rate returns server s's last-known uplink rate in bps: its last valid
+// observation, or the scenario's planning rate before any.
+func (rt *Runtime) Rate(s int) float64 {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return rt.rates[s]
 }
 
 // Metrics returns the runtime's registry.
@@ -504,9 +507,8 @@ func (rt *Runtime) SetPlannerThrottle(factor float64) error {
 }
 
 // frozenScenario freezes the runtime's scenario at the given per-server
-// uplink rates (static links, everything else shared). Both the full
-// replan and crash recovery plan against this frozen view, which is what
-// makes the recovered plan bit-identical to the one that was lost.
+// uplink rates (static links, everything else shared). Every plan the
+// runtime installs is made against such a frozen view.
 func (rt *Runtime) frozenScenario(rates []float64) *joint.Scenario {
 	frozen := *rt.sc
 	frozen.Servers = append([]joint.Server(nil), rt.sc.Servers...)
@@ -518,21 +520,66 @@ func (rt *Runtime) frozenScenario(rates []float64) *joint.Scenario {
 	return &frozen
 }
 
+// planAt freezes the scenario at rates and plans it from scratch — the
+// initial plan, every full replan and crash recovery's re-derivation, so
+// the recovered plan is the lost one by construction. With Config.Frontier
+// a fresh table set is registered for the frozen scenario first (its rates
+// are new frontier keys); a failed plan puts the previous set back, since
+// the published plan keeps its tables.
+func (rt *Runtime) planAt(rates []float64) (*joint.Scenario, *joint.Plan, error) {
+	frozen := rt.frozenScenario(rates)
+	prevSet := rt.planner.Opt.Frontiers
+	if rt.frontier {
+		if err := rt.buildFrontiers(frozen); err != nil {
+			return nil, nil, err
+		}
+	}
+	plan, err := rt.planner.Plan(frozen)
+	if err != nil {
+		rt.planner.Opt.Frontiers = prevSet
+		return nil, nil, err
+	}
+	return frozen, plan, nil
+}
+
+// install makes plan, made against frozen, the live plan: the dispatcher's
+// new active AND base plan, instrumented, with the current health state
+// reapplied, and published. It is the one way a plan goes live.
+func (rt *Runtime) install(frozen *joint.Scenario, plan *joint.Plan) error {
+	disp, err := joint.NewDispatcherWithPlan(frozen, rt.planner, plan)
+	if err != nil {
+		return err
+	}
+	disp.Instrument(rt.reg)
+	if slices.Contains(rt.down, true) {
+		up := make([]bool, len(rt.down))
+		for i, dn := range rt.down {
+			up[i] = !dn
+		}
+		if _, err := disp.ObserveHealth(up); err != nil {
+			return fmt.Errorf("applying health: %w", err)
+		}
+	}
+	rt.disp = disp
+	rt.publish(disp.Current())
+	return nil
+}
+
 // replan is the tail fullReplan and deltaReplan share: run plan under the
-// policy's replan-deadline budget and install its result as the
-// dispatcher's new active AND base plan (NewDispatcherWithPlan — the same
-// installation shape crash recovery uses), instrumented, with the current
-// health state reapplied, stamped on the debounce clock and the budget
-// window, and published. A plan that would exceed the budget is abandoned
-// deterministically and returned as the non-nil abort: the published plan
-// stays, and the abort arms the same debounce and burns a budget-window
-// slot, so a persistently over-budget environment degrades to the cheap
-// path instead of thrashing on replan attempts. route names the caller in
-// errors.
-func (rt *Runtime) replan(now float64, route string, frozen *joint.Scenario, plan func() (*joint.Plan, error)) (*joint.Plan, *joint.AbortedError, error) {
+// policy's replan-deadline budget, install its result, and stamp it on the
+// debounce clock and the budget window. A plan that would exceed the budget
+// is abandoned deterministically and returned as the non-nil abort: the
+// published plan stays, and the abort arms the same debounce and burns a
+// budget-window slot, so a persistently over-budget environment degrades to
+// the cheap path instead of thrashing on replan attempts. route names the
+// caller in errors.
+func (rt *Runtime) replan(now float64, route string, plan func() (*joint.Scenario, *joint.Plan, error)) (*joint.Plan, *joint.AbortedError, error) {
 	rt.planner.Opt.SurgeryBudget = rt.replanBudget()
-	p, err := plan()
+	frozen, p, err := plan()
 	rt.planner.Opt.SurgeryBudget = 0
+	if err == nil {
+		err = rt.install(frozen, p)
+	}
 	if err != nil {
 		var abort *joint.AbortedError
 		if errors.As(err, &abort) {
@@ -543,51 +590,16 @@ func (rt *Runtime) replan(now float64, route string, frozen *joint.Scenario, pla
 		}
 		return nil, nil, fmt.Errorf("serve: %s replan at t=%g: %w", route, now, err)
 	}
-	disp, err := joint.NewDispatcherWithPlan(frozen, rt.planner, p)
-	if err != nil {
-		return nil, nil, fmt.Errorf("serve: %s replan at t=%g: %w", route, now, err)
-	}
-	disp.Instrument(rt.reg)
-	anyDown := false
-	up := make([]bool, len(rt.down))
-	for i, dn := range rt.down {
-		up[i] = !dn
-		anyDown = anyDown || dn
-	}
-	if anyDown {
-		if _, err := disp.ObserveHealth(up); err != nil {
-			return nil, nil, fmt.Errorf("serve: %s replan at t=%g: applying health: %w", route, now, err)
-		}
-	}
-	rt.disp = disp
 	rt.lastFull = now
 	rt.fullTimes = append(rt.fullTimes, now)
-	rt.publish(disp.Current())
 	return p, nil, nil
 }
 
 // fullReplan rebuilds the deployment plan from scratch against the
-// last-known uplink rates (frozen as static links). On success (with a
-// store attached) the new state is snapshotted and the WAL reset.
+// last-known uplink rates. On success (with a store attached) the new state
+// is snapshotted and the WAL reset.
 func (rt *Runtime) fullReplan(now, maxRel float64) (*joint.AbortedError, error) {
-	frozen := rt.frozenScenario(rt.rates)
-	prevSet := rt.planner.Opt.Frontiers
-	if rt.frontier {
-		// The drifted rates are new frontier keys: register a fresh set
-		// for the frozen scenario. The replan fills the cells it reads, and
-		// delta replans and Recover's re-derivation at these rates reuse
-		// them. Cheap refreshes reuse only the device-only tables: observed
-		// rates carry telemetry noise, so each refresh's server keys are new
-		// and fill tables private to that refresh.
-		if err := rt.buildFrontiers(frozen); err != nil {
-			return nil, fmt.Errorf("serve: full replan at t=%g: %w", now, err)
-		}
-	}
-	_, abort, err := rt.replan(now, "full", frozen, func() (*joint.Plan, error) { return rt.planner.Plan(frozen) })
-	if abort != nil {
-		// The published plan keeps its frontier tables.
-		rt.planner.Opt.Frontiers = prevSet
-	}
+	_, abort, err := rt.replan(now, "full", func() (*joint.Scenario, *joint.Plan, error) { return rt.planAt(rt.rates) })
 	if err != nil || abort != nil {
 		return abort, err
 	}
@@ -660,7 +672,10 @@ func (rt *Runtime) deltaReplan(now, maxRel float64, dirty []bool, nDirty int) (*
 		rt.reg.Gauge("serve.frontier.tables").Set(float64(rt.planner.Opt.Frontiers.Len()))
 	}
 	prev := rt.disp.Current()
-	plan, abort, err := rt.replan(now, "delta", frozen, func() (*joint.Plan, error) { return rt.planner.PlanDelta(frozen, prev, dirty) })
+	plan, abort, err := rt.replan(now, "delta", func() (*joint.Scenario, *joint.Plan, error) {
+		p, err := rt.planner.PlanDelta(frozen, prev, dirty)
+		return frozen, p, err
+	})
 	if err != nil || abort != nil {
 		return abort, err
 	}
