@@ -69,8 +69,16 @@ loc:
 # copy and second frontier rebuild, joint.Dispatcher.SetPlanner, the
 # agent dispatcher's copies of the runtime's rates, clock and plan, and
 # internal/nn's caller-less convolutional front-end (conv.go, ConvStage).
-LOC_MAX_JOINT = 2575
-LOC_MAX_TOTAL = 20278
+# It went 20278 -> 19849 (internal/joint 2575 -> 2536) when the planner
+# kept one planning problem: the min-sum and min-max allocators and
+# alloc.MaxLatency, joint's AllocatorKind, AccuracyFloor and
+# DeviceEnergyBudgetJ, surgery's device-energy cap and ThetaGrid, sim's
+# Warmup and retry knobs (now constants), serve.Config.Metrics,
+# ExhaustiveAssignment.Inner, faults.Generate and its GenConfig, and the
+# caller-less stats helpers (Series.Max/Min/FracBelow/CDF, Histogram,
+# Meter.Hits, Breakdown) and telemetry's Histogram.Mean.
+LOC_MAX_JOINT = 2536
+LOC_MAX_TOTAL = 19849
 loc-check: loc
 	@joint=$$($(call loc_of,internal/joint)); total=$$($(loc_total)); \
 	if [ $$joint -gt $(LOC_MAX_JOINT) ] || [ $$total -gt $(LOC_MAX_TOTAL) ]; then \

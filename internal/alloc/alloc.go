@@ -8,11 +8,10 @@
 //	L_u(f_u, b_u) = Fixed_u + Server_u/f_u + Tx_u/b_u
 //
 // so the weighted-sum-latency allocation has the classic square-root
-// closed form (shares proportional to sqrt(weight x work)), deadlines and
-// queue-stability constraints become per-user lower share bounds handled by
-// water-filling over the unclamped set, and min-max latency reduces to a
-// feasibility bisection. All three are implemented here with exact KKT
-// conditions asserted in the tests.
+// closed form (shares proportional to sqrt(weight x work)), and deadlines
+// and queue-stability constraints become per-user lower share bounds
+// handled by water-filling over the unclamped set. DeadlineAware implements
+// both, with exact KKT conditions asserted in the tests.
 package alloc
 
 import (
@@ -83,17 +82,6 @@ func SumLatency(demands []Demand, a Allocation) float64 {
 	return s
 }
 
-// MaxLatency returns the largest per-user latency under a.
-func MaxLatency(demands []Demand, a Allocation) float64 {
-	m := 0.0
-	for i, d := range demands {
-		if l := d.Latency(a.Compute[i], a.Bandwidth[i]); l > m {
-			m = l
-		}
-	}
-	return m
-}
-
 // Equal returns the naive 1/n split on both resources (the baseline
 // allocation-unaware systems use).
 func Equal(n int) Allocation {
@@ -113,14 +101,13 @@ func Equal(n int) Allocation {
 // users with vanishing work.
 const minShareEps = 1e-9
 
-// Scratch holds the working vectors of the three allocators, so a caller
-// that allocates one server after another (the planner's candidate-move
-// loop) reuses them instead of making nine slices a call. The zero value is
-// ready; a call grows it to the largest n it has seen. The Allocation a
-// method returns aliases the scratch: it is valid until the next call on the
-// same Scratch, so copy the shares out first. Reuse never changes a result —
-// every vector is fully rewritten by the call that reads it. Not safe for
-// concurrent use.
+// Scratch holds the allocator's working vectors, so a caller that allocates
+// one server after another (the planner's candidate-move loop) reuses them
+// instead of allocating them per call. The zero value is ready; a call grows
+// it to the largest n it has seen. The Allocation DeadlineAware returns
+// aliases the scratch: it is valid until the next call on the same Scratch,
+// so copy the shares out first. Reuse never changes a result — every vector
+// is fully rewritten by the call that reads it. Not safe for concurrent use.
 type Scratch struct {
 	back []float64 // backing array of the five vectors below
 	// coef is sqrt(weight x work) of the resource being split; lowC and lowB
@@ -143,20 +130,6 @@ func (s *Scratch) reset(n int) {
 	s.coef, s.lowC, s.lowB = b[:n:n], b[n:2*n:2*n], b[2*n:3*n:3*n]
 	s.compute, s.bandwidth = b[3*n:4*n:4*n], b[4*n:5*n:5*n]
 	s.clamped = s.clamped[:n]
-}
-
-// waterFill splits each resource by the square-root rule above the lower
-// bounds already in s.lowC and s.lowB.
-func (s *Scratch) waterFill(demands []Demand, feasible bool) Allocation {
-	for i := range demands {
-		s.coef[i] = math.Sqrt(demands[i].weight() * demands[i].Server)
-	}
-	sqrtSplit(s.coef, s.lowC, s.compute, s.clamped, 1)
-	for i := range demands {
-		s.coef[i] = math.Sqrt(demands[i].weight() * demands[i].Tx)
-	}
-	sqrtSplit(s.coef, s.lowB, s.bandwidth, s.clamped, 1)
-	return Allocation{Compute: s.compute, Bandwidth: s.bandwidth, Feasible: feasible}
 }
 
 // sqrtSplit distributes budget over users proportionally to coef =
@@ -200,36 +173,6 @@ func sqrtSplit(coef, lower, out []float64, clamped []bool, budget float64) {
 			return
 		}
 	}
-}
-
-// MinSumLatency returns the weighted-sum-latency-optimal allocation with no
-// hard constraints: shares proportional to sqrt(weight x work) on each
-// resource independently.
-func MinSumLatency(demands []Demand) Allocation { return new(Scratch).MinSumLatency(demands) }
-
-// MinSumLatency is the package-level MinSumLatency on s's vectors.
-func (s *Scratch) MinSumLatency(demands []Demand) Allocation {
-	n := len(demands)
-	s.reset(n)
-	if n == 1 {
-		// Fast path: a lone user takes each whole resource it uses. Shares
-		// match the general water-filling exactly (zero-work resources
-		// collapse to the epsilon lower bound, as sqrtSplit's clamping
-		// would produce).
-		d := demands[0]
-		s.compute[0], s.bandwidth[0] = minShareEps, minShareEps
-		if d.Server > 0 {
-			s.compute[0] = 1
-		}
-		if d.Tx > 0 {
-			s.bandwidth[0] = 1
-		}
-		return Allocation{Compute: s.compute, Bandwidth: s.bandwidth, Feasible: true}
-	}
-	for i := range demands {
-		s.lowC[i], s.lowB[i] = minShareEps, minShareEps
-	}
-	return s.waterFill(demands, true)
 }
 
 // StabilityRho is the maximum queue utilization the deadline-aware
@@ -352,71 +295,14 @@ func (s *Scratch) DeadlineAware(demands []Demand) Allocation {
 			bmin[i] /= sumB
 		}
 	}
-	return s.waterFill(demands, feasible)
-}
-
-// MinMaxLatency minimizes the worst per-user latency by bisecting on the
-// latency target and testing feasibility through the minimal-share
-// machinery. Returns the achieved bound alongside the allocation.
-func MinMaxLatency(demands []Demand) (Allocation, float64) {
-	return new(Scratch).MinMaxLatency(demands)
-}
-
-// MinMaxLatency is the package-level MinMaxLatency on s's vectors.
-func (s *Scratch) MinMaxLatency(demands []Demand) (Allocation, float64) {
-	n := len(demands)
-	if n == 0 {
-		return Allocation{Feasible: true}, 0
+	// Split each resource by the square-root rule above the lower bounds.
+	for i := range demands {
+		s.coef[i] = math.Sqrt(demands[i].weight() * demands[i].Server)
 	}
-	// Only the two sums decide feasibility, so the bisection keeps no
-	// per-user bounds; they are filled once, at the accepted target.
-	feasibleAt := func(L float64) bool {
-		var sumF, sumB float64
-		for _, d := range demands {
-			d.Deadline = L
-			f, b, err := minShares(d)
-			if err != nil {
-				return false
-			}
-			sumF += f
-			sumB += b
-		}
-		return sumF <= 1 && sumB <= 1
+	sqrtSplit(s.coef, fmin, s.compute, s.clamped, 1)
+	for i := range demands {
+		s.coef[i] = math.Sqrt(demands[i].weight() * demands[i].Tx)
 	}
-	// Bracket: lower bound is the max fixed latency; upper bound grows
-	// geometrically until feasible.
-	lo := 0.0
-	for _, d := range demands {
-		if d.Fixed > lo {
-			lo = d.Fixed
-		}
-	}
-	hi := lo + 1e-3
-	for i := 0; i < 60; i++ {
-		if feasibleAt(hi) {
-			break
-		}
-		hi = lo + (hi-lo)*2
-	}
-	if !feasibleAt(hi) {
-		// Stability constraints alone exceed capacity: report best effort.
-		a := s.DeadlineAware(demands)
-		return a, MaxLatency(demands, a)
-	}
-	for i := 0; i < 60; i++ {
-		mid := (lo + hi) / 2
-		if feasibleAt(mid) {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	s.reset(n)
-	for i, d := range demands {
-		d.Deadline = hi
-		s.lowC[i], s.lowB[i], _ = minShares(d) // feasible at hi: no error
-	}
-	// Distribute any slack beyond the binding bounds by the sqrt rule.
-	a := s.waterFill(demands, true)
-	return a, MaxLatency(demands, a)
+	sqrtSplit(s.coef, bmin, s.bandwidth, s.clamped, 1)
+	return Allocation{Compute: s.compute, Bandwidth: s.bandwidth, Feasible: feasible}
 }

@@ -39,10 +39,14 @@ func TestEqualSplit(t *testing.T) {
 	}
 }
 
+// The min-sum tests below run DeadlineAware on demands with no deadline and
+// no rate: every lower bound is then the epsilon share, so the allocation is
+// the unconstrained weighted-sum-latency optimum.
+
 func TestMinSumLatencySqrtRule(t *testing.T) {
 	// With works 1 and 4, optimal shares are 1:2.
 	ds := []Demand{{Server: 1, Tx: 1}, {Server: 4, Tx: 4}}
-	a := MinSumLatency(ds)
+	a := DeadlineAware(ds)
 	if !almostEq(a.Compute[1]/a.Compute[0], 2, 1e-6) {
 		t.Errorf("compute ratio = %g, want 2", a.Compute[1]/a.Compute[0])
 	}
@@ -65,7 +69,7 @@ func TestMinSumLatencyKKT(t *testing.T) {
 				Weight: rng.Float64()*2 + 0.5,
 			}
 		}
-		a := MinSumLatency(ds)
+		a := DeadlineAware(ds)
 		var first float64
 		for i, d := range ds {
 			marginal := d.weight() * d.Server / (a.Compute[i] * a.Compute[i])
@@ -84,7 +88,7 @@ func TestMinSumLatencyBeatsEqual(t *testing.T) {
 		{Server: 0.05, Tx: 0.01},
 		{Server: 0.05, Tx: 0.5},
 	}
-	opt := MinSumLatency(ds)
+	opt := DeadlineAware(ds)
 	eq := Equal(len(ds))
 	if SumLatency(ds, opt) >= SumLatency(ds, eq) {
 		t.Errorf("optimal %.4g not better than equal %.4g", SumLatency(ds, opt), SumLatency(ds, eq))
@@ -98,7 +102,7 @@ func TestMinSumLatencyOptimalAgainstRandomPerturbations(t *testing.T) {
 		{Server: 0.1, Tx: 0.3, Weight: 2},
 		{Server: 0.6, Tx: 0.05, Weight: 0.5},
 	}
-	a := MinSumLatency(ds)
+	a := DeadlineAware(ds)
 	base := SumLatency(ds, a)
 	for i := 0; i < 500; i++ {
 		// Random feasible perturbation.
@@ -191,39 +195,6 @@ func TestStabilityLowerBound(t *testing.T) {
 	}
 }
 
-func TestMinMaxLatencyEqualizes(t *testing.T) {
-	ds := []Demand{
-		{Fixed: 0.01, Server: 0.2, Tx: 0.05},
-		{Fixed: 0.01, Server: 0.05, Tx: 0.02},
-		{Fixed: 0.01, Server: 0.4, Tx: 0.01},
-	}
-	a, bound := MinMaxLatency(ds)
-	if !a.Feasible {
-		t.Fatal("expected feasible")
-	}
-	worst := MaxLatency(ds, a)
-	if worst > bound+1e-6 {
-		t.Errorf("achieved %.5g worse than reported bound %.5g", worst, bound)
-	}
-	// The min-max bound must not beat what an exclusive server could do
-	// for the heaviest user, and must be at least as good as equal split.
-	eq := Equal(len(ds))
-	if worst > MaxLatency(ds, eq)+1e-9 {
-		t.Errorf("min-max %.5g worse than equal split %.5g", worst, MaxLatency(ds, eq))
-	}
-	solo := ds[2].Latency(1, 1)
-	if bound < solo-1e-9 {
-		t.Errorf("bound %.5g beats single-user optimum %.5g", bound, solo)
-	}
-}
-
-func TestMinMaxLatencyEmpty(t *testing.T) {
-	a, bound := MinMaxLatency(nil)
-	if !a.Feasible || bound != 0 {
-		t.Errorf("empty case: %v %g", a, bound)
-	}
-}
-
 func TestLatencyInfiniteOnZeroShare(t *testing.T) {
 	d := Demand{Server: 0.1}
 	if !math.IsInf(d.Latency(0, 1), 1) {
@@ -256,14 +227,13 @@ func TestAllocationsAlwaysFeasibleProperty(t *testing.T) {
 				Deadline: float64(r.DL)/255*2 + 0.5,
 			}
 		}
-		for _, a := range []Allocation{MinSumLatency(ds), DeadlineAware(ds)} {
-			if sum(a.Compute) > 1+1e-6 || sum(a.Bandwidth) > 1+1e-6 {
+		a := DeadlineAware(ds)
+		if sum(a.Compute) > 1+1e-6 || sum(a.Bandwidth) > 1+1e-6 {
+			return false
+		}
+		for i := range a.Compute {
+			if a.Compute[i] < 0 || a.Bandwidth[i] < 0 {
 				return false
-			}
-			for i := range a.Compute {
-				if a.Compute[i] < 0 || a.Bandwidth[i] < 0 {
-					return false
-				}
 			}
 		}
 		return true
@@ -282,10 +252,10 @@ func generalSqrtSplitSingle(work, weight, lower float64) float64 {
 	return out[0]
 }
 
-// TestSingleDemandFastPathsMatchGeneral verifies the n == 1 fast paths in
-// MinSumLatency and DeadlineAware emit exactly the shares the general
-// water-filling would, across the structural cases (both resources used,
-// zero-work resources, binding stability bounds, unmeetable deadlines).
+// TestSingleDemandFastPathsMatchGeneral verifies the n == 1 fast path in
+// DeadlineAware emits exactly the shares the general water-filling would,
+// across the structural cases (both resources used, zero-work resources,
+// binding stability bounds, unmeetable deadlines).
 func TestSingleDemandFastPathsMatchGeneral(t *testing.T) {
 	cases := []struct {
 		name string
@@ -302,21 +272,9 @@ func TestSingleDemandFastPathsMatchGeneral(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			// MinSumLatency: general path uses the epsilon lower bound.
-			got := MinSumLatency([]Demand{c.d})
-			wantF := generalSqrtSplitSingle(c.d.Server, c.d.weight(), minShareEps)
-			wantB := generalSqrtSplitSingle(c.d.Tx, c.d.weight(), minShareEps)
-			if got.Compute[0] != wantF || got.Bandwidth[0] != wantB {
-				t.Errorf("MinSumLatency fast path (%g, %g) != general (%g, %g)",
-					got.Compute[0], got.Bandwidth[0], wantF, wantB)
-			}
-			if !got.Feasible {
-				t.Error("MinSumLatency single user must be feasible")
-			}
-
-			// DeadlineAware: general path derives lower bounds from
-			// minShares, scales them into capacity, then water-fills.
-			got = DeadlineAware([]Demand{c.d})
+			// The general path derives lower bounds from minShares, scales
+			// them into capacity, then water-fills.
+			got := DeadlineAware([]Demand{c.d})
 			f, b, err := minShares(c.d)
 			wantFeasible := err == nil
 			if err != nil {
@@ -330,8 +288,8 @@ func TestSingleDemandFastPathsMatchGeneral(t *testing.T) {
 			if b > 1 {
 				b, wantFeasible = 1, false
 			}
-			wantF = generalSqrtSplitSingle(c.d.Server, c.d.weight(), f)
-			wantB = generalSqrtSplitSingle(c.d.Tx, c.d.weight(), b)
+			wantF := generalSqrtSplitSingle(c.d.Server, c.d.weight(), f)
+			wantB := generalSqrtSplitSingle(c.d.Tx, c.d.weight(), b)
 			if got.Compute[0] != wantF || got.Bandwidth[0] != wantB {
 				t.Errorf("DeadlineAware fast path (%g, %g) != general (%g, %g)",
 					got.Compute[0], got.Bandwidth[0], wantF, wantB)
@@ -368,9 +326,9 @@ func sameAllocation(t *testing.T, label string, got, want Allocation) {
 // TestScratchReuseInvisible drives one Scratch through a seeded sequence of
 // calls whose n shrinks and grows and whose demand sets hit every structural
 // case (empty, single user, a fixed latency past its deadline,
-// over-subscribed minima, zero-work resources), all three allocators each
-// step, and requires every result to equal a fresh call's bit for bit: what
-// an earlier call left in the vectors never reaches a later result.
+// over-subscribed minima, zero-work resources), and requires every result to
+// equal a fresh call's bit for bit: what an earlier call left in the vectors
+// never reaches a later result.
 func TestScratchReuseInvisible(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	sizes := []int{7, 0, 1, 40, 3, 1, 0, 120, 2, 64, 5}
@@ -411,12 +369,5 @@ func TestScratchReuseInvisible(t *testing.T) {
 			ds[i] = d
 		}
 		sameAllocation(t, "DeadlineAware", s.DeadlineAware(ds), DeadlineAware(ds))
-		sameAllocation(t, "MinSumLatency", s.MinSumLatency(ds), MinSumLatency(ds))
-		got, gotBound := s.MinMaxLatency(ds)
-		want, wantBound := MinMaxLatency(ds)
-		sameAllocation(t, "MinMaxLatency", got, want)
-		if math.Float64bits(gotBound) != math.Float64bits(wantBound) {
-			t.Fatalf("step %d: MinMaxLatency bound %x, want %x", step, gotBound, wantBound)
-		}
 	}
 }

@@ -6,14 +6,15 @@ import (
 	"edgesurgeon/internal/alloc"
 )
 
-// ExampleMinSumLatency shows the square-root allocation rule: a user with
-// 4x the server work receives 2x the share.
-func ExampleMinSumLatency() {
+// ExampleDeadlineAware_unconstrained shows the square-root allocation rule:
+// with no deadline and no rate to bound the shares, a user with 4x the
+// server work receives 2x the share.
+func ExampleDeadlineAware_unconstrained() {
 	demands := []alloc.Demand{
 		{Server: 0.01, Tx: 0.002},
 		{Server: 0.04, Tx: 0.002},
 	}
-	a := alloc.MinSumLatency(demands)
+	a := alloc.DeadlineAware(demands)
 	fmt.Printf("share ratio: %.2f\n", a.Compute[1]/a.Compute[0])
 	// Output:
 	// share ratio: 2.00

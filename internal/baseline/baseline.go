@@ -306,15 +306,13 @@ func (r Random) Plan(sc *joint.Scenario) (*joint.Plan, error) {
 // enumerates every user-to-server assignment and, for each, runs the
 // alternating surgery/allocation refinement to convergence, returning the
 // best plan found. Cost is K^N; it refuses N > 8.
-type ExhaustiveAssignment struct {
-	Inner joint.Options
-}
+type ExhaustiveAssignment struct{}
 
 // Name implements joint.Strategy.
 func (ExhaustiveAssignment) Name() string { return "exhaustive" }
 
 // Plan implements joint.Strategy.
-func (e ExhaustiveAssignment) Plan(sc *joint.Scenario) (*joint.Plan, error) {
+func (ExhaustiveAssignment) Plan(sc *joint.Scenario) (*joint.Plan, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
@@ -326,8 +324,7 @@ func (e ExhaustiveAssignment) Plan(sc *joint.Scenario) (*joint.Plan, error) {
 	if n > 8 {
 		return nil, fmt.Errorf("baseline exhaustive: %d users is intractable (max 8)", n)
 	}
-	inner := e.Inner
-	inner.DisableReassignment = true
+	inner := joint.Options{DisableReassignment: true}
 
 	var best *joint.Plan
 	assign := make([]int, n)

@@ -84,6 +84,20 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseRejectsUnboundedFading: a fading horizon of 2.5·10^17 mean dwells
+// would grow the link's trace until memory runs out; Parse must instead
+// return at once with an error naming the link.
+func TestParseRejectsUnboundedFading(t *testing.T) {
+	js := `{"horizon": 1e18,
+	  "servers": [{"name": "fady", "profile": "edge-cpu-16c", "rttMs": 6,
+	    "fading": {"statesMbps": [2, 20], "meanDwellSec": 8, "seed": 3}}],
+	  "users": [{"name": "x", "model": "alexnet", "device": "rpi4", "rate": 1}]}`
+	_, _, err := Parse([]byte(js))
+	if err == nil || !strings.Contains(err.Error(), `"fady.uplink"`) {
+		t.Fatalf("error %v, want one naming fady.uplink", err)
+	}
+}
+
 // TestParseInternsCatalogInstances: users and servers naming one catalog
 // entry share one instance — the planner's surgery cache and frontier tables
 // key on pointer identity, so this is what keeps them O(classes) for parsed

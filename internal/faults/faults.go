@@ -4,15 +4,13 @@
 // windows over virtual time. A Schedule composes with any scenario: the
 // simulator consults it to abort and retry in-flight work (package sim),
 // and the online dispatcher consults it (through health probes) to
-// evacuate, degrade and recover (package joint). Schedules are either
-// hand-authored or generated from a seed, so every failure experiment is
-// bit-reproducible.
+// evacuate, degrade and recover (package joint). Schedules are written out
+// window by window, so every failure experiment is bit-reproducible.
 package faults
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 )
 
@@ -260,71 +258,4 @@ func (s *Schedule) Health(servers int, t float64) []bool {
 		up[i] = s.Reachable(i, t)
 	}
 	return up
-}
-
-// GenConfig parameterizes the seeded fault-schedule generator.
-type GenConfig struct {
-	// Servers is the number of servers faults may strike.
-	Servers int
-	// Horizon bounds fault start times in seconds.
-	Horizon float64
-	// MeanBetween is the mean gap between successive fault starts on one
-	// server (exponential).
-	MeanBetween float64
-	// MeanDuration is the mean fault duration (exponential, floored at
-	// 1% of itself so windows are never empty).
-	MeanDuration float64
-	// CrashWeight, OutageWeight and BrownoutWeight are the relative
-	// likelihoods of each kind (all zero means equal thirds).
-	CrashWeight, OutageWeight, BrownoutWeight float64
-	// BrownoutFactor is the capacity fraction during generated brown-outs
-	// (0 means 0.5).
-	BrownoutFactor float64
-	// Seed fixes the schedule.
-	Seed int64
-}
-
-// Generate builds a seeded random fault schedule: per server, fault starts
-// follow a Poisson process and each fault draws a kind and an exponential
-// duration. The same config always yields the same schedule.
-func Generate(cfg GenConfig) (*Schedule, error) {
-	if cfg.Servers <= 0 || cfg.Horizon <= 0 {
-		return nil, fmt.Errorf("faults: generator needs positive servers and horizon, got %d/%g", cfg.Servers, cfg.Horizon)
-	}
-	if cfg.MeanBetween <= 0 || cfg.MeanDuration <= 0 {
-		return nil, fmt.Errorf("faults: generator needs positive MeanBetween and MeanDuration, got %g/%g", cfg.MeanBetween, cfg.MeanDuration)
-	}
-	cw, ow, bw := cfg.CrashWeight, cfg.OutageWeight, cfg.BrownoutWeight
-	if cw <= 0 && ow <= 0 && bw <= 0 {
-		cw, ow, bw = 1, 1, 1
-	}
-	factor := cfg.BrownoutFactor
-	if factor <= 0 {
-		factor = 0.5
-	}
-	if factor >= 1 {
-		return nil, fmt.Errorf("faults: brownout factor %g out of (0, 1)", factor)
-	}
-	total := cw + ow + bw
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	var windows []Window
-	for s := 0; s < cfg.Servers; s++ {
-		t := rng.ExpFloat64() * cfg.MeanBetween
-		for t < cfg.Horizon {
-			dur := math.Max(rng.ExpFloat64()*cfg.MeanDuration, cfg.MeanDuration*0.01)
-			w := Window{Server: s, Start: t, End: t + dur}
-			switch u := rng.Float64() * total; {
-			case u < cw:
-				w.Kind = ServerCrash
-			case u < cw+ow:
-				w.Kind = LinkOutage
-			default:
-				w.Kind = Brownout
-				w.Factor = factor
-			}
-			windows = append(windows, w)
-			t = w.End + rng.ExpFloat64()*cfg.MeanBetween
-		}
-	}
-	return New(windows...)
 }

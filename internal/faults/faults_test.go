@@ -2,7 +2,6 @@ package faults
 
 import (
 	"math"
-	"reflect"
 	"testing"
 )
 
@@ -105,54 +104,5 @@ func TestMergeAndOverlap(t *testing.T) {
 	// Overlapping brown-outs take the minimum factor.
 	if f := m.CapacityFactor(0, 13); f != 0.3 {
 		t.Errorf("factor during overlapping brownouts = %g, want 0.3", f)
-	}
-}
-
-func TestGenerateDeterministic(t *testing.T) {
-	cfg := GenConfig{Servers: 3, Horizon: 600, MeanBetween: 60, MeanDuration: 15, Seed: 42}
-	a, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a.Windows(), b.Windows()) {
-		t.Fatal("same seed produced different schedules")
-	}
-	cfg.Seed = 43
-	c, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reflect.DeepEqual(a.Windows(), c.Windows()) {
-		t.Fatal("different seeds produced identical schedules")
-	}
-	if a.Empty() {
-		t.Fatal("600 s horizon with 60 s mean gap generated no faults")
-	}
-	for i, w := range a.Windows() {
-		if err := w.Validate(); err != nil {
-			t.Fatalf("generated window %d invalid: %v", i, err)
-		}
-		if w.Start >= cfg.Horizon {
-			t.Fatalf("generated window %d starts past horizon: %+v", i, w)
-		}
-	}
-}
-
-func TestGenerateRejectsBadConfig(t *testing.T) {
-	bad := []GenConfig{
-		{Servers: 0, Horizon: 10, MeanBetween: 1, MeanDuration: 1},
-		{Servers: 1, Horizon: 0, MeanBetween: 1, MeanDuration: 1},
-		{Servers: 1, Horizon: 10, MeanBetween: 0, MeanDuration: 1},
-		{Servers: 1, Horizon: 10, MeanBetween: 1, MeanDuration: 0},
-		{Servers: 1, Horizon: 10, MeanBetween: 1, MeanDuration: 1, BrownoutFactor: 1.5},
-	}
-	for i, cfg := range bad {
-		if _, err := Generate(cfg); err == nil {
-			t.Errorf("config %d accepted: %+v", i, cfg)
-		}
 	}
 }

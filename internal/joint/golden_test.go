@@ -197,7 +197,6 @@ func contendedScaleScenario(nUsers int) *Scenario {
 type goldenScenario struct {
 	name  string
 	sc    *Scenario
-	opt   Options // scenario-level constraints (accuracy floor, ...)
 	large bool
 	// maxTables caps the frontier set (0 = default budget): keys past the
 	// cap get private tables, which pins the mixed shared/private path the
@@ -208,6 +207,7 @@ type goldenScenario struct {
 func goldenScenarios(t *testing.T) []goldenScenario {
 	floor := testScenario(t, 4, 30)
 	for i := range floor.Users {
+		floor.Users[i].MinAccuracy = 0.55
 		if i%3 == 0 {
 			floor.Users[i].MinAccuracy = 0.62
 		}
@@ -219,7 +219,7 @@ func goldenScenarios(t *testing.T) []goldenScenario {
 		{name: "offload", sc: offloadScenario(5)},
 		{name: "wide-a", sc: randomWideScenario(rand.New(rand.NewSource(18)), 16), maxTables: 12}, // 3 servers
 		{name: "wide-b", sc: randomWideScenario(rand.New(rand.NewSource(38)), 16), maxTables: 12}, // 4 servers
-		{name: "floor", sc: floor, opt: Options{AccuracyFloor: 0.55}, maxTables: 2},
+		{name: "floor", sc: floor, maxTables: 2},
 		{name: "large", sc: goldenLargeScenario(), large: true, maxTables: 12},
 	}
 }
@@ -244,7 +244,7 @@ func goldenDrift(sc *Scenario) (one *Scenario, oneMask []bool, many *Scenario, m
 // through emit.
 func goldenCells(t *testing.T, gs goldenScenario, emit func(cell string, g *goldenHash)) {
 	sc := gs.sc
-	base := gs.opt
+	var base Options
 	thresh := 1
 	if gs.large {
 		thresh = 64
@@ -422,31 +422,39 @@ func goldenCells(t *testing.T, gs goldenScenario, emit func(cell string, g *gold
 		}
 	}
 
-	// Ablation arms and allocator kinds ride the same state machinery.
+	// Ablation arms ride the same state machinery; the unmeetable floor is a
+	// scenario copy with every user at accuracy 0.999.
 	if gs.name == "contended" {
+		unmeetable := *sc
+		unmeetable.Users = append([]User(nil), sc.Users...)
+		for i := range unmeetable.Users {
+			unmeetable.Users[i].MinAccuracy = 0.999
+		}
 		arms := []struct {
 			name string
 			mod  func(o *Options)
+			sc   *Scenario // nil = the scenario itself
 		}{
-			{"no-alloc", func(o *Options) { o.DisableAllocation = true }},
-			{"no-surgery", func(o *Options) { o.DisableSurgery = true }},
-			{"neither", func(o *Options) { o.DisableSurgery = true; o.DisableAllocation = true }},
-			{"no-reassign", func(o *Options) { o.DisableReassignment = true }},
-			{"no-probe", func(o *Options) { o.DisableProbe = true }},
-			{"minsum", func(o *Options) { o.Allocator = MinSumAlloc }},
-			{"minmax", func(o *Options) { o.Allocator = MinMaxAlloc }},
-			{"no-memo", func(o *Options) { o.noMemo = true }},
-			{"energy", func(o *Options) { o.DeviceEnergyBudgetJ = 2 }},
-			{"iters-3", func(o *Options) { o.MaxIters = 3 }},
-			{"floor-unmeetable", func(o *Options) { o.AccuracyFloor = 0.999 }},
+			{"no-alloc", func(o *Options) { o.DisableAllocation = true }, nil},
+			{"no-surgery", func(o *Options) { o.DisableSurgery = true }, nil},
+			{"neither", func(o *Options) { o.DisableSurgery = true; o.DisableAllocation = true }, nil},
+			{"no-reassign", func(o *Options) { o.DisableReassignment = true }, nil},
+			{"no-probe", func(o *Options) { o.DisableProbe = true }, nil},
+			{"no-memo", func(o *Options) { o.noMemo = true }, nil},
+			{"iters-3", func(o *Options) { o.MaxIters = 3 }, nil},
+			{"floor-unmeetable", func(*Options) {}, &unmeetable},
 		}
 		for _, arm := range arms {
+			asc := sc
+			if arm.sc != nil {
+				asc = arm.sc
+			}
 			mo := with(arm.mod)
-			p, err := (&Planner{Opt: mo}).Plan(sc)
+			p, err := (&Planner{Opt: mo}).Plan(asc)
 			cell("mono/"+arm.name, func(g *goldenHash) { g.outcome(p, err) })
 			so := mo
 			so.ShardThreshold = thresh
-			sp, serr := (&Planner{Opt: so}).Plan(sc)
+			sp, serr := (&Planner{Opt: so}).Plan(asc)
 			cell("sharded/"+arm.name, func(g *goldenHash) { g.outcome(sp, serr) })
 			if serr == nil {
 				p, err = (&Planner{Opt: so}).PlanDelta(one, sp, oneMask)

@@ -377,14 +377,3 @@ func TestMinAccuracyPropagates(t *testing.T) {
 		}
 	}
 }
-
-func TestAllocatorKinds(t *testing.T) {
-	sc := testScenario(t, 6, 25)
-	for _, kind := range []AllocatorKind{DeadlineAwareAlloc, MinSumAlloc, MinMaxAlloc} {
-		plan, err := (&Planner{Opt: Options{Allocator: kind}}).Plan(sc)
-		if err != nil {
-			t.Fatalf("allocator %d: %v", kind, err)
-		}
-		checkPlanInvariants(t, sc, plan)
-	}
-}

@@ -32,8 +32,6 @@ type Options struct {
 	// floor that lets locally-stuck users discover offload opportunities)
 	// — the cold-start ablation arm of experiment E16.
 	DisableProbe bool
-	// Allocator selects the allocation rule when allocation is enabled.
-	Allocator AllocatorKind
 	// ShardThreshold, when positive, routes scenarios with at least this
 	// many users through the hierarchical sharded planner: users are
 	// clustered by server affinity into shards (provably local-only users
@@ -53,16 +51,6 @@ type Options struct {
 	// the set does not hold (or any key, with no set) gets a table private
 	// to the plan, one optimizer call per cell the plan lands on.
 	Frontiers *surgery.FrontierSet
-	// AccuracyFloor, when positive, imposes a fleet-wide expected-accuracy
-	// floor on every user's surgery plan; a user's own stricter MinAccuracy
-	// still wins. Plumbed into surgery.Options.MinAccuracy per user.
-	AccuracyFloor float64
-	// DeviceEnergyBudgetJ, when positive, caps the per-inference device
-	// energy (joules) any surgery plan may spend
-	// (surgery.Options.MaxDeviceEnergyJ): plans over budget are rejected
-	// during the sweep, and planning fails for users with no plan under
-	// budget.
-	DeviceEnergyBudgetJ float64
 	// SurgeryBudget, when positive, bounds one Plan call's deterministic
 	// work budget measured in "surgery ops" — per-user surgery lookups,
 	// charged as scheduled: each surgery pass its width before it runs, each
@@ -88,41 +76,22 @@ type Options struct {
 	noMemo bool
 }
 
-// surgeryOptions resolves the surgery option set for one user: the base
-// sweep configuration with the partition freed and the planner- and
-// user-level constraints applied. Every surgery call the planner makes —
-// the hot loop, the local-pin pre-pass, and frontier-table construction —
-// derives its options here, so all paths stay constraint-consistent.
+// surgeryOptions resolves one user's surgery options: the base sweep
+// configuration with the partition freed, the user's accuracy floor and the
+// surgery ablation's no-exit rule applied. Every surgery call the planner
+// makes — the hot loop, the local-pin pre-pass, and frontier-table
+// construction — derives its options here, so all paths stay consistent.
 func (o Options) surgeryOptions(u *User) surgery.Options {
 	sopt := o.Surgery
 	sopt.FixedPartition = surgery.FreePartition
 	if u.MinAccuracy > 0 {
 		sopt.MinAccuracy = u.MinAccuracy
 	}
-	if o.AccuracyFloor > sopt.MinAccuracy {
-		sopt.MinAccuracy = o.AccuracyFloor
-	}
-	if o.DeviceEnergyBudgetJ > 0 {
-		sopt.MaxDeviceEnergyJ = o.DeviceEnergyBudgetJ
-	}
 	if o.DisableSurgery {
 		sopt.NoExits = true
 	}
 	return sopt
 }
-
-// AllocatorKind selects the per-server allocation rule.
-type AllocatorKind int
-
-const (
-	// DeadlineAwareAlloc (default) is weighted-min-sum-latency with
-	// deadline and stability lower bounds.
-	DeadlineAwareAlloc AllocatorKind = iota
-	// MinSumAlloc ignores deadlines.
-	MinSumAlloc
-	// MinMaxAlloc minimizes the worst per-user latency.
-	MinMaxAlloc
-)
 
 // Planner is the joint surgery + allocation + assignment optimizer.
 type Planner struct {
@@ -685,16 +654,8 @@ func (st *state) allocServer(s int) {
 		}
 		return
 	}
-	demands := st.demandsFor(s)
-	var a alloc.Allocation // aliases st.allocScratch: copied into st.ds below
-	switch st.opt.Allocator {
-	case MinSumAlloc:
-		a = st.allocScratch.MinSumLatency(demands)
-	case MinMaxAlloc:
-		a, _ = st.allocScratch.MinMaxLatency(demands)
-	default:
-		a = st.allocScratch.DeadlineAware(demands)
-	}
+	// a aliases st.allocScratch: copied into st.ds below.
+	a := st.allocScratch.DeadlineAware(st.demandsFor(s))
 	if !a.Feasible {
 		st.srvFeasible[s] = false
 	}

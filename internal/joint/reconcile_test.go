@@ -162,8 +162,8 @@ func TestTryTargetsMatchesHandMove(t *testing.T) {
 }
 
 // TestTryTargetsFailedProbe: the mover's surgery fails on the first target (a
-// 20 kbit/s uplink no plan crosses within the device-energy budget, from a
-// device that cannot hold the model) and succeeds on the second. The failed
+// server whose memory holds no suffix of the model, from a device that cannot
+// hold the model either) and succeeds on the second. The failed
 // target alone restores exactly; followed by the second, the result is the
 // hand move to the second from the untouched state — nothing of the first
 // attempt, and nothing of the already re-allocated donor, leaks into it.
@@ -176,11 +176,13 @@ func TestTryTargetsFailedProbe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	starved := *gpu // holds no suffix of the model, so no partition offloads to it
+	starved.MemBytes = 1
 	sc := &Scenario{}
-	for s, mbps := range []float64{40, 0.02, 40} {
+	for s, prof := range []*hardware.Profile{gpu, &starved, gpu} {
 		sc.Servers = append(sc.Servers, Server{
-			Name: fmt.Sprintf("s%d", s), Profile: gpu, RTT: 0.004,
-			Link: netmodel.NewStatic(fmt.Sprintf("l%d", s), netmodel.Mbps(mbps), 0.004),
+			Name: fmt.Sprintf("s%d", s), Profile: prof, RTT: 0.004,
+			Link: netmodel.NewStatic(fmt.Sprintf("l%d", s), netmodel.Mbps(40), 0.004),
 		})
 	}
 	model := dnn.ResNet18()
@@ -190,7 +192,7 @@ func TestTryTargetsFailedProbe(t *testing.T) {
 			Difficulty: workload.EasyBiased, Arrivals: workload.Poisson, Seed: int64(i),
 		})
 	}
-	st := newState(sc, (&Planner{Opt: Options{DeviceEnergyBudgetJ: 1}}).opts(), buildUserSoA(sc))
+	st := newState(sc, (&Planner{}).opts(), buildUserSoA(sc))
 	if err := st.seedAssignment([]int{0, 0, 0, 2, 2, 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +204,7 @@ func TestTryTargetsFailedProbe(t *testing.T) {
 
 	untouched, spent := st.scratchClone(), st.spent
 	if got := st.tryTargets(0, 0, []int{1}, always); got != -1 {
-		t.Fatalf("move onto the dead uplink returned %d, want the probe to fail", got)
+		t.Fatalf("move onto the memory-starved server returned %d, want the probe to fail", got)
 	}
 	sameDecisionState(t, "failed probe", st, untouched)
 	if st.spent != spent+2 {

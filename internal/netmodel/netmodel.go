@@ -131,6 +131,11 @@ type FadingConfig struct {
 	Seed int64
 }
 
+// maxFadingDwells bounds a fading trace's horizon in mean dwells. The trace
+// holds about one segment per dwell (some 80 bytes each), so the bound keeps
+// one link under about 100 MB.
+const maxFadingDwells = 1e6
+
 // NewFading generates a Markov-fading link as a piecewise-constant trace:
 // the chain moves to a uniformly random *different* state after each
 // exponential dwell.
@@ -138,8 +143,11 @@ func NewFading(name string, cfg FadingConfig) (*TraceLink, error) {
 	if len(cfg.States) < 2 {
 		return nil, fmt.Errorf("netmodel: fading link %q needs >= 2 states", name)
 	}
-	if cfg.MeanDwell <= 0 || cfg.Horizon <= 0 {
-		return nil, fmt.Errorf("netmodel: fading link %q needs positive dwell and horizon", name)
+	if !(cfg.MeanDwell > 0) || !(cfg.Horizon > 0) || math.IsInf(cfg.MeanDwell, 1) || math.IsInf(cfg.Horizon, 1) {
+		return nil, fmt.Errorf("netmodel: fading link %q needs finite positive dwell and horizon, got %g and %g", name, cfg.MeanDwell, cfg.Horizon)
+	}
+	if cfg.Horizon > maxFadingDwells*cfg.MeanDwell {
+		return nil, fmt.Errorf("netmodel: fading link %q horizon %gs exceeds %g mean dwells of %gs", name, cfg.Horizon, maxFadingDwells, cfg.MeanDwell)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	var times, rates []float64

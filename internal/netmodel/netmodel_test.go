@@ -3,6 +3,7 @@ package netmodel
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -143,8 +144,26 @@ func TestFadingValidation(t *testing.T) {
 	if _, err := NewFading("x", FadingConfig{States: []float64{1}}); err == nil {
 		t.Error("accepted single-state fading config")
 	}
-	if _, err := NewFading("x", FadingConfig{States: []float64{1, 2}, MeanDwell: 0, Horizon: 1}); err == nil {
-		t.Error("accepted zero dwell")
+	// Each of these would otherwise loop without bound or past memory; the
+	// error must come back at once and name the link.
+	inf, nan := math.Inf(1), math.NaN()
+	for _, tc := range []struct {
+		name           string
+		dwell, horizon float64
+	}{
+		{"zero dwell", 0, 1},
+		{"negative horizon", 1, -1},
+		{"NaN dwell", nan, 10},
+		{"NaN horizon", 1, nan},
+		{"infinite dwell", inf, 10},
+		{"infinite horizon", 8, inf},
+		{"horizon past the dwell bound", 8, 1e18},
+		{"one dwell past the bound", 1e-3, 1e3 * (1 + 1e-9)},
+	} {
+		_, err := NewFading("lnk", FadingConfig{States: []float64{1, 2}, MeanDwell: tc.dwell, Horizon: tc.horizon})
+		if err == nil || !strings.Contains(err.Error(), `"lnk"`) {
+			t.Errorf("%s: error %v, want one naming the link", tc.name, err)
+		}
 	}
 }
 

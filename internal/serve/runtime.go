@@ -91,9 +91,6 @@ type Config struct {
 	Planner *joint.Planner
 	// Policy is the replanning hysteresis (zero value = AlwaysReplan).
 	Policy Policy
-	// Metrics receives all instrumentation (nil = a fresh registry,
-	// retrievable via Runtime.Metrics).
-	Metrics *telemetry.Registry
 	// Frontier keeps Pareto-frontier surgery tables across plans: a table
 	// set is registered per planned scenario at construction and on every
 	// full replan (against its frozen drifted rates), extended on delta
@@ -202,10 +199,7 @@ func newShell(cfg Config) (*Runtime, error) {
 	if err := cfg.Policy.Validate(); err != nil {
 		return nil, err
 	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
+	reg := telemetry.NewRegistry() // retrievable via Runtime.Metrics
 	// Instrument a private copy so the caller's planner keeps its options.
 	planner := &joint.Planner{}
 	if cfg.Planner != nil {

@@ -24,48 +24,26 @@ const (
 	CauseTimeout FailCause = "timeout"
 )
 
+// A fault-interrupted stage is tried at most maxAttempts times; the first
+// retry waits retryBackoff seconds past recovery, and each later one twice the
+// delay before it.
+const (
+	maxAttempts  = 3
+	retryBackoff = 0.05
+)
+
+// backoff returns the delay before retry number `retry` (1-based).
+func backoff(retry int) float64 { return math.Ldexp(retryBackoff, retry-1) }
+
 // RetryPolicy bounds how much time a fault may cost one task: each fault-
-// interrupted stage is retried with exponential backoff up to MaxAttempts,
+// interrupted stage is retried with exponential backoff up to maxAttempts,
 // and the whole task is abandoned TaskTimeout seconds after arrival. The
-// zero value means 3 attempts, 50 ms initial backoff doubling per retry,
-// and no task timeout.
+// zero value sets no task timeout.
 type RetryPolicy struct {
-	// MaxAttempts is the total number of tries for one stage (1 = no
-	// retries); 0 means 3.
-	MaxAttempts int
-	// Backoff is the delay before the first retry in seconds; 0 means
-	// 0.05.
-	Backoff float64
-	// BackoffFactor multiplies the delay per subsequent retry; 0 means 2.
-	BackoffFactor float64
 	// TaskTimeout is the per-task wall budget in seconds measured from
 	// arrival; a task still unfinished at arrival+TaskTimeout fails with
 	// CauseTimeout. 0 disables the timeout.
 	TaskTimeout float64
-}
-
-func (p RetryPolicy) maxAttempts() int {
-	if p.MaxAttempts <= 0 {
-		return 3
-	}
-	return p.MaxAttempts
-}
-
-// backoff returns the delay before retry number `retry` (1-based).
-func (p RetryPolicy) backoff(retry int) float64 {
-	base := p.Backoff
-	if base <= 0 {
-		base = 0.05
-	}
-	factor := p.BackoffFactor
-	if factor <= 0 {
-		factor = 2
-	}
-	d := base
-	for i := 1; i < retry; i++ {
-		d *= factor
-	}
-	return d
 }
 
 // timeoutAt returns the absolute abandon time for a task arriving at t.
@@ -81,10 +59,10 @@ func (p RetryPolicy) timeoutAt(arrival float64) float64 {
 // on success). workSec is the service demand in lane-seconds (the caller
 // has already divided by the user's share where applicable). Crash windows
 // lose all progress — the job restarts after recovery plus backoff, up to
-// the policy's attempt budget — while brown-outs merely stretch service.
+// the attempt budget — while brown-outs merely stretch service.
 // On failure the returned duration runs to the abort instant, so the lane
 // stays occupied exactly as long as the doomed job really held it.
-func computeStage(f *faults.Schedule, server int, start, workSec float64, pol RetryPolicy, timeoutAt float64) (float64, FailCause) {
+func computeStage(f *faults.Schedule, server int, start, workSec, timeoutAt float64) (float64, FailCause) {
 	if start >= timeoutAt {
 		return 0, CauseTimeout
 	}
@@ -123,10 +101,10 @@ func computeStage(f *faults.Schedule, server int, start, workSec float64, pol Re
 		}
 		if crashed {
 			attempt++
-			if attempt > pol.maxAttempts() {
+			if attempt > maxAttempts {
 				return t - start, CauseServerCrash
 			}
-			rec := f.ServerRecovery(server, t) + pol.backoff(attempt-1)
+			rec := f.ServerRecovery(server, t) + backoff(attempt-1)
 			if rec >= timeoutAt {
 				return timeoutAt - start, CauseTimeout
 			}
@@ -142,7 +120,7 @@ func computeStage(f *faults.Schedule, server int, start, workSec float64, pol Re
 // lost and the transfer restarts from scratch after restoration plus
 // backoff. One RTT of protocol latency is charged on the successful
 // attempt.
-func txStage(f *faults.Schedule, server int, link netmodel.Link, bytes int64, start, share float64, pol RetryPolicy, timeoutAt float64) (float64, FailCause) {
+func txStage(f *faults.Schedule, server int, link netmodel.Link, bytes int64, start, share, timeoutAt float64) (float64, FailCause) {
 	if start >= timeoutAt {
 		return 0, CauseTimeout
 	}
@@ -188,10 +166,10 @@ func txStage(f *faults.Schedule, server int, link netmodel.Link, bytes int64, st
 		}
 		if dropped {
 			attempt++
-			if attempt > pol.maxAttempts() {
+			if attempt > maxAttempts {
 				return t - start, CauseLinkOutage
 			}
-			res := f.LinkRestore(server, t) + pol.backoff(attempt-1)
+			res := f.LinkRestore(server, t) + backoff(attempt-1)
 			if res >= timeoutAt {
 				return timeoutAt - start, CauseTimeout
 			}

@@ -10,7 +10,7 @@ import (
 )
 
 func TestComputeStageNoFaults(t *testing.T) {
-	d, cause := computeStage(nil, 0, 5, 2.5, RetryPolicy{}, math.Inf(1))
+	d, cause := computeStage(nil, 0, 5, 2.5, math.Inf(1))
 	if cause != CauseNone || d != 2.5 {
 		t.Fatalf("got (%g, %q), want (2.5, none)", d, cause)
 	}
@@ -20,7 +20,7 @@ func TestComputeStageCrashRetries(t *testing.T) {
 	// Work 10 s from t=0; crash [5, 8) loses the first attempt's progress.
 	// Retry starts at 8 + 0.05 backoff and runs clean.
 	f := faults.MustNew(faults.Window{Kind: faults.ServerCrash, Server: 0, Start: 5, End: 8})
-	d, cause := computeStage(f, 0, 0, 10, RetryPolicy{}, math.Inf(1))
+	d, cause := computeStage(f, 0, 0, 10, math.Inf(1))
 	if cause != CauseNone {
 		t.Fatalf("cause %q", cause)
 	}
@@ -29,39 +29,41 @@ func TestComputeStageCrashRetries(t *testing.T) {
 		t.Fatalf("duration %g, want %g", d, want)
 	}
 	// The same crash on another server costs nothing.
-	d, cause = computeStage(f, 1, 0, 10, RetryPolicy{}, math.Inf(1))
+	d, cause = computeStage(f, 1, 0, 10, math.Inf(1))
 	if cause != CauseNone || d != 10 {
 		t.Fatalf("other server: (%g, %q)", d, cause)
 	}
 }
 
 func TestComputeStageAttemptsExhausted(t *testing.T) {
-	// Work 2 s; crashes at [1, 2) and [3, 4). Attempt 1 dies at t=1,
-	// attempt 2 starts 2.05 and dies at t=3; MaxAttempts=2 -> fail at 3.
+	// Work 2 s; crashes at [1, 2), [3, 4) and [5, 6). Attempt 1 dies at
+	// t=1, attempt 2 starts 2.05 and dies at t=3, attempt 3 starts 4.1 and
+	// dies at t=5; 3 attempts -> fail at 5.
 	f := faults.MustNew(
 		faults.Window{Kind: faults.ServerCrash, Server: 0, Start: 1, End: 2},
 		faults.Window{Kind: faults.ServerCrash, Server: 0, Start: 3, End: 4},
+		faults.Window{Kind: faults.ServerCrash, Server: 0, Start: 5, End: 6},
 	)
-	d, cause := computeStage(f, 0, 0, 2, RetryPolicy{MaxAttempts: 2}, math.Inf(1))
+	d, cause := computeStage(f, 0, 0, 2, math.Inf(1))
 	if cause != CauseServerCrash {
 		t.Fatalf("cause %q, want server-crash", cause)
 	}
-	if math.Abs(d-3) > 1e-9 {
-		t.Fatalf("abort duration %g, want 3", d)
+	if math.Abs(d-5) > 1e-9 {
+		t.Fatalf("abort duration %g, want 5", d)
 	}
 }
 
 func TestComputeStageBrownoutStretches(t *testing.T) {
 	// Half capacity over [0, 10): 2 s of work takes 4 s, no retry burned.
 	f := faults.MustNew(faults.Window{Kind: faults.Brownout, Server: 0, Start: 0, End: 10, Factor: 0.5})
-	d, cause := computeStage(f, 0, 0, 2, RetryPolicy{}, math.Inf(1))
+	d, cause := computeStage(f, 0, 0, 2, math.Inf(1))
 	if cause != CauseNone || math.Abs(d-4) > 1e-9 {
 		t.Fatalf("got (%g, %q), want (4, none)", d, cause)
 	}
 	// Straddling the brown-out edge: 1 s at factor 0.5 covers 0.5 s of
 	// work by t=9.5... make work 6: [0,10) at 0.5 delivers 5, then 1 more
 	// at full speed -> finishes at 11.
-	d, cause = computeStage(f, 0, 0, 6, RetryPolicy{}, math.Inf(1))
+	d, cause = computeStage(f, 0, 0, 6, math.Inf(1))
 	if cause != CauseNone || math.Abs(d-11) > 1e-9 {
 		t.Fatalf("straddle: got (%g, %q), want (11, none)", d, cause)
 	}
@@ -69,18 +71,18 @@ func TestComputeStageBrownoutStretches(t *testing.T) {
 
 func TestComputeStageTimeout(t *testing.T) {
 	// No faults, but the task budget expires mid-service.
-	d, cause := computeStage(nil, 0, 0, 10, RetryPolicy{}, 5)
+	d, cause := computeStage(nil, 0, 0, 10, 5)
 	if cause != CauseTimeout || d != 5 {
 		t.Fatalf("got (%g, %q), want (5, timeout)", d, cause)
 	}
 	// Already past the budget at submission.
-	d, cause = computeStage(nil, 0, 7, 10, RetryPolicy{}, 5)
+	d, cause = computeStage(nil, 0, 7, 10, 5)
 	if cause != CauseTimeout || d != 0 {
 		t.Fatalf("late start: got (%g, %q), want (0, timeout)", d, cause)
 	}
 	// A crash whose recovery lands past the budget times out at the wall.
 	f := faults.MustNew(faults.Window{Kind: faults.ServerCrash, Server: 0, Start: 1, End: 100})
-	d, cause = computeStage(f, 0, 0, 2, RetryPolicy{}, 5)
+	d, cause = computeStage(f, 0, 0, 2, 5)
 	if cause != CauseTimeout || math.Abs(d-5) > 1e-9 {
 		t.Fatalf("crash-timeout: got (%g, %q), want (5, timeout)", d, cause)
 	}
@@ -91,7 +93,7 @@ func TestTxStageOutageRetransmits(t *testing.T) {
 	// 1e6 bytes = 8e6 bits = 1 s at full share. Outage [0.5, 1) kills the
 	// first attempt; retransmit from scratch at 1.05.
 	f := faults.MustNew(faults.Window{Kind: faults.LinkOutage, Server: 0, Start: 0.5, End: 1})
-	d, cause := txStage(f, 0, link, 1e6, 0, 1, RetryPolicy{}, math.Inf(1))
+	d, cause := txStage(f, 0, link, 1e6, 0, 1, math.Inf(1))
 	if cause != CauseNone {
 		t.Fatalf("cause %q", cause)
 	}
@@ -100,7 +102,7 @@ func TestTxStageOutageRetransmits(t *testing.T) {
 		t.Fatalf("duration %g, want %g", d, want)
 	}
 	// Without faults the stage matches netmodel.TransferTime exactly.
-	d, cause = txStage(nil, 0, link, 1e6, 0, 0.5, RetryPolicy{}, math.Inf(1))
+	d, cause = txStage(nil, 0, link, 1e6, 0, 0.5, math.Inf(1))
 	if cause != CauseNone || math.Abs(d-netmodel.TransferTime(link, 1e6, 0, 0.5)) > 1e-12 {
 		t.Fatalf("no-fault mismatch: %g vs %g", d, netmodel.TransferTime(link, 1e6, 0, 0.5))
 	}
@@ -114,15 +116,15 @@ func TestTxStageExhaustedAndTimeout(t *testing.T) {
 		faults.Window{Kind: faults.LinkOutage, Server: 0, Start: 1.5, End: 1.6},
 	)
 	// Each attempt needs 1 s of clean air; gaps between outages are too
-	// short, so 2 attempts burn out: fail at the second drop.
-	d, cause := txStage(f, 0, link, 1e6, 0, 1, RetryPolicy{MaxAttempts: 2}, math.Inf(1))
+	// short, so 3 attempts burn out: fail at the third drop.
+	d, cause := txStage(f, 0, link, 1e6, 0, 1, math.Inf(1))
 	if cause != CauseLinkOutage {
 		t.Fatalf("cause %q, want link-outage", cause)
 	}
-	if math.Abs(d-1.0) > 1e-9 { // attempt 2 started 0.65, died at the 1.0 outage
-		t.Fatalf("abort duration %g, want 1.0", d)
+	if math.Abs(d-1.5) > 1e-9 { // attempt 3 started 1.2, died at the 1.5 outage
+		t.Fatalf("abort duration %g, want 1.5", d)
 	}
-	d, cause = txStage(f, 0, link, 1e6, 0, 1, RetryPolicy{}, 0.8)
+	d, cause = txStage(f, 0, link, 1e6, 0, 1, 0.8)
 	if cause != CauseTimeout || math.Abs(d-0.8) > 1e-9 {
 		t.Fatalf("timeout: got (%g, %q), want (0.8, timeout)", d, cause)
 	}

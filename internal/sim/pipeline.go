@@ -63,8 +63,6 @@ type Config struct {
 	// Horizon stops the simulation at this virtual time; tasks still in
 	// flight are dropped from the records. 0 means run to completion.
 	Horizon float64
-	// Warmup discards tasks arriving before this time from statistics.
-	Warmup float64
 	// Faults injects server crashes, link outages and brown-outs into the
 	// task lifecycle (nil = nothing fails). Not supported under
 	// ProcessorSharing, whose fluid stations have no capacity-over-time

@@ -261,7 +261,7 @@ func (r *shardRun) stageDur(t *taskState, start float64) float64 {
 		if !r.faulty {
 			return netmodel.TransferTime(su.link, t.choice.txBytes, start, share)
 		}
-		d, cause := txStage(r.cfg.Faults, su.server, su.link, t.choice.txBytes, start, share, r.cfg.Retry, t.timeoutAt)
+		d, cause := txStage(r.cfg.Faults, su.server, su.link, t.choice.txBytes, start, share, t.timeoutAt)
 		t.txCause = cause
 		return d
 	default: // stageServer (FCFS lanes; ProcessorSharing bypasses stageDur)
@@ -272,7 +272,7 @@ func (r *shardRun) stageDur(t *taskState, start float64) float64 {
 		if !r.faulty {
 			return work
 		}
-		d, cause := computeStage(r.cfg.Faults, su.server, start, work, r.cfg.Retry, t.timeoutAt)
+		d, cause := computeStage(r.cfg.Faults, su.server, start, work, t.timeoutAt)
 		t.srvCause = cause
 		return d
 	}
@@ -335,9 +335,6 @@ func (r *shardRun) stageDone(t *taskState, start, finish float64) {
 // (and its record slice when KeepRecords is set).
 func (r *shardRun) finishTask(su *shardUser, t *taskState, finish, txWait, txSec, srvWait, srvSec float64) {
 	task := t.task
-	if task.Arrival < r.cfg.Warmup {
-		return
-	}
 	lat := finish - task.Arrival
 	choice := t.choice
 	met := task.Deadline <= 0 || lat <= task.Deadline
@@ -370,9 +367,6 @@ func (r *shardRun) finishTask(su *shardUser, t *taskState, finish, txWait, txSec
 // latency/accuracy/energy aggregates whose values it never produced.
 func (r *shardRun) failTask(su *shardUser, t *taskState, abort float64, cause FailCause) {
 	task := t.task
-	if task.Arrival < r.cfg.Warmup {
-		return
-	}
 	choice := t.choice
 	if r.keep {
 		su.recs = append(su.recs, TaskRecord{

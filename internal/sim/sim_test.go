@@ -275,28 +275,6 @@ func TestContentionRaisesLatency(t *testing.T) {
 	}
 }
 
-func TestWarmupDiscardsEarlyTasks(t *testing.T) {
-	cfg := basicScenario(t, 2, 2, DedicatedShares)
-	full, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg2 := basicScenario(t, 2, 2, DedicatedShares)
-	cfg2.Warmup = 30
-	warm, err := Run(cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(warm.Records) >= len(full.Records) {
-		t.Errorf("warmup did not discard records: %d vs %d", len(warm.Records), len(full.Records))
-	}
-	for _, rec := range warm.Records {
-		if rec.Arrival < 30 {
-			t.Fatalf("record before warmup: %+v", rec)
-		}
-	}
-}
-
 func TestSharedFCFSDiscipline(t *testing.T) {
 	res, err := Run(basicScenario(t, 5, 3, SharedFCFS))
 	if err != nil {
@@ -415,8 +393,8 @@ func TestFadingLinkIntegration(t *testing.T) {
 	}
 	// Latency must vary with channel state: the spread between fast and
 	// slow transfers should be pronounced.
-	if res.Latencies().Max() < 2*res.Latencies().Min() {
-		t.Errorf("fading produced suspiciously uniform latencies: min %.4g max %.4g",
-			res.Latencies().Min(), res.Latencies().Max())
+	lo, hi := res.Latencies().Quantile(0), res.Latencies().Quantile(1)
+	if hi < 2*lo {
+		t.Errorf("fading produced suspiciously uniform latencies: min %.4g max %.4g", lo, hi)
 	}
 }

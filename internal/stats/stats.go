@@ -1,11 +1,9 @@
 // Package stats provides the measurement plumbing shared by the simulator
 // and the experiment harness: streaming moments, empirical quantiles and
-// CDFs, histograms, deadline accounting, and per-component latency
-// breakdowns.
+// deadline accounting.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -81,7 +79,7 @@ func (s *Stream) Merge(o Stream) {
 	s.n += o.n
 }
 
-// Series collects raw observations for exact quantiles and CDFs. Use for
+// Series collects raw observations for exact quantiles. Use for
 // simulation-scale data (up to a few million points).
 type Series struct {
 	xs     []float64
@@ -169,79 +167,6 @@ func (s *Series) P95() float64 { return s.Quantile(0.95) }
 // P99 returns the 99th percentile.
 func (s *Series) P99() float64 { return s.Quantile(0.99) }
 
-// Max returns the largest observation (0 if empty).
-func (s *Series) Max() float64 { return s.Quantile(1) }
-
-// Min returns the smallest observation (0 if empty).
-func (s *Series) Min() float64 { return s.Quantile(0) }
-
-// FracBelow returns the fraction of observations <= x.
-func (s *Series) FracBelow(x float64) float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	s.ensureSorted()
-	i := sort.SearchFloat64s(s.xs, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(s.xs))
-}
-
-// CDF returns n evenly spaced (value, cumulative-fraction) points.
-func (s *Series) CDF(n int) [][2]float64 {
-	if len(s.xs) == 0 || n <= 0 {
-		return nil
-	}
-	s.ensureSorted()
-	out := make([][2]float64, 0, n)
-	for i := 0; i < n; i++ {
-		q := float64(i) / float64(n-1)
-		if n == 1 {
-			q = 1
-		}
-		out = append(out, [2]float64{s.Quantile(q), q})
-	}
-	return out
-}
-
-// Histogram counts observations into fixed-width bins over [Lo, Hi); values
-// outside the range land in the saturating edge bins.
-type Histogram struct {
-	Lo, Hi float64
-	Bins   []int64
-	total  int64
-}
-
-// NewHistogram builds a histogram with n bins over [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if hi <= lo || n <= 0 {
-		panic(fmt.Sprintf("stats: bad histogram range [%g, %g) x%d", lo, hi, n))
-	}
-	return &Histogram{Lo: lo, Hi: hi, Bins: make([]int64, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Bins)))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.Bins) {
-		i = len(h.Bins) - 1
-	}
-	h.Bins[i]++
-	h.total++
-}
-
-// Total returns the number of recorded observations.
-func (h *Histogram) Total() int64 { return h.total }
-
-// Frac returns bin i's fraction of all observations.
-func (h *Histogram) Frac(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Bins[i]) / float64(h.total)
-}
-
 // Meter counts boolean outcomes (e.g. deadline met / missed).
 type Meter struct {
 	hits, total int64
@@ -270,64 +195,5 @@ func (m *Meter) Merge(o Meter) {
 	m.total += o.total
 }
 
-// Hits returns the number of positive outcomes.
-func (m *Meter) Hits() int64 { return m.hits }
-
 // Total returns the number of observations.
 func (m *Meter) Total() int64 { return m.total }
-
-// Breakdown accumulates per-component contributions to a total (e.g. device
-// compute / uplink / queueing / server compute shares of latency).
-type Breakdown struct {
-	Names  []string
-	totals []float64
-	n      int64
-}
-
-// NewBreakdown builds a breakdown over the named components.
-func NewBreakdown(names ...string) *Breakdown {
-	return &Breakdown{Names: names, totals: make([]float64, len(names))}
-}
-
-// Add records one observation of all components.
-func (b *Breakdown) Add(parts ...float64) {
-	if len(parts) != len(b.totals) {
-		panic(fmt.Sprintf("stats: breakdown got %d parts, want %d", len(parts), len(b.totals)))
-	}
-	for i, p := range parts {
-		b.totals[i] += p
-	}
-	b.n++
-}
-
-// Mean returns the mean contribution of component i.
-func (b *Breakdown) Mean(i int) float64 {
-	if b.n == 0 {
-		return 0
-	}
-	return b.totals[i] / float64(b.n)
-}
-
-// Share returns component i's fraction of the summed means.
-func (b *Breakdown) Share(i int) float64 {
-	var sum float64
-	for _, t := range b.totals {
-		sum += t
-	}
-	if sum == 0 {
-		return 0
-	}
-	return b.totals[i] / sum
-}
-
-// String renders the breakdown as "name=mean(share%)" pairs.
-func (b *Breakdown) String() string {
-	s := ""
-	for i, name := range b.Names {
-		if i > 0 {
-			s += " "
-		}
-		s += fmt.Sprintf("%s=%.4g(%.0f%%)", name, b.Mean(i), 100*b.Share(i))
-	}
-	return s
-}

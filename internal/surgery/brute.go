@@ -27,10 +27,7 @@ func BruteForce(m *dnn.Model, env Env, opt Options) (Plan, Eval, error) {
 	if len(cand) > 16 {
 		return Plan{}, Eval{}, fmt.Errorf("surgery: brute force over %d candidates is intractable", len(cand))
 	}
-	thetas := opt.ThetaGrid
-	if len(thetas) == 0 {
-		thetas = DefaultThetaGrid()
-	}
+	thetas := thetaGrid
 	if opt.NoExits {
 		thetas = thetas[:1]
 	}

@@ -114,31 +114,28 @@ type FrontierKey struct {
 	TxFactor   float64
 	Difficulty workload.DifficultyKind
 	Curves     ExitCurves
-	// MinAccuracy, MaxDeviceEnergyJ and NoExits are part of the key — a
-	// table is exact for exactly one constraint set (filtering an
-	// unconstrained frontier is NOT equivalent to the constrained
-	// optimizer).
-	MinAccuracy      float64
-	MaxDeviceEnergyJ float64
-	NoExits          bool
+	// MinAccuracy and NoExits are part of the key — a table is exact for
+	// exactly one constraint set (filtering an unconstrained frontier is NOT
+	// equivalent to the constrained optimizer).
+	MinAccuracy float64
+	NoExits     bool
 }
 
 // KeyOf derives the frontier key of an environment/options pair, dropping
 // the shares.
 func KeyOf(m *dnn.Model, env Env, opt Options) FrontierKey {
 	return FrontierKey{
-		Model:            m,
-		Device:           env.Device,
-		Server:           env.Server,
-		UplinkBps:        env.UplinkBps,
-		RTT:              env.RTT,
-		Rate:             env.Rate,
-		TxFactor:         env.TxFactor,
-		Difficulty:       env.Difficulty,
-		Curves:           env.Curves,
-		MinAccuracy:      opt.MinAccuracy,
-		MaxDeviceEnergyJ: opt.MaxDeviceEnergyJ,
-		NoExits:          opt.NoExits,
+		Model:       m,
+		Device:      env.Device,
+		Server:      env.Server,
+		UplinkBps:   env.UplinkBps,
+		RTT:         env.RTT,
+		Rate:        env.Rate,
+		TxFactor:    env.TxFactor,
+		Difficulty:  env.Difficulty,
+		Curves:      env.Curves,
+		MinAccuracy: opt.MinAccuracy,
+		NoExits:     opt.NoExits,
 	}
 }
 
@@ -168,7 +165,6 @@ func (k FrontierKey) options(base Options) Options {
 	// zero Options value would otherwise pin every probe at partition 0.
 	base.FixedPartition = FreePartition
 	base.MinAccuracy = k.MinAccuracy
-	base.MaxDeviceEnergyJ = k.MaxDeviceEnergyJ
 	base.NoExits = k.NoExits
 	return base
 }
@@ -317,10 +313,10 @@ func samePlan(a, b *Plan) bool {
 
 // BuildOptions configures frontier-table construction.
 type BuildOptions struct {
-	// Surgery carries the sweep configuration shared by every table
-	// (ThetaGrid). Tables tabulate the free-partition problem whatever
-	// FixedPartition says, and each key's constraint fields (MinAccuracy,
-	// NoExits, MaxDeviceEnergyJ) override their counterparts per table.
+	// Surgery carries the base optimizer options. Tables tabulate the
+	// free-partition problem whatever FixedPartition says, and each key's
+	// constraint fields (MinAccuracy, NoExits) override their counterparts
+	// per table.
 	Surgery Options
 	// MaxTables bounds how many tables a FrontierSet will hold
 	// (0 = DefaultMaxTables).

@@ -16,7 +16,7 @@ import (
 const (
 	keyFree = iota
 	keyAccuracyFloor
-	keyEnergyCap
+	keyNoExits
 )
 
 // testFrontierKey draws one random but domain-valid frontier key under the
@@ -49,8 +49,8 @@ func testFrontierKey(t testing.TB, rng *rand.Rand, kind int) FrontierKey {
 	switch kind {
 	case keyAccuracyFloor:
 		k.MinAccuracy = 0.55 + 0.15*rng.Float64()
-	case keyEnergyCap:
-		k.MaxDeviceEnergyJ = 0.5 + 2*rng.Float64()
+	case keyNoExits:
+		k.NoExits = true
 	}
 	return k
 }
@@ -107,7 +107,7 @@ func TestShareGridProperties(t *testing.T) {
 
 // TestFrontierMatchesOptimizer is the exactness pin: for seeded random
 // (model, device, link) keys — unconstrained, accuracy-floored and
-// energy-capped — every cell of a table, on its first and on a repeat lookup,
+// exit-free — every cell of a table, on its first and on a repeat lookup,
 // agrees bit for bit with a direct surgery.Optimize call, and at infeasible
 // cells the table returns the optimizer's own error. A coarse
 // 1-step-per-octave grid keeps the exhaustive sweep cheap while still covering
@@ -171,7 +171,7 @@ func TestFrontierMatchesOptimizer(t *testing.T) {
 			t.Fatalf("trial %d: table spent %d probes on %d cells", trial, table.Probes(), want)
 		}
 	}
-	if compared[keyFree] == 0 || compared[keyAccuracyFloor] == 0 || compared[keyEnergyCap] == 0 {
+	if compared[keyFree] == 0 || compared[keyAccuracyFloor] == 0 || compared[keyNoExits] == 0 {
 		t.Fatalf("feasible cells compared by kind %v; the corpus is too thin", compared)
 	}
 }

@@ -44,14 +44,10 @@ func evalDiff(got, want Eval) string {
 // environment. The joint planner wraps these messages and the golden digests
 // hash them, so they are part of the contract.
 func wantOptimizeError(m *dnn.Model, env Env, opt Options) string {
-	switch {
-	case len(partitionCandidates(m, env, opt)) == 0:
+	if len(partitionCandidates(m, env, opt)) == 0 {
 		return fmt.Sprintf("surgery: no feasible partition for %s on %s (memory)", m.Name, env.Device.Name)
-	case opt.MaxDeviceEnergyJ > 0:
-		return fmt.Sprintf("surgery: no plan meets accuracy %.3f within device energy budget %.3g J (rate %.3g/s) for %s", opt.MinAccuracy, opt.MaxDeviceEnergyJ, env.Rate, m.Name)
-	default:
-		return fmt.Sprintf("surgery: no plan meets accuracy %.3f (rate %.3g/s) for %s", opt.MinAccuracy, env.Rate, m.Name)
 	}
+	return fmt.Sprintf("surgery: no plan meets accuracy %.3f (rate %.3g/s) for %s", opt.MinAccuracy, env.Rate, m.Name)
 }
 
 // TestKernelMatchesEvaluate holds the optimizer's kernel — whose evaluation
@@ -75,7 +71,6 @@ func TestKernelMatchesEvaluate(t *testing.T) {
 	}{
 		{"free", func(*dnn.Model) Options { return Options{FixedPartition: FreePartition} }},
 		{"min-accuracy", func(*dnn.Model) Options { return Options{FixedPartition: FreePartition, MinAccuracy: 0.7} }},
-		{"energy-cap", func(*dnn.Model) Options { return Options{FixedPartition: FreePartition, MaxDeviceEnergyJ: 0.4} }},
 		{"no-exits", func(*dnn.Model) Options { return Options{FixedPartition: FreePartition, NoExits: true} }},
 		{"fixed-partition", func(m *dnn.Model) Options { return Options{FixedPartition: m.NumUnits() / 2} }},
 	}
@@ -139,7 +134,7 @@ func TestKernelMatchesEvaluate(t *testing.T) {
 	}
 }
 
-// TestOptimizeErrorTexts pins the three failure messages literally.
+// TestOptimizeErrorTexts pins the two failure messages literally.
 func TestOptimizeErrorTexts(t *testing.T) {
 	mcu, err := hardware.ByName("mcu-m7")
 	if err != nil {
@@ -158,8 +153,6 @@ func TestOptimizeErrorTexts(t *testing.T) {
 			"surgery: no feasible partition for vgg16 on mcu-m7 (memory)"},
 		{"accuracy", dnn.ResNet18(), env, Options{FixedPartition: FreePartition, MinAccuracy: 0.9999},
 			"surgery: no plan meets accuracy 1.000 (rate 2/s) for resnet18"},
-		{"energy", dnn.AlexNet(), env, Options{FixedPartition: FreePartition, MaxDeviceEnergyJ: 1e-9},
-			"surgery: no plan meets accuracy 0.000 within device energy budget 1e-09 J (rate 2/s) for alexnet"},
 	} {
 		if _, _, err := Optimize(tc.m, tc.env, tc.opt); err == nil || err.Error() != tc.want {
 			t.Errorf("%s: error %v, want %q", tc.name, err, tc.want)

@@ -12,18 +12,9 @@ import (
 
 // Options controls the surgery optimizer.
 type Options struct {
-	// ThetaGrid lists the confidence thresholds to consider. Empty means
-	// DefaultThetaGrid.
-	ThetaGrid []float64
 	// MinAccuracy is the expected-accuracy floor a plan must satisfy
 	// (0 disables the constraint).
 	MinAccuracy float64
-	// MaxDeviceEnergyJ caps the expected device-side energy per task in
-	// joules (compute plus radio airtime at the environment's bandwidth
-	// share; see Eval.DeviceEnergyAt). 0 disables the constraint. Note the
-	// radio term stretches as the bandwidth share shrinks, so feasibility
-	// under this cap is share-dependent.
-	MaxDeviceEnergyJ float64
 	// NoExits restricts surgery to pure partitioning (Neurosurgeon-style
 	// baseline behaviour).
 	NoExits bool
@@ -39,17 +30,10 @@ const FreePartition = -1
 // is downward, so accepted plans genuinely satisfy MinAccuracy.
 const accBuckets = 400
 
-// defaultThetaGrid is allocated once; DefaultThetaGrid hands out the shared
-// slice so the optimizer's inner loops never re-allocate it.
-var defaultThetaGrid = []float64{0, 0.1, 0.2, 0.3, 0.45, 0.6, 0.8}
-
-// DefaultThetaGrid is the threshold sweep used when Options.ThetaGrid is
-// empty. 0 is the most permissive (every exit fires for the easiest
-// inputs); values near 1 effectively disable early exits. The returned
-// slice is shared and immutable: callers must not modify it.
-func DefaultThetaGrid() []float64 {
-	return defaultThetaGrid
-}
+// thetaGrid is the confidence-threshold sweep of every surgery problem. 0 is
+// the most permissive (every exit fires for the easiest inputs); values near 1
+// effectively disable early exits. It is shared and never modified.
+var thetaGrid = []float64{0, 0.1, 0.2, 0.3, 0.45, 0.6, 0.8}
 
 // Optimize finds the minimum-expected-latency surgery plan for one user in
 // the given environment, subject to the accuracy floor. It sweeps partition
@@ -142,10 +126,7 @@ func newKernel(m *dnn.Model, env Env, opt Options) (*kernel, error) {
 		return nil, err
 	}
 	n := m.NumUnits()
-	k := &kernel{m: m, env: env, opt: opt, thetas: opt.ThetaGrid}
-	if len(k.thetas) == 0 {
-		k.thetas = DefaultThetaGrid()
-	}
+	k := &kernel{m: m, env: env, opt: opt, thetas: thetaGrid}
 	if opt.NoExits {
 		k.thetas = k.thetas[:1] // theta is irrelevant without exits
 	}
@@ -250,9 +231,6 @@ func (k *kernel) solve(computeShare, bandwidthShare float64) (Plan, Eval, error)
 			if env.Rate > 0 && env.Rate*ev.DeviceSec > DeviceStabilityRho {
 				continue // device queue would be unstable at this rate
 			}
-			if opt.MaxDeviceEnergyJ > 0 && ev.DeviceEnergyAt(env.Device, b) > opt.MaxDeviceEnergyJ {
-				continue // plan would drain the device past its energy budget
-			}
 			if ev.Latency < best.Latency {
 				s.bestNodes = append(s.bestNodes[:0], s.nodes...)
 				s.bestProbs = append(s.bestProbs[:0], s.probs...)
@@ -261,9 +239,6 @@ func (k *kernel) solve(computeShare, bandwidthShare float64) (Plan, Eval, error)
 		}
 	}
 	if bestP < 0 {
-		if opt.MaxDeviceEnergyJ > 0 {
-			return Plan{}, Eval{}, fmt.Errorf("surgery: no plan meets accuracy %.3f within device energy budget %.3g J (rate %.3g/s) for %s", opt.MinAccuracy, opt.MaxDeviceEnergyJ, env.Rate, k.m.Name)
-		}
 		return Plan{}, Eval{}, fmt.Errorf("surgery: no plan meets accuracy %.3f (rate %.3g/s) for %s", opt.MinAccuracy, env.Rate, k.m.Name)
 	}
 	// The caller owns what it is handed: nothing returned aliases the scratch.

@@ -36,7 +36,7 @@ func TestOptimizeDominatesRandomPlans(t *testing.T) {
 	devs := hardware.Devices()
 	srvs := hardware.Servers()
 	models := dnn.Zoo()
-	grid := DefaultThetaGrid()
+	grid := thetaGrid
 	for trial := 0; trial < 60; trial++ {
 		m := models[rng.Intn(len(models))]
 		env := Env{

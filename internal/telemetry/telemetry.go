@@ -52,9 +52,9 @@ func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram counts observations into fixed buckets with strictly
-// increasing upper bounds plus an implicit +Inf overflow bucket. Unlike
-// stats.Histogram it is concurrency-safe and mergeable, so shards of a
-// sweep can aggregate into one distribution.
+// increasing upper bounds plus an implicit +Inf overflow bucket. It is
+// concurrency-safe and mergeable, so shards of a sweep can aggregate into
+// one distribution.
 type Histogram struct {
 	mu     sync.Mutex
 	bounds []float64 // upper bounds of the finite buckets
@@ -115,16 +115,6 @@ func (h *Histogram) Sum() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.sum
-}
-
-// Mean returns the mean observation (0 when empty).
-func (h *Histogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.n == 0 {
-		return 0
-	}
-	return h.sum / float64(h.n)
 }
 
 // Buckets returns a copy of the per-bucket counts; the last entry is the
