@@ -76,9 +76,16 @@ loc:
 # Warmup and retry knobs (now constants), serve.Config.Metrics,
 # ExhaustiveAssignment.Inner, faults.Generate and its GenConfig, and the
 # caller-less stats helpers (Series.Max/Min/FracBelow/CDF, Histogram,
-# Meter.Hits, Breakdown) and telemetry's Histogram.Mean.
-LOC_MAX_JOINT = 2536
-LOC_MAX_TOTAL = 19849
+# Meter.Hits, Breakdown) and telemetry's Histogram.Mean. It went 19849 ->
+# 19322 (internal/joint 2536 -> 2513) when each rule kept one copy and the
+# functions no binary links went: the allocator's one-user fast path, the
+# baselines' own initial assignment, the evacuator's ObserveUplinks/
+# ObserveHealth, the second windowed-rate mean, both daemons' pprof routes,
+# the second profile-file writer, edgeserved -frontier and
+# cluster.Config.Frontier, and the caller-less helpers TestFunctionsReachable
+# now keeps out.
+LOC_MAX_JOINT = 2513
+LOC_MAX_TOTAL = 19322
 loc-check: loc
 	@joint=$$($(call loc_of,internal/joint)); total=$$($(loc_total)); \
 	if [ $$joint -gt $(LOC_MAX_JOINT) ] || [ $$total -gt $(LOC_MAX_TOTAL) ]; then \

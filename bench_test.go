@@ -109,7 +109,7 @@ func BenchmarkFrontierLookup(b *testing.B) {
 		b.Fatal(err)
 	}
 	table := set.Get(key)
-	grid := table.Grid()
+	grid := set.Grid()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -320,15 +320,16 @@ func BenchmarkNNMatMul(b *testing.B) {
 	b.SetBytes(int64(128 * 256 * 128 * 8))
 }
 
-// BenchmarkNNTrainEpoch measures one training epoch of the multi-exit MLP.
+// BenchmarkNNTrainEpoch measures one training epoch of the multi-exit MLP
+// on 2000 samples of E12's concentric-rings task.
 func BenchmarkNNTrainEpoch(b *testing.B) {
-	ds, err := nn.GaussianMixture(nn.GaussianMixtureConfig{
-		Samples: 2000, Features: 16, Classes: 5, Radius: 4, NoiseLo: 0.5, NoiseHi: 2, Seed: 3,
+	ds, err := nn.Rings(nn.RingsConfig{
+		Samples: 2000, Features: 10, Classes: 5, BandWidth: 1.2, Jitter: 0.35, Seed: 101,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	net, err := nn.NewMultiExit(nn.Config{In: 16, Hidden: []int{32, 32, 32}, Exits: []int{0, 1}, Classes: 5, Seed: 3})
+	net, err := nn.NewMultiExit(nn.Config{In: 10, Hidden: []int{32, 32, 32}, Exits: []int{0, 1}, Classes: 5, Seed: 3})
 	if err != nil {
 		b.Fatal(err)
 	}

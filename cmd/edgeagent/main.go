@@ -19,7 +19,7 @@ import (
 	"log"
 	"net"
 	"net/http"
-	httppprof "net/http/pprof"
+	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -43,18 +43,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "edgeagent:", err)
 		os.Exit(1)
 	}
-}
-
-// newMux builds the -http handler: the process's own profiles, the way
-// edgeserved serves its under the same paths.
-func newMux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", httppprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", httppprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", httppprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", httppprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", httppprof.Trace)
-	return mux
 }
 
 func run(scenarioPath string, server int, dispatcher string, timeScale, telemetryPeriod float64, httpAddr string, quiet bool) error {
@@ -82,7 +70,7 @@ func run(scenarioPath string, server int, dispatcher string, timeScale, telemetr
 		}
 		defer ln.Close()
 		logf("edgeagent: serving /debug/pprof/ on %s", ln.Addr())
-		go func() { _ = http.Serve(ln, newMux()) }()
+		go func() { _ = http.Serve(ln, nil) }() // net/http/pprof's routes
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

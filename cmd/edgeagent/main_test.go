@@ -13,7 +13,7 @@ import (
 // TestHTTPMux drives the -http handler: the agent's profiles answer where
 // edgeserved's do.
 func TestHTTPMux(t *testing.T) {
-	srv := httptest.NewServer(newMux())
+	srv := httptest.NewServer(http.DefaultServeMux)
 	defer srv.Close()
 	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline", "/debug/pprof/heap", "/debug/pprof/goroutine"} {
 		resp, err := http.Get(srv.URL + path)

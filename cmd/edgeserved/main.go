@@ -41,9 +41,8 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	httppprof "net/http/pprof"
+	_ "net/http/pprof"
 	"os"
-	"runtime/pprof"
 	"slices"
 	"strconv"
 	"strings"
@@ -193,7 +192,6 @@ func main() {
 		expectFull   = flag.Int("expect-full-replans", -1, "exit non-zero unless the replay ran exactly this many full replans")
 		httpAddr     = flag.String("http", "", "serve /metrics, /plan and /debug/pprof/ on this address (after the replay, or alongside live mode)")
 		shardThresh  = flag.Int("shard-threshold", 0, "route full replans of scenarios with at least this many users through the hierarchical sharded planner (0 = always monolithic)")
-		frontier     = flag.Bool("frontier", false, "keep Pareto-frontier surgery tables across plans, one set per planned scenario (see serve.frontier.* metrics): changes speed and the planner.frontier.* hit/miss counters, never the plan")
 
 		snapshotDir = flag.String("snapshot-dir", "", "persist snapshot + WAL state in this directory (crash-safe replay; a directory holding a run resumes it)")
 		verifyRec   = flag.Bool("verify-recovery", false, "after a crashed or resumed replay, rerun the whole trace in memory without the crashes and exit non-zero unless journal, metrics and final plan are byte-identical")
@@ -214,7 +212,7 @@ func main() {
 	flag.Var(&chaosSpecs, "chaos", "chaos event crash:I | slow:FROM:TO:FACTOR | corrupt:I:KIND (repeatable, replay mode)")
 	flag.Parse()
 
-	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	stopProfiles, err := telemetry.StartProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		fatal(err)
 	}
@@ -259,8 +257,7 @@ func main() {
 		// Seed fixes the dispatcher's partition-crossing sampler.
 		err = runCluster(sc, cluster.Config{
 			ScenarioJSON: data, Agents: *agents, AgentBin: *agentBin, Listen: *listenAddr,
-			Policy: preset(), Frontier: *frontier,
-			TimeScale: *timeScale, TelemetryPeriod: *telemPeriod, Seed: 42,
+			Policy: preset(), TimeScale: *timeScale, TelemetryPeriod: *telemPeriod, Seed: 42,
 		}, cluster.DriveConfig{Requests: *requests, Workers: *workers}, *minOKFrac, *httpAddr)
 		if err != nil {
 			fatal(err)
@@ -280,7 +277,7 @@ func main() {
 			Scenario: sc,
 			Planner:  &joint.Planner{Opt: joint.Options{ShardThreshold: *shardThresh}},
 			Policy:   preset(),
-			Frontier: *frontier,
+			Frontier: true,
 		}
 		if err := replay(cfg, opts); err != nil {
 			fatal(err)
@@ -299,42 +296,6 @@ func fatal(err error) {
 func usage(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "edgeserved: "+format+"\n", args...)
 	os.Exit(2)
-}
-
-// startProfiles starts a CPU profile and/or arranges a heap profile dump,
-// returning a stop function main defers. Both writers are stdlib
-// runtime/pprof — no extra dependencies, matching the repo's
-// no-new-modules rule.
-func startProfiles(cpuPath, memPath string) (func(), error) {
-	var cpuFile *os.File
-	if cpuPath != "" {
-		f, err := os.Create(cpuPath)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return nil, err
-		}
-		cpuFile = f
-	}
-	return func() {
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			cpuFile.Close()
-		}
-		if memPath != "" {
-			f, err := os.Create(memPath)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-				return
-			}
-			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-			}
-			f.Close()
-		}
-	}, nil
 }
 
 // record samples the scenario's own links (and the optional fault windows)
@@ -533,11 +494,7 @@ type userSummary struct {
 // the process's own profiles under /debug/pprof/.
 func newMux(sc *joint.Scenario, rt *serve.Runtime) *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", httppprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", httppprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", httppprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", httppprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", httppprof.Trace)
+	mux.Handle("/debug/pprof/", http.DefaultServeMux) // net/http/pprof's routes
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		rt.Metrics().WriteText(w)

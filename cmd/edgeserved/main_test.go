@@ -118,7 +118,7 @@ func TestLiveModeRejectsReplayFlags(t *testing.T) {
 func TestFlagSet(t *testing.T) {
 	want := []string{
 		"agent-bin", "agents", "chaos", "cpuprofile", "expect-full-replans",
-		"fault", "frontier", "horizon", "http", "journal", "listen",
+		"fault", "horizon", "http", "journal", "listen",
 		"memprofile", "min-ok-frac", "period", "policy", "record", "requests",
 		"scenario", "shard-threshold", "snapshot-dir", "telemetry-period",
 		"timescale", "trace", "verify-recovery", "workers",

@@ -135,7 +135,7 @@ func TestPublicDispatcher(t *testing.T) {
 	if disp.Current() == nil {
 		t.Fatal("no initial plan")
 	}
-	p, err := disp.ObserveUplinks([]float64{edgesurgeon.Mbps(2)})
+	p, err := disp.Observe(nil, []float64{edgesurgeon.Mbps(2)})
 	if err != nil {
 		t.Fatal(err)
 	}

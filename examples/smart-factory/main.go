@@ -82,7 +82,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	degraded, err := disp.ObserveUplinks([]float64{edgesurgeon.Mbps(6)})
+	degraded, err := disp.Observe(nil, []float64{edgesurgeon.Mbps(6)})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -255,10 +255,6 @@ func (a *Agent) install(alloc *wire.Allocation) error {
 		}
 		u := &sc.Users[e.User]
 		plan := surgery.Plan{Model: u.Model, Exits: e.Exits, Theta: e.Theta, Partition: e.Partition}
-		rate := u.Rate
-		if u.ProvisionRate > 0 {
-			rate = u.ProvisionRate
-		}
 		env := surgery.Env{
 			Device:         u.Device,
 			Server:         srv.Profile,
@@ -268,7 +264,6 @@ func (a *Agent) install(alloc *wire.Allocation) error {
 			RTT:            alloc.RTT,
 			Difficulty:     u.Difficulty,
 			Curves:         sc.Curves,
-			Rate:           rate,
 			TxFactor:       u.TxCompression,
 		}
 		ev, err := surgery.Evaluate(plan, env)

@@ -44,24 +44,6 @@ func (d Demand) weight() float64 {
 	return d.Weight
 }
 
-// Latency evaluates the user's expected latency at the given shares.
-func (d Demand) Latency(computeShare, bandwidthShare float64) float64 {
-	l := d.Fixed
-	if d.Server > 0 {
-		if computeShare <= 0 {
-			return math.Inf(1)
-		}
-		l += d.Server / computeShare
-	}
-	if d.Tx > 0 {
-		if bandwidthShare <= 0 {
-			return math.Inf(1)
-		}
-		l += d.Tx / bandwidthShare
-	}
-	return l
-}
-
 // Allocation is a share assignment for the users of one server.
 type Allocation struct {
 	// Compute[i] and Bandwidth[i] are user i's shares in [0, 1];
@@ -71,30 +53,6 @@ type Allocation struct {
 	// Feasible is false when hard constraints (deadlines, stability)
 	// could not all be met and the allocation is a best-effort scaling.
 	Feasible bool
-}
-
-// SumLatency returns the weighted total expected latency under a.
-func SumLatency(demands []Demand, a Allocation) float64 {
-	var s float64
-	for i, d := range demands {
-		s += d.weight() * d.Latency(a.Compute[i], a.Bandwidth[i])
-	}
-	return s
-}
-
-// Equal returns the naive 1/n split on both resources (the baseline
-// allocation-unaware systems use).
-func Equal(n int) Allocation {
-	if n <= 0 {
-		return Allocation{Feasible: true}
-	}
-	c := make([]float64, n)
-	b := make([]float64, n)
-	for i := range c {
-		c[i] = 1 / float64(n)
-		b[i] = 1 / float64(n)
-	}
-	return Allocation{Compute: c, Bandwidth: b, Feasible: true}
 }
 
 // minShareEps keeps shares strictly positive so latencies stay finite for
@@ -235,35 +193,6 @@ func DeadlineAware(demands []Demand) Allocation { return new(Scratch).DeadlineAw
 func (s *Scratch) DeadlineAware(demands []Demand) Allocation {
 	n := len(demands)
 	s.reset(n)
-	if n == 1 {
-		// Fast path mirroring the general machinery for a single user: the
-		// user takes the whole of each resource it uses; a zero-work
-		// resource collapses to its lower bound; bounds above unit
-		// capacity are scaled to 1 and flagged infeasible — exactly what
-		// minShares + scaling + sqrtSplit compute for n == 1.
-		d := demands[0]
-		f, b, err := minShares(d)
-		feasible := err == nil
-		if err != nil {
-			dd := d
-			dd.Deadline = 0
-			f, b, _ = minShares(dd)
-		}
-		if f > 1 {
-			f, feasible = 1, false
-		}
-		if b > 1 {
-			b, feasible = 1, false
-		}
-		s.compute[0], s.bandwidth[0] = f, b
-		if d.Server > 0 {
-			s.compute[0] = 1
-		}
-		if d.Tx > 0 {
-			s.bandwidth[0] = 1
-		}
-		return Allocation{Compute: s.compute, Bandwidth: s.bandwidth, Feasible: feasible}
-	}
 	fmin, bmin := s.lowC, s.lowB
 	feasible := true
 	var sumF, sumB float64

@@ -18,51 +18,11 @@ package baseline
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"edgesurgeon/internal/joint"
 	"edgesurgeon/internal/surgery"
 )
-
-// balancedAssign spreads users across servers by normalized work, matching
-// the joint planner's initial assignment so baselines differ only in the
-// decisions under study.
-func balancedAssign(sc *joint.Scenario) []int {
-	server := make([]int, len(sc.Users))
-	if len(sc.Servers) == 0 {
-		for i := range server {
-			server[i] = -1
-		}
-		return server
-	}
-	load := make([]float64, len(sc.Servers))
-	order := make([]int, len(sc.Users))
-	for i := range order {
-		order[i] = i
-	}
-	work := func(ui int) float64 {
-		u := &sc.Users[ui]
-		return float64(u.Model.TotalFLOPs()) * math.Max(u.Rate, 0.01)
-	}
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && work(order[j]) > work(order[j-1]); j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	for _, ui := range order {
-		best, bestLoad := 0, math.Inf(1)
-		for s := range sc.Servers {
-			l := load[s] / sc.Servers[s].Profile.PeakFLOPS
-			if l < bestLoad {
-				best, bestLoad = s, l
-			}
-		}
-		server[ui] = best
-		load[best] += work(ui)
-	}
-	return server
-}
 
 // buildEnv constructs the surgery environment for user ui under decision d.
 func buildEnv(sc *joint.Scenario, ui int, d *joint.Decision) surgery.Env {
@@ -138,7 +98,7 @@ func (LocalOnly) Plan(sc *joint.Scenario) (*joint.Plan, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	assign := balancedAssign(sc)
+	assign := joint.InitialAssignment(sc)
 	ds := make([]joint.Decision, len(sc.Users))
 	for i := range sc.Users {
 		u := &sc.Users[i]
@@ -156,8 +116,8 @@ func (LocalOnly) Plan(sc *joint.Scenario) (*joint.Plan, error) {
 	return finishPlan(sc, "local-only", ds)
 }
 
-// EdgeOnly ships every raw input to a balanced-assigned server with equal
-// shares.
+// EdgeOnly ships every raw input to the user's server in the planner's
+// initial assignment, with equal shares.
 type EdgeOnly struct{}
 
 // Name implements joint.Strategy.
@@ -171,7 +131,7 @@ func (EdgeOnly) Plan(sc *joint.Scenario) (*joint.Plan, error) {
 	if len(sc.Servers) == 0 {
 		return nil, fmt.Errorf("baseline edge-only: scenario has no servers")
 	}
-	assign := balancedAssign(sc)
+	assign := joint.InitialAssignment(sc)
 	ds := make([]joint.Decision, len(sc.Users))
 	for i := range sc.Users {
 		ds[i].Plan = surgery.FullOffload(sc.Users[i].Model)
@@ -192,7 +152,7 @@ func (Neurosurgeon) Plan(sc *joint.Scenario) (*joint.Plan, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	assign := balancedAssign(sc)
+	assign := joint.InitialAssignment(sc)
 	counts := make(map[int]int)
 	for _, s := range assign {
 		if s >= 0 {
@@ -232,7 +192,7 @@ func (BranchyLocal) Plan(sc *joint.Scenario) (*joint.Plan, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	assign := balancedAssign(sc)
+	assign := joint.InitialAssignment(sc)
 	ds := make([]joint.Decision, len(sc.Users))
 	for i := range sc.Users {
 		u := &sc.Users[i]
@@ -271,7 +231,7 @@ func (r Random) Plan(sc *joint.Scenario) (*joint.Plan, error) {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(r.Seed))
-	assign := balancedAssign(sc)
+	assign := joint.InitialAssignment(sc)
 	ds := make([]joint.Decision, len(sc.Users))
 	for i := range sc.Users {
 		u := &sc.Users[i]

@@ -213,3 +213,42 @@ func TestExhaustiveRefusesLargeN(t *testing.T) {
 		t.Error("expected intractability error")
 	}
 }
+
+// TestBaselinesStartFromThePlannerAssignment: a baseline's servers are the
+// planner's initial assignment, which ranks users by their planning rate
+// (ProvisionRate when set). User A observes 1 task/s but is provisioned for
+// 10, so it outranks B at 5 and takes the first server; ranking by the
+// observed Rate would put B there instead.
+func TestBaselinesStartFromThePlannerAssignment(t *testing.T) {
+	gpu, _ := hardware.ByName("edge-gpu-t4")
+	pi, _ := hardware.ByName("rpi4")
+	link := netmodel.NewStatic("l", netmodel.Mbps(30), 0.004)
+	m := dnn.ResNet18()
+	sc := &joint.Scenario{
+		Servers: []joint.Server{
+			{Name: "s0", Profile: gpu, Link: link, RTT: 0.004},
+			{Name: "s1", Profile: gpu, Link: link, RTT: 0.004},
+		},
+		Users: []joint.User{
+			{Name: "A", Model: m, Device: pi, Rate: 1, ProvisionRate: 10, Difficulty: workload.EasyBiased, Arrivals: workload.Poisson, Seed: 1},
+			{Name: "B", Model: m, Device: pi, Rate: 5, Difficulty: workload.EasyBiased, Arrivals: workload.Poisson, Seed: 2},
+		},
+	}
+	want := joint.InitialAssignment(sc)
+	if want[0] != 0 || want[1] != 1 {
+		t.Fatalf("planner assignment %v, want [0 1]", want)
+	}
+	plan, err := EdgeOnly{}.Plan(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range plan.Decisions {
+		if d.Server != want[i] {
+			t.Errorf("edge-only puts user %s on server %d, the planner on %d", sc.Users[i].Name, d.Server, want[i])
+		}
+	}
+	// Without servers every user stays on its device.
+	if got := joint.InitialAssignment(&joint.Scenario{Users: sc.Users}); got[0] != -1 || got[1] != -1 {
+		t.Errorf("serverless assignment %v, want [-1 -1]", got)
+	}
+}

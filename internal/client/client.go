@@ -94,10 +94,9 @@ func (c *Config) window() int {
 
 // Client is one live connection to a dispatcher.
 type Client struct {
-	cfg     Config
-	conn    *wire.Conn
-	nc      net.Conn
-	welcome wire.Welcome
+	cfg  Config
+	conn *wire.Conn
+	nc   net.Conn
 
 	window chan struct{} // in-flight slots
 
@@ -172,7 +171,6 @@ func New(nc net.Conn, cfg Config) (*Client, error) {
 			cfg:     cfg,
 			conn:    conn,
 			nc:      nc,
-			welcome: *m,
 			window:  make(chan struct{}, cfg.window()),
 			pending: map[uint64]*call{},
 			done:    make(chan struct{}),
@@ -187,9 +185,6 @@ func New(nc net.Conn, cfg Config) (*Client, error) {
 		return fail(fmt.Sprintf("expected Welcome, got %T", m), nil)
 	}
 }
-
-// Welcome returns the dispatcher's handshake reply (deployment shape).
-func (c *Client) Welcome() wire.Welcome { return c.welcome }
 
 // readLoop is the single reader: it routes responses to their waiting calls
 // until the transport dies, then fails everything in flight.

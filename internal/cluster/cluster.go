@@ -39,12 +39,11 @@ type Config struct {
 	Listen string
 	// Policy is the serve runtime's replanning policy.
 	Policy serve.Policy
-	// Frontier has the runtime keep surgery tables across plans
-	// (serve.Config.Frontier): a speed setting, never a different plan.
-	Frontier bool
-	// TimeScale is wall-seconds per model-second for every process.
+	// TimeScale is wall-seconds per model-second for every process; 0
+	// means 1 (the agent's default).
 	TimeScale float64
-	// TelemetryPeriod is the agents' sample period in model-seconds.
+	// TelemetryPeriod is the agents' sample period in model-seconds; 0
+	// means 2 (the agent's default).
 	TelemetryPeriod float64
 	// Seed fixes the dispatcher's crossing sampler.
 	Seed int64
@@ -60,7 +59,6 @@ type Cluster struct {
 	Runtime    *serve.Runtime
 	Dispatcher *agent.Dispatcher
 
-	cfg    Config
 	dir    string
 	ownDir bool
 	agents []*exec.Cmd
@@ -100,7 +98,7 @@ func Start(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: %d agents for %d servers", nAgents, len(sc.Servers))
 	}
 
-	c := &Cluster{cfg: cfg, dir: cfg.Dir}
+	c := &Cluster{dir: cfg.Dir}
 	if c.dir == "" {
 		c.dir, err = os.MkdirTemp("", "edgecluster-*")
 		if err != nil {
@@ -124,7 +122,7 @@ func Start(cfg Config) (*Cluster, error) {
 		}
 	}
 
-	c.Runtime, err = serve.New(serve.Config{Scenario: sc, Policy: cfg.Policy, Frontier: cfg.Frontier})
+	c.Runtime, err = serve.New(serve.Config{Scenario: sc, Policy: cfg.Policy, Frontier: true})
 	if err != nil {
 		return fail(err)
 	}
@@ -145,8 +143,8 @@ func Start(cfg Config) (*Cluster, error) {
 			"-scenario", scenarioPath,
 			"-server", strconv.Itoa(s),
 			"-dispatcher", c.Dispatcher.Addr(),
-			"-timescale", strconv.FormatFloat(c.timeScale(), 'g', -1, 64),
-			"-telemetry-period", strconv.FormatFloat(c.telemetryPeriod(), 'g', -1, 64),
+			"-timescale", strconv.FormatFloat(cfg.TimeScale, 'g', -1, 64),
+			"-telemetry-period", strconv.FormatFloat(cfg.TelemetryPeriod, 'g', -1, 64),
 			"-quiet",
 		)
 		cmd.Stdout = os.Stderr
@@ -165,38 +163,8 @@ func Start(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-func (c *Cluster) timeScale() float64 {
-	if c.cfg.TimeScale > 0 {
-		return c.cfg.TimeScale
-	}
-	return 1
-}
-
-func (c *Cluster) telemetryPeriod() float64 {
-	if c.cfg.TelemetryPeriod > 0 {
-		return c.cfg.TelemetryPeriod
-	}
-	return 2
-}
-
 // Addr returns the dispatcher's listen address.
 func (c *Cluster) Addr() string { return c.Dispatcher.Addr() }
-
-// KillAgent forcibly terminates agent process i (the mid-run fault the
-// evacuation test injects). The dispatcher notices via the dropped
-// connection.
-func (c *Cluster) KillAgent(i int) error {
-	if i < 0 || i >= len(c.agents) || c.agents[i] == nil {
-		return fmt.Errorf("cluster: no agent %d", i)
-	}
-	cmd := c.agents[i]
-	c.agents[i] = nil
-	if err := cmd.Process.Kill(); err != nil {
-		return err
-	}
-	_ = cmd.Wait()
-	return nil
-}
 
 // Close tears the cluster down: agents killed, dispatcher and runtime
 // closed, scratch dir removed if the harness created it.

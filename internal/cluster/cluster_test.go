@@ -2,12 +2,29 @@ package cluster
 
 import (
 	"encoding/json"
+	"fmt"
 	"testing"
 	"time"
 
 	"edgesurgeon/internal/config"
 	"edgesurgeon/internal/serve"
 )
+
+// KillAgent forcibly terminates agent process i (the mid-run fault the
+// evacuation test injects). The dispatcher notices via the dropped
+// connection.
+func (c *Cluster) KillAgent(i int) error {
+	if i < 0 || i >= len(c.agents) || c.agents[i] == nil {
+		return fmt.Errorf("cluster: no agent %d", i)
+	}
+	cmd := c.agents[i]
+	c.agents[i] = nil
+	if err := cmd.Process.Kill(); err != nil {
+		return err
+	}
+	_ = cmd.Wait()
+	return nil
+}
 
 // testScenarioJSON authors a two-server scenario through the same JSON
 // schema the agent children will parse, so every process resolves identical

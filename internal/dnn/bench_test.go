@@ -22,7 +22,7 @@ func BenchmarkPrefixFLOPs(b *testing.B) {
 	b.ResetTimer()
 	var sink int64
 	for i := 0; i < b.N; i++ {
-		sink += m.RangeFLOPs(i%n, n)
+		sink += m.PrefixFLOPs(i % (n + 1))
 	}
 	_ = sink
 }

@@ -135,9 +135,6 @@ func (l Layer) AsSide() Layer {
 	return l
 }
 
-// OutBytes returns the activation size produced by the layer.
-func (l Layer) OutBytes() int64 { return l.Out.Bytes() }
-
 func convOut(in Shape, outC, k, stride, pad int) Shape {
 	oh := (in.H+2*pad-k)/stride + 1
 	ow := (in.W+2*pad-k)/stride + 1
@@ -266,16 +263,6 @@ type Unit struct {
 	ExitOK bool
 }
 
-// In returns the unit's input shape (first main-chain layer).
-func (u *Unit) In() Shape {
-	for _, l := range u.Layers {
-		if !l.Side {
-			return l.In
-		}
-	}
-	return Shape{}
-}
-
 // Out returns the unit's output shape (last main-chain layer).
 func (u *Unit) Out() Shape {
 	for i := len(u.Layers) - 1; i >= 0; i-- {
@@ -352,11 +339,6 @@ func (m *Model) InputBytes() int64 { return m.Input.Bytes() }
 func (m *Model) PrefixFLOPs(k int) int64 {
 	m.ensureCaches()
 	return m.prefixFLOPs[k]
-}
-
-// RangeFLOPs returns the FLOPs of units [i, j).
-func (m *Model) RangeFLOPs(i, j int) int64 {
-	return m.PrefixFLOPs(j) - m.PrefixFLOPs(i)
 }
 
 // PrefixParamBytes returns the serialized weight bytes of the first k units

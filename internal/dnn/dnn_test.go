@@ -148,22 +148,25 @@ func TestPrefixFLOPsConsistency(t *testing.T) {
 	}
 }
 
+// TestRangeFLOPsProperty: the FLOPs of a unit range [i, j), which the
+// surgery cost model takes as a difference of prefix sums, are non-negative
+// and additive.
 func TestRangeFLOPsProperty(t *testing.T) {
 	m := ResNet18()
 	n := m.NumUnits()
+	rangeFLOPs := func(i, j int) int64 { return m.PrefixFLOPs(j) - m.PrefixFLOPs(i) }
 	f := func(a, b uint8) bool {
 		i := int(a) % (n + 1)
 		j := int(b) % (n + 1)
 		if i > j {
 			i, j = j, i
 		}
-		// Range must be non-negative and additive.
-		r := m.RangeFLOPs(i, j)
+		r := rangeFLOPs(i, j)
 		if r < 0 {
 			return false
 		}
 		mid := (i + j) / 2
-		return m.RangeFLOPs(i, mid)+m.RangeFLOPs(mid, j) == r
+		return rangeFLOPs(i, mid)+rangeFLOPs(mid, j) == r
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)

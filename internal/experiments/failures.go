@@ -12,7 +12,7 @@ import (
 // brown-out, each spanning whole replanning epochs. Three arms run the
 // identical workload under the identical faults: a static plan, the
 // drift-only dispatcher (epoch replanning that observes link rates but not
-// health), and the failure-aware dispatcher (ObserveHealth evacuation,
+// health), and the failure-aware dispatcher (Observe's evacuation,
 // local fallback, and admission control). Failed tasks count as deadline
 // misses; latency percentiles are over completed tasks.
 func e20AvailabilityUnderFailures(r *Report) error {
@@ -60,7 +60,7 @@ func e20AvailabilityUnderFailures(r *Report) error {
 		return err
 	}
 	aware, awareOverall, awareEpochs, err := dispatcherArm(func(d *joint.Dispatcher, start float64) (*joint.Plan, error) {
-		return d.ObserveHealth(sched.Health(2, start))
+		return d.Observe(sched.Health(2, start), nil)
 	})
 	if err != nil {
 		return err

@@ -112,30 +112,6 @@ func MustNew(windows ...Window) *Schedule {
 	return s
 }
 
-// Merge composes schedules into one (nil inputs are skipped).
-func Merge(ss ...*Schedule) *Schedule {
-	var all []Window
-	for _, s := range ss {
-		if s != nil {
-			all = append(all, s.windows...)
-		}
-	}
-	m, err := New(all...)
-	if err != nil {
-		// Inputs were already validated individually.
-		panic(err)
-	}
-	return m
-}
-
-// Windows returns a copy of the schedule's windows in time order.
-func (s *Schedule) Windows() []Window {
-	if s == nil {
-		return nil
-	}
-	return append([]Window(nil), s.windows...)
-}
-
 // Empty reports whether the schedule holds no faults.
 func (s *Schedule) Empty() bool { return s == nil || len(s.windows) == 0 }
 
@@ -251,7 +227,7 @@ func (s *Schedule) Reachable(server int, t float64) bool {
 }
 
 // Health returns the per-server reachability vector at time t, the input
-// the dispatcher's ObserveHealth expects.
+// the dispatcher's Observe expects.
 func (s *Schedule) Health(servers int, t float64) []bool {
 	up := make([]bool, servers)
 	for i := range up {

@@ -87,16 +87,14 @@ func TestScheduleQueries(t *testing.T) {
 	}
 }
 
+// TestMergeAndOverlap: overlapping windows on one server compose — a crash
+// dominates a brown-out, and overlapping brown-outs take the lower factor.
 func TestMergeAndOverlap(t *testing.T) {
-	a := MustNew(Window{Kind: ServerCrash, Server: 0, Start: 0, End: 10})
-	b := MustNew(
+	m := MustNew(
+		Window{Kind: ServerCrash, Server: 0, Start: 0, End: 10},
 		Window{Kind: Brownout, Server: 0, Start: 5, End: 15, Factor: 0.5},
 		Window{Kind: Brownout, Server: 0, Start: 12, End: 20, Factor: 0.3},
 	)
-	m := Merge(a, nil, b)
-	if len(m.Windows()) != 3 {
-		t.Fatalf("merged %d windows, want 3", len(m.Windows()))
-	}
 	// Crash dominates brown-out while both are active.
 	if f := m.CapacityFactor(0, 7); f != 0 {
 		t.Errorf("factor during crash+brownout = %g, want 0", f)

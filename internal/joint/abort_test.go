@@ -173,7 +173,7 @@ func TestObserveIgnoresBudget(t *testing.T) {
 	// Swap in a budgeted planner post-construction, as the runtime's replan
 	// path does, then observe: the refresh must not abort.
 	d.planner = &Planner{Opt: Options{SurgeryBudget: 1}}
-	if _, err := d.ObserveHealth([]bool{false, true}); err != nil {
+	if _, err := d.Observe([]bool{false, true}, nil); err != nil {
 		t.Fatalf("observe under budget: %v", err)
 	}
 }
@@ -200,10 +200,10 @@ func TestNewDispatcherWithPlan(t *testing.T) {
 		t.Fatal("dispatcher aliases the caller's plan")
 	}
 	// Failover then full recovery restores the pristine base.
-	if _, err := d.ObserveHealth([]bool{false, true}); err != nil {
+	if _, err := d.Observe([]bool{false, true}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.ObserveHealth([]bool{true, true}); err != nil {
+	if _, err := d.Observe([]bool{true, true}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !d.Health().Restored {

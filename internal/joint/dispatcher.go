@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"edgesurgeon/internal/netmodel"
 	"edgesurgeon/internal/telemetry"
 )
 
@@ -13,7 +14,7 @@ import (
 // block-coordinate planner. Experiment E13 drives it across a fading trace.
 //
 // Beyond drift, the dispatcher is the system's failure-recovery controller
-// (experiment E20): ObserveHealth evacuates users off unreachable servers
+// (experiment E20): Observe evacuates users off unreachable servers
 // through the same assignment machinery, falls back to fully local surgery
 // plans when no server is reachable, sheds the lowest-weight users to local
 // execution when post-failure load makes deadlines infeasible, and restores
@@ -86,28 +87,18 @@ type HealthReport struct {
 
 // NewDispatcher plans the scenario and returns the running dispatcher.
 func NewDispatcher(sc *Scenario, planner *Planner) (*Dispatcher, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
 	plan, err := planner.Plan(sc)
 	if err != nil {
 		return nil, err
 	}
-	return &Dispatcher{
-		sc:      sc,
-		planner: planner,
-		plan:    plan,
-		base:    clonePlan(plan),
-		down:    make([]bool, len(sc.Servers)),
-	}, nil
+	return NewDispatcherWithPlan(sc, planner, plan)
 }
 
 // NewDispatcherWithPlan builds a dispatcher around an externally produced
 // plan instead of planning the scenario itself — the control plane's one
 // install path, whether the plan is its initial plan, a full or delta
 // replan, or crash recovery's re-derivation. plan becomes both the active
-// and the pristine base plan, exactly as NewDispatcher would have
-// installed it; planner serves future Observe rounds.
+// and the pristine base plan; planner serves future Observe rounds.
 func NewDispatcherWithPlan(sc *Scenario, planner *Planner, plan *Plan) (*Dispatcher, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -157,29 +148,13 @@ func (d *Dispatcher) record(report *HealthReport, plan *Plan) {
 	d.metrics.Gauge("dispatcher.objective").Set(plan.Objective)
 }
 
-// ObserveUplinks replaces each server's planning-time uplink rate with the
-// observed value (bps) and replans surgery + allocation without changing
-// assignments. Passing a non-positive rate keeps that server's link as-is;
-// NaN or ±Inf rates are rejected with a *BadObservationError and leave the
-// current plan untouched.
-func (d *Dispatcher) ObserveUplinks(ratesBps []float64) (*Plan, error) {
-	return d.Observe(nil, ratesBps)
-}
-
-// ObserveHealth ingests a health probe: serverUp[s] reports whether server
-// s is reachable (compute and uplink both up). Users on unreachable
-// servers are evacuated to the healthiest reachable server, or to fully
-// local execution when none is reachable; admission control then sheds the
-// lowest-weight users to local execution if the surviving capacity cannot
-// meet deadlines. When every server is healthy again the pristine optimal
-// plan is restored.
-func (d *Dispatcher) ObserveHealth(serverUp []bool) (*Plan, error) {
-	return d.Observe(serverUp, nil)
-}
-
-// Observe is the general form: a health probe (nil = no change to the
-// current health state) combined with observed uplink rates (nil = keep
-// planning-time rates; non-positive entries keep that link as-is).
+// Observe ingests a health probe (serverUp[s]: server s reachable; nil
+// keeps the current state) and observed uplink rates (ratesBps[s] replaces
+// server s's planning-time rate; nil or a non-positive entry keeps it; NaN
+// or ±Inf is a *BadObservationError that leaves the plan untouched), then
+// replans surgery + allocation on the surviving assignment: evacuation,
+// local fallback and shedding as the type describes. With every server up
+// and no rate drifted it restores the pristine plan.
 func (d *Dispatcher) Observe(serverUp []bool, ratesBps []float64) (*Plan, error) {
 	if serverUp != nil && len(serverUp) != len(d.sc.Servers) {
 		return nil, fmt.Errorf("joint: observed %d health states for %d servers", len(serverUp), len(d.sc.Servers))
@@ -357,16 +332,9 @@ func localViable(st *state, ui int) bool {
 func (d *Dispatcher) ObserveWindow(t, window float64) (*Plan, error) {
 	rates := make([]float64, len(d.sc.Servers))
 	for s := range d.sc.Servers {
-		link := d.sc.Servers[s].Link
-		// Average the observable rate across the window.
-		const steps = 16
-		var sum float64
-		for i := 0; i < steps; i++ {
-			sum += link.RateAt(t + window*float64(i)/steps)
-		}
-		rates[s] = sum / steps
+		rates[s] = netmodel.WindowRate(d.sc.Servers[s].Link, t, window)
 	}
-	return d.ObserveUplinks(rates)
+	return d.Observe(nil, rates)
 }
 
 // clonePlan deep-copies the slices a caller could otherwise mutate through

@@ -10,6 +10,8 @@ import (
 	"edgesurgeon/internal/workload"
 )
 
+// TestObserveUplinksRejectsNonFinite: a NaN or infinite observed uplink rate
+// is refused with a *BadObservationError and leaves the plan in place.
 func TestObserveUplinksRejectsNonFinite(t *testing.T) {
 	sc := testScenario(t, 4, 40)
 	disp, err := NewDispatcher(sc, &Planner{})
@@ -18,7 +20,7 @@ func TestObserveUplinksRejectsNonFinite(t *testing.T) {
 	}
 	before := disp.Current()
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		_, err := disp.ObserveUplinks([]float64{bad, 1e6})
+		_, err := disp.Observe(nil, []float64{bad, 1e6})
 		if err == nil {
 			t.Fatalf("rate %g accepted", bad)
 		}
@@ -34,7 +36,7 @@ func TestObserveUplinksRejectsNonFinite(t *testing.T) {
 		}
 	}
 	// Non-positive finite rates are the keep-as-is sentinel, not an error.
-	if _, err := disp.ObserveUplinks([]float64{0, -5}); err != nil {
+	if _, err := disp.Observe(nil, []float64{0, -5}); err != nil {
 		t.Fatalf("sentinel rates rejected: %v", err)
 	}
 }
@@ -81,7 +83,7 @@ func TestDispatcherFailoverAndRecovery(t *testing.T) {
 	base := clonePlan(disp.Current())
 
 	// Kill server 0: everyone must land on server 1 or locally.
-	p, err := disp.ObserveHealth([]bool{false, true})
+	p, err := disp.Observe([]bool{false, true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +101,7 @@ func TestDispatcherFailoverAndRecovery(t *testing.T) {
 	}
 
 	// Kill both: only local fallback (or recorded degradation) remains.
-	p, err = disp.ObserveHealth([]bool{false, false})
+	p, err = disp.Observe([]bool{false, false}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +119,7 @@ func TestDispatcherFailoverAndRecovery(t *testing.T) {
 	}
 
 	// Full recovery restores the pristine plan exactly.
-	p, err = disp.ObserveHealth([]bool{true, true})
+	p, err = disp.Observe([]bool{true, true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +131,7 @@ func TestDispatcherFailoverAndRecovery(t *testing.T) {
 	}
 
 	// Health-vector length mismatch is an error.
-	if _, err := disp.ObserveHealth([]bool{true}); err == nil {
+	if _, err := disp.Observe([]bool{true}, nil); err == nil {
 		t.Error("wrong health-vector length accepted")
 	}
 }
@@ -158,7 +160,7 @@ func TestDispatcherChurn(t *testing.T) {
 		}
 		var plans []*Plan
 		for _, step := range steps {
-			p, err := disp.ObserveHealth(step.up)
+			p, err := disp.Observe(step.up, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", step.name, err)
 			}
@@ -203,7 +205,7 @@ func TestDispatcherShedsUnderOverload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := disp.ObserveHealth([]bool{false, true})
+	p, err := disp.Observe([]bool{false, true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -335,12 +335,12 @@ func TestDispatcherFrontierDrift(t *testing.T) {
 	tables, probes := set.Len(), set.Probes()
 	// Halve both uplinks: every key changes, so no registered table applies.
 	rates := []float64{20e6 / 8 * 8, 12e6}
-	plan, err := disp.ObserveUplinks(rates)
+	plan, err := disp.Observe(nil, rates)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkPlanInvariants(t, sc, plan)
-	want, err := bare.ObserveUplinks(rates)
+	want, err := bare.Observe(nil, rates)
 	if err != nil {
 		t.Fatal(err)
 	}

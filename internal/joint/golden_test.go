@@ -488,7 +488,7 @@ func goldenCells(t *testing.T, gs goldenScenario, emit func(cell string, g *gold
 	d.Instrument(reg)
 	rates := make([]float64, len(sc.Servers))
 	rates[0] = sc.PlanningRate(0) * 0.5
-	if _, err := d.ObserveUplinks(rates); err != nil {
+	if _, err := d.Observe(nil, rates); err != nil {
 		t.Fatalf("%s: instrumented observe: %v", gs.name, err)
 	}
 	cell("metrics", func(g *goldenHash) { g.registry(reg) })

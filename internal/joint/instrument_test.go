@@ -65,7 +65,7 @@ func TestDispatcherInstrumentMatchesHealthReport(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	disp.Instrument(reg)
 
-	if _, err := disp.ObserveHealth([]bool{false, true}); err != nil {
+	if _, err := disp.Observe([]bool{false, true}, nil); err != nil {
 		t.Fatal(err)
 	}
 	rep := disp.Health()
@@ -82,7 +82,7 @@ func TestDispatcherInstrumentMatchesHealthReport(t *testing.T) {
 		t.Fatalf("observations = %d, want 1", got)
 	}
 
-	if _, err := disp.ObserveHealth([]bool{true, true}); err != nil {
+	if _, err := disp.Observe([]bool{true, true}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !disp.Health().Restored {

@@ -222,7 +222,7 @@ func TestDispatcherAdaptsToBandwidthDrop(t *testing.T) {
 		}
 	}
 	// Collapse both uplinks to 100 kbps.
-	after, err := disp.ObserveUplinks([]float64{1e5, 1e5})
+	after, err := disp.Observe(nil, []float64{1e5, 1e5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestDispatcherAdaptsToBandwidthDrop(t *testing.T) {
 				i, u.Rate, u.Device.ModelTime(u.Model))
 		}
 	}
-	if _, err := disp.ObserveUplinks([]float64{1e6}); err == nil {
+	if _, err := disp.Observe(nil, []float64{1e6}); err == nil {
 		t.Error("expected error for wrong rate count")
 	}
 }

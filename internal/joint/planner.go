@@ -419,14 +419,21 @@ func (st *state) seedDecisions(ds []Decision, order []int) {
 	}
 }
 
+// InitialAssignment is initialAssignment's mapping. The baselines start
+// from it, so they differ from the joint plan only in surgery and allocation.
+func InitialAssignment(sc *Scenario) []int {
+	assign, _ := initialAssignment(sc, buildUserSoA(sc))
+	return assign
+}
+
 // initialAssignment computes the planner's greedy initial user→server
 // mapping: heaviest provisioned work first onto the server with the
-// smallest normalized pending load (work / capacity). It returns the
-// mapping plus the acceptance order (users by descending work), which
-// seedGreedy replays to keep per-server lists in the historical order and
-// the sharded planner uses both as the server-affinity clustering and to
-// build its shards' lists in an order bit-compatible with the monolithic
-// path.
+// smallest normalized pending load (work / capacity), or -1 for every user
+// when there are no servers. It returns the mapping plus the acceptance
+// order (users by descending work), which seedGreedy replays to keep
+// per-server lists in the historical order and the sharded planner uses
+// both as the server-affinity clustering and to build its shards' lists in
+// an order bit-compatible with the monolithic path.
 func initialAssignment(sc *Scenario, hot *userSoA) (assign, order []int) {
 	// Stable sort by descending work: the same permutation the historical
 	// insertion sort produced (both are stable under the same comparator),
@@ -436,7 +443,7 @@ func initialAssignment(sc *Scenario, hot *userSoA) (assign, order []int) {
 	assign = make([]int, len(sc.Users))
 	load := make([]float64, len(sc.Servers))
 	for _, ui := range order {
-		best, bestLoad := 0, math.Inf(1)
+		best, bestLoad := -1, math.Inf(1)
 		for s := range sc.Servers {
 			l := load[s] / sc.Servers[s].Profile.PeakFLOPS
 			if l < bestLoad {
@@ -444,7 +451,9 @@ func initialAssignment(sc *Scenario, hot *userSoA) (assign, order []int) {
 			}
 		}
 		assign[ui] = best
-		load[best] += hot.work[ui]
+		if best >= 0 {
+			load[best] += hot.work[ui]
+		}
 	}
 	return assign, order
 }

@@ -215,3 +215,14 @@ func MeanRate(l Link, horizon float64) float64 {
 	}
 	return area / horizon
 }
+
+// WindowRate is the rate a periodic probe observes over [t, t+window): the
+// mean of 16 evenly spaced samples of the link's capacity.
+func WindowRate(l Link, t, window float64) float64 {
+	const steps = 16
+	var sum float64
+	for k := 0; k < steps; k++ {
+		sum += l.RateAt(t + window*float64(k)/steps)
+	}
+	return sum / steps
+}

@@ -6,15 +6,12 @@ import (
 	"math/rand"
 )
 
-// Dataset is a labeled feature matrix. Difficulty records the per-sample
-// generation difficulty in [0, 1] (0 = cleanest) when the generator knows
-// it, enabling measured exit-depth-vs-difficulty analyses.
+// Dataset is a labeled feature matrix.
 type Dataset struct {
-	X          *Matrix
-	Y          []int
-	Difficulty []float64
-	Features   int
-	Classes    int
+	X        *Matrix
+	Y        []int
+	Features int
+	Classes  int
 }
 
 // Len returns the number of samples.
@@ -32,15 +29,9 @@ func (d *Dataset) Split(trainFrac float64, rng *rand.Rand) (train, test *Dataset
 			Features: d.Features,
 			Classes:  d.Classes,
 		}
-		if d.Difficulty != nil {
-			out.Difficulty = make([]float64, len(idx))
-		}
 		for i, j := range idx {
 			copy(out.X.Row(i), d.X.Row(j))
 			out.Y[i] = d.Y[j]
-			if d.Difficulty != nil {
-				out.Difficulty[i] = d.Difficulty[j]
-			}
 		}
 		return out
 	}
@@ -60,8 +51,7 @@ type RingsConfig struct {
 	Classes  int
 	// BandWidth is each class annulus' radial thickness.
 	BandWidth float64
-	// Jitter is the radial noise std as a fraction of BandWidth; the
-	// per-sample jitter magnitude defines its difficulty.
+	// Jitter is the radial noise std as a fraction of BandWidth.
 	Jitter float64
 	Seed   int64
 }
@@ -76,11 +66,10 @@ func Rings(cfg RingsConfig) (*Dataset, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	ds := &Dataset{
-		X:          NewMatrix(cfg.Samples, cfg.Features),
-		Y:          make([]int, cfg.Samples),
-		Difficulty: make([]float64, cfg.Samples),
-		Features:   cfg.Features,
-		Classes:    cfg.Classes,
+		X:        NewMatrix(cfg.Samples, cfg.Features),
+		Y:        make([]int, cfg.Samples),
+		Features: cfg.Features,
+		Classes:  cfg.Classes,
 	}
 	for i := 0; i < cfg.Samples; i++ {
 		c := rng.Intn(cfg.Classes)
@@ -100,70 +89,6 @@ func Rings(cfg RingsConfig) (*Dataset, error) {
 			row[j] = rng.NormFloat64() * 0.5
 		}
 		ds.Y[i] = c
-		ds.Difficulty[i] = u
-	}
-	return ds, nil
-}
-
-// GaussianMixtureConfig parameterizes the synthetic classification task.
-// Class centers sit on a hypersphere; per-sample noise varies so the
-// dataset naturally contains easy samples (near centers) and hard samples
-// (near decision boundaries) — exactly the structure early-exit inference
-// exploits.
-type GaussianMixtureConfig struct {
-	Samples  int
-	Features int
-	Classes  int
-	// Radius is the center hypersphere radius (class separation).
-	Radius float64
-	// NoiseLo and NoiseHi bound the per-sample noise std; each sample
-	// draws its own std uniformly, creating an easy-to-hard continuum.
-	NoiseLo, NoiseHi float64
-	Seed             int64
-}
-
-// GaussianMixture generates the dataset.
-func GaussianMixture(cfg GaussianMixtureConfig) (*Dataset, error) {
-	if cfg.Samples <= 0 || cfg.Features < 2 || cfg.Classes < 2 {
-		return nil, fmt.Errorf("nn: bad mixture config %+v", cfg)
-	}
-	if cfg.NoiseHi < cfg.NoiseLo || cfg.NoiseLo < 0 {
-		return nil, fmt.Errorf("nn: bad noise range [%g, %g]", cfg.NoiseLo, cfg.NoiseHi)
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	// Class centers: random orthonormal-ish directions scaled by Radius.
-	centers := make([][]float64, cfg.Classes)
-	for c := range centers {
-		v := make([]float64, cfg.Features)
-		var norm float64
-		for i := range v {
-			v[i] = rng.NormFloat64()
-			norm += v[i] * v[i]
-		}
-		norm = math.Sqrt(norm)
-		for i := range v {
-			v[i] = v[i] / norm * cfg.Radius
-		}
-		centers[c] = v
-	}
-	ds := &Dataset{
-		X:          NewMatrix(cfg.Samples, cfg.Features),
-		Y:          make([]int, cfg.Samples),
-		Difficulty: make([]float64, cfg.Samples),
-		Features:   cfg.Features,
-		Classes:    cfg.Classes,
-	}
-	span := cfg.NoiseHi - cfg.NoiseLo
-	for i := 0; i < cfg.Samples; i++ {
-		c := rng.Intn(cfg.Classes)
-		u := rng.Float64()
-		noise := cfg.NoiseLo + u*span
-		row := ds.X.Row(i)
-		for j := range row {
-			row[j] = centers[c][j] + rng.NormFloat64()*noise
-		}
-		ds.Y[i] = c
-		ds.Difficulty[i] = u
 	}
 	return ds, nil
 }

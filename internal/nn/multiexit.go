@@ -173,9 +173,6 @@ func NewMultiExit(cfg Config) (*MultiExit, error) {
 	return m, nil
 }
 
-// Exits returns the backbone indices carrying heads, ascending.
-func (m *MultiExit) Exits() []int { return append([]int(nil), m.exits...) }
-
 // forwardAll runs the backbone and every head, returning per-exit
 // probability matrices and caching activations for backward.
 type forwardCache struct {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -91,9 +92,9 @@ func TestSoftmaxRows(t *testing.T) {
 	}
 }
 
-func TestGaussianMixtureShape(t *testing.T) {
-	ds, err := GaussianMixture(GaussianMixtureConfig{
-		Samples: 500, Features: 8, Classes: 4, Radius: 3, NoiseLo: 0.5, NoiseHi: 2, Seed: 1,
+func TestRingsShape(t *testing.T) {
+	ds, err := Rings(RingsConfig{
+		Samples: 500, Features: 8, Classes: 4, BandWidth: 1.2, Jitter: 0.35, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -113,12 +114,15 @@ func TestGaussianMixtureShape(t *testing.T) {
 	}
 }
 
-func TestGaussianMixtureValidation(t *testing.T) {
-	if _, err := GaussianMixture(GaussianMixtureConfig{Samples: 0, Features: 2, Classes: 2}); err == nil {
+func TestRingsValidation(t *testing.T) {
+	if _, err := Rings(RingsConfig{Samples: 0, Features: 2, Classes: 2, BandWidth: 1}); err == nil {
 		t.Error("accepted zero samples")
 	}
-	if _, err := GaussianMixture(GaussianMixtureConfig{Samples: 10, Features: 2, Classes: 2, NoiseLo: 2, NoiseHi: 1}); err == nil {
-		t.Error("accepted inverted noise range")
+	if _, err := Rings(RingsConfig{Samples: 10, Features: 2, Classes: 2, BandWidth: 0}); err == nil {
+		t.Error("accepted zero band width")
+	}
+	if _, err := Rings(RingsConfig{Samples: 10, Features: 2, Classes: 2, BandWidth: 1, Jitter: -1}); err == nil {
+		t.Error("accepted negative jitter")
 	}
 }
 
@@ -133,17 +137,17 @@ func TestNewMultiExitValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exits := m.Exits()
+	exits := m.exits
 	if len(exits) != 2 || exits[0] != 0 || exits[1] != 2 {
 		t.Fatalf("exits = %v, want [0 2]", exits)
 	}
 }
 
-// trainToy trains a small multi-exit net on a separable mixture.
+// trainToy trains a small multi-exit net on the concentric-rings task.
 func trainToy(t *testing.T, seed int64) (*MultiExit, *Dataset, *Dataset) {
 	t.Helper()
-	ds, err := GaussianMixture(GaussianMixtureConfig{
-		Samples: 3000, Features: 12, Classes: 4, Radius: 4, NoiseLo: 0.4, NoiseHi: 2.5, Seed: seed,
+	ds, err := Rings(RingsConfig{
+		Samples: 3000, Features: 12, Classes: 4, BandWidth: 1.2, Jitter: 0.35, Seed: seed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -174,8 +178,8 @@ func TestTrainingLearns(t *testing.T) {
 }
 
 func TestLossDecreasesOverEpochs(t *testing.T) {
-	ds, err := GaussianMixture(GaussianMixtureConfig{
-		Samples: 1500, Features: 10, Classes: 3, Radius: 4, NoiseLo: 0.5, NoiseHi: 2, Seed: 5,
+	ds, err := Rings(RingsConfig{
+		Samples: 1500, Features: 10, Classes: 3, BandWidth: 1.2, Jitter: 0.35, Seed: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -228,19 +232,29 @@ func TestStrictThresholdImprovesAccuracy(t *testing.T) {
 	}
 }
 
+// TestEasySamplesExitEarly: samples far from a class boundary exit earlier
+// on average than samples near one. A rings sample's boundary margin is its
+// radial distance to the nearest multiple of the band width (trainToy's
+// 1.2). (Comparing against out-of-distribution noise would hit softmax
+// overconfidence instead — a known pathology, not early-exit behaviour.)
 func TestEasySamplesExitEarly(t *testing.T) {
-	// Within the training distribution, below-median-difficulty samples
-	// must exit earlier on average than above-median ones. (Comparing
-	// against out-of-distribution noise would hit softmax overconfidence
-	// instead — a known pathology, not early-exit behaviour.)
 	m, _, test := trainToy(t, 45)
 	preds := m.Infer(test.X, 0.9)
+	margins := make([]float64, test.Len())
+	for i := range margins {
+		row := test.X.Row(i)
+		r := math.Hypot(row[0], row[1]) / 1.2
+		margins[i] = math.Abs(r - math.Round(r))
+	}
+	median := append([]float64(nil), margins...)
+	sort.Float64s(median)
+	cut := median[len(median)/2]
 	nLayers := 4.0
 	var easyDepth, hardDepth float64
 	var easyN, hardN int
 	for i, p := range preds {
 		depth := float64(p.Exit+1) / nLayers
-		if test.Difficulty[i] < 0.5 {
+		if margins[i] > cut {
 			easyDepth += depth
 			easyN++
 		} else {

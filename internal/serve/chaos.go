@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"time"
 
 	"edgesurgeon/internal/faults"
 	"edgesurgeon/internal/joint"
@@ -128,22 +126,4 @@ func corruptSample(s telemetry.Sample, kind faults.CorruptKind) telemetry.Sample
 		c.Uplinks = append(c.Uplinks, 0)
 	}
 	return c
-}
-
-// CheckGoroutineLeak polls until the process goroutine count has settled
-// back to the baseline taken before a chaos run, tolerating the runtime's
-// brief teardown lag. It returns an error naming the counts if goroutines
-// are still leaked after the grace period — the chaos smoke target treats
-// that as a failed run.
-func CheckGoroutineLeak(baseline int) error {
-	deadline := time.Now().Add(2 * time.Second)
-	n := runtime.NumGoroutine()
-	for n > baseline && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-		n = runtime.NumGoroutine()
-	}
-	if n > baseline {
-		return fmt.Errorf("serve: %d goroutines still running, baseline was %d", n, baseline)
-	}
-	return nil
 }

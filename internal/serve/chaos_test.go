@@ -5,10 +5,28 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"edgesurgeon/internal/faults"
 	"edgesurgeon/internal/joint"
 )
+
+// CheckGoroutineLeak polls until the process goroutine count has settled
+// back to the baseline taken before a chaos run, tolerating the runtime's
+// brief teardown lag. It returns an error naming the counts if goroutines
+// are still leaked after the grace period.
+func CheckGoroutineLeak(baseline int) error {
+	deadline := time.Now().Add(2 * time.Second)
+	n := runtime.NumGoroutine()
+	for n > baseline && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	if n > baseline {
+		return fmt.Errorf("serve: %d goroutines still running, baseline was %d", n, baseline)
+	}
+	return nil
+}
 
 // chaosSchedule arms every chaos kind over the fixture trace: planner
 // slowdown across the middle, corruption of three samples (enough strikes

@@ -9,13 +9,13 @@ import (
 )
 
 // deltaPolicy arms the incremental replan path on top of the chaos policy:
-// every qualifying replan routes through PlanDelta. DeltaMaxDirtyFrac 1
+// every qualifying replan routes through PlanDelta. deltaMaxDirtyFrac 1
 // admits fleet-wide drift, so the fixture's two fading links both qualify
 // and the replay exercises multi-dirty-shard deltas too.
 func deltaPolicy() Policy {
 	p := chaosPolicy()
 	p.DeltaReplan = true
-	p.DeltaMaxDirtyFrac = 1
+	p.deltaMaxDirtyFrac = 1
 	return p
 }
 
@@ -121,14 +121,14 @@ func TestDeltaKillRecoverEveryPoint(t *testing.T) {
 }
 
 // TestDeltaDirtyFracFallback pins the width guard: when the drifted
-// fraction of the fleet exceeds DeltaMaxDirtyFrac, the runtime falls back
+// fraction of the fleet exceeds deltaMaxDirtyFrac, the runtime falls back
 // to a full replan (a fleet-wide re-solve is what wide drift needs, and
 // it restores the snapshot boundary). With both fixture links fading and a
 // 2-server fleet, a 0.4 cap can never admit a delta.
 func TestDeltaDirtyFracFallback(t *testing.T) {
 	trace := recordReplayTrace(t)
 	policy := deltaPolicy()
-	policy.DeltaMaxDirtyFrac = 0.4
+	policy.deltaMaxDirtyFrac = 0.4
 	rt, err := New(Config{
 		Scenario: fadingScenario(t),
 		Planner:  &joint.Planner{},
@@ -151,21 +151,15 @@ func TestDeltaDirtyFracFallback(t *testing.T) {
 	}
 }
 
-// TestDeltaPolicyValidate pins the new policy field's range check.
+// TestDeltaPolicyValidate: the delta presets validate, and a zero
+// deltaMaxDirtyFrac (what every preset runs) resolves to the 0.5 cap.
 func TestDeltaPolicyValidate(t *testing.T) {
-	for _, frac := range []float64{-0.1, 1.5} {
-		p := deltaPolicy()
-		p.DeltaMaxDirtyFrac = frac
-		if err := p.Validate(); err == nil {
-			t.Fatalf("DeltaMaxDirtyFrac=%g accepted", frac)
+	for _, p := range []Policy{Delta(), deltaPolicy()} {
+		if err := p.Validate(); err != nil {
+			t.Fatalf("%+v rejected: %v", p, err)
 		}
 	}
-	p := deltaPolicy()
-	p.DeltaMaxDirtyFrac = 0 // 0 = default cap
-	if err := p.Validate(); err != nil {
-		t.Fatalf("zero DeltaMaxDirtyFrac rejected: %v", err)
-	}
-	if got := p.deltaDirtyFracLimit(); got != 0.5 {
+	if got := Delta().deltaDirtyFracLimit(); got != 0.5 {
 		t.Fatalf("default dirty-frac limit = %g, want 0.5", got)
 	}
 }

@@ -550,7 +550,7 @@ func (rt *Runtime) install(frozen *joint.Scenario, plan *joint.Plan) error {
 		for i, dn := range rt.down {
 			up[i] = !dn
 		}
-		if _, err := disp.ObserveHealth(up); err != nil {
+		if _, err := disp.Observe(up, nil); err != nil {
 			return fmt.Errorf("applying health: %w", err)
 		}
 	}

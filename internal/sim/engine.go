@@ -200,9 +200,6 @@ func (e *Engine) RunUntil(t float64) float64 {
 // instrumentation).
 func (e *Engine) Executed() int64 { return e.nRun }
 
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.pq) }
-
 // Station is a FCFS single-server queue whose per-job service time may
 // depend on the job's start time (which is how time-varying link rates are
 // integrated exactly). A Station with share-partitioned capacity is modeled
@@ -210,7 +207,7 @@ func (e *Engine) Pending() int { return len(e.pq) }
 //
 // Jobs come in two flavours: typed task-lifecycle jobs (a *taskState whose
 // duration and completion are computed by the shard runner — zero
-// allocations per job) and closure jobs (the public Submit API).
+// allocations per job) and closure jobs (Submit, in the tests).
 type Station struct {
 	Name string
 	eng  *Engine
@@ -247,13 +244,6 @@ func (s *Station) Reserve(n int) {
 	q := make([]stationJob, len(s.q), len(s.q)+n)
 	copy(q, s.q)
 	s.q = q
-}
-
-// Submit enqueues a job whose duration is dur(startTime); done fires at
-// completion with the actual start and finish times.
-func (s *Station) Submit(dur func(start float64) float64, done func(start, finish float64)) {
-	s.q = append(s.q, stationJob{dur: dur, done: done})
-	s.tryStart()
 }
 
 // submitTask enqueues a typed task-lifecycle job; the shard runner supplies
@@ -314,9 +304,6 @@ func (s *Station) complete() {
 	}
 	s.tryStart()
 }
-
-// Served returns the number of completed jobs.
-func (s *Station) Served() int64 { return s.served }
 
 // BusyTime returns the cumulative service time delivered.
 func (s *Station) BusyTime() float64 { return s.busyTime }

@@ -165,7 +165,12 @@ func TestRunUnderCrashWindow(t *testing.T) {
 	if res.FailureRate() == 0 {
 		t.Fatal("10 s crash window produced no failures")
 	}
-	byCause := res.FailuresByCause()
+	byCause := map[FailCause]int{}
+	for _, rec := range res.Records {
+		if rec.Failed {
+			byCause[rec.Cause]++
+		}
+	}
 	if byCause[CauseTimeout]+byCause[CauseServerCrash] == 0 {
 		t.Fatalf("failures lack crash/timeout causes: %v", byCause)
 	}

@@ -132,8 +132,6 @@ type Result struct {
 	Events  int64
 	// ServerUtil[i] is server i's compute utilization over the horizon.
 	ServerUtil []float64
-
-	byCause map[FailCause]int
 }
 
 // Latencies returns the pooled latency series across all users (failed
@@ -171,15 +169,6 @@ func (r *Result) FailureRate() float64 {
 		return 0
 	}
 	return m.Rate()
-}
-
-// FailuresByCause tallies failed tasks by cause.
-func (r *Result) FailuresByCause() map[FailCause]int {
-	out := make(map[FailCause]int, len(r.byCause))
-	for c, n := range r.byCause {
-		out[c] = n
-	}
-	return out
 }
 
 // MeanAccuracy returns the pooled expected-correctness mean over completed

@@ -40,11 +40,6 @@ func NewPSStation(eng *Engine, name string) *PSStation {
 	return &PSStation{Name: name, eng: eng}
 }
 
-// Submit adds a job with the given full-capacity service demand.
-func (s *PSStation) Submit(serviceSec float64, done func(start, finish float64)) {
-	s.admit(psJob{remaining: serviceSec, done: done})
-}
-
 // submitTask adds a typed task-lifecycle job; completion is routed to the
 // shard runner's stageDone without allocating a closure.
 func (s *PSStation) submitTask(serviceSec float64, t *taskState) {
@@ -125,12 +120,6 @@ func (s *PSStation) complete() {
 		*j = psJob{}
 	}
 }
-
-// InService returns the number of resident jobs.
-func (s *PSStation) InService() int { return len(s.jobs) }
-
-// Served returns the number of completed jobs.
-func (s *PSStation) Served() int64 { return s.served }
 
 // BusyTime returns the cumulative time the station was non-empty.
 func (s *PSStation) BusyTime() float64 {

@@ -23,8 +23,8 @@ func TestPSTwoEqualJobs(t *testing.T) {
 			t.Errorf("finish = %g, want 2", f)
 		}
 	}
-	if ps.Served() != 2 || ps.InService() != 0 {
-		t.Errorf("served=%d inService=%d", ps.Served(), ps.InService())
+	if ps.Served() != 2 || len(ps.jobs) != 0 {
+		t.Errorf("served=%d inService=%d", ps.Served(), len(ps.jobs))
 	}
 }
 

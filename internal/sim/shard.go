@@ -107,8 +107,7 @@ type shardRun struct {
 	srvTx     *Station
 	srvPS     *PSStation
 
-	free    *taskState
-	byCause map[FailCause]int
+	free *taskState
 
 	end    float64
 	events int64
@@ -382,10 +381,6 @@ func (r *shardRun) failTask(su *shardUser, t *taskState, abort float64, cause Fa
 	}
 	us.Crossed.Observe(choice.crossed)
 	us.Failures.Observe(true)
-	if r.byCause == nil {
-		r.byCause = make(map[FailCause]int)
-	}
-	r.byCause[cause]++
 }
 
 // runComponents executes every component in order, on the caller's
@@ -429,14 +424,6 @@ func mergeShards(cfg *Config, comps []component, shards []*shardRun) *Result {
 			res.PerUser[su.gu] = su.stats
 			recsByUser[su.gu] = su.recs
 			nRecords += len(su.recs)
-		}
-		if sh.byCause != nil {
-			if res.byCause == nil {
-				res.byCause = make(map[FailCause]int)
-			}
-			for c, n := range sh.byCause {
-				res.byCause[c] += n
-			}
 		}
 	}
 	// Users with no tasks in any component still get stats (a user can only

@@ -11,6 +11,27 @@ import (
 	"edgesurgeon/internal/workload"
 )
 
+// The closure-job API the station tests drive; the simulator itself submits
+// typed task-lifecycle jobs (submitTask).
+
+// Submit enqueues a job whose duration is dur(startTime); done fires at
+// completion with the actual start and finish times.
+func (s *Station) Submit(dur func(start float64) float64, done func(start, finish float64)) {
+	s.q = append(s.q, stationJob{dur: dur, done: done})
+	s.tryStart()
+}
+
+// Served returns the number of completed jobs.
+func (s *Station) Served() int64 { return s.served }
+
+// Submit adds a job with the given full-capacity service demand.
+func (s *PSStation) Submit(serviceSec float64, done func(start, finish float64)) {
+	s.admit(psJob{remaining: serviceSec, done: done})
+}
+
+// Served returns the number of completed jobs.
+func (s *PSStation) Served() int64 { return s.served }
+
 func TestEngineOrdering(t *testing.T) {
 	var eng Engine
 	var order []int
@@ -70,8 +91,8 @@ func TestEngineRunUntil(t *testing.T) {
 	if fired != 1 {
 		t.Errorf("fired = %d, want 1", fired)
 	}
-	if eng.Pending() != 1 {
-		t.Errorf("pending = %d", eng.Pending())
+	if len(eng.pq) != 1 {
+		t.Errorf("pending = %d", len(eng.pq))
 	}
 	if eng.Now() != 5 {
 		t.Errorf("now = %g", eng.Now())

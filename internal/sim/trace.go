@@ -5,12 +5,13 @@ import (
 	"math"
 
 	"edgesurgeon/internal/faults"
+	"edgesurgeon/internal/netmodel"
 	"edgesurgeon/internal/telemetry"
 )
 
 // RecordTrace samples the cluster's observable state over [0, horizon) at a
-// fixed period: each sample carries every server's windowed mean uplink
-// rate (the same 16-step average the dispatcher's ObserveWindow probes) and
+// fixed period: each sample carries every server's netmodel.WindowRate over
+// the period (what the dispatcher's ObserveWindow probes) and
 // the fault schedule's reachability vector at the sample instant. The
 // result is exactly what a live cluster's periodic telemetry probes would
 // deliver, in the format serve.Runtime ingests and cmd/edgeserved replays —
@@ -40,13 +41,7 @@ func RecordTrace(servers []ServerConfig, sched *faults.Schedule, horizon, period
 			Health:  sched.Health(len(servers), t),
 		}
 		for si := range servers {
-			link := servers[si].Link
-			const steps = 16
-			var sum float64
-			for k := 0; k < steps; k++ {
-				sum += link.RateAt(t + period*float64(k)/steps)
-			}
-			s.Uplinks[si] = sum / steps
+			s.Uplinks[si] = netmodel.WindowRate(servers[si].Link, t, period)
 		}
 		samples = append(samples, s)
 	}

@@ -1,5 +1,5 @@
 // Package stats provides the measurement plumbing shared by the simulator
-// and the experiment harness: streaming moments, empirical quantiles and
+// and the experiment harness: running means, empirical quantiles and
 // deadline accounting.
 package stats
 
@@ -8,55 +8,23 @@ import (
 	"sort"
 )
 
-// Stream accumulates streaming moments using Welford's algorithm.
+// Stream is a running mean (Welford's update), mergeable across streams.
 type Stream struct {
-	n          int64
-	mean, m2   float64
-	min, max   float64
-	everyFirst bool
+	n    int64
+	mean float64
 }
 
 // Add records one observation.
 func (s *Stream) Add(x float64) {
 	s.n++
-	if !s.everyFirst {
-		s.min, s.max = x, x
-		s.everyFirst = true
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
-	d := x - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
+	s.mean += (x - s.mean) / float64(s.n)
 }
-
-// Count returns the number of observations.
-func (s *Stream) Count() int64 { return s.n }
 
 // Mean returns the running mean (0 for an empty stream).
 func (s *Stream) Mean() float64 { return s.mean }
 
-// Var returns the unbiased sample variance.
-func (s *Stream) Var() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n-1)
-}
-
-// Min returns the smallest observation (0 for an empty stream).
-func (s *Stream) Min() float64 { return s.min }
-
-// Max returns the largest observation (0 for an empty stream).
-func (s *Stream) Max() float64 { return s.max }
-
-// Merge folds another stream's moments into s (Chan et al.'s parallel
-// Welford update), as if s had also observed everything o observed.
+// Merge folds another stream into s (Chan et al.'s parallel update), as if
+// s had also observed everything o observed.
 func (s *Stream) Merge(o Stream) {
 	if o.n == 0 {
 		return
@@ -69,13 +37,6 @@ func (s *Stream) Merge(o Stream) {
 	tot := n1 + n2
 	d := o.mean - s.mean
 	s.mean += d * n2 / tot
-	s.m2 += o.m2 + d*d*n1*n2/tot
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
 	s.n += o.n
 }
 

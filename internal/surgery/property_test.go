@@ -149,38 +149,6 @@ func TestTxFactorMonotone(t *testing.T) {
 	}
 }
 
-// TestDeviceEnergyAccounting checks the energy identities on trivial plans.
-func TestDeviceEnergyAccounting(t *testing.T) {
-	m := dnn.AlexNet()
-	dev, _ := hardware.ByName("rpi4")
-	srv, _ := hardware.ByName("edge-gpu-t4")
-	env := Env{
-		Device: dev, Server: srv,
-		ComputeShare: 1, UplinkBps: netmodel.Mbps(10), BandwidthShare: 1,
-		RTT: 0.004, Difficulty: workload.UniformDifficulty,
-	}
-	lv, err := Evaluate(LocalOnly(m), env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantLocal := dev.ComputeEnergy(dev.ModelTime(m))
-	if got := lv.DeviceEnergyAt(dev, 1); absf(got-wantLocal) > 1e-9 {
-		t.Errorf("local energy %g, want %g", got, wantLocal)
-	}
-	ov, err := Evaluate(FullOffload(m), env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantOffload := dev.RadioEnergy(ov.TxSec)
-	if got := ov.DeviceEnergyAt(dev, 1); absf(got-wantOffload) > 1e-9 {
-		t.Errorf("offload energy %g, want %g (pure radio)", got, wantOffload)
-	}
-	// Halving the bandwidth share doubles the radio energy.
-	if got := ov.DeviceEnergyAt(dev, 0.5); absf(got-2*wantOffload) > 1e-9 {
-		t.Errorf("half-share energy %g, want %g", got, 2*wantOffload)
-	}
-}
-
 func absf(x float64) float64 {
 	if x < 0 {
 		return -x

@@ -56,13 +56,6 @@ func (j *Journal) Reset(events []Event) {
 	j.mu.Unlock()
 }
 
-// Len returns the number of recorded events.
-func (j *Journal) Len() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.events)
-}
-
 // Events returns a copy of the journal in record order.
 func (j *Journal) Events() []Event {
 	j.mu.Lock()

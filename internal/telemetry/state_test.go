@@ -112,7 +112,7 @@ func TestSampleSourceRoundTrips(t *testing.T) {
 		{Time: 0, Uplinks: []float64{1e6}, Source: "agent-3"},
 		{Time: 5, Uplinks: []float64{2e6}},
 	}
-	out, err := DecodeTrace(strings.NewReader(TraceString(in)))
+	out, err := DecodeTrace(strings.NewReader(traceText(in)))
 	if err != nil {
 		t.Fatalf("DecodeTrace: %v", err)
 	}

@@ -1,12 +1,12 @@
 // Package telemetry is the dependency-free measurement layer of the online
-// control plane: atomic counters and gauges, mergeable fixed-bucket
-// histograms, a named-metric registry with a deterministic text rendering
-// (the `/metrics` endpoint of cmd/edgeserved), a typed event journal that
-// records replan decisions, and a line-oriented codec for telemetry traces
-// (timestamped uplink/health samples) so a recorded trace replays
-// bit-identically. Everything here depends only on the standard library —
-// internal/joint, internal/sim and internal/serve all hook into it without
-// creating import cycles.
+// control plane: atomic counters and gauges, fixed-bucket histograms, a
+// named-metric registry with a deterministic text rendering (the `/metrics`
+// endpoint of cmd/edgeserved), a typed event journal that records replan
+// decisions, a line-oriented codec for telemetry traces (timestamped
+// uplink/health samples) so a recorded trace replays bit-identically, and
+// the CPU/heap profile files the binaries write on request. Everything here
+// depends only on the standard library — internal/joint, internal/sim and
+// internal/serve all hook into it without creating import cycles.
 package telemetry
 
 import (
@@ -53,8 +53,7 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram counts observations into fixed buckets with strictly
 // increasing upper bounds plus an implicit +Inf overflow bucket. It is
-// concurrency-safe and mergeable, so shards of a sweep can aggregate into
-// one distribution.
+// concurrency-safe.
 type Histogram struct {
 	mu     sync.Mutex
 	bounds []float64 // upper bounds of the finite buckets
@@ -128,38 +127,6 @@ func (h *Histogram) Buckets() []int64 {
 // Bounds returns a copy of the finite bucket upper bounds.
 func (h *Histogram) Bounds() []float64 {
 	return append([]float64(nil), h.bounds...)
-}
-
-// Merge folds another histogram's observations into h. The two must share
-// identical bucket bounds.
-func (h *Histogram) Merge(o *Histogram) error {
-	if o == nil {
-		return nil
-	}
-	// Snapshot o first so h.Merge(o) and o's concurrent observers cannot
-	// deadlock on lock order.
-	o.mu.Lock()
-	ob := append([]float64(nil), o.bounds...)
-	oc := append([]int64(nil), o.counts...)
-	on, osum := o.n, o.sum
-	o.mu.Unlock()
-
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(ob) != len(h.bounds) {
-		return fmt.Errorf("telemetry: merging histograms with %d vs %d buckets", len(ob), len(h.bounds))
-	}
-	for i := range ob {
-		if ob[i] != h.bounds[i] {
-			return fmt.Errorf("telemetry: merging histograms with mismatched bound %d (%g vs %g)", i, ob[i], h.bounds[i])
-		}
-	}
-	for i := range oc {
-		h.counts[i] += oc[i]
-	}
-	h.n += on
-	h.sum += osum
-	return nil
 }
 
 // Registry is a named-metric namespace. Lookups are get-or-create, so

@@ -105,14 +105,6 @@ func EncodeTrace(w io.Writer, samples []Sample) error {
 	return bw.Flush()
 }
 
-// TraceString renders a trace to its canonical JSONL text.
-func TraceString(samples []Sample) string {
-	var b strings.Builder
-	// strings.Builder writes cannot fail and every Sample marshals.
-	_ = EncodeTrace(&b, samples)
-	return b.String()
-}
-
 // DecodeTrace parses a JSON-lines trace, validating structure as it goes:
 // every line must be a well-formed sample, timestamps must be finite,
 // non-negative and non-decreasing, uplink observations must be finite, and

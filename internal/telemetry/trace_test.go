@@ -9,6 +9,16 @@ import (
 	"testing"
 )
 
+// traceText renders a trace to its canonical JSONL text through
+// EncodeTrace.
+func traceText(samples []Sample) string {
+	var b strings.Builder
+	if err := EncodeTrace(&b, samples); err != nil {
+		panic(err)
+	}
+	return b.String()
+}
+
 func sampleTrace() []Sample {
 	return []Sample{
 		{Time: 0, Uplinks: []float64{40e6, 25e6}, Health: []bool{true, true}},
@@ -21,7 +31,7 @@ func sampleTrace() []Sample {
 
 func TestTraceRoundTrip(t *testing.T) {
 	tr := sampleTrace()
-	text := TraceString(tr)
+	text := traceText(tr)
 	got, err := DecodeTrace(strings.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
@@ -30,7 +40,7 @@ func TestTraceRoundTrip(t *testing.T) {
 		t.Fatalf("round trip changed trace:\n%v\nvs\n%v", got, tr)
 	}
 	// Canonical text is stable under a second round trip.
-	if again := TraceString(got); again != text {
+	if again := traceText(got); again != text {
 		t.Fatalf("re-encode differs:\n%s\nvs\n%s", again, text)
 	}
 }
@@ -119,7 +129,7 @@ func TestDecodeTraceRejectsMalformed(t *testing.T) {
 }
 
 func FuzzTraceDecode(f *testing.F) {
-	f.Add(TraceString(sampleTrace()))
+	f.Add(traceText(sampleTrace()))
 	f.Add(`{"t":1,"uplinks":[1e6,2e6]}`)
 	f.Add(`{"t":0,"health":[true,false]}`)
 	f.Add(`{"t":-0}`)
@@ -132,7 +142,7 @@ func FuzzTraceDecode(f *testing.F) {
 		}
 		// Whatever decodes must re-encode to a canonical form that decodes
 		// back to exactly the same trace.
-		canon := TraceString(tr)
+		canon := traceText(tr)
 		again, err := DecodeTrace(strings.NewReader(canon))
 		if err != nil {
 			t.Fatalf("canonical form rejected: %v\n%s", err, canon)

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // Task is one inference request.
@@ -209,18 +208,4 @@ func DifficultyCDF(k DifficultyKind, x float64) float64 {
 	default:
 		panic(fmt.Sprintf("workload: unknown difficulty kind %v", k))
 	}
-}
-
-// Merge combines per-user task streams into one arrival-ordered trace and
-// renumbers IDs globally.
-func Merge(streams ...[]Task) []Task {
-	var all []Task
-	for _, s := range streams {
-		all = append(all, s...)
-	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].Arrival < all[j].Arrival })
-	for i := range all {
-		all[i].ID = i
-	}
-	return all
 }

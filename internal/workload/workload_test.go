@@ -144,23 +144,6 @@ func TestDifficultyCDFProperties(t *testing.T) {
 	}
 }
 
-func TestMergeOrdersAndRenumbers(t *testing.T) {
-	a := Spec{User: 0, Rate: 10, Arrivals: Poisson, Seed: 7}.Generate(10)
-	b := Spec{User: 1, Rate: 10, Arrivals: Poisson, Seed: 8}.Generate(10)
-	all := Merge(a, b)
-	if len(all) != len(a)+len(b) {
-		t.Fatalf("merged %d, want %d", len(all), len(a)+len(b))
-	}
-	for i := range all {
-		if all[i].ID != i {
-			t.Fatalf("ID %d at position %d", all[i].ID, i)
-		}
-		if i > 0 && all[i].Arrival < all[i-1].Arrival {
-			t.Fatal("merge not sorted")
-		}
-	}
-}
-
 func TestGenerateEdgeCases(t *testing.T) {
 	if got := (Spec{Rate: 0, Arrivals: Poisson}).Generate(10); got != nil {
 		t.Error("zero rate should produce no tasks")

@@ -26,7 +26,7 @@ func TestOptionFields(t *testing.T) {
 		{sim.RetryPolicy{}, []string{"TaskTimeout"}},
 		{serve.Config{}, []string{"Scenario", "Planner", "Policy", "Frontier", "Store"}},
 		{serve.Policy{}, []string{"RelChange", "MinInterval", "Budget", "Window", "NeverReplan", "ReplanDeadline",
-			"QuarantineStrikes", "QuarantineProbation", "DeltaReplan", "DeltaMaxDirtyFrac"}},
+			"QuarantineStrikes", "QuarantineProbation", "DeltaReplan"}},
 	} {
 		typ := reflect.TypeOf(tc.v)
 		var got []string
