@@ -31,8 +31,10 @@
 //	    # live mode without -requests: serve clients until interrupted,
 //	    # /metrics, /plan and /debug/pprof/ live on :8080 the whole time
 //
-// The scenario schema is documented in internal/config; the trace format is
-// JSON lines, one telemetry.Sample per line.
+// Exactly one of -record, -trace and -listen selects the mode; a flag of
+// another mode exits 2 naming it. The scenario schema is documented in
+// internal/config; the trace format is JSON lines, one telemetry.Sample per
+// line.
 package main
 
 import (
@@ -51,6 +53,7 @@ import (
 	"edgesurgeon/internal/config"
 	"edgesurgeon/internal/faults"
 	"edgesurgeon/internal/joint"
+	"edgesurgeon/internal/netmodel"
 	"edgesurgeon/internal/serve"
 	"edgesurgeon/internal/sim"
 	"edgesurgeon/internal/telemetry"
@@ -178,7 +181,11 @@ func (c *chaosFlags) Set(spec string) error {
 	return nil
 }
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the whole command. Its status reaches os.Exit only after the
+// deferred profile stop, so a failing run still leaves both profiles.
+func run() int {
 	var faultSpecs faultFlags
 	var chaosSpecs chaosFlags
 	var (
@@ -214,59 +221,52 @@ func main() {
 
 	stopProfiles, err := telemetry.StartProfiles(*cpuProfile, *memProfile)
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	defer stopProfiles()
 
 	if *scenarioPath == "" {
-		usage("-scenario required")
+		return usage("-scenario required")
+	}
+	// A flag the chosen mode does not read is refused, not silently dropped.
+	m, err := chooseMode()
+	if err != nil {
+		return usage("%v", err)
 	}
 	preset, ok := policies[*policyName]
 	if !ok {
-		usage("-policy %q is not one of %s", *policyName, policyNames())
+		return usage("-policy %q is not one of %s", *policyName, policyNames())
 	}
 	data, err := os.ReadFile(*scenarioPath)
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	sc, scHorizon, err := config.Parse(data)
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 
-	switch {
-	case *listenAddr != "":
-		// Live mode has no trace to replay, journal, crash or resume, and
-		// plans through cluster.Start's own planner; say so instead of
-		// silently dropping the flag.
-		if name := firstSet("chaos", "expect-full-replans", "journal",
-			"shard-threshold", "snapshot-dir", "verify-recovery"); name != "" {
-			usage("-%s has no effect with -listen (it configures trace replay)", name)
-		}
+	switch m {
+	case "listen":
 		for _, f := range []struct {
 			name string
 			v    float64
 		}{{"timescale", *timeScale}, {"telemetry-period", *telemPeriod}} {
 			if !(f.v > 0) || math.IsInf(f.v, 1) {
-				usage("-%s %g is not a finite number > 0", f.name, f.v)
+				return usage("-%s %g is not a finite number > 0", f.name, f.v)
 			}
 		}
 		if !(*minOKFrac >= 0 && *minOKFrac <= 1) {
-			usage("-min-ok-frac %g is outside [0, 1]", *minOKFrac)
+			return usage("-min-ok-frac %g is outside [0, 1]", *minOKFrac)
 		}
 		// Seed fixes the dispatcher's partition-crossing sampler.
 		err = runCluster(sc, cluster.Config{
 			ScenarioJSON: data, Agents: *agents, AgentBin: *agentBin, Listen: *listenAddr,
 			Policy: preset(), TimeScale: *timeScale, TelemetryPeriod: *telemPeriod, Seed: 42,
 		}, cluster.DriveConfig{Requests: *requests, Workers: *workers}, *minOKFrac, *httpAddr)
-		if err != nil {
-			fatal(err)
-		}
-	case *recordPath != "":
-		if err := record(sc, scHorizon, *recordPath, *horizon, *period, faultSpecs.windows); err != nil {
-			fatal(err)
-		}
-	case *tracePath != "":
+	case "record":
+		err = record(sc, scHorizon, *recordPath, *horizon, *period, faultSpecs.windows)
+	case "trace":
 		opts := replayOpts{
 			tracePath: *tracePath, journalPath: *journalPath,
 			expectFull: *expectFull, httpAddr: *httpAddr,
@@ -279,23 +279,64 @@ func main() {
 			Policy:   preset(),
 			Frontier: true,
 		}
-		if err := replay(cfg, opts); err != nil {
-			fatal(err)
-		}
-	default:
-		usage("need -record, -trace, or -listen")
+		err = replay(cfg, opts)
 	}
+	if err != nil {
+		return fatal(err)
+	}
+	return 0
 }
 
-func fatal(err error) {
+// fatal reports a run's error and returns exit status 1.
+func fatal(err error) int {
 	fmt.Fprintf(os.Stderr, "edgeserved: %v\n", err)
-	os.Exit(1)
+	return 1
 }
 
-// usage reports a command-line error and exits with status 2.
-func usage(format string, args ...any) {
+// usage reports a command-line error and returns exit status 2.
+func usage(format string, args ...any) int {
 	fmt.Fprintf(os.Stderr, "edgeserved: "+format+"\n", args...)
-	os.Exit(2)
+	return 2
+}
+
+// flagModes maps each flag that configures only some modes to the flags
+// selecting those modes: -listen (live), -record and -trace (replay). A flag
+// not listed (-scenario, the profile flags) goes with every mode.
+var flagModes = map[string]string{
+	"agents": "listen", "agent-bin": "listen", "requests": "listen", "workers": "listen",
+	"timescale": "listen", "telemetry-period": "listen", "min-ok-frac": "listen",
+	"horizon": "record", "period": "record", "fault": "record",
+	"journal": "trace", "expect-full-replans": "trace", "chaos": "trace",
+	"shard-threshold": "trace", "snapshot-dir": "trace", "verify-recovery": "trace",
+	"policy": "listen trace", "http": "listen trace",
+}
+
+// chooseMode returns the one mode selector the command line sets. It fails
+// on none, on two, and on a flag (the first set, in flag.Visit's lexical
+// order) that the selected mode does not read.
+func chooseMode() (string, error) {
+	var chosen []string
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "listen" || f.Name == "record" || f.Name == "trace" {
+			chosen = append(chosen, f.Name)
+		}
+	})
+	switch len(chosen) {
+	case 0:
+		return "", fmt.Errorf("need -record, -trace, or -listen")
+	case 1:
+	default:
+		return "", fmt.Errorf("-%s and -%s each select a mode; give one", chosen[0], chosen[1])
+	}
+	var err error
+	flag.Visit(func(f *flag.Flag) {
+		modes, ok := flagModes[f.Name]
+		if ok && err == nil && !slices.Contains(strings.Fields(modes), chosen[0]) {
+			err = fmt.Errorf("-%s has no effect with -%s (it goes with -%s)",
+				f.Name, chosen[0], strings.ReplaceAll(modes, " ", " or -"))
+		}
+	})
+	return chosen[0], err
 }
 
 // record samples the scenario's own links (and the optional fault windows)
@@ -305,9 +346,9 @@ func record(sc *joint.Scenario, scHorizon float64, path string, horizon, period 
 	if horizon <= 0 {
 		horizon = scHorizon
 	}
-	servers := make([]sim.ServerConfig, len(sc.Servers))
+	links := make([]netmodel.Link, len(sc.Servers))
 	for i, s := range sc.Servers {
-		servers[i] = sim.ServerConfig{Profile: s.Profile, Link: s.Link}
+		links[i] = s.Link
 	}
 	var sched *faults.Schedule
 	if len(windows) > 0 {
@@ -316,7 +357,7 @@ func record(sc *joint.Scenario, scHorizon float64, path string, horizon, period 
 			return err
 		}
 	}
-	trace, err := sim.RecordTrace(servers, sched, horizon, period)
+	trace, err := sim.RecordTrace(links, sched, horizon, period)
 	if err != nil {
 		return err
 	}
@@ -334,20 +375,6 @@ func record(sc *joint.Scenario, scHorizon float64, path string, horizon, period 
 	fmt.Printf("recorded %d samples over %gs (period %gs, %d fault windows) to %s\n",
 		len(trace), horizon, period, len(windows), path)
 	return nil
-}
-
-// firstSet returns the first of the named flags (in flag.Visit's
-// lexical order) that was set on the command line, or "".
-func firstSet(names ...string) string {
-	found := ""
-	flag.Visit(func(f *flag.Flag) {
-		for _, name := range names {
-			if found == "" && f.Name == name {
-				found = name
-			}
-		}
-	})
-	return found
 }
 
 // policies are the -policy presets, each one a policy an existing caller

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"edgesurgeon/internal/config"
 	"edgesurgeon/internal/serve"
@@ -65,14 +67,17 @@ func build(t *testing.T) string {
 }
 
 // expectRejected runs edgeserved once per case and fails unless each exits
-// with status 2 naming the flag on stderr.
+// with status 2 naming the flag on stderr. A run that accepts its flags is
+// killed after a minute: live mode without -requests serves until stopped.
 func expectRejected(t *testing.T, base []string, cases []rejectedFlag) {
 	t.Helper()
 	bin := build(t)
 	for _, c := range cases {
 		args := append(append([]string{"-scenario", "testdata/smoke-scenario.json"}, base...), c.args...)
 		var stderr bytes.Buffer
-		cmd := exec.Command(bin, args...)
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		cmd := exec.CommandContext(ctx, bin, args...)
 		cmd.Stderr = &stderr
 		err := cmd.Run()
 		var exit *exec.ExitError
@@ -86,9 +91,10 @@ func expectRejected(t *testing.T, base []string, cases []rejectedFlag) {
 	}
 }
 
-// TestLiveModeRejectsReplayFlags pins the -listen contract: a flag that only
-// configures trace replay is refused with exit status 2 and named on stderr,
-// before anything is planned or spawned, instead of being silently dropped.
+// TestLiveModeRejectsReplayFlags pins each mode's contract, -listen's
+// first: a flag that configures another mode, or a second mode selector, is
+// refused with exit status 2 and named on stderr, before anything is
+// planned, recorded or spawned, instead of being silently dropped.
 func TestLiveModeRejectsReplayFlags(t *testing.T) {
 	expectRejected(t, []string{"-listen", "127.0.0.1:0"}, []rejectedFlag{
 		{"shard-threshold", []string{"-shard-threshold", "8"}},
@@ -110,7 +116,63 @@ func TestLiveModeRejectsReplayFlags(t *testing.T) {
 		{"min-ok-frac", []string{"-min-ok-frac", "NaN"}},
 		{"min-ok-frac", []string{"-min-ok-frac", "-0.1"}},
 		{"min-ok-frac", []string{"-min-ok-frac", "1.5"}},
+		{"fault", []string{"-fault", "crash:0:1:2"}},
+		{"horizon", []string{"-horizon", "60"}},
+		{"period", []string{"-period", "5"}},
+		{"record", []string{"-record", filepath.Join(t.TempDir(), "t.jsonl")}},
+		{"trace", []string{"-trace", "testdata/smoke-trace.jsonl"}},
 	})
+	expectRejected(t, []string{"-trace", "testdata/smoke-trace.jsonl"}, []rejectedFlag{
+		{"requests", []string{"-requests", "50"}},
+		{"agents", []string{"-agents", "3"}},
+		{"agent-bin", []string{"-agent-bin", "edgeagent"}},
+		{"workers", []string{"-workers", "2"}},
+		{"timescale", []string{"-timescale", "0"}},
+		{"telemetry-period", []string{"-telemetry-period", "1"}},
+		{"min-ok-frac", []string{"-min-ok-frac", "0.9"}},
+		{"fault", []string{"-fault", "crash:0:1:2"}},
+		{"horizon", []string{"-horizon", "60"}},
+		{"period", []string{"-period", "5"}},
+		{"record", []string{"-record", filepath.Join(t.TempDir(), "t.jsonl")}},
+	})
+	// Record mode takes neither -policy nor -http, and writes no trace.
+	out := filepath.Join(t.TempDir(), "t.jsonl")
+	expectRejected(t, []string{"-record", out}, []rejectedFlag{
+		{"chaos", []string{"-chaos", "crash:3"}},
+		{"journal", []string{"-journal", filepath.Join(t.TempDir(), "j.txt")}},
+		{"policy", []string{"-policy", "robust"}},
+		{"http", []string{"-http", "127.0.0.1:0"}},
+		{"snapshot-dir", []string{"-snapshot-dir", t.TempDir()}},
+		{"expect-full-replans", []string{"-expect-full-replans", "4"}},
+		{"shard-threshold", []string{"-shard-threshold", "8"}},
+		{"verify-recovery", []string{"-verify-recovery"}},
+		{"requests", []string{"-requests", "50"}},
+		{"timescale", []string{"-timescale", "0.5"}},
+		{"listen", []string{"-listen", "127.0.0.1:0"}},
+	})
+	if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("a refused record run left %s behind (%v)", out, err)
+	}
+}
+
+// TestFailedRunWritesProfiles: a replay that fails its -expect-full-replans
+// gate exits 1 and still leaves both profiles written.
+func TestFailedRunWritesProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	cmd := exec.Command(build(t), "-scenario", "testdata/smoke-scenario.json",
+		"-trace", "testdata/smoke-trace.jsonl", "-expect-full-replans", "99",
+		"-cpuprofile", cpu, "-memprofile", mem)
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("got %v, want exit status 1", err)
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("%s after a failed run: %v, want a non-empty profile", filepath.Base(path), err)
+		}
+	}
 }
 
 // TestFlagSet is the flag ratchet: the flags -h prints must be exactly this

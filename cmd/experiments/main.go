@@ -30,7 +30,11 @@ import (
 	"edgesurgeon/internal/telemetry"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the whole command. Its status reaches os.Exit only after the
+// deferred profile stop, so a failing run still leaves both profiles.
+func run() int {
 	var (
 		runList    = flag.String("run", "", "comma-separated experiment IDs (default: all)")
 		list       = flag.Bool("list", false, "list experiment IDs and exit")
@@ -45,13 +49,13 @@ func main() {
 	flag.Parse()
 	if *scenario != "" && *runList != "" {
 		fmt.Fprintln(os.Stderr, "-scenario and -run are exclusive: -scenario runs the one scenario, not experiments")
-		os.Exit(2)
+		return 2
 	}
 
 	stopProfiles, err := telemetry.StartProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 	defer stopProfiles()
 
@@ -59,7 +63,7 @@ func main() {
 		for _, s := range experiments.Specs {
 			fmt.Println(s.ID)
 		}
-		return
+		return 0
 	}
 
 	specs := experiments.Specs
@@ -68,7 +72,7 @@ func main() {
 		s, err := experiments.ScenarioSpec(*scenario)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "scenario: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		specs = []experiments.Spec{s}
 	case *runList != "":
@@ -77,7 +81,7 @@ func main() {
 			s, ok := experiments.Lookup(strings.TrimSpace(id))
 			if !ok {
 				fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", strings.TrimSpace(id))
-				os.Exit(2)
+				return 2
 			}
 			specs = append(specs, s)
 		}
@@ -88,14 +92,14 @@ func main() {
 		rep, err := s.Report(*quick)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s failed: %v\n", s.ID, err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Print(rep.String())
 		fmt.Printf("(%s completed in %.1fs)\n\n", s.ID, time.Since(start).Seconds())
 		if *csvDir != "" {
 			if err := exportCSV(*csvDir, rep); err != nil {
 				fmt.Fprintf(os.Stderr, "csv export: %v\n", err)
-				os.Exit(1)
+				return 1
 			}
 		}
 		if len(rep.Metrics) > 0 {
@@ -105,15 +109,16 @@ func main() {
 	if *benchJSON != "" {
 		if err := writeBenchJSON(*benchJSON, metrics); err != nil {
 			fmt.Fprintf(os.Stderr, "bench json: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 	}
 	if *requireStr != "" {
 		if err := requireMetrics(metrics, strings.Split(*requireStr, ",")); err != nil {
 			fmt.Fprintf(os.Stderr, "require-metrics: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 	}
+	return 0
 }
 
 // requireMetrics checks that every "EID.metric" key was actually collected —

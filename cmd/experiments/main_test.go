@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -54,6 +55,23 @@ func TestScenarioRejectsRun(t *testing.T) {
 	for _, flag := range []string{"-scenario", "-run"} {
 		if !strings.Contains(stderr.String(), flag) {
 			t.Errorf("stderr does not name %s: %s", flag, stderr.String())
+		}
+	}
+}
+
+// TestFailedRunWritesProfiles: an unknown -run ID exits 2 and still leaves
+// both profiles written.
+func TestFailedRunWritesProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	err := exec.Command(build(t), "-run", "E99", "-cpuprofile", cpu, "-memprofile", mem).Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("-run E99: got %v, want exit status 2", err)
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("%s after a failed run: %v, want a non-empty profile", filepath.Base(path), err)
 		}
 	}
 }

@@ -77,13 +77,6 @@ type Config struct {
 // naming scheme.
 func (c *Config) id() string { return telemetry.SourceID(c.Server) }
 
-func (c *Config) timeScale() float64 {
-	if c.TimeScale > 0 {
-		return c.TimeScale
-	}
-	return 1
-}
-
 func (c *Config) telemetryPeriod() float64 {
 	if c.TelemetryPeriod > 0 {
 		return c.TelemetryPeriod
@@ -135,7 +128,7 @@ type Agent struct {
 
 // newAgent starts the outbox writer on conn; shutting the outbox ends both.
 func newAgent(cfg Config, conn *wire.Conn) *Agent {
-	a := &Agent{cfg: cfg, ob: newOutbox(conn, nil, agentQueue, 0), clock: orWall(cfg.Clock, cfg.timeScale())}
+	a := &Agent{cfg: cfg, ob: newOutbox(conn, nil, agentQueue, 0), clock: orWall(cfg.Clock, scaleOrOne(cfg.TimeScale))}
 	a.slots.Store(&map[int]*userSlot{})
 	go a.ob.run()
 	return a
@@ -226,15 +219,17 @@ func handshake(nc net.Conn, cfg Config) (*wire.Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("agent: awaiting welcome: %w", err)
 	}
-	w, ok := m.(*wire.Welcome)
-	if !ok {
-		return nil, fmt.Errorf("agent: expected Welcome, got %T", m)
+	switch m := m.(type) {
+	case *wire.ErrorMsg:
+		return nil, fmt.Errorf("agent: dispatcher refused registration: %s", m.Text)
+	case *wire.Welcome:
+		if m.Servers != len(sc.Servers) || m.Users != len(sc.Users) {
+			return nil, fmt.Errorf("agent: scenario mismatch: dispatcher has %d servers/%d users, agent has %d/%d",
+				m.Servers, m.Users, len(sc.Servers), len(sc.Users))
+		}
+		return conn, nil
 	}
-	if w.Servers != len(sc.Servers) || w.Users != len(sc.Users) {
-		return nil, fmt.Errorf("agent: scenario mismatch: dispatcher has %d servers/%d users, agent has %d/%d",
-			w.Servers, w.Users, len(sc.Servers), len(sc.Users))
-	}
-	return conn, nil
+	return nil, fmt.Errorf("agent: expected Welcome, got %T", m)
 }
 
 // install validates an allocation push against the agent's own cost model
@@ -354,7 +349,7 @@ func (a *Agent) handleInfer(m *wire.Infer) {
 // cadence is off the request path and stays a wall ticker.
 func (a *Agent) telemetryLoop() {
 	link := a.cfg.Scenario.Servers[a.cfg.Server].Link
-	period := time.Duration(a.cfg.telemetryPeriod() * a.cfg.timeScale() * float64(time.Second))
+	period := time.Duration(a.cfg.telemetryPeriod() * scaleOrOne(a.cfg.TimeScale) * float64(time.Second))
 	if period < time.Millisecond {
 		period = time.Millisecond
 	}

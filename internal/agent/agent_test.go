@@ -10,6 +10,7 @@ import (
 	"math"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -465,15 +466,7 @@ func TestAgentDisconnectEvacuates(t *testing.T) {
 // naming both versions.
 func TestVersionOneRefused(t *testing.T) {
 	sc := testScenario(t, 2, 40)
-	rt, err := serve.New(serve.Config{Scenario: sc, Policy: serve.Hysteresis()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := StartDispatcher(DispatcherConfig{Scenario: sc, Runtime: rt, TimeScale: 0.001, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { d.Close(); rt.Close() })
+	d, rt := bareDispatcher(t, sc, serve.Hysteresis())
 	v1 := append([]byte(wire.Magic), 1)
 	var v2 bytes.Buffer
 	if err := wire.WriteHeader(&v2); err != nil {
@@ -595,57 +588,166 @@ func TestPublishPushesOnlyChangedSlices(t *testing.T) {
 	}
 }
 
-// TestPushQuotesTheRuntimeRate pins the rate an allocation push quotes to
-// the runtime's last-known rate: a +Inf observation the runtime rejects
-// must not reach an agent through a later push.
-func TestPushQuotesTheRuntimeRate(t *testing.T) {
-	sc := testScenario(t, 4, 40)
-	rt, err := serve.New(serve.Config{Scenario: sc, Policy: serve.Hysteresis()})
+// bareDispatcher starts a dispatcher on the wall clock with no agent: the
+// test dials whatever peers it needs.
+func bareDispatcher(t *testing.T, sc *joint.Scenario, policy serve.Policy) (*Dispatcher, *serve.Runtime) {
+	t.Helper()
+	rt, err := serve.New(serve.Config{Scenario: sc, Policy: policy})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := StartDispatcher(DispatcherConfig{Scenario: sc, Runtime: rt, TimeScale: 0.001})
+	d, err := StartDispatcher(DispatcherConfig{Scenario: sc, Runtime: rt})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { d.Close(); rt.Close() })
+	return d, rt
+}
+
+// dialAgent registers a hand-driven agent for server and returns its
+// connection once the registration push has arrived, by which time the
+// dispatcher has ingested the connect.
+func dialAgent(t *testing.T, d *Dispatcher, sc *joint.Scenario, server int) *wire.Conn {
+	t.Helper()
 	nc, err := net.Dial("tcp", d.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = nc.SetDeadline(time.Now().Add(10 * time.Second))
-	conn, err := handshake(nc, Config{Scenario: sc, Server: 0})
+	conn, err := handshake(nc, Config{Scenario: sc, Server: server})
 	if err != nil {
+		nc.Close()
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	nextAlloc := func() *wire.Allocation {
-		t.Helper()
-		for {
-			m, err := conn.Recv()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if a, ok := m.(*wire.Allocation); ok {
-				return a
-			}
-		}
-	}
-	nextAlloc() // the registration push
+	t.Cleanup(func() { conn.Close() })
+	nextAlloc(t, conn)
+	return conn
+}
 
-	rejected := rt.Metrics().Counter("serve.samples_rejected")
-	if err := conn.Send(&wire.Telemetry{UplinkBps: math.Inf(1), Healthy: true}); err != nil {
-		t.Fatal(err)
-	}
-	for deadline := time.Now().Add(10 * time.Second); rejected.Value() == 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("the +Inf sample never reached the runtime")
+// nextAlloc reads conn up to the next Allocation.
+func nextAlloc(t *testing.T, conn *wire.Conn) *wire.Allocation {
+	t.Helper()
+	for {
+		m, err := conn.Recv()
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(time.Millisecond)
+		if a, ok := m.(*wire.Allocation); ok {
+			return a
+		}
 	}
-	d.pushTo((*d.agents.Load())[0], d.plan.Load())
-	if got, want := nextAlloc().UplinkBps, rt.Rate(0); got != want || math.IsInf(got, 0) {
+}
+
+// sendInf sends n +Inf uplink samples, each of which the runtime rejects.
+func sendInf(t *testing.T, conn *wire.Conn, n int) {
+	t.Helper()
+	for range n {
+		if err := conn.Send(&wire.Telemetry{UplinkBps: math.Inf(1), Healthy: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// waitFor polls cond for up to 10 s and fails the test naming what never
+// happened.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestPushQuotesTheRuntimeRate pins the rate an allocation push quotes to
+// the runtime's last-known rate: a +Inf observation the runtime rejects
+// must not reach an agent through a later push.
+func TestPushQuotesTheRuntimeRate(t *testing.T) {
+	sc := testScenario(t, 4, 40)
+	d, rt := bareDispatcher(t, sc, serve.Hysteresis())
+	conn := dialAgent(t, d, sc, 0)
+	rejected := rt.Metrics().Counter("serve.samples_rejected")
+	sendInf(t, conn, 1)
+	waitFor(t, "the +Inf sample to reach the runtime", func() bool { return rejected.Value() > 0 })
+	d.ingestMu.Lock()
+	d.pushLocked((*d.agents.Load())[0], d.plan.Load())
+	d.ingestMu.Unlock()
+	if got, want := nextAlloc(t, conn).UplinkBps, rt.Rate(0); got != want || math.IsInf(got, 0) {
 		t.Fatalf("push after a rejected +Inf sample quotes %g bps, want the runtime's %g", got, want)
+	}
+}
+
+// TestQuarantinedAgentDisconnectEvacuates: an agent muted for bad telemetry
+// is still evacuated when it disconnects. The lost connection is the
+// dispatcher's own observation, which no telemetry quarantine mutes.
+func TestQuarantinedAgentDisconnectEvacuates(t *testing.T) {
+	sc := testScenario(t, 4, 40)
+	d, rt := bareDispatcher(t, sc, serve.Robust())
+	onServer0 := func() (n int) {
+		for _, dec := range rt.Current().Decisions {
+			if dec.Server == 0 {
+				n++
+			}
+		}
+		return n
+	}
+	if onServer0() == 0 {
+		t.Fatal("the plan puts nobody on server 0; nothing to evacuate")
+	}
+	reg := rt.Metrics()
+	quarantined := reg.Counter("serve.quarantine.quarantined")
+	dropped := reg.Counter("serve.quarantine.dropped")
+	evacuated := reg.Counter("dispatcher.evacuated")
+
+	conn := dialAgent(t, d, sc, 0)
+	sendInf(t, conn, 3)
+	waitFor(t, "the agent's quarantine", func() bool { return quarantined.Value() == 1 })
+	before := dropped.Value()
+	conn.Close()
+	waitFor(t, "the disconnect to reach the runtime", func() bool { return evacuated.Value() > 0 || dropped.Value() > before })
+	if got := dropped.Value(); got != before {
+		t.Errorf("the disconnect was dropped as the quarantined agent's telemetry (serve.quarantine.dropped %d → %d)", before, got)
+	}
+	if evacuated.Value() == 0 {
+		t.Error("dispatcher.evacuated = 0 after the agent disconnected")
+	}
+	if n := onServer0(); n > 0 {
+		t.Errorf("%d users still planned on server 0, which has no agent", n)
+	}
+}
+
+// TestReconnectKeepsQuarantineStrikes: an agent's connection coming and
+// going is not its telemetry, so it does not clear the agent's quarantine
+// strikes — two bad samples, a reconnect and one more trip the quarantine.
+func TestReconnectKeepsQuarantineStrikes(t *testing.T) {
+	sc := testScenario(t, 4, 40)
+	d, rt := bareDispatcher(t, sc, serve.Robust())
+	reg := rt.Metrics()
+	rejected := reg.Counter("serve.samples_rejected")
+	evacuated := reg.Counter("dispatcher.evacuated")
+
+	conn := dialAgent(t, d, sc, 0)
+	sendInf(t, conn, 2)
+	waitFor(t, "two rejected samples", func() bool { return rejected.Value() == 2 })
+	conn.Close()
+	waitFor(t, "the disconnect's evacuation", func() bool { return evacuated.Value() > 0 })
+	sendInf(t, dialAgent(t, d, sc, 0), 1)
+	waitFor(t, "the third rejected sample", func() bool { return rejected.Value() == 3 })
+	if got := reg.Counter("serve.quarantine.quarantined").Value(); got != 1 {
+		t.Fatalf("serve.quarantine.quarantined = %d after three bad samples around a reconnect, want 1", got)
+	}
+}
+
+// TestAgentReportsRefusal: an agent the dispatcher refuses returns the
+// dispatcher's reason, not only the type of the frame that carried it.
+func TestAgentReportsRefusal(t *testing.T) {
+	sc := testScenario(t, 2, 40)
+	d, _ := bareDispatcher(t, sc, serve.Hysteresis())
+	wide := *sc
+	wide.Servers = append(slices.Clone(sc.Servers), sc.Servers[1])
+	err := Run(context.Background(), Config{Scenario: &wide, Server: 2, Dispatcher: d.Addr()})
+	if err == nil || !strings.Contains(err.Error(), "server index 2 out of range") {
+		t.Fatalf("agent for a server the dispatcher lacks: got %v, want the dispatcher's out-of-range refusal", err)
 	}
 }
 

@@ -43,6 +43,14 @@ func newWallClock(timeScale float64) *wallClock {
 	return &wallClock{origin: time.Now(), scale: timeScale}
 }
 
+// scaleOrOne is a configured TimeScale, or 1 (real time) when it is not > 0.
+func scaleOrOne(timeScale float64) float64 {
+	if timeScale > 0 {
+		return timeScale
+	}
+	return 1
+}
+
 // orWall is the configured clock, or the wall clock at timeScale when the
 // configuration leaves it nil.
 func orWall(c Clock, timeScale float64) Clock {

@@ -78,16 +78,15 @@ type limits struct {
 // this many frames is not serving.
 const agentQueue = 256
 
+// connectivitySource is the telemetry source of the health samples the
+// dispatcher derives from agent connections. Agent telemetry is ingested
+// under the canonical telemetry.SourceID of the agent's server, whatever ID
+// its Hello claimed, so no peer can speak for this source.
+const connectivitySource = "dispatcher"
+
 // handshakeTimeout bounds the header + Hello/Welcome exchange so a peer
 // that connects and goes silent cannot pin a handler goroutine.
 const handshakeTimeout = 10 * time.Second
-
-func (c *DispatcherConfig) timeScale() float64 {
-	if c.TimeScale > 0 {
-		return c.TimeScale
-	}
-	return 1
-}
 
 func (c *DispatcherConfig) logf(format string, args ...any) {
 	if c.Logf != nil {
@@ -164,10 +163,9 @@ type Dispatcher struct {
 	// ingestMu serializes telemetry ingestion and the plan-push that
 	// follows it, keeping sample times monotone and allocation epochs
 	// ordered. The runtime owns every other piece of control-plane state:
-	// rates, clock and plan are read from it, never copied.
+	// rates, health, clock and plan are read from it, never copied.
 	ingestMu sync.Mutex
 	epoch    uint64
-	up       []bool // connectivity-derived health, as last ingested
 
 	// agents is the registered agent per server: an immutable snapshot the
 	// request path reads without a lock, copied and replaced under mu.
@@ -177,14 +175,13 @@ type Dispatcher struct {
 	clients map[*wire.Conn]struct{} // open client conns, closed on Close
 	ever    []bool                  // has server s ever had an agent (guarded by mu)
 	ready   *sync.Cond              // broadcast when an agent acks its first allocation
-	closed  bool
 
 	// telemCh decouples telemetry ingestion (which may run a replan) from
 	// the per-agent read loops, so a slow control-plane round never delays
 	// InferResult delivery. Telemetry is lossy by nature: when the inbox
 	// is full the sample is dropped and counted.
 	telemCh chan telemItem
-	done    chan struct{}
+	done    chan struct{} // closed by Close, under mu: the one shutdown record
 
 	wg sync.WaitGroup
 
@@ -216,7 +213,6 @@ func StartDispatcher(cfg DispatcherConfig) (*Dispatcher, error) {
 	if err != nil {
 		return nil, fmt.Errorf("agent: dispatcher listen: %w", err)
 	}
-	sc := cfg.Scenario
 	reg := cfg.Runtime.Metrics()
 	l := &cfg.limits
 	l.inferTimeout = cmp.Or(l.inferTimeout, inferTimeout)
@@ -227,9 +223,8 @@ func StartDispatcher(cfg DispatcherConfig) (*Dispatcher, error) {
 		cfg:             cfg,
 		rt:              cfg.Runtime,
 		ln:              ln,
-		clock:           orWall(cfg.Clock, cfg.timeScale()),
-		up:              make([]bool, len(sc.Servers)),
-		ever:            make([]bool, len(sc.Servers)),
+		clock:           orWall(cfg.Clock, scaleOrOne(cfg.TimeScale)),
+		ever:            make([]bool, len(cfg.Scenario.Servers)),
 		clients:         map[*wire.Conn]struct{}{},
 		telemCh:         make(chan telemItem, 256),
 		done:            make(chan struct{}),
@@ -250,9 +245,6 @@ func StartDispatcher(cfg DispatcherConfig) (*Dispatcher, error) {
 	}
 	d.ready = sync.NewCond(&d.mu)
 	d.agents.Store(&map[int]*agentConn{})
-	for s := range d.up {
-		d.up[s] = true // servers start optimistically up, like the runtime
-	}
 	d.plan.Store(cfg.Runtime.Current())
 	d.wg.Add(2)
 	go d.acceptLoop()
@@ -280,11 +272,11 @@ func (d *Dispatcher) Addr() string { return d.ln.Addr().String() }
 // connection handlers to drain. It does not close the serve.Runtime.
 func (d *Dispatcher) Close() error {
 	d.mu.Lock()
-	if d.closed {
+	if d.closing() {
 		d.mu.Unlock()
 		return nil
 	}
-	d.closed = true
+	close(d.done)
 	agents := *d.agents.Load() // final: registration refuses once closed
 	clients := make([]*wire.Conn, 0, len(d.clients))
 	for conn := range d.clients {
@@ -292,7 +284,6 @@ func (d *Dispatcher) Close() error {
 	}
 	d.ready.Broadcast()
 	d.mu.Unlock()
-	close(d.done)
 	err := d.ln.Close()
 	for _, ac := range agents {
 		ac.conn.Close()
@@ -331,7 +322,7 @@ func (d *Dispatcher) WaitAgents(n int, timeout time.Duration) error {
 		if ready >= n {
 			return nil
 		}
-		if d.closed {
+		if d.closing() {
 			return fmt.Errorf("agent: dispatcher closed while waiting for agents")
 		}
 		if time.Now().After(deadline) {
@@ -377,53 +368,45 @@ func (d *Dispatcher) handleConn(nc net.Conn) {
 		return
 	}
 	sc := d.cfg.Scenario
-	welcome := &wire.Welcome{Servers: len(sc.Servers), Users: len(sc.Users), ID: hello.ID}
-	switch hello.Role {
-	case wire.RoleAgent:
-		if hello.Server < 0 || hello.Server >= len(sc.Servers) {
-			_ = conn.Send(&wire.ErrorMsg{Text: fmt.Sprintf("server index %d out of range", hello.Server)})
-			conn.Close()
-			return
-		}
-		if err := conn.Send(welcome); err != nil {
-			conn.Close()
-			return
-		}
-		_ = nc.SetDeadline(time.Time{}) // per-frame write deadlines take over
-		ac := &agentConn{
-			conn: conn, id: hello.ID, server: hello.Server,
-			pending: map[uint64]*call{},
-		}
-		ac.ob = newOutbox(conn, nc, agentQueue, d.cfg.limits.writeDeadline)
-		ac.ob.onTrip = d.cDeadlineTrips.Inc
-		ac.ob.onFlush = d.countFlush
-		ac.ob.onDead = func(err error) { d.suspectAgent(ac, err) }
-		d.serveAgent(ac)
-	case wire.RoleClient:
-		if err := conn.Send(welcome); err != nil {
-			conn.Close()
-			return
-		}
-		_ = nc.SetDeadline(time.Time{})
-		if buf := d.cfg.limits.writeBuffer; buf > 0 {
-			if tc, ok := nc.(*net.TCPConn); ok {
-				_ = tc.SetWriteBuffer(buf)
-			}
-		}
-		cc := &clientConn{conn: conn}
-		cc.ob = newOutbox(conn, nc, d.cfg.limits.clientQueue, d.cfg.limits.writeDeadline)
-		cc.ob.onTrip = d.cDeadlineTrips.Inc
-		cc.ob.onFlush = d.countFlush
-		cc.ob.onDead = func(error) {
-			// Frames queued behind the dead writer are shed by definition.
-			if n := cc.ob.queued(); n > 0 && !d.closing() {
-				d.cClientShed.Add(int64(n))
-			}
-		}
-		d.serveClient(cc)
-	default:
+	switch {
+	case hello.Role != wire.RoleAgent && hello.Role != wire.RoleClient:
 		conn.Close()
+		return
+	case hello.Role == wire.RoleAgent && (hello.Server < 0 || hello.Server >= len(sc.Servers)):
+		_ = conn.Send(&wire.ErrorMsg{Text: fmt.Sprintf("server index %d out of range", hello.Server)})
+		conn.Close()
+		return
 	}
+	if err := conn.Send(&wire.Welcome{Servers: len(sc.Servers), Users: len(sc.Users), ID: hello.ID}); err != nil {
+		conn.Close()
+		return
+	}
+	_ = nc.SetDeadline(time.Time{}) // per-frame write deadlines take over
+	queue := agentQueue
+	if hello.Role == wire.RoleClient {
+		queue = d.cfg.limits.clientQueue
+	}
+	ob := newOutbox(conn, nc, queue, d.cfg.limits.writeDeadline)
+	ob.onTrip = d.cDeadlineTrips.Inc
+	ob.onFlush = d.countFlush
+	if hello.Role == wire.RoleAgent {
+		ac := &agentConn{conn: conn, ob: ob, id: hello.ID, server: hello.Server, pending: map[uint64]*call{}}
+		ob.onDead = func(err error) { d.suspectAgent(ac, err) }
+		d.serveAgent(ac)
+		return
+	}
+	if buf := d.cfg.limits.writeBuffer; buf > 0 {
+		if tc, ok := nc.(*net.TCPConn); ok {
+			_ = tc.SetWriteBuffer(buf)
+		}
+	}
+	ob.onDead = func(error) {
+		// Frames queued behind the dead writer are shed by definition.
+		if n := ob.queued(); n > 0 && !d.closing() {
+			d.cClientShed.Add(int64(n))
+		}
+	}
+	d.serveClient(&clientConn{conn: conn, ob: ob})
 }
 
 // countFlush records one successful outbox flush: frames_flushed / flushes is
@@ -433,8 +416,8 @@ func (d *Dispatcher) countFlush(frames int64) {
 	d.cFramesFlushed.Add(frames)
 }
 
-// closing reports whether dispatcher shutdown has begun (used to keep
-// teardown noise out of the backpressure counters).
+// closing reports whether dispatcher shutdown has begun: registration
+// refuses, and teardown noise stays out of the backpressure counters.
 func (d *Dispatcher) closing() bool {
 	select {
 	case <-d.done:
@@ -450,7 +433,7 @@ func (d *Dispatcher) closing() bool {
 // the ingest loop or an allocation push.
 func (d *Dispatcher) serveAgent(ac *agentConn) {
 	d.mu.Lock()
-	if d.closed {
+	if d.closing() {
 		d.mu.Unlock()
 		ac.conn.Close()
 		return
@@ -469,8 +452,10 @@ func (d *Dispatcher) serveAgent(ac *agentConn) {
 
 	// Tell the control plane the server is (back) up, then hand the agent
 	// its slice of the live plan.
-	d.observeConnectivity(ac.id)
-	d.pushTo(ac, d.plan.Load())
+	d.observeConnectivity()
+	d.ingestMu.Lock()
+	d.pushLocked(ac, d.plan.Load())
+	d.ingestMu.Unlock()
 
 readLoop:
 	for {
@@ -571,7 +556,6 @@ func (d *Dispatcher) onAgentDown(ac *agentConn) {
 	if !replaced {
 		d.setAgentLocked(ac.server, nil)
 	}
-	closed := d.closed
 	d.mu.Unlock()
 	ac.mu.Lock()
 	pending := ac.pending
@@ -581,21 +565,23 @@ func (d *Dispatcher) onAgentDown(ac *agentConn) {
 		c.timer.Stop()
 		d.suffixDone(c, nil, fmt.Errorf("agent %s disconnected mid-request", ac.id))
 	}
-	if replaced || closed {
+	if replaced || d.closing() {
 		return
 	}
 	d.cfg.logf("dispatcher: agent %s (server %d) disconnected", ac.id, ac.server)
-	d.observeConnectivity(ac.id)
+	d.observeConnectivity()
 }
 
-// observeConnectivity folds the current agent-connectivity view into the
-// control plane as a health sample, whenever it differs from what was last
-// ingested. Servers with no agent yet (cluster startup) stay optimistically
-// up until their first agent appears and then vanishes.
-func (d *Dispatcher) observeConnectivity(source string) {
+// observeConnectivity folds the agent table into the control plane as a
+// health sample whenever it differs from the runtime's view of server health.
+// Servers with no agent yet (cluster startup) stay optimistically up until
+// their first agent appears and then vanishes. A connection that comes or goes
+// is the dispatcher's own observation, not the agent's telemetry, so the
+// sample carries connectivitySource: a muted agent cannot mute its own loss.
+func (d *Dispatcher) observeConnectivity() {
 	d.ingestMu.Lock()
 	defer d.ingestMu.Unlock()
-	health := make([]bool, len(d.up))
+	health := make([]bool, len(d.cfg.Scenario.Servers))
 	d.mu.Lock()
 	agents := *d.agents.Load()
 	for s := range health {
@@ -606,17 +592,12 @@ func (d *Dispatcher) observeConnectivity(source string) {
 		health[s] = connected || !d.ever[s]
 	}
 	d.mu.Unlock()
-	changed := false
 	for s, up := range health {
-		if d.up[s] != up {
-			changed = true
+		if d.rt.Up(s) != up {
+			d.ingestLocked(telemetry.Sample{Health: health, Source: connectivitySource})
+			return
 		}
 	}
-	if !changed {
-		return
-	}
-	copy(d.up, health)
-	d.ingestLocked(telemetry.Sample{Health: health, Source: source})
 }
 
 // onTelemetry folds one agent's link observation into the runtime. A rate
@@ -633,9 +614,9 @@ func (d *Dispatcher) onTelemetry(ac *agentConn, m *wire.Telemetry) {
 		d.cTelemCoalesced.Inc()
 		return
 	}
-	uplinks := make([]float64, len(d.up))
+	uplinks := make([]float64, len(d.cfg.Scenario.Servers))
 	uplinks[ac.server] = m.UplinkBps
-	d.ingestLocked(telemetry.Sample{Uplinks: uplinks, Source: ac.id})
+	d.ingestLocked(telemetry.Sample{Uplinks: uplinks, Source: telemetry.SourceID(ac.server)})
 }
 
 // ingestLocked stamps the sample with the dispatcher's model clock, held
@@ -662,7 +643,7 @@ func (d *Dispatcher) publishLocked(plan *joint.Plan) {
 	if plan == prev {
 		return
 	}
-	dirty := changedServers(prev, plan, len(d.up))
+	dirty := changedServers(prev, plan, len(d.cfg.Scenario.Servers))
 	for _, ac := range *d.agents.Load() {
 		if dirty[ac.server] {
 			d.pushLocked(ac, plan)
@@ -695,13 +676,6 @@ func changedServers(prev, next *joint.Plan, servers int) []bool {
 		}
 	}
 	return dirty
-}
-
-// pushTo sends one agent its current allocation slice (registration path).
-func (d *Dispatcher) pushTo(ac *agentConn, plan *joint.Plan) {
-	d.ingestMu.Lock()
-	defer d.ingestMu.Unlock()
-	d.pushLocked(ac, plan)
 }
 
 // pushLocked sends one agent its slice of the plan. Caller holds ingestMu
@@ -750,7 +724,7 @@ func (d *Dispatcher) pushLocked(ac *agentConn, plan *joint.Plan) {
 func (d *Dispatcher) serveClient(cc *clientConn) {
 	conn := cc.conn
 	d.mu.Lock()
-	if d.closed {
+	if d.closing() {
 		d.mu.Unlock()
 		conn.Close()
 		return

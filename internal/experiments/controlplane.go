@@ -137,10 +137,6 @@ func fadingStudy(seed int64, sched *faults.Schedule, horizon, period float64) (f
 		sc.Servers[0].Link, sc.Servers[1].Link = links[0], links[1]
 		return sc
 	}
-	servers := make([]sim.ServerConfig, len(links))
-	for i, s := range build().Servers {
-		servers[i] = sim.ServerConfig{Profile: s.Profile, Link: s.Link}
-	}
-	trace, err := sim.RecordTrace(servers, sched, horizon, period)
+	trace, err := sim.RecordTrace(links, sched, horizon, period)
 	return build, trace, err
 }

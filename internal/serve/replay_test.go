@@ -38,12 +38,12 @@ func fadingScenario(t testing.TB) *joint.Scenario {
 func recordReplayTrace(t testing.TB) []telemetry.Sample {
 	t.Helper()
 	sc := fadingScenario(t)
-	servers := make([]sim.ServerConfig, len(sc.Servers))
+	links := make([]netmodel.Link, len(sc.Servers))
 	for i, s := range sc.Servers {
-		servers[i] = sim.ServerConfig{Profile: s.Profile, Link: s.Link}
+		links[i] = s.Link
 	}
 	sched := faults.MustNew(faults.Window{Kind: faults.ServerCrash, Server: 1, Start: 20, End: 35})
-	trace, err := sim.RecordTrace(servers, sched, 60, 5)
+	trace, err := sim.RecordTrace(links, sched, 60, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -270,6 +270,14 @@ func (rt *Runtime) Rate(s int) float64 {
 	return rt.rates[s]
 }
 
+// Up reports whether server s is up as of the last accepted health
+// observation; every server starts up.
+func (rt *Runtime) Up(s int) bool {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return !rt.down[s]
+}
+
 // Metrics returns the runtime's registry.
 func (rt *Runtime) Metrics() *telemetry.Registry { return rt.reg }
 

@@ -10,16 +10,16 @@ import (
 )
 
 // RecordTrace samples the cluster's observable state over [0, horizon) at a
-// fixed period: each sample carries every server's netmodel.WindowRate over
-// the period (what the dispatcher's ObserveWindow probes) and
+// fixed period: each sample carries every server link's netmodel.WindowRate
+// over the period (what the dispatcher's ObserveWindow probes) and
 // the fault schedule's reachability vector at the sample instant. The
 // result is exactly what a live cluster's periodic telemetry probes would
 // deliver, in the format serve.Runtime ingests and cmd/edgeserved replays —
 // so simulator scenarios double as control-plane traces. A nil schedule
 // records an always-healthy cluster. The trace is a pure function of its
 // inputs: recording twice yields identical samples.
-func RecordTrace(servers []ServerConfig, sched *faults.Schedule, horizon, period float64) ([]telemetry.Sample, error) {
-	if len(servers) == 0 {
+func RecordTrace(links []netmodel.Link, sched *faults.Schedule, horizon, period float64) ([]telemetry.Sample, error) {
+	if len(links) == 0 {
 		return nil, fmt.Errorf("sim: trace needs at least one server")
 	}
 	if !(horizon > 0 && period > 0) || math.IsInf(horizon, 1) || math.IsInf(period, 1) {
@@ -37,11 +37,11 @@ func RecordTrace(servers []ServerConfig, sched *faults.Schedule, horizon, period
 		t := float64(i) * period
 		s := telemetry.Sample{
 			Time:    t,
-			Uplinks: make([]float64, len(servers)),
-			Health:  sched.Health(len(servers), t),
+			Uplinks: make([]float64, len(links)),
+			Health:  sched.Health(len(links), t),
 		}
-		for si := range servers {
-			s.Uplinks[si] = netmodel.WindowRate(servers[si].Link, t, period)
+		for si, l := range links {
+			s.Uplinks[si] = netmodel.WindowRate(l, t, period)
 		}
 		samples = append(samples, s)
 	}

@@ -6,15 +6,10 @@ import (
 	"testing"
 
 	"edgesurgeon/internal/faults"
-	"edgesurgeon/internal/hardware"
 	"edgesurgeon/internal/netmodel"
 )
 
 func TestRecordTrace(t *testing.T) {
-	prof, err := hardware.ByName("edge-gpu-t4")
-	if err != nil {
-		t.Fatal(err)
-	}
 	fading, err := netmodel.NewFading("wlan", netmodel.FadingConfig{
 		States: []float64{netmodel.Mbps(5), netmodel.Mbps(40)}, MeanDwell: 4,
 		Horizon: 120, RTT: 0.004, Seed: 11,
@@ -22,13 +17,10 @@ func TestRecordTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	servers := []ServerConfig{
-		{Profile: prof, Link: fading},
-		{Profile: prof, Link: netmodel.NewStatic("eth", netmodel.Mbps(25), 0.002)},
-	}
+	links := []netmodel.Link{fading, netmodel.NewStatic("eth", netmodel.Mbps(25), 0.002)}
 	sched := faults.MustNew(faults.Window{Kind: faults.ServerCrash, Server: 0, Start: 20, End: 40})
 
-	tr, err := RecordTrace(servers, sched, 60, 10)
+	tr, err := RecordTrace(links, sched, 60, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +50,7 @@ func TestRecordTrace(t *testing.T) {
 	}
 
 	// Recording is deterministic.
-	again, err := RecordTrace(servers, sched, 60, 10)
+	again, err := RecordTrace(links, sched, 60, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +59,7 @@ func TestRecordTrace(t *testing.T) {
 	}
 
 	// A nil schedule records an always-healthy cluster.
-	clean, err := RecordTrace(servers, nil, 20, 10)
+	clean, err := RecordTrace(links, nil, 20, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,18 +78,14 @@ func TestRecordTrace(t *testing.T) {
 // positive number, or a ratio of the two past what an int counts, is an
 // error, never a panic in the sample slice's allocation.
 func TestRecordTraceRejectsBadSpans(t *testing.T) {
-	prof, err := hardware.ByName("edge-gpu-t4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	servers := []ServerConfig{{Profile: prof, Link: netmodel.NewStatic("eth", netmodel.Mbps(25), 0.002)}}
+	links := []netmodel.Link{netmodel.NewStatic("eth", netmodel.Mbps(25), 0.002)}
 	inf, nan := math.Inf(1), math.NaN()
 	for _, c := range []struct{ horizon, period float64 }{
 		{0, 10}, {60, 0}, {-60, 10}, {60, -10},
 		{nan, 10}, {60, nan}, {inf, 10}, {60, inf}, {-inf, 10},
 		{1e300, 1e-300}, {1e19, 1},
 	} {
-		if tr, err := RecordTrace(servers, nil, c.horizon, c.period); err == nil {
+		if tr, err := RecordTrace(links, nil, c.horizon, c.period); err == nil {
 			t.Errorf("horizon %g period %g: accepted (%d samples)", c.horizon, c.period, len(tr))
 		}
 	}

@@ -5,15 +5,19 @@ import (
 	"slices"
 	"testing"
 
+	"edgesurgeon/internal/agent"
+	"edgesurgeon/internal/client"
+	"edgesurgeon/internal/cluster"
 	"edgesurgeon/internal/joint"
 	"edgesurgeon/internal/serve"
 	"edgesurgeon/internal/sim"
 	"edgesurgeon/internal/surgery"
 )
 
-// TestOptionFields pins the exported fields of the planning, simulation and
-// serving option structs, in declaration order, as each binary's TestFlagSet
-// pins its flags: a knob is added or removed by editing its list here.
+// TestOptionFields pins the exported fields of the planning, simulation,
+// serving and live-plane option structs, in declaration order, as each
+// binary's TestFlagSet pins its flags: a knob is added or removed by editing
+// its list here.
 func TestOptionFields(t *testing.T) {
 	for _, tc := range []struct {
 		v    any
@@ -27,6 +31,12 @@ func TestOptionFields(t *testing.T) {
 		{serve.Config{}, []string{"Scenario", "Planner", "Policy", "Frontier", "Store"}},
 		{serve.Policy{}, []string{"RelChange", "MinInterval", "Budget", "Window", "NeverReplan", "ReplanDeadline",
 			"QuarantineStrikes", "QuarantineProbation", "DeltaReplan"}},
+		{agent.Config{}, []string{"Scenario", "Server", "Dispatcher", "TimeScale", "Clock", "TelemetryPeriod", "Logf"}},
+		{agent.DispatcherConfig{}, []string{"Scenario", "Runtime", "Listen", "TimeScale", "Clock", "Seed", "Logf"}},
+		{cluster.Config{}, []string{"ScenarioJSON", "Agents", "AgentBin", "Listen", "Policy", "TimeScale",
+			"TelemetryPeriod", "Seed", "Dir", "Logf"}},
+		{cluster.DriveConfig{}, []string{"Requests", "Workers"}},
+		{client.Config{}, []string{"ID", "DialTimeout", "CallTimeout", "Window", "ExpectServers", "ExpectUsers"}},
 	} {
 		typ := reflect.TypeOf(tc.v)
 		var got []string
