@@ -54,12 +54,12 @@ func RunChaos(cfg Config, samples []telemetry.Sample, chaos *faults.ChaosSchedul
 	if err != nil {
 		return nil, err
 	}
-	res := &ChaosResult{Runtime: rt, Resumed: int(rt.ingested)}
+	res := &ChaosResult{Runtime: rt, Resumed: int(rt.st.Samples)}
 	if res.Resumed > len(samples) {
 		rt.Close()
 		return nil, fmt.Errorf("serve: store has seen %d samples, the trace holds %d", res.Resumed, len(samples))
 	}
-	throttle := rt.throttle
+	throttle := rt.st.Throttle
 	for i := res.Resumed; i < len(samples); i++ {
 		if f := chaos.PlannerFactor(i); f != throttle {
 			if err := rt.SetPlannerThrottle(f); err != nil {
@@ -97,10 +97,10 @@ func RunChaos(cfg Config, samples []telemetry.Sample, chaos *faults.ChaosSchedul
 			}
 			res.Runtime = rt
 			res.Crashes++
-			if rt.ingested != uint64(i+1) {
-				return res, fmt.Errorf("serve: chaos recovery after sample %d: store has seen %d samples, want %d", i, rt.ingested, i+1)
+			if rt.st.Samples != uint64(i+1) {
+				return res, fmt.Errorf("serve: chaos recovery after sample %d: store has seen %d samples, want %d", i, rt.st.Samples, i+1)
 			}
-			throttle = rt.throttle
+			throttle = rt.st.Throttle
 		}
 	}
 	return res, nil

@@ -16,45 +16,49 @@ const (
 	SnapshotVersion = 2
 )
 
-// SourceState is one telemetry source's quarantine record inside a
-// snapshot: accumulated validation strikes, and the virtual time until
-// which the source is muted (0 = not quarantined).
+// SourceState is one telemetry source's quarantine standing: accumulated
+// consecutive validation strikes, and the virtual time until which the
+// source is muted (0 = not quarantined).
 type SourceState struct {
 	Strikes int     `json:"strikes,omitempty"`
 	Until   float64 `json:"until,omitempty"`
 }
 
-// Snapshot is the Runtime's complete recoverable state at one ingestion
-// boundary. Everything a replay needs that is not derivable from the
-// scenario and config is here: the folded environment view (rates, health),
-// the hysteresis state (last-full time, budget window, abort time), the
-// quarantine table, the decision journal, and the full metric registry.
-// The active plan itself is deliberately NOT stored — recovery re-derives
-// it by replanning the frozen scenario at PlanRates, which is cheaper to
-// keep honest than a serialized plan (the planner is deterministic, so the
-// result is bit-identical) and immune to plan-codec drift.
-type Snapshot struct {
-	Magic   string `json:"magic"`
-	Version int    `json:"v"`
-	// Seq is the WAL sequence number of the last sample folded into this
-	// snapshot; recovery replays WAL entries with Seq greater than this.
+// state is everything the Runtime folds out of its sample stream. The
+// runtime holds one value of it and a snapshot embeds it, so capture and
+// restore are each one assignment.
+type state struct {
+	// Seq is the WAL sequence number of the last ingested mutation; recovery
+	// replays the WAL entries beyond a snapshot's.
 	Seq uint64 `json:"seq"`
 	// Samples is how many samples the runtime had ingested, whatever their
 	// outcome: the trace ordinal a resumed replay continues at. Seq also
 	// counts throttle entries, so it cannot stand in.
 	Samples uint64 `json:"samples"`
 
-	Clock     float64                 `json:"clock"`
-	Rates     []float64               `json:"rates"`
-	PlanRates []float64               `json:"plan_rates"`
-	Down      []bool                  `json:"down,omitempty"`
-	LastFull  float64                 `json:"last_full"`
-	LastAbort float64                 `json:"last_abort,omitempty"`
-	FullTimes []float64               `json:"full_times,omitempty"`
-	Throttle  float64                 `json:"throttle,omitempty"`
-	Sources   map[string]SourceState  `json:"sources,omitempty"`
-	Journal   []telemetry.Event       `json:"journal,omitempty"`
-	Metrics   telemetry.RegistryState `json:"metrics"`
+	Clock     float64                `json:"clock"`                // virtual time of the last accepted sample
+	Rates     []float64              `json:"rates"`                // last-known per-server uplink bps (always > 0)
+	PlanRates []float64              `json:"plan_rates"`           // rates each server's shard was last planned at
+	Down      []bool                 `json:"down,omitempty"`       // per-server health; recovery sizes a missing one
+	LastFull  float64                `json:"last_full"`            // virtual time of the last full replan
+	LastAbort float64                `json:"last_abort,omitempty"` // virtual time of the last deadline-aborted replan
+	FullTimes []float64              `json:"full_times,omitempty"` // replan times inside the trailing budget window
+	Throttle  float64                `json:"throttle,omitempty"`   // planner speed factor in (0, 1], scales the replan budget
+	Sources   map[string]SourceState `json:"sources,omitempty"`    // quarantine standing; a clear one has no entry
+}
+
+// Snapshot is the Runtime's complete recoverable state at one ingestion
+// boundary: its folded state, the decision journal and the full metric
+// registry. The active plan is deliberately NOT stored — recovery re-derives
+// it by replanning the frozen scenario at PlanRates, which is cheaper to keep
+// honest than a serialized plan (the planner is deterministic, so the result
+// is bit-identical) and immune to plan-codec drift.
+type Snapshot struct {
+	Magic   string `json:"magic"`
+	Version int    `json:"v"`
+	state
+	Journal []telemetry.Event       `json:"journal,omitempty"`
+	Metrics telemetry.RegistryState `json:"metrics"`
 }
 
 // EncodeSnapshot renders the snapshot as canonical JSON.
