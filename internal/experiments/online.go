@@ -66,12 +66,7 @@ func e13OnlineAdaptation(r *Report) error {
 				epochStatic.Add(rec.Latency)
 			}
 		}
-		var obs float64
-		const steps = 16
-		for i := 0; i < steps; i++ {
-			obs += link.RateAt(start + epoch*float64(i)/steps)
-		}
-		obs /= steps
+		obs := netmodel.WindowRate(link, start, epoch)
 		epochTable.AddRow(start, obs/1e6, epochStatic.P95()*1000, ep.lat.P95()*1000)
 	}
 

@@ -3,6 +3,7 @@ package joint
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"edgesurgeon/internal/netmodel"
 	"edgesurgeon/internal/telemetry"
@@ -122,8 +123,12 @@ func NewDispatcherWithPlan(sc *Scenario, planner *Planner, plan *Plan) (*Dispatc
 // Current returns the active plan.
 func (d *Dispatcher) Current() *Plan { return d.plan }
 
-// Health returns the report of the most recent observation.
-func (d *Dispatcher) Health() HealthReport { return d.health }
+// Health returns a copy of the report of the most recent observation.
+func (d *Dispatcher) Health() HealthReport {
+	h := d.health
+	h.Down = slices.Clone(h.Down)
+	return h
+}
 
 // Instrument attaches a telemetry registry: every subsequent observation
 // updates the "dispatcher.*" counter/gauge series (observations, evacuated,
@@ -151,10 +156,12 @@ func (d *Dispatcher) record(report *HealthReport, plan *Plan) {
 // Observe ingests a health probe (serverUp[s]: server s reachable; nil
 // keeps the current state) and observed uplink rates (ratesBps[s] replaces
 // server s's planning-time rate; nil or a non-positive entry keeps it; NaN
-// or ±Inf is a *BadObservationError that leaves the plan untouched), then
-// replans surgery + allocation on the surviving assignment: evacuation,
-// local fallback and shedding as the type describes. With every server up
-// and no rate drifted it restores the pristine plan.
+// or ±Inf is a *BadObservationError), then replans surgery + allocation on
+// the surviving assignment: evacuation, local fallback and shedding as the
+// type describes. With every server up and no rate drifted it restores the
+// pristine plan. The health record changes only together with the plan
+// Observe returns: an observation that fails leaves plan, health and
+// report as they were.
 func (d *Dispatcher) Observe(serverUp []bool, ratesBps []float64) (*Plan, error) {
 	if serverUp != nil && len(serverUp) != len(d.sc.Servers) {
 		return nil, fmt.Errorf("joint: observed %d health states for %d servers", len(serverUp), len(d.sc.Servers))
@@ -167,27 +174,18 @@ func (d *Dispatcher) Observe(serverUp []bool, ratesBps []float64) (*Plan, error)
 			return nil, &BadObservationError{Server: s, Rate: r}
 		}
 	}
-	if serverUp != nil {
-		for s, up := range serverUp {
-			d.down[s] = !up
-		}
+	report := HealthReport{Down: slices.Clone(d.down)}
+	for s, up := range serverUp {
+		report.Down[s] = !up
 	}
-	anyDown := false
-	for _, dn := range d.down {
-		anyDown = anyDown || dn
-	}
-	drifted := false
-	for _, r := range ratesBps {
-		drifted = drifted || r > 0
-	}
-
-	report := HealthReport{Down: append([]bool(nil), d.down...)}
+	anyDown := slices.Contains(report.Down, true)
+	drifted := slices.ContainsFunc(ratesBps, func(r float64) bool { return r > 0 })
 	if !anyDown && !drifted {
 		// Full recovery with no rate drift: hand back the pristine plan
 		// rather than re-deriving it from equal shares.
 		d.plan = clonePlan(d.base)
 		report.Restored = true
-		d.health = report
+		d.down, d.health = report.Down, report
 		d.record(&report, d.plan)
 		return d.plan, nil
 	}
@@ -236,21 +234,21 @@ func (d *Dispatcher) Observe(serverUp []bool, ratesBps []float64) (*Plan, error)
 		PlannerName: d.planner.Name() + suffix,
 	}
 	st.stampCounters(d.plan)
-	d.health = report
+	d.down, d.health = report.Down, report
 	d.record(&report, d.plan)
 	return d.plan, nil
 }
 
 // assignWithHealth rebuilds st's user-to-server assignment under the
-// current health state. Each user prefers its pristine (base-plan) server,
-// then its current server, then — if both are unreachable — evacuates to
-// the reachable server with the least normalized load, then to fully local
-// execution if its device can hold the model, and as a last resort stays
-// on its unreachable server (recorded as Degraded). Iteration is in user
-// order, so the assignment is deterministic.
+// health state report.Down. Each user prefers its pristine (base-plan)
+// server, then its current server, then — if both are unreachable —
+// evacuates to the reachable server with the least normalized load, then to
+// fully local execution if its device can hold the model, and as a last
+// resort stays on its unreachable server (recorded as Degraded). Iteration
+// is in user order, so the assignment is deterministic.
 func (d *Dispatcher) assignWithHealth(st *state, report *HealthReport) {
 	sc := d.sc
-	reachable := func(s int) bool { return s >= 0 && s < len(sc.Servers) && !d.down[s] }
+	reachable := func(s int) bool { return s >= 0 && s < len(sc.Servers) && !report.Down[s] }
 	for s := range st.assigned {
 		st.assigned[s] = st.assigned[s][:0]
 	}
@@ -299,7 +297,7 @@ func (d *Dispatcher) assignWithHealth(st *state, report *HealthReport) {
 				report.Degraded = append(report.Degraded, ui)
 			}
 		}
-		if cur >= 0 && d.down[cur] && target != cur {
+		if cur >= 0 && report.Down[cur] && target != cur {
 			report.Evacuated++
 		}
 		st.ds[ui].Server = target

@@ -30,8 +30,8 @@ type ChaosResult struct {
 	Crashes int
 	// Corrupted is how many samples were mangled before ingestion.
 	Corrupted int
-	// Rejections is how many ingests returned a validation or quarantine
-	// error (reproducible history, not harness failures).
+	// Rejections is how many ingests were rejected or tripped a quarantine
+	// (reproducible history, not harness failures).
 	Rejections int
 	// Throttles is how many planner-speed changes were applied.
 	Throttles int

@@ -393,6 +393,9 @@ func TestSnapshotRejectsForeignState(t *testing.T) {
 		"rate-shape": func(s *Snapshot) { s.PlanRates = nil },
 		"neg-clock":  func(s *Snapshot) { s.Clock = -1 },
 		"bad-rate":   func(s *Snapshot) { s.Rates[0] = -5; s.PlanRates = []float64{-5} },
+		// Finite, but the planner's mean over its horizon overflows.
+		"huge-rate":      func(s *Snapshot) { s.Rates[0] = 1.7e308 },
+		"huge-plan-rate": func(s *Snapshot) { s.PlanRates[0] = 1.7e308 },
 	} {
 		bad := *snap
 		bad.Rates = append([]float64(nil), snap.Rates...)

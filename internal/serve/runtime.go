@@ -233,11 +233,12 @@ func (rt *Runtime) open(st state, what string) error {
 	}
 	frozen, plan, err := rt.planAt(rt.st.PlanRates)
 	if err == nil {
-		err = rt.install(frozen, plan)
+		err = rt.install(frozen, plan, rt.st.Down)
 	}
 	if err != nil {
 		return fmt.Errorf("serve: %s: %w", what, err)
 	}
+	rt.publish(rt.disp.Current())
 	return nil
 }
 
@@ -281,17 +282,16 @@ func (rt *Runtime) Journal() *telemetry.Journal { return &rt.journal }
 // initial plan).
 func (rt *Runtime) FullReplans() int64 { return rt.cFull.Value() }
 
-// Ingest validates one telemetry sample, advances the virtual clock,
-// decides between full replan / cheap refresh / nothing under the policy,
-// and returns the now-active plan. A rejected sample (typed
-// *joint.BadObservationError for malformed values and mismatched widths,
-// *QuarantineError on the strike that trips a source's quarantine) leaves
-// clock, plan and dispatcher untouched; a sample from an
-// already-quarantined source is dropped silently and the current plan
-// returned. With a store attached, the sample is written
-// ahead to the WAL — validated or not; the log records inputs, so
-// replaying it reproduces rejections and quarantine trips too — before
-// anything else happens.
+// Ingest runs one telemetry sample through the control plane in one pass —
+// log, mute, validate, decide, act, commit — and returns the now-active
+// plan. With a store attached the sample is first written ahead to the WAL,
+// validated or not, so replaying the log reproduces rejections and
+// quarantine trips too. A quarantined source's sample is then dropped
+// silently, the current plan returned, until probation readmits the source.
+// Past that, nothing is written before the planner has answered: a sample
+// that is malformed or that the planner or dispatcher refuses is rejected
+// with *joint.BadObservationError (*QuarantineError on the strike that trips
+// its source's quarantine), leaving clock, state, plan and journal untouched.
 func (rt *Runtime) Ingest(s telemetry.Sample) (*joint.Plan, error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -330,117 +330,222 @@ func (rt *Runtime) Ingest(s telemetry.Sample) (*joint.Plan, error) {
 	}
 
 	if err := rt.validate(&s); err != nil {
-		rt.cRejected.Inc()
-		if qerr := rt.strike(&s); qerr != nil {
-			return nil, qerr
-		}
-		return nil, err
+		return nil, rt.reject(&s, err)
 	}
-	if q := rt.st.Sources[s.Source]; q.Strikes > 0 {
-		q.Strikes = 0 // a valid sample clears the source's strikes
-		rt.stand(s.Source, q)
+	next, d := rt.decide(&s)
+	plan, err := rt.act(&s, &next, &d)
+	if err != nil {
+		return nil, rt.reject(&s, &joint.BadObservationError{
+			Server: -1, Rate: s.Time, Field: "sample time", Reason: fmt.Sprintf("is refused by the planner (%s): %v", d.kind, err),
+		})
 	}
-	rt.st.Clock = s.Time
-	rt.cSamples.Inc()
-	rt.gClock.Set(s.Time)
+	return plan, rt.commit(&s, next, d, plan)
+}
 
-	// Fold the sample into the runtime's view of the environment.
-	drifted := false
-	maxRel := 0.0
+// decision is what one sample asks of the runtime: decide picks it, act
+// carries it out (a replan over its deadline becomes an aborted one), commit
+// records it as one journal event.
+type decision struct {
+	kind    telemetry.EventKind
+	reason  string  // the journal event's Reason
+	drifted bool    // the sample observed an uplink rate
+	maxRel  float64 // the largest drift of an observed rate from its plan rate
+	dirty   []bool  // delta replan: the shards to re-plan; nil otherwise
+	ops     int64   // delta replan: the surgery ops the new plan scheduled
+}
+
+// decide folds s into a copy of the runtime's state — clock, observed
+// uplinks, health, the budget window pruned to s's time — and returns it
+// with the decision the policy makes for s. It writes nothing on the
+// runtime.
+func (rt *Runtime) decide(s *telemetry.Sample) (state, decision) {
+	next := rt.st
+	next.Rates = slices.Clone(rt.st.Rates)
+	next.PlanRates = slices.Clone(rt.st.PlanRates)
+	next.Down = slices.Clone(rt.st.Down)
+	next.FullTimes = slices.Clone(rt.st.FullTimes)
+	next.Clock = s.Time
+	d := decision{kind: EventNoChange}
 	for i, r := range s.Uplinks {
 		if r > 0 {
-			drifted = true
-			rt.st.Rates[i] = r
-			if rel := rt.drift(i); rel > maxRel {
-				maxRel = rel
+			d.drifted = true
+			next.Rates[i] = r
+			if rel := next.drift(i); rel > d.maxRel {
+				d.maxRel = rel
 			}
 		}
 	}
-	if drifted {
-		rt.hDrift.Observe(maxRel)
-		rt.updateDriftGauges()
+	for i, up := range s.Health {
+		next.Down[i] = !up
 	}
-	healthObserved := s.Health != nil
-	if healthObserved {
-		for i, up := range s.Health {
-			rt.st.Down[i] = !up
-		}
-	}
-
-	if rt.policy.NeverReplan || (!drifted && !healthObserved) {
-		rt.cNoChange.Inc()
-		rt.journal.Record(telemetry.Event{
-			Time: s.Time, Kind: EventNoChange, Value: rt.disp.Current().Objective,
-		})
-		return rt.disp.Current(), nil
+	if rt.policy.NeverReplan || (!d.drifted && s.Health == nil) {
+		return next, d
 	}
 
 	// Hysteresis: does this drift deserve a full replan, and may we afford
 	// one now? A deadline-aborted attempt arms the same debounce a
 	// completed replan does — retrying an over-budget replan on the very
 	// next sample would thrash.
-	deferred := telemetry.EventKind("")
-	wantFull := drifted && maxRel >= rt.policy.RelChange
-	if wantFull && rt.policy.MinInterval > 0 && s.Time-math.Max(rt.st.LastFull, rt.st.LastAbort) < rt.policy.MinInterval {
-		wantFull, deferred = false, EventDeferredInterval
+	d.kind, d.reason = EventCheapRefresh, fmt.Sprintf("drift %.3g below threshold", d.maxRel)
+	wantFull := d.drifted && d.maxRel >= rt.policy.RelChange
+	deferred := func(kind telemetry.EventKind) {
+		wantFull = false
+		d.kind, d.reason = kind, fmt.Sprintf("drift %.3g wanted full replan", d.maxRel)
+	}
+	if wantFull && rt.policy.MinInterval > 0 && s.Time-math.Max(next.LastFull, next.LastAbort) < rt.policy.MinInterval {
+		deferred(EventDeferredInterval)
 	}
 	if wantFull && rt.policy.Budget > 0 {
-		live := rt.st.FullTimes[:0]
-		for _, ft := range rt.st.FullTimes {
-			if ft > s.Time-rt.policy.Window {
-				live = append(live, ft)
-			}
-		}
-		rt.st.FullTimes = live
-		if len(rt.st.FullTimes) >= rt.policy.Budget {
-			wantFull, deferred = false, EventDeferredBudget
+		next.FullTimes = slices.DeleteFunc(next.FullTimes, func(ft float64) bool { return ft <= s.Time-rt.policy.Window })
+		if len(next.FullTimes) >= rt.policy.Budget {
+			deferred(EventDeferredBudget)
 		}
 	}
-
-	if wantFull {
-		var abort *joint.AbortedError
-		var err error
-		if dirty, nDirty := rt.dirtyShards(); rt.policy.DeltaReplan && nDirty > 0 &&
-			float64(nDirty) <= rt.policy.deltaDirtyFracLimit()*float64(len(rt.st.Rates)) {
-			abort, err = rt.deltaReplan(s.Time, maxRel, dirty, nDirty)
-		} else {
-			abort, err = rt.fullReplan(s.Time, maxRel)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if abort == nil {
-			return rt.disp.Current(), nil
-		}
-		// Stale-plan fallback: the replan blew its deadline, so the
-		// previous valid plan stays published, refreshed through the cheap
-		// path so the observed rates and health still land.
-		plan, err := rt.disp.Observe(s.Health, s.Uplinks)
-		if err != nil {
-			return nil, fmt.Errorf("serve: stale-plan refresh at t=%g: %w", s.Time, err)
-		}
-		rt.publish(plan)
-		rt.journal.Record(telemetry.Event{
-			Time: s.Time, Kind: EventAbortedReplan, Value: plan.Objective,
-			Reason: fmt.Sprintf("replan budget %d exceeded at %d ops; stale plan kept", abort.Budget, abort.SurgeryOps),
-		})
-		return plan, nil
+	if !wantFull {
+		return next, d
 	}
-	return rt.cheapRefresh(&s, deferred, maxRel)
+	d.kind, d.reason = EventFullReplan, fmt.Sprintf("max uplink drift %.3g >= %.3g", d.maxRel, rt.policy.RelChange)
+	if !rt.policy.DeltaReplan {
+		return next, d
+	}
+	// A delta replan re-plans every server whose cumulative drift reaches
+	// RelChange: a shard that crept past the threshold over several
+	// sub-threshold observations is as stale as one that jumped there.
+	dirty := make([]bool, len(next.Rates))
+	for i := range dirty {
+		dirty[i] = next.drift(i) >= rt.policy.RelChange
+	}
+	if servers := joint.DirtyServers(dirty); len(servers) > 0 && float64(len(servers)) <= rt.policy.deltaDirtyFracLimit()*float64(len(dirty)) {
+		d.kind, d.dirty = EventDeltaReplan, dirty
+		d.reason += fmt.Sprintf("; dirty shards %v", servers)
+	}
+	return next, d
 }
 
-// strike records a validation failure against the sample's source and
-// trips its quarantine on the K-th consecutive one, returning the typed
-// error for that tripping call only. No-op (nil) when quarantine is off.
-func (rt *Runtime) strike(s *telemetry.Sample) error {
+// act carries d out against next and returns the plan to publish: the one
+// place Ingest calls the planner or the dispatcher. A full replan plans
+// next.Rates from scratch, a delta replan re-plans d.dirty from the
+// published plan, both under the replan budget; success installs the plan
+// under next's health and stamps next's debounce clock, budget window and
+// (dirty) plan rates. A replan over budget is abandoned deterministically
+// and d becomes an aborted replan, which arms the same debounce and burns a
+// budget slot, then joins the cheap refresh every other kind takes: the
+// dispatcher's evacuation on health flips and surgery + allocation at pinned
+// assignments for drift, on the stale plan.
+func (rt *Runtime) act(s *telemetry.Sample, next *state, d *decision) (*joint.Plan, error) {
+	if d.kind == EventNoChange {
+		return rt.disp.Current(), nil
+	}
+	if d.kind == EventFullReplan || d.kind == EventDeltaReplan {
+		var frozen *joint.Scenario
+		var plan *joint.Plan
+		var err error
+		rt.planner.Opt.SurgeryBudget = rt.replanBudget()
+		if d.dirty == nil {
+			frozen, plan, err = rt.planAt(next.Rates)
+		} else {
+			frozen = rt.frozenScenario(next.Rates)
+			if rt.frontier && rt.planner.Opt.Frontiers != nil {
+				// Extend the table set in place (within its budget), so clean
+				// shards keep the cells earlier plans filled. The extension
+				// stays whatever the replan's fate: tables never change output.
+				added := joint.ExtendFrontierSet(rt.planner.Opt.Frontiers, frozen, rt.planner.Opt, d.dirty)
+				rt.reg.Counter("serve.frontier.extends").Inc()
+				rt.reg.Counter("serve.frontier.extend_tables").Add(int64(added))
+				rt.reg.Gauge("serve.frontier.tables").Set(float64(rt.planner.Opt.Frontiers.Len()))
+			}
+			plan, err = rt.planner.PlanDelta(frozen, rt.disp.Current(), d.dirty)
+		}
+		rt.planner.Opt.SurgeryBudget = 0
+		if err == nil {
+			err = rt.install(frozen, plan, next.Down)
+		}
+		var abort *joint.AbortedError
+		switch {
+		case err == nil:
+			next.LastFull = s.Time
+			next.FullTimes = append(next.FullTimes, s.Time)
+			for i := range next.PlanRates {
+				if d.dirty == nil || d.dirty[i] {
+					next.PlanRates[i] = next.Rates[i]
+				}
+			}
+			d.ops = plan.SurgeryOps
+			return rt.disp.Current(), nil
+		case errors.As(err, &abort):
+			next.LastAbort = s.Time
+			next.FullTimes = append(next.FullTimes, s.Time)
+			d.kind = EventAbortedReplan
+			d.reason = fmt.Sprintf("replan budget %d exceeded at %d ops; stale plan kept", abort.Budget, abort.SurgeryOps)
+		default:
+			return nil, err
+		}
+	}
+	return rt.disp.Observe(s.Health, s.Uplinks)
+}
+
+// commit makes next the runtime's state, clears the source's strikes and
+// records d once: sample and clock series, drift histogram and per-server
+// drift gauges (against the plan rates act moved), d's counters, the
+// published plan, one journal event, and after a full replan a snapshot. A
+// delta replan writes none: its plan is relative to its predecessor, so
+// recovery replays the WAL tail since the last full boundary instead.
+func (rt *Runtime) commit(s *telemetry.Sample, next state, d decision, plan *joint.Plan) error {
+	rt.st = next
+	if q := rt.st.Sources[s.Source]; q.Strikes > 0 {
+		q.Strikes = 0 // a valid sample clears the source's strikes
+		rt.stand(s.Source, q)
+	}
+	rt.cSamples.Inc()
+	rt.gClock.Set(s.Time)
+	if d.drifted {
+		rt.hDrift.Observe(d.maxRel)
+		for i := range rt.st.Rates {
+			rt.gDriftSrv[i].Set(rt.st.drift(i))
+		}
+	}
+	switch d.kind {
+	case EventNoChange:
+		rt.cNoChange.Inc()
+	case EventCheapRefresh:
+		rt.cCheap.Inc()
+	case EventDeferredInterval, EventDeferredBudget:
+		rt.cCheap.Inc()
+		rt.cDeferred.Inc()
+	case EventFullReplan:
+		rt.cFull.Inc()
+	case EventDeltaReplan:
+		rt.cDelta.Inc()
+		rt.cDirty.Add(int64(len(joint.DirtyServers(d.dirty))))
+		rt.hDeltaOps.Observe(float64(d.ops))
+	case EventAbortedReplan:
+		rt.cAborted.Inc()
+	}
+	rt.publish(plan)
+	rt.journal.Record(telemetry.Event{Time: s.Time, Kind: d.kind, Value: plan.Objective, Reason: d.reason})
+	if d.kind == EventFullReplan && rt.store != nil {
+		// The base plan just changed; fold everything into a fresh
+		// snapshot. Snapshot first, WAL reset second: a crash between the
+		// two leaves entries the snapshot already folded, which recovery
+		// skips by Seq.
+		return rt.store.WriteSnapshot(rt.captureSnapshot())
+	}
+	return nil
+}
+
+// reject refuses s with err: it counts the rejection and, with quarantine
+// on, strikes the sample's source, returning *QuarantineError instead of err
+// on the strike that trips its quarantine.
+func (rt *Runtime) reject(s *telemetry.Sample, err error) error {
+	rt.cRejected.Inc()
 	if rt.policy.QuarantineStrikes <= 0 {
-		return nil
+		return err
 	}
 	q := rt.st.Sources[s.Source]
 	q.Strikes++
 	if q.Strikes < rt.policy.QuarantineStrikes {
 		rt.stand(s.Source, q)
-		return nil
+		return err
 	}
 	t := rt.sampleClock(s)
 	q = SourceState{Until: t + rt.policy.QuarantineProbation}
@@ -549,18 +654,18 @@ func (rt *Runtime) planAt(rates []float64) (*joint.Scenario, *joint.Plan, error)
 	return frozen, plan, nil
 }
 
-// install makes plan, made against frozen, the live plan: the dispatcher's
-// new active AND base plan, instrumented, with the current health state
-// reapplied, and published. It is the one way a plan goes live.
-func (rt *Runtime) install(frozen *joint.Scenario, plan *joint.Plan) error {
+// install makes plan, made against frozen, the dispatcher's new active AND
+// base plan, instrumented, with the health down describes reapplied. It is
+// the one way a plan goes live; the caller publishes it.
+func (rt *Runtime) install(frozen *joint.Scenario, plan *joint.Plan, down []bool) error {
 	disp, err := joint.NewDispatcherWithPlan(frozen, rt.planner, plan)
 	if err != nil {
 		return err
 	}
 	disp.Instrument(rt.reg)
-	if slices.Contains(rt.st.Down, true) {
-		up := make([]bool, len(rt.st.Down))
-		for i, dn := range rt.st.Down {
+	if slices.Contains(down, true) {
+		up := make([]bool, len(down))
+		for i, dn := range down {
 			up[i] = !dn
 		}
 		if _, err := disp.Observe(up, nil); err != nil {
@@ -568,162 +673,13 @@ func (rt *Runtime) install(frozen *joint.Scenario, plan *joint.Plan) error {
 		}
 	}
 	rt.disp = disp
-	rt.publish(disp.Current())
 	return nil
-}
-
-// replan is the tail fullReplan and deltaReplan share: run plan under the
-// policy's replan-deadline budget, install its result, and stamp it on the
-// debounce clock and the budget window. A plan that would exceed the budget
-// is abandoned deterministically and returned as the non-nil abort: the
-// published plan stays, and the abort arms the same debounce and burns a
-// budget-window slot, so a persistently over-budget environment degrades to
-// the cheap path instead of thrashing on replan attempts. route names the
-// caller in errors.
-func (rt *Runtime) replan(now float64, route string, plan func() (*joint.Scenario, *joint.Plan, error)) (*joint.Plan, *joint.AbortedError, error) {
-	rt.planner.Opt.SurgeryBudget = rt.replanBudget()
-	frozen, p, err := plan()
-	rt.planner.Opt.SurgeryBudget = 0
-	if err == nil {
-		err = rt.install(frozen, p)
-	}
-	if err != nil {
-		var abort *joint.AbortedError
-		if errors.As(err, &abort) {
-			rt.st.LastAbort = now
-			rt.st.FullTimes = append(rt.st.FullTimes, now)
-			rt.cAborted.Inc()
-			return nil, abort, nil
-		}
-		return nil, nil, fmt.Errorf("serve: %s replan at t=%g: %w", route, now, err)
-	}
-	rt.st.LastFull = now
-	rt.st.FullTimes = append(rt.st.FullTimes, now)
-	return p, nil, nil
-}
-
-// fullReplan rebuilds the deployment plan from scratch against the
-// last-known uplink rates. On success (with a store attached) the new state
-// is snapshotted and the WAL reset.
-func (rt *Runtime) fullReplan(now, maxRel float64) (*joint.AbortedError, error) {
-	_, abort, err := rt.replan(now, "full", func() (*joint.Scenario, *joint.Plan, error) { return rt.planAt(rt.st.Rates) })
-	if err != nil || abort != nil {
-		return abort, err
-	}
-	copy(rt.st.PlanRates, rt.st.Rates)
-	rt.updateDriftGauges()
-	rt.cFull.Inc()
-	rt.journal.Record(telemetry.Event{
-		Time: now, Kind: EventFullReplan, Value: rt.disp.Current().Objective,
-		Reason: fmt.Sprintf("max uplink drift %.3g >= %.3g", maxRel, rt.policy.RelChange),
-	})
-	if rt.store != nil {
-		// The base plan just changed; fold everything into a fresh
-		// snapshot. Snapshot first, WAL reset second: a crash between the
-		// two leaves entries the snapshot already folded, which recovery
-		// skips by Seq.
-		if err := rt.store.WriteSnapshot(rt.captureSnapshot()); err != nil {
-			return nil, err
-		}
-	}
-	return nil, nil
 }
 
 // drift is server s's cumulative relative drift: its last-known rate
 // versus the rate its shard was last planned at.
-func (rt *Runtime) drift(s int) float64 {
-	return math.Abs(rt.st.Rates[s]-rt.st.PlanRates[s]) / rt.st.PlanRates[s]
-}
-
-// updateDriftGauges publishes each server's drift, which makes dirty-shard
-// decisions observable.
-func (rt *Runtime) updateDriftGauges() {
-	for i := range rt.st.Rates {
-		rt.gDriftSrv[i].Set(rt.drift(i))
-	}
-}
-
-// dirtyShards computes the delta-replan dirty mask: every server whose
-// drift reaches the policy's RelChange threshold. Cumulative, not
-// per-sample: a shard that crept past the threshold over several
-// sub-threshold observations is as stale as one that jumped there at once.
-func (rt *Runtime) dirtyShards() ([]bool, int) {
-	dirty := make([]bool, len(rt.st.Rates))
-	n := 0
-	for i := range rt.st.Rates {
-		if rt.drift(i) >= rt.policy.RelChange {
-			dirty[i] = true
-			n++
-		}
-	}
-	return dirty, n
-}
-
-// deltaReplan is the incremental counterpart of fullReplan: re-plan only
-// the dirty shards, warm-started from the published plan, under the same
-// deadline budget. Per-server plan rates advance only for the dirty shards
-// (clean shards keep accruing their sub-threshold drift), and the decision
-// is journaled with the dirty-shard set. Unlike fullReplan, NO snapshot is
-// written: a delta plan is defined relative to its predecessor, so the
-// recovery story is the WAL tail — replaying the samples since the last
-// full boundary reproduces the whole delta chain bit for bit, which the
-// kill/recover suite pins.
-func (rt *Runtime) deltaReplan(now, maxRel float64, dirty []bool, nDirty int) (*joint.AbortedError, error) {
-	frozen := rt.frozenScenario(rt.st.Rates)
-	if rt.frontier && rt.planner.Opt.Frontiers != nil {
-		// The dirty servers' drifted rates are new frontier keys; extend the
-		// existing set in place (within its table budget) instead of
-		// registering a new one, so clean shards keep the cells earlier
-		// plans filled. The extension stays even if the replan aborts:
-		// extra tables never change output.
-		added := joint.ExtendFrontierSet(rt.planner.Opt.Frontiers, frozen, rt.planner.Opt, dirty)
-		rt.reg.Counter("serve.frontier.extends").Inc()
-		rt.reg.Counter("serve.frontier.extend_tables").Add(int64(added))
-		rt.reg.Gauge("serve.frontier.tables").Set(float64(rt.planner.Opt.Frontiers.Len()))
-	}
-	prev := rt.disp.Current()
-	plan, abort, err := rt.replan(now, "delta", func() (*joint.Scenario, *joint.Plan, error) {
-		p, err := rt.planner.PlanDelta(frozen, prev, dirty)
-		return frozen, p, err
-	})
-	if err != nil || abort != nil {
-		return abort, err
-	}
-	for i, d := range dirty {
-		if d {
-			rt.st.PlanRates[i] = rt.st.Rates[i]
-		}
-	}
-	rt.updateDriftGauges()
-	rt.cDelta.Inc()
-	rt.cDirty.Add(int64(nDirty))
-	rt.hDeltaOps.Observe(float64(plan.SurgeryOps))
-	rt.journal.Record(telemetry.Event{
-		Time: now, Kind: EventDeltaReplan, Value: rt.disp.Current().Objective,
-		Reason: fmt.Sprintf("max uplink drift %.3g >= %.3g; dirty shards %v", maxRel, rt.policy.RelChange, joint.DirtyServers(dirty)),
-	})
-	return nil, nil
-}
-
-// cheapRefresh routes the sample through the dispatcher's inexpensive
-// path: evacuation/restore on health flips, surgery + allocation at pinned
-// assignments for rate drift.
-func (rt *Runtime) cheapRefresh(s *telemetry.Sample, deferred telemetry.EventKind, maxRel float64) (*joint.Plan, error) {
-	plan, err := rt.disp.Observe(s.Health, s.Uplinks)
-	if err != nil {
-		return nil, fmt.Errorf("serve: refresh at t=%g: %w", s.Time, err)
-	}
-	rt.cCheap.Inc()
-	kind := EventCheapRefresh
-	reason := fmt.Sprintf("drift %.3g below threshold", maxRel)
-	if deferred != "" {
-		kind = deferred
-		rt.cDeferred.Inc()
-		reason = fmt.Sprintf("drift %.3g wanted full replan", maxRel)
-	}
-	rt.publish(plan)
-	rt.journal.Record(telemetry.Event{Time: s.Time, Kind: kind, Value: plan.Objective, Reason: reason})
-	return plan, nil
+func (st *state) drift(s int) float64 {
+	return math.Abs(st.Rates[s]-st.PlanRates[s]) / st.PlanRates[s]
 }
 
 // buildFrontiers registers the Pareto-frontier surgery tables for sc and
@@ -753,9 +709,10 @@ func (rt *Runtime) publish(plan *joint.Plan) {
 	}
 }
 
-// validate is the ingestion boundary: malformed values and widths are
-// rejected with *joint.BadObservationError before they can reach the
-// dispatcher or perturb the runtime's state.
+// validate is the ingestion boundary: malformed values and widths, and
+// uplink rates no plan can be made at, are rejected with
+// *joint.BadObservationError before they can reach the dispatcher or
+// perturb the runtime's state.
 func (rt *Runtime) validate(s *telemetry.Sample) error {
 	if math.IsNaN(s.Time) || math.IsInf(s.Time, 0) {
 		return &joint.BadObservationError{Server: -1, Rate: s.Time, Field: "sample time"}
@@ -783,6 +740,18 @@ func (rt *Runtime) validate(s *telemetry.Sample) error {
 		if r < 0 {
 			return &joint.BadObservationError{Server: i, Rate: r, Reason: "is negative"}
 		}
+		if r > 0 && math.IsInf(planningMean(r, rt.sc.PlanningHorizon), 0) {
+			return &joint.BadObservationError{Server: i, Rate: r, Reason: "overflows the planning-time mean"}
+		}
 	}
 	return nil
+}
+
+// planningMean is the mean uplink the planner reads from a link frozen at r
+// bps over the planning horizon h (0 = the planner's default): what the
+// frozen scenario's PlanningRate returns. A rate whose mean overflows is one
+// no plan can be made at.
+func planningMean(r, h float64) float64 {
+	probe := joint.Scenario{PlanningHorizon: h, Servers: []joint.Server{{Link: netmodel.NewStatic("", r, 0)}}}
+	return probe.PlanningRate(0)
 }

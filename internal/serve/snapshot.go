@@ -117,14 +117,16 @@ func (s *Snapshot) validate() error {
 	if s.Down != nil && len(s.Down) != len(s.Rates) {
 		return fmt.Errorf("serve: snapshot has %d down flags for %d servers", len(s.Down), len(s.Rates))
 	}
+	// A rate must also have a finite planning-time mean: the snapshot does
+	// not carry the scenario, so the planner's default horizon stands in.
 	for i, r := range s.Rates {
-		if math.IsNaN(r) || math.IsInf(r, 0) || r <= 0 {
-			return fmt.Errorf("serve: snapshot rate %d = %g is not a positive finite number", i, r)
+		if math.IsNaN(r) || r <= 0 || math.IsInf(planningMean(r, 0), 0) {
+			return fmt.Errorf("serve: snapshot rate %d = %g is not a positive number with a finite planning-time mean", i, r)
 		}
 	}
 	for i, r := range s.PlanRates {
-		if math.IsNaN(r) || math.IsInf(r, 0) || r <= 0 {
-			return fmt.Errorf("serve: snapshot plan rate %d = %g is not a positive finite number", i, r)
+		if math.IsNaN(r) || r <= 0 || math.IsInf(planningMean(r, 0), 0) {
+			return fmt.Errorf("serve: snapshot plan rate %d = %g is not a positive number with a finite planning-time mean", i, r)
 		}
 	}
 	for _, ft := range s.FullTimes {
