@@ -9,8 +9,7 @@
 //
 //   - Dial performs the full handshake (header exchange, Hello/Welcome) under
 //     a deadline and returns a typed *HandshakeError on any rejection — a
-//     foreign peer, a version mismatch, a dispatcher ErrorMsg, or a
-//     deployment shape that contradicts Config.ExpectServers/ExpectUsers.
+//     foreign peer, a version mismatch or a dispatcher ErrorMsg.
 //   - Do submits one request and blocks for its response, honoring both the
 //     caller's context and the per-call deadline. Cancellation abandons the
 //     call (the response, if it ever arrives, is discarded) without poisoning
@@ -48,9 +47,6 @@ import (
 type Config struct {
 	// ID is the client's registration name; empty means "client".
 	ID string
-	// DialTimeout bounds the TCP connect plus the protocol handshake;
-	// 0 means 10s.
-	DialTimeout time.Duration
 	// CallTimeout is the default per-call deadline Do applies when the
 	// caller's context carries none; 0 means 30s. Negative means no
 	// default deadline (the context alone governs).
@@ -58,24 +54,17 @@ type Config struct {
 	// Window bounds the requests this client keeps in flight; Do blocks
 	// (context-cancellable) for a slot. 0 means 16.
 	Window int
-	// ExpectServers / ExpectUsers, when > 0, validate the dispatcher's
-	// Welcome against the deployment shape the caller believes it is
-	// attached to; a mismatch is a *HandshakeError.
-	ExpectServers, ExpectUsers int
 }
+
+// handshakeTimeout bounds the TCP connect plus the protocol handshake, as it
+// does for an agent.
+const handshakeTimeout = 10 * time.Second
 
 func (c *Config) id() string {
 	if c.ID != "" {
 		return c.ID
 	}
 	return "client"
-}
-
-func (c *Config) dialTimeout() time.Duration {
-	if c.DialTimeout > 0 {
-		return c.DialTimeout
-	}
-	return 10 * time.Second
 }
 
 func (c *Config) callTimeout() time.Duration {
@@ -130,7 +119,7 @@ var callPool = sync.Pool{New: func() any { return &call{ch: make(chan outcome, 1
 
 // Dial connects to a dispatcher and performs the handshake.
 func Dial(addr string, cfg Config) (*Client, error) {
-	nc, err := net.DialTimeout("tcp", addr, cfg.dialTimeout())
+	nc, err := net.DialTimeout("tcp", addr, handshakeTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("client: dialing %s: %w", addr, err)
 	}
@@ -141,7 +130,7 @@ func Dial(addr string, cfg Config) (*Client, error) {
 // half, split out so tests and fuzzers can drive the client over pipes).
 // On error the connection is closed.
 func New(nc net.Conn, cfg Config) (*Client, error) {
-	_ = nc.SetDeadline(time.Now().Add(cfg.dialTimeout()))
+	_ = nc.SetDeadline(time.Now().Add(handshakeTimeout))
 	conn, err := wire.NewConn(bufio.NewReader(nc), nc, nc)
 	if err != nil {
 		nc.Close()
@@ -160,12 +149,6 @@ func New(nc net.Conn, cfg Config) (*Client, error) {
 	}
 	switch m := m.(type) {
 	case *wire.Welcome:
-		if cfg.ExpectServers > 0 && m.Servers != cfg.ExpectServers {
-			return fail(fmt.Sprintf("dispatcher serves %d servers, expected %d", m.Servers, cfg.ExpectServers), nil)
-		}
-		if cfg.ExpectUsers > 0 && m.Users != cfg.ExpectUsers {
-			return fail(fmt.Sprintf("dispatcher serves %d users, expected %d", m.Users, cfg.ExpectUsers), nil)
-		}
 		_ = nc.SetDeadline(time.Time{})
 		c := &Client{
 			cfg:     cfg,

@@ -68,7 +68,7 @@ func FuzzClientDecode(f *testing.F) {
 			time.Sleep(time.Millisecond)
 			snc.Close()
 		}()
-		c, err := New(cnc, Config{DialTimeout: 2 * time.Second, CallTimeout: 100 * time.Millisecond})
+		c, err := New(cnc, Config{CallTimeout: 100 * time.Millisecond})
 		if err != nil {
 			var he *HandshakeError
 			if !errors.As(err, &he) {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -133,5 +134,39 @@ func TestFrontierOnOffReplay(t *testing.T) {
 		if lookupsOn != lookupsOff || lookupsOn == 0 {
 			t.Fatalf("%s: %d lookups with Frontier, %d without", label, lookupsOn, lookupsOff)
 		}
+	}
+}
+
+// TestRefusedReplanKeepsFrontierSeries: the frontier series count only a
+// table set the runtime keeps. A full replan the planner refuses discards
+// the fresh set it planned with, so serve.frontier.builds and
+// serve.frontier.tables read as before the sample and the runtime keeps its
+// set; the next valid replan counts its own.
+func TestRefusedReplanKeepsFrontierSeries(t *testing.T) {
+	trace := recordReplayTrace(t)
+	rt, err := New(Config{Scenario: fadingScenario(t), Policy: AlwaysReplan(), Frontier: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := rt.Metrics()
+	builds, tables := reg.Counter("serve.frontier.builds"), reg.Gauge("serve.frontier.tables")
+	set, wantTables := rt.planner.Opt.Frontiers, tables.Value()
+	if builds.Value() != 1 {
+		t.Fatalf("builds after construction = %d, want 1", builds.Value())
+	}
+	var bad *joint.BadObservationError
+	if _, err := rt.Ingest(withRate(trace[0], 5e-324)); !errors.As(err, &bad) {
+		t.Fatalf("ingest returned %v (%T), want *joint.BadObservationError", err, err)
+	}
+	if builds.Value() != 1 || tables.Value() != wantTables || rt.planner.Opt.Frontiers != set {
+		t.Fatalf("refused replan moved the frontier series: builds %d (want 1), tables %g (want %g), set kept %t",
+			builds.Value(), tables.Value(), wantTables, rt.planner.Opt.Frontiers == set)
+	}
+	if _, err := rt.Ingest(trace[0]); err != nil {
+		t.Fatal(err)
+	}
+	if builds.Value() != 2 || tables.Value() != float64(rt.planner.Opt.Frontiers.Len()) || rt.planner.Opt.Frontiers == set {
+		t.Fatalf("valid replan: builds %d (want 2), tables %g (want %d), new set installed %t",
+			builds.Value(), tables.Value(), rt.planner.Opt.Frontiers.Len(), rt.planner.Opt.Frontiers != set)
 	}
 }

@@ -231,9 +231,9 @@ func (rt *Runtime) open(st state, what string) error {
 	if rt.st.Throttle == 0 {
 		rt.st.Throttle = 1
 	}
-	frozen, plan, err := rt.planAt(rt.st.PlanRates)
+	frozen, planner, plan, err := rt.planAt(rt.st.PlanRates, 0)
 	if err == nil {
-		err = rt.install(frozen, plan, rt.st.Down)
+		err = rt.install(frozen, planner, plan, rt.st.Down)
 	}
 	if err != nil {
 		return fmt.Errorf("serve: %s: %w", what, err)
@@ -438,27 +438,28 @@ func (rt *Runtime) act(s *telemetry.Sample, next *state, d *decision) (*joint.Pl
 	}
 	if d.kind == EventFullReplan || d.kind == EventDeltaReplan {
 		var frozen *joint.Scenario
+		planner := rt.planner
 		var plan *joint.Plan
 		var err error
-		rt.planner.Opt.SurgeryBudget = rt.replanBudget()
 		if d.dirty == nil {
-			frozen, plan, err = rt.planAt(next.Rates)
+			frozen, planner, plan, err = rt.planAt(next.Rates, rt.replanBudget())
 		} else {
 			frozen = rt.frozenScenario(next.Rates)
-			if rt.frontier && rt.planner.Opt.Frontiers != nil {
+			budgeted := *rt.planner
+			budgeted.Opt.SurgeryBudget = rt.replanBudget()
+			if rt.frontier && budgeted.Opt.Frontiers != nil {
 				// Extend the table set in place (within its budget), so clean
 				// shards keep the cells earlier plans filled. The extension
 				// stays whatever the replan's fate: tables never change output.
-				added := joint.ExtendFrontierSet(rt.planner.Opt.Frontiers, frozen, rt.planner.Opt, d.dirty)
+				added := joint.ExtendFrontierSet(budgeted.Opt.Frontiers, frozen, budgeted.Opt, d.dirty)
 				rt.reg.Counter("serve.frontier.extends").Inc()
 				rt.reg.Counter("serve.frontier.extend_tables").Add(int64(added))
-				rt.reg.Gauge("serve.frontier.tables").Set(float64(rt.planner.Opt.Frontiers.Len()))
+				rt.reg.Gauge("serve.frontier.tables").Set(float64(budgeted.Opt.Frontiers.Len()))
 			}
-			plan, err = rt.planner.PlanDelta(frozen, rt.disp.Current(), d.dirty)
+			plan, err = budgeted.PlanDelta(frozen, rt.disp.Current(), d.dirty)
 		}
-		rt.planner.Opt.SurgeryBudget = 0
 		if err == nil {
-			err = rt.install(frozen, plan, next.Down)
+			err = rt.install(frozen, planner, plan, next.Down)
 		}
 		var abort *joint.AbortedError
 		switch {
@@ -632,33 +633,41 @@ func (rt *Runtime) frozenScenario(rates []float64) *joint.Scenario {
 	return &frozen
 }
 
-// planAt freezes the scenario at rates and plans it from scratch — the
-// initial plan, every full replan and crash recovery's re-derivation, so
-// the recovered plan is the lost one by construction. With Config.Frontier
-// a fresh table set is registered for the frozen scenario first (its rates
-// are new frontier keys); a failed plan puts the previous set back, since
-// the published plan keeps its tables.
-func (rt *Runtime) planAt(rates []float64) (*joint.Scenario, *joint.Plan, error) {
+// planAt freezes the scenario at rates and plans it from scratch within
+// budget surgery ops (0 = none) — the initial plan, every full replan and
+// crash recovery's re-derivation, so the recovered plan is the lost one by
+// construction. It plans on a copy of the runtime's planner, returned with
+// the budget cleared for install to keep. With Config.Frontier the copy
+// carries a fresh table set registered for the frozen scenario (its rates are
+// new frontier keys); the tables start empty and keep what each plan fills,
+// so later plans at the same rates pay for no cell twice. Cheap refreshes
+// gain little: observed rates carry telemetry noise, so every refresh's
+// server keys are new and fill tables private to that refresh.
+func (rt *Runtime) planAt(rates []float64, budget int64) (*joint.Scenario, *joint.Planner, *joint.Plan, error) {
 	frozen := rt.frozenScenario(rates)
-	prevSet := rt.planner.Opt.Frontiers
+	planner := *rt.planner
 	if rt.frontier {
-		if err := rt.buildFrontiers(frozen); err != nil {
-			return nil, nil, err
+		set, err := joint.BuildFrontierSet(frozen, planner.Opt, surgery.BuildOptions{Surgery: planner.Opt.Surgery})
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("building frontier tables: %w", err)
 		}
+		planner.Opt.Frontiers = set
 	}
-	plan, err := rt.planner.Plan(frozen)
+	planner.Opt.SurgeryBudget = budget
+	plan, err := planner.Plan(frozen)
 	if err != nil {
-		rt.planner.Opt.Frontiers = prevSet
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	return frozen, plan, nil
+	planner.Opt.SurgeryBudget = 0
+	return frozen, &planner, plan, nil
 }
 
-// install makes plan, made against frozen, the dispatcher's new active AND
-// base plan, instrumented, with the health down describes reapplied. It is
-// the one way a plan goes live; the caller publishes it.
-func (rt *Runtime) install(frozen *joint.Scenario, plan *joint.Plan, down []bool) error {
-	disp, err := joint.NewDispatcherWithPlan(frozen, rt.planner, plan)
+// install makes plan, made against frozen by planner, the dispatcher's new
+// active AND base plan, instrumented, with the health down describes
+// reapplied, and planner the runtime's (counting its table set when it is a
+// new one). It is the one way a plan goes live; the caller publishes it.
+func (rt *Runtime) install(frozen *joint.Scenario, planner *joint.Planner, plan *joint.Plan, down []bool) error {
+	disp, err := joint.NewDispatcherWithPlan(frozen, planner, plan)
 	if err != nil {
 		return err
 	}
@@ -672,7 +681,11 @@ func (rt *Runtime) install(frozen *joint.Scenario, plan *joint.Plan, down []bool
 			return fmt.Errorf("applying health: %w", err)
 		}
 	}
-	rt.disp = disp
+	if set := planner.Opt.Frontiers; set != rt.planner.Opt.Frontiers {
+		rt.reg.Counter("serve.frontier.builds").Inc()
+		rt.reg.Gauge("serve.frontier.tables").Set(float64(set.Len()))
+	}
+	rt.planner, rt.disp = planner, disp
 	return nil
 }
 
@@ -680,23 +693,6 @@ func (rt *Runtime) install(frozen *joint.Scenario, plan *joint.Plan, down []bool
 // versus the rate its shard was last planned at.
 func (st *state) drift(s int) float64 {
 	return math.Abs(st.Rates[s]-st.PlanRates[s]) / st.PlanRates[s]
-}
-
-// buildFrontiers registers the Pareto-frontier surgery tables for sc and
-// installs them on the runtime's planner (shared with its dispatcher). The
-// tables start empty and keep what each plan fills, so later plans at the
-// same rates pay for no cell twice. Cheap refreshes gain little: observed
-// rates carry telemetry noise, so every refresh's server keys are new and
-// fill tables private to that refresh.
-func (rt *Runtime) buildFrontiers(sc *joint.Scenario) error {
-	set, err := joint.BuildFrontierSet(sc, rt.planner.Opt, surgery.BuildOptions{Surgery: rt.planner.Opt.Surgery})
-	if err != nil {
-		return fmt.Errorf("building frontier tables: %w", err)
-	}
-	rt.planner.Opt.Frontiers = set
-	rt.reg.Counter("serve.frontier.builds").Inc()
-	rt.reg.Gauge("serve.frontier.tables").Set(float64(set.Len()))
-	return nil
 }
 
 // publish mirrors the active plan into the gauges.

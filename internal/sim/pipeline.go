@@ -191,137 +191,43 @@ func (r *Result) MeanDeviceEnergy() float64 {
 	return s.Mean()
 }
 
-// exitChoice precomputes, for one plan, the per-exit deterministic service
-// demands so the hot loop allocates nothing per task.
-type exitChoice struct {
-	cut     int
-	tau     float64
-	devSec  float64 // device compute up to this exit (incl. heads on device)
-	srvSec  float64 // server compute at full capacity (incl. heads on server)
-	txBytes int64   // bytes crossing the partition (0 if exit before cut)
-	crossed bool
-	acc     float64
-}
-
-func compileChoices(u UserConfig) ([]exitChoice, error) {
-	p := u.Plan
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	m := p.Model
-	n := m.NumUnits()
-	curves := u.Curves
-	if curves == (surgery.ExitCurves{}) {
-		curves = surgery.DefaultCurves()
-	}
-	if p.Partition < n && u.Server < 0 {
-		return nil, fmt.Errorf("sim: user plan %v offloads but has no server", p)
-	}
-	cuts := p.AllExitCuts()
-	out := make([]exitChoice, len(cuts))
-	var cumDev float64
-	var txBytes int64
-	prevCut := 0
-	for i, cut := range cuts {
-		devEnd := cut
-		if devEnd > p.Partition {
-			devEnd = p.Partition
-		}
-		if devEnd > prevCut {
-			cumDev += u.Device.RangeTime(m, prevCut, devEnd)
-		}
-		x := surgery.DepthFrac(m, cut)
-		tau := 1.0
-		if cut < n {
-			tau = curves.Confidence(x, p.Theta)
-		}
-		out[i] = exitChoice{
-			cut:     cut,
-			tau:     tau,
-			crossed: cut > p.Partition,
-			acc:     curves.Accuracy(x),
-		}
-		if prevCut <= p.Partition && p.Partition < cut {
-			factor := u.TxFactor
-			if factor <= 0 {
-				factor = 1
-			}
-			txBytes = int64(float64(m.CutBytes(p.Partition)) * factor)
-		}
-		out[i].devSec = cumDev
-		if out[i].crossed {
-			out[i].txBytes = txBytes
-		}
-		prevCut = cut
-	}
-	return out, nil
-}
-
-// fillServerTimes completes the per-exit server demands with the assigned
-// server's profile.
-func fillServerTimes(u UserConfig, srv *hardware.Profile, choices []exitChoice) {
-	p := u.Plan
-	m := p.Model
-	n := m.NumUnits()
-	prevCut := 0
-	var cumDevHead, cumSrv float64
-	for i := range choices {
-		cut := choices[i].cut
-		srvStart := prevCut
-		if srvStart < p.Partition {
-			srvStart = p.Partition
-		}
-		if cut > srvStart && srv != nil {
-			cumSrv += srv.RangeTime(m, srvStart, cut)
-		}
-		if cut < n {
-			hf, _ := surgery.HeadCost(m, cut)
-			if cut <= p.Partition {
-				cumDevHead += u.Device.FLOPsTime(hf)
-			} else if srv != nil {
-				cumSrv += srv.FLOPsTime(hf)
-			}
-		}
-		choices[i].devSec += cumDevHead
-		choices[i].srvSec = cumSrv
-		prevCut = cut
-	}
-}
-
 // pickExit returns the first exit whose confidence power covers the task
 // difficulty (the final exit always does).
-func pickExit(choices []exitChoice, difficulty float64) *exitChoice {
-	for i := range choices {
-		if choices[i].tau >= difficulty {
-			return &choices[i]
+func pickExit(path []surgery.Exit, difficulty float64) *surgery.Exit {
+	for i := range path {
+		if path[i].Tau >= difficulty {
+			return &path[i]
 		}
 	}
-	return &choices[len(choices)-1]
+	return &path[len(path)-1]
 }
 
 // Run executes the scenario and returns streaming aggregates (plus per-task
-// records when Config.KeepRecords is set). The scenario is decomposed into
-// independent components (see shard.go), each run to completion on its own
-// engine, and the results merged in user-index order.
+// records when Config.KeepRecords is set). Each user's plan is walked once
+// (surgery's Plan.Path) into the per-exit demands its tasks draw from. The
+// scenario is decomposed into independent components (see shard.go), each
+// run to completion on its own engine, and the results merged in user-index
+// order.
 func Run(cfg Config) (*Result, error) {
 	if cfg.Faults != nil && !cfg.Faults.Empty() && cfg.Discipline == ProcessorSharing {
 		return nil, fmt.Errorf("sim: fault injection is not supported under ProcessorSharing")
 	}
-	choices := make([][]exitChoice, len(cfg.Users))
+	paths := make([][]surgery.Exit, len(cfg.Users))
 	for ui := range cfg.Users {
-		u := cfg.Users[ui]
+		u := &cfg.Users[ui]
 		if u.Server >= len(cfg.Servers) {
 			return nil, fmt.Errorf("sim: user %d assigned to unknown server %d", ui, u.Server)
 		}
-		ch, err := compileChoices(u)
-		if err != nil {
+		if err := u.Plan.Validate(); err != nil {
 			return nil, fmt.Errorf("sim: user %d: %w", ui, err)
 		}
-		var srvProfile *hardware.Profile
+		var srv *hardware.Profile
 		if u.Server >= 0 {
-			srvProfile = cfg.Servers[u.Server].Profile
+			srv = cfg.Servers[u.Server].Profile
 		}
-		fillServerTimes(u, srvProfile, ch)
+		if srv == nil && u.Plan.Partition < u.Plan.Model.NumUnits() {
+			return nil, fmt.Errorf("sim: user %d: plan %v offloads but has no server", ui, u.Plan)
+		}
 		if u.Server >= 0 && cfg.Discipline == DedicatedShares {
 			if u.ComputeShare <= 0 || u.BandwidthShare <= 0 {
 				return nil, fmt.Errorf("sim: user %d has non-positive shares under DedicatedShares", ui)
@@ -332,9 +238,9 @@ func Run(cfg Config) (*Result, error) {
 				return nil, fmt.Errorf("sim: user %d tasks not sorted by arrival", ui)
 			}
 		}
-		choices[ui] = ch
+		paths[ui] = u.Plan.Path(u.Device, srv, u.Curves)
 	}
 	comps := partition(&cfg)
-	shards := runComponents(&cfg, comps, choices)
+	shards := runComponents(&cfg, comps, paths)
 	return mergeShards(&cfg, comps, shards), nil
 }

@@ -5,6 +5,7 @@ import (
 
 	"edgesurgeon/internal/hardware"
 	"edgesurgeon/internal/netmodel"
+	"edgesurgeon/internal/surgery"
 	"edgesurgeon/internal/workload"
 )
 
@@ -66,7 +67,7 @@ type taskState struct {
 	txCause   FailCause
 	srvCause  FailCause
 	task      *workload.Task
-	choice    *exitChoice
+	choice    *surgery.Exit
 	timeoutAt float64
 	devWait   float64
 	devFinish float64
@@ -78,7 +79,8 @@ type taskState struct {
 // shardUser is one user's runtime state inside a shard.
 type shardUser struct {
 	gu      int // global user index
-	choices []exitChoice
+	path    []surgery.Exit
+	txBytes int64 // bytes a crossing task sends over the uplink
 	device  *Station
 	tx      *Station // dedicated uplink lane (DedicatedShares only)
 	compute *Station // dedicated compute lane (DedicatedShares only)
@@ -114,9 +116,9 @@ type shardRun struct {
 	busy   float64 // compute busy time attributed to the component's server
 }
 
-// newShardRun builds the runtime for one component. choices[gu] holds the
-// pre-compiled exit table for global user gu (validated by Run).
-func newShardRun(cfg *Config, comp component, choices [][]exitChoice, faulty bool) *shardRun {
+// newShardRun builds the runtime for one component. paths[gu] holds the
+// exit walk of global user gu's plan (validated by Run).
+func newShardRun(cfg *Config, comp component, paths [][]surgery.Exit, faulty bool) *shardRun {
 	r := &shardRun{cfg: cfg, faulty: faulty, keep: cfg.KeepRecords}
 	r.eng.run = r
 	if comp.server >= 0 && cfg.Discipline != DedicatedShares {
@@ -134,7 +136,7 @@ func newShardRun(cfg *Config, comp component, choices [][]exitChoice, faulty boo
 		u := &cfg.Users[gu]
 		su := &r.users[li]
 		su.gu = gu
-		su.choices = choices[gu]
+		su.path = paths[gu]
 		su.dev = u.Device
 		su.server = u.Server
 		su.cShare = u.ComputeShare
@@ -143,6 +145,11 @@ func newShardRun(cfg *Config, comp component, choices [][]exitChoice, faulty boo
 		su.device = NewStation(&r.eng, "dev")
 		if u.Server >= 0 {
 			su.link = cfg.Servers[u.Server].Link
+			factor := u.TxFactor
+			if factor <= 0 {
+				factor = 1
+			}
+			su.txBytes = int64(float64(u.Plan.Model.CutBytes(u.Plan.Partition)) * factor)
 			if cfg.Discipline == DedicatedShares {
 				su.tx = NewStation(&r.eng, "tx")
 				su.compute = NewStation(&r.eng, "srv-lane")
@@ -237,7 +244,7 @@ func (r *shardRun) arrive(lu int) {
 	t.lu = int32(lu)
 	t.stage = stageDevice
 	t.task = task
-	t.choice = pickExit(su.choices, task.Difficulty)
+	t.choice = pickExit(su.path, task.Difficulty)
 	t.timeoutAt = math.Inf(1)
 	if r.faulty {
 		t.timeoutAt = r.cfg.Retry.timeoutAt(task.Arrival)
@@ -251,20 +258,20 @@ func (r *shardRun) stageDur(t *taskState, start float64) float64 {
 	su := &r.users[t.lu]
 	switch t.stage {
 	case stageDevice:
-		return t.choice.devSec
+		return t.choice.DeviceSec
 	case stageTx:
 		share := 1.0
 		if r.cfg.Discipline == DedicatedShares {
 			share = su.bShare
 		}
 		if !r.faulty {
-			return netmodel.TransferTime(su.link, t.choice.txBytes, start, share)
+			return netmodel.TransferTime(su.link, su.txBytes, start, share)
 		}
-		d, cause := txStage(r.cfg.Faults, su.server, su.link, t.choice.txBytes, start, share, t.timeoutAt)
+		d, cause := txStage(r.cfg.Faults, su.server, su.link, su.txBytes, start, share, t.timeoutAt)
 		t.txCause = cause
 		return d
 	default: // stageServer (FCFS lanes; ProcessorSharing bypasses stageDur)
-		work := t.choice.srvSec
+		work := t.choice.ServerSec
 		if r.cfg.Discipline == DedicatedShares {
 			work /= su.cShare
 		}
@@ -284,7 +291,7 @@ func (r *shardRun) stageDone(t *taskState, start, finish float64) {
 	case stageDevice:
 		t.devWait = start - t.task.Arrival
 		t.devFinish = finish
-		if !t.choice.crossed {
+		if !t.choice.Crossed {
 			r.finishTask(su, t, finish, 0, 0, 0, 0)
 			r.putTask(t)
 			return
@@ -309,7 +316,7 @@ func (r *shardRun) stageDone(t *taskState, start, finish float64) {
 		case DedicatedShares:
 			su.compute.submitTask(t)
 		case ProcessorSharing:
-			r.srvPS.submitTask(t.choice.srvSec, t)
+			r.srvPS.submitTask(t.choice.ServerSec, t)
 		default:
 			r.srvShared.submitTask(t)
 		}
@@ -337,13 +344,13 @@ func (r *shardRun) finishTask(su *shardUser, t *taskState, finish, txWait, txSec
 	lat := finish - task.Arrival
 	choice := t.choice
 	met := task.Deadline <= 0 || lat <= task.Deadline
-	energy := su.dev.ComputeEnergy(choice.devSec) + su.dev.RadioEnergy(txSec)
+	energy := su.dev.ComputeEnergy(choice.DeviceSec) + su.dev.RadioEnergy(txSec)
 	if r.keep {
 		su.recs = append(su.recs, TaskRecord{
 			User: su.gu, Arrival: task.Arrival, Finish: finish, Latency: lat,
 			Deadline: task.Deadline, Met: met,
-			ExitCut: choice.cut, Crossed: choice.crossed, Accuracy: choice.acc,
-			DeviceWait: t.devWait, DeviceSec: choice.devSec,
+			ExitCut: choice.Cut, Crossed: choice.Crossed, Accuracy: choice.Accuracy,
+			DeviceWait: t.devWait, DeviceSec: choice.DeviceSec,
 			TxWait: txWait, TxSec: txSec,
 			ServerWait: srvWait, ServerSec: srvSec,
 			EnergyJ: energy,
@@ -354,9 +361,9 @@ func (r *shardRun) finishTask(su *shardUser, t *taskState, finish, txWait, txSec
 	if task.Deadline > 0 {
 		us.Deadline.Observe(met)
 	}
-	us.ExitHist[choice.cut]++
-	us.Accuracy.Add(choice.acc)
-	us.Crossed.Observe(choice.crossed)
+	us.ExitHist[choice.Cut]++
+	us.Accuracy.Add(choice.Accuracy)
+	us.Crossed.Observe(choice.Crossed)
 	us.Energy.Add(energy)
 	us.Failures.Observe(false)
 }
@@ -371,7 +378,7 @@ func (r *shardRun) failTask(su *shardUser, t *taskState, abort float64, cause Fa
 		su.recs = append(su.recs, TaskRecord{
 			User: su.gu, Arrival: task.Arrival, Finish: abort, Latency: abort - task.Arrival,
 			Deadline: task.Deadline, Met: false,
-			ExitCut: choice.cut, Crossed: choice.crossed,
+			ExitCut: choice.Cut, Crossed: choice.Crossed,
 			Failed: true, Cause: cause,
 		})
 	}
@@ -379,16 +386,16 @@ func (r *shardRun) failTask(su *shardUser, t *taskState, abort float64, cause Fa
 	if task.Deadline > 0 {
 		us.Deadline.Observe(false)
 	}
-	us.Crossed.Observe(choice.crossed)
+	us.Crossed.Observe(choice.Crossed)
 	us.Failures.Observe(true)
 }
 
 // runComponents executes every component in order, on the caller's
 // goroutine, and returns the per-component runs in component order.
-func runComponents(cfg *Config, comps []component, choices [][]exitChoice) []*shardRun {
+func runComponents(cfg *Config, comps []component, paths [][]surgery.Exit) []*shardRun {
 	shards := make([]*shardRun, len(comps))
 	for i := range comps {
-		shards[i] = newShardRun(cfg, comps[i], choices, simFaulty(cfg))
+		shards[i] = newShardRun(cfg, comps[i], paths, simFaulty(cfg))
 		shards[i].run()
 	}
 	return shards

@@ -345,12 +345,11 @@ func TestExitHistogramMatchesAnalytic(t *testing.T) {
 		t.Fatal(err)
 	}
 	hist := res.PerUser[0].ExitHist
-	cuts := plan.AllExitCuts()
 	total := len(res.Records)
-	for i, cut := range cuts {
-		got := float64(hist[cut]) / float64(total)
+	for i, e := range plan.Path(dev, nil, surgery.ExitCurves{}) {
+		got := float64(hist[e.Cut]) / float64(total)
 		if math.Abs(got-want.ExitProbs[i]) > 0.04 {
-			t.Errorf("exit@%d: simulated %.3f vs analytic %.3f", cut, got, want.ExitProbs[i])
+			t.Errorf("exit@%d: simulated %.3f vs analytic %.3f", e.Cut, got, want.ExitProbs[i])
 		}
 	}
 }
@@ -386,6 +385,17 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	})
 	if err == nil {
 		t.Error("expected error for zero shares")
+	}
+	// Offload plan on a server with no profile.
+	_, err = Run(Config{
+		Servers: []ServerConfig{{Link: link}},
+		Users: []UserConfig{{
+			Plan: surgery.FullOffload(m), Device: dev, Server: 0,
+			ComputeShare: 1, BandwidthShare: 1, Tasks: []workload.Task{{Arrival: 0}},
+		}},
+	})
+	if err == nil {
+		t.Error("expected error for offload to a server without a profile")
 	}
 }
 

@@ -100,7 +100,7 @@ type kernel struct {
 	// Unit times in two summation orders, both kept bit for bit: the chain DP
 	// prices a segment as a difference of prefixes, while the reported Eval
 	// adds units up from the segment's start, as hardware.RangeTime (and so
-	// Evaluate and the simulator) does.
+	// Plan.Path, which Evaluate and the simulator share) does.
 	devPrefix, srvPrefix []float64 // [k] = time of units [0, k)
 	devFrom, srvFrom     []float64 // [i*(NumUnits+1)+j] = RangeTime(m, i, j)
 	headDev, headSrv     []float64 // [node] = exit-head time, server at full share
@@ -151,7 +151,7 @@ func newKernel(m *dnn.Model, env Env, opt Options) (*kernel, error) {
 	for p := range k.bits {
 		k.bits[p] = float64(m.CutBytes(p)) * 8 * env.txFactor()
 	}
-	curves := env.curves()
+	curves := env.Curves.orDefault()
 	k.delta = curves.Final / accBuckets
 	k.headDev, k.headSrv = make([]float64, nodes), make([]float64, nodes)
 	k.acc, k.cdf = make([]float64, nodes), make([]float64, len(k.thetas)*nodes)

@@ -54,11 +54,11 @@ func (e Env) txFactor() float64 {
 // may provision for.
 const DeviceStabilityRho = 0.9
 
-func (e Env) curves() ExitCurves {
-	if e.Curves == (ExitCurves{}) {
+func (c ExitCurves) orDefault() ExitCurves {
+	if c == (ExitCurves{}) {
 		return DefaultCurves()
 	}
-	return e.Curves
+	return c
 }
 
 // Validate reports whether the environment is self-consistent.
@@ -77,7 +77,7 @@ func (e Env) Validate() error {
 			return fmt.Errorf("surgery: bandwidth share %g out of (0,1]", e.BandwidthShare)
 		}
 	}
-	return e.curves().Validate()
+	return e.Curves.orDefault().Validate()
 }
 
 // Plan is one surgery decision for one user: the exit set, the confidence
@@ -133,14 +133,6 @@ func (p Plan) Validate() error {
 	return nil
 }
 
-// AllExitCuts returns the plan's exit cuts including the implicit final
-// exit.
-func (p Plan) AllExitCuts() []int {
-	out := make([]int, 0, len(p.Exits)+1)
-	out = append(out, p.Exits...)
-	return append(out, p.Model.NumUnits())
-}
-
 // String renders a compact plan description.
 func (p Plan) String() string {
 	var b strings.Builder
@@ -175,7 +167,8 @@ type Eval struct {
 	TxSec float64
 	// CrossProb is the probability a task crosses the partition boundary.
 	CrossProb float64
-	// ExitProbs[i] is the probability of exiting at AllExitCuts()[i].
+	// ExitProbs[i] is the probability of exiting at the plan's i-th exit
+	// (Exits, then the final exit at NumUnits; Path's order).
 	ExitProbs []float64
 	// DeviceSec is the expected device compute per task (a component of
 	// FixedSec, exposed for breakdowns and device-energy accounting).
@@ -210,74 +203,95 @@ func Evaluate(p Plan, env Env) (Eval, error) {
 	return evaluateInto(p, env), nil
 }
 
-// evaluateInto is Evaluate's core and the reference the optimizer's kernel is
-// checked against: it walks an arbitrary, already validated plan through the
-// cost model from scratch, where the kernel reads arrays it built once.
-func evaluateInto(p Plan, env Env) Eval {
+// Exit is one step of a plan's exit walk: what a task that leaves the
+// network at this exit has spent by then.
+type Exit struct {
+	// Cut is the backbone cut the exit sits after (NumUnits for the
+	// backbone's own final exit).
+	Cut int
+	// Tau is the exit's confidence power: a task of difficulty <= Tau that
+	// passed every earlier exit leaves here. It is 1 at the final exit.
+	Tau float64
+	// Accuracy is the expected correctness of a prediction made here.
+	Accuracy float64
+	// DeviceSec is the device compute up to here, exit heads on the device
+	// included.
+	DeviceSec float64
+	// ServerSec is the server compute up to here at full capacity, exit
+	// heads on the server included.
+	ServerSec float64
+	// Crossed reports whether the task crossed the partition on its way.
+	Crossed bool
+}
+
+// Path walks a validated plan exit by exit on dev and srv and returns one
+// Exit per exit, in order: Exits, then the final exit at NumUnits. srv may be
+// nil for a plan that keeps every unit on the device; zero curves mean
+// DefaultCurves. It is the one copy of the per-exit cost model: Evaluate
+// takes its expectation over the input difficulty, and the simulator charges
+// each task the exit it leaves at.
+func (p Plan) Path(dev, srv *hardware.Profile, curves ExitCurves) []Exit {
 	m := p.Model
 	n := m.NumUnits()
-	curves := env.curves()
-
-	var ev Eval
-	nCuts := len(p.Exits) + 1 // interior exits plus the implicit final exit
-	ev.ExitProbs = make([]float64, nCuts)
-
+	curves = curves.orDefault()
+	out := make([]Exit, len(p.Exits)+1)
 	prevCut := 0
-	prevTau := 0.0
-	var cumDev, cumSrv, cumTx, cumRTT float64 // path accumulators up to current exit
-	for i := 0; i < nCuts; i++ {
+	var cumDev, cumSrv float64
+	for i := range out {
 		cut := n
 		if i < len(p.Exits) {
 			cut = p.Exits[i]
 		}
 		// Backbone segment (prevCut, cut].
-		devEnd := min(cut, p.Partition)
-		if devEnd > prevCut {
-			cumDev += env.Device.RangeTime(m, prevCut, devEnd)
+		if devEnd := min(cut, p.Partition); devEnd > prevCut {
+			cumDev += dev.RangeTime(m, prevCut, devEnd)
 		}
-		srvStart := max(prevCut, p.Partition)
-		if cut > srvStart {
-			cumSrv += env.Server.RangeTime(m, srvStart, cut)
+		if srvStart := max(prevCut, p.Partition); cut > srvStart {
+			cumSrv += srv.RangeTime(m, srvStart, cut)
 		}
-		// Crossing happens inside this segment?
-		if prevCut <= p.Partition && p.Partition < cut {
-			bits := float64(m.CutBytes(p.Partition)) * 8 * env.txFactor()
-			cumTx += bits / env.UplinkBps
-			cumRTT += env.RTT
-		}
-		// Exit head compute at this cut (final exit head is the
+		// Exit head compute at this cut (the final exit's head is the
 		// backbone's own classifier, already counted).
-		if cut < n {
-			hf, _ := HeadCost(m, cut)
-			if cut <= p.Partition {
-				cumDev += env.Device.FLOPsTime(hf)
-			} else {
-				cumSrv += env.Server.FLOPsTime(hf)
-			}
-		}
-
-		// Exit probability mass.
 		x := DepthFrac(m, cut)
 		tau := 1.0
 		if cut < n {
+			hf, _ := HeadCost(m, cut)
+			if cut <= p.Partition {
+				cumDev += dev.FLOPsTime(hf)
+			} else {
+				cumSrv += srv.FLOPsTime(hf)
+			}
 			tau = curves.Confidence(x, p.Theta)
 		}
-		pe := workload.DifficultyCDF(env.Difficulty, tau) - workload.DifficultyCDF(env.Difficulty, prevTau)
+		out[i] = Exit{Cut: cut, Tau: tau, Accuracy: curves.Accuracy(x),
+			DeviceSec: cumDev, ServerSec: cumSrv, Crossed: cut > p.Partition}
+		prevCut = cut
+	}
+	return out
+}
+
+// evaluateInto is Evaluate's core and the reference the optimizer's kernel is
+// checked against: the expectation of an arbitrary, already validated plan's
+// Path over the input difficulty, where the kernel reads arrays it built once.
+func evaluateInto(p Plan, env Env) Eval {
+	path := p.Path(env.Device, env.Server, env.Curves)
+	ev := Eval{ExitProbs: make([]float64, len(path))}
+	prevTau := 0.0
+	for i, e := range path {
+		pe := workload.DifficultyCDF(env.Difficulty, e.Tau) - workload.DifficultyCDF(env.Difficulty, prevTau)
 		if pe < 0 {
 			pe = 0
 		}
 		ev.ExitProbs[i] = pe
-		ev.DeviceSec += pe * cumDev
-		ev.ServerSec += pe * cumSrv
-		ev.TxSec += pe * cumTx
-		ev.FixedSec += pe * cumRTT
-		if cut > p.Partition {
+		ev.DeviceSec += pe * e.DeviceSec
+		ev.ServerSec += pe * e.ServerSec
+		if e.Crossed {
+			tx := float64(p.Model.CutBytes(p.Partition)) * 8 * env.txFactor() / env.UplinkBps
+			ev.TxSec += pe * tx
+			ev.FixedSec += pe * env.RTT
 			ev.CrossProb += pe
 		}
-		ev.Accuracy += pe * curves.Accuracy(x)
-
-		prevCut = cut
-		prevTau = tau
+		ev.Accuracy += pe * e.Accuracy
+		prevTau = e.Tau
 	}
 	ev.FixedSec += ev.DeviceSec
 	ev.Latency = ev.LatencyAt(envShare(env.ComputeShare), envShare(env.BandwidthShare))

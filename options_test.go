@@ -36,7 +36,7 @@ func TestOptionFields(t *testing.T) {
 		{cluster.Config{}, []string{"ScenarioJSON", "Agents", "AgentBin", "Listen", "Policy", "TimeScale",
 			"TelemetryPeriod", "Seed", "Dir", "Logf"}},
 		{cluster.DriveConfig{}, []string{"Requests", "Workers"}},
-		{client.Config{}, []string{"ID", "DialTimeout", "CallTimeout", "Window", "ExpectServers", "ExpectUsers"}},
+		{client.Config{}, []string{"ID", "CallTimeout", "Window"}},
 	} {
 		typ := reflect.TypeOf(tc.v)
 		var got []string
