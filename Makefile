@@ -97,9 +97,12 @@ loc:
 # went 19241 -> 19147 (internal/joint unchanged) when the simulator began
 # reading each exit's costs from surgery's one walk (Plan.Path) instead of
 # its own copy of the cost model, and client.Config lost DialTimeout and the
-# ExpectServers/ExpectUsers handshake check.
+# ExpectServers/ExpectUsers handshake check. It went 19147 -> 18995
+# (internal/joint unchanged) when each wire message was described once, by
+# one field walk that encodes, decodes and bounds it, in place of a
+# hand-kept encode and decode method per message.
 LOC_MAX_JOINT = 2511
-LOC_MAX_TOTAL = 19147
+LOC_MAX_TOTAL = 18995
 loc-check: loc
 	@joint=$$($(call loc_of,internal/joint)); total=$$($(loc_total)); \
 	if [ $$joint -gt $(LOC_MAX_JOINT) ] || [ $$total -gt $(LOC_MAX_TOTAL) ]; then \

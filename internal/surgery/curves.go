@@ -90,9 +90,9 @@ func (c ExitCurves) Accuracy(x float64) float64 {
 	return c.Final * (c.Floor + (1-c.Floor)*(1-math.Pow(1-x, c.Beta)))
 }
 
-// DepthFrac returns the fraction of backbone FLOPs executed when the model
+// depthFrac returns the fraction of backbone FLOPs executed when the model
 // is cut after unit `cut`.
-func DepthFrac(m *dnn.Model, cut int) float64 {
+func depthFrac(m *dnn.Model, cut int) float64 {
 	total := m.TotalFLOPs()
 	if total == 0 {
 		return 0
@@ -100,11 +100,11 @@ func DepthFrac(m *dnn.Model, cut int) float64 {
 	return float64(m.PrefixFLOPs(cut)) / float64(total)
 }
 
-// HeadCost returns the synthesized cost of an early-exit head attached
+// headCost returns the synthesized cost of an early-exit head attached
 // after unit `cut`: a global average pool followed by a linear classifier,
 // the standard BranchyNet-style exit branch. classes falls back to 1000
 // for backbones without a classifier width.
-func HeadCost(m *dnn.Model, cut int) (flops, params int64) {
+func headCost(m *dnn.Model, cut int) (flops, params int64) {
 	classes := m.Classes
 	if classes == 0 {
 		classes = 1000

@@ -157,12 +157,12 @@ func newKernel(m *dnn.Model, env Env, opt Options) (*kernel, error) {
 	k.acc, k.cdf = make([]float64, nodes), make([]float64, len(k.thetas)*nodes)
 	depth := make([]float64, nodes)
 	for i := 1; i < nodes-1; i++ {
-		hf, _ := HeadCost(m, k.cuts[i])
+		hf, _ := headCost(m, k.cuts[i])
 		k.headDev[i] = env.Device.FLOPsTime(hf)
 		if env.Server != nil {
 			k.headSrv[i] = env.Server.FLOPsTime(hf)
 		}
-		depth[i] = DepthFrac(m, k.cuts[i])
+		depth[i] = depthFrac(m, k.cuts[i])
 		k.acc[i] = curves.Accuracy(depth[i])
 	}
 	depth[nodes-1], k.acc[nodes-1] = 1, curves.Accuracy(1)

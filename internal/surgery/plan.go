@@ -251,10 +251,10 @@ func (p Plan) Path(dev, srv *hardware.Profile, curves ExitCurves) []Exit {
 		}
 		// Exit head compute at this cut (the final exit's head is the
 		// backbone's own classifier, already counted).
-		x := DepthFrac(m, cut)
+		x := depthFrac(m, cut)
 		tau := 1.0
 		if cut < n {
-			hf, _ := HeadCost(m, cut)
+			hf, _ := headCost(m, cut)
 			if cut <= p.Partition {
 				cumDev += dev.FLOPsTime(hf)
 			} else {

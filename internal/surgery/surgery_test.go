@@ -81,7 +81,7 @@ func TestCurveProperties(t *testing.T) {
 func TestHeadCost(t *testing.T) {
 	m := dnn.AlexNet()
 	cut := m.ExitCandidates()[0]
-	flops, params := HeadCost(m, cut)
+	flops, params := headCost(m, cut)
 	if flops <= 0 || params <= 0 {
 		t.Fatalf("head cost %d FLOPs %d params", flops, params)
 	}

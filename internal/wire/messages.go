@@ -36,11 +36,11 @@ const (
 	StatusRejected = 2 // malformed: unknown user, unconfigured allocation
 )
 
-// Msg is one protocol message.
+// Msg is one protocol message. Its fields method is its only description on
+// the wire: the walk Encode, Conn.Queue, Decode and Conn.Recv all run.
 type Msg interface {
 	Type() MsgType
-	encode(e *enc)
-	decode(d *dec) error
+	fields(c codec)
 }
 
 // Hello opens every connection: the peer announces its role. Agents carry
@@ -187,12 +187,17 @@ func (*ErrorMsg) Type() MsgType    { return TypeError }
 // Encode renders a message to its frame payload (type tag + fields).
 func Encode(m Msg) ([]byte, error) {
 	e := &enc{b: make([]byte, 0, 64), flat: true}
-	e.uvarint(uint64(m.Type()))
-	m.encode(e)
+	e.message(m)
 	if len(e.b) > MaxFrame {
 		return nil, fmt.Errorf("wire: %T encodes to %d bytes, over MaxFrame %d", m, len(e.b), MaxFrame)
 	}
 	return e.b, nil
+}
+
+// message appends m's payload: its type tag, then its fields.
+func (e *enc) message(m Msg) {
+	e.b = binary.AppendUvarint(e.b, uint64(m.Type()))
+	m.fields(e)
 }
 
 // frame appends m's whole frame — uvarint length prefix, then the payload
@@ -205,8 +210,7 @@ func (e *enc) frame(m Msg) error {
 	const widest = 3
 	start, refs, refd := len(e.b), len(e.refs), e.refd
 	e.b = append(e.b, make([]byte, widest)...)
-	e.uvarint(uint64(m.Type()))
-	m.encode(e)
+	e.message(m)
 	n := e.size() - refd - start - widest
 	if n > MaxFrame {
 		clear(e.refs[refs:])
@@ -229,9 +233,9 @@ func Decode(payload []byte) (Msg, error) {
 
 // message decodes the one message d.b holds.
 func (d *dec) message() (Msg, error) {
-	t, err := d.uvarint("message type")
-	if err != nil {
-		return nil, err
+	var t uint64
+	if d.uvarint(&t, "message type"); d.err != nil {
+		return nil, d.err
 	}
 	var m Msg
 	switch MsgType(t) {
@@ -260,295 +264,106 @@ func (d *dec) message() (Msg, error) {
 	default:
 		return nil, decodeErr("message type", "unknown type %d", t)
 	}
-	if err := m.decode(d); err != nil {
-		return nil, err
+	if m.fields(d); len(d.b) != 0 {
+		d.fail("message", "%d trailing bytes after %T", len(d.b), m)
 	}
-	if len(d.b) != 0 {
-		return nil, decodeErr("message", "%d trailing bytes after %T", len(d.b), m)
+	if d.err != nil {
+		return nil, d.err
 	}
 	return m, nil
 }
 
-func (m *Hello) encode(e *enc) {
-	e.uvarint(m.Role)
-	e.str(m.ID)
-	e.varint(int64(m.Server))
+// Each fields method below lists its message's fields in wire order, each
+// with the name a DecodeError reports. Adding a field means one line here
+// and a Version bump (DESIGN.md, "Adding a wire field").
+
+func (m *Hello) fields(c codec) {
+	c.uvarint(&m.Role, "hello role")
+	if d, ok := c.(*dec); ok && m.Role != RoleAgent && m.Role != RoleClient { // a decode-only check
+		d.fail("hello role", "unknown role %d", m.Role)
+	}
+	c.str(&m.ID, "hello id")
+	c.varint(&m.Server, "hello server")
 }
 
-func (m *Hello) decode(d *dec) error {
-	var err error
-	if m.Role, err = d.uvarint("hello role"); err != nil {
-		return err
-	}
-	if m.Role != RoleAgent && m.Role != RoleClient {
-		return decodeErr("hello role", "unknown role %d", m.Role)
-	}
-	if m.ID, err = d.str("hello id"); err != nil {
-		return err
-	}
-	server, err := d.varint("hello server")
-	if err != nil {
-		return err
-	}
-	m.Server = int(server)
-	return nil
+func (m *Welcome) fields(c codec) {
+	c.varint(&m.Servers, "welcome servers")
+	c.varint(&m.Users, "welcome users")
+	c.str(&m.ID, "welcome id")
 }
 
-func (m *Welcome) encode(e *enc) {
-	e.varint(int64(m.Servers))
-	e.varint(int64(m.Users))
-	e.str(m.ID)
-}
+func (m *Heartbeat) fields(c codec) { c.float(&m.Time, "heartbeat time") }
 
-func (m *Welcome) decode(d *dec) error {
-	servers, err := d.varint("welcome servers")
-	if err != nil {
-		return err
-	}
-	users, err := d.varint("welcome users")
-	if err != nil {
-		return err
-	}
-	m.Servers, m.Users = int(servers), int(users)
-	m.ID, err = d.str("welcome id")
-	return err
-}
+// entryMin is the fewest bytes an AllocEntry encodes to — its zero value's
+// size — so an entry count the rest of the frame cannot hold is refused
+// before the entries are allocated.
+var entryMin = func() int {
+	var e enc
+	(&AllocEntry{}).fields(&e)
+	return len(e.b)
+}()
 
-func (m *Heartbeat) encode(e *enc) { e.float(m.Time) }
-
-func (m *Heartbeat) decode(d *dec) error {
-	var err error
-	m.Time, err = d.float("heartbeat time")
-	return err
-}
-
-func (m *Allocation) encode(e *enc) {
-	e.uvarint(m.Epoch)
-	e.float(m.UplinkBps)
-	e.float(m.RTT)
-	e.uvarint(uint64(len(m.Entries)))
+func (m *Allocation) fields(c codec) {
+	c.uvarint(&m.Epoch, "allocation epoch")
+	c.float(&m.UplinkBps, "allocation uplink")
+	c.float(&m.RTT, "allocation rtt")
+	sized(&m.Entries, c.count(len(m.Entries), "allocation entries", entryMin))
 	for i := range m.Entries {
-		en := &m.Entries[i]
-		e.varint(int64(en.User))
-		e.varint(int64(en.Partition))
-		e.float(en.Theta)
-		e.uvarint(uint64(len(en.Exits)))
-		for _, x := range en.Exits {
-			e.varint(int64(x))
-		}
-		e.float(en.ComputeShare)
-		e.float(en.BandwidthShare)
+		m.Entries[i].fields(c)
 	}
 }
 
-func (m *Allocation) decode(d *dec) error {
-	var err error
-	if m.Epoch, err = d.uvarint("allocation epoch"); err != nil {
-		return err
+func (en *AllocEntry) fields(c codec) {
+	c.varint(&en.User, "entry user")
+	c.varint(&en.Partition, "entry partition")
+	c.float(&en.Theta, "entry theta")
+	sized(&en.Exits, c.count(len(en.Exits), "entry exits", 1))
+	for i := range en.Exits {
+		c.varint(&en.Exits[i], "entry exit")
 	}
-	if m.UplinkBps, err = d.float("allocation uplink"); err != nil {
-		return err
-	}
-	if m.RTT, err = d.float("allocation rtt"); err != nil {
-		return err
-	}
-	n, err := d.count("allocation entries", 27) // two varints, an exit count and three floats
-	if err != nil {
-		return err
-	}
-	if n == 0 {
-		return nil // keep Entries nil so round-trips are exact
-	}
-	m.Entries = make([]AllocEntry, n)
-	for i := range m.Entries {
-		en := &m.Entries[i]
-		user, err := d.varint("entry user")
-		if err != nil {
-			return err
-		}
-		en.User = int(user)
-		part, err := d.varint("entry partition")
-		if err != nil {
-			return err
-		}
-		en.Partition = int(part)
-		if en.Theta, err = d.float("entry theta"); err != nil {
-			return err
-		}
-		nx, err := d.count("entry exits", 1)
-		if err != nil {
-			return err
-		}
-		if nx > 0 {
-			en.Exits = make([]int, nx)
-			for j := range en.Exits {
-				x, err := d.varint("entry exit")
-				if err != nil {
-					return err
-				}
-				en.Exits[j] = int(x)
-			}
-		}
-		if en.ComputeShare, err = d.float("entry compute share"); err != nil {
-			return err
-		}
-		if en.BandwidthShare, err = d.float("entry bandwidth share"); err != nil {
-			return err
-		}
-	}
-	return nil
+	c.float(&en.ComputeShare, "entry compute share")
+	c.float(&en.BandwidthShare, "entry bandwidth share")
 }
 
-func (m *AllocAck) encode(e *enc) { e.uvarint(m.Epoch) }
+func (m *AllocAck) fields(c codec) { c.uvarint(&m.Epoch, "alloc-ack epoch") }
 
-func (m *AllocAck) decode(d *dec) error {
-	var err error
-	m.Epoch, err = d.uvarint("alloc-ack epoch")
-	return err
+func (m *Infer) fields(c codec) {
+	c.uvarint(&m.Seq, "infer seq")
+	c.varint(&m.User, "infer user")
+	c.float(&m.DeviceSec, "infer device sec")
+	c.bytes(&m.Payload, "infer payload")
 }
 
-func (m *Infer) encode(e *enc) {
-	e.uvarint(m.Seq)
-	e.varint(int64(m.User))
-	e.float(m.DeviceSec)
-	e.bytes(m.Payload)
+func (m *InferResult) fields(c codec) {
+	c.uvarint(&m.Seq, "result seq")
+	c.varint(&m.User, "result user")
+	c.uvarint(&m.Status, "result status")
+	c.float(&m.UplinkSec, "result uplink sec")
+	c.float(&m.QueueSec, "result queue sec")
+	c.float(&m.ServerSec, "result server sec")
 }
 
-func (m *Infer) decode(d *dec) error {
-	var err error
-	if m.Seq, err = d.uvarint("infer seq"); err != nil {
-		return err
-	}
-	user, err := d.varint("infer user")
-	if err != nil {
-		return err
-	}
-	m.User = int(user)
-	if m.DeviceSec, err = d.float("infer device sec"); err != nil {
-		return err
-	}
-	m.Payload, err = d.bytes("infer payload")
-	return err
+func (m *Telemetry) fields(c codec) {
+	c.float(&m.Time, "telemetry time")
+	c.float(&m.UplinkBps, "telemetry uplink")
+	c.boolean(&m.Healthy, "telemetry healthy")
 }
 
-func (m *InferResult) encode(e *enc) {
-	e.uvarint(m.Seq)
-	e.varint(int64(m.User))
-	e.uvarint(m.Status)
-	e.float(m.UplinkSec)
-	e.float(m.QueueSec)
-	e.float(m.ServerSec)
+func (m *Request) fields(c codec) {
+	c.uvarint(&m.Seq, "request seq")
+	c.varint(&m.User, "request user")
 }
 
-func (m *InferResult) decode(d *dec) error {
-	var err error
-	if m.Seq, err = d.uvarint("result seq"); err != nil {
-		return err
-	}
-	user, err := d.varint("result user")
-	if err != nil {
-		return err
-	}
-	m.User = int(user)
-	if m.Status, err = d.uvarint("result status"); err != nil {
-		return err
-	}
-	if m.UplinkSec, err = d.float("result uplink sec"); err != nil {
-		return err
-	}
-	if m.QueueSec, err = d.float("result queue sec"); err != nil {
-		return err
-	}
-	m.ServerSec, err = d.float("result server sec")
-	return err
+func (m *Response) fields(c codec) {
+	c.uvarint(&m.Seq, "response seq")
+	c.varint(&m.User, "response user")
+	c.uvarint(&m.Status, "response status")
+	c.varint(&m.Server, "response server")
+	c.float(&m.DeviceSec, "response device sec")
+	c.float(&m.UplinkSec, "response uplink sec")
+	c.float(&m.QueueSec, "response queue sec")
+	c.float(&m.ServerSec, "response server sec")
+	c.float(&m.TotalSec, "response total sec")
 }
 
-func (m *Telemetry) encode(e *enc) {
-	e.float(m.Time)
-	e.float(m.UplinkBps)
-	e.boolean(m.Healthy)
-}
-
-func (m *Telemetry) decode(d *dec) error {
-	var err error
-	if m.Time, err = d.float("telemetry time"); err != nil {
-		return err
-	}
-	if m.UplinkBps, err = d.float("telemetry uplink"); err != nil {
-		return err
-	}
-	m.Healthy, err = d.boolean("telemetry healthy")
-	return err
-}
-
-func (m *Request) encode(e *enc) {
-	e.uvarint(m.Seq)
-	e.varint(int64(m.User))
-}
-
-func (m *Request) decode(d *dec) error {
-	var err error
-	if m.Seq, err = d.uvarint("request seq"); err != nil {
-		return err
-	}
-	user, err := d.varint("request user")
-	if err != nil {
-		return err
-	}
-	m.User = int(user)
-	return nil
-}
-
-func (m *Response) encode(e *enc) {
-	e.uvarint(m.Seq)
-	e.varint(int64(m.User))
-	e.uvarint(m.Status)
-	e.varint(int64(m.Server))
-	e.float(m.DeviceSec)
-	e.float(m.UplinkSec)
-	e.float(m.QueueSec)
-	e.float(m.ServerSec)
-	e.float(m.TotalSec)
-}
-
-func (m *Response) decode(d *dec) error {
-	var err error
-	if m.Seq, err = d.uvarint("response seq"); err != nil {
-		return err
-	}
-	user, err := d.varint("response user")
-	if err != nil {
-		return err
-	}
-	m.User = int(user)
-	if m.Status, err = d.uvarint("response status"); err != nil {
-		return err
-	}
-	server, err := d.varint("response server")
-	if err != nil {
-		return err
-	}
-	m.Server = int(server)
-	if m.DeviceSec, err = d.float("response device sec"); err != nil {
-		return err
-	}
-	if m.UplinkSec, err = d.float("response uplink sec"); err != nil {
-		return err
-	}
-	if m.QueueSec, err = d.float("response queue sec"); err != nil {
-		return err
-	}
-	if m.ServerSec, err = d.float("response server sec"); err != nil {
-		return err
-	}
-	m.TotalSec, err = d.float("response total sec")
-	return err
-}
-
-func (m *ErrorMsg) encode(e *enc) { e.str(m.Text) }
-
-func (m *ErrorMsg) decode(d *dec) error {
-	var err error
-	m.Text, err = d.str("error text")
-	return err
-}
+func (m *ErrorMsg) fields(c codec) { c.str(&m.Text, "error text") }

@@ -182,6 +182,30 @@ func readFrame(r frameReader, buf []byte, quantum uint64) ([]byte, error) {
 
 // --- field primitives ---
 
+// codec is one direction of a message's field walk (Msg.fields): *enc
+// appends each field's value, *dec reads each field into place. A dec keeps
+// its first failure, naming that field, and reads nothing after it.
+type codec interface {
+	uvarint(v *uint64, field string)
+	varint(v *int, field string)
+	float(v *float64, field string)
+	boolean(v *bool, field string)
+	str(v *string, field string)
+	bytes(v *[]byte, field string)
+	// count carries a collection length: n on encode, the length read on
+	// decode — refused, as 0, when the bytes left cannot hold that many
+	// elements of at least minElem bytes each.
+	count(n int, field string, minElem int) int
+}
+
+// sized makes *s n long for a decode, which starts from nil and keeps an
+// empty collection nil so round-trips are exact; an encode's already is.
+func sized[T any](s *[]T, n int) {
+	if len(*s) != n {
+		*s = make([]T, n)
+	}
+}
+
 // refMin is the blob size from which a Conn queues a blob by reference rather
 // than copying it into the batch. It is the smallest blob whose frame always
 // has the widest (3-byte) length prefix, so the in-place framing in enc.frame
@@ -203,20 +227,31 @@ type ref struct {
 	p  []byte
 }
 
-func (e *enc) uvarint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
-func (e *enc) varint(v int64)   { e.b = binary.AppendVarint(e.b, v) }
-func (e *enc) str(s string)     { e.uvarint(uint64(len(s))); e.b = append(e.b, s...) }
-func (e *enc) boolean(v bool)   { e.b = append(e.b, b2u(v)) }
-func (e *enc) float(v float64)  { e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(v)) }
+func (e *enc) uvarint(v *uint64, _ string) { e.b = binary.AppendUvarint(e.b, *v) }
+func (e *enc) varint(v *int, _ string)     { e.b = binary.AppendVarint(e.b, int64(*v)) }
+func (e *enc) boolean(v *bool, _ string)   { e.b = append(e.b, b2u(*v)) }
+func (e *enc) float(v *float64, _ string) {
+	e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(*v))
+}
 
-func (e *enc) bytes(p []byte) {
-	e.uvarint(uint64(len(p)))
+func (e *enc) str(v *string, _ string) {
+	e.b = append(binary.AppendUvarint(e.b, uint64(len(*v))), *v...)
+}
+
+func (e *enc) bytes(v *[]byte, _ string) {
+	p := *v
+	e.b = binary.AppendUvarint(e.b, uint64(len(p)))
 	if e.flat || len(p) < refMin {
 		e.b = append(e.b, p...)
 		return
 	}
 	e.refs = append(e.refs, ref{len(e.b), p})
 	e.refd += len(p)
+}
+
+func (e *enc) count(n int, _ string, _ int) int {
+	e.b = binary.AppendUvarint(e.b, uint64(n))
+	return n
 }
 
 // size is the encoded length, referenced blobs included.
@@ -235,107 +270,105 @@ func b2u(v bool) byte {
 const loanMin = 4 << 10
 
 type dec struct {
-	b     []byte
-	field string // current field name for error messages
-	loan  bool   // a blob of loanMin bytes or more is returned as a view of b, not a copy
-	lent  bool   // one was: the decoded message aliases b
+	b    []byte
+	err  error // the first malformed field's *DecodeError
+	loan bool  // a blob of loanMin bytes or more is returned as a view of b, not a copy
+	lent bool  // one was: the decoded message aliases b
 }
 
-func (d *dec) fail(format string, args ...any) error {
-	return decodeErr(d.field, format, args...)
-}
-
-func (d *dec) uvarint(field string) (uint64, error) {
-	d.field = field
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		return 0, d.fail("truncated or overlong uvarint")
+// fail records field as malformed unless an earlier field already was.
+func (d *dec) fail(field, format string, args ...any) {
+	if d.err == nil {
+		d.err = decodeErr(field, format, args...)
 	}
-	d.b = d.b[n:]
-	return v, nil
 }
 
-func (d *dec) varint(field string) (int64, error) {
-	d.field = field
-	v, n := binary.Varint(d.b)
-	if n <= 0 {
-		return 0, d.fail("truncated or overlong varint")
+func (d *dec) uvarint(v *uint64, field string) {
+	if d.err != nil {
+		return
 	}
-	d.b = d.b[n:]
-	return v, nil
+	x, n := binary.Uvarint(d.b)
+	if n <= 0 {
+		d.fail(field, "truncated or overlong uvarint")
+		return
+	}
+	*v, d.b = x, d.b[n:]
+}
+
+func (d *dec) varint(v *int, field string) {
+	if d.err != nil {
+		return
+	}
+	x, n := binary.Varint(d.b)
+	if n <= 0 {
+		d.fail(field, "truncated or overlong varint")
+		return
+	}
+	*v, d.b = int(x), d.b[n:]
+}
+
+func (d *dec) float(v *float64, field string) {
+	if d.err != nil {
+		return
+	}
+	if len(d.b) < 8 {
+		d.fail(field, "float needs 8 bytes, %d remain", len(d.b))
+		return
+	}
+	*v, d.b = math.Float64frombits(binary.LittleEndian.Uint64(d.b)), d.b[8:]
+}
+
+func (d *dec) boolean(v *bool, field string) {
+	if d.err != nil {
+		return
+	}
+	if len(d.b) == 0 {
+		d.fail(field, "truncated bool")
+		return
+	}
+	if d.b[0] > 1 {
+		d.fail(field, "bool byte 0x%02x is neither 0 nor 1", d.b[0])
+		return
+	}
+	*v, d.b = d.b[0] == 1, d.b[1:]
 }
 
 // raw reads a length-prefixed blob as a view into the frame; callers copy
 // what they keep, because the frame buffer is reused — unless they record, as
 // bytes does, that the message now needs the frame.
-func (d *dec) raw(field string) ([]byte, error) {
-	n, err := d.uvarint(field)
-	if err != nil {
-		return nil, err
-	}
+func (d *dec) raw(field string) []byte {
+	var n uint64
+	d.uvarint(&n, field)
 	if n > uint64(len(d.b)) {
-		return nil, d.fail("length %d exceeds remaining %d bytes", n, len(d.b))
+		d.fail(field, "length %d exceeds remaining %d bytes", n, len(d.b))
+		return nil
 	}
 	p := d.b[:n]
 	d.b = d.b[n:]
-	return p, nil
+	return p
 }
 
-func (d *dec) bytes(field string) ([]byte, error) {
-	p, err := d.raw(field)
-	if len(p) == 0 {
-		return nil, err // keep empty blobs nil so round-trips are exact
-	}
-	if d.loan && len(p) >= loanMin {
+func (d *dec) str(v *string, field string) { *v = string(d.raw(field)) }
+
+func (d *dec) bytes(v *[]byte, field string) {
+	switch p := d.raw(field); {
+	case len(p) == 0: // keep empty blobs nil so round-trips are exact
+	case d.loan && len(p) >= loanMin:
 		d.lent = true
-		return p[:len(p):len(p)], nil // capped: an append must not reach the rest of the frame
+		*v = p[:len(p):len(p)] // capped: an append must not reach the rest of the frame
+	default:
+		*v = append([]byte(nil), p...)
 	}
-	return append([]byte(nil), p...), nil
 }
 
-func (d *dec) str(field string) (string, error) {
-	p, err := d.raw(field)
-	return string(p), err
-}
-
-func (d *dec) boolean(field string) (bool, error) {
-	d.field = field
-	if len(d.b) == 0 {
-		return false, d.fail("truncated bool")
+func (d *dec) count(_ int, field string, minElem int) int {
+	var n uint64
+	d.uvarint(&n, field)
+	if n > uint64(len(d.b)/minElem) {
+		d.fail(field, "count %d exceeds what %d remaining bytes can hold", n, len(d.b))
+		return 0
 	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	if v > 1 {
-		return false, d.fail("bool byte 0x%02x is neither 0 nor 1", v)
-	}
-	return v == 1, nil
-}
-
-func (d *dec) float(field string) (float64, error) {
-	d.field = field
-	if len(d.b) < 8 {
-		return 0, d.fail("float needs 8 bytes, %d remain", len(d.b))
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.b))
-	d.b = d.b[8:]
-	return v, nil
-}
-
-// count reads a collection length and sanity-bounds it: every element takes
-// at least minElemBytes on the wire, so a count the remaining bytes cannot
-// possibly hold is a lie, refused before allocation.
-func (d *dec) count(field string, minElemBytes int) (int, error) {
-	n, err := d.uvarint(field)
-	if err != nil {
-		return 0, err
-	}
-	if minElemBytes < 1 {
-		minElemBytes = 1
-	}
-	if n > uint64(len(d.b)/minElemBytes) {
-		return 0, d.fail("count %d exceeds what %d remaining bytes can hold", n, len(d.b))
-	}
-	return int(n), nil
+	return int(n)
 }
 
 // BatchBytes is the pending size at which a batching writer (Queue … Flush)

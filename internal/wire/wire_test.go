@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -74,6 +76,126 @@ func TestRoundTripAllMessages(t *testing.T) {
 			t.Fatalf("round trip %T: sent %+v got %+v", m, m, got)
 		}
 	}
+}
+
+// TestEveryFieldIsOnTheWire: every exported field of every message type, each
+// set to a value of its own, comes back bit for bit from the copying decode
+// and from the loaning one Recv uses — so a field added to a message but not
+// to its walk fails here.
+func TestEveryFieldIsOnTheWire(t *testing.T) {
+	seen := map[MsgType]bool{}
+	for _, ex := range allMessages() {
+		if seen[ex.Type()] {
+			continue
+		}
+		seen[ex.Type()] = true
+		v := reflect.New(reflect.TypeOf(ex).Elem())
+		k := 0
+		fillDistinct(t, v.Elem(), &k)
+		m := v.Interface().(Msg)
+		if h, ok := m.(*Hello); ok {
+			h.Role = RoleClient // the one field decode checks the value of
+		}
+		payload, err := Encode(m)
+		if err != nil {
+			t.Fatalf("encode %T: %v", m, err)
+		}
+		copied, err := Decode(payload)
+		if err != nil {
+			t.Fatalf("decode %T: %v", m, err)
+		}
+		d := dec{b: payload, loan: true}
+		loaned, err := d.message()
+		if err != nil {
+			t.Fatalf("loaning decode %T: %v", m, err)
+		}
+		if _, ok := m.(*Infer); ok && !d.lent {
+			t.Fatalf("a %d-byte payload was not lent", loanMin)
+		}
+		for _, got := range []Msg{copied, loaned} {
+			if path := sameBits(reflect.ValueOf(m).Elem(), reflect.ValueOf(got).Elem(), fmt.Sprintf("%T", m)); path != "" {
+				t.Fatalf("%s did not survive the wire: sent %+v got %+v", path, m, got)
+			}
+		}
+	}
+	if len(seen) != int(TypeError) {
+		t.Fatalf("allMessages covers %d message types, want all %d", len(seen), TypeError)
+	}
+}
+
+// fillDistinct sets every exported field under v to a non-zero value no other
+// field holds: alternately a NaN with payload bits and a fraction for floats,
+// negative ints, strings, and slices of three (a blob of loanMin bytes).
+func fillDistinct(t *testing.T, v reflect.Value, k *int) {
+	*k++
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if v.Type().Field(i).IsExported() {
+				fillDistinct(t, v.Field(i), k)
+			}
+		}
+	case reflect.Int:
+		v.SetInt(-0x10001 * int64(*k))
+	case reflect.Uint64:
+		v.SetUint(0x10001 * uint64(*k))
+	case reflect.Float64:
+		if *k%2 == 0 {
+			v.SetFloat(math.Float64frombits(0x7ff4_dead_0000_0000 | uint64(*k)))
+		} else {
+			v.SetFloat(float64(*k) / 3)
+		}
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.String:
+		v.SetString(fmt.Sprintf("field %d", *k))
+	case reflect.Slice:
+		if v.Type().Elem().Kind() == reflect.Uint8 {
+			p := bytes.Repeat([]byte{byte(*k)}, loanMin)
+			p[0] = 0xA5
+			v.SetBytes(p)
+			return
+		}
+		v.Set(reflect.MakeSlice(v.Type(), 3, 3))
+		for i := 0; i < v.Len(); i++ {
+			fillDistinct(t, v.Index(i), k)
+		}
+	default:
+		t.Fatalf("fillDistinct: no distinct value for a %s field", v.Type())
+	}
+}
+
+// sameBits compares the exported fields under a and b, floats by their bits,
+// and returns the path of the first that differs, "" when none does.
+func sameBits(a, b reflect.Value, path string) string {
+	switch a.Kind() {
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if f := a.Type().Field(i); f.IsExported() {
+				if p := sameBits(a.Field(i), b.Field(i), path+"."+f.Name); p != "" {
+					return p
+				}
+			}
+		}
+	case reflect.Slice:
+		if a.Len() != b.Len() {
+			return path
+		}
+		for i := 0; i < a.Len(); i++ {
+			if p := sameBits(a.Index(i), b.Index(i), fmt.Sprintf("%s[%d]", path, i)); p != "" {
+				return p
+			}
+		}
+	case reflect.Float64:
+		if math.Float64bits(a.Float()) != math.Float64bits(b.Float()) {
+			return path
+		}
+	default:
+		if a.Interface() != b.Interface() {
+			return path
+		}
+	}
+	return ""
 }
 
 // TestFloatIsEightBytes: a float is its 8 bits, little-endian, and a float
@@ -198,8 +320,10 @@ func TestTruncatedMessageRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 		for cut := 0; cut < len(payload); cut++ {
-			if got, err := Decode(payload[:cut]); err == nil {
-				t.Fatalf("truncated %T at %d/%d bytes decoded as %+v", m, cut, len(payload), got)
+			got, err := Decode(payload[:cut])
+			var de *DecodeError
+			if !errors.As(err, &de) {
+				t.Fatalf("truncated %T at %d/%d bytes: got %+v, %v; want a *DecodeError", m, cut, len(payload), got, err)
 			}
 		}
 	}
@@ -224,13 +348,13 @@ func TestUnknownTypeRejected(t *testing.T) {
 func TestLyingCollectionCountRejected(t *testing.T) {
 	// An Allocation header claiming count entries, followed by rest zero bytes.
 	lie := func(count uint64, rest int) []byte {
-		e := &enc{}
-		e.uvarint(uint64(TypeAllocation))
-		e.uvarint(1) // epoch
-		e.float(1e6) // uplink
-		e.float(0)   // rtt
-		e.uvarint(count)
-		return append(e.b, make([]byte, rest)...)
+		b, err := Encode(&Allocation{Epoch: 1, UplinkBps: 1e6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var n [10]byte
+		b = append(b[:len(b)-1], n[:putUvarint(n[:], count)]...) // over the empty Entries' count 0
+		return append(b, make([]byte, rest)...)
 	}
 	// 2^40 entries and no bytes for them must be refused before allocation.
 	if _, err := Decode(lie(1<<40, 0)); err == nil {
@@ -238,7 +362,8 @@ func TestLyingCollectionCountRejected(t *testing.T) {
 	}
 	// So must 2 entries in 53 bytes, which a bound of 8 bytes an entry would
 	// let through: an entry is at least 27 (two varints, an exit count and
-	// three floats), so the count itself is refused, before the make.
+	// three floats: the size the walk gives a zero AllocEntry), so the count
+	// itself is refused, before the make.
 	var de *DecodeError
 	if _, err := Decode(lie(2, 2*27-1)); !errors.As(err, &de) || de.Field != "allocation entries" {
 		t.Fatalf("2 entries in %d bytes: got %v, want a *DecodeError on allocation entries", 2*27-1, err)
