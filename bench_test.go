@@ -284,23 +284,6 @@ func BenchmarkSimulator(b *testing.B) {
 	b.ReportMetric(float64(tasks), "tasks/op")
 }
 
-// BenchmarkTransferTime measures rate-trace integration across a fading
-// link.
-func BenchmarkTransferTime(b *testing.B) {
-	link, err := netmodel.NewFading("wlan", netmodel.FadingConfig{
-		States: []float64{netmodel.Mbps(2), netmodel.Mbps(40)}, MeanDwell: 2,
-		Horizon: 3600, RTT: 0.004, Seed: 7,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		netmodel.TransferTime(link, 600_000, float64(i%3000), 0.5)
-	}
-}
-
 // BenchmarkNNMatMul measures the parallel matmul kernel (128x256 * 256x128).
 func BenchmarkNNMatMul(b *testing.B) {
 	a := nn.NewMatrix(128, 256)

@@ -166,41 +166,6 @@ func NewFading(name string, cfg FadingConfig) (*TraceLink, error) {
 	return NewTrace(name, times, rates, cfg.RTT)
 }
 
-// TransferTime returns the time in seconds needed to move the given number
-// of bytes starting at time start, when the sender holds the fraction share
-// of the link capacity, plus one RTT of protocol latency. It integrates the
-// rate trace segment-by-segment, so rate changes mid-transfer are exact.
-func TransferTime(l Link, bytes int64, start, share float64) float64 {
-	if bytes <= 0 {
-		return l.RTT()
-	}
-	if share <= 0 {
-		return math.Inf(1)
-	}
-	if share > 1 {
-		share = 1
-	}
-	remaining := float64(bytes) * 8 // bits
-	t := start
-	for i := 0; ; i++ {
-		rate := l.RateAt(t) * share
-		boundary := l.NextChange(t)
-		if math.IsInf(boundary, 1) {
-			return t - start + remaining/rate + l.RTT()
-		}
-		span := boundary - t
-		capBits := rate * span
-		if capBits >= remaining {
-			return t - start + remaining/rate + l.RTT()
-		}
-		remaining -= capBits
-		t = boundary
-		if i > 1<<20 {
-			panic("netmodel: TransferTime did not terminate (degenerate trace)")
-		}
-	}
-}
-
 // MeanRate returns the time-average capacity of the link over [0, horizon].
 func MeanRate(l Link, horizon float64) float64 {
 	if horizon <= 0 {

@@ -1,6 +1,11 @@
 package sim
 
-import "testing"
+import (
+	"math"
+	"testing"
+
+	"edgesurgeon/internal/netmodel"
+)
 
 // BenchmarkEngineEvents measures raw event-loop throughput.
 func BenchmarkEngineEvents(b *testing.B) {
@@ -31,13 +36,35 @@ func BenchmarkPSStationChurn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var eng Engine
 		ps := NewPSStation(&eng, "ps")
+		served := 0
+		done := func(_, _ float64) { served++ }
 		for j := 0; j < 1000; j++ {
 			at := float64(j) * 0.01
-			eng.At(at, func() { ps.Submit(0.02, nil) })
+			eng.At(at, func() { ps.Submit(0.02, done) })
 		}
 		eng.Run()
-		if ps.Served() != 1000 {
+		if served != 1000 {
 			b.Fatal("jobs lost")
 		}
+	}
+}
+
+// txSink keeps BenchmarkTxStage's calls from being optimized away.
+var txSink float64
+
+// BenchmarkTxStage measures rate-trace integration of a fault-free uplink
+// transfer across a fading link.
+func BenchmarkTxStage(b *testing.B) {
+	link, err := netmodel.NewFading("wlan", netmodel.FadingConfig{
+		States: []float64{netmodel.Mbps(2), netmodel.Mbps(40)}, MeanDwell: 2,
+		Horizon: 3600, RTT: 0.004, Seed: 7,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		txSink, _ = txStage(nil, 0, link, 600_000, float64(i%3000), 0.5, math.Inf(1))
 	}
 }

@@ -27,23 +27,23 @@ const (
 	evFunc eventKind = iota
 	// evArrival admits the next task of shard-local user idx.
 	evArrival
-	// evStationDone completes st's in-service job.
+	// evStationDone completes task's booking on its station.
 	evStationDone
 	// evPSCheck re-examines ps for completions if generation idx is current.
 	evPSCheck
 )
 
-// event is one scheduled occurrence. Exactly one of fn/st/ps (or the idx
-// payload for evArrival) is meaningful, selected by kind; keeping the
-// fields inline (rather than behind an interface) avoids boxing every
-// event through `any` on push and pop.
+// event is one scheduled occurrence. Only the fields its kind names are
+// meaningful (fn; idx; task; ps and idx); keeping them inline (rather than
+// behind an interface) avoids boxing every event through `any` on push and
+// pop.
 type event struct {
 	at   float64
 	seq  int64
 	kind eventKind
 	idx  int64 // evArrival: local user index; evPSCheck: generation
-	st   *Station
 	ps   *PSStation
+	task *taskState
 	fn   func()
 }
 
@@ -88,9 +88,9 @@ func (e *Engine) atArrival(t float64, lu int) {
 	e.schedule(t, event{kind: evArrival, idx: int64(lu)})
 }
 
-// atStationDone schedules st's in-service job completion.
-func (e *Engine) atStationDone(t float64, st *Station) {
-	e.schedule(t, event{kind: evStationDone, st: st})
+// atStationDone schedules the completion of task's booking.
+func (e *Engine) atStationDone(t float64, task *taskState) {
+	e.schedule(t, event{kind: evStationDone, task: task})
 }
 
 // atPSCheck schedules a completion check on ps guarded by generation gen.
@@ -136,7 +136,7 @@ func (e *Engine) pop() event {
 	top := e.pq[0]
 	n := len(e.pq) - 1
 	last := e.pq[n]
-	e.pq[n] = event{} // release fn/station references
+	e.pq[n] = event{} // release fn/station/task references
 	e.pq = e.pq[:n]
 	if n > 0 {
 		e.pq[0] = last
@@ -183,7 +183,7 @@ func (e *Engine) RunUntil(t float64) float64 {
 		case evArrival:
 			e.run.arrive(int(ev.idx))
 		case evStationDone:
-			ev.st.complete()
+			ev.task.st.complete(ev.task)
 		case evPSCheck:
 			if ev.idx == ev.ps.gen {
 				ev.ps.complete()
@@ -200,35 +200,17 @@ func (e *Engine) RunUntil(t float64) float64 {
 // instrumentation).
 func (e *Engine) Executed() int64 { return e.nRun }
 
-// Station is a FCFS single-server queue whose per-job service time may
+// Station is a FCFS single-server stage whose per-job service time may
 // depend on the job's start time (which is how time-varying link rates are
-// integrated exactly). A Station with share-partitioned capacity is modeled
-// as one dedicated Station per share-holder.
-//
-// Jobs come in two flavours: typed task-lifecycle jobs (a *taskState whose
-// duration and completion are computed by the shard runner — zero
-// allocations per job) and closure jobs (Submit, in the tests).
+// integrated exactly). It keeps no queue: a job is booked when it is
+// submitted, by Lindley's recursion start = max(now, free), and one
+// completion event carries it. A Station with share-partitioned capacity is
+// modeled as one dedicated Station per share-holder.
 type Station struct {
-	Name string
-	eng  *Engine
-	busy bool
-	q    []stationJob
-	head int
-
-	// In-service job context, consumed by the evStationDone event.
-	cur      stationJob
-	curStart float64
-	curDur   float64
-
-	// Stats.
+	Name     string
+	eng      *Engine
+	free     float64 // when the last booked job finishes
 	busyTime float64
-	served   int64
-}
-
-type stationJob struct {
-	task *taskState
-	dur  func(start float64) float64
-	done func(start, finish float64)
 }
 
 // NewStation builds a station attached to the engine.
@@ -236,73 +218,24 @@ func NewStation(eng *Engine, name string) *Station {
 	return &Station{Name: name, eng: eng}
 }
 
-// Reserve pre-sizes the queue so the next n submissions don't reallocate.
-func (s *Station) Reserve(n int) {
-	if cap(s.q)-len(s.q) >= n {
-		return
-	}
-	q := make([]stationJob, len(s.q), len(s.q)+n)
-	copy(q, s.q)
-	s.q = q
-}
-
-// submitTask enqueues a typed task-lifecycle job; the shard runner supplies
-// duration (stageDur) and completion (stageDone).
+// submitTask books t's current stage, sized by the shard runner's stageDur
+// from its start.
 func (s *Station) submitTask(t *taskState) {
-	s.q = append(s.q, stationJob{task: t})
-	s.tryStart()
-}
-
-func (s *Station) tryStart() {
-	if s.busy || s.head == len(s.q) {
-		return
-	}
-	j := s.q[s.head]
-	s.q[s.head] = stationJob{} // release references
-	s.head++
-	if s.head > 64 && s.head*2 > len(s.q) {
-		n := copy(s.q, s.q[s.head:])
-		// Zero the vacated tail so served-job references are not retained
-		// past the compaction.
-		tail := s.q[n:]
-		for i := range tail {
-			tail[i] = stationJob{}
-		}
-		s.q = s.q[:n]
-		s.head = 0
-	}
-	s.busy = true
-	start := s.eng.now
-	var d float64
-	if j.task != nil {
-		d = s.eng.run.stageDur(j.task, start)
-	} else {
-		d = j.dur(start)
-	}
+	start := max(s.eng.now, s.free)
+	d := s.eng.run.stageDur(t, start)
 	if d < 0 || math.IsNaN(d) {
 		panic(fmt.Sprintf("sim: station %s: bad duration %g", s.Name, d))
 	}
-	s.cur = j
-	s.curStart = start
-	s.curDur = d
-	s.eng.atStationDone(start+d, s)
+	t.st, t.start, t.dur = s, start, d
+	s.free = start + d
+	s.eng.atStationDone(s.free, t)
 }
 
-// complete finishes the in-service job (fired by evStationDone).
-func (s *Station) complete() {
-	j := s.cur
-	start, d := s.curStart, s.curDur
-	s.cur = stationJob{}
-	s.busy = false
-	s.busyTime += d
-	s.served++
-	finish := s.eng.now
-	if j.task != nil {
-		s.eng.run.stageDone(j.task, start, finish)
-	} else if j.done != nil {
-		j.done(start, finish)
-	}
-	s.tryStart()
+// complete finishes t's booking (fired by evStationDone). Busy time counts
+// here, not at booking, so a job the horizon cuts off never counts.
+func (s *Station) complete(t *taskState) {
+	s.busyTime += t.dur
+	s.eng.run.stageDone(t, t.start, s.eng.now)
 }
 
 // BusyTime returns the cumulative service time delivered.

@@ -81,8 +81,6 @@ func computeStage(f *faults.Schedule, server int, start, workSec, timeoutAt floa
 		for {
 			factor := f.CapacityFactor(server, t)
 			boundary := f.NextComputeChange(server, t)
-			// Same association order as the no-fault path ((t-start) first)
-			// so a schedule that never strikes reproduces it bit-for-bit.
 			if factor > 0 && t+remaining/factor <= math.Min(boundary, timeoutAt) {
 				return t - start + remaining/factor, CauseNone
 			}
@@ -114,12 +112,12 @@ func computeStage(f *faults.Schedule, server int, start, workSec, timeoutAt floa
 }
 
 // txStage returns how long an uplink transfer submitted at start occupies
-// its lane under the fault schedule, and why it failed. It integrates the
-// (possibly time-varying) link rate exactly, like netmodel.TransferTime,
-// but an outage beginning mid-transfer aborts the attempt — progress is
-// lost and the transfer restarts from scratch after restoration plus
-// backoff. One RTT of protocol latency is charged on the successful
-// attempt.
+// its lane under the fault schedule, and why it failed. The sender holds the
+// fraction share of the link (clamped at 1). It integrates the (possibly
+// time-varying) link rate exactly, segment by segment, but an outage
+// beginning mid-transfer aborts the attempt — progress is lost and the
+// transfer restarts from scratch after restoration plus backoff. One RTT of
+// protocol latency is charged on the successful attempt.
 func txStage(f *faults.Schedule, server int, link netmodel.Link, bytes int64, start, share, timeoutAt float64) (float64, FailCause) {
 	if start >= timeoutAt {
 		return 0, CauseTimeout
@@ -142,8 +140,6 @@ func txStage(f *faults.Schedule, server int, link netmodel.Link, bytes int64, st
 		for {
 			rate := link.RateAt(t) * share
 			boundary := math.Min(link.NextChange(t), f.NextLinkChange(server, t))
-			// Association order matches netmodel.TransferTime so a schedule
-			// that never strikes reproduces it bit-for-bit.
 			if rate > 0 && t+remaining/rate <= math.Min(boundary, timeoutAt) {
 				d := t - start + remaining/rate + link.RTT()
 				if start+d >= timeoutAt {

@@ -101,10 +101,11 @@ func TestTxStageOutageRetransmits(t *testing.T) {
 	if math.Abs(d-want) > 1e-9 {
 		t.Fatalf("duration %g, want %g", d, want)
 	}
-	// Without faults the stage matches netmodel.TransferTime exactly.
+	// Without faults the stage is the closed form: 8e6 bits at half of
+	// 8 Mbps take 2 s, plus the RTT.
 	d, cause = txStage(nil, 0, link, 1e6, 0, 0.5, math.Inf(1))
-	if cause != CauseNone || math.Abs(d-netmodel.TransferTime(link, 1e6, 0, 0.5)) > 1e-12 {
-		t.Fatalf("no-fault mismatch: %g vs %g", d, netmodel.TransferTime(link, 1e6, 0, 0.5))
+	if want := 2 + 0.004; cause != CauseNone || math.Abs(d-want) > 1e-12 {
+		t.Fatalf("no-fault mismatch: %g vs %g", d, want)
 	}
 }
 
@@ -130,9 +131,9 @@ func TestTxStageExhaustedAndTimeout(t *testing.T) {
 	}
 }
 
-// TestRunWithDistantFaultsMatchesBaseline pins the fault-aware stage
-// integrators to the historical path: a schedule whose only window lies
-// beyond the horizon must reproduce the no-fault run record-for-record.
+// TestRunWithDistantFaultsMatchesBaseline checks that a fault window that
+// never strikes costs nothing: a schedule whose only window lies beyond the
+// horizon must reproduce the fault-free run record-for-record.
 func TestRunWithDistantFaultsMatchesBaseline(t *testing.T) {
 	for _, disc := range []Discipline{DedicatedShares, SharedFCFS} {
 		base := basicScenario(t, 2, 3, disc)

@@ -23,9 +23,7 @@ type PSStation struct {
 	fin        []psJob // scratch for completions, reused across events
 	lastUpdate float64
 	gen        int64
-
-	served   int64
-	busyTime float64
+	busyTime   float64
 }
 
 type psJob struct {
@@ -40,10 +38,10 @@ func NewPSStation(eng *Engine, name string) *PSStation {
 	return &PSStation{Name: name, eng: eng}
 }
 
-// submitTask adds a typed task-lifecycle job; completion is routed to the
-// shard runner's stageDone without allocating a closure.
-func (s *PSStation) submitTask(serviceSec float64, t *taskState) {
-	s.admit(psJob{remaining: serviceSec, task: t})
+// submitTask adds t's server demand; completion is routed to the shard
+// runner's stageDone without allocating a closure.
+func (s *PSStation) submitTask(t *taskState) {
+	s.admit(psJob{remaining: t.choice.ServerSec, task: t})
 }
 
 func (s *PSStation) admit(j psJob) {
@@ -111,7 +109,6 @@ func (s *PSStation) complete() {
 	s.reschedule()
 	for i := range s.fin {
 		j := &s.fin[i]
-		s.served++
 		if j.task != nil {
 			s.eng.run.stageDone(j.task, j.submitted, now)
 		} else if j.done != nil {

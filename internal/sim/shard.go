@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"math"
-
 	"edgesurgeon/internal/hardware"
 	"edgesurgeon/internal/netmodel"
 	"edgesurgeon/internal/surgery"
@@ -74,16 +72,29 @@ type taskState struct {
 	txWait    float64
 	txSec     float64
 	txFinish  float64
+	// st, start and dur are the current stage's booking on a Station.
+	st    *Station
+	start float64
+	dur   float64
 }
 
-// shardUser is one user's runtime state inside a shard.
+// lane is a stage a task is submitted to: a FCFS Station or a
+// processor-sharing PSStation.
+type lane interface {
+	submitTask(*taskState)
+	BusyTime() float64
+}
+
+// shardUser is one user's runtime state inside a shard. Under
+// DedicatedShares tx and compute are the user's own lanes at its shares;
+// otherwise they are the server's shared stages and both shares are 1.
 type shardUser struct {
 	gu      int // global user index
 	path    []surgery.Exit
 	txBytes int64 // bytes a crossing task sends over the uplink
 	device  *Station
-	tx      *Station // dedicated uplink lane (DedicatedShares only)
-	compute *Station // dedicated compute lane (DedicatedShares only)
+	tx      *Station
+	compute lane
 	link    netmodel.Link
 	dev     *hardware.Profile
 	cShare  float64
@@ -97,17 +108,14 @@ type shardUser struct {
 
 // shardRun simulates one component to completion on its own engine.
 type shardRun struct {
-	eng    Engine
-	cfg    *Config
-	faulty bool
-	keep   bool
+	eng  Engine
+	cfg  *Config
+	keep bool
 
 	users []shardUser
-
-	// Shared stations (at most one server per component).
-	srvShared *Station
-	srvTx     *Station
-	srvPS     *PSStation
+	// srv is the server's shared compute stage (at most one server per
+	// component); nil under DedicatedShares and for a local user.
+	srv lane
 
 	free *taskState
 
@@ -118,17 +126,17 @@ type shardRun struct {
 
 // newShardRun builds the runtime for one component. paths[gu] holds the
 // exit walk of global user gu's plan (validated by Run).
-func newShardRun(cfg *Config, comp component, paths [][]surgery.Exit, faulty bool) *shardRun {
-	r := &shardRun{cfg: cfg, faulty: faulty, keep: cfg.KeepRecords}
+func newShardRun(cfg *Config, comp component, paths [][]surgery.Exit) *shardRun {
+	r := &shardRun{cfg: cfg, keep: cfg.KeepRecords}
 	r.eng.run = r
+	var srvTx *Station
 	if comp.server >= 0 && cfg.Discipline != DedicatedShares {
-		switch cfg.Discipline {
-		case ProcessorSharing:
-			r.srvPS = NewPSStation(&r.eng, "srv")
-		default:
-			r.srvShared = NewStation(&r.eng, "srv")
+		if cfg.Discipline == ProcessorSharing {
+			r.srv = NewPSStation(&r.eng, "srv")
+		} else {
+			r.srv = NewStation(&r.eng, "srv")
 		}
-		r.srvTx = NewStation(&r.eng, "srv.uplink")
+		srvTx = NewStation(&r.eng, "srv.uplink")
 	}
 	r.users = make([]shardUser, len(comp.users))
 	nTasks := 0
@@ -139,8 +147,6 @@ func newShardRun(cfg *Config, comp component, paths [][]surgery.Exit, faulty boo
 		su.path = paths[gu]
 		su.dev = u.Device
 		su.server = u.Server
-		su.cShare = u.ComputeShare
-		su.bShare = u.BandwidthShare
 		su.tasks = u.Tasks
 		su.device = NewStation(&r.eng, "dev")
 		if u.Server >= 0 {
@@ -150,9 +156,12 @@ func newShardRun(cfg *Config, comp component, paths [][]surgery.Exit, faulty boo
 				factor = 1
 			}
 			su.txBytes = int64(float64(u.Plan.Model.CutBytes(u.Plan.Partition)) * factor)
-			if cfg.Discipline == DedicatedShares {
-				su.tx = NewStation(&r.eng, "tx")
-				su.compute = NewStation(&r.eng, "srv-lane")
+			if r.srv != nil {
+				su.tx, su.compute = srvTx, r.srv
+				su.bShare, su.cShare = 1, 1
+			} else {
+				su.tx, su.compute = NewStation(&r.eng, "tx"), NewStation(&r.eng, "srv-lane")
+				su.bShare, su.cShare = u.BandwidthShare, u.ComputeShare
 			}
 		}
 		su.stats = &UserStats{ExitHist: make(map[int]int)}
@@ -162,13 +171,10 @@ func newShardRun(cfg *Config, comp component, paths [][]surgery.Exit, faulty boo
 		if r.keep {
 			su.recs = make([]TaskRecord, 0, n)
 		}
-		if qh := min(n, 1024); qh > 0 {
-			su.device.Reserve(qh)
-		}
 	}
-	// Heap high-water mark: one pending arrival per user plus one in-flight
-	// completion per station a task can occupy, with headroom for stale PS
-	// checks.
+	// Heap pre-size: one pending arrival per user plus a few booked
+	// completions each (every queued job holds its completion event) and
+	// stale PS checks; a longer backlog grows the heap as it forms.
 	grow := 4*len(r.users) + 64
 	if grow > nTasks+len(r.users) {
 		grow = nTasks + len(r.users)
@@ -191,12 +197,9 @@ func (r *shardRun) run() {
 	}
 	r.end = r.eng.Now()
 	r.events = r.eng.Executed()
-	switch {
-	case r.srvShared != nil:
-		r.busy = r.srvShared.BusyTime()
-	case r.srvPS != nil:
-		r.busy = r.srvPS.BusyTime()
-	default:
+	if r.srv != nil {
+		r.busy = r.srv.BusyTime()
+	} else {
 		for li := range r.users {
 			if su := &r.users[li]; su.compute != nil {
 				// A dedicated lane at share f delivering t seconds of lane
@@ -245,43 +248,25 @@ func (r *shardRun) arrive(lu int) {
 	t.stage = stageDevice
 	t.task = task
 	t.choice = pickExit(su.path, task.Difficulty)
-	t.timeoutAt = math.Inf(1)
-	if r.faulty {
-		t.timeoutAt = r.cfg.Retry.timeoutAt(task.Arrival)
-	}
+	t.timeoutAt = r.cfg.Retry.timeoutAt(task.Arrival)
 	su.device.submitTask(t)
 }
 
-// stageDur computes the service duration of t's current stage starting at
-// start — the typed counterpart of the old per-submission duration closure.
+// stageDur computes the service duration of t's current stage on a Station
+// starting at start. A nil fault schedule never strikes and an infinite
+// timeout never fires, so the integrators serve fault-free runs too.
 func (r *shardRun) stageDur(t *taskState, start float64) float64 {
 	su := &r.users[t.lu]
+	var d float64
 	switch t.stage {
 	case stageDevice:
 		return t.choice.DeviceSec
 	case stageTx:
-		share := 1.0
-		if r.cfg.Discipline == DedicatedShares {
-			share = su.bShare
-		}
-		if !r.faulty {
-			return netmodel.TransferTime(su.link, su.txBytes, start, share)
-		}
-		d, cause := txStage(r.cfg.Faults, su.server, su.link, su.txBytes, start, share, t.timeoutAt)
-		t.txCause = cause
-		return d
-	default: // stageServer (FCFS lanes; ProcessorSharing bypasses stageDur)
-		work := t.choice.ServerSec
-		if r.cfg.Discipline == DedicatedShares {
-			work /= su.cShare
-		}
-		if !r.faulty {
-			return work
-		}
-		d, cause := computeStage(r.cfg.Faults, su.server, start, work, t.timeoutAt)
-		t.srvCause = cause
-		return d
+		d, t.txCause = txStage(r.cfg.Faults, su.server, su.link, su.txBytes, start, su.bShare, t.timeoutAt)
+	default: // stageServer; a PSStation takes the demand itself
+		d, t.srvCause = computeStage(r.cfg.Faults, su.server, start, t.choice.ServerSec/su.cShare, t.timeoutAt)
 	}
+	return d
 }
 
 // stageDone advances t's state machine when its current stage completes.
@@ -297,11 +282,7 @@ func (r *shardRun) stageDone(t *taskState, start, finish float64) {
 			return
 		}
 		t.stage = stageTx
-		if r.cfg.Discipline == DedicatedShares {
-			su.tx.submitTask(t)
-		} else {
-			r.srvTx.submitTask(t)
-		}
+		su.tx.submitTask(t)
 	case stageTx:
 		if t.txCause != CauseNone {
 			r.failTask(su, t, finish, t.txCause)
@@ -312,27 +293,16 @@ func (r *shardRun) stageDone(t *taskState, start, finish float64) {
 		t.txSec = finish - start
 		t.txFinish = finish
 		t.stage = stageServer
-		switch r.cfg.Discipline {
-		case DedicatedShares:
-			su.compute.submitTask(t)
-		case ProcessorSharing:
-			r.srvPS.submitTask(t.choice.ServerSec, t)
-		default:
-			r.srvShared.submitTask(t)
-		}
+		su.compute.submitTask(t)
 	default: // stageServer
 		if t.srvCause != CauseNone {
 			r.failTask(su, t, finish, t.srvCause)
 			r.putTask(t)
 			return
 		}
-		srvWait := start - t.txFinish
-		if srvWait < 0 {
-			// Processor sharing has no distinct waiting phase; all time is
-			// service.
-			srvWait = 0
-		}
-		r.finishTask(su, t, finish, t.txWait, t.txSec, srvWait, finish-start)
+		// A PSStation starts a job when it is submitted: its wait is 0 and
+		// all its time is service.
+		r.finishTask(su, t, finish, t.txWait, t.txSec, start-t.txFinish, finish-start)
 		r.putTask(t)
 	}
 }
@@ -395,15 +365,10 @@ func (r *shardRun) failTask(su *shardUser, t *taskState, abort float64, cause Fa
 func runComponents(cfg *Config, comps []component, paths [][]surgery.Exit) []*shardRun {
 	shards := make([]*shardRun, len(comps))
 	for i := range comps {
-		shards[i] = newShardRun(cfg, comps[i], paths, simFaulty(cfg))
+		shards[i] = newShardRun(cfg, comps[i], paths)
 		shards[i].run()
 	}
 	return shards
-}
-
-// simFaulty reports whether the fault-aware stage integrators must engage.
-func simFaulty(cfg *Config) bool {
-	return (cfg.Faults != nil && !cfg.Faults.Empty()) || cfg.Retry.TaskTimeout > 0
 }
 
 // mergeShards reduces per-component runs into one Result. Every reduction

@@ -14,23 +14,23 @@ import (
 // The closure-job API the station tests drive; the simulator itself submits
 // typed task-lifecycle jobs (submitTask).
 
-// Submit enqueues a job whose duration is dur(startTime); done fires at
-// completion with the actual start and finish times.
+// Submit books a job by the station's rule — it starts at max(now, free)
+// and lasts dur(start) — and fires done at completion with its start and
+// finish times.
 func (s *Station) Submit(dur func(start float64) float64, done func(start, finish float64)) {
-	s.q = append(s.q, stationJob{dur: dur, done: done})
-	s.tryStart()
+	start := max(s.eng.now, s.free)
+	d := dur(start)
+	s.free = start + d
+	s.eng.At(s.free, func() {
+		s.busyTime += d
+		done(start, s.eng.now)
+	})
 }
-
-// Served returns the number of completed jobs.
-func (s *Station) Served() int64 { return s.served }
 
 // Submit adds a job with the given full-capacity service demand.
 func (s *PSStation) Submit(serviceSec float64, done func(start, finish float64)) {
 	s.admit(psJob{remaining: serviceSec, done: done})
 }
-
-// Served returns the number of completed jobs.
-func (s *PSStation) Served() int64 { return s.served }
 
 func TestEngineOrdering(t *testing.T) {
 	var eng Engine
@@ -121,8 +121,8 @@ func TestStationFCFS(t *testing.T) {
 			t.Fatalf("spans = %v, want %v", spans, want)
 		}
 	}
-	if st.Served() != 3 || math.Abs(st.BusyTime()-4) > 1e-12 {
-		t.Errorf("served=%d busy=%g", st.Served(), st.BusyTime())
+	if math.Abs(st.BusyTime()-4) > 1e-12 {
+		t.Errorf("busy=%g", st.BusyTime())
 	}
 }
 

@@ -40,7 +40,6 @@ var reachAllowed = map[string]string{
 	"edgesurgeon/internal/hardware.Servers":               "used by the joint and surgery tests",
 	"edgesurgeon/internal/serve.(*Runtime).Seq":           "used by the serve and agent tests",
 
-	"edgesurgeon/internal/sim.(*Engine).At":    "the clock hook the in-process cluster drives (ROADMAP item 2)",
 	"edgesurgeon/internal/sim.(*Engine).After": "the clock hook the in-process cluster drives (ROADMAP item 2)",
 	"edgesurgeon/internal/pace.Until":          "the paced wait the load generator is to use (ROADMAP item 8)",
 }
