@@ -4,7 +4,7 @@
 // Spec in one ordered list, Specs: its ID, the paper-class artifact it
 // regenerates, and a run function that fills a Report whose tables carry
 // exactly the rows that artifact reports. cmd/experiments renders the list
-// and bench_test.go times it, one sub-benchmark per spec.
+// and BenchmarkExperiments times it, one sub-benchmark per spec.
 package experiments
 
 import (

@@ -24,7 +24,8 @@ func TestMatMulCorrectness(t *testing.T) {
 
 func TestMatMulParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
-	// Big enough to trip the parallel path.
+	// A product larger than any training batch's, checked element by
+	// element against the independent MatMulABT loop.
 	a := NewMatrix(80, 90)
 	b := NewMatrix(90, 80)
 	for i := range a.Data {

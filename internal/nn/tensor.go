@@ -3,16 +3,13 @@
 // curves the optimizer assumes (package surgery) can be measured end-to-end
 // instead of assumed. It implements dense layers, ReLU, softmax
 // cross-entropy, SGD with momentum, and multi-exit heads with
-// confidence-threshold inference. Matrix multiplication parallelizes across
-// goroutines for larger workloads.
+// confidence-threshold inference.
 package nn
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 )
 
 // Matrix is a dense row-major float64 matrix.
@@ -53,12 +50,8 @@ func (m *Matrix) Randomize(rng *rand.Rand, fanIn int) {
 	}
 }
 
-// parallelThreshold is the output-element count above which MatMul fans out
-// across goroutines.
-const parallelThreshold = 64 * 64
-
 // MatMul computes dst = a * b, reusing dst when shapes match (pass nil to
-// allocate). Row blocks are processed in parallel for large products.
+// allocate).
 func MatMul(dst, a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("nn: matmul shape mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -66,50 +59,22 @@ func MatMul(dst, a, b *Matrix) *Matrix {
 	if dst == nil || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		dst = NewMatrix(a.Rows, b.Cols)
 	}
-	mulRange := func(r0, r1 int) {
-		for i := r0; i < r1; i++ {
-			ar := a.Row(i)
-			dr := dst.Row(i)
-			for j := range dr {
-				dr[j] = 0
+	for i := 0; i < a.Rows; i++ {
+		ar := a.Row(i)
+		dr := dst.Row(i)
+		for j := range dr {
+			dr[j] = 0
+		}
+		for k, av := range ar {
+			if av == 0 {
+				continue
 			}
-			for k, av := range ar {
-				if av == 0 {
-					continue
-				}
-				br := b.Row(k)
-				for j, bv := range br {
-					dr[j] += av * bv
-				}
+			br := b.Row(k)
+			for j, bv := range br {
+				dr[j] += av * bv
 			}
 		}
 	}
-	if a.Rows*b.Cols < parallelThreshold {
-		mulRange(0, a.Rows)
-		return dst
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > a.Rows {
-		workers = a.Rows
-	}
-	var wg sync.WaitGroup
-	chunk := (a.Rows + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		r0 := w * chunk
-		r1 := r0 + chunk
-		if r1 > a.Rows {
-			r1 = a.Rows
-		}
-		if r0 >= r1 {
-			break
-		}
-		wg.Add(1)
-		go func(r0, r1 int) {
-			defer wg.Done()
-			mulRange(r0, r1)
-		}(r0, r1)
-	}
-	wg.Wait()
 	return dst
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"edgesurgeon/internal/faults"
+	"edgesurgeon/internal/hardware"
 	"edgesurgeon/internal/netmodel"
 )
 
@@ -215,5 +216,52 @@ func TestRunRejectsFaultsUnderProcessorSharing(t *testing.T) {
 	cfg.Faults = faults.MustNew(faults.Window{Kind: faults.ServerCrash, Server: 0, Start: 1, End: 2})
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("faults under ProcessorSharing accepted")
+	}
+}
+
+// TestTaskTimeoutHonouredOrRefused holds every discipline to RetryPolicy's
+// contract on a server slow enough that its stage queues past the budget:
+// the queueing disciplines abandon late tasks with CauseTimeout and complete
+// none later than TaskTimeout after arrival, while ProcessorSharing, whose
+// fluid station cannot abandon a job, refuses the timeout outright. The
+// latency bound is exact, with no ulp slack: a stage that would end past
+// the abandon instant fails instead.
+func TestTaskTimeoutHonouredOrRefused(t *testing.T) {
+	const timeout = 2
+	phone, err := hardware.ByName("phone-soc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(disc Discipline) Config {
+		cfg := digestConfig(t, disc, 9, false, false, 0)
+		cfg.Servers[0].Profile = phone
+		cfg.Retry = RetryPolicy{TaskTimeout: timeout}
+		return cfg
+	}
+	if _, err := Run(build(ProcessorSharing)); err == nil {
+		t.Fatal("task timeout under ProcessorSharing accepted")
+	}
+	for _, disc := range []Discipline{DedicatedShares, SharedFCFS} {
+		res, err := Run(build(disc))
+		if err != nil {
+			t.Fatalf("discipline %v: %v", disc, err)
+		}
+		timedOut, worst := 0, 0.0
+		for _, rec := range res.Records {
+			if rec.Failed {
+				if rec.Cause == CauseTimeout {
+					timedOut++
+				}
+				continue
+			}
+			worst = math.Max(worst, rec.Latency)
+		}
+		t.Logf("discipline %v: %d timeouts, worst success %.17g s", disc, timedOut, worst)
+		if timedOut == 0 {
+			t.Errorf("discipline %v: no task timed out", disc)
+		}
+		if worst > timeout {
+			t.Errorf("discipline %v: a task succeeded %.17g s after arrival, past the %g s timeout", disc, worst, float64(timeout))
+		}
 	}
 }

@@ -64,13 +64,14 @@ type Config struct {
 	// flight are dropped from the records. 0 means run to completion.
 	Horizon float64
 	// Faults injects server crashes, link outages and brown-outs into the
-	// task lifecycle (nil = nothing fails). Not supported under
+	// task lifecycle (nil = nothing fails). Run refuses it under
 	// ProcessorSharing, whose fluid stations have no capacity-over-time
 	// hook.
 	Faults *faults.Schedule
 	// Retry bounds how much time faults may cost a task (retries with
 	// backoff, per-task timeout). Consulted whenever Faults is set or
-	// Retry.TaskTimeout is positive.
+	// Retry.TaskTimeout is positive. Run refuses a positive TaskTimeout
+	// under ProcessorSharing, whose fluid stations cannot abandon a job.
 	Retry RetryPolicy
 	// KeepRecords retains the per-task Records slice. When false (the
 	// default) only the streaming aggregates (PerUser and the Result
@@ -211,6 +212,9 @@ func pickExit(path []surgery.Exit, difficulty float64) *surgery.Exit {
 func Run(cfg Config) (*Result, error) {
 	if cfg.Faults != nil && !cfg.Faults.Empty() && cfg.Discipline == ProcessorSharing {
 		return nil, fmt.Errorf("sim: fault injection is not supported under ProcessorSharing")
+	}
+	if cfg.Retry.TaskTimeout > 0 && cfg.Discipline == ProcessorSharing {
+		return nil, fmt.Errorf("sim: a task timeout is not supported under ProcessorSharing")
 	}
 	paths := make([][]surgery.Exit, len(cfg.Users))
 	for ui := range cfg.Users {

@@ -34,16 +34,34 @@ type component struct {
 	users  []int // global user indices, ascending
 }
 
-// partition decomposes the scenario into independent components via the
-// shared server-affinity clustering helper (also used by the hierarchical
-// planner's shard formation).
+// partition decomposes the scenario into independent components: every
+// user alone, in user order, under DedicatedShares; otherwise one component
+// per non-empty server in server order, then one per local-only user in user
+// order.
 func partition(cfg *Config) []component {
-	clusters := ClusterByServer(len(cfg.Users), len(cfg.Servers),
-		cfg.Discipline == DedicatedShares,
-		func(ui int) int { return cfg.Users[ui].Server })
-	comps := make([]component, len(clusters))
-	for i, c := range clusters {
-		comps[i] = component{server: c.Server, users: c.Users}
+	var comps []component
+	if cfg.Discipline == DedicatedShares {
+		for ui, u := range cfg.Users {
+			comps = append(comps, component{server: u.Server, users: []int{ui}})
+		}
+		return comps
+	}
+	byServer := make([][]int, len(cfg.Servers))
+	var local []int
+	for ui, u := range cfg.Users {
+		if u.Server >= 0 {
+			byServer[u.Server] = append(byServer[u.Server], ui)
+		} else {
+			local = append(local, ui)
+		}
+	}
+	for s, users := range byServer {
+		if len(users) > 0 {
+			comps = append(comps, component{server: s, users: users})
+		}
+	}
+	for _, ui := range local {
+		comps = append(comps, component{server: -1, users: []int{ui}})
 	}
 	return comps
 }
