@@ -108,9 +108,12 @@ loc:
 # -> 18789 (internal/joint unchanged) when nn.MatMul became one serial loop
 # (its row-block goroutines and their threshold deleted) and the simulator
 # built its components directly (sim.Cluster and ClusterByServer deleted),
-# net of the refusal of a task timeout under ProcessorSharing.
+# net of the refusal of a task timeout under ProcessorSharing. It went
+# 18789 -> 18723 (internal/joint unchanged) when cluster.Drive lost its
+# config struct and its rate, and edgeserved lost three one-value flags and
+# its two flag.Value types.
 LOC_MAX_JOINT = 2511
-LOC_MAX_TOTAL = 18789
+LOC_MAX_TOTAL = 18723
 loc-check: loc
 	@joint=$$($(call loc_of,internal/joint)); total=$$($(loc_total)); \
 	if [ $$joint -gt $(LOC_MAX_JOINT) ] || [ $$total -gt $(LOC_MAX_TOTAL) ]; then \
@@ -272,7 +275,7 @@ bench-serve-smoke:
 # running (crossed > 0).
 cluster-smoke:
 	$(GO) run ./cmd/edgeserved -scenario cmd/edgeserved/testdata/smoke-scenario.json \
-		-listen 127.0.0.1:0 -timescale 0.002 -requests 200 -workers 4 -min-ok-frac 0.95
+		-listen 127.0.0.1:0 -timescale 0.002 -requests 200 -min-ok-frac 0.95
 
 # Client-library smoke for CI: the internal/client unit suite (handshake
 # taxonomy, per-call deadlines, cancellation, typed errors, in-flight

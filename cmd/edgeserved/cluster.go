@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"net"
 	"os"
 	"os/signal"
 	"syscall"
@@ -16,7 +17,7 @@ import (
 // -requests > 0 it then drives a bounded closed-loop workload and gates the
 // exit code on the ok-fraction — the `make cluster-smoke` CI mode. With
 // -requests 0 it serves until interrupted, for manual clients.
-func runCluster(sc *joint.Scenario, cfg cluster.Config, drive cluster.DriveConfig, minOKFrac float64, httpAddr string) error {
+func runCluster(sc *joint.Scenario, cfg cluster.Config, requests int, minOKFrac float64, httpLn net.Listener) error {
 	cfg.Logf = func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "edgeserved: "+format+"\n", args...)
 	}
@@ -28,15 +29,15 @@ func runCluster(sc *joint.Scenario, cfg cluster.Config, drive cluster.DriveConfi
 	fmt.Printf("cluster up: dispatcher at %s, %d servers, %d users\n",
 		c.Addr(), len(sc.Servers), len(sc.Users))
 
-	if httpAddr != "" {
+	if httpLn != nil {
 		go func() {
-			if err := serveHTTP(httpAddr, sc, c.Runtime); err != nil {
+			if err := serveHTTP(httpLn, sc, c.Runtime); err != nil {
 				fmt.Fprintf(os.Stderr, "edgeserved: http: %v\n", err)
 			}
 		}()
 	}
 
-	if drive.Requests <= 0 {
+	if requests <= 0 {
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 		<-sig
@@ -44,13 +45,13 @@ func runCluster(sc *joint.Scenario, cfg cluster.Config, drive cluster.DriveConfi
 		return nil
 	}
 
-	res, err := cluster.Drive(c.Addr(), len(sc.Users), drive)
+	res, err := cluster.Drive(c.Addr(), len(sc.Users), requests)
 	if err != nil {
 		return err
 	}
 	reg := c.Runtime.Metrics()
-	fmt.Printf("drive: %d sent, %d ok (%.1f%%), %d crossed agents, %.0f req/s wall\n",
-		res.Sent, res.OK, 100*res.OKFrac(), res.Crossed, res.RPS)
+	fmt.Printf("drive: %d sent, %d ok (%.1f%%), %d crossed agents\n",
+		res.Sent, res.OK, 100*res.OKFrac(), res.Crossed)
 	fmt.Printf("latency: p50 %.1f ms, p99 %.1f ms (model time)\n",
 		res.P50/cfg.TimeScale*1e3, res.P99/cfg.TimeScale*1e3)
 	fmt.Printf("control plane: %d full replans, %d alloc pushes, %d telemetry coalesced\n",

@@ -5,9 +5,8 @@
 //
 // Usage:
 //
-//	edgeserved -scenario deploy.json -record trace.jsonl -horizon 240 -period 5 \
-//	    -fault crash:1:60:100                 # record a telemetry trace
-//	edgeserved -scenario deploy.json -trace trace.jsonl -policy hysteresis
+//	edgeserved -scenario deploy.json -record trace.jsonl -horizon 240 \
+//	    -fault crash:1:60:100                 # record a telemetry trace (5 s period)
 //	edgeserved -scenario deploy.json -trace trace.jsonl -policy hysteresis \
 //	    -expect-full-replans 3                # CI smoke: pin the replan count
 //	edgeserved -scenario deploy.json -trace trace.jsonl -policy delta
@@ -42,6 +41,7 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"net"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -59,140 +59,101 @@ import (
 	"edgesurgeon/internal/telemetry"
 )
 
-// faultFlags collects repeatable -fault specs of the form
-// kind:server:start:end[:factor], e.g. crash:1:60:100 or brownout:0:30:90:0.5.
-type faultFlags struct {
-	windows []faults.Window
-}
+// The names -fault and -chaos accept. chaosForms gives each chaos kind's
+// whole spec, and so its field count.
+var (
+	faultKinds = map[string]faults.Kind{
+		"crash": faults.ServerCrash, "outage": faults.LinkOutage, "brownout": faults.Brownout,
+	}
+	chaosForms  = map[string]string{"crash": "crash:I", "slow": "slow:FROM:TO:FACTOR", "corrupt": "corrupt:I:KIND"}
+	corruptions = map[string]faults.CorruptKind{
+		"nan": faults.CorruptNaN, "negative": faults.CorruptNegative,
+		"time": faults.CorruptTimeRegression, "width": faults.CorruptWidth,
+	}
+)
 
-func (f *faultFlags) String() string { return fmt.Sprintf("%d faults", len(f.windows)) }
-
-func (f *faultFlags) Set(spec string) error {
+// parseFault parses one -fault spec, kind:server:start:end[:factor], e.g.
+// crash:1:60:100 or brownout:0:30:90:0.5.
+func parseFault(spec string) (faults.Window, error) {
+	var w faults.Window
 	parts := strings.Split(spec, ":")
 	if len(parts) < 4 || len(parts) > 5 {
-		return fmt.Errorf("want kind:server:start:end[:factor], got %q", spec)
+		return w, fmt.Errorf("want kind:server:start:end[:factor], got %q", spec)
 	}
-	var w faults.Window
-	switch parts[0] {
-	case "crash":
-		w.Kind = faults.ServerCrash
-	case "outage":
-		w.Kind = faults.LinkOutage
-	case "brownout":
-		w.Kind = faults.Brownout
-	default:
-		return fmt.Errorf("unknown fault kind %q (crash | outage | brownout)", parts[0])
+	var ok bool
+	if w.Kind, ok = faultKinds[parts[0]]; !ok {
+		return w, fmt.Errorf("unknown fault kind %q (crash | outage | brownout)", parts[0])
 	}
 	var err error
 	if w.Server, err = strconv.Atoi(parts[1]); err != nil {
-		return fmt.Errorf("server index %q: %w", parts[1], err)
+		return w, fmt.Errorf("server index %q: %w", parts[1], err)
 	}
 	if w.Start, err = strconv.ParseFloat(parts[2], 64); err != nil {
-		return fmt.Errorf("start %q: %w", parts[2], err)
+		return w, fmt.Errorf("start %q: %w", parts[2], err)
 	}
 	if w.End, err = strconv.ParseFloat(parts[3], 64); err != nil {
-		return fmt.Errorf("end %q: %w", parts[3], err)
+		return w, fmt.Errorf("end %q: %w", parts[3], err)
 	}
 	if len(parts) == 5 {
 		if w.Factor, err = strconv.ParseFloat(parts[4], 64); err != nil {
-			return fmt.Errorf("factor %q: %w", parts[4], err)
+			return w, fmt.Errorf("factor %q: %w", parts[4], err)
 		}
 	}
-	if err := w.Validate(); err != nil {
-		return err
-	}
-	f.windows = append(f.windows, w)
-	return nil
+	return w, w.Validate()
 }
 
-// chaosFlags collects repeatable -chaos specs:
+// parseChaos parses one -chaos spec:
 //
 //	crash:I             kill the control plane after ingesting sample I,
 //	                    then recover it from -snapshot-dir and continue
 //	slow:FROM:TO:FACTOR planner speed FACTOR over samples [FROM, TO)
 //	corrupt:I:KIND      mangle sample I; KIND is nan | negative | time | width
-type chaosFlags struct {
-	events []faults.ChaosEvent
-}
-
-func (c *chaosFlags) String() string { return fmt.Sprintf("%d chaos events", len(c.events)) }
-
-func (c *chaosFlags) Set(spec string) error {
-	parts := strings.Split(spec, ":")
-	atoi := func(s string) (int, error) {
-		v, err := strconv.Atoi(s)
-		if err != nil {
-			return 0, fmt.Errorf("sample ordinal %q: %w", s, err)
-		}
-		return v, nil
-	}
+func parseChaos(spec string) (faults.ChaosEvent, error) {
 	var e faults.ChaosEvent
+	parts := strings.Split(spec, ":")
+	form, ok := chaosForms[parts[0]]
+	if !ok {
+		return e, fmt.Errorf("unknown chaos kind %q (crash | slow | corrupt)", parts[0])
+	}
+	if len(parts) != strings.Count(form, ":")+1 {
+		return e, fmt.Errorf("want %s, got %q", form, spec)
+	}
 	var err error
+	if e.Sample, err = strconv.Atoi(parts[1]); err != nil {
+		return e, fmt.Errorf("sample ordinal %q: %w", parts[1], err)
+	}
 	switch parts[0] {
 	case "crash":
-		if len(parts) != 2 {
-			return fmt.Errorf("want crash:I, got %q", spec)
-		}
 		e.Kind = faults.CrashAfterSample
-		if e.Sample, err = atoi(parts[1]); err != nil {
-			return err
-		}
 	case "slow":
-		if len(parts) != 4 {
-			return fmt.Errorf("want slow:FROM:TO:FACTOR, got %q", spec)
-		}
 		e.Kind = faults.SlowPlanner
-		if e.Sample, err = atoi(parts[1]); err != nil {
-			return err
-		}
-		if e.Until, err = atoi(parts[2]); err != nil {
-			return err
+		if e.Until, err = strconv.Atoi(parts[2]); err != nil {
+			return e, fmt.Errorf("sample ordinal %q: %w", parts[2], err)
 		}
 		if e.Factor, err = strconv.ParseFloat(parts[3], 64); err != nil {
-			return fmt.Errorf("factor %q: %w", parts[3], err)
+			return e, fmt.Errorf("factor %q: %w", parts[3], err)
 		}
 	case "corrupt":
-		if len(parts) != 3 {
-			return fmt.Errorf("want corrupt:I:KIND, got %q", spec)
-		}
 		e.Kind = faults.CorruptSample
-		if e.Sample, err = atoi(parts[1]); err != nil {
-			return err
+		if e.Corrupt, ok = corruptions[parts[2]]; !ok {
+			return e, fmt.Errorf("unknown corruption %q (nan | negative | time | width)", parts[2])
 		}
-		switch parts[2] {
-		case "nan":
-			e.Corrupt = faults.CorruptNaN
-		case "negative":
-			e.Corrupt = faults.CorruptNegative
-		case "time":
-			e.Corrupt = faults.CorruptTimeRegression
-		case "width":
-			e.Corrupt = faults.CorruptWidth
-		default:
-			return fmt.Errorf("unknown corruption %q (nan | negative | time | width)", parts[2])
-		}
-	default:
-		return fmt.Errorf("unknown chaos kind %q (crash | slow | corrupt)", parts[0])
 	}
-	if err := e.Validate(); err != nil {
-		return err
-	}
-	c.events = append(c.events, e)
-	return nil
+	return e, e.Validate()
 }
+
+// recordPeriod is a recorded trace's sample period in seconds.
+const recordPeriod = 5.0
 
 func main() { os.Exit(run()) }
 
 // run is the whole command. Its status reaches os.Exit only after the
 // deferred profile stop, so a failing run still leaves both profiles.
 func run() int {
-	var faultSpecs faultFlags
-	var chaosSpecs chaosFlags
 	var (
 		scenarioPath = flag.String("scenario", "", "path to JSON scenario (required)")
 		recordPath   = flag.String("record", "", "record a telemetry trace to this file and exit")
 		horizon      = flag.Float64("horizon", 0, "recording horizon in seconds (0 = scenario horizon)")
-		period       = flag.Float64("period", 5, "recording sample period in seconds")
 		tracePath    = flag.String("trace", "", "replay this telemetry trace through the control plane")
 		policyName   = flag.String("policy", "hysteresis", "replan policy preset: "+policyNames())
 		journalPath  = flag.String("journal", "", "write the replan-decision journal here (\"-\" = stdout)")
@@ -203,20 +164,28 @@ func run() int {
 		snapshotDir = flag.String("snapshot-dir", "", "persist snapshot + WAL state in this directory (crash-safe replay; a directory holding a run resumes it)")
 		verifyRec   = flag.Bool("verify-recovery", false, "after a crashed or resumed replay, rerun the whole trace in memory without the crashes and exit non-zero unless journal, metrics and final plan are byte-identical")
 
-		listenAddr  = flag.String("listen", "", "live mode: run the wire dispatcher on this TCP address with one edgeagent process per server")
-		agents      = flag.Int("agents", 0, "live mode: local agent process count (0 = one per scenario server, -1 = spawn none and wait for remote edgeagent processes to dial in)")
-		agentBin    = flag.String("agent-bin", "", "live mode: prebuilt edgeagent binary (empty = go build one)")
-		requests    = flag.Int("requests", 0, "live mode: drive this many closed-loop requests then exit (0 = serve until interrupted)")
-		workers     = flag.Int("workers", 4, "live mode: closed-loop client concurrency")
-		timeScale   = flag.Float64("timescale", 1, "live mode: wall-seconds per model-second for every process")
-		telemPeriod = flag.Float64("telemetry-period", 2, "live mode: agent telemetry period in model-seconds")
-		minOKFrac   = flag.Float64("min-ok-frac", 0, "live mode: exit non-zero unless at least this fraction of driven requests succeed")
+		listenAddr = flag.String("listen", "", "live mode: run the wire dispatcher on this TCP address with one edgeagent process per server")
+		agents     = flag.Int("agents", 0, "live mode: local agent process count (0 = one per scenario server, -1 = spawn none and wait for remote edgeagent processes to dial in)")
+		agentBin   = flag.String("agent-bin", "", "live mode: prebuilt edgeagent binary (empty = go build one)")
+		requests   = flag.Int("requests", 0, "live mode: drive this many closed-loop requests then exit (0 = serve until interrupted)")
+		timeScale  = flag.Float64("timescale", 1, "live mode: wall-seconds per model-second for every process")
+		minOKFrac  = flag.Float64("min-ok-frac", 0, "live mode: exit non-zero unless at least this fraction of driven requests succeed")
 
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	)
-	flag.Var(&faultSpecs, "fault", "fault window kind:server:start:end[:factor] (repeatable, record mode)")
-	flag.Var(&chaosSpecs, "chaos", "chaos event crash:I | slow:FROM:TO:FACTOR | corrupt:I:KIND (repeatable, replay mode)")
+	var windows []faults.Window
+	flag.Func("fault", "fault window kind:server:start:end[:factor] (repeatable, record mode)", func(spec string) error {
+		w, err := parseFault(spec)
+		windows = append(windows, w) // on err flag.Parse exits 2; nothing reads it
+		return err
+	})
+	var events []faults.ChaosEvent
+	flag.Func("chaos", "chaos event crash:I | slow:FROM:TO:FACTOR | corrupt:I:KIND (repeatable, replay mode)", func(spec string) error {
+		e, err := parseChaos(spec)
+		events = append(events, e) // on err flag.Parse exits 2; nothing reads it
+		return err
+	})
 	flag.Parse()
 
 	stopProfiles, err := telemetry.StartProfiles(*cpuProfile, *memProfile)
@@ -246,32 +215,35 @@ func run() int {
 		return fatal(err)
 	}
 
+	if !(*timeScale > 0) || math.IsInf(*timeScale, 1) {
+		return usage("-timescale %g is not a finite number > 0", *timeScale)
+	}
+	if !(*minOKFrac >= 0 && *minOKFrac <= 1) {
+		return usage("-min-ok-frac %g is outside [0, 1]", *minOKFrac)
+	}
+	var httpLn net.Listener // bound before any work, so a taken address fails first
+
+	if *httpAddr != "" {
+		if httpLn, err = net.Listen("tcp", *httpAddr); err != nil {
+			return fatal(err)
+		}
+	}
+
 	switch m {
 	case "listen":
-		for _, f := range []struct {
-			name string
-			v    float64
-		}{{"timescale", *timeScale}, {"telemetry-period", *telemPeriod}} {
-			if !(f.v > 0) || math.IsInf(f.v, 1) {
-				return usage("-%s %g is not a finite number > 0", f.name, f.v)
-			}
-		}
-		if !(*minOKFrac >= 0 && *minOKFrac <= 1) {
-			return usage("-min-ok-frac %g is outside [0, 1]", *minOKFrac)
-		}
 		// Seed fixes the dispatcher's partition-crossing sampler.
 		err = runCluster(sc, cluster.Config{
 			ScenarioJSON: data, Agents: *agents, AgentBin: *agentBin, Listen: *listenAddr,
-			Policy: preset(), TimeScale: *timeScale, TelemetryPeriod: *telemPeriod, Seed: 42,
-		}, cluster.DriveConfig{Requests: *requests, Workers: *workers}, *minOKFrac, *httpAddr)
+			Policy: preset(), TimeScale: *timeScale, Seed: 42,
+		}, *requests, *minOKFrac, httpLn)
 	case "record":
-		err = record(sc, scHorizon, *recordPath, *horizon, *period, faultSpecs.windows)
+		err = record(sc, scHorizon, *recordPath, *horizon, windows)
 	case "trace":
 		opts := replayOpts{
 			tracePath: *tracePath, journalPath: *journalPath,
-			expectFull: *expectFull, httpAddr: *httpAddr,
+			expectFull: *expectFull, httpLn: httpLn,
 			snapshotDir: *snapshotDir,
-			chaos:       chaosSpecs.events, verifyRecovery: *verifyRec,
+			chaos:       events, verifyRecovery: *verifyRec,
 		}
 		cfg := serve.Config{
 			Scenario: sc,
@@ -303,9 +275,9 @@ func usage(format string, args ...any) int {
 // selecting those modes: -listen (live), -record and -trace (replay). A flag
 // not listed (-scenario, the profile flags) goes with every mode.
 var flagModes = map[string]string{
-	"agents": "listen", "agent-bin": "listen", "requests": "listen", "workers": "listen",
-	"timescale": "listen", "telemetry-period": "listen", "min-ok-frac": "listen",
-	"horizon": "record", "period": "record", "fault": "record",
+	"agents": "listen", "agent-bin": "listen", "requests": "listen",
+	"timescale": "listen", "min-ok-frac": "listen",
+	"horizon": "record", "fault": "record",
 	"journal": "trace", "expect-full-replans": "trace", "chaos": "trace",
 	"shard-threshold": "trace", "snapshot-dir": "trace", "verify-recovery": "trace",
 	"policy": "listen trace", "http": "listen trace",
@@ -342,7 +314,7 @@ func chooseMode() (string, error) {
 // record samples the scenario's own links (and the optional fault windows)
 // into a JSONL telemetry trace — the offline stand-in for a live cluster's
 // periodic probes.
-func record(sc *joint.Scenario, scHorizon float64, path string, horizon, period float64, windows []faults.Window) error {
+func record(sc *joint.Scenario, scHorizon float64, path string, horizon float64, windows []faults.Window) error {
 	if horizon <= 0 {
 		horizon = scHorizon
 	}
@@ -350,14 +322,11 @@ func record(sc *joint.Scenario, scHorizon float64, path string, horizon, period 
 	for i, s := range sc.Servers {
 		links[i] = s.Link
 	}
-	var sched *faults.Schedule
-	if len(windows) > 0 {
-		var err error
-		if sched, err = faults.New(windows...); err != nil {
-			return err
-		}
+	sched, err := faults.New(windows...)
+	if err != nil {
+		return err
 	}
-	trace, err := sim.RecordTrace(links, sched, horizon, period)
+	trace, err := sim.RecordTrace(links, sched, horizon, recordPeriod)
 	if err != nil {
 		return err
 	}
@@ -373,7 +342,7 @@ func record(sc *joint.Scenario, scHorizon float64, path string, horizon, period 
 		return err
 	}
 	fmt.Printf("recorded %d samples over %gs (period %gs, %d fault windows) to %s\n",
-		len(trace), horizon, period, len(windows), path)
+		len(trace), horizon, recordPeriod, len(windows), path)
 	return nil
 }
 
@@ -401,7 +370,7 @@ func policyNames() string {
 type replayOpts struct {
 	tracePath, journalPath string
 	expectFull             int
-	httpAddr               string
+	httpLn                 net.Listener // nil = no -http
 
 	snapshotDir    string
 	chaos          []faults.ChaosEvent
@@ -445,12 +414,8 @@ func replay(cfg serve.Config, o replayOpts) error {
 	if o.verifyRecovery {
 		// The twin replays the whole trace in memory under the same
 		// schedule minus its crashes (a subset of events NewChaos took).
-		var calm []faults.ChaosEvent
-		for _, e := range o.chaos {
-			if e.Kind != faults.CrashAfterSample {
-				calm = append(calm, e)
-			}
-		}
+		calm := slices.DeleteFunc(slices.Clone(o.chaos),
+			func(e faults.ChaosEvent) bool { return e.Kind == faults.CrashAfterSample })
 		calmChaos, _ := faults.NewChaos(calm...)
 		cfg.Store = nil // RunChaos owns the store; the twin runs in memory
 		twin, err := serve.RunChaos(cfg, trace, calmChaos)
@@ -490,8 +455,8 @@ func replay(cfg serve.Config, o replayOpts) error {
 	if o.expectFull >= 0 && int64(o.expectFull) != rt.FullReplans() {
 		return fmt.Errorf("expected %d full replans, got %d", o.expectFull, rt.FullReplans())
 	}
-	if o.httpAddr != "" {
-		return serveHTTP(o.httpAddr, cfg.Scenario, rt)
+	if o.httpLn != nil {
+		return serveHTTP(o.httpLn, cfg.Scenario, rt)
 	}
 	return rt.Close()
 }
@@ -554,7 +519,7 @@ func newMux(sc *joint.Scenario, rt *serve.Runtime) *http.ServeMux {
 	return mux
 }
 
-func serveHTTP(addr string, sc *joint.Scenario, rt *serve.Runtime) error {
-	fmt.Printf("serving /metrics, /plan and /debug/pprof/ on %s\n", addr)
-	return http.ListenAndServe(addr, newMux(sc, rt))
+func serveHTTP(ln net.Listener, sc *joint.Scenario, rt *serve.Runtime) error {
+	fmt.Printf("serving /metrics, /plan and /debug/pprof/ on %s\n", ln.Addr())
+	return http.Serve(ln, newMux(sc, rt))
 }

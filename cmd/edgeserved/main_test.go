@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -111,14 +112,11 @@ func TestLiveModeRejectsReplayFlags(t *testing.T) {
 		{"timescale", []string{"-timescale", "-1"}},
 		{"timescale", []string{"-timescale", "NaN"}},
 		{"timescale", []string{"-timescale", "+Inf"}},
-		{"telemetry-period", []string{"-telemetry-period", "0"}},
-		{"telemetry-period", []string{"-telemetry-period", "NaN"}},
 		{"min-ok-frac", []string{"-min-ok-frac", "NaN"}},
 		{"min-ok-frac", []string{"-min-ok-frac", "-0.1"}},
 		{"min-ok-frac", []string{"-min-ok-frac", "1.5"}},
 		{"fault", []string{"-fault", "crash:0:1:2"}},
 		{"horizon", []string{"-horizon", "60"}},
-		{"period", []string{"-period", "5"}},
 		{"record", []string{"-record", filepath.Join(t.TempDir(), "t.jsonl")}},
 		{"trace", []string{"-trace", "testdata/smoke-trace.jsonl"}},
 	})
@@ -126,13 +124,10 @@ func TestLiveModeRejectsReplayFlags(t *testing.T) {
 		{"requests", []string{"-requests", "50"}},
 		{"agents", []string{"-agents", "3"}},
 		{"agent-bin", []string{"-agent-bin", "edgeagent"}},
-		{"workers", []string{"-workers", "2"}},
 		{"timescale", []string{"-timescale", "0"}},
-		{"telemetry-period", []string{"-telemetry-period", "1"}},
 		{"min-ok-frac", []string{"-min-ok-frac", "0.9"}},
 		{"fault", []string{"-fault", "crash:0:1:2"}},
 		{"horizon", []string{"-horizon", "60"}},
-		{"period", []string{"-period", "5"}},
 		{"record", []string{"-record", filepath.Join(t.TempDir(), "t.jsonl")}},
 	})
 	// Record mode takes neither -policy nor -http, and writes no trace.
@@ -181,9 +176,9 @@ func TestFlagSet(t *testing.T) {
 	want := []string{
 		"agent-bin", "agents", "chaos", "cpuprofile", "expect-full-replans",
 		"fault", "horizon", "http", "journal", "listen",
-		"memprofile", "min-ok-frac", "period", "policy", "record", "requests",
-		"scenario", "shard-threshold", "snapshot-dir", "telemetry-period",
-		"timescale", "trace", "verify-recovery", "workers",
+		"memprofile", "min-ok-frac", "policy", "record", "requests",
+		"scenario", "shard-threshold", "snapshot-dir",
+		"timescale", "trace", "verify-recovery",
 	}
 	if got := helpFlags(t, build(t)); !slices.Equal(got, want) {
 		t.Errorf("flags -h prints:\n  %q\nwant:\n  %q", got, want)
@@ -249,13 +244,11 @@ func TestPolicyPresets(t *testing.T) {
 	}
 }
 
-// TestRecordRejectsBadSpan: a horizon or period RecordTrace cannot turn into
-// a sample count exits 1 with its error, not a stack trace.
+// TestRecordRejectsBadSpan: a horizon RecordTrace cannot turn into a sample
+// count at the 5 s record period exits 1 with its error, not a stack trace.
 func TestRecordRejectsBadSpan(t *testing.T) {
 	bin := build(t)
-	for _, args := range [][]string{
-		{"-horizon", "NaN"}, {"-period", "NaN"}, {"-horizon", "1e300", "-period", "1e-300"},
-	} {
+	for _, args := range [][]string{{"-horizon", "NaN"}, {"-horizon", "1e300"}} {
 		var stderr bytes.Buffer
 		cmd := exec.Command(bin, append([]string{"-scenario", "testdata/smoke-scenario.json",
 			"-record", filepath.Join(t.TempDir(), "t.jsonl")}, args...)...)
@@ -300,6 +293,94 @@ func TestReplayResumesSnapshotDir(t *testing.T) {
 	for _, want := range []string{"resumed at sample 10\n", "verify-recovery: journal, metrics and final plan byte-identical"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output lacks %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestSpecGrammar drives -fault (record mode) and -chaos (replay mode)
+// through the built binary: every form of each grammar is accepted, and a
+// malformed spec exits 2 naming its flag.
+func TestSpecGrammar(t *testing.T) {
+	bin := build(t)
+	fault := func(spec string) []string {
+		return []string{"-record", filepath.Join(t.TempDir(), "t.jsonl"), "-fault", spec}
+	}
+	chaos := func(spec string) []string {
+		return []string{"-trace", "testdata/smoke-trace.jsonl", "-snapshot-dir", t.TempDir(), "-chaos", spec}
+	}
+	run := func(args []string) (string, error) {
+		var stderr bytes.Buffer
+		cmd := exec.Command(bin, append([]string{"-scenario", "testdata/smoke-scenario.json"}, args...)...)
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		return stderr.String(), err
+	}
+	for _, args := range [][]string{
+		fault("crash:1:60:100"), fault("outage:0:10:20.5"), fault("brownout:0:30:90:0.5"),
+		chaos("crash:3"), chaos("slow:2:5:0.5"), chaos("corrupt:4:nan"),
+		chaos("corrupt:4:negative"), chaos("corrupt:4:time"), chaos("corrupt:4:width"),
+	} {
+		if stderr, err := run(args); err != nil {
+			t.Errorf("%v: %v, want it accepted (stderr: %s)", args, err, stderr)
+		}
+	}
+	for _, c := range []rejectedFlag{
+		{"fault", fault("crash:0:1")},            // too few fields
+		{"fault", fault("brownout:0:1:2:0.5:9")}, // too many fields
+		{"fault", fault("flood:0:1:2")},          // unknown kind
+		{"fault", fault("crash:1.5:1:2")},        // non-integer server index
+		{"fault", fault("brownout:0:1:2:NaN")},   // NaN factor
+		{"fault", fault("brownout:0:1:2")},       // brownout without its factor
+		{"fault", fault("outage:0:20:10")},       // empty window
+		{"chaos", chaos("crash")},                // too few fields
+		{"chaos", chaos("slow:2:5")},             // too few fields
+		{"chaos", chaos("corrupt:3:nan:1")},      // too many fields
+		{"chaos", chaos("stall:3")},              // unknown kind
+		{"chaos", chaos("crash:1.5")},            // non-integer sample
+		{"chaos", chaos("slow:2:5:NaN")},         // NaN factor
+		{"chaos", chaos("slow:5:5:0.5")},         // empty slow window
+		{"chaos", chaos("corrupt:3:zero")},       // unknown corruption
+	} {
+		stderr, err := run(c.args)
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("%v: got %v, want exit status 2 (stderr: %s)", c.args, err, stderr)
+		} else if !strings.Contains(stderr, "-"+c.name) {
+			t.Errorf("%v: stderr does not name -%s: %s", c.args, c.name, stderr)
+		}
+	}
+}
+
+// TestHTTPBindsFirst: with the -http address already taken, live and replay
+// mode each exit 1 naming the address before any work: no cluster comes up
+// and no trace is replayed.
+func TestHTTPBindsFirst(t *testing.T) {
+	held, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	addr := held.Addr().String()
+	bin := build(t)
+	for _, mode := range [][]string{
+		{"-listen", "127.0.0.1:0", "-timescale", "0.002", "-requests", "50"},
+		{"-trace", "testdata/smoke-trace.jsonl"},
+	} {
+		var stdout, stderr bytes.Buffer
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+		defer cancel()
+		cmd := exec.CommandContext(ctx, bin, append([]string{"-scenario", "testdata/smoke-scenario.json",
+			"-http", addr}, mode...)...)
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(stderr.String(), addr) {
+			t.Errorf("%v: got %v, want exit status 1 naming %s (stderr: %s)", mode, err, addr, stderr.String())
+		}
+		for _, work := range []string{"cluster up", "replayed"} {
+			if strings.Contains(stdout.String(), work) {
+				t.Errorf("%v: a taken -http address still let the run start (%q on stdout):\n%s", mode, work, stdout.String())
+			}
 		}
 	}
 }

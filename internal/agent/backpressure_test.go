@@ -818,3 +818,41 @@ func BenchmarkOutboxDrain(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.N)/float64(writes.Load()), "frames/write")
 }
+
+// TestOneFramePerFlushWhenSequential pins the flush accounting at its
+// floor: sequential calls on one client with Window 1 leave each dispatcher
+// outbox one frame to write at a time (the client's response, and for a
+// crossing call the agent's Infer before it), so dataplane.frames_flushed
+// and dataplane.flushes must grow by the same count.
+func TestOneFramePerFlushWhenSequential(t *testing.T) {
+	const calls = 40
+	sc := testScenario(t, 4, 40)
+	d, rt, _ := testPlane(t, sc, serve.NeverReplan())
+	c, err := client.Dial(d.Addr(), client.Config{ID: "sequential", Window: 1, CallTimeout: 15 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	reg := rt.Metrics()
+	flushes, frames := reg.Counter("dataplane.flushes"), reg.Counter("dataplane.frames_flushed")
+	flushes0, frames0 := flushes.Value(), frames.Value()
+	crossed := 0
+	for i := 0; i < calls; i++ {
+		resp, err := c.Do(context.Background(), i%len(sc.Users))
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+		if resp.Server >= 0 {
+			crossed++
+		}
+	}
+	// A flush is counted after its write, and frames after flushes, so once
+	// frames covers every response and Infer, every flush is counted too.
+	waitFor(t, "the calls' frames to be counted", func() bool { return frames.Value()-frames0 >= int64(calls+crossed) })
+	if dl, df := flushes.Value()-flushes0, frames.Value()-frames0; dl != df {
+		t.Errorf("%d frames over %d flushes (%d calls, %d crossed), want one frame per flush", df, dl, calls, crossed)
+	}
+	if crossed == 0 {
+		t.Error("no call crossed to an agent; the agent outbox was not exercised")
+	}
+}

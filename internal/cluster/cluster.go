@@ -3,7 +3,7 @@
 // server plus an in-process wire dispatcher on 127.0.0.1 (port
 // auto-assigned), waits on the readiness barrier, and tears everything down
 // gracefully. It is what makes the whole plane testable in CI and what
-// powers experiment E27's honest requests/sec measurements.
+// powers experiment E27's client-observed latency measurements.
 package cluster
 
 import (

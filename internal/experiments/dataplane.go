@@ -50,12 +50,10 @@ func e27Scenario(nUsers int) ([]byte, error) {
 
 // e27DataPlane runs the loopback cluster (real edgeagent processes, real
 // TCP, the wire protocol end to end) under each replanning policy arm and
-// reports the honest client-observed numbers: requests per wall second and
-// p50/p99 response latency. Latencies are converted from wall seconds back
-// to model milliseconds (divide by TimeScale) so they are comparable with
-// planned latencies and deadlines; RPS stays in wall time because it is a
-// harness-throughput number, not a model quantity.
-func e27DataPlane(r *Report, nUsers, requests, workers int, timeScale float64) error {
+// reports the honest client-observed numbers: p50/p99 response latency,
+// converted from wall seconds back to model milliseconds (divide by
+// TimeScale) so they are comparable with planned latencies and deadlines.
+func e27DataPlane(r *Report, nUsers, requests int, timeScale float64) error {
 	r.Title = fmt.Sprintf("Loopback cluster: %d requests over %d users per policy arm", requests, nUsers)
 	scenario, err := e27Scenario(nUsers)
 	if err != nil {
@@ -97,7 +95,7 @@ func e27DataPlane(r *Report, nUsers, requests, workers int, timeScale float64) e
 		if err != nil {
 			return fmt.Errorf("E27 %s: start: %w", arm.name, err)
 		}
-		res, err := cluster.Drive(c.Addr(), nUsers, cluster.DriveConfig{Requests: requests, Workers: workers})
+		res, err := cluster.Drive(c.Addr(), nUsers, requests)
 		if err != nil {
 			c.Close()
 			return fmt.Errorf("E27 %s: drive: %w", arm.name, err)
@@ -127,7 +125,7 @@ func e27DataPlane(r *Report, nUsers, requests, workers int, timeScale float64) e
 		}
 	}
 	r.Metrics["time_scale"] = timeScale
-	r.note("p50/p99 are client wall latencies of the %d-worker closed loop converted to model ms (wall/TimeScale); its throughput is workers / (modelled latency x TimeScale), a property of the clock scale, and is not reported", workers)
+	r.note("p50/p99 are client wall latencies of the %d-worker closed loop converted to model ms (wall/TimeScale); its throughput is workers / (modelled latency x TimeScale), a property of the clock scale, and is not reported", cluster.Workers)
 	r.note("the never arm plans once on mean rates and ignores fading drift; hysteresis and delta arms push refreshed allocations to the agents as telemetry drifts")
 	r.note("replanning arms pay an honest tail cost on small hosts: a full replan's planning wall-time contends with the loopback plane for CPU, which the 1/TimeScale conversion magnifies into the p99 column")
 	return nil

@@ -640,7 +640,7 @@ func TestE27SmallShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess cluster arms in -short mode")
 	}
-	r, err := spec(t, "E27").fill(func(r *Report) error { return e27DataPlane(r, 2, 120, 2, 0.002) })
+	r, err := spec(t, "E27").fill(func(r *Report) error { return e27DataPlane(r, 2, 120, 0.002) })
 	if err != nil {
 		t.Fatal(err)
 	}

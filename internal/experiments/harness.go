@@ -133,8 +133,8 @@ var Specs = []Spec{
 	// E27's request count spans several fading dwells and replan debounce
 	// windows, so the policy arms diverge.
 	{ID: "E27", Artifact: "Networked data plane study",
-		Run:   func(r *Report) error { return e27DataPlane(r, 6, 4000, 4, 0.005) },
-		Quick: func(r *Report) error { return e27DataPlane(r, 4, 1200, 4, 0.002) }},
+		Run:   func(r *Report) error { return e27DataPlane(r, 6, 4000, 0.005) },
+		Quick: func(r *Report) error { return e27DataPlane(r, 4, 1200, 0.002) }},
 }
 
 // Lookup returns the experiment with the given ID.

@@ -35,7 +35,6 @@ func TestOptionFields(t *testing.T) {
 		{agent.DispatcherConfig{}, []string{"Scenario", "Runtime", "Listen", "TimeScale", "Clock", "Seed", "Logf"}},
 		{cluster.Config{}, []string{"ScenarioJSON", "Agents", "AgentBin", "Listen", "Policy", "TimeScale",
 			"TelemetryPeriod", "Seed", "Dir", "Logf"}},
-		{cluster.DriveConfig{}, []string{"Requests", "Workers"}},
 		{client.Config{}, []string{"ID", "CallTimeout", "Window"}},
 	} {
 		typ := reflect.TypeOf(tc.v)
