@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet loc loc-check test test-short test-race golden-update fuzz-smoke bench bench-test bench-smoke bench-planner-smoke bench-frontier-smoke bench-replan-smoke bench-serve-smoke serve-smoke chaos-smoke cluster-smoke client-smoke backpressure-stress plane-cpu-matrix experiments examples cover clean
+.PHONY: all build fmt-check vet loc loc-check test test-short test-race golden-update fuzz-smoke bench bench-test bench-smoke bench-planner-smoke bench-frontier-smoke bench-replan-smoke bench-serve-smoke serve-smoke chaos-smoke cluster-smoke client-smoke backpressure-stress plane-cpu-matrix cross-build experiments examples cover clean
 
 all: build vet test
 
@@ -297,9 +297,20 @@ backpressure-stress:
 # The data-plane packages at both P counts write combining behaves
 # differently on: at one P every sender woken together shares a Write, at two
 # an idle P may take a yielded sender at once and it writes alone. The pacer
-# is among them because it runs request continuations.
+# is among them because it runs request continuations, and because at one P
+# its waits must leave the P and the poller to the rest of the process
+# (TestEchoBesidePacedWaits).
 plane-cpu-matrix:
 	$(GO) test -cpu 1,2 -count=1 ./internal/wire ./internal/client ./internal/agent ./internal/pace
+
+# The platforms tier-1 does not build: the pacer waits on a timerfd on Linux
+# and on a runtime timer elsewhere (internal/pace/sleep_*.go), so a change to
+# one side can break the other unseen. The 386 vet covers the timerfd's
+# itimerspec on 32-bit Linux.
+cross-build:
+	GOOS=darwin $(GO) build ./...
+	GOOS=windows $(GO) build ./...
+	GOOS=linux GOARCH=386 $(GO) vet ./internal/pace
 
 # Regenerate every table and figure of the reconstructed evaluation.
 experiments:

@@ -31,9 +31,9 @@ type Clock interface {
 
 // wallClock is model time as scaled wall time: scale wall-seconds to the
 // model-second, counted from the clock's creation. Deadlines are kept by
-// pace.At, so a stage ends late by the kernel's timer, not the runtime's, and
-// one that is already due — every stage at the benchmark's zero-physics
-// scale — costs two clock readings and runs on the caller.
+// pace.At, whose goroutine parks in the poller on a kernel timer, and one
+// that is already due — every stage at the benchmark's zero-physics scale —
+// costs two clock readings and runs on the caller.
 type wallClock struct {
 	origin time.Time
 	scale  float64

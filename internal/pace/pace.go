@@ -2,17 +2,14 @@
 //
 // An idle Go runtime parks in epoll_wait, whose timeout is whole
 // milliseconds, so a runtime timer (time.Sleep, time.After) that fires into
-// an idle process is late by up to one: on the 2-vCPU reference host a
-// 0.2–5.3 ms time.Sleep overshoots by 0.94–1.01 ms at the median, where the
-// kernel's own high-resolution sleep, on a thread whose timer slack is at its
-// minimum, overshoots by 0.05 (DESIGN.md, "Modelled time"). Until is the wait
-// that does not pay that millisecond: every waiter of the process registers
-// its deadline with one pacer goroutine, which trusts a runtime timer only to
-// within coarse of the earliest deadline and covers the rest with the kernel
-// sleep, a slice at a time. It never spins, holds one thread however many
-// goroutines wait, and is not involved at all in a wait that is already due.
-// What it costs is CPU: a kernel sleep is a sleep/wake cycle, so a paced wait
-// takes some 0.1 ms of CPU more than the time.Sleep it replaces.
+// an idle process is late by up to one (DESIGN.md, "Modelled time"). Until
+// is the wait that does not pay it: every waiter of the process registers
+// its deadline with one pacer goroutine, which parks in the runtime poller on
+// a kernel timer without slack (a timerfd on Linux), armed coarse before the
+// earliest deadline and then a slice at a time. It holds no thread and no P
+// while it waits, never spins, and is not involved at all in a wait that is
+// already due. Its wake-ups also fire the process's due runtime timers. What
+// it costs is CPU, a poller wake-up per slice.
 //
 // Its one kind of waiter is a callback, run outside the heap lock (it may
 // call At) and never blocking (later deadlines wait behind it); Until is At
@@ -22,23 +19,17 @@ package pace
 
 import (
 	"container/heap"
-	"runtime"
 	"sync"
 	"time"
 )
 
 const (
-	// coarse is how close to a deadline a runtime timer may bring the pacer:
-	// its worst overshoot into an idle runtime is one epoll_wait millisecond,
-	// and a quarter more covers the reschedule after it, so a timer aimed
-	// coarse early has always fired by the deadline. Below one millisecond
-	// the timer would eat the deadline on its own; much above, the pacer
-	// takes fine slices for time a timer would have covered for nothing.
+	// coarse is how long before a deadline the pacer starts waking every
+	// slice: one wake-up out of a long idle comes late, the later the longer
+	// the CPU idled, and slices keep the last stretch warm. It is the
+	// poller's millisecond and a quarter, what a runtime timer is late by.
 	coarse = 1250 * time.Microsecond
-	// slice bounds one kernel sleep. The pacer cannot be interrupted inside
-	// it, so it is the most a waiter that registers an earlier deadline
-	// meanwhile can be released late; five wake-ups a millisecond, and only
-	// in the last coarse before a deadline, is what that costs.
+	// slice is the wake-up period inside the last coarse before a deadline.
 	slice = 200 * time.Microsecond
 )
 
@@ -92,82 +83,71 @@ type pacer struct {
 	start sync.Once
 	mu    sync.Mutex
 	heap  deadlines
-	// wake tells a pacer that is idle or behind a runtime timer that the
-	// earliest deadline changed; one pending token is all it needs.
-	wake chan struct{}
+	w     waker // what the goroutine parks on; armed under mu
 	// due holds the callbacks one release runs; the pacer goroutine's own.
 	due []func()
 }
 
-var global = pacer{wake: make(chan struct{}, 1)}
+var global pacer
+
+// waker is the pacer's one platform fork (newWaker, in sleep_*.go): wait
+// returns once the wake-up armed last is due. One that comes early or twice
+// is harmless, because the pacer rereads the clock.
+type waker interface {
+	arm(d time.Duration)
+	wait()
+}
+
+// timerWaker is a runtime timer, where there is no timerfd: deadlines are then
+// kept to the runtime's accuracy. Its first expiry, an hour out, is spurious.
+type timerWaker struct{ t *time.Timer }
+
+func (w timerWaker) arm(d time.Duration) { w.t.Reset(d) }
+func (w timerWaker) wait()               { <-w.t.C }
 
 func (p *pacer) at(t time.Time, fn func()) {
-	p.start.Do(func() { go p.run() })
+	p.start.Do(func() { p.w = newWaker(); go p.run() })
 	w := &waiter{at: t, fn: fn}
 	p.mu.Lock()
 	heap.Push(&p.heap, w)
-	earliest := p.heap[0] == w
+	if p.heap[0] == w {
+		p.arm(time.Until(t))
+	}
 	p.mu.Unlock()
-	if earliest {
-		select {
-		case p.wake <- struct{}{}:
-		default:
-		}
+}
+
+// arm sets the wake-up for an earliest deadline next away: coarse before it,
+// then a slice at a time. Called under mu.
+func (p *pacer) arm(next time.Duration) {
+	if next > coarse {
+		p.w.arm(next - coarse)
+	} else {
+		p.w.arm(max(min(next, slice), 1)) // 0 would disarm a timerfd
 	}
 }
 
 // release runs every callback due at now, after letting go of the heap lock,
-// and reports whether there was one and, when there was not, how long until
-// the next deadline (negative: nobody waits).
-func (p *pacer) release(now time.Time) (released bool, next time.Duration) {
+// having armed the wake-up for the deadline after them. Nobody waiting leaves
+// it unarmed: the wake-up that brought the pacer here was the last one.
+func (p *pacer) release(now time.Time) {
 	p.mu.Lock()
 	for len(p.heap) > 0 && !p.heap[0].at.After(now) {
 		p.due = append(p.due, heap.Pop(&p.heap).(*waiter).fn)
 	}
-	next = -1
 	if len(p.heap) > 0 {
-		next = p.heap[0].at.Sub(now)
+		p.arm(p.heap[0].at.Sub(now))
 	}
 	p.mu.Unlock()
 	for _, fn := range p.due {
 		fn()
 	}
 	clear(p.due)
-	released, p.due = len(p.due) > 0, p.due[:0]
-	return released, next
+	p.due = p.due[:0]
 }
 
 func (p *pacer) run() {
-	// The kernel sleep blocks its thread. A thread of the goroutine's own
-	// can have its timer slack tightened once and for all, and measured both
-	// closer to the deadline and cheaper than sleeping on whichever thread
-	// the scheduler lends (DESIGN.md).
-	runtime.LockOSThread()
-	sleepFine := fineSleeper()
-	timer := time.NewTimer(time.Hour)
-	timer.Stop()
 	for {
-		released, next := p.release(time.Now())
-		switch {
-		case released:
-			// What the callbacks woke sits on this thread's run queue: let it
-			// run before the thread blocks in the kernel again, then look again.
-			runtime.Gosched()
-		case next < 0:
-			<-p.wake
-		case next > coarse:
-			// go.mod says go 1.22: timer channels are buffered, so a timer
-			// that fired while being stopped must be drained before Reset.
-			timer.Reset(next - coarse)
-			select {
-			case <-timer.C:
-			case <-p.wake:
-				if !timer.Stop() {
-					<-timer.C
-				}
-			}
-		default:
-			sleepFine(min(next, slice))
-		}
+		p.release(time.Now())
+		p.w.wait()
 	}
 }

@@ -13,13 +13,14 @@ import (
 
 // TestManyWaitersNoneEarly: 2 000 goroutines wait for seeded random
 // deadlines at once. Every one returns, none before its deadline, and the
-// process grows by the pacer's thread (and at most one the runtime felt like
-// adding), not by a thread per waiter. Whatever else the host is doing may
-// make the runtime add a thread or two more, so a wave over the bound gets up
-// to two more to average it out over. The runtime never gives a thread back
-// and a later wave reuses what an earlier one created, so the bound is on
-// the growth over all the waves run, not on the best one: a thread per waiter
-// grows by hundreds in the first wave and fails however many follow.
+// process grows by at most the thread or so the runtime felt like adding (the
+// pacer parks in the poller and has no thread of its own), not by a thread
+// per waiter. Whatever else the host is doing may make the runtime add a
+// thread or two more, so a wave over the bound gets up to two more to average
+// it out over. The runtime never gives a thread back and a later wave reuses
+// what an earlier one created, so the bound is on the growth over all the
+// waves run, not on the best one: a thread per waiter grows by hundreds in
+// the first wave and fails however many follow.
 func TestManyWaitersNoneEarly(t *testing.T) {
 	const n = 2000
 	rng := rand.New(rand.NewSource(1))
@@ -39,7 +40,7 @@ func TestManyWaitersNoneEarly(t *testing.T) {
 		}
 		wg.Wait()
 	}
-	wave(50) // the pacer's thread and the runtime's own exist before the count
+	wave(50) // the threads the runtime starts for this load exist before the count
 	threads := pprof.Lookup("threadcreate")
 	before, waves := threads.Count(), 0
 	for waves == 0 || waves < 3 && threads.Count()-before > 2*waves {
@@ -56,11 +57,12 @@ func TestManyWaitersNoneEarly(t *testing.T) {
 	}
 }
 
-// TestEarlierDeadlineWhileSlicing: the pacer is inside its fine slices for a
+// TestEarlierDeadlineWhileSlicing: the pacer is inside its slices for a
 // deadline 1.2 ms out when, 400 µs in, a second waiter asks for 300 µs. The
-// pacer cannot be interrupted there, so what keeps the newcomer on time is
-// the slice length: a pacer that slept through to the far deadline would
-// release it 500 µs late.
+// newcomer is the earliest deadline, so it re-arms the pacer's timer at once
+// and is released as late as any paced wait; a pacer that slept through to
+// the far deadline would release it 500 µs late, and one that noticed it only
+// at its next slice up to a slice late.
 func TestEarlierDeadlineWhileSlicing(t *testing.T) {
 	late := make([]time.Duration, 0, 20)
 	for i := 0; i < cap(late); i++ {
@@ -148,20 +150,82 @@ func TestCallbackSchedulesAt(t *testing.T) {
 	}
 }
 
+// TestTimerWaker: the runtime-timer waker, what the pacer parks on where
+// there is no timerfd, serves a pacer of its own: waiters registered
+// farthest first are released nearest first, and none early.
+func TestTimerWaker(t *testing.T) {
+	p := &pacer{}
+	p.start.Do(func() { p.w = timerWaker{time.NewTimer(time.Hour)}; go p.run() })
+	type release struct {
+		ms    int
+		early time.Duration // > 0: released before its deadline
+	}
+	got := make(chan release, 3)
+	base := time.Now()
+	for _, ms := range []int{9, 6, 3} {
+		at := base.Add(time.Duration(ms) * time.Millisecond)
+		p.at(at, func() { got <- release{ms, time.Until(at)} })
+	}
+	var order []int
+	for range 3 {
+		select {
+		case r := <-got:
+			if r.early > 0 {
+				t.Errorf("the %d ms waiter was released %v early", r.ms, r.early)
+			}
+			order = append(order, r.ms)
+		case <-time.After(5 * time.Second):
+			t.Fatalf("released %v, then nothing: the pacer is stuck", order)
+		}
+	}
+	if fmt.Sprint(order) != "[3 6 9]" {
+		t.Errorf("released in the order %v, want [3 6 9]", order)
+	}
+}
+
+// keepPacing starts a goroutine that waits on Until deadlines 1–3 ms ahead,
+// one after the other, as a paced process does between requests; the
+// returned func stops it and waits for it to return.
+func keepPacing() (stop func()) {
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		rng := rand.New(rand.NewSource(1))
+		for {
+			select {
+			case <-quit:
+				return
+			default:
+				Until(time.Now().Add(time.Millisecond + time.Duration(rng.Int63n(int64(2*time.Millisecond)))))
+			}
+		}
+	}()
+	return func() { close(quit); <-done }
+}
+
 // BenchmarkClockWait measures how late a wait returns. Each iteration idles
 // for 2 ms first, so the wait starts in a runtime that has parked, as a
 // request does that arrives at a paced plane. ns/op includes the idle gap
-// and the wait itself; read overshoot-p50-us and overshoot-p99-us.
+// and the wait itself; read overshoot-p50-us and overshoot-p99-us. The
+// beside-pacer arm is the same time.Sleep while keepPacing runs: a runtime
+// timer fires when the poller wakes, so it gains what the pacer's wake-ups
+// give every timer of a paced process.
 func BenchmarkClockWait(b *testing.B) {
+	sleep := func(t time.Time) { time.Sleep(time.Until(t)) }
 	for _, impl := range []struct {
-		name string
-		wait func(time.Time)
+		name   string
+		wait   func(time.Time)
+		beside bool
 	}{
-		{"pacer", Until},
-		{"timesleep", func(t time.Time) { time.Sleep(time.Until(t)) }},
+		{"pacer", Until, false},
+		{"timesleep", sleep, false},
+		{"timesleep/beside-pacer", sleep, true},
 	} {
 		for _, d := range []time.Duration{200 * time.Microsecond, 1300 * time.Microsecond, 5300 * time.Microsecond} {
 			b.Run(fmt.Sprintf("%s/%v", impl.name, d), func(b *testing.B) {
+				if impl.beside {
+					defer keepPacing()()
+				}
 				over := make([]float64, b.N)
 				for i := range over {
 					time.Sleep(2 * time.Millisecond)

@@ -3,6 +3,10 @@
 package pace
 
 import (
+	"io"
+	"net"
+	"runtime"
+	"sort"
 	"syscall"
 	"testing"
 	"time"
@@ -34,5 +38,64 @@ func TestNoBusyWait(t *testing.T) {
 	t.Logf("30 waits burned %v of CPU", best)
 	if best >= 15*time.Millisecond {
 		t.Errorf("30 waits burned %v of CPU, want < 15ms", best)
+	}
+}
+
+// TestEchoBesidePacedWaits: with one P, a goroutine keeping paced deadlines
+// 1–3 ms ahead must leave that P to the rest of the process between its
+// releases, sockets polled included. An 8-byte loopback echo with 0.5 ms idle
+// between pings runs beside it for about 2 s. A pacer that sleeps in the
+// kernel on its own thread keeps the only P through every sleep, and the
+// echo's p90 round trip grows to the better part of a millisecond; one parked
+// in the runtime poller leaves it at tens of microseconds.
+func TestEchoBesidePacedWaits(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Skip(err)
+	}
+	defer ln.Close()
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		var buf [8]byte
+		for {
+			if _, err := io.ReadFull(c, buf[:]); err != nil {
+				return
+			}
+			if _, err := c.Write(buf[:]); err != nil {
+				return
+			}
+		}
+	}()
+	c, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	defer keepPacing()()
+	var rtt []time.Duration
+	var buf [8]byte
+	for end := time.Now().Add(2 * time.Second); time.Now().Before(end); {
+		time.Sleep(500 * time.Microsecond)
+		t0 := time.Now()
+		if _, err := c.Write(buf[:]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(c, buf[:]); err != nil {
+			t.Fatal(err)
+		}
+		rtt = append(rtt, time.Since(t0))
+	}
+
+	sort.Slice(rtt, func(i, j int) bool { return rtt[i] < rtt[j] })
+	p50, p90, p99 := rtt[len(rtt)/2], rtt[len(rtt)*9/10], rtt[len(rtt)*99/100]
+	t.Logf("echo round trip over %d pings beside paced waits: p50 %v, p90 %v, p99 %v", len(rtt), p50, p90, p99)
+	if p90 > 300*time.Microsecond {
+		t.Errorf("echo round trip p90 %v beside paced waits at one P, want <= 300µs", p90)
 	}
 }
