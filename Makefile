@@ -111,9 +111,10 @@ loc:
 # net of the refusal of a task timeout under ProcessorSharing. It went
 # 18789 -> 18723 (internal/joint unchanged) when cluster.Drive lost its
 # config struct and its rate, and edgeserved lost three one-value flags and
-# its two flag.Value types.
+# its two flag.Value types, and 18723 -> 18660 when /metrics came to render
+# Registry.State and the registry's test-only walks went.
 LOC_MAX_JOINT = 2511
-LOC_MAX_TOTAL = 18723
+LOC_MAX_TOTAL = 18660
 loc-check: loc
 	@joint=$$($(call loc_of,internal/joint)); total=$$($(loc_total)); \
 	if [ $$joint -gt $(LOC_MAX_JOINT) ] || [ $$total -gt $(LOC_MAX_TOTAL) ]; then \
@@ -323,8 +324,16 @@ examples:
 	$(GO) run ./examples/adaptive-bandwidth
 	$(GO) run ./examples/calibrated-pipeline
 
+# Statement coverage of the module by the whole suite: every package's tests
+# count toward every package (-coverpkg=./...), merged into one profile under
+# $TMPDIR (never in the repo), then printed per function, least covered first,
+# with the total last. About a minute on a 2-vCPU host; not run in CI.
 cover:
-	$(GO) test -cover ./...
+	@prof=$$(mktemp "$${TMPDIR:-/tmp}/edgesurgeon-cover.XXXXXX") && \
+	$(GO) test -coverpkg=./... -coverprofile="$$prof" ./... && \
+	$(GO) tool cover -func="$$prof" > "$$prof.func" && \
+	grep -v '^total:' "$$prof.func" | sort -k3,3n && grep '^total:' "$$prof.func" && \
+	echo "profile: $$prof"
 
 clean:
 	$(GO) clean ./...

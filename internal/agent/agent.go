@@ -36,6 +36,7 @@ import (
 	"bufio"
 	"context"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -237,6 +238,9 @@ func handshake(nc net.Conn, cfg Config) (*wire.Conn, error) {
 // carries over across replans so an allocation push never resets an
 // in-flight backlog.
 func (a *Agent) install(alloc *wire.Allocation) error {
+	if math.IsNaN(alloc.UplinkBps) || math.IsInf(alloc.UplinkBps, 0) || math.IsNaN(alloc.RTT) || math.IsInf(alloc.RTT, 0) {
+		return fmt.Errorf("agent: allocation pushes uplink %g bps and RTT %g s; both must be finite", alloc.UplinkBps, alloc.RTT)
+	}
 	sc := a.cfg.Scenario
 	srv := sc.Servers[a.cfg.Server]
 	slots := make(map[int]*userSlot, len(alloc.Entries))

@@ -330,6 +330,39 @@ func TestSameUserRequestsSerialize(t *testing.T) {
 	}
 }
 
+// TestInstallRefusesNonFiniteAllocation: an allocation comes off the wire,
+// so a NaN share, a NaN or infinite rate or a non-finite RTT must be refused
+// before it reaches a slot. Each was installed once and left the slot's
+// conditional server seconds or uplink bits NaN (0·Inf is NaN).
+func TestInstallRefusesNonFiniteAllocation(t *testing.T) {
+	sc := testScenario(t, 1, 40)
+	agentSide, _ := wirePair(t)
+	a := newAgent(Config{Scenario: sc, Server: 0, Clock: newFakeClock()}, agentSide)
+	t.Cleanup(func() { a.ob.shut(nil) })
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name                  string
+		compute, bandwidth    float64
+		uplinkBps, rttSeconds float64
+	}{
+		{"compute share NaN", nan, 0.5, netmodel.Mbps(40), 0.004},
+		{"bandwidth share NaN", 0.5, nan, netmodel.Mbps(40), 0.004},
+		{"uplink NaN", 0.5, 0.5, nan, 0.004},
+		{"uplink +Inf", 0.5, 0.5, inf, 0.004},
+		{"RTT NaN", 0.5, 0.5, netmodel.Mbps(40), nan},
+		{"RTT +Inf", 0.5, 0.5, netmodel.Mbps(40), inf},
+	} {
+		err := a.install(&wire.Allocation{
+			Epoch: 1, UplinkBps: tc.uplinkBps, RTT: tc.rttSeconds,
+			Entries: []wire.AllocEntry{{User: 0, Partition: 0, ComputeShare: tc.compute, BandwidthShare: tc.bandwidth}},
+		})
+		if err == nil {
+			slot := a.slot(0)
+			t.Errorf("%s: installed, slot reads condServerSec %g condUplinkBits %g", tc.name, slot.condServerSec, slot.condUplinkBits)
+		}
+	}
+}
+
 // TestLaneClaimedAtSentNotArrival: a user's share is claimed in the order
 // transfers end, not the order Infers arrive. On a link that speeds up
 // twentyfold at model instant s, request 1 arrives at 0 and transfers until

@@ -152,9 +152,26 @@ func (g *goldenHash) report(r HealthReport) {
 	d.bool(r.Restored)
 }
 
-// registry digests the planner's published series (bookkeeping).
+// registry digests the planner's published series (bookkeeping): every
+// counter and gauge under its name, and each histogram as name.count (the
+// sum of its buckets) and name.sum, in one name-sorted series.
 func (g *goldenHash) registry(reg *telemetry.Registry) {
-	snap := reg.Snapshot()
+	st := reg.State()
+	snap := make(map[string]float64, len(st.Counters)+len(st.Gauges)+2*len(st.Histograms))
+	for name, v := range st.Counters {
+		snap[name] = float64(v)
+	}
+	for name, v := range st.Gauges {
+		snap[name] = v
+	}
+	for name, h := range st.Histograms {
+		var n int64
+		for _, c := range h.Counts {
+			n += c
+		}
+		snap[name+".count"] = float64(n)
+		snap[name+".sum"] = h.Sum
+	}
 	names := make([]string, 0, len(snap))
 	for name := range snap {
 		names = append(names, name)

@@ -286,3 +286,39 @@ func TestShardThresholdBoundary(t *testing.T) {
 		t.Fatalf("threshold equal to user count did not shard")
 	}
 }
+
+// TestNominateTopKByWeightedLatency pins the scale-regime nomination on a
+// donor shard larger than k: exactly k of its users, by descending weight ×
+// latency, users of equal contribution in the shard's own order, and never
+// a user of another shard however large its contribution. The shard is
+// wider than the sorts' insertion-sort cutoff, so an unstable sort shows.
+func TestNominateTopKByWeightedLatency(t *testing.T) {
+	const n = 16
+	// Weight and latency by user index mod 4: contributions 0.2, 0.4,
+	// 0.05 and 0.6, an order latency alone would not give.
+	class := []struct{ weight, latency float64 }{{1, 0.2}, {4, 0.1}, {0.5, 0.1}, {2, 0.3}}
+	st := &state{
+		hot: &userSoA{weight: make([]float64, n+1)},
+		ds:  make([]Decision, n+1),
+	}
+	shard := make([]int, 0, n)
+	for ui := n - 1; ui >= 0; ui-- {
+		shard = append(shard, ui)
+		c := class[ui%4]
+		st.hot.weight[ui], st.ds[ui].Eval = c.weight, surgery.Eval{FixedSec: c.latency}
+	}
+	st.hot.weight[n], st.ds[n].Eval = 9, surgery.Eval{FixedSec: 10}
+	st.assigned = [][]int{shard, {n}}
+	ranked := []int{15, 11, 7, 3, 13, 9, 5, 1, 12, 8, 4, 0, 14, 10, 6, 2}
+	for _, k := range []int{1, 4, 6, 9, 15} {
+		if got := st.nominate(0, k); !reflect.DeepEqual(got, ranked[:k]) {
+			t.Errorf("nominate(k=%d) = %v, want %v", k, got, ranked[:k])
+		}
+	}
+	if got := st.nominate(0, n); !reflect.DeepEqual(got, shard) {
+		t.Errorf("nominate(k=%d) = %v, want the whole shard in its own order %v", n, got, shard)
+	}
+	if want := []int{15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0}; !reflect.DeepEqual(st.assigned[0], want) {
+		t.Fatalf("nominate reordered the shard: %v", st.assigned[0])
+	}
+}

@@ -16,12 +16,12 @@ import (
 // agent registered as "10.0.0.7:52113" would make faults ungreppable.
 func TestPerServerLabelsShareCanonicalSourceScheme(t *testing.T) {
 	rt := newRuntime(t, Hysteresis())
-	snap := rt.Metrics().Snapshot()
+	gauges := rt.Metrics().State().Gauges
 	for i := 0; i < 2; i++ {
 		want := "serve.drift." + telemetry.SourceID(i)
-		if _, ok := snap[want]; !ok {
+		if _, ok := gauges[want]; !ok {
 			var drift []string
-			for name := range snap {
+			for name := range gauges {
 				if strings.HasPrefix(name, "serve.drift.") {
 					drift = append(drift, name)
 				}

@@ -607,6 +607,33 @@ func FuzzSnapshotDecode(f *testing.F) {
 	})
 }
 
+// TestParseWALValidatesEveryEntry: an entry that breaks a WAL rule — a Seq
+// that does not increase, both or neither of sample and throttle, a throttle
+// outside (0, 1] — is refused with its line number in the middle of the
+// file, and dropped as a torn tail when it is the last line.
+func TestParseWALValidatesEveryEntry(t *testing.T) {
+	const head = `{"magic":"edgesurgeon-wal","v":2}` + "\n" +
+		`{"seq":1,"sample":{"t":0}}` + "\n" +
+		`{"seq":2,"throttle":0.5}` + "\n"
+	const later = `{"seq":9,"sample":{"t":5}}` + "\n"
+	for _, tc := range []struct{ bad, rule string }{
+		{`{"seq":2,"sample":{"t":1}}`, "seq 2 does not follow 2"},
+		{`{"seq":3}`, "carries neither sample nor control"},
+		{`{"seq":3,"sample":{"t":1},"throttle":0.5}`, "carries both sample and control"},
+		{`{"seq":3,"throttle":1.5}`, "throttle 1.5 is outside (0, 1]"},
+		{`{"seq":3,"throttle":-0.25}`, "throttle -0.25 is outside (0, 1]"},
+	} {
+		_, err := ParseWAL([]byte(head + tc.bad + "\n" + later))
+		if err == nil || !strings.Contains(err.Error(), "wal line 4: ") || !strings.Contains(err.Error(), tc.rule) {
+			t.Errorf("%s mid-file: err %v, want line 4 refused for %q", tc.bad, err, tc.rule)
+		}
+		entries, err := ParseWAL([]byte(head + tc.bad + "\n"))
+		if err != nil || len(entries) != 2 || entries[1].Seq != 2 {
+			t.Errorf("%s as the last line: %d entries, err %v; want it dropped as a torn tail", tc.bad, len(entries), err)
+		}
+	}
+}
+
 // FuzzWALReplay: arbitrary WAL bytes must never panic the parser, and
 // whatever it accepts must satisfy the strictly-increasing-Seq contract.
 func FuzzWALReplay(f *testing.F) {

@@ -67,13 +67,14 @@ func (e Env) Validate() error {
 		return fmt.Errorf("surgery: env needs a device")
 	}
 	if e.Server != nil {
-		if e.ComputeShare <= 0 || e.ComputeShare > 1 {
+		// Negated so that NaN, which fails every comparison, is refused.
+		if !(e.ComputeShare > 0 && e.ComputeShare <= 1) {
 			return fmt.Errorf("surgery: compute share %g out of (0,1]", e.ComputeShare)
 		}
-		if e.UplinkBps <= 0 {
+		if !(e.UplinkBps > 0) {
 			return fmt.Errorf("surgery: non-positive uplink %g", e.UplinkBps)
 		}
-		if e.BandwidthShare <= 0 || e.BandwidthShare > 1 {
+		if !(e.BandwidthShare > 0 && e.BandwidthShare <= 1) {
 			return fmt.Errorf("surgery: bandwidth share %g out of (0,1]", e.BandwidthShare)
 		}
 	}

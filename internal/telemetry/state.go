@@ -22,7 +22,8 @@ type RegistryState struct {
 	Histograms map[string]HistogramState `json:"histograms,omitempty"`
 }
 
-// State captures every metric in the registry.
+// State captures every metric in the registry. It is the registry's one
+// capture: WriteText renders it and a control-plane snapshot stores it.
 func (r *Registry) State() RegistryState {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -86,12 +87,10 @@ func (r *Registry) Restore(st RegistryState) error {
 		if len(hs.Counts) != len(hs.Bounds)+1 {
 			return fmt.Errorf("telemetry: histogram %s state has %d counts for %d bounds", name, len(hs.Counts), len(hs.Bounds))
 		}
-		var n int64
 		for i, c := range hs.Counts {
 			if c < 0 {
 				return fmt.Errorf("telemetry: histogram %s state has negative count at bucket %d", name, i)
 			}
-			n += c
 		}
 		h, ok := r.hists[name]
 		if !ok {
@@ -114,7 +113,6 @@ func (r *Registry) Restore(st RegistryState) error {
 			}
 		}
 		copy(h.counts, hs.Counts)
-		h.n = n
 		h.sum = hs.Sum
 		h.mu.Unlock()
 	}

@@ -58,7 +58,6 @@ type Histogram struct {
 	mu     sync.Mutex
 	bounds []float64 // upper bounds of the finite buckets
 	counts []int64   // len(bounds)+1; last is the +Inf bucket
-	n      int64
 	sum    float64
 }
 
@@ -98,35 +97,7 @@ func (h *Histogram) Observe(v float64) {
 	defer h.mu.Unlock()
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i]++
-	h.n++
 	h.sum += v
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.n
-}
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
-// Buckets returns a copy of the per-bucket counts; the last entry is the
-// +Inf overflow bucket.
-func (h *Histogram) Buckets() []int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return append([]int64(nil), h.counts...)
-}
-
-// Bounds returns a copy of the finite bucket upper bounds.
-func (h *Histogram) Bounds() []float64 {
-	return append([]float64(nil), h.bounds...)
 }
 
 // Registry is a named-metric namespace. Lookups are get-or-create, so
@@ -186,79 +157,32 @@ func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
 	return h
 }
 
-// Snapshot returns every scalar metric as name -> value: counters as their
-// count, gauges as their value, histograms expanded to name.count and
-// name.sum. The map is a point-in-time copy.
-func (r *Registry) Snapshot() map[string]float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]float64, len(r.counters)+len(r.gauges)+2*len(r.hists))
-	for name, c := range r.counters {
-		out[name] = float64(c.Value())
-	}
-	for name, g := range r.gauges {
-		out[name] = g.Value()
-	}
-	for name, h := range r.hists {
-		out[name+".count"] = float64(h.Count())
-		out[name+".sum"] = h.Sum()
-	}
-	return out
-}
-
-// WriteText renders the registry in a deterministic one-line-per-metric
-// text format (sorted within each metric family), the payload of the
-// edgeserved `/metrics` endpoint. Two registries that observed the same
-// history render byte-identically.
+// WriteText renders the registry's State in a deterministic
+// one-line-per-metric text format (counters, gauges, then histograms, each
+// sorted by name), the payload of the edgeserved `/metrics` endpoint. Two
+// registries that observed the same history render byte-identically.
 func (r *Registry) WriteText(w io.Writer) error {
-	r.mu.Lock()
-	counters := make([]string, 0, len(r.counters))
-	for name := range r.counters {
-		counters = append(counters, name)
-	}
-	gauges := make([]string, 0, len(r.gauges))
-	for name := range r.gauges {
-		gauges = append(gauges, name)
-	}
-	hists := make([]string, 0, len(r.hists))
-	for name := range r.hists {
-		hists = append(hists, name)
-	}
-	cv := make(map[string]int64, len(counters))
-	for name, c := range r.counters {
-		cv[name] = c.Value()
-	}
-	gv := make(map[string]float64, len(gauges))
-	for name, g := range r.gauges {
-		gv[name] = g.Value()
-	}
-	hv := make(map[string]*Histogram, len(hists))
-	for name, h := range r.hists {
-		hv[name] = h
-	}
-	r.mu.Unlock()
-
-	sort.Strings(counters)
-	sort.Strings(gauges)
-	sort.Strings(hists)
+	st := r.State()
 	var b strings.Builder
-	for _, name := range counters {
-		fmt.Fprintf(&b, "counter %s %d\n", name, cv[name])
+	for _, name := range sortedNames(st.Counters) {
+		fmt.Fprintf(&b, "counter %s %d\n", name, st.Counters[name])
 	}
-	for _, name := range gauges {
-		fmt.Fprintf(&b, "gauge %s %s\n", name, formatFloat(gv[name]))
+	for _, name := range sortedNames(st.Gauges) {
+		fmt.Fprintf(&b, "gauge %s %s\n", name, formatFloat(st.Gauges[name]))
 	}
-	for _, name := range hists {
-		h := hv[name]
-		bounds := h.Bounds()
-		counts := h.Buckets()
-		fmt.Fprintf(&b, "histogram %s count=%d sum=%s buckets=", name, h.Count(), formatFloat(h.Sum()))
-		for i, c := range counts {
+	for _, name := range sortedNames(st.Histograms) {
+		h := st.Histograms[name]
+		var n int64
+		for _, c := range h.Counts {
+			n += c
+		}
+		fmt.Fprintf(&b, "histogram %s count=%d sum=%s buckets=", name, n, formatFloat(h.Sum))
+		for i, c := range h.Counts {
 			if i > 0 {
 				b.WriteByte(',')
 			}
-			if i < len(bounds) {
-				fmt.Fprintf(&b, "le%s:%d", formatFloat(bounds[i]), c)
+			if i < len(h.Bounds) {
+				fmt.Fprintf(&b, "le%s:%d", formatFloat(h.Bounds[i]), c)
 			} else {
 				fmt.Fprintf(&b, "+inf:%d", c)
 			}
@@ -275,6 +199,16 @@ func (r *Registry) Text() string {
 	// strings.Builder writes cannot fail.
 	_ = r.WriteText(&b)
 	return b.String()
+}
+
+// sortedNames returns the keys of m in ascending order.
+func sortedNames[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // formatFloat renders a float deterministically at full round-trip

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -47,22 +48,19 @@ func TestGauge(t *testing.T) {
 	}
 }
 
-// TestHistogramObserveAndMerge: observations land in the first bucket whose
+// TestHistogramObserveBuckets: observations land in the first bucket whose
 // bound they do not exceed (a value equal to a bound lands in that bound's
-// bucket), past the last bound in the +Inf bucket, and count and sum add up.
-func TestHistogramObserveAndMerge(t *testing.T) {
-	h := MustHistogram(1, 2, 4)
+// bucket), past the last bound in the +Inf bucket, and the sum adds up.
+func TestHistogramObserveBuckets(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("h", 1, 2, 4)
 	for _, v := range []float64{0.5, 1, 1.5, 10, 2, 3, 100} {
 		h.Observe(v)
 	}
-	if h.Count() != 7 || h.Sum() != 118 {
-		t.Fatalf("count/sum %d/%g, want 7/118", h.Count(), h.Sum())
-	}
+	got := r.State().Histograms["h"]
 	want := []int64{2, 2, 1, 2}
-	for i, got := range h.Buckets() {
-		if got != want[i] {
-			t.Fatalf("buckets %v, want %v", h.Buckets(), want)
-		}
+	if got.Sum != 118 || !slices.Equal(got.Counts, want) {
+		t.Fatalf("sum %g buckets %v, want 118 %v", got.Sum, got.Counts, want)
 	}
 }
 
@@ -106,9 +104,34 @@ func TestRegistrySharingAndText(t *testing.T) {
 	if again := r.Text(); again != text {
 		t.Fatalf("text not deterministic:\n%s\nvs\n%s", text, again)
 	}
-	snap := r.Snapshot()
-	if snap["replans.full"] != 3 || snap["drift.count"] != 1 || snap["drift.sum"] != 0.3 {
-		t.Fatalf("snapshot %v", snap)
+	st := r.State()
+	if st.Counters["replans.full"] != 3 || st.Gauges["objective"] != 1.5 || st.Histograms["drift"].Sum != 0.3 {
+		t.Fatalf("state %+v", st)
+	}
+}
+
+// TestRegistryTextPinned pins the whole /metrics rendering of a fixed
+// registry byte for byte: families in counter, gauge, histogram order, names
+// sorted within each, gauges at round-trip precision, and every histogram
+// bucket (an empty histogram included) with its +Inf overflow.
+func TestRegistryTextPinned(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("serve.samples").Add(12)
+	r.Counter("serve.replans.full").Inc()
+	r.Gauge("serve.objective").Set(2.0 / 3)
+	h := r.Histogram("serve.drift", 0.1, 0.5, 1)
+	for _, v := range []float64{0.3, 0.4, 7.5} {
+		h.Observe(v)
+	}
+	r.Histogram("serve.idle", 1, 2)
+
+	const want = "counter serve.replans.full 1\n" +
+		"counter serve.samples 12\n" +
+		"gauge serve.objective 0.6666666666666666\n" +
+		"histogram serve.drift count=3 sum=8.2 buckets=le0.1:0,le0.5:2,le1:0,+inf:1\n" +
+		"histogram serve.idle count=0 sum=0 buckets=le1:0,le2:0,+inf:0\n"
+	if got := r.Text(); got != want {
+		t.Fatalf("text:\n%s\nwant:\n%s", got, want)
 	}
 }
 

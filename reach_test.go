@@ -35,7 +35,6 @@ var reachAllowed = map[string]string{
 	"edgesurgeon/internal/baseline.ExhaustiveAssignment.Name": "implements joint.Strategy; its callers call Plan directly",
 
 	"edgesurgeon/internal/telemetry.(*Journal).CountKind": "used by the serve tests",
-	"edgesurgeon/internal/telemetry.(*Registry).Snapshot": "used by the joint and serve tests",
 	"edgesurgeon/internal/hardware.Devices":               "used by the joint and surgery tests",
 	"edgesurgeon/internal/hardware.Servers":               "used by the joint and surgery tests",
 	"edgesurgeon/internal/serve.(*Runtime).Seq":           "used by the serve and agent tests",
