@@ -187,7 +187,7 @@ func MustHardware(name string) *HardwareProfile {
 // Mbps converts megabits/second to the bits/second the link models use.
 func Mbps(v float64) float64 { return netmodel.Mbps(v) }
 
-// StaticLink builds a constant-rate link.
+// StaticLink builds a constant-rate link; a rate not finite and positive panics.
 func StaticLink(name string, rateBps float64, rtt time.Duration) Link {
 	return netmodel.NewStatic(name, rateBps, rtt.Seconds())
 }

@@ -100,9 +100,6 @@ type userSlot struct {
 	// transfer is timed against the link's actual rate at send time and
 	// every policy arm experiences the same fading physics.
 	condUplinkBits float64
-	// allocUplinkBps is the pushed rate estimate, kept only as the
-	// transfer-timing fallback if the link model ever reports no rate.
-	allocUplinkBps float64
 	// condServerSec is the conditional per-request compute time in
 	// model-seconds at the pushed compute share.
 	condServerSec float64
@@ -271,7 +268,7 @@ func (a *Agent) install(alloc *wire.Allocation) error {
 		}
 		sumCompute += e.ComputeShare
 		sumBandwidth += e.BandwidthShare
-		slot := &userSlot{allocUplinkBps: alloc.UplinkBps}
+		slot := &userSlot{}
 		if ev.CrossProb > 0 {
 			// TxSec was evaluated at the pushed UplinkBps; multiplying the
 			// rate back out recovers the share-adjusted conditional bits,
@@ -326,11 +323,8 @@ func (a *Agent) handleInfer(m *wire.Infer) {
 	}
 	uplinkSec := 0.0
 	if slot.condUplinkBits > 0 {
-		rate := a.cfg.Scenario.Servers[a.cfg.Server].Link.RateAt(arrive)
-		if rate <= 0 {
-			rate = slot.allocUplinkBps
-		}
-		uplinkSec = slot.condUplinkBits / rate
+		// Every link's rate is finite and positive (netmodel's constructors).
+		uplinkSec = slot.condUplinkBits / a.cfg.Scenario.Servers[a.cfg.Server].Link.RateAt(arrive)
 	}
 	sent := arrive + uplinkSec
 	res := &wire.InferResult{Seq: m.Seq, User: m.User, Status: wire.StatusOK, UplinkSec: uplinkSec, ServerSec: slot.condServerSec}

@@ -240,8 +240,9 @@ func TestSameUserRequestsSerialize(t *testing.T) {
 	sc := testScenario(t, 2, 40)
 	// The transfer takes no model time, so the four are "sent" at the instant
 	// they arrive, 0, and every instant below is a small multiple of s: the
-	// float sums that produce them are exact.
-	sc.Servers[0].Link = netmodel.NewStatic("instant", math.Inf(1), 0.004)
+	// float sums that produce them are exact. No constructor builds a link
+	// that fast, so the test writes it out.
+	sc.Servers[0].Link = &netmodel.StaticLink{LinkName: "instant", RateBps: math.Inf(1), RTTSec: 0.004}
 	agentSide, peer := wirePair(t)
 	clock := newFakeClock()
 	a := newAgent(Config{Scenario: sc, Server: 0, Clock: clock}, agentSide)

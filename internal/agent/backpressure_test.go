@@ -856,3 +856,126 @@ func TestOneFramePerFlushWhenSequential(t *testing.T) {
 		t.Error("no call crossed to an agent; the agent outbox was not exercised")
 	}
 }
+
+// stallAgent registers a raw-wire stand-in agent for server: it completes the
+// handshake, acknowledges the first allocation push so the readiness barrier
+// counts it, and never reads again. Its receive buffer is shrunk so the
+// dispatcher's writes back up after a few frames.
+func stallAgent(t *testing.T, addr string, server int) {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { nc.Close() })
+	if tc, ok := nc.(*net.TCPConn); ok {
+		_ = tc.SetReadBuffer(2048)
+	}
+	conn, err := wire.NewConn(bufio.NewReader(nc), nc, nc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.Send(&wire.Hello{Role: wire.RoleAgent, Server: server, ID: "stalled"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Recv(); err != nil { // Welcome
+		t.Fatal(err)
+	}
+	m, err := conn.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc, ok := m.(*wire.Allocation)
+	if !ok {
+		t.Fatalf("stand-in agent expected an Allocation, got %T", m)
+	}
+	if err := conn.Send(&wire.AllocAck{Epoch: alloc.Epoch}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStalledAgentIsEvacuated drives the dispatcher's suspect path: an agent
+// that completed its handshake and then stopped reading is handed crossing
+// requests until its outbound queue overflows. The dispatcher must mark it
+// suspect once, tear its connection down, drop it from the agent table and
+// report its server down to the runtime, and answer every request that was
+// in flight on it. The write deadline is set far past the test, so only the
+// suspect path's own teardown can end the connection in time; the client
+// queue is widened so the answers of the failed handoffs, which arrive
+// together, are not shed.
+func TestStalledAgentIsEvacuated(t *testing.T) {
+	const maxCalls = 4096
+	sc := testScenario(t, 8, 40)
+	rt, err := serve.New(serve.Config{Scenario: sc, Policy: serve.Hysteresis()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := StartDispatcher(DispatcherConfig{
+		Scenario: sc, Runtime: rt, TimeScale: 0.001, Seed: 42,
+		limits: limits{inferTimeout: time.Minute, writeDeadline: time.Minute, clientQueue: maxCalls},
+		Logf:   t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close(); rt.Close() })
+	stallAgent(t, d.Addr(), 0)
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	go func() {
+		_ = Run(ctx, Config{Scenario: sc, Server: 1, Dispatcher: d.Addr(), TimeScale: 0.001, TelemetryPeriod: 5})
+	}()
+	if err := d.WaitAgents(2, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	var crossing []int
+	for ui, dec := range rt.Current().Decisions {
+		if dec.Server == 0 && dec.Eval.CrossProb > 0.5 {
+			crossing = append(crossing, ui)
+		}
+	}
+	if len(crossing) == 0 {
+		t.Fatal("fixture: no user crosses to server 0 on most requests")
+	}
+
+	// Requests go out until the agent is marked suspect: its queue holds
+	// agentQueue frames, and the sockets some more.
+	c, err := client.Dial(d.Addr(), client.Config{Window: maxCalls, CallTimeout: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	callCtx, stop := context.WithTimeout(context.Background(), 30*time.Second)
+	defer stop()
+	suspect := rt.Metrics().Counter("dataplane.agent_suspect")
+	errs := make(chan error, maxCalls)
+	calls := 0
+	for ; calls < maxCalls && suspect.Value() == 0; calls++ {
+		go func(user int) {
+			_, err := c.Do(callCtx, user)
+			errs <- err
+		}(crossing[calls%len(crossing)])
+		if calls%32 == 31 {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	deadline := time.Now().Add(15 * time.Second)
+	for suspect.Value() == 0 || (*d.agents.Load())[0] != nil || rt.Up(0) {
+		if time.Now().After(deadline) {
+			t.Fatalf("stalled agent not evacuated: suspect %d, still registered %t, server up %t",
+				suspect.Value(), (*d.agents.Load())[0] != nil, rt.Up(0))
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	for i := 0; i < calls; i++ {
+		if err := <-errs; err != nil {
+			var se *client.StatusError
+			if !errors.As(err, &se) {
+				t.Fatalf("call %d was not answered: %v", i, err)
+			}
+		}
+	}
+	if n := suspect.Value(); n != 1 {
+		t.Fatalf("dataplane.agent_suspect = %d, want 1", n)
+	}
+}

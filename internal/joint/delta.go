@@ -65,12 +65,19 @@ func (p *Planner) PlanDelta(sc *Scenario, prev *Plan, dirty []bool) (*Plan, erro
 	}
 
 	// Warm start: the previous decisions verbatim, uplinks resolved from the
-	// drifted scenario. Per-server feasibility is seeded from the
-	// carried-over decisions' deadline satisfaction — the allocator's
-	// stability bound is re-checked only on shards that actually
-	// re-allocate, which dirty shards (and any shard a reconciliation move
-	// touches) always do.
+	// drifted scenario, after the full plan's local-only pre-pass on the
+	// dirty shards: a user there whose optimum at the drifted link's full
+	// share stays on-device is pinned, and no round or scan pays for it.
+	// Per-server feasibility is seeded from the carried-over decisions'
+	// deadline satisfaction — the allocator's stability bound is re-checked
+	// only on shards that actually re-allocate, which dirty shards (and any
+	// shard a reconciliation move touches) always do.
 	st := newState(sc, opt, buildUserSoA(sc))
+	probed, err := pinLocalUsers(sc, opt, st.hot, ds, dirty)
+	if err != nil {
+		return nil, err
+	}
+	st.spent = int64(probed)
 	st.seedDecisions(ds, workOrder(st.hot))
 	for ui := range ds {
 		if d := st.hot.deadline[ui]; d > 0 && ds[ui].Server >= 0 && ds[ui].Latency() > d {

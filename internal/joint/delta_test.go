@@ -83,10 +83,10 @@ func TestDeltaDifferentialGap(t *testing.T) {
 }
 
 // TestDeltaParallelismInvariance pins that a delta replan against a table
-// set registered and then extended for the drift (ExtendFrontierSet, the
-// control plane's delta path) at GOMAXPROCS 1, 2 and 4 is byte-identical at
-// every setting — decisions, objective, trajectory, work ledger and hit/miss
-// tally — and that every setting adds the same tables.
+// set registered for the undrifted scenario at GOMAXPROCS 1, 2 and 4 is
+// byte-identical at every setting — decisions, objective, trajectory, work
+// ledger and hit/miss tally — and that ExtendFrontierSet adds no table for
+// the drift at any of them: a table answers every link rate.
 func TestDeltaParallelismInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(8181))
 	for i := 0; i < 4; i++ {
@@ -95,7 +95,6 @@ func TestDeltaParallelismInvariance(t *testing.T) {
 		dirty := make([]bool, len(sc.Servers))
 		dirty[0] = true
 		var ref *Plan
-		var refAdded int
 		for _, procs := range []int{1, 2, 4} {
 			var delta *Plan
 			var added int
@@ -114,15 +113,12 @@ func TestDeltaParallelismInvariance(t *testing.T) {
 					t.Fatalf("scenario %d procs %d: delta replan: %v", i, procs, err)
 				}
 			})
-			if ref == nil {
-				ref, refAdded = delta, added
-				if added == 0 {
-					t.Fatalf("scenario %d: the drift added no tables", i)
-				}
-				continue
+			if added != 0 {
+				t.Fatalf("scenario %d procs %d: the drift added %d tables", i, procs, added)
 			}
-			if added != refAdded {
-				t.Fatalf("scenario %d procs %d: extension added %d tables, one goroutine %d", i, procs, added, refAdded)
+			if ref == nil {
+				ref = delta
+				continue
 			}
 			if !reflect.DeepEqual(ref, delta) {
 				samePlanModuloCounters(t, fmt.Sprintf("scenario %d procs %d", i, procs), delta, ref)

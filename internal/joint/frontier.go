@@ -1,6 +1,7 @@
 package joint
 
 import (
+	"math"
 	"sort"
 
 	"edgesurgeon/internal/surgery"
@@ -8,7 +9,8 @@ import (
 
 // This file is the planner's one memo for its innermost question — the best
 // surgery for a user at these shares: surgery.Frontier tables over the one
-// geometric share grid (state.env snaps every environment onto it). A key
+// grid of compute shares and absolute bandwidths (state.env snaps every
+// environment onto it), each answering its key at every link rate. A key
 // registered in Options.Frontiers is answered from the set's table, which
 // keeps its cells for every plan that shares the set; every other key gets a
 // table private to the planning state. Either way a cell is filled on its
@@ -24,40 +26,32 @@ import (
 // (each table locks its own cells), while the private tables and the tally
 // belong to this state alone.
 type tables struct {
-	set  *surgery.FrontierSet // Options.Frontiers; nil when none was supplied
-	bo   surgery.BuildOptions // what private tables run the optimizer under
-	grid surgery.ShareGrid
+	set *surgery.FrontierSet // Options.Frontiers; nil when none was supplied
 	// hits counts lookups answered from a filled cell, misses the ones that
 	// ran the optimizer.
 	hits, misses int64
-	// slots caches the key→table resolution per (user, server) pair: within
-	// one planning state every key component except the shares — model,
-	// device, server profile, planning-time uplink, rate, constraint set —
-	// is constant for a given pair, so constructing and hashing a
-	// FrontierKey per query (the dominant lookup cost at 100k users) is
-	// pure waste after the first resolution. Laid out nUsers×(nServers+1)
-	// with column 0 the device-only (server -1) environment.
+	// slots caches the key→table resolution per (user, server) pair: every
+	// table-key component is constant for a given pair, so constructing and
+	// hashing a FrontierKey per query (the dominant lookup cost at 100k
+	// users) is pure waste after the first resolution. Laid out
+	// nUsers×(nServers+1) with column 0 the device-only (server -1)
+	// environment.
 	slots    []*surgery.Frontier
 	nServers int
-	// own holds the private tables of keys outside set — drifted uplinks
-	// on the observe path, keys past the table budget, or every key when no
-	// set was supplied. They never enter the long-lived set or its budget.
-	own map[surgery.FrontierKey]*surgery.Frontier
+	// own holds the private tables of keys outside set — keys past the
+	// table budget, or every key when no set was supplied — in a set of no
+	// budget that lives as long as this state. They never enter the
+	// long-lived set or its budget.
+	own *surgery.FrontierSet
 }
 
 func newTables(opt *Options, nUsers, nServers int) *tables {
-	tb := &tables{
+	return &tables{
 		set:      opt.Frontiers,
-		bo:       surgery.BuildOptions{Surgery: opt.Surgery},
-		grid:     surgery.NewShareGrid(0),
 		slots:    make([]*surgery.Frontier, nUsers*(nServers+1)),
 		nServers: nServers,
-		own:      make(map[surgery.FrontierKey]*surgery.Frontier),
+		own:      surgery.NewFrontierSet(surgery.BuildOptions{Surgery: opt.Surgery, MaxTables: math.MaxInt}),
 	}
-	if tb.set != nil {
-		tb.grid = tb.set.Grid()
-	}
-	return tb
 }
 
 // table resolves a key: the set's table when it holds one, else this
@@ -68,26 +62,26 @@ func (tb *tables) table(k surgery.FrontierKey) (*surgery.Frontier, error) {
 			return t, nil
 		}
 	}
-	if t := tb.own[k]; t != nil {
-		return t, nil
-	}
-	t, err := surgery.BuildFrontier(k, tb.bo)
-	if err != nil {
+	if err := tb.own.Build(k); err != nil {
 		return nil, err
 	}
-	tb.own[k] = t
-	return t, nil
+	return tb.own.Get(k), nil
 }
 
 // solve is the planner's one surgery-lookup path: user ui's optimum in env,
-// an environment of server (-1 = device-only) at already-snapped shares —
-// resolve the (user, server) slot to its table once, then look the shares
-// up. It reads no decision state, which is what lets the local-pin pass ask
-// it before any exists.
+// an environment of server (-1 = device-only) at an already-snapped grid
+// point — resolve the (user, server) slot to its table once, then look the
+// shares and rate up. It reads no decision state, which is what lets the
+// local-pin pass ask it before any exists.
 func (st *state) solve(ui, server int, env surgery.Env) (surgery.Plan, surgery.Eval, error) {
 	u := &st.sc.Users[ui]
 	if st.opt.noMemo {
-		return surgery.Optimize(u.Model, env, st.opt.surgeryOptions(u))
+		plan, _, err := surgery.Optimize(u.Model, surgery.NewShareGrid(0).Cell(env), st.opt.surgeryOptions(u))
+		if err != nil {
+			return surgery.Plan{}, surgery.Eval{}, err
+		}
+		ev, err := surgery.Evaluate(plan, env)
+		return plan, ev, err
 	}
 	tb := st.tables
 	slot := &tb.slots[ui*(tb.nServers+1)+server+1]
@@ -98,7 +92,7 @@ func (st *state) solve(ui, server int, env surgery.Env) (surgery.Plan, surgery.E
 		}
 		*slot = t
 	}
-	plan, ev, known, err := (*slot).Lookup(env.ComputeShare, env.BandwidthShare)
+	plan, ev, known, err := (*slot).Lookup(env.ComputeShare, env.BandwidthShare, env.UplinkBps)
 	if known {
 		tb.hits++
 	} else {
@@ -120,24 +114,23 @@ func (st *state) stampCounters(plan *Plan) {
 	}
 }
 
-// frontierKeys enumerates the surgery keys sc's users can probe: per user,
+// frontierKeys enumerates the table keys sc's users can probe: per user,
 // the device-only key (the shed/local-pin path) when deviceOnly is set, then
-// one key per server in the mask (nil = every server) at the scenario's
-// planning-time uplink. Keys come back deduplicated in first-appearance
-// order with the number of users sharing each.
+// one key per server in the mask (nil = every server), without the link
+// rate, which no table is keyed on. Keys come back deduplicated in
+// first-appearance order with the number of users sharing each.
 func frontierKeys(sc *Scenario, opt Options, servers []bool, deviceOnly bool) ([]surgery.FrontierKey, map[surgery.FrontierKey]int) {
-	uplink := make([]float64, len(sc.Servers))
 	var include []int
 	for s := range sc.Servers {
 		if servers == nil || (s < len(servers) && servers[s]) {
-			uplink[s] = sc.PlanningRate(s)
 			include = append(include, s)
 		}
 	}
+	noRate := make([]float64, len(sc.Servers))
 	count := make(map[surgery.FrontierKey]int)
 	var keys []surgery.FrontierKey
 	note := func(u *User, s int, sopt surgery.Options) {
-		k := surgery.KeyOf(u.Model, sc.fullShareEnv(u, s, uplink), sopt)
+		k := surgery.KeyOf(u.Model, sc.fullShareEnv(u, s, noRate), sopt)
 		if count[k] == 0 {
 			keys = append(keys, k)
 		}
@@ -157,13 +150,13 @@ func frontierKeys(sc *Scenario, opt Options, servers []bool, deviceOnly bool) ([
 }
 
 // BuildFrontierSet registers a frontier table for every surgery key the
-// planner can probe in sc: for each user, its device-only key plus one key
-// per server at the scenario's planning-time uplink. Keys are deduplicated,
-// ranked by how many users share them (ties by first appearance) and
-// registered most-popular-first up to the set's table budget; keys past it
-// get tables private to each plan. Registration runs no optimizer: a table
-// fills a cell the first time a plan reads it and keeps it for every later
-// plan that shares the set.
+// planner can probe in sc, at any link rates: for each user, its device-only
+// key plus one key per server. Keys are deduplicated, ranked by how many
+// users share them (ties by first appearance) and registered
+// most-popular-first up to the set's table budget; keys past it get tables
+// private to each plan. Registration runs no optimizer: a table fills a cell
+// the first time a plan reads it and keeps it for every later plan that
+// shares the set.
 func BuildFrontierSet(sc *Scenario, opt Options, bo surgery.BuildOptions) (*surgery.FrontierSet, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -182,12 +175,12 @@ func BuildFrontierSet(sc *Scenario, opt Options, bo surgery.BuildOptions) (*surg
 	return set, nil
 }
 
-// ExtendFrontierSet registers empty tables for the flagged servers' drifted
-// environments in an existing set: one key per (user, flagged server) pair
-// at the scenario's current planning-time uplink, deduplicated, keys already
-// registered skipped, and the missing list truncated to the set's remaining
-// table headroom. Device-only keys never drift (they contain no link state)
-// so they are not revisited. Returns the number of tables added.
+// ExtendFrontierSet registers empty tables for the flagged servers' keys in
+// an existing set: one key per (user, flagged server) pair, deduplicated,
+// keys already registered skipped, and the missing list truncated to the
+// set's remaining table headroom; device-only keys are not revisited. A
+// drifted link adds nothing to a set BuildFrontierSet made for the same
+// users and servers. Returns the number of tables added.
 func ExtendFrontierSet(set *surgery.FrontierSet, sc *Scenario, opt Options, servers []bool) int {
 	if set == nil || servers == nil {
 		return 0

@@ -305,11 +305,12 @@ func TestBuildFrontierSetDeterminismAndBudget(t *testing.T) {
 }
 
 // TestDispatcherFrontierDrift: a second dispatcher on the set the first one's
-// initial plan filled plans without a single optimizer call; after an uplink
-// observation drifts the links away from the registered keys, it must answer
-// the new keys with the optimizer (misses, not stale hits) on tables of its
-// own — the long-lived set and its budget never see a drifted key — and
-// decide exactly what a dispatcher without tables decides.
+// initial plan filled plans without a single optimizer call. An uplink
+// observation that drifts the links reads the same tables — a table answers
+// every rate — so it adds no table to the set, fills the set's cells for the
+// bandwidths it has not seen (one probe per miss), and decides exactly what a
+// dispatcher without tables decides, over the same number of lookups. The
+// same observation again is answered from the set without a probe.
 func TestDispatcherFrontierDrift(t *testing.T) {
 	sc := testScenario(t, 6, 40)
 	opt := Options{}
@@ -333,8 +334,7 @@ func TestDispatcherFrontierDrift(t *testing.T) {
 		t.Fatalf("second initial dispatch tallied %d/%d on the set the first one filled", cur.FrontierHits, cur.FrontierMisses)
 	}
 	tables, probes := set.Len(), set.Probes()
-	// Halve both uplinks: every key changes, so no registered table applies.
-	rates := []float64{20e6 / 8 * 8, 12e6}
+	rates := []float64{20e6, 12e6}
 	plan, err := disp.Observe(nil, rates)
 	if err != nil {
 		t.Fatal(err)
@@ -345,13 +345,20 @@ func TestDispatcherFrontierDrift(t *testing.T) {
 		t.Fatal(err)
 	}
 	samePlanModuloCounters(t, "drift", plan, want)
-	if plan.FrontierHits != want.FrontierHits || plan.FrontierMisses != want.FrontierMisses || plan.FrontierMisses == 0 {
+	if plan.FrontierHits+plan.FrontierMisses != want.FrontierHits+want.FrontierMisses || plan.FrontierMisses == 0 {
 		t.Errorf("drifted links tallied %d/%d, a dispatcher without tables %d/%d",
 			plan.FrontierHits, plan.FrontierMisses, want.FrontierHits, want.FrontierMisses)
 	}
-	if set.Len() != tables || set.Probes() != probes {
-		t.Errorf("drifted keys leaked into the shared set: %d tables/%d probes, was %d/%d",
-			set.Len(), set.Probes(), tables, probes)
+	if set.Len() != tables || set.Probes() != probes+plan.FrontierMisses {
+		t.Errorf("a drifted observation left the set at %d tables/%d probes, was %d/%d with %d misses to fill",
+			set.Len(), set.Probes(), tables, probes, plan.FrontierMisses)
+	}
+	again, err := disp.Observe(nil, rates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.FrontierMisses != 0 || set.Probes() != probes+plan.FrontierMisses {
+		t.Errorf("the same observation again missed %d cells", again.FrontierMisses)
 	}
 }
 

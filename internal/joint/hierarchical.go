@@ -81,43 +81,36 @@ func (p *Planner) planSharded(sc *Scenario, opt Options) (*Plan, error) {
 	hot := buildUserSoA(sc)
 	assign, order := initialAssignment(sc, hot)
 
-	// Local-only pre-pass: a user whose surgery optimum stays on-device
-	// even at the most optimistic share (1.0 of its affinity server) never
-	// offloads at any share the planner could allocate — lowering shares
-	// only worsens crossing plans and leaves on-device plans untouched.
-	// Such users become singleton shards with their optimal plan already in
-	// hand, exactly the local components of the simulator's decomposition.
-	pin, err := pinLocalUsers(sc, opt, hot, assign)
+	// Seed: users start blank on their affinity server at the uniform split,
+	// but the local-only pre-pass pins each whose surgery optimum stays
+	// on-device even at the most optimistic share (1.0 of that server): it
+	// never offloads at any share the planner could allocate — lowering
+	// shares only worsens crossing plans. Such users are singleton shards
+	// with their optimal plan already in hand, exactly the local components
+	// of the simulator's decomposition.
+	ds := make([]Decision, len(sc.Users))
+	for ui := range ds {
+		ds[ui].Server = assign[ui]
+	}
+	probed, err := pinLocalUsers(sc, opt, hot, ds, nil)
 	if err != nil {
 		return nil, err
 	}
 	st := newState(sc, opt, hot)
 	// The pre-pass probed one surgery optimization per user; charge it before
 	// any shard work so a budget below even that aborts here.
-	st.spent = int64(len(sc.Users))
+	st.spent = int64(probed)
 	if err := st.checkpoint(); err != nil {
 		return nil, err
-	}
-
-	// Seed: a pinned user carries its local decision, everyone else starts
-	// blank on its affinity server at the uniform split.
-	ds := make([]Decision, len(sc.Users))
-	shards := 0
-	for ui := range ds {
-		if pin[ui] != nil {
-			ds[ui] = *pin[ui]
-			shards++
-		} else {
-			ds[ui].Server = assign[ui]
-		}
 	}
 	st.seedDecisions(ds, order)
 	st.equalShares()
 
-	iters := 0
+	// Count each pinned user as a shard and each non-empty server as one.
+	iters, shards := 0, len(ds)
 	for s := range st.assigned {
-		if len(st.assigned[s]) > 0 {
-			shards++
+		if n := len(st.assigned[s]); n > 0 {
+			shards += 1 - n
 		}
 		n, err := st.converge(s, true)
 		if err != nil {
@@ -323,35 +316,40 @@ func (st *state) crossCheck() *Plan {
 	return plan
 }
 
-// pinLocalUsers returns, per user, the pre-computed local Decision when the
-// user is provably local-only (nil otherwise): its surgery optimum on its
-// affinity server at the full share stays on-device, so no allocation the
-// planner could produce would make it offload. Each user's probe is a pure
-// function of the scenario; the first failing one ends the pass.
+// pinLocalUsers overwrites with its local Decision each user of ds on a
+// server servers flags (nil = every user) whose surgery optimum there at the
+// full share stays on-device — no allocation could make it offload there —
+// and returns how many users it probed. Each probe is a pure function of the
+// scenario; the first failing one ends the pass.
 //
 // The probes go through the planner's one lookup path (state.solve) on a
-// throw-away, uninstrumented state: full shares (1, 1) are an exact point
-// of the share grid and exactly the per-server environments
-// BuildFrontierSet registers, so on a set the cells this pass fills are the
-// plan's to read back, and the pass's tally stays off the plan's counters.
-func pinLocalUsers(sc *Scenario, opt Options, hot *userSoA, assign []int) ([]*Decision, error) {
+// throw-away, uninstrumented state: full-share environments are exactly the
+// per-server keys BuildFrontierSet registers, so on a set the cells this
+// pass fills are the plan's to read back, and the pass's tally stays off the
+// plan's counters.
+func pinLocalUsers(sc *Scenario, opt Options, hot *userSoA, ds []Decision, servers []bool) (int, error) {
 	opt.Metrics = nil
 	st := newState(sc, opt, hot)
-	pin := make([]*Decision, len(sc.Users))
-	for ui := range sc.Users {
+	probed := 0
+	for ui := range ds {
+		s := ds[ui].Server
+		if servers != nil && (s < 0 || !servers[s]) {
+			continue
+		}
+		probed++
 		u := &sc.Users[ui]
-		plan, ev, err := st.solve(ui, assign[ui], sc.fullShareEnv(u, assign[ui], st.uplink))
+		plan, ev, err := st.solve(ui, s, sc.fullShareEnv(u, s, st.uplink))
 		if err != nil {
 			// An infeasible full-share probe (e.g. an accuracy floor no
 			// plan meets) is a real planning failure, not a local user.
-			return nil, err
+			return 0, err
 		}
 		if plan.Partition < u.Model.NumUnits() {
 			continue // the optimum crosses: this user genuinely wants a server
 		}
-		pin[ui] = &Decision{Plan: plan, Eval: ev, Server: -1}
+		ds[ui] = Decision{Plan: plan, Eval: ev, Server: -1}
 	}
-	return pin, nil
+	return probed, nil
 }
 
 // recomputeFeasible rebuilds the global feasibility flag from the

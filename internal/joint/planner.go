@@ -71,8 +71,8 @@ type Options struct {
 	Metrics *telemetry.Registry
 
 	// noMemo answers every surgery problem with a direct optimizer call at
-	// the snapped shares: the reference the in-package tests hold the
-	// tables to. Nothing outside them sets it.
+	// the snapped grid point, evaluated at the planner's shares and rate: the
+	// reference the in-package tests hold the tables to.
 	noMemo bool
 }
 
@@ -518,12 +518,13 @@ func (st *state) env(ui int) surgery.Env {
 		if st.opt.DisableProbe {
 			probe = 0
 		}
-		// Shares are snapped to the share grid before they are looked up, so
-		// the tables are exact rather than approximate: a filled cell returns
-		// precisely what optimizing at those shares would.
-		grid := st.tables.grid
+		// Snapping the compute share and the bandwidth b·R before the lookup
+		// makes the tables exact: a filled cell holds what optimizing at that
+		// point returns. A level above the link rate is the whole link.
+		grid := surgery.NewShareGrid(0)
 		env.ComputeShare = grid.Snap(math.Max(orOne(d.ComputeShare), probe))
-		env.BandwidthShare = grid.Snap(math.Max(orOne(d.BandwidthShare), probe))
+		bw := math.Max(orOne(d.BandwidthShare), probe) * env.UplinkBps
+		env.BandwidthShare = math.Min(grid.SnapBandwidth(bw)/env.UplinkBps, 1)
 	}
 	return env
 }

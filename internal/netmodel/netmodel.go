@@ -36,10 +36,13 @@ type StaticLink struct {
 	RTTSec   float64
 }
 
-// NewStatic builds a constant-rate link.
+// validRate reports whether r is finite and positive (NaN compares false).
+func validRate(r float64) bool { return r > 0 && !math.IsInf(r, 1) }
+
+// NewStatic builds a constant-rate link; a rate not finite and positive panics.
 func NewStatic(name string, rateBps, rtt float64) *StaticLink {
-	if rateBps <= 0 {
-		panic(fmt.Sprintf("netmodel: non-positive rate %g for link %q", rateBps, name))
+	if !validRate(rateBps) {
+		panic(fmt.Sprintf("netmodel: rate %g for link %q is not finite and positive", rateBps, name))
 	}
 	return &StaticLink{LinkName: name, RateBps: rateBps, RTTSec: rtt}
 }
@@ -71,11 +74,11 @@ func NewTrace(name string, times, rates []float64, rtt float64) (*TraceLink, err
 		return nil, fmt.Errorf("netmodel: trace %q needs equal non-empty times/rates, got %d/%d", name, len(times), len(rates))
 	}
 	for i := range times {
-		if i > 0 && times[i] <= times[i-1] {
+		if math.IsNaN(times[i]) || i > 0 && !(times[i] > times[i-1]) {
 			return nil, fmt.Errorf("netmodel: trace %q times not strictly increasing at %d", name, i)
 		}
-		if rates[i] <= 0 {
-			return nil, fmt.Errorf("netmodel: trace %q non-positive rate %g at %d", name, rates[i], i)
+		if !validRate(rates[i]) {
+			return nil, fmt.Errorf("netmodel: trace %q rate %g at %d is not finite and positive", name, rates[i], i)
 		}
 	}
 	return &TraceLink{LinkName: name, Times: times, Rates: rates, RTTSec: rtt}, nil
@@ -142,6 +145,11 @@ const maxFadingDwells = 1e6
 func NewFading(name string, cfg FadingConfig) (*TraceLink, error) {
 	if len(cfg.States) < 2 {
 		return nil, fmt.Errorf("netmodel: fading link %q needs >= 2 states", name)
+	}
+	for i, r := range cfg.States {
+		if !validRate(r) {
+			return nil, fmt.Errorf("netmodel: fading link %q state %d rate %g is not finite and positive", name, i, r)
+		}
 	}
 	if !(cfg.MeanDwell > 0) || !(cfg.Horizon > 0) || math.IsInf(cfg.MeanDwell, 1) || math.IsInf(cfg.Horizon, 1) {
 		return nil, fmt.Errorf("netmodel: fading link %q needs finite positive dwell and horizon, got %g and %g", name, cfg.MeanDwell, cfg.Horizon)

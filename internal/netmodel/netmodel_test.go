@@ -150,3 +150,36 @@ func TestStaticPanicsOnBadRate(t *testing.T) {
 	}()
 	NewStatic("bad", 0, 0)
 }
+
+// TestConstructorsRefuseNonFiniteRates: every constructor refuses a rate that
+// is not finite and positive — NaN and +Inf as well as zero and negatives —
+// and a trace refuses a NaN time, so every Link reports finite positive rates
+// at finite times.
+func TestConstructorsRefuseNonFiniteRates(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, r := range []float64{0, -1, nan, inf, -inf} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewStatic accepted rate %g", r)
+				}
+			}()
+			NewStatic("bad", r, 0)
+		}()
+		if _, err := NewTrace("bad", []float64{0, 1}, []float64{1, r}, 0); err == nil {
+			t.Errorf("NewTrace accepted rate %g", r)
+		}
+		if _, err := NewFading("bad", FadingConfig{States: []float64{r, 1}, MeanDwell: 1, Horizon: 10}); err == nil {
+			t.Errorf("NewFading accepted state %g", r)
+		}
+	}
+	for _, times := range [][]float64{{nan}, {nan, 1}, {0, nan}, {0, 1, nan}} {
+		rates := make([]float64, len(times))
+		for i := range rates {
+			rates[i] = 1
+		}
+		if _, err := NewTrace("bad", times, rates, 0); err == nil {
+			t.Errorf("NewTrace accepted times %v", times)
+		}
+	}
+}

@@ -82,10 +82,10 @@ func TestDeltaReplayDeterminism(t *testing.T) {
 }
 
 // TestDeltaReplayParallelismInvariance extends the end-to-end invariant to
-// the delta path, where each delta replan extends the frontier set for the
-// drifted servers: the control plane's entire observable output, the
-// extension ledger and the planner's hit/miss split included, is identical
-// at GOMAXPROCS 1 and 4.
+// the delta path, where each delta replan reads and fills the full replan's
+// frontier set at the drifted rates: the control plane's entire observable
+// output, the planner's hit/miss split included, is identical at GOMAXPROCS 1
+// and 4.
 func TestDeltaReplayParallelismInvariance(t *testing.T) {
 	trace := chaosTrace(t)
 	var plans1, journal1, metrics1, plans4, journal4, metrics4 string
@@ -100,8 +100,8 @@ func TestDeltaReplayParallelismInvariance(t *testing.T) {
 	if metrics1 != metrics4 {
 		t.Fatalf("metrics diverged across parallelism levels:\n--- serial ---\n%s\n--- parallel ---\n%s", metrics1, metrics4)
 	}
-	if !strings.Contains(journal1, string(EventDeltaReplan)) || !strings.Contains(metrics1, "serve.frontier.extend_tables") {
-		t.Fatalf("trace extended no table set on a delta replan:\n%s\n%s", journal1, metrics1)
+	if !strings.Contains(journal1, string(EventDeltaReplan)) || !strings.Contains(metrics1, "serve.frontier.builds") {
+		t.Fatalf("trace ran no delta replan on a table set:\n%s\n%s", journal1, metrics1)
 	}
 }
 

@@ -92,12 +92,12 @@ type Config struct {
 	// Policy is the replanning hysteresis (zero value = AlwaysReplan).
 	Policy Policy
 	// Frontier keeps Pareto-frontier surgery tables across plans: a table
-	// set is registered per planned scenario at construction and on every
-	// full replan (against its frozen drifted rates), extended on delta
-	// replans, and each table keeps the cells every plan sharing it fills.
-	// Table counts land in the "serve.frontier.*" series. It changes speed
-	// and the planner.frontier.* hit/miss split, never the plan: without it
-	// every plan fills tables of its own.
+	// set is registered at construction and on every full replan, and each
+	// table keeps the cells every plan sharing it fills — delta replans and
+	// cheap refreshes at drifted rates included, since a table answers every
+	// link rate. Table counts land in the "serve.frontier.*" series. It
+	// changes speed and the planner.frontier.* hit/miss split, never the
+	// plan: without it every plan fills tables of its own.
 	Frontier bool
 	// Store, when set, makes the runtime crash-safe: every ingested sample
 	// is written ahead to the store's WAL before it is acted on, and a
@@ -447,15 +447,6 @@ func (rt *Runtime) act(s *telemetry.Sample, next *state, d *decision) (*joint.Pl
 			frozen = rt.frozenScenario(next.Rates)
 			budgeted := *rt.planner
 			budgeted.Opt.SurgeryBudget = rt.replanBudget()
-			if rt.frontier && budgeted.Opt.Frontiers != nil {
-				// Extend the table set in place (within its budget), so clean
-				// shards keep the cells earlier plans filled. The extension
-				// stays whatever the replan's fate: tables never change output.
-				added := joint.ExtendFrontierSet(budgeted.Opt.Frontiers, frozen, budgeted.Opt, d.dirty)
-				rt.reg.Counter("serve.frontier.extends").Inc()
-				rt.reg.Counter("serve.frontier.extend_tables").Add(int64(added))
-				rt.reg.Gauge("serve.frontier.tables").Set(float64(budgeted.Opt.Frontiers.Len()))
-			}
 			plan, err = budgeted.PlanDelta(frozen, rt.disp.Current(), d.dirty)
 		}
 		if err == nil {
@@ -638,11 +629,13 @@ func (rt *Runtime) frozenScenario(rates []float64) *joint.Scenario {
 // crash recovery's re-derivation, so the recovered plan is the lost one by
 // construction. It plans on a copy of the runtime's planner, returned with
 // the budget cleared for install to keep. With Config.Frontier the copy
-// carries a fresh table set registered for the frozen scenario (its rates are
-// new frontier keys); the tables start empty and keep what each plan fills,
-// so later plans at the same rates pay for no cell twice. Cheap refreshes
-// gain little: observed rates carry telemetry noise, so every refresh's
-// server keys are new and fill tables private to that refresh.
+// carries a fresh table set registered for the frozen scenario; the tables
+// start empty and keep what each plan fills, and since a table answers every
+// link rate, the delta replans and cheap refreshes that follow at drifted
+// rates read and fill the same tables. The set is fresh per full replan, not
+// carried across: crash recovery re-derives the last full replan on a fresh
+// set, and only then does the recovered planner.frontier.* split match the
+// live one.
 func (rt *Runtime) planAt(rates []float64, budget int64) (*joint.Scenario, *joint.Planner, *joint.Plan, error) {
 	frozen := rt.frozenScenario(rates)
 	planner := *rt.planner

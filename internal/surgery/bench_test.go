@@ -75,9 +75,9 @@ func BenchmarkFrontierLookup(b *testing.B) {
 		b.Fatal(err)
 	}
 	table := set.Get(key)
-	grid := set.Grid()
-	probe := func(i int) (float64, float64) {
-		return grid.Value(i % grid.Levels()), grid.Value((i * 7) % grid.Levels())
+	grid := surgery.NewShareGrid(0)
+	probe := func(i int) (float64, float64, float64) {
+		return grid.Value(i % grid.Levels()), grid.Value((i * 7) % grid.Levels()), env.UplinkBps
 	}
 	// A cell fills on its first lookup; the probes cycle through Levels
 	// cells, so one pass fills every cell the timed loop reads.

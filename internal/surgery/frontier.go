@@ -12,11 +12,14 @@ import (
 )
 
 // This file implements Pareto-frontier surgery tables: per (model, device,
-// server, link, constraint) key, the map from allocated (compute, bandwidth)
-// shares to the optimizer's plan, over a small geometric share grid. A table
-// is the planner's memo for its innermost kernel: a lookup is a
-// binary-searched grid quantization plus a cell read, and returns results
+// server, constraint) key, the map from an allocated compute share and an
+// absolute uplink bandwidth to the optimizer's plan, over a small geometric
+// grid. A table is the planner's memo for its innermost kernel: a lookup is
+// a binary-searched grid quantization plus a cell read, and returns results
 // bit-identical to Optimize at every grid point.
+//
+// The optimizer reads the link rate R only through R·b, so the bandwidth axis
+// is absolute bit/s and one table answers its key at every rate.
 //
 // A table holds two things: the key's kernel — the share-independent half of
 // Optimize, built by the table's first fill and shared by every later one —
@@ -26,22 +29,29 @@ import (
 // read. A cell where the optimizer errors (an infeasible constraint) stays
 // unknown, and the error surfaces only when a plan lands there.
 
-// shareGridOctaves fixes the grid's dynamic range: levels span
+// shareGridOctaves fixes the compute axis's dynamic range: levels span
 // [2^-shareGridOctaves, 1] = [1/4096, 1].
 const shareGridOctaves = 12
+
+// bandwidthOctaves fixes the bandwidth axis's range: [1, 2^40] bit/s. A
+// table's kernel runs at the top rate, axisTopBps, and solves bandwidth B as
+// the share B/axisTopBps, a power-of-two scaling exact in floating point.
+const bandwidthOctaves = 40
+const axisTopBps = 1 << bandwidthOctaves
 
 // DefaultStepsPerOctave is the geometric grid resolution: 6 levels per
 // octave bounds the relative share error of quantization by 2^(1/12) ≈ 6%,
 // uniformly across the twelve octaves — where a uniform 1/4096 grid has far
 // coarser *relative* resolution at small shares, the regime heavily-shared
-// servers live in.
+// servers live in. The bandwidth axis has the same resolution.
 const DefaultStepsPerOctave = 6
 
-// ShareGrid is the geometric share grid frontier tables are keyed on:
-// levels 2^(-i/steps) for i = 0..steps·12, descending from 1 to 1/4096.
-// The zero value is invalid; use NewShareGrid.
+// ShareGrid is the geometric grid frontier tables are keyed on: compute levels
+// 2^(-i/steps), i = 0..steps·12, and bandwidth levels 2^(40-j/steps) bit/s,
+// j = 0..steps·40, both descending. The zero value is invalid; use NewShareGrid.
 type ShareGrid struct {
-	levels []float64
+	levels []float64 // compute shares
+	bw     []float64 // bandwidth levels over axisTopBps: 2^(-j/steps)
 }
 
 // defaultShareGrid is the grid every production table and plan uses; grids
@@ -58,21 +68,22 @@ func NewShareGrid(stepsPerOctave int) ShareGrid {
 }
 
 func newShareGrid(stepsPerOctave int) ShareGrid {
-	levels := make([]float64, stepsPerOctave*shareGridOctaves+1)
-	for i := range levels {
-		levels[i] = math.Pow(2, -float64(i)/float64(stepsPerOctave))
+	bw := make([]float64, stepsPerOctave*bandwidthOctaves+1)
+	for i := range bw {
+		bw[i] = math.Pow(2, -float64(i)/float64(stepsPerOctave))
 	}
-	levels[0] = 1
-	return ShareGrid{levels: levels}
+	bw[0] = 1
+	n := stepsPerOctave*shareGridOctaves + 1
+	return ShareGrid{levels: bw[:n:n], bw: bw}
 }
 
-// Levels returns the number of grid levels per axis.
+// Levels returns the number of compute levels.
 func (g ShareGrid) Levels() int { return len(g.levels) }
 
-// Value returns the share value of level i (descending: Value(0) == 1).
+// Value returns the share value of compute level i (descending: Value(0) == 1).
 func (g ShareGrid) Value(i int) float64 { return g.levels[i] }
 
-// Index quantizes a positive share to the nearest grid level in log space
+// Index quantizes a positive share to the nearest compute level in log space
 // (ties to the larger share), clamping to [1/4096, 1]. It is the one place a
 // share becomes a grid level: Snap and every table lookup go through it.
 func (g ShareGrid) Index(s float64) int {
@@ -92,7 +103,12 @@ func (g ShareGrid) Index(s float64) int {
 	return i
 }
 
-// Snap rounds a share to its nearest grid level; non-positive shares
+// bandwidthIndex is Index for a bandwidth in bit/s, on the bandwidth levels.
+func (g ShareGrid) bandwidthIndex(bps float64) int {
+	return ShareGrid{levels: g.bw}.Index(bps / axisTopBps)
+}
+
+// Snap rounds a share to its nearest compute level; non-positive shares
 // (device-only environments) stay zero.
 func (g ShareGrid) Snap(s float64) float64 {
 	if s <= 0 {
@@ -101,9 +117,25 @@ func (g ShareGrid) Snap(s float64) float64 {
 	return g.levels[g.Index(s)]
 }
 
-// FrontierKey identifies one frontier table: a complete surgery problem
-// minus the allocated shares — exit curves and constraint fields included,
-// because a frontier set outlives any single planning call.
+// SnapBandwidth rounds an absolute bandwidth in bit/s to its nearest
+// bandwidth level.
+func (g ShareGrid) SnapBandwidth(bps float64) float64 {
+	return g.bw[g.bandwidthIndex(bps)] * axisTopBps
+}
+
+// Cell is the grid point a table answers env at, as an env Optimize accepts:
+// the compute share and UplinkBps·BandwidthShare on their levels, the latter
+// a share of the top rate. Optimize there returns a table lookup's plan.
+func (g ShareGrid) Cell(env Env) Env {
+	env.ComputeShare = g.levels[g.Index(env.ComputeShare)]
+	env.BandwidthShare = g.bw[g.bandwidthIndex(env.BandwidthShare*env.UplinkBps)]
+	env.UplinkBps = axisTopBps
+	return env
+}
+
+// FrontierKey describes a surgery problem minus the allocated shares, exit
+// curves and constraints included. A table is keyed without UplinkBps, which
+// a lookup through the key reads as its rate.
 type FrontierKey struct {
 	Model      *dnn.Model
 	Device     *hardware.Profile
@@ -139,7 +171,8 @@ func KeyOf(m *dnn.Model, env Env, opt Options) FrontierKey {
 	}
 }
 
-// env reconstitutes the surgery environment at the given shares.
+// env reconstitutes the surgery environment at compute share f and bandwidth
+// share b of the axis's top rate — a cell's point, as Cell writes it.
 func (k FrontierKey) env(f, b float64) Env {
 	env := Env{
 		Device:     k.Device,
@@ -152,7 +185,7 @@ func (k FrontierKey) env(f, b float64) Env {
 		env.Server = k.Server
 		env.ComputeShare = f
 		env.BandwidthShare = b
-		env.UplinkBps = k.UplinkBps
+		env.UplinkBps = axisTopBps
 		env.RTT = k.RTT
 	}
 	return env
@@ -187,8 +220,8 @@ type FrontierEntry struct {
 // table from BuildFrontier that no set holds belongs to the one planning state
 // that made it.
 type Frontier struct {
-	key  FrontierKey
-	opt  Options // what every fill of this table runs the optimizer under
+	key  FrontierKey // UplinkBps is zero: the table answers every rate
+	opt  Options     // what every fill of this table runs the optimizer under
 	grid ShareGrid
 
 	// mu guards everything below. Lookup holds it while it reads or fills a
@@ -197,8 +230,8 @@ type Frontier struct {
 	mu sync.Mutex
 	// rows[fi] holds compute level fi's cells, one per bandwidth level, and
 	// is allocated when the row's first cell is filled, so memory follows the
-	// cells touched rather than Levels()². A cell is 1 + the index of its
-	// entry, 0 while unknown. A device-only key has one row of one cell.
+	// cells touched rather than the whole grid. A cell is 1 + the index of its
+	// entry, 0 while unknown. A device-only key uses its one row's first cell.
 	rows    [][]int32
 	entries []FrontierEntry
 	probes  int
@@ -215,18 +248,20 @@ func (t *Frontier) Probes() int {
 	return t.probes
 }
 
-// Lookup returns the optimizer's plan at the given shares, which must lie
-// on the table's grid for bit-identity (arbitrary shares quantize to the
-// nearest level). The returned Eval matches surgery.Optimize bit for bit:
-// all fields but Latency are share-independent, and Latency is re-derived
-// by the same expression the optimizer uses. known reports that the cell was
+// Lookup returns the optimizer's plan at the grid point (Cell) of the compute
+// share and the bandwidth bandwidthShare·uplinkBps, with the Eval Evaluate
+// gives it at exactly those shares and rate. known reports that the cell was
 // already filled; otherwise this call ran the optimizer at the cell's grid
 // point, whose error (an infeasible constraint) is returned and leaves the
-// cell unknown.
-func (t *Frontier) Lookup(computeShare, bandwidthShare float64) (plan Plan, ev Eval, known bool, err error) {
+// cell unknown. A rate that is not finite and positive, or at which the
+// transfer time overflows, is refused.
+func (t *Frontier) Lookup(computeShare, bandwidthShare, uplinkBps float64) (plan Plan, ev Eval, known bool, err error) {
 	fi, bi := 0, 0
 	if t.key.Server != nil {
-		fi, bi = t.grid.Index(computeShare), t.grid.Index(bandwidthShare)
+		if !(uplinkBps > 0) || math.IsInf(uplinkBps, 1) {
+			return Plan{}, Eval{}, false, fmt.Errorf("surgery: uplink %g bit/s is not finite and positive", uplinkBps)
+		}
+		fi, bi = t.grid.Index(computeShare), t.grid.bandwidthIndex(bandwidthShare*uplinkBps)
 	}
 	t.mu.Lock()
 	id, known, err := t.at(fi, bi)
@@ -237,6 +272,19 @@ func (t *Frontier) Lookup(computeShare, bandwidthShare float64) (plan Plan, ev E
 	}
 	e := &entries[id-1]
 	ev = e.Eval
+	if p := &e.Plan; p.Partition < p.Model.NumUnits() {
+		// Evaluate's TxSec: Σ pe·(bits/R) over the exits past the partition.
+		tx := float64(p.Model.CutBytes(p.Partition)) * 8 * Env{TxFactor: t.key.TxFactor}.txFactor() / uplinkBps
+		ev.TxSec = 0
+		for i, pe := range ev.ExitProbs {
+			if i >= len(p.Exits) || p.Exits[i] > p.Partition {
+				ev.TxSec += pe * tx
+			}
+		}
+		if !(ev.TxSec <= math.MaxFloat64) {
+			return Plan{}, Eval{}, known, fmt.Errorf("surgery: transfer time overflows at uplink %g bit/s", uplinkBps)
+		}
+	}
 	ev.Latency = ev.LatencyAt(envShare(computeShare), envShare(bandwidthShare))
 	return e.Plan, ev, known, nil
 }
@@ -256,13 +304,13 @@ func (t *Frontier) at(fi, bi int) (id int32, known bool, err error) {
 	if t.kernelErr != nil {
 		return 0, false, t.kernelErr
 	}
-	plan, ev, err := t.kernel.solve(t.grid.Value(fi), t.grid.Value(bi))
+	plan, ev, err := t.kernel.solve(t.grid.Value(fi), t.grid.bw[bi])
 	if err != nil {
 		return 0, false, err
 	}
 	id = t.intern(plan, ev)
 	if t.rows[fi] == nil {
-		t.rows[fi] = make([]int32, len(t.rows))
+		t.rows[fi] = make([]int32, len(t.grid.bw))
 	}
 	t.rows[fi][bi] = id
 	return id, false, nil
@@ -276,10 +324,9 @@ func (t *Frontier) intern(plan Plan, ev Eval) int32 {
 			return int32(i + 1)
 		}
 	}
-	// All Eval fields except Latency are share-independent, so the first
-	// probe's evaluation stands for the plan at every grid point bit for
-	// bit; Latency is normalized to full shares here and re-derived per
-	// lookup.
+	// All Eval fields except TxSec and Latency are share- and
+	// rate-independent, so the first probe's evaluation stands for the plan
+	// at every grid point bit for bit; the other two are re-derived per lookup.
 	ev.Latency = ev.LatencyAt(1, 1)
 	t.entries = append(t.entries, FrontierEntry{Plan: plan, Eval: ev})
 	return int32(len(t.entries))
@@ -339,6 +386,7 @@ func BuildFrontier(k FrontierKey, bo BuildOptions) (*Frontier, error) {
 	if k.Model == nil || k.Device == nil {
 		return nil, fmt.Errorf("surgery: frontier key needs a model and a device")
 	}
+	k.UplinkBps = 0
 	t := &Frontier{key: k, opt: k.options(bo.Surgery), grid: bo.shareGrid()}
 	n := 1 // device-only: shares are irrelevant, a single cell is the table
 	if k.Server != nil {
@@ -352,28 +400,23 @@ func BuildFrontier(k FrontierKey, bo BuildOptions) (*Frontier, error) {
 // grid and one base option set: the long-lived memo the joint planner
 // consumes. A registered table starts empty and fills a cell on its first
 // lookup, so every plan that shares the set finds the cells earlier plans
-// filled. An empty set is valid: the planner then keeps a private table for
-// every key it needs.
+// filled, at whatever rate its links run. An empty set is valid: the planner
+// then keeps a private table for every key it needs.
 type FrontierSet struct {
 	bo     BuildOptions
-	grid   ShareGrid
 	mu     sync.RWMutex // guards tables; each table guards its own cells
 	tables map[FrontierKey]*Frontier
 }
 
-// NewFrontierSet returns an empty set with the resolved grid.
+// NewFrontierSet returns an empty set.
 func NewFrontierSet(bo BuildOptions) *FrontierSet {
-	bo.grid = bo.shareGrid()
-	return &FrontierSet{bo: bo, grid: bo.grid, tables: make(map[FrontierKey]*Frontier)}
+	return &FrontierSet{bo: bo, tables: make(map[FrontierKey]*Frontier)}
 }
-
-// Grid returns the set's share grid.
-func (s *FrontierSet) Grid() ShareGrid { return s.grid }
 
 // Budget returns the set's table-count capacity — BuildOptions.MaxTables
 // with the default applied. Len() < Budget() means Build can still add
-// tables; incremental extenders (the delta-replan path) use the headroom to
-// truncate their key lists deterministically before registering them.
+// tables; registrations use the headroom to truncate their key lists
+// deterministically before registering them.
 func (s *FrontierSet) Budget() int { return s.bo.maxTables() }
 
 // Len returns the number of tables held.
@@ -399,6 +442,7 @@ func (s *FrontierSet) Probes() int64 {
 func (s *FrontierSet) Get(k FrontierKey) *Frontier {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	k.UplinkBps = 0
 	return s.tables[k]
 }
 
@@ -406,6 +450,7 @@ func (s *FrontierSet) Get(k FrontierKey) *Frontier {
 // already. It runs no optimizer and fails only for a key BuildFrontier
 // rejects or a set at its table budget. Safe for concurrent use.
 func (s *FrontierSet) Build(k FrontierKey) error {
+	k.UplinkBps = 0
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.tables[k]; ok {
@@ -422,14 +467,14 @@ func (s *FrontierSet) Build(k FrontierKey) error {
 	return nil
 }
 
-// Lookup answers one surgery problem from the set, filling the cell on its
-// first ask: ok is false when the key has no table or the optimizer has no
-// plan at that cell.
+// Lookup answers one surgery problem from the set at k's UplinkBps, filling
+// the cell on its first ask: ok is false when the key has no table or the
+// table refuses the lookup (Frontier.Lookup).
 func (s *FrontierSet) Lookup(k FrontierKey, computeShare, bandwidthShare float64) (Plan, Eval, bool) {
 	t := s.Get(k)
 	if t == nil {
 		return Plan{}, Eval{}, false
 	}
-	plan, ev, _, err := t.Lookup(computeShare, bandwidthShare)
+	plan, ev, _, err := t.Lookup(computeShare, bandwidthShare, k.UplinkBps)
 	return plan, ev, err == nil
 }

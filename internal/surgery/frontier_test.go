@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -26,6 +27,17 @@ func (t *Frontier) Entries() []FrontierEntry {
 	defer t.mu.Unlock()
 	return t.entries
 }
+
+// cell returns the point of table cell c (row-major: compute level c/cols,
+// bandwidth level c%cols) as the shares a lookup at the axis's top rate lands
+// on it with. There a lookup is Optimize at k.env(f, b) bit for bit, TxSec
+// and Latency included.
+func (g ShareGrid) cell(c int) (f, b float64) {
+	return g.levels[c/len(g.bw)], g.bw[c%len(g.bw)]
+}
+
+// cells is the number of cells of a table on g.
+func (g ShareGrid) cells() int { return len(g.levels) * len(g.bw) }
 
 // testFrontierKey draws one random but domain-valid frontier key under the
 // given constraint kind. The rng fully determines the key, so seeded tests
@@ -111,18 +123,55 @@ func TestShareGridProperties(t *testing.T) {
 	if g.Snap(1e-9) != g.Value(g.Levels()-1) {
 		t.Fatalf("Snap(1e-9) = %g, want floor level %g", g.Snap(1e-9), g.Value(g.Levels()-1))
 	}
+	// The bandwidth axis: the same resolution over 40 octaves of absolute
+	// bandwidth, its levels powers of two apart from the compute levels, and
+	// SnapBandwidth is nearest-in-log-space with clamps at 1 and 2^40 bit/s.
+	if len(g.bw) != DefaultStepsPerOctave*bandwidthOctaves+1 {
+		t.Fatalf("default bandwidth axis has %d levels", len(g.bw))
+	}
+	for i := 0; i < g.Levels(); i++ {
+		if g.bw[i] != g.Value(i) {
+			t.Fatalf("bandwidth level %d = %g, compute level %g", i, g.bw[i], g.Value(i))
+		}
+	}
+	for trial := 0; trial < 2000; trial++ {
+		bps := math.Pow(2, 42*rng.Float64()-1)
+		best, bestD := 0, math.Inf(1)
+		for j := range g.bw {
+			if d := math.Abs(math.Log(bps) - math.Log(g.bw[j]*axisTopBps)); d < bestD-1e-15 {
+				best, bestD = j, d
+			}
+		}
+		if got := g.SnapBandwidth(bps); got != g.bw[best]*axisTopBps {
+			t.Fatalf("SnapBandwidth(%g) = %g, brute force wants %g", bps, got, g.bw[best]*axisTopBps)
+		}
+	}
+	if g.SnapBandwidth(0.25) != 1 || g.SnapBandwidth(1e15) != axisTopBps {
+		t.Fatalf("SnapBandwidth clamps to %g and %g", g.SnapBandwidth(0.25), g.SnapBandwidth(1e15))
+	}
+}
+
+// at is k's environment at shares (f, b) of a link of rate bps: what a
+// lookup through k at that rate evaluates the cell's plan in.
+func (k FrontierKey) at(f, b, bps float64) Env {
+	env := k.env(f, b)
+	env.UplinkBps = bps
+	return env
 }
 
 // TestFrontierMatchesOptimizer is the exactness pin: for seeded random
 // (model, device, link) keys — unconstrained, accuracy-floored and
 // exit-free — every cell of a table, on its first and on a repeat lookup,
-// agrees bit for bit with a direct surgery.Optimize call, and at infeasible
-// cells the table returns the optimizer's own error. A coarse
-// 1-step-per-octave grid keeps the exhaustive sweep cheap while still covering
-// the full 12-octave share range.
+// holds the plan a direct surgery.Optimize call returns at the cell's grid
+// point (Cell), evaluated bit for bit as surgery.Evaluate evaluates it at the
+// lookup's own shares and rate, and at infeasible cells the table returns the
+// optimizer's own error. Each cell is reached through a different split of
+// its absolute bandwidth into share and rate. A coarse 1-step-per-octave grid
+// keeps the exhaustive sweep cheap while still covering both axes' full range.
 func TestFrontierMatchesOptimizer(t *testing.T) {
 	grid := NewShareGrid(1)
 	rng := rand.New(rand.NewSource(42))
+	split := rand.New(rand.NewSource(43)) // draws each lookup's share
 	compared := make(map[int]int)
 	for trial := 0; trial < 12; trial++ {
 		kind := keyFree
@@ -136,51 +185,140 @@ func TestFrontierMatchesOptimizer(t *testing.T) {
 			t.Fatal(err)
 		}
 		opt := k.options(bo.Surgery)
-		for fi := 0; fi < grid.Levels(); fi++ {
-			for bi := 0; bi < grid.Levels(); bi++ {
-				f, b := grid.Value(fi), grid.Value(bi)
-				wantPlan, wantEv, wantErr := Optimize(k.Model, k.env(f, b), opt)
-				gotPlan, gotEv, known, err := table.Lookup(f, b)
-				if known {
-					t.Fatalf("trial %d: first lookup at (%g, %g) found the cell filled", trial, f, b)
-				}
-				if wantErr != nil {
-					if err == nil || err.Error() != wantErr.Error() {
-						t.Fatalf("trial %d: error at (%g, %g) = %v, optimizer says %v", trial, f, b, err, wantErr)
-					}
-					continue
-				}
-				if err != nil {
-					t.Fatalf("trial %d: fill failed at (%g, %g): %v", trial, f, b, err)
-				}
-				check := func(mode string, gotPlan Plan, gotEv Eval) {
-					t.Helper()
-					if !reflect.DeepEqual(gotPlan, wantPlan) {
-						t.Fatalf("trial %d: %s plan mismatch at shares (%g, %g):\n  table:     %+v\n  optimizer: %+v",
-							trial, mode, f, b, gotPlan, wantPlan)
-					}
-					if !reflect.DeepEqual(gotEv, wantEv) {
-						t.Fatalf("trial %d: %s eval mismatch at shares (%g, %g):\n  table:     %+v\n  optimizer: %+v",
-							trial, mode, f, b, gotEv, wantEv)
-					}
-				}
-				check("first lookup", gotPlan, gotEv)
-				gotPlan, gotEv, known, err = table.Lookup(f, b)
-				if !known || err != nil {
-					t.Fatalf("trial %d: second lookup at (%g, %g): known %t, err %v", trial, f, b, known, err)
-				}
-				check("filled cell", gotPlan, gotEv)
-				compared[kind]++
+		for c := 0; c < grid.cells(); c++ {
+			f, level := grid.cell(c)
+			b := grid.Value(split.Intn(grid.Levels()))
+			env := k.at(f, b, level*axisTopBps/b)
+			if cell := grid.Cell(env); cell != k.env(f, level) {
+				t.Fatalf("trial %d: Cell of share %g at %g bit/s is %+v, want the grid point (%g, %g)", trial, b, env.UplinkBps, cell, f, level)
 			}
+			wantPlan, _, wantErr := Optimize(k.Model, k.env(f, level), opt)
+			gotPlan, gotEv, known, err := table.Lookup(f, b, env.UplinkBps)
+			if known {
+				t.Fatalf("trial %d: first lookup of cell %d found it filled", trial, c)
+			}
+			if wantErr != nil {
+				if err == nil || err.Error() != wantErr.Error() {
+					t.Fatalf("trial %d: error at cell %d = %v, optimizer says %v", trial, c, err, wantErr)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("trial %d: fill of cell %d failed: %v", trial, c, err)
+			}
+			wantEv, err := Evaluate(wantPlan, env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(mode string, gotPlan Plan, gotEv Eval) {
+				t.Helper()
+				if !reflect.DeepEqual(gotPlan, wantPlan) {
+					t.Fatalf("trial %d: %s plan mismatch at cell %d:\n  table:     %+v\n  optimizer: %+v",
+						trial, mode, c, gotPlan, wantPlan)
+				}
+				if d := evalDiff(gotEv, wantEv); d != "" {
+					t.Fatalf("trial %d: %s eval mismatch at cell %d (share %g at %g bit/s): %s", trial, mode, c, b, env.UplinkBps, d)
+				}
+			}
+			check("first lookup", gotPlan, gotEv)
+			gotPlan, gotEv, known, err = table.Lookup(f, b, env.UplinkBps)
+			if !known || err != nil {
+				t.Fatalf("trial %d: second lookup of cell %d: known %t, err %v", trial, c, known, err)
+			}
+			check("filled cell", gotPlan, gotEv)
+			compared[kind]++
 		}
 		// One optimizer call per cell: repeat lookups of a filled cell are
 		// free, and no infeasible cell was asked twice.
-		if want := grid.Levels() * grid.Levels(); table.Probes() != want {
-			t.Fatalf("trial %d: table spent %d probes on %d cells", trial, table.Probes(), want)
+		if table.Probes() != grid.cells() {
+			t.Fatalf("trial %d: table spent %d probes on %d cells", trial, table.Probes(), grid.cells())
 		}
 	}
 	if compared[keyFree] == 0 || compared[keyAccuracyFloor] == 0 || compared[keyNoExits] == 0 {
 		t.Fatalf("feasible cells compared by kind %v; the corpus is too thin", compared)
+	}
+}
+
+// TestFrontierAnswersEveryRate pins what takes the link rate out of a table's
+// identity. A lookup at arbitrary (f, b, R) returns Optimize's plan at the
+// snapped point Cell(f, b, R) and Evaluate's evaluation of it at (f, b, R),
+// bit for bit; a second rate whose b·R snaps to the same bandwidth level reads
+// the same cell without a probe, and one whose b·R does not costs one. Rates
+// no transfer can be timed at are refused with an error, not a panic.
+func TestFrontierAnswersEveryRate(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	grid := NewShareGrid(0)
+	for trial := 0; trial < 40; trial++ {
+		k := testFrontierKey(t, rng, trial%3)
+		table, err := BuildFrontier(k, BuildOptions{Surgery: Options{FixedPartition: FreePartition}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, b := 1-rng.Float64(), 1-rng.Float64()
+		env := k.at(f, b, k.UplinkBps)
+		wantPlan, _, wantErr := Optimize(k.Model, grid.Cell(env), k.options(Options{}))
+		plan, ev, _, err := table.Lookup(f, b, env.UplinkBps)
+		if wantErr != nil {
+			if err == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("trial %d: lookup error %v, optimizer at the cell says %v", trial, err, wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		wantEv, err := Evaluate(wantPlan, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(plan, wantPlan) {
+			t.Fatalf("trial %d: plan %v, Optimize at the snapped point returns %v", trial, plan, wantPlan)
+		}
+		if d := evalDiff(ev, wantEv); d != "" {
+			t.Fatalf("trial %d: eval differs from Evaluate at (%g, %g, %g): %s", trial, f, b, env.UplinkBps, d)
+		}
+
+		// A drifted rate whose product snaps to the same level: the filled
+		// cell answers, evaluated at the new rate. A product a whole octave
+		// away lands on another level and fills it.
+		probes := table.Probes()
+		level := grid.SnapBandwidth(b * env.UplinkBps)
+		drifted := level * (1 + 0.02*(rng.Float64()-0.5)) / b
+		plan2, ev2, known, err := table.Lookup(f, b, drifted)
+		if err != nil || !known || table.Probes() != probes {
+			t.Fatalf("trial %d: rate %g -> %g at share %g: known %t, probes %d -> %d, err %v",
+				trial, env.UplinkBps, drifted, b, known, probes, table.Probes(), err)
+		}
+		if want, err := Evaluate(plan2, k.at(f, b, drifted)); err != nil || !reflect.DeepEqual(plan2, plan) || evalDiff(ev2, want) != "" {
+			t.Fatalf("trial %d: the drifted lookup is not the cell's plan evaluated at its rate (err %v)", trial, err)
+		}
+		if _, _, known, err := table.Lookup(f, b, 2*drifted); err != nil || known || table.Probes() != probes+1 {
+			t.Fatalf("trial %d: an octave away: known %t, %d probes, err %v", trial, known, table.Probes()-probes, err)
+		}
+		for _, bad := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+			if _, _, _, err := table.Lookup(f, b, bad); err == nil {
+				t.Fatalf("trial %d: a lookup at %g bit/s was answered", trial, bad)
+			}
+		}
+	}
+
+	// A model no device partition holds must ship its input at any rate; at
+	// 5e-324 bit/s that transfer overflows, which is refused.
+	k := testFrontierKey(t, rng, keyFree)
+	k.Model = dnn.VGG16()
+	var err error
+	if k.Device, err = hardware.ByName("mcu-m7"); err != nil {
+		t.Fatal(err)
+	}
+	table, err := BuildFrontier(k, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan, _, _, err := table.Lookup(1, 1, 1e6); err != nil || plan.Partition == plan.Model.NumUnits() {
+		t.Fatalf("fixture: plan %v, err %v; want an offloading plan", plan, err)
+	}
+	if _, _, _, err := table.Lookup(1, 1, 5e-324); err == nil || !strings.Contains(err.Error(), "overflows") {
+		t.Fatalf("an overflowing transfer time was answered: %v", err)
 	}
 }
 
@@ -211,7 +349,7 @@ func TestFrontierFillsOnDemand(t *testing.T) {
 		t.Fatal("a fresh table already holds cells")
 	}
 	for _, bi := range []int{0, 5, 9} {
-		if _, _, _, err := table.Lookup(grid.Value(4), grid.Value(bi)); err != nil {
+		if _, _, _, err := table.Lookup(grid.Value(4), grid.bw[bi], axisTopBps); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -220,20 +358,19 @@ func TestFrontierFillsOnDemand(t *testing.T) {
 	}
 
 	fills := 0
+	cells := grid.cells()
 	for pass := 0; pass < 2; pass++ {
-		for fi := 0; fi < grid.Levels(); fi++ {
-			for bi := 0; bi < grid.Levels(); bi++ {
-				_, _, known, err := table.Lookup(grid.Value(fi), grid.Value(bi))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !known {
-					fills++
-				}
+		for c := 0; c < cells; c++ {
+			f, b := grid.cell(c)
+			_, _, known, err := table.Lookup(f, b, axisTopBps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !known {
+				fills++
 			}
 		}
 	}
-	cells := grid.Levels() * grid.Levels()
 	if got := fills + 3; got != cells { // three were filled above
 		t.Fatalf("%d fills reported for %d cells", got, cells)
 	}
@@ -246,7 +383,8 @@ func TestFrontierFillsOnDemand(t *testing.T) {
 	// first fill built — every cell holds what a fresh
 	// Optimize (a kernel of its own) returns at that grid point. The key is one
 	// whose winning exit set changes across the grid, so a stale or shared
-	// buffer would show.
+	// buffer would show. Its rate is not the axis's top rate, at which the
+	// lookups are made: the table does not read it.
 	k = FrontierKey{Model: dnn.AlexNet(), UplinkBps: 100e6, RTT: 0.004, Difficulty: workload.EasyBiased}
 	if k.Device, err = hardware.ByName("rpi4"); err != nil {
 		t.Fatal(err)
@@ -254,14 +392,13 @@ func TestFrontierFillsOnDemand(t *testing.T) {
 	if k.Server, err = hardware.ByName("edge-gpu-t4"); err != nil {
 		t.Fatal(err)
 	}
-	n := grid.Levels()
 	type answer struct {
 		plan Plan
 		ev   Eval
 	}
 	fresh := make([]answer, cells)
 	for c := range fresh {
-		f, b := grid.Value(c/n), grid.Value(c%n)
+		f, b := grid.cell(c)
 		if fresh[c].plan, fresh[c].ev, err = Optimize(k.Model, k.env(f, b), k.options(bo.Surgery)); err != nil {
 			t.Fatal(err)
 		}
@@ -270,7 +407,8 @@ func TestFrontierFillsOnDemand(t *testing.T) {
 		return reflect.DeepEqual(got.plan, want.plan) && evalDiff(got.ev, want.ev) == ""
 	}
 	checkCell := func(order string, tb *Frontier, c int) {
-		plan, ev, _, err := tb.Lookup(grid.Value(c/n), grid.Value(c%n))
+		f, b := grid.cell(c)
+		plan, ev, _, err := tb.Lookup(f, b, axisTopBps)
 		if err != nil {
 			t.Errorf("%s: cell %d: %v", order, c, err)
 		} else if !same(answer{plan, ev}, fresh[c]) {
@@ -304,7 +442,7 @@ func TestFrontierFillsOnDemand(t *testing.T) {
 	var last answer
 	lastCell := -1
 	for _, c := range orders["shuffled"] {
-		plan, ev, err := kern.solve(grid.Value(c/n), grid.Value(c%n))
+		plan, ev, err := kern.solve(grid.cell(c))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -330,7 +468,8 @@ func TestFrontierFillsOnDemand(t *testing.T) {
 // cell by cell: no retained entry is weakly dominated (with a strict
 // improvement) by another on the (FixedSec, ServerSec, TxSec) latency
 // components — such an entry would have strictly higher latency at every
-// share pair and could never win a grid cell.
+// share pair and could never win a grid cell. At 2 steps per octave a table
+// has 25 × 81 cells.
 func TestFrontierNoDominatedEntries(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 6; trial++ {
@@ -339,11 +478,10 @@ func TestFrontierNoDominatedEntries(t *testing.T) {
 			t.Fatal(err)
 		}
 		grid := table.grid
-		for fi := 0; fi < grid.Levels(); fi++ {
-			for bi := 0; bi < grid.Levels(); bi++ {
-				if _, _, _, err := table.Lookup(grid.Value(fi), grid.Value(bi)); err != nil {
-					t.Fatal(err)
-				}
+		for c := 0; c < grid.cells(); c++ {
+			f, b := grid.cell(c)
+			if _, _, _, err := table.Lookup(f, b, axisTopBps); err != nil {
+				t.Fatal(err)
 			}
 		}
 		entries := table.Entries()
@@ -392,7 +530,7 @@ func TestFrontierInfeasibleCell(t *testing.T) {
 			if wantErr == nil {
 				t.Fatalf("%s: fixture is feasible", name)
 			}
-			_, _, known, err := table.Lookup(s[0], s[1])
+			_, _, known, err := table.Lookup(s[0], s[1], axisTopBps)
 			if known || err == nil || err.Error() != wantErr.Error() {
 				t.Fatalf("%s, ask %d: known %t, err %v; optimizer says %v", name, ask+1, known, err, wantErr)
 			}
@@ -426,6 +564,13 @@ func TestFrontierSetSemantics(t *testing.T) {
 	if set.Probes() != 0 || len(set.Get(k1).Entries()) != 0 {
 		t.Fatal("a registered table already holds cells")
 	}
+	// The rate is not part of a table's identity: k1 at another rate is k1's
+	// table, which a full set registers again without complaint.
+	drifted := k1
+	drifted.UplinkBps *= 1.37
+	if err := set.Build(drifted); err != nil || set.Len() != 1 || set.Get(drifted) != set.Get(k1) {
+		t.Fatalf("k1 at another rate: build error %v, %d tables, same table %t", err, set.Len(), set.Get(drifted) == set.Get(k1))
+	}
 	if err := set.Build(k2); err == nil {
 		t.Fatal("capacity overflow must error")
 	}
@@ -433,12 +578,16 @@ func TestFrontierSetSemantics(t *testing.T) {
 		t.Fatal("lookup of an untabulated key must miss")
 	}
 	for ask := 0; ask < 2; ask++ {
-		plan, _, ok := set.Lookup(k1, 0.5, 0.5)
+		plan, ev, ok := set.Lookup(k1, 0.5, 0.5)
 		if !ok || plan.Model == nil {
 			t.Fatal("lookup of a registered key must answer with a real plan")
 		}
 		if set.Probes() != 1 {
 			t.Fatalf("ask %d: the set counts %d fills, want 1", ask+1, set.Probes())
+		}
+		// Lookup reads the rate from the key.
+		if want, err := Evaluate(plan, k1.at(0.5, 0.5, k1.UplinkBps)); err != nil || evalDiff(ev, want) != "" {
+			t.Fatalf("ask %d: the set's answer is not evaluated at the key's rate (err %v)", ask+1, err)
 		}
 	}
 	// Device-only keys tabulate as single-entry tables.
@@ -462,35 +611,41 @@ func TestFrontierSetSemantics(t *testing.T) {
 	}
 }
 
-// FuzzFrontierLookup drives table lookups with arbitrary shares: no panic,
-// and every lookup returns exactly the optimizer's answer at the snapped
-// shares, a plan the table lists among its entries.
+// FuzzFrontierLookup drives table lookups with arbitrary shares and rates: no
+// panic, and every lookup returns exactly the optimizer's plan at the snapped
+// point, a plan the table lists among its entries, evaluated as Evaluate
+// evaluates it at the lookup's shares and rate.
 func FuzzFrontierLookup(f *testing.F) {
-	f.Add(uint8(0), 0.5, 0.5)
-	f.Add(uint8(1), 1.0, 0.001)
-	f.Add(uint8(2), -3.0, 7.5)
+	f.Add(uint8(0), 0.5, 0.5, 2e7)
+	f.Add(uint8(1), 1.0, 0.001, 1e3)
+	f.Add(uint8(2), -3.0, 7.5, 5e9)
 	rng := rand.New(rand.NewSource(5))
 	bo := BuildOptions{grid: NewShareGrid(2), Surgery: Options{FixedPartition: FreePartition}}
 	tables := make([]*Frontier, 3)
+	keys := make([]FrontierKey, len(tables))
 	for i := range tables {
-		table, err := BuildFrontier(testFrontierKey(f, rng, keyFree), bo)
+		keys[i] = testFrontierKey(f, rng, keyFree)
+		table, err := BuildFrontier(keys[i], bo)
 		if err != nil {
 			f.Fatal(err)
 		}
 		tables[i] = table
 	}
-	f.Fuzz(func(t *testing.T, sel uint8, cs, bs float64) {
-		table := tables[int(sel)%len(tables)]
-		fShare, bShare := fuzzUnit(cs), fuzzUnit(bs)
-		key, grid := table.key, table.grid
-		sf, sb := grid.Snap(fShare), grid.Snap(bShare)
-		wantPlan, wantEv, err := Optimize(key.Model, key.env(sf, sb), key.options(bo.Surgery))
+	f.Fuzz(func(t *testing.T, sel uint8, cs, bs, rate float64) {
+		i := int(sel) % len(tables)
+		table, key, grid := tables[i], keys[i], tables[i].grid
+		env := key.at(fuzzUnit(cs), fuzzUnit(bs), fuzzRange(rate, 1e3, 1e10))
+		wantPlan, _, err := Optimize(key.Model, grid.Cell(env), key.options(bo.Surgery))
 		if err != nil {
-			t.Fatalf("optimizer failed at snapped shares (%g, %g): %v", sf, sb, err)
+			t.Fatalf("optimizer failed at the snapped point of %+v: %v", env, err)
 		}
-		plan, ev, _, err := table.Lookup(fShare, bShare)
+		wantEv, err := Evaluate(wantPlan, env)
 		if err != nil {
-			t.Fatalf("lookup at (%g, %g): %v", fShare, bShare, err)
+			t.Fatal(err)
+		}
+		plan, ev, _, err := table.Lookup(env.ComputeShare, env.BandwidthShare, env.UplinkBps)
+		if err != nil {
+			t.Fatalf("lookup at %+v: %v", env, err)
 		}
 		found := false
 		for _, e := range table.Entries() {
@@ -500,10 +655,10 @@ func FuzzFrontierLookup(f *testing.F) {
 			}
 		}
 		if !found {
-			t.Fatalf("lookup at (%g, %g) returned a plan outside the frontier", fShare, bShare)
+			t.Fatalf("lookup at %+v returned a plan outside the frontier", env)
 		}
-		if !reflect.DeepEqual(plan, wantPlan) || !reflect.DeepEqual(ev, wantEv) {
-			t.Fatalf("lookup at (%g, %g) diverged from optimizer at snapped (%g, %g)", fShare, bShare, sf, sb)
+		if !reflect.DeepEqual(plan, wantPlan) || evalDiff(ev, wantEv) != "" {
+			t.Fatalf("lookup at %+v diverged from the optimizer at its snapped point", env)
 		}
 	})
 }
@@ -521,10 +676,10 @@ func TestFrontierConcurrentFills(t *testing.T) {
 		t.Fatal(err)
 	}
 	grid := table.grid
-	n := grid.Levels()
-	want := make([]Plan, n*n)
+	want := make([]Plan, grid.cells())
 	for c := range want {
-		if want[c], _, err = Optimize(k.Model, k.env(grid.Value(c/n), grid.Value(c%n)), k.options(bo.Surgery)); err != nil {
+		f, b := grid.cell(c)
+		if want[c], _, err = Optimize(k.Model, k.env(f, b), k.options(bo.Surgery)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -537,7 +692,8 @@ func TestFrontierConcurrentFills(t *testing.T) {
 			defer wg.Done()
 			for i := range want {
 				c := (i + w*len(want)/workers) % len(want) // start apart, then overlap
-				plan, _, known, err := table.Lookup(grid.Value(c/n), grid.Value(c%n))
+				f, b := grid.cell(c)
+				plan, _, known, err := table.Lookup(f, b, axisTopBps)
 				if err != nil || !reflect.DeepEqual(plan, want[c]) {
 					t.Errorf("worker %d, cell %d: %v, err %v; the optimizer returns %v", w, c, plan, err, want[c])
 					return
@@ -577,11 +733,11 @@ func BenchmarkFrontierFill(b *testing.B) {
 		UplinkBps: 25e6, RTT: 0.004, Difficulty: workload.EasyBiased,
 	}
 	var table *Frontier
-	levels, next := NewShareGrid(0).Levels(), 0
+	grid, next := NewShareGrid(0), 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if table == nil || next == levels*levels {
+		if table == nil || next == grid.cells() {
 			b.StopTimer()
 			if table, err = BuildFrontier(k, BuildOptions{}); err != nil {
 				b.Fatal(err)
@@ -592,7 +748,7 @@ func BenchmarkFrontierFill(b *testing.B) {
 			next = 1
 			b.StartTimer()
 		}
-		if _, known, err := table.at(next/levels, next%levels); known || err != nil {
+		if _, known, err := table.at(next/len(grid.bw), next%len(grid.bw)); known || err != nil {
 			b.Fatalf("cell %d: known %t, err %v", next, known, err)
 		}
 		next++
